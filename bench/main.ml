@@ -251,17 +251,10 @@ let algorithm_timings ~quick () =
       ( "mnu-distributed",
         fun p ->
           ignore (C.Distributed.mnu (Wlan_model.Problem.with_budget p 0.05)) );
-      (* opt-in fast paths from this PR; no counterpart in older
-         baselines, so they show up without a speedup ratio *)
+      (* opt-in fast path; no counterpart in older baselines, so it
+         shows up without a speedup ratio *)
       ( "bla-centralized-soft-bisect",
         fun p -> ignore (C.Bla.run_exn ~mode:`Soft ~strategy:`Bisect p) );
-      ( "bla-centralized-soft-lazy",
-        fun p -> ignore (C.Bla.run_exn ~mode:`Soft ~engine:`Lazy p) );
-      ( "mnu-centralized-lazy",
-        fun p ->
-          ignore
-            (C.Mnu.run ~engine:`Lazy (Wlan_model.Problem.with_budget p 0.05))
-      );
     ]
   in
   let pool_algorithms pool =

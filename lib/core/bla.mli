@@ -12,15 +12,12 @@ val name : string
 
 (** [None] when no [B* <= 1] covers every coverable user.
 
-    [engine], [strategy] and [fanout] pass through to
-    {!Optkit.Scg.solve_grid}: [fanout] (e.g. [Harness.Pool.run pool])
-    parallelizes the [B*] grid with a bit-identical result; [`Bisect]
-    prunes the grid to O(log) evaluations, ranking realized loads over
-    only those runs. The defaults reproduce the recorded experiment
-    outputs bit-for-bit. *)
+    [strategy] and [fanout] pass through to {!Optkit.Scg.solve_grid}:
+    [fanout] (e.g. [Harness.Pool.run pool]) parallelizes the [B*] grid
+    with a bit-identical result; [`Bisect] prunes the grid to O(log)
+    evaluations, ranking realized loads over only those runs. *)
 val run :
   ?mode:[ `Soft | `Hard ] ->
-  ?engine:[ `Classic | `Lazy | `Eager ] ->
   ?strategy:[ `Exhaustive | `Bisect ] ->
   ?fanout:
     ((unit -> Optkit.Scg.result) list -> Optkit.Scg.result list) ->
@@ -31,7 +28,6 @@ val run :
 (** @raise Failure when {!run} returns [None]. *)
 val run_exn :
   ?mode:[ `Soft | `Hard ] ->
-  ?engine:[ `Classic | `Lazy | `Eager ] ->
   ?strategy:[ `Exhaustive | `Bisect ] ->
   ?fanout:
     ((unit -> Optkit.Scg.result) list -> Optkit.Scg.result list) ->

@@ -10,15 +10,13 @@ open Wlan_model
 
 let name = "MNU-centralized"
 
-(** [engine] selects the {!Optkit.Mcg.greedy} candidate generator; the
-    default reproduces the recorded experiment outputs bit-for-bit. *)
-let run ?engine p =
+let run p =
   let inst = Reduction.cover_instance ~filter_over_budget:true p in
   let universe = Reduction.coverable_users p in
   let budgets =
     Array.init (Optkit.Cover_instance.n_groups inst) (Problem.ap_budget p)
   in
-  let r = Optkit.Mcg.greedy ?engine inst ~budgets ~universe () in
+  let r = Optkit.Mcg.greedy inst ~budgets ~universe () in
   let assoc =
     Reduction.association_of_selections p inst
       (List.map (fun (s : Optkit.Mcg.selection) -> (s.set, s.newly)) r.kept)

@@ -5,12 +5,7 @@
 
 val name : string
 
-(** [engine] selects the {!Optkit.Mcg.greedy} candidate generator
-    ([`Classic] default; [`Lazy] is the fast large-instance engine). *)
-val run :
-  ?engine:[ `Classic | `Lazy | `Eager ] ->
-  Wlan_model.Problem.t ->
-  Solution.t
+val run : Wlan_model.Problem.t -> Solution.t
 
 (** Revenue-weighted MNU: maximize total user {e value} (the §3.2
     pay-per-view model with heterogeneous prices). Returns the solution

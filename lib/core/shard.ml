@@ -260,31 +260,26 @@ let solve ?plan:pl ?(fanout = List.map (fun f -> f ())) ?max_rounds ~objective
     shards. Two things are global and must be re-made globally:
 
     - the H1/H2 repair keeps whichever half covers more {e overall} —
-      per-shard [Mcg.resplit] weights are summed and the same half kept
-      everywhere;
+      per-shard [Mcg.session_round_split] weights are summed and the same
+      half kept everywhere;
     - SCG's per-round keep decision likewise, so the [B*] probes run all
       shards in lockstep, round by round.
 
-    Both drivers run the [`Lazy] engine (sharded [`Classic] is not
-    well-defined: its layout-resolved ties depend on global pop/re-push
-    interleavings that sharding removes; [`Lazy]'s lower-index total
-    order makes per-shard selection sequences exactly the unsharded
-    run's projection). Merged associations are byte-identical to the
-    unsharded [`Lazy] solves — pinned by the differential suites in
+    The greedy's lower-index total tie order makes per-shard selection
+    sequences exactly the unsharded run's projection, so merged
+    associations are byte-identical to the unsharded [Mnu.run] /
+    [Bla.run] solves — pinned by the differential suites in
     [test/test_flat.ml]. *)
 
 let mnu_sharded_name = "MNU-centralized-sharded"
 let bla_sharded_name = "BLA-centralized-sharded"
 
-(** [solve_mnu p] — sharded Centralized MNU: per-shard budgeted greedy
-    ([engine] defaults to [`Lazy]; [`Classic] would resolve score ties
-    layout-dependently and is not equivalence-safe here), H1/H2 halves
-    recomputed per shard and the keep decision made on the summed
-    weights. [fanout] runs the per-shard solves (inject
+(** [solve_mnu p] — sharded Centralized MNU: per-shard budgeted greedy,
+    H1/H2 halves recomputed per shard and the keep decision made on the
+    summed weights. [fanout] runs the per-shard solves (inject
     [Harness.Pool.run pool]; results are consumed in submission order,
     so the merged association is identical at any job count). *)
-let solve_mnu ?plan:pl ?(engine = `Lazy) ?(fanout = List.map (fun f -> f ()))
-    p =
+let solve_mnu ?plan:pl ?(fanout = List.map (fun f -> f ())) p =
   let pl = match pl with Some x -> x | None -> plan p in
   let _, n_users = Problem.dims p in
   let parts =
@@ -299,10 +294,10 @@ let solve_mnu ?plan:pl ?(engine = `Lazy) ?(fanout = List.map (fun f -> f ()))
                (Optkit.Cover_instance.n_groups inst)
                (Problem.ap_budget sub)
            in
-           let r = Optkit.Mcg.greedy ~engine inst ~budgets ~universe () in
            let sp =
-             Optkit.Mcg.resplit inst ~budgets ~universe
-               ~raw_order:r.Optkit.Mcg.raw_order
+             Optkit.Mcg.session_round_split
+               (Optkit.Mcg.session inst ~budgets)
+               ~remaining:universe
            in
            let local_of sels =
              Reduction.association_of_selections sub inst
@@ -372,16 +367,11 @@ let solve_bla ?plan:pl ?(n_guesses = 12) ?(fanout = List.map (fun f -> f ()))
      to fan out across domains *)
   let probe bstar =
     let arena = Optkit.Arena.create () in
-    let budgets =
+    let sessions =
       Array.map
         (fun (_, _, inst, _) ->
-          Array.make (Optkit.Cover_instance.n_groups inst) bstar)
-        subs
-    in
-    let sessions =
-      Array.mapi
-        (fun i (_, _, inst, _) ->
-          Optkit.Mcg.session ~arena inst ~budgets:budgets.(i))
+          Optkit.Mcg.session ~arena inst
+            ~budgets:(Array.make (Optkit.Cover_instance.n_groups inst) bstar))
         subs
     in
     let remaining =
@@ -402,18 +392,13 @@ let solve_bla ?plan:pl ?(n_guesses = 12) ?(fanout = List.map (fun f -> f ()))
          if all_covered () then raise Exit;
          let splits =
            Array.mapi
-             (fun i (_, _, inst, _) ->
+             (fun i session ->
                if Optkit.Bitset.is_empty remaining.(i) then None
                else
-                 let r =
-                   Optkit.Mcg.session_round sessions.(i)
-                     ~remaining:remaining.(i)
-                 in
                  Some
-                   (Optkit.Mcg.resplit inst ~budgets:budgets.(i)
-                      ~universe:remaining.(i)
-                      ~raw_order:r.Optkit.Mcg.raw_order))
-             subs
+                   (Optkit.Mcg.session_round_split session
+                      ~remaining:remaining.(i)))
+             sessions
          in
          let w1 = ref 0. and w2 = ref 0. in
          Array.iter

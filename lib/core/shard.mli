@@ -75,11 +75,11 @@ val solve :
     budgets and replays never cross shards. The globally-coupled pieces
     — the H1/H2 repair's keep decision, and SCG's per-round variant of
     it — are re-made on weights summed across shards, reproducing the
-    unsharded choice. Both drivers run the [`Lazy] engine (its
-    lower-index total tie order makes per-shard selection sequences
-    exactly the unsharded run's projection; [`Classic]'s layout-resolved
-    ties are not sharding-safe), so the merged association is
-    byte-identical to the unsharded [`Lazy] solve. *)
+    unsharded choice. The greedy's lower-index total tie order makes
+    per-shard selection sequences exactly the unsharded run's
+    projection, so the merged association is byte-identical to the
+    unsharded solve: [solve_mnu p] ≡ [Mnu.run p] and [solve_bla p] ≡
+    [Bla.run p]. *)
 
 (** Sharded Centralized MNU (Fig. 3 per shard, global H1/H2 decision).
     [fanout] spreads the per-shard solve thunks over domains (each
@@ -88,7 +88,6 @@ val solve :
     at any job count. *)
 val solve_mnu :
   ?plan:plan ->
-  ?engine:[ `Classic | `Lazy | `Eager ] ->
   ?fanout:
     ((unit -> float * float * Association.t * Association.t) list ->
     (float * float * Association.t * Association.t) list) ->

@@ -2,13 +2,10 @@
 
     A bank holds one max-heap per group in two flat planes — a float
     priority plane and an int value plane — laid out CSR-style by a fixed
-    per-group capacity. The heap algorithm is {e operation-for-operation}
-    the same as {!Lazy_heap} (append + sift-up on push, move-last +
-    sift-down on pop, stale tops re-inserted by {!pop_max}), so a bank
-    driven by the same push/pop sequence reaches the same internal layout
-    and resolves equal-priority comparisons identically: results are
-    bit-identical to the boxed heaps, without a [{prio; value}] record
-    allocated per entry.
+    per-group capacity: append + sift-up on push, move-last + sift-down
+    on pop, stale tops re-inserted by {!pop_max}, with no [{prio; value}]
+    record allocated per entry. Equal priorities resolve toward the lower
+    value, a total order, so pop results are independent of layout.
 
     Capacities are fixed at {!make}: the greedy cores never hold more
     entries per group than they seed (pops precede re-pushes), so the
@@ -22,13 +19,10 @@ type t = {
   off : int array;  (** group [g]'s heap occupies [off.(g) .. off.(g+1)-1] *)
   size : int array;  (** live entries per group *)
   n_groups : int;
-  tie_lower_index : bool;
-      (** equal priorities: lower value wins (the [`Lazy] total order)
-          instead of layout order (the [`Classic] behavior) *)
   mutable last_prio : float;  (** fresh priority of the last {!pop_max} *)
 }
 
-let make ?arena ?(slot = "flat_heap") ~tie ~capacities () =
+let make ?arena ?(slot = "flat_heap") ~capacities () =
   let n_groups = Array.length capacities in
   let total = Array.fold_left ( + ) 0 capacities in
   let off, size, prio, value =
@@ -47,26 +41,16 @@ let make ?arena ?(slot = "flat_heap") ~tie ~capacities () =
   off.(0) <- 0;
   Array.iteri (fun g c -> off.(g + 1) <- off.(g) + c) capacities;
   Array.fill size 0 n_groups 0;
-  {
-    prio;
-    value;
-    off;
-    size;
-    n_groups;
-    tie_lower_index = (match tie with `Lower_index -> true | `Layout -> false);
-    last_prio = neg_infinity;
-  }
+  { prio; value; off; size; n_groups; last_prio = neg_infinity }
 
 let clear t = Array.fill t.size 0 t.n_groups 0
 let size t g = t.size.(g)
 
-(* Heap order, identical to [Lazy_heap.beats]: priority first; exactly
-   equal priorities fall to the tie order — layout (no swap) or lower
+(* Heap order: priority first; exactly equal priorities fall to the lower
    value. [i]/[j] are plane indices. *)
 let beats t i j =
   t.prio.(i) > t.prio.(j)
-  || (t.tie_lower_index
-     && (t.prio.(i) = t.prio.(j)) [@lint.allow float_eq]
+  || ((t.prio.(i) = t.prio.(j)) [@lint.allow float_eq]
      && t.value.(i) < t.value.(j))
 
 let swap t i j =
@@ -120,10 +104,10 @@ let pop_top t g =
   v
 
 (** [pop_max t g ~revalidate] pops group [g]'s element with the maximal
-    {e fresh} priority — the exact protocol of {!Lazy_heap.pop_max}
-    (stale tops re-inserted, [neg_infinity] dropped, accept within
-    [1e-12] of the stored bound). Returns [-1] when the heap empties;
-    otherwise the value, with its fresh priority in {!last_prio}. *)
+    {e fresh} priority (stale tops re-inserted, [neg_infinity] dropped,
+    accept within [1e-12] of the stored bound). Returns [-1] when the
+    heap empties; otherwise the value, with its fresh priority in
+    {!last_prio}. *)
 let rec pop_max t g ~revalidate =
   if t.size.(g) = 0 then -1
   else begin

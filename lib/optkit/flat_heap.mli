@@ -1,10 +1,12 @@
 (** Structure-of-arrays lazy max-heap bank: one max-heap per group in two
-    flat CSR planes (float priorities, int values), running the exact
-    {!Lazy_heap} algorithm — same sift order, same stale-top revalidation
-    protocol, same tie resolution — so results are bit-identical to the
-    boxed heaps with zero per-entry allocation. Capacities are fixed at
-    {!make} (the greedy cores never exceed their seed counts); planes can
-    be arena-backed and reused across solves. *)
+    flat CSR planes (float priorities, int values), with zero per-entry
+    allocation. Priorities may silently {e decrease} between operations;
+    {!pop_max} re-validates the stored top and re-inserts it when stale,
+    so each entry is re-scored an amortized O(log) number of times
+    instead of rescanning every candidate. Equal priorities pop the lower
+    value first, so pop results never depend on layout history.
+    Capacities are fixed at {!make} (the greedy cores never exceed their
+    seed counts); planes can be arena-backed and reused across solves. *)
 
 type t = { (* exposed for the kernels' hot loops *)
   prio : float array;
@@ -12,22 +14,14 @@ type t = { (* exposed for the kernels' hot loops *)
   off : int array;
   size : int array;
   n_groups : int;
-  tie_lower_index : bool;
   mutable last_prio : float;
 }
 
-(** [make ~tie ~capacities ()] builds an empty bank with
-    [Array.length capacities] groups. [`Layout] resolves equal priorities
-    by heap layout (the [`Classic] behavior); [`Lower_index] by lower
-    value (the [`Lazy] total order). With [?arena] the planes are
+(** [make ~capacities ()] builds an empty bank with
+    [Array.length capacities] groups. With [?arena] the planes are
     acquired from (and reusable through) the arena under [?slot]. *)
 val make :
-  ?arena:Arena.t ->
-  ?slot:string ->
-  tie:[ `Layout | `Lower_index ] ->
-  capacities:int array ->
-  unit ->
-  t
+  ?arena:Arena.t -> ?slot:string -> capacities:int array -> unit -> t
 
 (** Empty every heap; planes (and their contents) are untouched. *)
 val clear : t -> unit
@@ -39,9 +33,11 @@ val size : t -> int -> int
 val push : t -> int -> prio:float -> int -> unit
 
 (** [pop_max t g ~revalidate] pops group [g]'s element of maximal fresh
-    priority under the {!Lazy_heap.pop_max} protocol (stale tops
-    re-inserted, [neg_infinity] dropped). [-1] when the heap empties;
-    otherwise the value, its fresh priority left in [last_prio]. *)
+    priority ([revalidate v], which must never exceed the stored one):
+    stale tops are re-inserted, entries revalidating to [neg_infinity]
+    dropped, and a top within [1e-12] of its stored bound accepted. [-1]
+    when the heap empties; otherwise the value, its fresh priority left
+    in [last_prio]. *)
 val pop_max : t -> int -> revalidate:(int -> float) -> int
 
 (** Stored root priority of group [g] — an upper bound on its best fresh

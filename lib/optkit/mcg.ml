@@ -42,596 +42,17 @@ let replay inst ~universe sets =
   let covered = Bitset.diff universe x' in
   (kept, covered)
 
-(** [greedy inst ~budgets ?universe ()] runs budgeted greedy + split.
-    [budgets.(i)] is group [i]'s budget. Only elements of [universe]
-    (default: everything coverable) count as coverage. Sets costing more
-    than their group's budget are never picked (the paper assumes
-    [c(S) <= B_i]; callers should pre-filter, but we also guard here).
+(** {1 The H1/H2 split}
 
-    [element_weights] generalizes coverage from counting to weighted sums
-    (revenue-weighted users): the greedy score becomes
-    [weight(S ∩ X') / c(S)] and the H1/H2 split keeps the heavier half.
-    Weights must be non-negative; omitted weights mean 1 per element.
-
-    [mode] selects the overshoot discipline:
-    - [`Soft] (default, the paper's Fig. 3): a group stays eligible while
-      its spent budget is strictly below the limit, so the last selection
-      may overshoot; the H1/H2 split repairs feasibility. This carries the
-      8-approximation guarantee.
-    - [`Hard]: a set is only selectable if it fits the group's remaining
-      budget exactly; nothing overshoots and no split is needed. No
-      coverage guarantee, but never wastes budget — the practical variant
-      the BLA driver can also try.
-
-    [engine] selects the candidate-generation strategy:
-    - [`Classic] (default): per-group lazy max-heaps, every eligible
-      group re-validated each round. Equal scores resolve by the heap's
-      internal layout — the historical behavior every recorded experiment
-      output is pinned to, which is why it stays the default: any change
-      to the order of heap operations resolves score ties differently.
-    - [`Lazy]: like [`Classic] but with a total tie order (lower set
-      index wins equal scores) and bound-based skipping — each round
-      validates the group with the best stored bound first, then skips
-      every group whose stored bound (an upper bound on its best fresh
-      score) cannot beat the best validated score. Asymptotically the
-      groups untouched by recent winners are never re-scored. Same
-      greedy quality; selections may differ from [`Classic] only where
-      two sets tie exactly on [gain/cost].
-    - [`Eager]: rescans every set of every eligible group each round —
-      the O(rounds · sets) reference. Produces the same selection
-      sequence as [`Lazy] (a qcheck property asserts this). *)
-let greedy ?(mode = `Soft) ?(engine = `Classic) ?arena ?element_weights inst
-    ~budgets ?universe () =
-  if Array.length budgets <> Cover_instance.n_groups inst then
-    invalid_arg "Mcg.greedy: budgets length <> number of groups";
-  (match element_weights with
-  | Some w ->
-      if Array.length w <> Cover_instance.n_elements inst then
-        invalid_arg "Mcg.greedy: element_weights arity";
-      Array.iter
-        (fun x -> if x < 0. then invalid_arg "Mcg.greedy: negative weight")
-        w
-  | None -> ());
-  let x0 =
-    match universe with
-    | Some u -> Bitset.inter u (Cover_instance.coverable inst)
-    | None -> Cover_instance.coverable inst
-  in
-  (* local event accumulators, flushed to the counter plane once at the
-     end: plain int refs keep the greedy inner loop free of even the
-     gated atomic load, and the flushed totals are identical *)
-  let n_rounds = ref 0
-  and n_selections = ref 0
-  and n_candidate_evals = ref 0
-  and n_heap_pops = ref 0
-  and n_bound_skips = ref 0 in
-  let x' = Bitset.copy x0 in
-  (* weighted gain of covering [S ∩ X'] *)
-  let gain_of j =
-    incr n_candidate_evals;
-    let s = Cover_instance.set inst j in
-    match element_weights with
-    | None -> float_of_int (Bitset.inter_cardinal s x')
-    | Some w ->
-        let acc = ref 0. in
-        Bitset.iter_inter (fun e -> acc := !acc +. w.(e)) s x';
-        !acc
-  in
-  let weight_of set =
-    match element_weights with
-    | None -> float_of_int (Bitset.cardinal set)
-    | Some w -> Bitset.fold (fun e acc -> acc +. w.(e)) set 0.
-  in
-  let n_groups = Cover_instance.n_groups inst in
-  let n_sets = Cover_instance.n_sets inst in
-  (* static eligibility: sets over their group's budget can never be
-     picked; zero-gain sets stay at zero gain forever (gains only shrink) *)
-  let admissible j g = Cover_instance.cost inst j <= budgets.(g) +. 1e-12 in
-  (* heap engines' state: a flat per-group max-heap bank (SoA planes,
-     DESIGN.md §4.12) running the exact Lazy_heap algorithm — same push
-     order, same sift sequence, so equal-score ties resolve identically
-     to the boxed heaps every recorded output is pinned to. [`Lazy]
-     orders equal scores by lower set index so pops are independent of
-     layout history; [`Classic] keeps the historical layout-resolved
-     ties. Group capacity = admissible seed count: pops always precede
-     re-pushes, so occupancy never exceeds it. *)
-  let heaps =
-    match engine with
-    | `Eager -> None
-    | `Classic | `Lazy ->
-        let caps = Array.make n_groups 0 in
-        for j = 0 to n_sets - 1 do
-          let g = Cover_instance.group inst j in
-          if admissible j g then caps.(g) <- caps.(g) + 1
-        done;
-        let fh =
-          Flat_heap.make ?arena ~slot:"mcg.heap"
-            ~tie:(match engine with `Lazy -> `Lower_index | _ -> `Layout)
-            ~capacities:caps ()
-        in
-        for j = 0 to n_sets - 1 do
-          let g = Cover_instance.group inst j in
-          if admissible j g then begin
-            let gain = gain_of j in
-            if gain > 0. then
-              Flat_heap.push fh g ~prio:(gain /. Cover_instance.cost inst j) j
-          end
-        done;
-        Some fh
-  in
-  (* eager engine state: per-group admissible set lists, ascending index *)
-  let group_sets =
-    match engine with
-    | `Classic | `Lazy -> [||]
-    | `Eager ->
-        let gs = Array.make n_groups [] in
-        for j = n_sets - 1 downto 0 do
-          let g = Cover_instance.group inst j in
-          if admissible j g && gain_of j > 0. then gs.(g) <- j :: gs.(g)
-        done;
-        gs
-  in
-  let revalidate j =
-    let gain = gain_of j in
-    if gain <= 0. then neg_infinity
-    else gain /. Cover_instance.cost inst j
-  in
-  let spent = Array.make n_groups 0. in
-  let raw = ref [] in
-  (* per selection: did it overshoot its group's budget? *)
-  let overshoot = ref [] in
-  let fits g j =
-    match mode with
-    | `Soft -> true
-    | `Hard ->
-        Cover_instance.cost inst j <= budgets.(g) -. spent.(g) +. 1e-12
-  in
-  (* pop a group's best candidate; in [`Hard] mode, sets that no longer fit
-     the group's remaining budget are dropped for good (remaining budget
-     only shrinks) *)
-  let rec candidate fh g =
-    let j = Flat_heap.pop_max fh g ~revalidate in
-    if j < 0 then None
-    else begin
-      incr n_heap_pops;
-      let prio = fh.Flat_heap.last_prio in
-      if fits g j then Some (j, prio) else candidate fh g
-    end
-  in
-  (* full rescan of one group: best fresh score, lower index on ties *)
-  let candidate_eager g =
-    List.fold_left
-      (fun acc j ->
-        if not (fits g j) then acc
-        else
-          let gain = gain_of j in
-          if gain <= 0. then acc
-          else
-            let prio = gain /. Cover_instance.cost inst j in
-            match acc with Some (_, p) when p >= prio -> acc | _ -> Some (j, prio))
-      None group_sets.(g)
-  in
-  (* A group whose stored bound is below the best validated score by more
-     than this margin is skipped without re-scoring: its best fresh score
-     (<= the bound) is then too far below the winner to win the round or
-     land in the fold's 1e-12 tie window. 1e-9 dominates that window, so
-     skipping never changes the selection. *)
-  let skip_margin = 1e-9 in
-  let eligible g = spent.(g) < budgets.(g) -. 1e-12 in
-  (* per-round popped candidates as flat planes (at most one entry per
-     group), appended in sweep order. The boxed loop prepended to a list
-     and folded head-first — descending sweep order — so every
-     plane traversal below walks indices high-to-low to keep the fold
-     (and the losers' re-push sequence, which shapes [`Classic] heap
-     layout) identical. *)
-  let pop_g, pop_j =
-    match arena with
-    | Some a ->
-        (Arena.ints a "mcg.pop_g" n_groups, Arena.ints a "mcg.pop_j" n_groups)
-    | None -> (Array.make (Int.max 1 n_groups) 0, Array.make (Int.max 1 n_groups) 0)
-  in
-  let pop_p =
-    match arena with
-    | Some a -> Arena.floats a "mcg.pop_p" n_groups
-    | None -> Array.make (Int.max 1 n_groups) 0.
-  in
-  let n_pop = ref 0 in
-  let append g j p =
-    pop_g.(!n_pop) <- g;
-    pop_j.(!n_pop) <- j;
-    pop_p.(!n_pop) <- p;
-    incr n_pop
-  in
-  let continue = ref true in
-  while !continue && not (Bitset.is_empty x') do
-    incr n_rounds;
-    (* the paper's inner for-loop: best candidate of each eligible group *)
-    n_pop := 0;
-    (match engine with
-    | `Classic ->
-        let fh = Option.get heaps in
-        for g = 0 to n_groups - 1 do
-          if eligible g then
-            match candidate fh g with
-            | None -> ()
-            | Some (j, prio) -> append g j prio
-        done
-    | `Eager ->
-        for g = 0 to n_groups - 1 do
-          if eligible g then
-            match candidate_eager g with
-            | None -> ()
-            | Some (j, prio) -> append g j prio
-        done
-    | `Lazy ->
-        (* validate the best-bound group first so the skip threshold is as
-           high as possible before the sweep *)
-        let fh = Option.get heaps in
-        let gmax = ref (-1) and bmax = ref neg_infinity in
-        for g = 0 to n_groups - 1 do
-          if eligible g then begin
-            let b = Flat_heap.top_bound fh g in
-            if b > !bmax then begin
-              gmax := g;
-              bmax := b
-            end
-          end
-        done;
-        let seeded = if !gmax >= 0 then candidate fh !gmax else None in
-        let best_prio =
-          ref (match seeded with Some (_, p) -> p | None -> neg_infinity)
-        in
-        for g = 0 to n_groups - 1 do
-          if eligible g then
-            if g = !gmax then (
-              match seeded with
-              | Some (j, p) -> append g j p
-              | None -> ())
-            else if Flat_heap.size fh g = 0 then ()
-            else if Flat_heap.top_bound fh g < !best_prio -. skip_margin then
-              incr n_bound_skips
-            else
-              match candidate fh g with
-              | None -> ()
-              | Some (j, p) ->
-                  if p > !best_prio then best_prio := p;
-                  append g j p
-        done);
-    (* near-equal cost-effectiveness breaks toward the least-loaded group,
-       which spreads the cover across APs at no loss of greedy quality *)
-    let best_j = ref (-1) and best_p = ref neg_infinity and best_g = ref 0 in
-    for k = !n_pop - 1 downto 0 do
-      let g = pop_g.(k) and j = pop_j.(k) and prio = pop_p.(k) in
-      if !best_j < 0 then begin
-        best_j := j;
-        best_p := prio;
-        best_g := g
-      end
-      else if
-        prio > !best_p +. 1e-12
-        || (prio >= !best_p -. 1e-12 && spent.(g) < spent.(!best_g) -. 1e-12)
-      then begin
-        best_j := j;
-        best_p := prio;
-        best_g := g
-      end
-    done;
-    if !best_j < 0 then continue := false
-    else begin
-      let j = !best_j in
-      (* re-enqueue the losing groups' candidates (heap engines only:
-         the eager rescan never removes anything) *)
-      (match heaps with
-      | None -> ()
-      | Some fh ->
-          for k = !n_pop - 1 downto 0 do
-            if pop_j.(k) <> j then
-              Flat_heap.push fh pop_g.(k) ~prio:pop_p.(k) pop_j.(k)
-          done);
-      incr n_selections;
-      let g = Cover_instance.group inst j in
-      let c = Cover_instance.cost inst j in
-      spent.(g) <- spent.(g) +. c;
-      raw := j :: !raw;
-      overshoot := (j, spent.(g) > budgets.(g) +. 1e-12) :: !overshoot;
-      Bitset.diff_inplace x' (Cover_instance.set inst j)
-    end
-  done;
-  let raw_order = List.rev !raw in
-  let tagged = List.rev !overshoot in
-  let h1 = List.filter_map (fun (j, over) -> if over then None else Some j) tagged in
-  let h2 = List.filter_map (fun (j, over) -> if over then Some j else None) tagged in
-  let kept1, cov1 = replay inst ~universe:x0 h1 in
-  let kept2, cov2 = replay inst ~universe:x0 h2 in
-  let kept, covered =
-    if weight_of cov1 >= weight_of cov2 then (kept1, cov1) else (kept2, cov2)
-  in
-  let group_cost = Array.make n_groups 0. in
-  List.iter
-    (fun { set = j; _ } ->
-      let g = Cover_instance.group inst j in
-      group_cost.(g) <- group_cost.(g) +. Cover_instance.cost inst j)
-    kept;
-  Wlan_obs.Counters.incr c_runs;
-  Wlan_obs.Counters.add c_rounds !n_rounds;
-  Wlan_obs.Counters.add c_selections !n_selections;
-  Wlan_obs.Counters.add c_candidate_evals !n_candidate_evals;
-  Wlan_obs.Counters.add c_heap_pops !n_heap_pops;
-  Wlan_obs.Counters.add c_bound_skips !n_bound_skips;
-  { kept; raw_order; covered; group_cost }
-
-(** {1 SCG sessions: cross-round bound persistence}
-
-    The SCG driver (Fig. 6) re-runs the greedy once per round over a
-    monotonically shrinking remaining set, and the boxed version paid a
-    full [O(n_sets)] gain-evaluation pass to seed every round's heaps. A
-    session exploits the monotonicity for the [`Lazy] engine: a set's
-    last {e exactly}-computed score (against some earlier, larger
-    remaining set) is an upper bound on its score against any later one,
-    so each round's heap bank is seeded straight from the stored bound
-    plane with zero gain evaluations — the pop protocol revalidates
-    lazily, exactly as it already does for stale within-round bounds.
-
-    Two disciplines keep the bounds sound:
-    - Scores computed {e during} a round are measured against the round's
-      working universe [x'], which shrinks with every raw selection —
-      including the half the H1/H2 split then drops. They can
-      under-estimate the next round's gains and are never persisted; at
-      the next round's start every set the round popped is re-scored
-      exactly against the new remaining.
-    - A set with zero gain against the current remaining is dead forever
-      (gains never grow back), so it is dropped from all later rounds. *)
-
-type 'a session = {
-  s_inst : 'a Cover_instance.t;
-  s_mode : [ `Soft | `Hard ];
-  s_arena : Arena.t option;
-  s_budgets : float array;
-  s_ub : float array;  (** stored score bound per set (alive sets only) *)
-  s_alive : bool array;
-  s_touched : int array;  (** sets the last round popped, to re-score *)
-  s_in_touched : bool array;
-  mutable s_n_touched : int;
-  mutable s_first : bool;
-}
-
-let session ?(mode = `Soft) ?arena inst ~budgets =
-  if Array.length budgets <> Cover_instance.n_groups inst then
-    invalid_arg "Mcg.session: budgets length <> number of groups";
-  let n = Int.max 1 (Cover_instance.n_sets inst) in
-  {
-    s_inst = inst;
-    s_mode = mode;
-    s_arena = arena;
-    s_budgets = budgets;
-    s_ub = Array.make n 0.;
-    s_alive = Array.make n false;
-    s_touched = Array.make n 0;
-    s_in_touched = Array.make n false;
-    s_n_touched = 0;
-    s_first = true;
-  }
-
-(** One SCG round against [remaining]. Runs the [`Lazy] round loop of
-    {!greedy} (identical selections: stored bounds only delay, never
-    prevent, the revalidation every pop performs, and the [`Lower_index]
-    total order makes pops independent of heap layout), but seeded from
-    the session's bound plane. [remaining] must be a subset of every
-    earlier round's — the SCG driver's shrinking uncovered set. *)
-let session_round s ~remaining =
-  let inst = s.s_inst and budgets = s.s_budgets and mode = s.s_mode in
-  let n_groups = Cover_instance.n_groups inst in
-  let n_sets = Cover_instance.n_sets inst in
-  let x0 = Bitset.inter remaining (Cover_instance.coverable inst) in
-  let n_rounds = ref 0
-  and n_selections = ref 0
-  and n_candidate_evals = ref 0
-  and n_heap_pops = ref 0
-  and n_bound_skips = ref 0 in
-  let x' = Bitset.copy x0 in
-  let gain_vs u j =
-    incr n_candidate_evals;
-    float_of_int (Bitset.inter_cardinal (Cover_instance.set inst j) u)
-  in
-  let admissible j g = Cover_instance.cost inst j <= budgets.(g) +. 1e-12 in
-  (* refresh: the first round scores every admissible set (the seed pass
-     greedy would do); later rounds re-score only the sets the previous
-     round popped, against the new remaining — everything else's stored
-     bound is still valid *)
-  if s.s_first then begin
-    s.s_first <- false;
-    for j = 0 to n_sets - 1 do
-      if admissible j (Cover_instance.group inst j) then begin
-        let gain = gain_vs x0 j in
-        if gain > 0. then begin
-          s.s_ub.(j) <- gain /. Cover_instance.cost inst j;
-          s.s_alive.(j) <- true
-        end
-      end
-    done
-  end
-  else
-    for k = 0 to s.s_n_touched - 1 do
-      let j = s.s_touched.(k) in
-      s.s_in_touched.(j) <- false;
-      if s.s_alive.(j) then begin
-        let gain = gain_vs x0 j in
-        if gain > 0. then s.s_ub.(j) <- gain /. Cover_instance.cost inst j
-        else s.s_alive.(j) <- false
-      end
-    done;
-  s.s_n_touched <- 0;
-  (* seed the heap bank from stored bounds — zero gain evaluations *)
-  let caps = Array.make n_groups 0 in
-  for j = 0 to n_sets - 1 do
-    if s.s_alive.(j) then begin
-      let g = Cover_instance.group inst j in
-      caps.(g) <- caps.(g) + 1
-    end
-  done;
-  let fh =
-    Flat_heap.make ?arena:s.s_arena ~slot:"mcg.heap" ~tie:`Lower_index
-      ~capacities:caps ()
-  in
-  for j = 0 to n_sets - 1 do
-    if s.s_alive.(j) then
-      Flat_heap.push fh (Cover_instance.group inst j) ~prio:s.s_ub.(j) j
-  done;
-  let touch j =
-    if not s.s_in_touched.(j) then begin
-      s.s_in_touched.(j) <- true;
-      s.s_touched.(s.s_n_touched) <- j;
-      s.s_n_touched <- s.s_n_touched + 1
-    end
-  in
-  let revalidate j =
-    touch j;
-    let gain = gain_vs x' j in
-    if gain <= 0. then neg_infinity
-    else gain /. Cover_instance.cost inst j
-  in
-  let spent = Array.make n_groups 0. in
-  let raw = ref [] in
-  let overshoot = ref [] in
-  let fits g j =
-    match mode with
-    | `Soft -> true
-    | `Hard ->
-        Cover_instance.cost inst j <= budgets.(g) -. spent.(g) +. 1e-12
-  in
-  let rec candidate g =
-    let j = Flat_heap.pop_max fh g ~revalidate in
-    if j < 0 then None
-    else begin
-      incr n_heap_pops;
-      let prio = fh.Flat_heap.last_prio in
-      if fits g j then Some (j, prio) else candidate g
-    end
-  in
-  let skip_margin = 1e-9 in
-  let eligible g = spent.(g) < budgets.(g) -. 1e-12 in
-  let pop_g, pop_j =
-    match s.s_arena with
-    | Some a ->
-        (Arena.ints a "mcg.pop_g" n_groups, Arena.ints a "mcg.pop_j" n_groups)
-    | None ->
-        (Array.make (Int.max 1 n_groups) 0, Array.make (Int.max 1 n_groups) 0)
-  in
-  let pop_p =
-    match s.s_arena with
-    | Some a -> Arena.floats a "mcg.pop_p" n_groups
-    | None -> Array.make (Int.max 1 n_groups) 0.
-  in
-  let n_pop = ref 0 in
-  let append g j p =
-    pop_g.(!n_pop) <- g;
-    pop_j.(!n_pop) <- j;
-    pop_p.(!n_pop) <- p;
-    incr n_pop
-  in
-  let continue = ref true in
-  while !continue && not (Bitset.is_empty x') do
-    incr n_rounds;
-    n_pop := 0;
-    let gmax = ref (-1) and bmax = ref neg_infinity in
-    for g = 0 to n_groups - 1 do
-      if eligible g then begin
-        let b = Flat_heap.top_bound fh g in
-        if b > !bmax then begin
-          gmax := g;
-          bmax := b
-        end
-      end
-    done;
-    let seeded = if !gmax >= 0 then candidate !gmax else None in
-    let best_prio =
-      ref (match seeded with Some (_, p) -> p | None -> neg_infinity)
-    in
-    for g = 0 to n_groups - 1 do
-      if eligible g then
-        if g = !gmax then (
-          match seeded with Some (j, p) -> append g j p | None -> ())
-        else if Flat_heap.size fh g = 0 then ()
-        else if Flat_heap.top_bound fh g < !best_prio -. skip_margin then
-          incr n_bound_skips
-        else
-          match candidate g with
-          | None -> ()
-          | Some (j, p) ->
-              if p > !best_prio then best_prio := p;
-              append g j p
-    done;
-    let best_j = ref (-1) and best_p = ref neg_infinity and best_g = ref 0 in
-    for k = !n_pop - 1 downto 0 do
-      let g = pop_g.(k) and j = pop_j.(k) and prio = pop_p.(k) in
-      if !best_j < 0 then begin
-        best_j := j;
-        best_p := prio;
-        best_g := g
-      end
-      else if
-        prio > !best_p +. 1e-12
-        || (prio >= !best_p -. 1e-12 && spent.(g) < spent.(!best_g) -. 1e-12)
-      then begin
-        best_j := j;
-        best_p := prio;
-        best_g := g
-      end
-    done;
-    if !best_j < 0 then continue := false
-    else begin
-      let j = !best_j in
-      for k = !n_pop - 1 downto 0 do
-        if pop_j.(k) <> j then
-          Flat_heap.push fh pop_g.(k) ~prio:pop_p.(k) pop_j.(k)
-      done;
-      incr n_selections;
-      let g = Cover_instance.group inst j in
-      let c = Cover_instance.cost inst j in
-      spent.(g) <- spent.(g) +. c;
-      raw := j :: !raw;
-      overshoot := (j, spent.(g) > budgets.(g) +. 1e-12) :: !overshoot;
-      Bitset.diff_inplace x' (Cover_instance.set inst j)
-    end
-  done;
-  let raw_order = List.rev !raw in
-  let tagged = List.rev !overshoot in
-  let h1 =
-    List.filter_map (fun (j, over) -> if over then None else Some j) tagged
-  in
-  let h2 =
-    List.filter_map (fun (j, over) -> if over then Some j else None) tagged
-  in
-  let kept1, cov1 = replay inst ~universe:x0 h1 in
-  let kept2, cov2 = replay inst ~universe:x0 h2 in
-  let kept, covered =
-    if Bitset.cardinal cov1 >= Bitset.cardinal cov2 then (kept1, cov1)
-    else (kept2, cov2)
-  in
-  let group_cost = Array.make n_groups 0. in
-  List.iter
-    (fun { set = j; _ } ->
-      let g = Cover_instance.group inst j in
-      group_cost.(g) <- group_cost.(g) +. Cover_instance.cost inst j)
-    kept;
-  Wlan_obs.Counters.incr c_runs;
-  Wlan_obs.Counters.add c_rounds !n_rounds;
-  Wlan_obs.Counters.add c_selections !n_selections;
-  Wlan_obs.Counters.add c_candidate_evals !n_candidate_evals;
-  Wlan_obs.Counters.add c_heap_pops !n_heap_pops;
-  Wlan_obs.Counters.add c_bound_skips !n_bound_skips;
-  { kept; raw_order; covered; group_cost }
-
-(** {1 Split recomputation}
-
-    The H1/H2 repair is a {e global} decision: greedy keeps whichever
-    half covers more over the whole instance. A sharded driver runs the
-    greedy per interaction component and must therefore re-make that
-    decision across shards: [resplit] recomputes both halves (and their
-    weights) of one shard's raw selection order so the caller can sum
-    weights globally and keep the same half everywhere — exactly what
-    one unsharded run would have kept, since per-group spent sequences
-    (which determine the overshoot tags) never cross shards. *)
+    The repair is a {e global} decision: greedy keeps whichever half
+    covers more over the whole instance. A sharded driver runs the greedy
+    per interaction component and must therefore re-make that decision
+    across shards: {!session_round_split} returns both halves (and their
+    weights) of one shard's round so the caller can sum weights globally
+    and keep the same half everywhere — exactly what one unsharded run
+    would have kept, since per-group spent sequences (which determine the
+    overshoot tags) never cross shards. {!session_round} makes its own
+    keep decision from the same split. *)
 
 type split = {
   h1 : selection list;  (** within-budget selections, replayed *)
@@ -642,10 +63,10 @@ type split = {
   w2 : float;
 }
 
-let resplit ?element_weights inst ~budgets ~universe ~raw_order =
-  let x0 = Bitset.inter universe (Cover_instance.coverable inst) in
+(* [x0] is the round's coverable universe *)
+let split_of inst ~weights ~budgets ~x0 ~raw_order =
   let weight_of set =
-    match element_weights with
+    match weights with
     | None -> float_of_int (Bitset.cardinal set)
     | Some w -> Bitset.fold (fun e acc -> acc +. w.(e)) set 0.
   in
@@ -674,6 +95,321 @@ let resplit ?element_weights inst ~budgets ~universe ~raw_order =
     w1 = weight_of cov1;
     w2 = weight_of cov2;
   }
+
+(** {1 Sessions: the greedy round with cross-round bound persistence}
+
+    Every greedy run is a session round. Candidates come from a flat
+    per-group lazy max-heap bank ({!Flat_heap}, DESIGN.md §4.12) whose
+    equal priorities pop the lower set index, so pops never depend on
+    heap layout. Each round validates the group with the best stored
+    bound first, then skips every group whose stored bound (an upper
+    bound on its best fresh score) cannot beat the best validated score:
+    groups untouched by recent winners are never re-scored.
+
+    The SCG driver (Fig. 6) re-runs the greedy once per round over a
+    monotonically shrinking remaining set. A session exploits that
+    monotonicity: a set's last {e exactly}-computed score (against some
+    earlier, larger remaining set) is an upper bound on its score against
+    any later one, so each round's heap bank is seeded straight from the
+    stored bound plane with zero gain evaluations — the pop protocol
+    revalidates lazily, exactly as it already does for stale
+    within-round bounds.
+
+    Two disciplines keep the bounds sound:
+    - Scores computed {e during} a round are measured against the round's
+      working universe [x'], which shrinks with every raw selection —
+      including the half the H1/H2 split then drops. They can
+      under-estimate the next round's gains and are never persisted; at
+      the next round's start every set the round popped is re-scored
+      exactly against the new remaining.
+    - A set with zero gain against the current remaining is dead forever
+      (gains never grow back), so it is dropped from all later rounds.
+
+    Element weights reach a session only through {!greedy}, which runs a
+    single round; multi-round sessions are unweighted. *)
+
+type 'a session = {
+  s_inst : 'a Cover_instance.t;
+  s_mode : [ `Soft | `Hard ];
+  s_arena : Arena.t option;
+  s_budgets : float array;
+  s_weights : float array option;
+  s_ub : float array;  (** stored score bound per set (alive sets only) *)
+  s_alive : bool array;
+  s_touched : int array;  (** sets the last round popped, to re-score *)
+  s_in_touched : bool array;
+  mutable s_n_touched : int;
+  mutable s_first : bool;
+}
+
+let make_session ?(mode = `Soft) ?arena ?element_weights inst ~budgets =
+  if Array.length budgets <> Cover_instance.n_groups inst then
+    invalid_arg "Mcg: budgets length <> number of groups";
+  (match element_weights with
+  | Some w ->
+      if Array.length w <> Cover_instance.n_elements inst then
+        invalid_arg "Mcg: element_weights arity";
+      Array.iter (fun x -> if x < 0. then invalid_arg "Mcg: negative weight") w
+  | None -> ());
+  let n = Int.max 1 (Cover_instance.n_sets inst) in
+  {
+    s_inst = inst;
+    s_mode = mode;
+    s_arena = arena;
+    s_budgets = budgets;
+    s_weights = element_weights;
+    s_ub = Array.make n 0.;
+    s_alive = Array.make n false;
+    s_touched = Array.make n 0;
+    s_in_touched = Array.make n false;
+    s_n_touched = 0;
+    s_first = true;
+  }
+
+let session ?mode ?arena inst ~budgets = make_session ?mode ?arena inst ~budgets
+
+(** One greedy round against [remaining]: the raw selection order and its
+    H1/H2 split. [remaining] must be a subset of every earlier round's —
+    the SCG driver's shrinking uncovered set. *)
+let round s ~remaining =
+  let inst = s.s_inst and budgets = s.s_budgets and mode = s.s_mode in
+  let n_groups = Cover_instance.n_groups inst in
+  let n_sets = Cover_instance.n_sets inst in
+  let x0 = Bitset.inter remaining (Cover_instance.coverable inst) in
+  (* local event accumulators, flushed to the counter plane once at the
+     end: plain int refs keep the greedy inner loop free of even the
+     gated atomic load, and the flushed totals are identical *)
+  let n_rounds = ref 0
+  and n_selections = ref 0
+  and n_candidate_evals = ref 0
+  and n_heap_pops = ref 0
+  and n_bound_skips = ref 0 in
+  let x' = Bitset.copy x0 in
+  (* weighted gain of covering [S ∩ u] *)
+  let gain_vs u j =
+    incr n_candidate_evals;
+    let set = Cover_instance.set inst j in
+    match s.s_weights with
+    | None -> float_of_int (Bitset.inter_cardinal set u)
+    | Some w ->
+        let acc = ref 0. in
+        Bitset.iter_inter (fun e -> acc := !acc +. w.(e)) set u;
+        !acc
+  in
+  (* static eligibility: sets over their group's budget can never be
+     picked *)
+  let admissible j g = Cover_instance.cost inst j <= budgets.(g) +. 1e-12 in
+  (* refresh: the first round scores every admissible set; later rounds
+     re-score only the sets the previous round popped, against the new
+     remaining — everything else's stored bound is still valid *)
+  if s.s_first then begin
+    s.s_first <- false;
+    for j = 0 to n_sets - 1 do
+      if admissible j (Cover_instance.group inst j) then begin
+        let gain = gain_vs x0 j in
+        if gain > 0. then begin
+          s.s_ub.(j) <- gain /. Cover_instance.cost inst j;
+          s.s_alive.(j) <- true
+        end
+      end
+    done
+  end
+  else
+    for k = 0 to s.s_n_touched - 1 do
+      let j = s.s_touched.(k) in
+      s.s_in_touched.(j) <- false;
+      if s.s_alive.(j) then begin
+        let gain = gain_vs x0 j in
+        if gain > 0. then s.s_ub.(j) <- gain /. Cover_instance.cost inst j
+        else s.s_alive.(j) <- false
+      end
+    done;
+  s.s_n_touched <- 0;
+  (* seed the heap bank from stored bounds — zero gain evaluations. Group
+     capacity = alive seed count: pops always precede re-pushes, so
+     occupancy never exceeds it. *)
+  let caps = Array.make n_groups 0 in
+  for j = 0 to n_sets - 1 do
+    if s.s_alive.(j) then begin
+      let g = Cover_instance.group inst j in
+      caps.(g) <- caps.(g) + 1
+    end
+  done;
+  let fh =
+    Flat_heap.make ?arena:s.s_arena ~slot:"mcg.heap" ~capacities:caps ()
+  in
+  for j = 0 to n_sets - 1 do
+    if s.s_alive.(j) then
+      Flat_heap.push fh (Cover_instance.group inst j) ~prio:s.s_ub.(j) j
+  done;
+  let touch j =
+    if not s.s_in_touched.(j) then begin
+      s.s_in_touched.(j) <- true;
+      s.s_touched.(s.s_n_touched) <- j;
+      s.s_n_touched <- s.s_n_touched + 1
+    end
+  in
+  let revalidate j =
+    touch j;
+    let gain = gain_vs x' j in
+    if gain <= 0. then neg_infinity
+    else gain /. Cover_instance.cost inst j
+  in
+  let spent = Array.make n_groups 0. in
+  let raw = ref [] in
+  let fits g j =
+    match mode with
+    | `Soft -> true
+    | `Hard ->
+        Cover_instance.cost inst j <= budgets.(g) -. spent.(g) +. 1e-12
+  in
+  (* pop a group's best candidate; in [`Hard] mode, sets that no longer fit
+     the group's remaining budget are dropped for good (remaining budget
+     only shrinks) *)
+  let rec candidate g =
+    let j = Flat_heap.pop_max fh g ~revalidate in
+    if j < 0 then None
+    else begin
+      incr n_heap_pops;
+      let prio = fh.Flat_heap.last_prio in
+      if fits g j then Some (j, prio) else candidate g
+    end
+  in
+  (* A group whose stored bound is below the best validated score by more
+     than this margin is skipped without re-scoring: its best fresh score
+     (<= the bound) is then too far below the winner to win the round or
+     land in the fold's 1e-12 tie window. 1e-9 dominates that window, so
+     skipping never changes the selection. *)
+  let skip_margin = 1e-9 in
+  let eligible g = spent.(g) < budgets.(g) -. 1e-12 in
+  (* per-round popped candidates as flat planes (at most one entry per
+     group), appended in sweep order *)
+  let pop_g, pop_j =
+    match s.s_arena with
+    | Some a ->
+        (Arena.ints a "mcg.pop_g" n_groups, Arena.ints a "mcg.pop_j" n_groups)
+    | None ->
+        (Array.make (Int.max 1 n_groups) 0, Array.make (Int.max 1 n_groups) 0)
+  in
+  let pop_p =
+    match s.s_arena with
+    | Some a -> Arena.floats a "mcg.pop_p" n_groups
+    | None -> Array.make (Int.max 1 n_groups) 0.
+  in
+  let n_pop = ref 0 in
+  let append g j p =
+    pop_g.(!n_pop) <- g;
+    pop_j.(!n_pop) <- j;
+    pop_p.(!n_pop) <- p;
+    incr n_pop
+  in
+  let continue = ref true in
+  while !continue && not (Bitset.is_empty x') do
+    incr n_rounds;
+    n_pop := 0;
+    (* the paper's inner for-loop: best candidate of each eligible group,
+       validating the best-bound group first so the skip threshold is as
+       high as possible before the sweep *)
+    let gmax = ref (-1) and bmax = ref neg_infinity in
+    for g = 0 to n_groups - 1 do
+      if eligible g then begin
+        let b = Flat_heap.top_bound fh g in
+        if b > !bmax then begin
+          gmax := g;
+          bmax := b
+        end
+      end
+    done;
+    let seeded = if !gmax >= 0 then candidate !gmax else None in
+    let best_prio =
+      ref (match seeded with Some (_, p) -> p | None -> neg_infinity)
+    in
+    for g = 0 to n_groups - 1 do
+      if eligible g then
+        if g = !gmax then (
+          match seeded with Some (j, p) -> append g j p | None -> ())
+        else if Flat_heap.size fh g = 0 then ()
+        else if Flat_heap.top_bound fh g < !best_prio -. skip_margin then
+          incr n_bound_skips
+        else
+          match candidate g with
+          | None -> ()
+          | Some (j, p) ->
+              if p > !best_prio then best_prio := p;
+              append g j p
+    done;
+    (* near-equal cost-effectiveness breaks toward the least-loaded group,
+       which spreads the cover across APs at no loss of greedy quality *)
+    let best_j = ref (-1) and best_p = ref neg_infinity and best_g = ref 0 in
+    for k = !n_pop - 1 downto 0 do
+      let g = pop_g.(k) and j = pop_j.(k) and prio = pop_p.(k) in
+      if !best_j < 0 then begin
+        best_j := j;
+        best_p := prio;
+        best_g := g
+      end
+      else if
+        prio > !best_p +. 1e-12
+        || (prio >= !best_p -. 1e-12 && spent.(g) < spent.(!best_g) -. 1e-12)
+      then begin
+        best_j := j;
+        best_p := prio;
+        best_g := g
+      end
+    done;
+    if !best_j < 0 then continue := false
+    else begin
+      let j = !best_j in
+      (* re-enqueue the losing groups' candidates *)
+      for k = !n_pop - 1 downto 0 do
+        if pop_j.(k) <> j then
+          Flat_heap.push fh pop_g.(k) ~prio:pop_p.(k) pop_j.(k)
+      done;
+      incr n_selections;
+      let g = Cover_instance.group inst j in
+      spent.(g) <- spent.(g) +. Cover_instance.cost inst j;
+      raw := j :: !raw;
+      Bitset.diff_inplace x' (Cover_instance.set inst j)
+    end
+  done;
+  Wlan_obs.Counters.incr c_runs;
+  Wlan_obs.Counters.add c_rounds !n_rounds;
+  Wlan_obs.Counters.add c_selections !n_selections;
+  Wlan_obs.Counters.add c_candidate_evals !n_candidate_evals;
+  Wlan_obs.Counters.add c_heap_pops !n_heap_pops;
+  Wlan_obs.Counters.add c_bound_skips !n_bound_skips;
+  let raw_order = List.rev !raw in
+  (raw_order, split_of inst ~weights:s.s_weights ~budgets ~x0 ~raw_order)
+
+let session_round_split s ~remaining = snd (round s ~remaining)
+
+(** One round, keeping the half that covers more. *)
+let session_round s ~remaining =
+  let inst = s.s_inst in
+  let raw_order, sp = round s ~remaining in
+  let kept, covered =
+    if sp.w1 >= sp.w2 then (sp.h1, sp.cov1) else (sp.h2, sp.cov2)
+  in
+  let group_cost = Array.make (Cover_instance.n_groups inst) 0. in
+  List.iter
+    (fun { set = j; _ } ->
+      let g = Cover_instance.group inst j in
+      group_cost.(g) <- group_cost.(g) +. Cover_instance.cost inst j)
+    kept;
+  { kept; raw_order; covered; group_cost }
+
+(** [greedy inst ~budgets ?universe ()] runs budgeted greedy + split: the
+    first round of a fresh session. Only elements of [universe] (default:
+    everything coverable) count as coverage. *)
+let greedy ?mode ?arena ?element_weights inst ~budgets ?universe () =
+  let remaining =
+    match universe with
+    | Some u -> u
+    | None -> Cover_instance.coverable inst
+  in
+  session_round
+    (make_session ?mode ?arena ?element_weights inst ~budgets)
+    ~remaining
 
 (** Number of elements the solution covers. *)
 let coverage r = Bitset.cardinal r.covered

@@ -27,25 +27,21 @@ type result = {
     generalization. Sets costing more than their group's budget are never
     picked.
 
-    [engine] picks the candidate generator. [`Classic] (default)
-    re-validates every eligible group's lazy heap each round, resolving
-    equal scores by heap layout — the behavior all recorded experiment
-    outputs are pinned to. [`Lazy] adds a lower-index tie order and
-    bound-based group skipping (each round, groups whose stored score
-    bound cannot beat the best validated score are not re-scored) — the
-    fast engine for large instances; it may differ from [`Classic] only
-    where two sets tie exactly on [gain/cost]. [`Eager] rescans all sets
-    each round and produces the same selection sequence as [`Lazy].
+    Candidates come from per-group lazy max-heaps with bound-based group
+    skipping: each round, groups whose stored score bound cannot beat the
+    best validated score are not re-scored. Equal scores resolve toward
+    the lower set index, so the selection sequence is a pure function of
+    the instance — the same one a full rescan of every set each round
+    would produce, and, per interaction component, the projection of the
+    unsharded run (what the sharded centralized drivers rely on).
 
-    All engines run on flat SoA planes (heap bank and per-round candidate
-    planes, DESIGN.md §4.12) that replicate the boxed structures
-    operation-for-operation — results are bit-identical to the original
-    record-based implementation. [arena] lets repeated solves (the SCG
-    grid probes) reuse those planes instead of re-allocating; it never
-    changes the result, and must not be shared across pool domains. *)
+    The heap bank and per-round candidate planes are flat SoA arrays
+    (DESIGN.md §4.12). [arena] lets repeated solves reuse those planes
+    instead of re-allocating; it never changes the result, and must not
+    be shared across pool domains. [greedy] is the first round of a fresh
+    {!session}. *)
 val greedy :
   ?mode:[ `Soft | `Hard ] ->
-  ?engine:[ `Classic | `Lazy | `Eager ] ->
   ?arena:Arena.t ->
   ?element_weights:float array ->
   'a Cover_instance.t ->
@@ -64,8 +60,8 @@ type 'a session
     in every later round, so successive {!session_round} calls seed each
     round's heap bank from the stored bound plane with {e zero} gain
     evaluations and re-score only the sets the previous round popped.
-    Unweighted coverage only (what SCG uses). [arena] backs the heap and
-    candidate planes across rounds; same sharing rules as {!greedy}. *)
+    [mode] and [arena] are as for {!greedy}; coverage is unweighted.
+    @raise Invalid_argument on a [budgets] arity mismatch. *)
 val session :
   ?mode:[ `Soft | `Hard ] ->
   ?arena:Arena.t ->
@@ -73,12 +69,13 @@ val session :
   budgets:float array ->
   'a session
 
-(** One round against [remaining] — must be a subset of every earlier
-    round's (the SCG driver's shrinking uncovered set). Selections are
-    identical to a fresh [greedy ~engine:`Lazy ~universe:remaining]. *)
+(** One greedy round against [remaining], split and keep decision
+    included — [remaining] must be a subset of every earlier round's (the
+    SCG driver's shrinking uncovered set). Selections are identical to a
+    fresh [greedy ~universe:remaining]. *)
 val session_round : 'a session -> remaining:Bitset.t -> result
 
-(** {1 Split recomputation for sharded drivers} *)
+(** {1 Split for sharded drivers} *)
 
 type split = {
   h1 : selection list;  (** within-budget selections, replayed *)
@@ -89,18 +86,11 @@ type split = {
   w2 : float;
 }
 
-(** Recompute both halves of the H1/H2 repair from a result's
-    [raw_order] (same [budgets]/[universe]/[element_weights] as the run
-    that produced it). The H1/H2 keep decision is global — a sharded
-    driver sums the halves' weights across shards and keeps the same
-    half everywhere, reproducing the unsharded choice. *)
-val resplit :
-  ?element_weights:float array ->
-  'a Cover_instance.t ->
-  budgets:float array ->
-  universe:Bitset.t ->
-  raw_order:int list ->
-  split
+(** The same round as {!session_round}, returning both halves of the
+    H1/H2 repair instead of the kept one. The keep decision is global — a
+    sharded driver sums the halves' weights across shards and keeps the
+    same half everywhere, reproducing the unsharded choice. *)
+val session_round_split : 'a session -> remaining:Bitset.t -> split
 
 (** Number of elements the solution covers. *)
 val coverage : result -> int

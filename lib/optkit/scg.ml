@@ -36,13 +36,12 @@ let max_group_cost r = Array.fold_left Float.max 0. r.group_cost
 
 (** One SCG run for a fixed [B*]. When [universe] is given explicitly it is
     taken literally: elements of it that no set contains make the run
-    infeasible (the default universe is everything coverable).
-    [engine] is passed through to {!Mcg.greedy} — except [`Lazy], whose
-    rounds run through an {!Mcg.session} so set-score bounds persist
-    across the shrinking remaining set (identical selections, no
-    per-round seed pass). [arena] backs each round's heap and candidate
-    planes; it must not be shared across pool domains. *)
-let solve_for ?(mode = `Soft) ?engine ?arena inst ~bstar ?universe () =
+    infeasible (the default universe is everything coverable). The
+    rounds run through one {!Mcg.session}, so set-score bounds persist
+    across the shrinking remaining set (no per-round seed pass). [arena]
+    backs each round's heap and candidate planes; it must not be shared
+    across pool domains. *)
+let solve_for ?(mode = `Soft) ?arena inst ~bstar ?universe () =
   Wlan_obs.Counters.incr c_solves;
   let x0 =
     match universe with
@@ -56,19 +55,12 @@ let solve_for ?(mode = `Soft) ?engine ?arena inst ~bstar ?universe () =
   let rounds = ref [] in
   let group_cost = Array.make n_groups 0. in
   let k = max_rounds_for n in
-  let round =
-    match engine with
-    | Some `Lazy ->
-        let s = Mcg.session ~mode ?arena inst ~budgets in
-        fun () -> Mcg.session_round s ~remaining
-    | _ ->
-        fun () -> Mcg.greedy ~mode ?engine ?arena inst ~budgets ~universe:remaining ()
-  in
+  let session = Mcg.session ~mode ?arena inst ~budgets in
   (try
      for _ = 1 to k do
        if Bitset.is_empty remaining then raise Exit;
        Wlan_obs.Counters.incr c_rounds;
-       let r = round () in
+       let r = Mcg.session_round session ~remaining in
        if Bitset.is_empty r.covered then raise Exit (* no progress: infeasible *);
        rounds := r :: !rounds;
        Array.iteri (fun g c -> group_cost.(g) <- group_cost.(g) +. c) r.group_cost;
@@ -148,11 +140,11 @@ let default_grid ?n_guesses ?universe inst =
     only with the default sequential [fanout] (or [`Bisect], which is
     always sequential): an arena must never be shared across pool
     domains. *)
-let solve_grid ?mode ?engine ?arena ?(strategy = `Exhaustive)
+let solve_grid ?mode ?arena ?(strategy = `Exhaustive)
     ?(fanout = List.map (fun f -> f ())) inst ?universe ~grid () =
   let run bstar =
     Wlan_obs.Counters.incr c_grid_probes;
-    solve_for ?mode ?engine ?arena inst ~bstar ?universe ()
+    solve_for ?mode ?arena inst ~bstar ?universe ()
   in
   let results =
     match strategy with
@@ -187,9 +179,9 @@ let solve_grid ?mode ?engine ?arena ?(strategy = `Exhaustive)
   |> List.sort (fun a b -> Float.compare (max_group_cost a) (max_group_cost b))
 
 (** Best feasible solution over the default grid, if any. *)
-let solve ?mode ?engine ?arena ?strategy ?fanout ?n_guesses inst ?universe () =
+let solve ?mode ?arena ?strategy ?fanout ?n_guesses inst ?universe () =
   match
-    solve_grid ?mode ?engine ?arena ?strategy ?fanout inst ?universe
+    solve_grid ?mode ?arena ?strategy ?fanout inst ?universe
       ~grid:(default_grid ?n_guesses ?universe inst)
       ()
   with

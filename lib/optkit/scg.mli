@@ -22,15 +22,12 @@ val max_group_cost : result -> float
 
 (** One run at a fixed [B*]. An explicitly-passed [universe] is taken
     literally (uncoverable members make the run infeasible); the default
-    universe is everything coverable. [engine] is passed to
-    {!Mcg.greedy}, except [`Lazy], whose rounds run through an
-    {!Mcg.session} so set-score bounds persist across the shrinking
-    remaining set — identical selections, no per-round seed pass.
-    [arena] backs each round's heap and candidate planes; never share
-    one across pool domains. *)
+    universe is everything coverable. The rounds run through one
+    {!Mcg.session}, so set-score bounds persist across the shrinking
+    remaining set — no per-round seed pass. [arena] backs each round's
+    heap and candidate planes; never share one across pool domains. *)
 val solve_for :
   ?mode:[ `Soft | `Hard ] ->
-  ?engine:[ `Classic | `Lazy | `Eager ] ->
   ?arena:Arena.t ->
   'a Cover_instance.t ->
   bstar:float ->
@@ -72,7 +69,6 @@ val grid_points : ?n_guesses:int -> float -> float list
     cross pool domains. *)
 val solve_grid :
   ?mode:[ `Soft | `Hard ] ->
-  ?engine:[ `Classic | `Lazy | `Eager ] ->
   ?arena:Arena.t ->
   ?strategy:[ `Exhaustive | `Bisect ] ->
   ?fanout:((unit -> result) list -> result list) ->
@@ -85,7 +81,6 @@ val solve_grid :
 (** Best feasible run over the default grid, if any. *)
 val solve :
   ?mode:[ `Soft | `Hard ] ->
-  ?engine:[ `Classic | `Lazy | `Eager ] ->
   ?arena:Arena.t ->
   ?strategy:[ `Exhaustive | `Bisect ] ->
   ?fanout:((unit -> result) list -> result list) ->

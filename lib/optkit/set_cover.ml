@@ -20,10 +20,8 @@ let cost_of_sets inst sets =
     [|S ∩ X'| / c(S)] (lazy-greedy heap), until everything coverable is
     covered. [(ln n + 1)]-approximation (Theorem 6).
 
-    The heap is a single-group {!Flat_heap} bank driven by the identical
-    push/pop sequence as the boxed {!Lazy_heap} it replaced, so the
-    selection order is bit-identical; [arena] reuses its planes across
-    solves. *)
+    The heap is a single-group {!Flat_heap} bank, so exactly equal ratios
+    pick the lower set index; [arena] reuses its planes across solves. *)
 let greedy ?arena ?(universe : Bitset.t option) inst =
   let n = Cover_instance.n_elements inst in
   let x' =
@@ -33,7 +31,7 @@ let greedy ?arena ?(universe : Bitset.t option) inst =
   in
   let target = Bitset.copy x' in
   let heap =
-    Flat_heap.make ?arena ~slot:"set_cover.heap" ~tie:`Layout
+    Flat_heap.make ?arena ~slot:"set_cover.heap"
       ~capacities:[| Cover_instance.n_sets inst |] ()
   in
   for j = 0 to Cover_instance.n_sets inst - 1 do

@@ -11,18 +11,18 @@
      through a [`Flat] and a [`Boxed] network stays in lockstep:
      identical associations, loads and settle stats after every burst.
    - Sharded centralized MNU/BLA (qcheck): [Shard.solve_mnu] /
-     [Shard.solve_bla] = the unsharded [Mnu.run ~engine:`Lazy] /
-     [Bla.run ~engine:`Lazy] on dense and sparse views, including
-     wide-area instances whose plans have several shards.
+     [Shard.solve_bla] = the unsharded [Mnu.run] / [Bla.run] on dense
+     and sparse views, including wide-area instances whose plans have
+     several shards.
    - Pool fanout: fig9a-size sharded centralized solves at --jobs 1/2/4
      equal the unsharded runs.
    - City scale: the sharded centralized MNU association on the
      2000x40000 instance is pinned by a golden j1==j4 digest (the dense
      matrix is never allocated).
 
-   The optkit-level halves of the battery — SCG session rounds = eager
-   rounds, arena-backed solves = fresh-allocation solves — live in
-   test_optkit.ml next to the instance generators. *)
+   The optkit-level halves of the battery — MCG and SCG session rounds =
+   a test-local eager rescan, arena-backed solves = fresh-allocation
+   solves — live in test_optkit.ml next to the instance generators. *)
 
 open Wlan_model
 open Mcast_core
@@ -225,7 +225,7 @@ let sharded_mnu_matches ~wide seed =
   let _, pd, ps = case ~wide ~seed () in
   List.iter
     (fun p ->
-      check_solutions "sharded MNU" (Shard.solve_mnu p) (Mnu.run ~engine:`Lazy p))
+      check_solutions "sharded MNU" (Shard.solve_mnu p) (Mnu.run p))
     [ pd; ps ];
   true
 
@@ -233,7 +233,7 @@ let sharded_bla_matches ~wide seed =
   let _, pd, ps = case ~wide ~seed () in
   List.iter
     (fun p ->
-      match (Shard.solve_bla p, Bla.run ~engine:`Lazy p) with
+      match (Shard.solve_bla p, Bla.run p) with
       | None, None -> ()
       | Some a, Some b -> check_solutions "sharded BLA" a b
       | Some _, None -> Alcotest.fail "sharded feasible, unsharded not"
@@ -242,27 +242,27 @@ let sharded_bla_matches ~wide seed =
   true
 
 let qcheck_sharded_mnu =
-  QCheck.Test.make ~name:"sharded centralized MNU = unsharded lazy MNU"
+  QCheck.Test.make ~name:"sharded centralized MNU = unsharded MNU"
     ~count:40
     QCheck.(int_range 0 10_000)
     (sharded_mnu_matches ~wide:false)
 
 let qcheck_sharded_mnu_wide =
   QCheck.Test.make
-    ~name:"sharded centralized MNU = unsharded lazy MNU (multi-shard)"
+    ~name:"sharded centralized MNU = unsharded MNU (multi-shard)"
     ~count:40
     QCheck.(int_range 0 10_000)
     (sharded_mnu_matches ~wide:true)
 
 let qcheck_sharded_bla =
-  QCheck.Test.make ~name:"sharded centralized BLA = unsharded lazy BLA"
+  QCheck.Test.make ~name:"sharded centralized BLA = unsharded BLA"
     ~count:25
     QCheck.(int_range 0 10_000)
     (sharded_bla_matches ~wide:false)
 
 let qcheck_sharded_bla_wide =
   QCheck.Test.make
-    ~name:"sharded centralized BLA = unsharded lazy BLA (multi-shard)"
+    ~name:"sharded centralized BLA = unsharded BLA (multi-shard)"
     ~count:25
     QCheck.(int_range 0 10_000)
     (sharded_bla_matches ~wide:true)
@@ -275,8 +275,8 @@ let test_sharded_centralized_fig9a_jobs () =
       Scenario_gen.paper_default
   in
   let ps = Scenario.to_problem_sparse sc in
-  let mnu = Mnu.run ~engine:`Lazy ps in
-  let bla = Bla.run ~engine:`Lazy ps in
+  let mnu = Mnu.run ps in
+  let bla = Bla.run ps in
   List.iter
     (fun jobs ->
       Harness.Pool.with_pool ~jobs (fun pool ->

@@ -286,6 +286,39 @@ let qcheck_repro_fig11 =
   qcheck_repro "fig11 bit-identical under jobs 1/2/4 and reruns"
     Experiments.fig11
 
+(* The figure golden: the centralized-vs-distributed series of fig9a,
+   fig10a and fig11 at 2 scenarios/point, every summary rendered at full
+   precision (%h), equal at jobs 1 and 2 and pinned to the committed
+   digest. Any change to a centralized solver's selections moves it. *)
+let figs_small_digest ~jobs =
+  let cfg = { (repro_cfg 2007) with jobs } in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (driver : ?cfg:Experiments.config -> unit -> Series.figure) ->
+      let fig = driver ~cfg () in
+      List.iter
+        (fun (p : Series.point) ->
+          List.iter
+            (fun (name, (v : Stats.summary)) ->
+              Buffer.add_string buf
+                (Fmt.str "%s %h %s %h %h %h %d\n" fig.Series.id p.Series.x name
+                   v.Stats.mean v.Stats.min v.Stats.max v.Stats.n))
+            p.Series.values)
+        fig.Series.points)
+    [ Experiments.fig9a; Experiments.fig10a; Experiments.fig11 ];
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_figs_small_golden () =
+  let d1 = figs_small_digest ~jobs:1 in
+  Alcotest.(check string) "j1 = j2" d1 (figs_small_digest ~jobs:2);
+  match
+    In_channel.with_open_text "golden/figs_small.digest" In_channel.input_line
+  with
+  | Some golden ->
+      Alcotest.(check string) "matches committed golden" (String.trim golden) d1
+  | None | (exception Sys_error _) ->
+      Alcotest.failf "golden/figs_small.digest missing; computed %s" d1
+
 let qcheck_stats =
   QCheck.Test.make ~name:"summarize bounds: min <= mean <= max" ~count:200
     QCheck.(list_of_size Gen.(int_range 1 30) (float_range (-100.) 100.))
@@ -430,6 +463,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest qcheck_repro_fig9a;
           QCheck_alcotest.to_alcotest qcheck_repro_fig11;
+          tc "fig9a/10a/11 golden, j1 = j2" test_figs_small_golden;
         ] );
       ( "figure shapes",
         [

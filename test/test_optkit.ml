@@ -1,11 +1,9 @@
-(* Tests for the combinatorial substrate: bitsets, the lazy-greedy heap,
+(* Tests for the combinatorial substrate: bitsets, the flat lazy-greedy heap,
    weighted set cover (greedy + exact), MCG, SCG, subset sum and makespan
    scheduling, including approximation-bound properties against the exact
    solvers on random small instances. *)
 
 open Optkit
-
-let feq ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps
 
 (* ------------------------------------------------------------------ *)
 (* Bitset                                                             *)
@@ -101,69 +99,100 @@ let prop_bitset_inter_cardinal =
       Bitset.inter_cardinal a b = List.length inter)
 
 (* ------------------------------------------------------------------ *)
-(* Lazy_heap                                                          *)
+(* Flat_heap                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let test_heap_pop_order () =
-  let h = Lazy_heap.of_list [ (1., "a"); (3., "c"); (2., "b") ] in
-  let revalidate _ = assert false in
-  (* fresh priorities: revalidate returns the stored priority *)
-  let reval v = match v with "a" -> 1. | "b" -> 2. | "c" -> 3. | _ -> 0. in
-  ignore revalidate;
-  Alcotest.(check (option (pair string (float 0.)))) "max c"
-    (Some ("c", 3.))
-    (Lazy_heap.pop_max h ~revalidate:reval);
-  Alcotest.(check (option (pair string (float 0.)))) "then b"
-    (Some ("b", 2.))
-    (Lazy_heap.pop_max h ~revalidate:reval);
-  Alcotest.(check (option (pair string (float 0.)))) "then a"
-    (Some ("a", 1.))
-    (Lazy_heap.pop_max h ~revalidate:reval);
-  Alcotest.(check bool) "empty" true
-    (Lazy_heap.pop_max h ~revalidate:reval = None)
+(* a one-group bank holding [entries] (priority, value), pushed in order *)
+let heap_of entries =
+  let h = Flat_heap.make ~capacities:[| List.length entries |] () in
+  List.iter (fun (p, v) -> Flat_heap.push h 0 ~prio:p v) entries;
+  h
 
-let test_heap_lazy_revalidation () =
-  (* stored priorities are stale; revalidation reorders correctly *)
-  let h = Lazy_heap.of_list [ (10., "x"); (9., "y") ] in
-  let fresh = function "x" -> 1. | "y" -> 8. | _ -> 0. in
-  Alcotest.(check (option (pair string (float 0.)))) "y wins after decay"
-    (Some ("y", 8.))
-    (Lazy_heap.pop_max h ~revalidate:fresh)
+let pop h ~revalidate =
+  let v = Flat_heap.pop_max h 0 ~revalidate in
+  if v < 0 then None else Some (v, h.Flat_heap.last_prio)
+
+let popped = Alcotest.(option (pair int (float 0.)))
+
+let test_heap_pop_order () =
+  let h = heap_of [ (1., 0); (3., 1); (2., 2) ] in
+  (* fresh priorities equal the stored ones *)
+  let reval v = [| 1.; 3.; 2. |].(v) in
+  Alcotest.check popped "max first" (Some (1, 3.)) (pop h ~revalidate:reval);
+  Alcotest.check popped "then 2" (Some (2, 2.)) (pop h ~revalidate:reval);
+  Alcotest.check popped "then 0" (Some (0, 1.)) (pop h ~revalidate:reval);
+  Alcotest.check popped "empty" None (pop h ~revalidate:reval);
+  Alcotest.(check (float 0.)) "empty bound" neg_infinity (Flat_heap.top_bound h 0)
+
+let test_heap_stale_reinsertion () =
+  (* stored priorities are stale: the decayed top is re-inserted at its
+     fresh priority and the true maximum wins *)
+  let h = heap_of [ (10., 0); (9., 1) ] in
+  let fresh = function 0 -> 1. | _ -> 8. in
+  Alcotest.check popped "1 wins after decay" (Some (1, 8.)) (pop h ~revalidate:fresh);
+  Alcotest.(check int) "stale top kept" 1 (Flat_heap.size h 0);
+  Alcotest.(check (float 0.)) "re-inserted at its fresh priority" 1.
+    (Flat_heap.top_bound h 0);
+  Alcotest.check popped "then 0" (Some (0, 1.)) (pop h ~revalidate:fresh)
 
 let test_heap_drops_dead_entries () =
-  let h = Lazy_heap.of_list [ (5., "dead"); (1., "alive") ] in
-  let fresh = function "dead" -> neg_infinity | _ -> 1. in
-  Alcotest.(check (option (pair string (float 0.)))) "alive survives"
-    (Some ("alive", 1.))
-    (Lazy_heap.pop_max h ~revalidate:fresh);
-  Alcotest.(check bool) "dead dropped" true
-    (Lazy_heap.pop_max h ~revalidate:fresh = None)
+  let h = heap_of [ (5., 0); (1., 1) ] in
+  let fresh = function 0 -> neg_infinity | _ -> 1. in
+  Alcotest.check popped "alive survives" (Some (1, 1.)) (pop h ~revalidate:fresh);
+  Alcotest.(check int) "dead dropped" 0 (Flat_heap.size h 0);
+  Alcotest.check popped "empty" None (pop h ~revalidate:fresh)
 
-let test_heap_peek_keeps () =
-  let h = Lazy_heap.of_list [ (2., "a") ] in
-  let fresh _ = 2. in
-  ignore (Lazy_heap.peek_max h ~revalidate:fresh);
-  Alcotest.(check int) "still there" 1 (Lazy_heap.length h)
+let test_heap_capacity () =
+  let h = Flat_heap.make ~capacities:[| 1; 2 |] () in
+  let full = Invalid_argument "Flat_heap.push: group capacity exceeded" in
+  Flat_heap.push h 0 ~prio:1. 0;
+  Alcotest.check_raises "group 0 full" full (fun () ->
+      Flat_heap.push h 0 ~prio:2. 1);
+  Flat_heap.push h 1 ~prio:4. 8;
+  Flat_heap.push h 1 ~prio:5. 7;
+  Alcotest.check_raises "group 1 full" full (fun () ->
+      Flat_heap.push h 1 ~prio:6. 9);
+  Alcotest.(check (float 0.)) "group 0 untouched" 1. (Flat_heap.top_bound h 0);
+  Alcotest.(check (float 0.)) "group 1 top" 5. (Flat_heap.top_bound h 1);
+  Flat_heap.clear h;
+  Alcotest.(check int) "cleared" 0 (Flat_heap.size h 1);
+  Flat_heap.push h 0 ~prio:3. 2;
+  Alcotest.(check (float 0.)) "reusable after clear" 3. (Flat_heap.top_bound h 0)
 
+let test_heap_equal_priorities () =
+  (* exact ties pop the lower value first, whatever the push order *)
+  let h = heap_of [ (2., 5); (2., 3); (1., 0); (2., 4); (2., 1) ] in
+  let reval v = if v = 0 then 1. else 2. in
+  let rec drain acc =
+    match pop h ~revalidate:reval with
+    | None -> List.rev acc
+    | Some (v, _) -> drain (v :: acc)
+  in
+  Alcotest.(check (list int)) "ties by lower value" [ 1; 3; 4; 5; 0 ] (drain [])
+
+(* Fresh priorities drawn from a small set (so exact ties are common):
+   draining pops by priority descending, then value ascending. *)
 let prop_heap_sorts =
-  QCheck.Test.make ~name:"heap with fresh priorities sorts descending"
+  QCheck.Test.make ~name:"flat heap drains by priority, then lower value"
     ~count:100
-    QCheck.(list_of_size Gen.(int_range 1 50) (float_range 0. 100.))
-    (fun floats ->
-      let h = Lazy_heap.create () in
-      List.iteri (fun i x -> Lazy_heap.push h ~prio:x i) floats;
-      let arr = Array.of_list floats in
-      let out = ref [] in
-      let rec drain () =
-        match Lazy_heap.pop_max h ~revalidate:(fun i -> arr.(i)) with
-        | None -> ()
-        | Some (_, p) ->
-            out := p :: !out;
-            drain ()
+    QCheck.(list_of_size Gen.(int_range 1 50) (int_range 0 6))
+    (fun levels ->
+      let prios = Array.of_list (List.map float_of_int levels) in
+      let h = heap_of (List.mapi (fun i p -> (float_of_int p, i)) levels) in
+      let rec drain acc =
+        match pop h ~revalidate:(fun i -> prios.(i)) with
+        | None -> List.rev acc
+        | Some (v, _) -> drain (v :: acc)
       in
-      drain ();
-      let sorted = List.sort compare floats in
-      List.for_all2 (fun a b -> feq a b) sorted !out)
+      let expected =
+        List.sort
+          (fun i j ->
+            match Float.compare prios.(j) prios.(i) with
+            | 0 -> Int.compare i j
+            | c -> c)
+          (List.init (Array.length prios) Fun.id)
+      in
+      drain [] = expected)
 
 (* ------------------------------------------------------------------ *)
 (* Set cover                                                          *)
@@ -337,6 +366,60 @@ let prop_exact_is_cover =
         (fun j -> Bitset.union_inplace covered (Cover_instance.set inst j))
         e.Set_cover.sets;
       Bitset.cardinal covered = n)
+
+(* The reference for [Set_cover.greedy]: rescan every set each step and
+   take the best ratio, the lower set index on exact ties. *)
+let rescan_cover inst =
+  let x' = Cover_instance.coverable inst in
+  let rec go acc =
+    let best = ref (-1) and best_p = ref neg_infinity in
+    for j = 0 to Cover_instance.n_sets inst - 1 do
+      let gain = Bitset.inter_cardinal (Cover_instance.set inst j) x' in
+      if gain > 0 then begin
+        let p = float_of_int gain /. Cover_instance.cost inst j in
+        if p > !best_p then begin
+          best := j;
+          best_p := p
+        end
+      end
+    done;
+    if !best < 0 then List.rev acc
+    else begin
+      let newly = Bitset.inter (Cover_instance.set inst !best) x' in
+      Bitset.diff_inplace x' newly;
+      go ((!best, newly) :: acc)
+    end
+  in
+  go []
+
+(* Costs from a small ladder and few elements, so exact ratio ties (and
+   duplicate sets) are common. *)
+let arb_tied_cover =
+  QCheck.make
+    ~print:(fun (n, sets) ->
+      Fmt.str "n=%d sets=%a" n
+        Fmt.(list ~sep:semi (pair (Dump.list int) float))
+        sets)
+    QCheck.Gen.(
+      let* n = int_range 1 8 in
+      let* m = int_range 1 10 in
+      let* sets =
+        list_repeat m
+          (let* members = list_size (int_range 1 n) (int_range 0 (n - 1)) in
+           let* cost = oneofl [ 0.5; 1.; 1.5; 2.; 3. ] in
+           return (members, cost))
+      in
+      return (n, sets))
+
+let prop_cover_greedy_eq_rescan =
+  QCheck.Test.make ~name:"greedy cover = rescan with lower-index ties"
+    ~count:300 arb_tied_cover (fun (n, sets) ->
+      let inst = mk_cover ~n sets in
+      let g = Set_cover.greedy inst in
+      List.map
+        (fun (s : Set_cover.selection) -> (s.set, Bitset.to_list s.newly))
+        g.Set_cover.chosen
+      = List.map (fun (j, nw) -> (j, Bitset.to_list nw)) (rescan_cover inst))
 
 (* ------------------------------------------------------------------ *)
 (* MCG                                                                *)
@@ -635,12 +718,121 @@ let prop_scg_selections_disjoint_and_cover =
             (Scg.selections r);
           !disjoint && (not r.Scg.feasible) || Bitset.cardinal seen = n)
 
-(* The lazy (bound-skipping) engine must reproduce the eager rescan
-   engine exactly — same selection sequence, same split, same coverage.
-   Both resolve score ties toward the lower set index, so they share a
-   total order that the layout-dependent Classic engine does not. *)
-let prop_mcg_lazy_eq_eager =
-  QCheck.Test.make ~name:"lazy MCG engine = eager engine" ~count:200
+(* The reference the greedy is proven against: a full rescan of every
+   admissible set of every eligible group each round (the lower set index
+   wins exact score ties within a group), the same fold across groups
+   (highest group first, near ties to the least-spent group) and the same
+   H1/H2 split. O(rounds * sets), no heaps, no bounds. *)
+let eager_greedy ?(mode = `Soft) ?element_weights inst ~budgets ~universe =
+  let n_groups = Cover_instance.n_groups inst in
+  let x0 = Bitset.inter universe (Cover_instance.coverable inst) in
+  let x' = Bitset.copy x0 in
+  let gain j =
+    let s = Cover_instance.set inst j in
+    match element_weights with
+    | None -> float_of_int (Bitset.inter_cardinal s x')
+    | Some w -> Bitset.fold (fun e acc -> acc +. w.(e)) (Bitset.inter s x') 0.
+  in
+  let spent = Array.make n_groups 0. in
+  let selectable j =
+    let g = Cover_instance.group inst j and c = Cover_instance.cost inst j in
+    c <= budgets.(g) +. 1e-12
+    && spent.(g) < budgets.(g) -. 1e-12
+    && (mode = `Soft || c <= budgets.(g) -. spent.(g) +. 1e-12)
+  in
+  let raw = ref [] in
+  let continue = ref true in
+  while !continue && not (Bitset.is_empty x') do
+    let best = Array.make n_groups None in
+    for j = 0 to Cover_instance.n_sets inst - 1 do
+      if selectable j then begin
+        let gn = gain j in
+        if gn > 0. then begin
+          let p = gn /. Cover_instance.cost inst j in
+          let g = Cover_instance.group inst j in
+          match best.(g) with
+          | Some (_, q) when q >= p -> ()
+          | _ -> best.(g) <- Some (j, p)
+        end
+      end
+    done;
+    let pick = ref None in
+    for g = n_groups - 1 downto 0 do
+      match (best.(g), !pick) with
+      | None, _ -> ()
+      | Some (j, p), None -> pick := Some (g, j, p)
+      | Some (j, p), Some (g', _, p') ->
+          if
+            p > p' +. 1e-12
+            || (p >= p' -. 1e-12 && spent.(g) < spent.(g') -. 1e-12)
+          then pick := Some (g, j, p)
+    done;
+    match !pick with
+    | None -> continue := false
+    | Some (g, j, _) ->
+        spent.(g) <- spent.(g) +. Cover_instance.cost inst j;
+        raw := j :: !raw;
+        Bitset.diff_inplace x' (Cover_instance.set inst j)
+  done;
+  let raw_order = List.rev !raw in
+  (* H1/H2: tag each selection by whether it pushed its group past the
+     budget, replay both halves against x0, keep the heavier *)
+  let spent = Array.make n_groups 0. in
+  let over =
+    List.map
+      (fun j ->
+        let g = Cover_instance.group inst j in
+        spent.(g) <- spent.(g) +. Cover_instance.cost inst j;
+        spent.(g) > budgets.(g) +. 1e-12)
+      raw_order
+  in
+  let replay half =
+    let x = Bitset.copy x0 in
+    let sels =
+      List.concat
+        (List.map2
+           (fun j o ->
+             if o <> half then []
+             else begin
+               let newly = Bitset.inter (Cover_instance.set inst j) x in
+               Bitset.diff_inplace x newly;
+               [ { Mcg.set = j; newly } ]
+             end)
+           raw_order over)
+    in
+    let cov = Bitset.diff x0 x in
+    let w =
+      match element_weights with
+      | None -> float_of_int (Bitset.cardinal cov)
+      | Some w -> Bitset.fold (fun e acc -> acc +. w.(e)) cov 0.
+    in
+    (sels, cov, w)
+  in
+  let h1, cov1, w1 = replay false and h2, cov2, w2 = replay true in
+  let kept, covered = if w1 >= w2 then (h1, cov1) else (h2, cov2) in
+  let group_cost = Array.make n_groups 0. in
+  List.iter
+    (fun (s : Mcg.selection) ->
+      let g = Cover_instance.group inst s.set in
+      group_cost.(g) <- group_cost.(g) +. Cover_instance.cost inst s.set)
+    kept;
+  { Mcg.kept; raw_order; covered; group_cost }
+
+let same_mcg_result (a : Mcg.result) (b : Mcg.result) =
+  a.Mcg.raw_order = b.Mcg.raw_order
+  && List.length a.Mcg.kept = List.length b.Mcg.kept
+  && List.for_all2
+       (fun (s : Mcg.selection) (s' : Mcg.selection) ->
+         s.set = s'.set && Bitset.equal s.newly s'.newly)
+       a.Mcg.kept b.Mcg.kept
+  && Bitset.equal a.Mcg.covered b.Mcg.covered
+  && Array.for_all2 Float.equal a.Mcg.group_cost b.Mcg.group_cost
+
+(* The bound-skipping greedy must reproduce the eager rescan exactly —
+   same selection sequence, same split, same coverage — weighted and
+   not, in both budget modes. *)
+let prop_mcg_greedy_eq_eager =
+  QCheck.Test.make ~name:"MCG greedy = eager rescan" ~count:200
     (QCheck.pair arb_grouped QCheck.bool)
     (fun ((n, _, sets, budget), hard) ->
       QCheck.assume (sets <> []);
@@ -648,20 +840,13 @@ let prop_mcg_lazy_eq_eager =
       let budgets = Array.make (Cover_instance.n_groups inst) budget in
       let mode = if hard then `Hard else `Soft in
       let weights = Array.init n (fun e -> float_of_int ((e * 7 mod 5) + 1)) in
-      let same (a : Mcg.result) (b : Mcg.result) =
-        a.Mcg.raw_order = b.Mcg.raw_order
-        && List.length a.Mcg.kept = List.length b.Mcg.kept
-        && List.for_all2
-             (fun (s : Mcg.selection) (s' : Mcg.selection) ->
-               s.set = s'.set && Bitset.equal s.newly s'.newly)
-             a.Mcg.kept b.Mcg.kept
-        && Bitset.equal a.Mcg.covered b.Mcg.covered
+      let universe = Cover_instance.coverable inst in
+      let check element_weights =
+        same_mcg_result
+          (Mcg.greedy ~mode ?element_weights inst ~budgets ())
+          (eager_greedy ~mode ?element_weights inst ~budgets ~universe)
       in
-      let run engine element_weights =
-        Mcg.greedy ~mode ~engine ?element_weights inst ~budgets ()
-      in
-      same (run `Lazy None) (run `Eager None)
-      && same (run `Lazy (Some weights)) (run `Eager (Some weights)))
+      check None && check (Some weights))
 
 let same_scg_result (a : Scg.result) (b : Scg.result) =
   Float.equal a.Scg.bstar b.Scg.bstar
@@ -725,11 +910,34 @@ let same_scg_rounds (a : Scg.result) (b : Scg.result) =
          && Bitset.equal ra.Mcg.covered rb.Mcg.covered)
        a.Scg.rounds b.Scg.rounds
 
+(* [Scg.solve_for] with every round re-run from scratch by the eager
+   rescan, over the same shrinking remaining set. *)
+let eager_scg ~mode inst ~bstar =
+  let budgets = Array.make (Cover_instance.n_groups inst) bstar in
+  let remaining = Cover_instance.coverable inst in
+  let group_cost = Array.make (Cover_instance.n_groups inst) 0. in
+  let rec go k acc =
+    if k = 0 || Bitset.is_empty remaining then List.rev acc
+    else
+      let r = eager_greedy ~mode inst ~budgets ~universe:remaining in
+      if Bitset.is_empty r.Mcg.covered then List.rev acc
+      else begin
+        Array.iteri
+          (fun g c -> group_cost.(g) <- group_cost.(g) +. c)
+          r.Mcg.group_cost;
+        Bitset.diff_inplace remaining r.Mcg.covered;
+        go (k - 1) (r :: acc)
+      end
+  in
+  let k = Scg.max_rounds_for (Bitset.cardinal remaining) in
+  let rounds = go k [] in
+  { Scg.bstar; rounds; feasible = Bitset.is_empty remaining; group_cost }
+
 (* The SCG session (cross-round bound persistence, DESIGN.md §4.12) must
-   reproduce the per-round rescanning engine exactly — raw orders
-   included — whether or not an arena backs its planes. *)
+   reproduce per-round eager rescans exactly — raw orders included —
+   whether or not an arena backs its planes. *)
 let prop_scg_session_eq_eager =
-  QCheck.Test.make ~name:"SCG lazy session rounds = eager rounds" ~count:100
+  QCheck.Test.make ~name:"SCG session rounds = eager rounds" ~count:100
     (QCheck.pair arb_grouped QCheck.bool)
     (fun ((n, _, sets, _), hard) ->
       QCheck.assume (sets <> []);
@@ -740,16 +948,51 @@ let prop_scg_session_eq_eager =
       let grid = Scg.default_grid ~n_guesses:4 inst in
       List.for_all
         (fun bstar ->
-          let eg = Scg.solve_for ~mode ~engine:`Eager inst ~bstar () in
-          let lz = Scg.solve_for ~mode ~engine:`Lazy ~arena inst ~bstar () in
-          let lz' = Scg.solve_for ~mode ~engine:`Lazy inst ~bstar () in
+          let eg = eager_scg ~mode inst ~bstar in
+          let lz = Scg.solve_for ~mode ~arena inst ~bstar () in
+          let lz' = Scg.solve_for ~mode inst ~bstar () in
           same_scg_result lz eg && same_scg_rounds lz eg
           && same_scg_result lz' eg && same_scg_rounds lz' eg)
         grid)
 
-(* An arena is pure scratch reuse: running every engine/mode with a
-   shared (repeatedly reused) arena must be bit-identical to running
-   without one. *)
+(* The sharded drivers take both halves from [session_round_split]; the
+   heavier half must be exactly what [session_round] keeps, round after
+   round of a shrinking remaining set. *)
+let prop_session_split_matches_round =
+  QCheck.Test.make ~name:"session_round_split heavier half = session_round"
+    ~count:100 (QCheck.pair arb_grouped QCheck.bool)
+    (fun ((n, _, sets, budget), hard) ->
+      QCheck.assume (sets <> []);
+      let inst = mk_grouped ~n sets in
+      let budgets = Array.make (Cover_instance.n_groups inst) budget in
+      let mode = if hard then `Hard else `Soft in
+      let a = Mcg.session ~mode inst ~budgets in
+      let b = Mcg.session ~mode inst ~budgets in
+      let remaining = Cover_instance.coverable inst in
+      let rec go k =
+        k = 0 || Bitset.is_empty remaining
+        ||
+        let r = Mcg.session_round a ~remaining in
+        let sp = Mcg.session_round_split b ~remaining in
+        let kept, cov =
+          if sp.Mcg.w1 >= sp.Mcg.w2 then (sp.Mcg.h1, sp.Mcg.cov1)
+          else (sp.Mcg.h2, sp.Mcg.cov2)
+        in
+        List.length kept = List.length r.Mcg.kept
+        && List.for_all2
+             (fun (s : Mcg.selection) (s' : Mcg.selection) ->
+               s.set = s'.set && Bitset.equal s.newly s'.newly)
+             kept r.Mcg.kept
+        && Bitset.equal cov r.Mcg.covered
+        && (Bitset.is_empty cov
+           || (Bitset.diff_inplace remaining cov;
+               go (k - 1)))
+      in
+      go 4)
+
+(* An arena is pure scratch reuse: running every mode with a shared
+   (repeatedly reused) arena must be bit-identical to running without
+   one. *)
 let prop_arena_never_changes_results =
   QCheck.Test.make ~name:"arena-backed solves = fresh-allocation solves"
     ~count:100 arb_grouped
@@ -758,25 +1001,12 @@ let prop_arena_never_changes_results =
       let inst = mk_grouped ~n sets in
       let budgets = Array.make (Cover_instance.n_groups inst) budget in
       let arena = Arena.create () in
-      let same (a : Mcg.result) (b : Mcg.result) =
-        a.Mcg.raw_order = b.Mcg.raw_order
-        && List.length a.Mcg.kept = List.length b.Mcg.kept
-        && List.for_all2
-             (fun (s : Mcg.selection) (s' : Mcg.selection) ->
-               s.set = s'.set && Bitset.equal s.newly s'.newly)
-             a.Mcg.kept b.Mcg.kept
-        && Bitset.equal a.Mcg.covered b.Mcg.covered
-        && Array.for_all2 Float.equal a.Mcg.group_cost b.Mcg.group_cost
-      in
       List.for_all
-        (fun engine ->
-          List.for_all
-            (fun mode ->
-              same
-                (Mcg.greedy ~mode ~engine ~arena inst ~budgets ())
-                (Mcg.greedy ~mode ~engine inst ~budgets ()))
-            [ `Soft; `Hard ])
-        [ `Classic; `Lazy; `Eager ]
+        (fun mode ->
+          same_mcg_result
+            (Mcg.greedy ~mode ~arena inst ~budgets ())
+            (Mcg.greedy ~mode inst ~budgets ()))
+        [ `Soft; `Hard ]
       &&
       let a = Set_cover.greedy ~arena inst in
       let b = Set_cover.greedy inst in
@@ -871,6 +1101,7 @@ let qcheck_cases =
       prop_greedy_within_ln_bound;
       prop_exact_never_worse;
       prop_exact_is_cover;
+      prop_cover_greedy_eq_rescan;
       prop_layered_is_f_approx;
       prop_lp_rounding_is_f_approx;
       prop_mcg_budgets_hold;
@@ -880,10 +1111,11 @@ let qcheck_cases =
       prop_mcg_exact_matches_brute_force;
       prop_greedy_mcg_within_8_of_exact;
       prop_scg_selections_disjoint_and_cover;
-      prop_mcg_lazy_eq_eager;
+      prop_mcg_greedy_eq_eager;
       prop_scg_fanout_order_independent;
       prop_scg_bisect_agrees_with_exhaustive;
       prop_scg_session_eq_eager;
+      prop_session_split_matches_round;
       prop_arena_never_changes_results;
       prop_subset_sum_dp_sound;
       prop_makespan_exact_le_lpt;
@@ -905,12 +1137,13 @@ let () =
           tc "bounds checks" test_bitset_bounds;
           tc "first_inter" test_bitset_first_inter;
         ] );
-      ( "lazy_heap",
+      ( "flat_heap",
         [
           tc "pop order" test_heap_pop_order;
-          tc "lazy revalidation" test_heap_lazy_revalidation;
+          tc "stale-top re-insertion" test_heap_stale_reinsertion;
           tc "drops dead entries" test_heap_drops_dead_entries;
-          tc "peek keeps" test_heap_peek_keeps;
+          tc "group capacity" test_heap_capacity;
+          tc "equal priorities" test_heap_equal_priorities;
         ] );
       ( "set_cover",
         [

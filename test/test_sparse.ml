@@ -165,7 +165,6 @@ let qcheck_solver ~label run =
 
 let qcheck_ssa = qcheck_solver ~label:"SSA" Ssa.run
 let qcheck_mnu = qcheck_solver ~label:"MNU" (fun p -> Mnu.run p)
-let qcheck_mnu_lazy = qcheck_solver ~label:"MNU-lazy" (Mnu.run ~engine:`Lazy)
 let qcheck_mla = qcheck_solver ~label:"MLA" Mla.run
 let qcheck_mla_layered = qcheck_solver ~label:"MLA-layered" Mla.run_layered
 
@@ -683,7 +682,6 @@ let qcheck_cases =
       qcheck_reprs_agree;
       qcheck_ssa;
       qcheck_mnu;
-      qcheck_mnu_lazy;
       qcheck_mla;
       qcheck_mla_layered;
       qcheck_bla;
