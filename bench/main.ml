@@ -314,7 +314,7 @@ let city_timings ~quick () =
   in
   let problem = ref None in
   time "city:compile-sparse@2000x40000" (fun () ->
-      problem := Some (Wlan_model.Scenario.to_problem_sparse sc));
+      problem := Some (Wlan_model.Scenario.to_problem sc));
   let p = Option.get !problem in
   let n_aps, n_users = Wlan_model.Problem.dims p in
   time (Fmt.str "alg:mnu-distributed@%dx%d" n_aps n_users) (fun () ->
@@ -435,11 +435,11 @@ let serve_timings ~quick () =
     scales
 
 (* PHY-model rows (PR 10): the same paper-scale deployment compiled
-   under each pluggable link-rate model — "phy:compile-*" is the dense
-   compile (for a path-loss model that is per-link received power, SNR
-   and ladder walk on every AP-user pair; shadowed models also pay the
-   per-link split-RNG draw), "phy:sparse-*" the bucket-grid sparse
-   compile, and "phy:mla-*" one centralized MLA solve on the result. *)
+   under each pluggable link-rate model — "phy:compile-*" is the
+   bucket-grid compile (for a path-loss model that is per-link received
+   power, SNR and ladder walk on every AP-user pair the grid probes;
+   shadowed models also pay the per-link split-RNG draw), and
+   "phy:mla-*" one centralized MLA solve on the result. *)
 let phy_timings ~quick () =
   let module W = Wlan_model in
   let reps = if quick then 1 else 3 in
@@ -478,8 +478,6 @@ let phy_timings ~quick () =
       in
       time (Fmt.str "phy:compile-%s@%dx%d" name n_aps n_users) (fun () ->
           ignore (W.Scenario.to_problem sc));
-      time (Fmt.str "phy:sparse-%s@%dx%d" name n_aps n_users) (fun () ->
-          ignore (W.Scenario.to_problem_sparse sc));
       let p = W.Scenario.to_problem sc in
       time (Fmt.str "phy:mla-%s@%dx%d" name n_aps n_users) (fun () ->
           ignore (Mcast_core.Mla.run p)))

@@ -137,22 +137,13 @@ let decide p assoc ~loads ~objective u =
     ~load:(fun b -> loads.(b))
     ~objective u
 
-(* Tracker-backed decision: O(neighbors · (n_sessions + log members))
-   instead of O(neighbors · n_users); [neighbors] is the caller's cached
-   [Problem.neighbor_aps p u]. *)
-let decide_tracked p assoc tr ~neighbors ~objective u =
-  decide_with p ~neighbors ~current:assoc.(u)
-    ~if_joins:(fun ~user ~ap -> Loads.Tracker.load_if_joins tr ~user ~ap)
-    ~if_leaves:(fun ~user ~ap -> Loads.Tracker.load_if_leaves tr ~user ~ap)
-    ~load:(Loads.Tracker.ap_load tr)
-    ~objective u
-
 (** {2 Flat decision kernel (DESIGN.md §4.12)}
 
-    The boxed rule above allocates per decision: a filtered candidate
-    list, a scored assoc list, and — under [Min_load_vector] — a fresh
-    sorted array per candidate. The flat kernel computes the {e same}
-    decision into preallocated scratch planes:
+    The boxed rule above ({!decide}) allocates per decision: a filtered
+    candidate list, a scored assoc list, and — under [Min_load_vector] —
+    a fresh sorted array per candidate. The flat kernel every scheduler
+    and [Online] runs computes the {e same} decision into preallocated
+    scratch planes:
 
     - the hypothetical queries are cached once per decision — one
       [load_if_joins] per neighbor, one [load_if_leaves] for the serving
@@ -171,7 +162,9 @@ let decide_tracked p assoc tr ~neighbors ~objective u =
 type scratch = {
   arena : Optkit.Arena.t;
   mutable cap : int;  (* all planes hold at least [cap] entries *)
-  mutable nbr : int array;  (* live neighborhood (Online fills this) *)
+  mutable nbr : int array;  (* live neighborhood (Online fills these) *)
+  mutable nrate : float array;  (* its link rates *)
+  mutable nsig : float array;  (* its signals *)
   mutable join_l : float array;  (* load_if_joins per neighbor *)
   mutable vec_a : float array;  (* candidate vector buffers, swapped *)
   mutable vec_b : float array;
@@ -181,6 +174,8 @@ type scratch = {
 let scratch_ensure s n =
   if n > s.cap then begin
     s.nbr <- Optkit.Arena.ints s.arena "dist.nbr" n;
+    s.nrate <- Optkit.Arena.floats s.arena "dist.nrate" n;
+    s.nsig <- Optkit.Arena.floats s.arena "dist.nsig" n;
     s.join_l <- Optkit.Arena.floats s.arena "dist.join" n;
     s.vec_a <- Optkit.Arena.floats s.arena "dist.vec_a" n;
     s.vec_b <- Optkit.Arena.floats s.arena "dist.vec_b" n;
@@ -194,6 +189,8 @@ let make_scratch () =
       arena = Optkit.Arena.create ();
       cap = 0;
       nbr = [||];
+      nrate = [||];
+      nsig = [||];
       join_l = [||];
       vec_a = [||];
       vec_b = [||];
@@ -218,29 +215,23 @@ let sort_desc (a : float array) n =
   done
 
 (* The local rule of [decide_with], on scratch planes against the tracker.
-   [nbr.(0..d-1)] is the (live, ascending) neighborhood; the caller has
-   [scratch_ensure]d capacity [d]. [rates]/[sigs], when given, carry the
-   neighbors' precomputed link rates and signals (static topologies only:
-   they must equal the live [Problem] queries). Decision-for-decision
-   equivalence with the boxed rule is pinned by the qcheck battery in
-   [test_flat.ml]. *)
-let decide_flat p tr scr ~nbr ~d ?rates ?sigs ~current ~objective u =
+   [nbr.(0..d-1)] is the (live, ascending) neighborhood and
+   [rates]/[sigs] its link rates and signals, equal to the live [Problem]
+   queries; the caller has [scratch_ensure]d capacity [d].
+   Decision-for-decision equivalence with the boxed rule is pinned by the
+   qcheck battery in [test_flat.ml]. *)
+let decide_flat p tr scr ~nbr ~d ~rates ~sigs ~current ~objective u =
   Wlan_obs.Counters.incr c_decisions;
   if d = 0 then None
   else begin
     scratch_ensure scr d;
     let old_ap = current in
     let join_l = scr.join_l in
-    Loads.Tracker.load_if_joins_into tr ~user:u ?rates ~nbr ~d ~into:join_l ();
+    Loads.Tracker.load_if_joins_into tr ~user:u ~rates ~nbr ~d ~into:join_l;
     let base_l = Loads.Tracker.loads tr in
     let leave_v =
       if old_ap = Association.none then 0.
       else Loads.Tracker.load_if_leaves tr ~user:u ~ap:old_ap
-    in
-    let signal_at k a =
-      match sigs with
-      | Some sg -> sg.(k)
-      | None -> Problem.signal p ~ap:a ~user:u
     in
     (* [hypothetical] of the boxed rule, reading the caches (the live
        loads array stands in for the per-neighbor [load b] reads: no move
@@ -294,7 +285,7 @@ let decide_flat p tr scr ~nbr ~d ?rates ?sigs ~current ~objective u =
           let c = Loads.compare_load_prefixes_eps ~len !tv !bv in
           if
             c < 0
-            || c = 0 && signal_at k a > signal_at !best_k !best_ap +. 1e-12
+            || c = 0 && sigs.(k) > sigs.(!best_k) +. 1e-12
           then begin
             let swap = !bv in
             bv := !tv;
@@ -315,7 +306,7 @@ let decide_flat p tr scr ~nbr ~d ?rates ?sigs ~current ~objective u =
     else None
   end
 
-let run ?init ?(max_rounds = 200) ?(kernel = `Flat) ~scheduler ~objective p =
+let run ?init ?(max_rounds = 200) ~scheduler ~objective p =
   Wlan_obs.Counters.incr c_runs;
   let n_aps, n_users = Problem.dims p in
   let assoc =
@@ -324,41 +315,30 @@ let run ?init ?(max_rounds = 200) ?(kernel = `Flat) ~scheduler ~objective p =
     | None -> Association.empty ~n_users
   in
   let tr = Loads.Tracker.create p assoc in
-  (* the neighbor sets are static: compute each user's once per run *)
-  let neighbors = Array.init n_users (Problem.neighbor_aps p) in
-  (* flat kernel state: per-user neighborhood planes — AP, link rate and
-     signal side by side, filled by one candidate sweep (the topology is
-     static for the whole run, so the cached rates and signals are
-     exactly what the live queries return) — plus scratch sized to the
-     maximum degree *)
-  let flat =
-    match kernel with
-    | `Boxed -> None
-    | `Flat ->
-        let nbr = Array.make n_users [||] in
-        let nrate = Array.make n_users [||] in
-        let nsig = Array.make n_users [||] in
-        let max_d = ref 1 in
-        for u = 0 to n_users - 1 do
-          let deg = List.length neighbors.(u) in
-          let a_ = Array.make deg 0 in
-          let r_ = Array.make deg 0. in
-          let s_ = Array.make deg 0. in
-          let i = ref 0 in
-          Problem.iter_candidates p u (fun a r sg ->
-              a_.(!i) <- a;
-              r_.(!i) <- r;
-              s_.(!i) <- sg;
-              incr i);
-          nbr.(u) <- a_;
-          nrate.(u) <- r_;
-          nsig.(u) <- s_;
-          max_d := Int.max !max_d deg
-        done;
-        let scr = make_scratch () in
-        scratch_ensure scr !max_d;
-        Some (nbr, nrate, nsig, scr)
-  in
+  (* per-user neighborhood planes — AP, link rate and signal side by
+     side, read once off the candidate slots (the topology is static for
+     the whole run, so the cached rates and signals are exactly what the
+     live queries return) — plus scratch sized to the maximum degree *)
+  let links = p.Problem.links in
+  let max_d = ref 1 in
+  for u = 0 to n_users - 1 do
+    max_d := Int.max !max_d (Sparse.degree links u)
+  done;
+  let scr = make_scratch () in
+  scratch_ensure scr !max_d;
+  let all_alive = Array.make n_aps true in
+  let nbr = Array.make n_users [||] in
+  let nrate = Array.make n_users [||] in
+  let nsig = Array.make n_users [||] in
+  for u = 0 to n_users - 1 do
+    let d =
+      Sparse.fill_candidates links u ~ap_alive:all_alive ~aps:scr.nbr
+        ~rates:scr.nrate ~sigs:scr.nsig
+    in
+    nbr.(u) <- Array.sub scr.nbr 0 d;
+    nrate.(u) <- Array.sub scr.nrate 0 d;
+    nsig.(u) <- Array.sub scr.nsig 0 d
+  done;
   (* Decision memoisation. A user's decision is a pure function of its own
      association and the tracker state of its neighbor APs (loads and tx
      rows), and that state only changes when some user moves into or out
@@ -371,9 +351,7 @@ let run ?init ?(max_rounds = 200) ?(kernel = `Flat) ~scheduler ~objective p =
      to the unmemoised loop. *)
   let version = Array.make n_aps 0 in
   let stay_stamp = Array.make n_users (-1) in
-  let stamp u =
-    List.fold_left (fun acc a -> acc + version.(a)) 0 neighbors.(u)
-  in
+  let stamp u = Array.fold_left (fun acc a -> acc + version.(a)) 0 nbr.(u) in
   let apply ~user ~ap =
     let old_ap = assoc.(user) in
     if old_ap <> Association.none then
@@ -391,12 +369,8 @@ let run ?init ?(max_rounds = 200) ?(kernel = `Flat) ~scheduler ~objective p =
     end
     else begin
       let d =
-        match flat with
-        | Some (nbr, nrate, nsig, scr) ->
-            decide_flat p tr scr ~nbr:nbr.(u) ~d:(Array.length nbr.(u))
-              ~rates:nrate.(u) ~sigs:nsig.(u) ~current:assoc.(u) ~objective u
-        | None ->
-            decide_tracked p assoc tr ~neighbors:neighbors.(u) ~objective u
+        decide_flat p tr scr ~nbr:nbr.(u) ~d:(Array.length nbr.(u))
+          ~rates:nrate.(u) ~sigs:nsig.(u) ~current:assoc.(u) ~objective u
       in
       if d = None then stay_stamp.(u) <- s;
       Some d
@@ -459,15 +433,15 @@ let run ?init ?(max_rounds = 200) ?(kernel = `Flat) ~scheduler ~objective p =
         incr rounds;
         for i = 0 to n_users - 1 do
           let u = (i + offset) mod n_users in
-          let ns = neighbors.(u) in
-          if ns <> [] && stay_stamp.(u) <> stamp u
-             && List.for_all (fun a -> not locked.(a)) ns
+          let ns = nbr.(u) in
+          if Array.length ns > 0 && stay_stamp.(u) <> stamp u
+             && Array.for_all (fun a -> not locked.(a)) ns
           then begin
             (* acquire locks, decide on live state *)
-            List.iter (fun a -> locked.(a) <- true) ns;
+            Array.iter (fun a -> locked.(a) <- true) ns;
             match decide_memo u with
             | None | Some None ->
-                List.iter (fun a -> locked.(a) <- false) ns
+                Array.iter (fun a -> locked.(a) <- false) ns
             | Some (Some ap) ->
                 apply ~user:u ~ap;
                 incr moves;
@@ -491,7 +465,8 @@ let run ?init ?(max_rounds = 200) ?(kernel = `Flat) ~scheduler ~objective p =
     [Online.t] absorbs events — users arriving and departing, APs failing
     and recovering, link rates drifting — and re-converges {e
     incrementally}: each delta marks only the users whose decision inputs
-    it touched (a dirty set maintained through a per-AP watcher index),
+    it touched (a dirty set; an AP's watchers are its in-range members,
+    read straight off the working link structure),
     and {!settle} re-runs the local rule for exactly those users, letting
     dirtiness propagate move by move. No from-scratch solve ever happens.
 
@@ -524,22 +499,20 @@ module Online = struct
 
   type t = {
     p : Problem.t;
-        (* working copy: the rate rows are owned and mutated on drift *)
+        (* working copy: the rate plane is owned and mutated on drift;
+           its candidate and member lists are the base neighborhoods
+           (rate > 0, ascending, alive-agnostic) and the AP -> watcher
+           index *)
     objective : objective;
     assoc : Association.t;
     tr : Loads.Tracker.t;
     present : bool array;  (* user currently in the network? *)
     alive : bool array;  (* AP currently up? *)
-    neighbors : int list array;
-        (* base neighborhoods (rate > 0), ascending, alive-agnostic *)
-    watchers : int list array;
-        (* AP -> users with that AP in their base neighborhood, ascending *)
     dirty : bool array;
     mutable n_dirty : int;
-    kernel : [ `Flat | `Boxed ];
     scr : scratch;
-        (* flat-kernel scratch, reused across every settle; grown when
-           [set_rate] raises a neighborhood's degree *)
+        (* flat-kernel scratch, reused across every settle; sized once to
+           the largest slot count, which bounds every live neighborhood *)
   }
 
   let mark t u =
@@ -554,9 +527,10 @@ module Online = struct
       t.n_dirty <- t.n_dirty - 1
     end
 
-  let mark_watchers t a = List.iter (mark t) t.watchers.(a)
+  let mark_watchers t a =
+    Sparse.iter_member_users t.p.Problem.links a (fun u -> mark t u)
 
-  let create ?init ?present ?(kernel = `Flat) ~objective p =
+  let create ?init ?present ~objective p =
     let n_aps, n_users = Problem.dims p in
     let p = Problem.copy_for_mutation p in
     let present =
@@ -577,11 +551,6 @@ module Online = struct
       (fun u pr -> if not pr then assoc.(u) <- Association.none)
       present;
     let tr = Loads.Tracker.create p assoc in
-    let neighbors = Array.init n_users (Problem.neighbor_aps p) in
-    let watchers = Array.make n_aps [] in
-    for u = n_users - 1 downto 0 do
-      List.iter (fun a -> watchers.(a) <- u :: watchers.(a)) neighbors.(u)
-    done;
     let t =
       {
         p;
@@ -590,26 +559,25 @@ module Online = struct
         tr;
         present;
         alive = Array.make n_aps true;
-        neighbors;
-        watchers;
         dirty = Array.make n_users false;
         n_dirty = 0;
-        kernel;
         scr = make_scratch ();
       }
     in
-    Array.iter
-      (fun ns -> scratch_ensure t.scr (List.length ns))
-      t.neighbors;
+    (* the slot structure never grows, so no later neighborhood (lost
+       links re-armed included) outgrows the largest slot count *)
+    let max_d = ref 0 in
     for u = 0 to n_users - 1 do
+      max_d := Int.max !max_d (Sparse.degree p.Problem.links u);
       mark t u
     done;
+    scratch_ensure t.scr !max_d;
     t
 
-  (** The live association — a view, not a copy. *)
+  (** The live association — shared, not a copy. *)
   let assoc t = t.assoc
 
-  (** The live per-AP loads (tracker view, read-only). *)
+  (** The live per-AP loads (the tracker's array, read-only). *)
   let loads t = Loads.Tracker.loads t.tr
 
   let total_load t = Loads.Tracker.total_load t.tr
@@ -623,34 +591,17 @@ module Online = struct
   let link_rate t ~ap ~user = Problem.link_rate t.p ~ap ~user
 
   (* A dead AP answers no queries: it simply drops out of everyone's
-     neighborhood. Filtering the ascending base list preserves order, so
-     the decision rule sees exactly [Problem.neighbor_aps p_eff u]. *)
-  let live_neighbors t u = List.filter (fun a -> t.alive.(a)) t.neighbors.(u)
-
+     neighborhood. The live slots of [u] at alive APs, in ascending
+     order, fill the neighborhood planes, so the rule sees exactly the
+     candidates of [u] on [effective_problem]. *)
   let decide_online t u =
-    match t.kernel with
-    | `Boxed ->
-        decide_with t.p ~neighbors:(live_neighbors t u) ~current:t.assoc.(u)
-          ~if_joins:(fun ~user ~ap ->
-            Loads.Tracker.load_if_joins t.tr ~user ~ap)
-          ~if_leaves:(fun ~user ~ap ->
-            Loads.Tracker.load_if_leaves t.tr ~user ~ap)
-          ~load:(Loads.Tracker.ap_load t.tr)
-          ~objective:t.objective u
-    | `Flat ->
-        (* fill the live neighborhood plane: the alive filter over the
-           ascending base list, order preserved like [live_neighbors] *)
-        let nbr = t.scr.nbr in
-        let d = ref 0 in
-        List.iter
-          (fun a ->
-            if t.alive.(a) then begin
-              nbr.(!d) <- a;
-              incr d
-            end)
-          t.neighbors.(u);
-        decide_flat t.p t.tr t.scr ~nbr ~d:!d ~current:t.assoc.(u)
-          ~objective:t.objective u
+    let scr = t.scr in
+    let d =
+      Sparse.fill_candidates t.p.Problem.links u ~ap_alive:t.alive
+        ~aps:scr.nbr ~rates:scr.nrate ~sigs:scr.nsig
+    in
+    decide_flat t.p t.tr scr ~nbr:scr.nbr ~d ~rates:scr.nrate ~sigs:scr.nsig
+      ~current:t.assoc.(u) ~objective:t.objective u
 
   let apply_move t ~user ~ap =
     let old_ap = t.assoc.(user) in
@@ -730,22 +681,10 @@ module Online = struct
     else begin
       let attached = t.assoc.(user) = ap in
       if attached then Loads.Tracker.unserve t.tr ~user;
-      (* on a sparse instance this raises when the pair was never in
-         range — the slot structure cannot grow a link (churn drift only
-         ever touches links that exist, so replays never hit this) *)
+      (* this raises when the pair was never in range — the slot
+         structure cannot grow a link (churn drift only ever touches
+         links that exist, so replays never hit this) *)
       Problem.set_link_rate t.p ~ap ~user rate;
-      (if (old > 0.) <> (rate > 0.) then
-         if rate > 0. then begin
-           t.neighbors.(user) <- List.sort Int.compare (ap :: t.neighbors.(user));
-           t.watchers.(ap) <- List.sort Int.compare (user :: t.watchers.(ap));
-           (* the flat kernel fills [scr.nbr] before deciding: keep the
-              scratch planes at least as large as any neighborhood *)
-           scratch_ensure t.scr (List.length t.neighbors.(user))
-         end
-         else begin
-           t.neighbors.(user) <- List.filter (fun a -> a <> ap) t.neighbors.(user);
-           t.watchers.(ap) <- List.filter (fun u -> u <> user) t.watchers.(ap)
-         end);
       if attached then
         if rate > 0. then begin
           Loads.Tracker.move t.tr ~user ~ap;
@@ -754,7 +693,7 @@ module Online = struct
         end
         else begin
           mark_watchers t ap;
-          mark t user (* no longer a watcher of [ap] *);
+          mark t user (* no longer a member of [ap] *);
           `Detached
         end
       else begin
@@ -763,6 +702,22 @@ module Online = struct
         `Changed
       end
     end
+
+  (** [drift t ~user ~tiers ~steps] moves each in-range link of [user]
+      [steps] positions along the [tiers] ladder
+      ({!Churn_script.drifted_rate}): one {!set_rate} per live candidate
+      slot, ascending AP order. [`Drifted n] when some rate changed, [n]
+      counting the serving links lost (session interruptions). *)
+  let drift t ~user ~tiers ~steps =
+    let changed = ref false and interrupted = ref 0 in
+    Problem.iter_candidates t.p user (fun ap r _ ->
+        match set_rate t ~user ~ap (Churn_script.drifted_rate ~tiers r steps) with
+        | `Unchanged -> ()
+        | `Changed -> changed := true
+        | `Detached ->
+            changed := true;
+            incr interrupted);
+    if !changed then `Drifted !interrupted else `Unchanged
 
   (** {2 Re-convergence} *)
 

@@ -29,7 +29,10 @@ type outcome = {
     stay. [loads] must be the current per-AP loads. Ties break toward
     stronger signal; served users move only on strict improvement
     (epsilon-tolerant comparison); unserved users join the best feasible
-    AP outright. *)
+    AP outright. This is the reference form of the rule, computed with
+    eager load scans; {!run} and {!Online} compute the same decisions in
+    a flat kernel over reused scratch planes (the lockstep battery in
+    [test_flat.ml] pins the equivalence). *)
 val decide :
   Problem.t ->
   Association.t ->
@@ -39,18 +42,12 @@ val decide :
   int option
 
 (** Run rounds of local decisions from [init] (default: all unserved)
-    until a fixpoint, oscillation, or [max_rounds] (default 200).
-
-    [kernel] selects how each decision is computed: [`Flat] (the
-    default) evaluates candidates in preallocated arena scratch planes
-    with per-decision hypothetical-load caching; [`Boxed] is the
-    original list-and-array rule, kept as the differential reference.
-    Both compute bit-identical decisions (and floats) — pinned by the
-    qcheck battery in [test_flat.ml]. *)
+    until a fixpoint, oscillation, or [max_rounds] (default 200). Each
+    decision is {!decide}'s, evaluated in preallocated arena scratch
+    planes with per-decision hypothetical-load caching. *)
 val run :
   ?init:Association.t ->
   ?max_rounds:int ->
-  ?kernel:[ `Flat | `Boxed ] ->
   scheduler:scheduler ->
   objective:objective ->
   Problem.t ->
@@ -60,7 +57,7 @@ val run :
 
     A running network that absorbs membership and topology deltas and
     re-converges incrementally: each delta marks only the users whose
-    decision inputs it touched (via a per-AP watcher index), and
+    decision inputs it touched (an AP's in-range members), and
     {!Online.settle} re-runs the local rule for exactly those users. A
     settle from an all-dirty start executes the identical move sequence
     (and identical floats) as {!run} [~scheduler:Sequential] on
@@ -70,26 +67,23 @@ val run :
 module Online : sig
   type t
 
-  (** [create ~objective p] copies [p]'s rate matrix (drift mutates the
+  (** [create ~objective p] copies [p]'s rate plane (drift mutates the
       copy, never the caller's instance) and starts with every AP alive
       and — unless [present] says otherwise — every user present and
       dirty. [init] seeds the association (absent users are forced
       unserved). Raises [Invalid_argument] if [init] serves a user over
-      a zero-rate link. [kernel] as in {!run}: [`Flat] (default) decides
-      in reused arena scratch, [`Boxed] is the reference rule — both
-      bit-identical. *)
+      a zero-rate link. *)
   val create :
     ?init:Association.t ->
     ?present:bool array ->
-    ?kernel:[ `Flat | `Boxed ] ->
     objective:objective ->
     Problem.t ->
     t
 
-  (** The live association — a view, not a copy. *)
+  (** The live association — shared, not a copy. *)
   val assoc : t -> Association.t
 
-  (** The live per-AP loads (tracker view, read-only). *)
+  (** The live per-AP loads (the tracker's array, read-only). *)
   val loads : t -> float array
 
   val total_load : t -> float
@@ -123,12 +117,24 @@ module Online : sig
   val recover_ap : t -> ap:int -> bool
 
   (** [set_rate t ~user ~ap rate] installs a new link rate (negative
-      clamps to [0.] = out of range), keeping the tracker multisets and
-      the watcher index consistent. [`Detached] means the user was being
-      served over the link and the new rate is [0.] — a forced session
-      interruption. *)
+      clamps to [0.] = out of range), keeping the tracker multisets
+      consistent. [`Detached] means the user was being served over the
+      link and the new rate is [0.] — a forced session interruption.
+      @raise Invalid_argument when [rate > 0.] on a pair that was never
+      in range (the link structure cannot grow), or when [rate] is
+      nan. *)
   val set_rate :
     t -> user:int -> ap:int -> float -> [ `Changed | `Detached | `Unchanged ]
+
+  (** [drift t ~user ~tiers ~steps] moves every in-range link of [user]
+      [steps] positions along the [tiers] ladder
+      ({!Churn_script.drifted_rate}), one {!set_rate} per candidate in
+      ascending AP order. [`Drifted n] when some rate changed, [n]
+      counting the serving links lost (session interruptions);
+      [`Unchanged] otherwise. *)
+  val drift :
+    t -> user:int -> tiers:float list -> steps:int ->
+    [ `Drifted of int | `Unchanged ]
 
   (** {2 Re-convergence} *)
 

@@ -1,4 +1,4 @@
-(** Dense two-phase primal simplex for linear programs.
+(** Two-phase primal simplex, on a full tableau, for linear programs.
 
     The paper compares its approximation algorithms against optimal
     solutions computed by ILPs "based on the ILP of set cover" (Fig. 12).

@@ -1,4 +1,5 @@
-(** Dense two-phase primal simplex for linear programs over [x >= 0].
+(** Two-phase primal simplex, on a full tableau, for linear programs
+    over [x >= 0].
 
     Constraints are [a·x {<=,>=,=} b] rows; the objective may minimize or
     maximize. Phase 1 drives artificial variables out; phase 2 optimizes

@@ -266,18 +266,14 @@ let chk_ap t a k =
       (Printf.sprintf "ap %d outside 0..%d" a (n_aps - 1))
   else k ()
 
-(* [Sparse.set_rate] cannot grow a link that was never in range at
+(* The link structure cannot grow a link that was never in range at
    build time; refuse such growth up front (the signal plane is
    structural: out-of-slot pairs answer [neg_infinity]) so acceptance
    is decided before anything is logged or applied. *)
 let chk_growable t ~user ~ap rate k =
-  if
-    rate > 0. && Problem.is_sparse t.p
-    && not (Float.is_finite (Problem.signal t.p ~ap ~user))
-  then
+  if rate > 0. && not (Float.is_finite (Problem.signal t.p ~ap ~user)) then
     refuse t Protocol.Out_of_range
-      (Printf.sprintf "link a%d-u%d never in range of the sparse instance"
-         ap user)
+      (Printf.sprintf "link a%d-u%d never in range of the instance" ap user)
   else k ()
 
 let validate_event t event k =
@@ -312,19 +308,10 @@ let apply_event t event =
       match Distributed.Online.set_rate t.net ~user ~ap rate with
       | `Detached -> 1
       | `Changed | `Unchanged -> 0)
-  | Protocol.Drift { user; steps } ->
-      let n_aps, _ = Problem.dims t.p in
-      let interrupted = ref 0 in
-      for ap = 0 to n_aps - 1 do
-        let old = Distributed.Online.link_rate t.net ~ap ~user in
-        if old > 0. then begin
-          let r = Churn_script.drifted_rate ~tiers:t.cfg.tiers old steps in
-          match Distributed.Online.set_rate t.net ~user ~ap r with
-          | `Detached -> incr interrupted
-          | `Changed | `Unchanged -> ()
-        end
-      done;
-      !interrupted
+  | Protocol.Drift { user; steps } -> (
+      match Distributed.Online.drift t.net ~user ~tiers:t.cfg.tiers ~steps with
+      | `Drifted interrupted -> interrupted
+      | `Unchanged -> 0)
 
 let handle_event t ~time event =
   validate_event t event @@ fun () ->

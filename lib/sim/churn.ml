@@ -74,10 +74,6 @@ type outcome = {
   oscillated : bool;  (** any settle oscillated *)
 }
 
-(* The tier-ladder semantics of a [Drift] event lives in
-   [Churn_script.drifted_rate] (shared with the serve daemon). *)
-let drifted_rate = Churn_script.drifted_rate
-
 let run ?init ?(mode = `Sequential) ?(max_rounds = 200) ?trace
     ?(baseline = true) ?tiers ~objective ~script p =
   Wlan_obs.Counters.incr c_runs;
@@ -183,26 +179,12 @@ let run ?init ?(mode = `Sequential) ?(max_rounds = 200) ?trace
         if Distributed.Online.recover_ap net ~ap then
           Trace.log trace ~time (Trace.Ap_up { ap });
         0
-    | Churn_script.Drift { user; steps } ->
-        let cut = ref 0 in
-        let changed = ref false in
-        for a = 0 to n_aps - 1 do
-          let r = Distributed.Online.link_rate net ~ap:a ~user in
-          if r > 0. then begin
-            match
-              Distributed.Online.set_rate net ~user ~ap:a
-                (drifted_rate ~tiers r steps)
-            with
-            | `Unchanged -> ()
-            | `Changed -> changed := true
-            | `Detached ->
-                changed := true;
-                incr cut
-          end
-        done;
-        if !changed then
-          Trace.log trace ~time (Trace.Rate_drift { user; steps });
-        !cut
+    | Churn_script.Drift { user; steps } -> (
+        match Distributed.Online.drift net ~user ~tiers ~steps with
+        | `Unchanged -> 0
+        | `Drifted cut ->
+            Trace.log trace ~time (Trace.Rate_drift { user; steps });
+            cut)
   in
   (* The network converges once before any churn: the static solve. *)
   settle_step ~time:0. ~events:0 ~interrupted:0;

@@ -322,12 +322,11 @@ module Tracker = struct
 
   (* Batched {!load_if_joins} over a neighborhood plane: one session
      lookup for the whole batch, answers written into [into.(0..d-1)].
-     [rates] may carry the caller's precomputed link rates for
-     [nbr.(0..d-1)] (static topologies only — they must equal what
-     {!Problem.link_rate} returns); without it the rate is looked up per
-     AP. Each answer is the identical float the per-query function
-     computes. *)
-  let load_if_joins_into t ~user ?rates ~nbr ~d ~into () =
+     [rates.(k)] is the link rate of [nbr.(k)], as {!Problem.link_rate}
+     returns it (callers fill both planes from the user's candidate
+     slots, so no per-AP lookup happens here). Each answer is the
+     identical float the per-query function computes. *)
+  let load_if_joins_into t ~user ~rates ~nbr ~d ~into =
     Wlan_obs.Counters.add c_hypotheticals d;
     let s = Problem.user_session t.p user in
     let current = t.assoc.(user) in
@@ -336,11 +335,7 @@ module Tracker = struct
       into.(k) <-
         (if current = ap then t.loads.(ap)
          else
-           let r =
-             match rates with
-             | Some r -> r.(k)
-             | None -> Problem.link_rate t.p ~ap ~user
-           in
+           let r = rates.(k) in
            if not (r > 0.) then eager_load_if_joins t.p t.assoc ~user ~ap
            else
              let cur = t.tx.(ap).(s) in

@@ -85,7 +85,7 @@ module Tracker : sig
   (** O(1) cached load of one AP. *)
   val ap_load : t -> int -> float
 
-  (** The live per-AP load array — a view, not a copy; treat as
+  (** The live per-AP load array — shared, not a copy; treat as
       read-only. *)
   val loads : t -> float array
 
@@ -103,19 +103,17 @@ module Tracker : sig
   val load_if_leaves : t -> user:int -> ap:int -> float
 
   (** Batched {!load_if_joins} over a neighborhood plane, for the flat
-      decision kernel: [load_if_joins_into t ~user ~nbr ~d ~into ()]
+      decision kernel: [load_if_joins_into t ~user ~rates ~nbr ~d ~into]
       writes the hypothetical load of [nbr.(k)] into [into.(k)] for
       [k < d] — each the identical float of the per-query call, with the
-      per-batch lookups hoisted. [rates] may carry precomputed link
-      rates for [nbr] (must equal {!Problem.link_rate}; only safe on
-      static topologies). *)
+      per-batch lookups hoisted. [rates.(k)] must be the link rate of
+      [nbr.(k)] ({!Problem.link_rate}). *)
   val load_if_joins_into :
     t ->
     user:int ->
-    ?rates:float array ->
+    rates:float array ->
     nbr:int array ->
     d:int ->
     into:float array ->
-    unit ->
     unit
 end

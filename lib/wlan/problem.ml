@@ -7,37 +7,26 @@
     rate adaptation) or are written down directly (the paper's worked
     examples and NP-hardness constructions specify link rates explicitly).
 
-    Since PR 6 the link structure has two interchangeable representations
-    behind the {!view} accessor:
-    - {e dense}: the classic (AP × user) [rates]/[signal] matrices, with
-      [0.] meaning out of range — what the paper's 200×400 experiments use;
-    - {e sparse}: {!Sparse.t} candidate/member lists exploiting the hard
-      radio reach of the 802.11 rate tables, the only form that scales to
-      city-size (2000×40000 and beyond) instances, where the dense matrix
-      would not even allocate.
-
-    Every accessor below is representation-agnostic and — by construction
-    and by the differential battery in [test/test_sparse.ml] — returns
-    bit-identical results on both forms of the same instance.
+    The link structure is one {!Sparse.t}: each user's candidate APs and
+    each AP's member users in CSR form over a shared rate plane. Every
+    rule in the paper reads only such neighbourhoods, so this is the
+    paper's data model at any scale; hand-written (AP × user) matrices
+    are lowered to it by {!make}.
 
     Conventions:
     - APs and users are dense integer indices.
-    - A link rate is the maximum data rate in Mbps from AP to user; [0.]
-      (dense) or an absent/lost slot (sparse) means out of range.
+    - A link rate is the maximum data rate in Mbps from AP to user; an
+      absent or lost slot means out of range (read as [0.]).
     - Signal ranks strength for the SSA baseline (higher is stronger); by
       default it equals the link rate, and geometric scenarios install
       [-. distance] so that "strongest signal" = "nearest AP". *)
-
-type repr =
-  | Dense of { rates : float array array; signal : float array array }
-  | Sparse of Sparse.t
 
 type t = {
   n_aps : int;
   n_users : int;
   session_rates : float array;  (** session index -> stream rate (Mbps) *)
   user_session : int array;  (** user index -> session index *)
-  repr : repr;  (** the link structure — access through {!view} *)
+  links : Sparse.t;  (** the link structure *)
   budget : float;  (** default per-AP multicast load limit, in [0, 1] *)
   ap_budgets : float array option;
       (** optional heterogeneous per-AP budgets overriding [budget] *)
@@ -51,19 +40,8 @@ let dims t = (t.n_aps, t.n_users)
 let n_sessions t = Array.length t.session_rates
 let session_rate t s = t.session_rates.(s)
 let user_session t u = t.user_session.(u)
-let view t = t.repr
-let is_sparse t = match t.repr with Dense _ -> false | Sparse _ -> true
-
-let link_rate t ~ap ~user =
-  match t.repr with
-  | Dense d -> d.rates.(ap).(user)
-  | Sparse s -> Sparse.link_rate s ~ap ~user
-
-let signal t ~ap ~user =
-  match t.repr with
-  | Dense d -> d.signal.(ap).(user)
-  | Sparse s -> Sparse.signal s ~ap ~user
-
+let link_rate t ~ap ~user = Sparse.link_rate t.links ~ap ~user
+let signal t ~ap ~user = Sparse.signal t.links ~ap ~user
 let in_range t ~ap ~user = link_rate t ~ap ~user > 0.
 let budget t = t.budget
 
@@ -74,50 +52,21 @@ let ap_budget t a =
 
 (** [iter_candidates t u f] calls [f ap rate signal] for every AP in
     range of user [u], in ascending AP order. *)
-let iter_candidates t u f =
-  match t.repr with
-  | Dense d ->
-      for a = 0 to t.n_aps - 1 do
-        let r = d.rates.(a).(u) in
-        if r > 0. then f a r d.signal.(a).(u)
-      done
-  | Sparse s -> Sparse.iter_candidates s u f
+let iter_candidates t u f = Sparse.iter_candidates t.links u f
 
 (** [iter_members t a f] calls [f user rate] for every user in range of
     AP [a], in ascending user order. *)
-let iter_members t a f =
-  match t.repr with
-  | Dense d ->
-      for u = 0 to t.n_users - 1 do
-        let r = d.rates.(a).(u) in
-        if r > 0. then f u r
-      done
-  | Sparse s -> Sparse.iter_members s a f
+let iter_members t a f = Sparse.iter_members t.links a f
 
 (** A fresh dense rate matrix equal to the instance's link structure
-    (always a copy — safe to mutate, never aliases the instance).
-    Allocates O(APs × users): test/debug helper, not for city scale. *)
+    (safe to mutate, never aliases the instance). Allocates
+    O(APs × users): test/debug helper, not for city scale. *)
 let rates_matrix t =
-  match t.repr with
-  | Dense d -> Array.map Array.copy d.rates
-  | Sparse s ->
-      let m = Array.make_matrix t.n_aps t.n_users 0. in
-      for u = 0 to t.n_users - 1 do
-        Sparse.iter_candidates s u (fun a r _ -> m.(a).(u) <- r)
-      done;
-      m
-
-(** A fresh dense signal matrix (a copy). Sparse instances carry no
-    signal for out-of-range pairs: those entries are [neg_infinity]. *)
-let signal_matrix t =
-  match t.repr with
-  | Dense d -> Array.map Array.copy d.signal
-  | Sparse s ->
-      let m = Array.make_matrix t.n_aps t.n_users neg_infinity in
-      for u = 0 to t.n_users - 1 do
-        Sparse.iter_candidates s u (fun a _ sg -> m.(a).(u) <- sg)
-      done;
-      m
+  let m = Array.make_matrix t.n_aps t.n_users 0. in
+  for u = 0 to t.n_users - 1 do
+    iter_candidates t u (fun a r _ -> m.(a).(u) <- r)
+  done;
+  m
 
 (** Structural validation; raises [Invalid_argument] on malformed instances.
 
@@ -144,35 +93,13 @@ let validate t =
       if not (Float.is_finite r) || r <= 0. then
         fail "session rate %g (must be finite and positive)" r)
     t.session_rates;
-  (match t.repr with
-  | Dense d ->
-      if Array.length d.rates <> t.n_aps then
-        fail "rates has wrong AP dimension";
-      Array.iter
-        (fun row ->
-          if Array.length row <> t.n_users then
-            fail "rates row has wrong length";
-          Array.iter
-            (fun r ->
-              if not (Float.is_finite r) || r < 0. then
-                fail "link rate %g (must be finite and non-negative)" r)
-            row)
-        d.rates;
-      if Array.length d.signal <> t.n_aps then
-        fail "signal has wrong AP dimension";
-      Array.iter
-        (fun row ->
-          if Array.length row <> t.n_users then
-            fail "signal row has wrong length")
-        d.signal
-  | Sparse s ->
-      ignore (Sparse.validate s);
-      if Sparse.n_aps s <> t.n_aps then
-        fail "sparse structure has %d APs, instance %d" (Sparse.n_aps s)
-          t.n_aps;
-      if Sparse.n_users s <> t.n_users then
-        fail "sparse structure has %d users, instance %d" (Sparse.n_users s)
-          t.n_users);
+  ignore (Sparse.validate t.links);
+  if Sparse.n_aps t.links <> t.n_aps then
+    fail "link structure has %d APs, instance %d" (Sparse.n_aps t.links)
+      t.n_aps;
+  if Sparse.n_users t.links <> t.n_users then
+    fail "link structure has %d users, instance %d" (Sparse.n_users t.links)
+      t.n_users;
   if not t.allow_uncovered then
     for u = 0 to t.n_users - 1 do
       let covered = ref false in
@@ -196,32 +123,8 @@ let validate t =
         b);
   t
 
-(** [make ~session_rates ~user_session ~rates ~budget ()] builds and
-    validates a dense instance. [signal] defaults to the rate matrix
-    (highest rate = strongest signal). *)
-let make ?signal ?ap_budgets ?(allow_uncovered = false) ~session_rates
-    ~user_session ~rates ~budget () =
-  let n_aps = Array.length rates in
-  let n_users = Array.length user_session in
-  let signal =
-    match signal with
-    | Some s -> s
-    | None -> Array.map Array.copy rates
-  in
-  validate
-    {
-      n_aps;
-      n_users;
-      session_rates;
-      user_session;
-      repr = Dense { rates; signal };
-      budget;
-      ap_budgets;
-      allow_uncovered;
-    }
-
-(** Build and validate a sparse instance around an existing link
-    structure (see {!Sparse.make} and {!Scenario.to_problem_sparse}). *)
+(** Build and validate an instance around an existing link structure
+    (see {!Sparse.make} and {!Scenario.to_problem}). *)
 let make_sparse ?ap_budgets ?(allow_uncovered = false) ~session_rates
     ~user_session ~sparse ~budget () =
   validate
@@ -230,79 +133,68 @@ let make_sparse ?ap_budgets ?(allow_uncovered = false) ~session_rates
       n_users = Array.length user_session;
       session_rates;
       user_session;
-      repr = Sparse sparse;
+      links = sparse;
       budget;
       ap_budgets;
       allow_uncovered;
     }
 
-(** The same instance in sparse form (identity if already sparse). The
-    conversion keeps exactly the positive-rate links, so every accessor
-    answers bit-identically afterwards. *)
-let to_sparse t =
-  match t.repr with
-  | Sparse _ -> t
-  | Dense d ->
-      { t with repr = Sparse (Sparse.of_dense ~rates:d.rates ~signal:d.signal) }
-
-(** The same instance in dense form (identity if already dense).
-    Allocates the O(APs × users) matrices — test/debug helper. *)
-let to_dense t =
-  match t.repr with
-  | Dense _ -> t
-  | Sparse _ ->
-      { t with repr = Dense { rates = rates_matrix t; signal = signal_matrix t } }
+(** [make ~session_rates ~user_session ~rates ~budget ()] builds and
+    validates an instance written down as an (AP × user) rate matrix,
+    [0.] meaning out of range. [signal] defaults to the rate matrix
+    (highest rate = strongest signal). The matrices are checked, then
+    lowered to one {!Sparse} slot per positive-rate pair. *)
+let make ?signal ?ap_budgets ?allow_uncovered ~session_rates ~user_session
+    ~rates ~budget () =
+  let fail fmt = Fmt.kstr invalid_arg ("Problem.make: " ^^ fmt) in
+  let n_users = Array.length user_session in
+  let check_rows what m =
+    Array.iter
+      (fun row ->
+        if Array.length row <> n_users then fail "%s row has wrong length" what)
+      m
+  in
+  check_rows "rates" rates;
+  Array.iter
+    (Array.iter (fun r ->
+         if not (Float.is_finite r) || r < 0. then
+           fail "link rate %g (must be finite and non-negative)" r))
+    rates;
+  let signal =
+    match signal with
+    | None -> rates
+    | Some s ->
+        if Array.length s <> Array.length rates then
+          fail "signal has wrong AP dimension";
+        check_rows "signal" s;
+        s
+  in
+  make_sparse ?ap_budgets ?allow_uncovered ~session_rates ~user_session
+    ~sparse:(Sparse.of_dense ~n_users ~rates ~signal)
+    ~budget ()
 
 (** A copy whose link rates may be mutated through {!set_link_rate}
     without affecting the original (signal and structure are shared). *)
-let copy_for_mutation t =
-  match t.repr with
-  | Dense d ->
-      { t with repr = Dense { d with rates = Array.map Array.copy d.rates } }
-  | Sparse s -> { t with repr = Sparse (Sparse.copy_values s) }
+let copy_for_mutation t = { t with links = Sparse.copy_values t.links }
 
-(** In-place link rate update, the churn primitive. On a dense instance
-    any entry may be written; on a sparse instance the pair must have
-    been in range at build time (setting an absent link to [0.] is a
-    no-op, raising it from nothing is [Invalid_argument] — see
+(** In-place link rate update, the churn primitive. The pair must have
+    been in range at build time: setting an absent link to [0.] is a
+    no-op, raising it from nothing is [Invalid_argument] (see
     {!Sparse.set_rate}). Only call on a {!copy_for_mutation} copy. *)
-let set_link_rate t ~ap ~user r =
-  match t.repr with
-  | Dense d -> d.rates.(ap).(user) <- r
-  | Sparse s -> Sparse.set_rate s ~ap ~user r
+let set_link_rate t ~ap ~user r = Sparse.set_rate t.links ~ap ~user r
 
 (** A copy with dead APs' and absent users' links zeroed — the effective
     instance mid-churn. Not validated (masking legitimately strands
     users). *)
 let masked t ~ap_alive ~user_present =
-  match t.repr with
-  | Dense d ->
-      let rates =
-        Array.mapi
-          (fun a row ->
-            if not ap_alive.(a) then Array.make t.n_users 0.
-            else
-              Array.mapi (fun u r -> if user_present.(u) then r else 0.) row)
-          d.rates
-      in
-      { t with repr = Dense { d with rates }; allow_uncovered = true }
-  | Sparse s ->
-      {
-        t with
-        repr = Sparse (Sparse.masked s ~ap_alive ~user_present);
-        allow_uncovered = true;
-      }
+  {
+    t with
+    links = Sparse.masked t.links ~ap_alive ~user_present;
+    allow_uncovered = true;
+  }
 
 (** APs within range of user [u], ascending index order. *)
-let neighbor_aps t u =
-  match t.repr with
-  | Dense d ->
-      let acc = ref [] in
-      for a = t.n_aps - 1 downto 0 do
-        if d.rates.(a).(u) > 0. then acc := a :: !acc
-      done;
-      !acc
-  | Sparse s -> Sparse.candidate_aps s u
+let neighbor_aps t u = Sparse.candidate_aps t.links u
 
 (** APs within range of user [u], strongest signal first (ties by lower AP
     index, making the SSA baseline deterministic). *)
@@ -327,20 +219,10 @@ let coverable_users t =
     ascending. [min_rate] must be positive (rates are; out-of-range pairs
     never qualify). *)
 let receivers t ~ap ~session ~min_rate =
-  match t.repr with
-  | Dense d ->
-      let acc = ref [] in
-      for u = t.n_users - 1 downto 0 do
-        if t.user_session.(u) = session && d.rates.(ap).(u) >= min_rate then
-          acc := u :: !acc
-      done;
-      !acc
-  | Sparse s ->
-      let acc = ref [] in
-      Sparse.iter_members s ap (fun u r ->
-          if t.user_session.(u) = session && r >= min_rate then
-            acc := u :: !acc);
-      List.rev !acc
+  let acc = ref [] in
+  iter_members t ap (fun u r ->
+      if t.user_session.(u) = session && r >= min_rate then acc := u :: !acc);
+  List.rev !acc
 
 (** The distinct link rates that occur in the instance, highest first. These
     are the only transmission rates an algorithm ever needs to consider. *)
@@ -357,18 +239,9 @@ let distinct_rates t =
 let restrict_to_basic_rate t =
   match distinct_rates t with
   | [] -> t
-  | rs -> (
+  | rs ->
       let basic = List.fold_left Float.min infinity rs in
-      match t.repr with
-      | Dense d ->
-          let rates =
-            Array.map
-              (Array.map (fun r -> if r > 0. then basic else 0.))
-              d.rates
-          in
-          { t with repr = Dense { d with rates } }
-      | Sparse s ->
-          { t with repr = Sparse (Sparse.map_rates s (fun _ -> basic)) })
+      { t with links = Sparse.map_rates t.links (fun _ -> basic) }
 
 (** Uniform budget override; clears any heterogeneous budgets. *)
 let with_budget t budget = validate { t with budget; ap_budgets = None }
@@ -378,6 +251,5 @@ let with_ap_budgets t ap_budgets =
   validate { t with ap_budgets = Some ap_budgets }
 
 let pp ppf t =
-  Fmt.pf ppf "@[<v>problem (%s): %d APs, %d users, %d sessions, budget %g@]"
-    (if is_sparse t then "sparse" else "dense")
+  Fmt.pf ppf "@[<v>problem: %d APs, %d users, %d sessions, budget %g@]"
     t.n_aps t.n_users (n_sessions t) t.budget

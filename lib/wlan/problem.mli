@@ -1,19 +1,17 @@
 (** An abstract association-control problem instance — the canonical input
     to every algorithm in [Mcast_core].
 
-    The link structure has two interchangeable representations behind the
-    {!view} accessor (every other accessor is representation-agnostic and
-    answers bit-identically on both forms of the same instance):
-    - {e dense}: (AP × user) [rates]/[signal] matrices, [0.] = out of
-      range — the paper's 200×400 experiments;
-    - {e sparse}: {!Sparse.t} range-limited candidate/member lists — the
-      only form that scales to city-size (2000×40000+) instances, where
-      the dense matrix is never allocated.
+    The link structure is one {!Sparse.t}: per-user candidate-AP lists
+    and per-AP member lists in CSR form over a shared rate plane. Every
+    rule in the paper reads only these neighbourhoods, so the form
+    scales from the paper's 200×400 experiments to city-size
+    (2000×40000+) instances without an (AP × user) matrix. Hand-written
+    instances are given as matrices to {!make}, which lowers them.
 
     Conventions:
     - APs and users are dense integer indices;
-    - a link rate is the maximum data rate (Mbps) from AP to user, with
-      [0.] / absent slot meaning out of range;
+    - a link rate is the maximum data rate (Mbps) from AP to user; an
+      absent or lost slot means out of range and reads as [0.];
     - signal ranks strength for the SSA baseline (higher is stronger;
       geometric scenarios install [-. distance]);
     - [budget] is the per-AP multicast airtime limit in [0, 1].
@@ -22,16 +20,12 @@
     {!make} / {!make_sparse} (which validate), never mutate the arrays
     (churn goes through {!copy_for_mutation} + {!set_link_rate}). *)
 
-type repr =
-  | Dense of { rates : float array array; signal : float array array }
-  | Sparse of Sparse.t
-
 type t = {
   n_aps : int;
   n_users : int;
   session_rates : float array;  (** session index -> stream rate (Mbps) *)
   user_session : int array;  (** user index -> session index *)
-  repr : repr;  (** the link structure — access through {!view} *)
+  links : Sparse.t;  (** the link structure *)
   budget : float;  (** uniform per-AP multicast airtime limit in [0, 1] *)
   ap_budgets : float array option;
       (** optional heterogeneous per-AP budgets overriding [budget] *)
@@ -44,17 +38,12 @@ val n_sessions : t -> int
 val session_rate : t -> int -> float
 val user_session : t -> int -> int
 
-(** The link-structure representation. Algorithms that specialize per
-    representation (e.g. [Mcast_core.Shard]) match on this; everything
-    else should use the agnostic accessors below. *)
-val view : t -> repr
-
-val is_sparse : t -> bool
+(** Link rate, [0.] when the pair was never in range or the link is
+    lost. *)
 val link_rate : t -> ap:int -> user:int -> float
 
-(** Signal metric of a pair (higher = stronger). Out-of-range pairs of a
-    sparse instance answer [neg_infinity] (they can never win a signal
-    comparison); dense instances answer whatever the matrix holds. *)
+(** Signal metric of a pair (higher = stronger). Pairs never in range
+    answer [neg_infinity] (they can never win a signal comparison). *)
 val signal : t -> ap:int -> user:int -> float
 
 val in_range : t -> ap:int -> user:int -> bool
@@ -65,20 +54,16 @@ val budget : t -> float
 val ap_budget : t -> int -> float
 
 (** [iter_candidates t u f] calls [f ap rate signal] for every AP in
-    range of user [u], ascending AP order. O(candidates) on sparse. *)
+    range of user [u], ascending AP order. O(candidates). *)
 val iter_candidates : t -> int -> (int -> float -> float -> unit) -> unit
 
 (** [iter_members t a f] calls [f user rate] for every user in range of
-    AP [a], ascending user order. O(members) on sparse. *)
+    AP [a], ascending user order. O(members). *)
 val iter_members : t -> int -> (int -> float -> unit) -> unit
 
 (** A fresh dense rate matrix equal to the link structure (always a
     copy). Allocates O(APs × users) — test/debug helper. *)
 val rates_matrix : t -> float array array
-
-(** A fresh dense signal matrix (a copy); out-of-range entries of a
-    sparse instance are [neg_infinity]. O(APs × users). *)
-val signal_matrix : t -> float array array
 
 (** Structural validation; returns its argument. Rejects — beyond
     arity/finiteness errors — any user with an empty candidate list
@@ -86,9 +71,13 @@ val signal_matrix : t -> float array array
     @raise Invalid_argument on malformed instances. *)
 val validate : t -> t
 
-(** Build and validate a dense instance. [signal] defaults to the rate
-    matrix (highest rate = strongest signal). [allow_uncovered] defaults
-    to [false]: a user no AP can reach is rejected. *)
+(** Build and validate an instance written down as an (AP × user) rate
+    matrix, [0.] = out of range. [signal] defaults to the rate matrix
+    (highest rate = strongest signal). [allow_uncovered] defaults to
+    [false]: a user no AP can reach is rejected. The matrices are checked
+    (row arity, finite non-negative rates, signal arity) and lowered to
+    one slot per positive-rate pair; nothing else keeps them.
+    @raise Invalid_argument on malformed input. *)
 val make :
   ?signal:float array array ->
   ?ap_budgets:float array ->
@@ -100,8 +89,8 @@ val make :
   unit ->
   t
 
-(** Build and validate a sparse instance around an existing link
-    structure (see {!Sparse.make} and [Scenario.to_problem_sparse]). *)
+(** Build and validate an instance around an existing link structure
+    (see {!Sparse.make} and [Scenario.to_problem]). *)
 val make_sparse :
   ?ap_budgets:float array ->
   ?allow_uncovered:bool ->
@@ -112,22 +101,14 @@ val make_sparse :
   unit ->
   t
 
-(** The same instance in sparse form (identity if already sparse);
-    keeps exactly the positive-rate links. *)
-val to_sparse : t -> t
-
-(** The same instance in dense form (identity if already dense).
-    Allocates the O(APs × users) matrices — test/debug helper. *)
-val to_dense : t -> t
-
 (** A copy whose link rates may be mutated through {!set_link_rate}
     without affecting the original (signal and structure are shared). *)
 val copy_for_mutation : t -> t
 
-(** In-place link rate update, the churn primitive. Dense: any entry.
-    Sparse: the pair must have been in range at build time (absent +
-    [0.] is a no-op).
-    @raise Invalid_argument when growing an absent sparse link. *)
+(** In-place link rate update, the churn primitive. The pair must have
+    been in range at build time (absent + [0.] is a no-op).
+    @raise Invalid_argument when growing a link that was never in
+    range. *)
 val set_link_rate : t -> ap:int -> user:int -> float -> unit
 
 (** A copy with dead APs' and absent users' links zeroed — the effective

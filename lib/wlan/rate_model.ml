@@ -8,9 +8,9 @@
     - [Path_loss] computes received power = tx + gains − PL(d) −
       shadowing, SNR = rx − noise, then walks the SNR ladder. The
       explicit [dist > max_range] guard in {!link} (not just the SNR
-      test) is what makes dense ≡ sparse compilation trivially exact:
-      the sparse bucket grid probes a superset of the [max_range] disc
-      and both compiles apply this one predicate.
+      test) is what makes the bucket-grid compile exact: the grid
+      probes a superset of the [max_range] disc and applies this one
+      predicate, just as a brute-force all-pairs scan would.
     - Shadowing is a pure function of [(seed, ap, user)] via the
       split-RNG discipline, clamped to ±3σ so [max_range] can include
       the +3σ margin and stay a true upper bound. *)

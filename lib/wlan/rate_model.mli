@@ -15,8 +15,8 @@
 
     Every model exposes the same three-point contract the compile and
     simulation layers consume: {!link} (the one rate/signal predicate),
-    {!max_range} (the radius beyond which [link] is [None] — the sparse
-    bucket-grid cell), and {!tier_rates} (the drift ladder churn and the
+    {!max_range} (the radius beyond which [link] is [None] — the
+    compile's bucket-grid cell), and {!tier_rates} (the drift ladder churn and the
     serve daemon share). Shadowing draws use the split-RNG discipline
     (a state keyed by [(seed, tag, ap, user)] per link), so compilation
     is a pure function of the scenario at any [--jobs]. *)
@@ -107,7 +107,7 @@ val rx_power_dbm : loss:path_loss -> radio:radio -> ap:int -> user:int -> dist:f
 
 (** The radius beyond which {!link} is [None]: the table's largest
     threshold, or the path-loss inversion at the lowest tier's SNR
-    (plus the +3σ shadowing margin when shadowed). This is the sparse
+    (plus the +3σ shadowing margin when shadowed). This is the
     compile's bucket-grid cell size. *)
 val max_range : t -> float
 
@@ -126,9 +126,10 @@ val tier_rates : t -> float list
     a superset of every usable link. *)
 val link : t -> ap:int -> user:int -> dist:float -> (float * float) option
 
-(** The signal value a dense compile installs for an out-of-range pair:
-    [-. dist] for {!Table} (the historical matrix) and [neg_infinity]
-    for {!Path_loss} (matching what a sparse instance reconstructs). *)
+(** The signal the simulator's radio reports for an out-of-range pair:
+    [-. dist] for {!Table} (the historical matrix value) and
+    [neg_infinity] for {!Path_loss}. A compiled {!Problem} keeps no
+    out-of-range pairs and answers [neg_infinity] for them. *)
 val dead_signal : t -> dist:float -> float
 
 (** Short stable identifier: ["table"], ["friis"], ["two-ray"],

@@ -55,37 +55,15 @@ let distances t =
     (fun ap -> Array.map (fun u -> Point.dist ap u) t.user_pos)
     t.ap_pos
 
-(** Compile into a dense abstract problem instance through the model's
-    link predicate. Random placement can legitimately strand a user out
-    of every AP's range, so the compiled instance allows uncovered
-    users — {!uncovered_users} reports them. *)
-let to_problem t =
-  let d = distances t in
-  let n_aps = Array.length t.ap_pos and n_users = Array.length t.user_pos in
-  let rates = Array.make_matrix n_aps n_users 0. in
-  let signal = Array.make_matrix n_aps n_users 0. in
-  for a = 0 to n_aps - 1 do
-    for u = 0 to n_users - 1 do
-      match Rate_model.link t.model ~ap:a ~user:u ~dist:d.(a).(u) with
-      | Some (r, s) ->
-          rates.(a).(u) <- r;
-          signal.(a).(u) <- s
-      | None -> signal.(a).(u) <- Rate_model.dead_signal t.model ~dist:d.(a).(u)
-    done
-  done;
-  Problem.make ~signal ~allow_uncovered:true
-    ~session_rates:(Array.map Session.rate_mbps t.sessions)
-    ~user_session:(Array.copy t.user_session)
-    ~rates ~budget:t.budget ()
-
-(** Compile into a sparse problem instance without ever allocating the
-    dense (AP × user) matrix: a {!Sparse.Grid} bucket grid over the AP
+(** Compile into the abstract problem instance without ever allocating
+    an (AP × user) matrix: a {!Sparse.Grid} bucket grid over the AP
     positions (cell = the model's {!Rate_model.max_range}) yields each
-    user's candidate superset, and the {e exact same} link predicate as
-    {!to_problem} — [Rate_model.link] on [Point.dist] — decides
-    membership, so the two compilations agree bit for bit on every link
-    rate and signal value. O(APs + users · candidates). *)
-let to_problem_sparse t =
+    user's candidate superset, and the model's link predicate —
+    [Rate_model.link] on [Point.dist] — decides membership. Random
+    placement can legitimately strand a user out of every AP's range,
+    so the compiled instance allows uncovered users —
+    {!uncovered_users} reports them. O(APs + users · candidates). *)
+let to_problem t =
   let grid = Sparse.Grid.build ~cell:(range t) t.ap_pos in
   let links =
     Array.mapi
@@ -105,6 +83,9 @@ let to_problem_sparse t =
     ~session_rates:(Array.map Session.rate_mbps t.sessions)
     ~user_session:(Array.copy t.user_session)
     ~budget:t.budget ()
+
+(** Alias of {!to_problem}. *)
+let to_problem_sparse = to_problem
 
 (** Users no AP can serve — decided by the same {!Rate_model.link}
     predicate the compile uses, so this list agrees exactly with the

@@ -47,22 +47,20 @@ val range : t -> float
 (** AP-major distance matrix (meters). *)
 val distances : t -> float array array
 
-(** Compile into a dense abstract problem through the model's
+(** Compile into the abstract problem through the model's
     {!Rate_model.link} predicate; for the default [Table] model this
     installs [-. distance] as the signal metric (nearest AP =
-    strongest), for [Path_loss] models the received power in dBm. The
-    instance allows uncovered users (random placement can strand one);
-    {!uncovered_users} reports them. Allocates the O(APs × users)
-    matrix — use {!to_problem_sparse} beyond paper scale. *)
+    strongest), for [Path_loss] models the received power in dBm. A
+    spatial bucket grid over the AP positions (cell = the model's
+    [max_range]) finds each user's candidates, so no (AP × user) matrix
+    is ever allocated: O(APs + users · candidates). The grid has no
+    false negatives, which [test/test_sparse.ml] pins against a
+    brute-force all-pairs compile for every model family. The instance
+    allows uncovered users (random placement can strand one);
+    {!uncovered_users} reports them. *)
 val to_problem : t -> Problem.t
 
-(** Compile into a sparse problem via a spatial bucket grid over the AP
-    positions (cell = the model's [max_range]), never allocating the
-    dense matrix. Applies the exact same link predicate as
-    {!to_problem}, so both compilations agree bit for bit on every link
-    rate and signal value (the differential battery in
-    [test/test_sparse.ml] pins this for every model family).
-    O(APs + users · candidates). *)
+(** Alias of {!to_problem}. *)
 val to_problem_sparse : t -> Problem.t
 
 (** Users no AP can serve, by the same link predicate the compile

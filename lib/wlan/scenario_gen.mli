@@ -80,6 +80,6 @@ val city_default : city_config
 (** Deterministic city generation: district [i] (row-major) draws from
     its own split stream keyed by [(seed, i)], positions offset to the
     district's corner. APs and users are indexed in district order.
-    Compile with [Scenario.to_problem_sparse] — the dense matrix of a
-    city does not fit. *)
+    [Scenario.to_problem] compiles it through the bucket grid; an
+    (AP × user) matrix of a city would not fit. *)
 val city : seed:int -> city_config -> Scenario.t

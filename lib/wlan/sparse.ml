@@ -1,12 +1,13 @@
-(** Range-limited sparse problem representation (DESIGN.md §4.10).
+(** Range-limited sparse link structure (DESIGN.md §4.10) — the one
+    link representation of {!Problem}.
 
     The paper's association-control algorithms only ever consult a user's
-    {e neighborhood} — the APs whose radio range covers it — yet the dense
-    {!Problem} representation carries a full (AP × user) matrix, putting an
-    O(APs · users) floor under memory and every candidate scan. Because the
-    802.11 rate tables give links a hard reach (~200 m for 802.11a), the
-    in-range pairs are geometrically sparse: a city-scale deployment has a
-    few candidate APs per user regardless of how many thousand APs exist.
+    {e neighborhood} — the APs whose radio range covers it. A full
+    (AP × user) matrix would put an O(APs · users) floor under memory and
+    every candidate scan. Because the 802.11 rate tables give links a hard
+    reach (~200 m for 802.11a), the in-range pairs are geometrically
+    sparse: a city-scale deployment has a few candidate APs per user
+    regardless of how many thousand APs exist.
 
     This module is the CSR-style sparse form of the link structure: each
     user's {e candidate list} (the APs in range, ascending AP index, with
@@ -158,8 +159,9 @@ let make ~n_aps ~links =
       memb_slot;
     }
 
-(** Candidate slot of the [(ap, user)] link, if the pair was ever in
-    range. Binary search over the user's ascending candidate list. *)
+(** Candidate slot of the [(ap, user)] link, [-1] if the pair was never
+    in range. Binary search over the user's ascending candidate list;
+    allocates nothing. *)
 let find_slot t ~ap ~user =
   let lo = ref t.user_off.(user) and hi = ref (t.user_off.(user + 1) - 1) in
   let found = ref (-1) in
@@ -170,19 +172,19 @@ let find_slot t ~ap ~user =
     else if a < ap then lo := mid + 1
     else hi := mid - 1
   done;
-  if !found < 0 then None else Some !found
+  !found
 
 (** Link rate of [(ap, user)]: the slot's value, [0.] when the pair was
     never in range. *)
 let link_rate t ~ap ~user =
-  match find_slot t ~ap ~user with None -> 0. | Some i -> t.cand_rate.(i)
+  let i = find_slot t ~ap ~user in
+  if i < 0 then 0. else t.cand_rate.(i)
 
 (** Signal metric of [(ap, user)]; [neg_infinity] when the pair was never
     in range (an out-of-range AP can never win a signal tie-break). *)
 let signal t ~ap ~user =
-  match find_slot t ~ap ~user with
-  | None -> neg_infinity
-  | Some i -> t.cand_signal.(i)
+  let i = find_slot t ~ap ~user in
+  if i < 0 then neg_infinity else t.cand_signal.(i)
 
 (** [iter_candidates t u f] calls [f ap rate signal] for every in-range
     candidate of user [u] (rate [> 0.]), ascending AP index. *)
@@ -199,6 +201,31 @@ let iter_members t a f =
     let r = t.cand_rate.(t.memb_slot.(i)) in
     if r > 0. then f t.memb_user.(i) r
   done
+
+(** [iter_member_users t a f] calls [f user] for every in-range member
+    of AP [a], ascending — {!iter_members} without the rate, so no float
+    is boxed per call. *)
+let iter_member_users t a f =
+  for i = t.ap_off.(a) to t.ap_off.(a + 1) - 1 do
+    if t.cand_rate.(t.memb_slot.(i)) > 0. then f t.memb_user.(i)
+  done
+
+(** [fill_candidates t u ~ap_alive ~aps ~rates ~sigs] writes user [u]'s
+    in-range candidates whose AP is alive into [aps]/[rates]/[sigs],
+    ascending AP order, and returns how many (at most [degree t u]).
+    Allocates nothing. *)
+let fill_candidates t u ~ap_alive ~aps ~rates ~sigs =
+  let d = ref 0 in
+  for i = t.user_off.(u) to t.user_off.(u + 1) - 1 do
+    let a = t.cand_ap.(i) and r = t.cand_rate.(i) in
+    if r > 0. && ap_alive.(a) then begin
+      aps.(!d) <- a;
+      rates.(!d) <- r;
+      sigs.(!d) <- t.cand_signal.(i);
+      incr d
+    end
+  done;
+  !d
 
 (** In-range candidate APs of a user, ascending. *)
 let candidate_aps t u =
@@ -218,14 +245,13 @@ let degree t u = t.user_off.(u + 1) - t.user_off.(u)
     instance from geometry that covers it instead). Setting an absent
     link to [0.] is a no-op. *)
 let set_rate t ~ap ~user r =
-  match find_slot t ~ap ~user with
-  | Some i -> t.cand_rate.(i) <- r
-  | None ->
-      if r > 0. then
-        Fmt.kstr invalid_arg
-          "Sparse.set_rate: link a%d-u%d was never in range (the sparse \
-           structure cannot add links)"
-          ap user
+  let i = find_slot t ~ap ~user in
+  if i >= 0 then t.cand_rate.(i) <- r
+  else if r > 0. then
+    Fmt.kstr invalid_arg
+      "Sparse.set_rate: link a%d-u%d was never in range (the sparse \
+       structure cannot add links)"
+      ap user
 
 (** A copy whose rate plane is private; every other (immutable) plane is
     shared. This is what a churn layer must take before mutating. *)
@@ -259,10 +285,11 @@ let map_rates t f =
     t.cand_rate;
   c
 
-(** Build from dense matrices: one slot per positive-rate pair. *)
-let of_dense ~rates ~signal =
+(** Build from dense matrices: one slot per positive-rate pair. [n_users]
+    is explicit because a matrix with no AP rows has no row to read it
+    from. *)
+let of_dense ~n_users ~rates ~signal =
   let n_aps = Array.length rates in
-  let n_users = if n_aps = 0 then 0 else Array.length rates.(0) in
   let links =
     Array.init n_users (fun u ->
         let acc = ref [] in
@@ -287,7 +314,8 @@ let pp ppf t =
     every AP within [range] of the point lies in that block — including
     APs exactly at distance [range] and points sitting on cell edges —
     so the probe has {e no false negatives}; distance filtering (the
-    exact same float comparison as the dense path) happens downstream. *)
+    exact same float comparison as an all-pairs scan) happens
+    downstream. *)
 module Grid = struct
   type grid = {
     cell : float;

@@ -25,16 +25,20 @@ val n_links : t -> int
     @raise Invalid_argument on unsorted/duplicate/out-of-range entries. *)
 val make : n_aps:int -> links:(int * float * float) list array -> t
 
-(** Build from dense matrices: one slot per positive-rate pair. *)
-val of_dense : rates:float array array -> signal:float array array -> t
+(** [of_dense ~n_users ~rates ~signal] builds from (AP × user) matrices:
+    one slot per positive-rate pair. The matrices must have [n_users]
+    columns. *)
+val of_dense :
+  n_users:int -> rates:float array array -> signal:float array array -> t
 
 (** Structural validation; returns its argument.
     @raise Invalid_argument on malformed structure. *)
 val validate : t -> t
 
-(** Candidate slot index of [(ap, user)] if the pair was ever in range
-    (binary search over the user's candidate list). *)
-val find_slot : t -> ap:int -> user:int -> int option
+(** Candidate slot index of [(ap, user)], [-1] if the pair was never in
+    range (binary search over the user's candidate list; allocates
+    nothing). *)
+val find_slot : t -> ap:int -> user:int -> int
 
 (** Link rate, [0.] when the pair was never in range or the link is lost. *)
 val link_rate : t -> ap:int -> user:int -> float
@@ -49,6 +53,25 @@ val iter_candidates : t -> int -> (int -> float -> float -> unit) -> unit
 (** [iter_members t a f] calls [f user rate] for every in-range member
     user of AP [a] (rate [> 0.]), in ascending user order. *)
 val iter_members : t -> int -> (int -> float -> unit) -> unit
+
+(** [iter_member_users t a f] calls [f user] for every in-range member
+    user of AP [a], ascending — {!iter_members} without the rate, so no
+    float is boxed per call. *)
+val iter_member_users : t -> int -> (int -> unit) -> unit
+
+(** [fill_candidates t u ~ap_alive ~aps ~rates ~sigs] writes user [u]'s
+    in-range candidates whose AP is alive ([ap_alive.(ap)]) into the
+    three planes, ascending AP order, and returns how many. The planes
+    must hold [degree t u] entries. Allocates nothing: this is how the
+    flat decision kernel reads a neighbourhood. *)
+val fill_candidates :
+  t ->
+  int ->
+  ap_alive:bool array ->
+  aps:int array ->
+  rates:float array ->
+  sigs:float array ->
+  int
 
 (** In-range candidate APs of a user, ascending index order. *)
 val candidate_aps : t -> int -> int list
@@ -82,7 +105,7 @@ val pp : Format.formatter -> t -> unit
     point, a guaranteed superset of the points within [cell] of it — no
     false negatives at the exact reach boundary or on cell edges. The
     caller applies the exact distance/rate predicate downstream, so
-    candidate construction is bit-identical to the dense scan. *)
+    candidate construction is bit-identical to an all-pairs scan. *)
 module Grid : sig
   type grid
 

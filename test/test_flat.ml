@@ -2,23 +2,28 @@
    greedy cores and the shard-aware centralized reductions are proven
    bit-identical to their reference implementations.
 
-   - Distributed kernels (qcheck): [`Flat] (preallocated scratch planes,
-     hypothetical-load caching) = [`Boxed] (the original list-and-array
-     rule) on the dense and sparse views, both objectives, Sequential
-     and Simultaneous — full outcome including float loads.
-   - Online kernels (qcheck): a seeded delta script (arrive / depart /
+   - Distributed kernel (qcheck): [Distributed.run] (preallocated
+     scratch planes, hypothetical-load caching, stay memo) = a
+     test-local boxed reference loop that asks the public
+     [Distributed.decide] (the original list-and-array rule over eager
+     load scans) for every decision, on the all-pairs and grid
+     compiles, both objectives, Sequential and Simultaneous — full
+     outcome including float loads.
+   - Online kernel (qcheck): a seeded delta script (arrive / depart /
      set_rate / fail_ap / recover_ap, settling after each burst) driven
-     through a [`Flat] and a [`Boxed] network stays in lockstep:
-     identical associations, loads and settle stats after every burst.
+     through an [Online] network and mirrored on a shadow instance
+     stays in lockstep with the boxed loop run on the shadow's
+     effective instance: identical associations, loads and settle stats
+     after every burst.
    - Sharded centralized MNU/BLA (qcheck): [Shard.solve_mnu] /
-     [Shard.solve_bla] = the unsharded [Mnu.run] / [Bla.run] on dense
-     and sparse views, including wide-area instances whose plans have
+     [Shard.solve_bla] = the unsharded [Mnu.run] / [Bla.run] on the
+     all-pairs and grid compiles, including wide-area instances whose plans have
      several shards.
    - Pool fanout: fig9a-size sharded centralized solves at --jobs 1/2/4
      equal the unsharded runs.
    - City scale: the sharded centralized MNU association on the
-     2000x40000 instance is pinned by a golden j1==j4 digest (the dense
-     matrix is never allocated).
+     2000x40000 instance is pinned by a golden j1==j4 digest (no
+     AP x user matrix is ever allocated).
 
    The optkit-level halves of the battery — MCG and SCG session rounds =
    a test-local eager rescan, arena-backed solves = fresh-allocation
@@ -43,9 +48,10 @@ let check_float_arrays what a b =
         Alcotest.failf "%s: index %d differs: %.17g vs %.17g" what i x b.(i))
     a
 
-(* Same seed-indexed geometric case family as test_sparse.ml; [wide]
-   spreads the same population over a 2 km square so the plan splits
-   into several interaction components. *)
+(* Same seed-indexed geometric case family as test_sparse.ml, compiled
+   by the brute-force all-pairs loop and by the grid; [wide] spreads the
+   same population over a 2 km square so the plan splits into several
+   interaction components. *)
 let case ?(wide = false) ~seed () =
   let rng = Random.State.make [| seed; 0x59a25e |] in
   let n_aps = 1 + Random.State.int rng 14 in
@@ -71,19 +77,74 @@ let case ?(wide = false) ~seed () =
     }
   in
   let sc = Scenario_gen.generate ~rng:(Scenario_gen.scenario_rng ~seed 0) cfg in
-  (sc, Scenario.to_problem sc, Scenario.to_problem_sparse sc)
+  (sc, All_pairs.problem sc, Scenario.to_problem sc)
 
 (* ------------------------------------------------------------------ *)
-(* Distributed: flat kernel = boxed kernel                             *)
+(* Distributed: flat kernel = boxed reference                          *)
 (* ------------------------------------------------------------------ *)
+
+(* The boxed reference loop: rounds over every user in ascending order,
+   each decision from [Distributed.decide] against loads recomputed by
+   the eager scan. Sequential applies each move at once; Simultaneous
+   decides the round on one snapshot, applies it, and stops on a
+   revisited association. Mutates [assoc], which the outcome returns. *)
+let boxed_run ~max_rounds ~simultaneous ~objective p assoc =
+  let n_users = Array.length assoc in
+  let decide u =
+    Distributed.decide p assoc ~loads:(Loads.ap_loads p assoc) ~objective u
+  in
+  let rounds = ref 0 and moves = ref 0 in
+  let converged = ref false and oscillated = ref false in
+  let seen = Hashtbl.create 16 in
+  Hashtbl.replace seen (Array.to_list assoc) ();
+  while (not !converged) && (not !oscillated) && !rounds < max_rounds do
+    incr rounds;
+    if simultaneous then begin
+      let ds =
+        List.filter_map
+          (fun u -> Option.map (fun a -> (u, a)) (decide u))
+          (List.init n_users Fun.id)
+      in
+      if ds = [] then converged := true
+      else begin
+        List.iter (fun (u, a) -> assoc.(u) <- a) ds;
+        moves := !moves + List.length ds;
+        let key = Array.to_list assoc in
+        if Hashtbl.mem seen key then oscillated := true
+        else Hashtbl.replace seen key ()
+      end
+    end
+    else begin
+      let moved = ref false in
+      for u = 0 to n_users - 1 do
+        match decide u with
+        | None -> ()
+        | Some a ->
+            assoc.(u) <- a;
+            incr moves;
+            moved := true
+      done;
+      if not !moved then converged := true
+    end
+  done;
+  {
+    Distributed.assoc;
+    rounds = !rounds;
+    moves = !moves;
+    converged = !converged;
+    oscillated = !oscillated;
+  }
 
 let kernels_agree ~scheduler ~objective seed =
   let _, pd, ps = case ~seed () in
   List.iter
     (fun p ->
-      let a = Distributed.run ~max_rounds:300 ~kernel:`Flat ~scheduler ~objective p in
+      let a = Distributed.run ~max_rounds:300 ~scheduler ~objective p in
       let b =
-        Distributed.run ~max_rounds:300 ~kernel:`Boxed ~scheduler ~objective p
+        boxed_run ~max_rounds:300
+          ~simultaneous:(scheduler = Distributed.Simultaneous)
+          ~objective p
+          (Association.empty ~n_users:(snd (Problem.dims p)))
       in
       if not (Association.equal a.Distributed.assoc b.Distributed.assoc) then
         Alcotest.fail "associations differ";
@@ -119,77 +180,87 @@ let qcheck_kernel_sim =
     ~scheduler:Distributed.Simultaneous ~objective:Distributed.Min_total_load
 
 (* ------------------------------------------------------------------ *)
-(* Online: flat kernel = boxed kernel under churn deltas               *)
+(* Online: flat kernel = boxed reference under churn deltas            *)
 (* ------------------------------------------------------------------ *)
 
-(* Drive two Online networks (one per kernel) through the same random
-   delta script and check they stay in lockstep after every settle. *)
+(* Drive an Online network through a random delta script, mirror every
+   delta on a shadow (working rates, presence, liveness, association),
+   and check after every settle that the boxed loop on the shadow's
+   effective instance makes the same moves in the same rounds. A settle
+   with nobody dirty takes no round; the boxed loop then confirms the
+   association is already quiescent. *)
 let online_kernels_agree ~mode seed =
   let _, _, ps = case ~seed () in
   let n_aps, n_users = Problem.dims ps in
-  let mk kernel =
-    Distributed.Online.create ~kernel ~objective:Distributed.Min_load_vector ps
-  in
-  let na = mk `Flat and nb = mk `Boxed in
+  let net = Distributed.Online.create ~objective:Distributed.Min_load_vector ps in
   let rng = Random.State.make [| seed; 0x1f7a3d |] in
   let present = Array.make n_users true in
   let alive = Array.make n_aps true in
+  let work = Problem.copy_for_mutation ps in
+  let assoc = Association.empty ~n_users in
   let rates = [| 0.; 6.; 12.; 24.; 54. |] in
   let event () =
     match Random.State.int rng 4 with
     | 0 ->
         let u = Random.State.int rng n_users in
         if present.(u) then (
-          ignore (Distributed.Online.depart na ~user:u);
-          ignore (Distributed.Online.depart nb ~user:u);
-          present.(u) <- false)
+          ignore (Distributed.Online.depart net ~user:u);
+          present.(u) <- false;
+          assoc.(u) <- Association.none)
         else (
-          ignore (Distributed.Online.arrive na ~user:u);
-          ignore (Distributed.Online.arrive nb ~user:u);
+          ignore (Distributed.Online.arrive net ~user:u);
           present.(u) <- true)
     | 1 ->
         let a = Random.State.int rng n_aps in
         if alive.(a) then (
-          ignore (Distributed.Online.fail_ap na ~ap:a);
-          ignore (Distributed.Online.fail_ap nb ~ap:a);
-          alive.(a) <- false)
+          ignore (Distributed.Online.fail_ap net ~ap:a);
+          alive.(a) <- false;
+          Array.iteri
+            (fun u x -> if x = a then assoc.(u) <- Association.none)
+            assoc)
         else (
-          ignore (Distributed.Online.recover_ap na ~ap:a);
-          ignore (Distributed.Online.recover_ap nb ~ap:a);
+          ignore (Distributed.Online.recover_ap net ~ap:a);
           alive.(a) <- true)
     | _ -> (
-        (* perturb an existing link (sparse slots cannot grow) *)
+        (* perturb an existing link (the slot structure cannot grow) *)
         let u = Random.State.int rng n_users in
         match Problem.neighbor_aps ps u with
         | [] -> ()
         | aps ->
             let a = List.nth aps (Random.State.int rng (List.length aps)) in
             let r = rates.(Random.State.int rng (Array.length rates)) in
-            ignore (Distributed.Online.set_rate na ~user:u ~ap:a r);
-            ignore (Distributed.Online.set_rate nb ~user:u ~ap:a r))
+            ignore (Distributed.Online.set_rate net ~user:u ~ap:a r);
+            Problem.set_link_rate work ~ap:a ~user:u r;
+            if assoc.(u) = a && not (r > 0.) then
+              assoc.(u) <- Association.none)
   in
   for burst = 1 to 3 do
     for _ = 1 to 8 do
       event ()
     done;
-    let sa = Distributed.Online.settle ~max_rounds:300 ~mode na in
-    let sb = Distributed.Online.settle ~max_rounds:300 ~mode nb in
-    if
-      not
-        (Association.equal
-           (Distributed.Online.assoc na)
-           (Distributed.Online.assoc nb))
-    then Alcotest.failf "burst %d: associations differ" burst;
+    let idle = Distributed.Online.dirty_count net = 0 in
+    let sa = Distributed.Online.settle ~max_rounds:300 ~mode net in
+    let eff = Problem.masked work ~ap_alive:alive ~user_present:present in
+    let sb =
+      boxed_run ~max_rounds:300
+        ~simultaneous:(mode = `Simultaneous)
+        ~objective:Distributed.Min_load_vector eff assoc
+    in
+    if not (Association.equal (Distributed.Online.assoc net) assoc) then
+      Alcotest.failf "burst %d: associations differ" burst;
     Alcotest.(check int)
       (Fmt.str "burst %d moves" burst)
-      sa.Distributed.Online.moves sb.Distributed.Online.moves;
+      sa.Distributed.Online.moves sb.Distributed.moves;
     Alcotest.(check int)
       (Fmt.str "burst %d rounds" burst)
-      sa.Distributed.Online.rounds sb.Distributed.Online.rounds;
+      sa.Distributed.Online.rounds
+      (if idle then 0 else sb.Distributed.rounds);
+    if idle then
+      Alcotest.(check int) "idle settle is quiescent" 0 sb.Distributed.moves;
     check_float_arrays
       (Fmt.str "burst %d loads" burst)
-      (Array.copy (Distributed.Online.loads na))
-      (Array.copy (Distributed.Online.loads nb))
+      (Array.copy (Distributed.Online.loads net))
+      (Loads.ap_loads eff assoc)
   done;
   true
 
@@ -274,7 +345,7 @@ let test_sharded_centralized_fig9a_jobs () =
       ~rng:(Scenario_gen.scenario_rng ~seed:2007 0)
       Scenario_gen.paper_default
   in
-  let ps = Scenario.to_problem_sparse sc in
+  let ps = Scenario.to_problem sc in
   let mnu = Mnu.run ps in
   let bla = Bla.run ps in
   List.iter
@@ -308,7 +379,7 @@ let city_mnu_digest ~jobs ps pl =
 
 let test_city_mnu_golden () =
   let sc = Scenario_gen.city ~seed:2007 Scenario_gen.city_default in
-  let ps = Scenario.to_problem_sparse sc in
+  let ps = Scenario.to_problem sc in
   let pl =
     Shard.plan_geometric ~ap_pos:sc.Scenario.ap_pos
       ~interaction_radius:(2. *. Rate_table.range sc.Scenario.rate_table)

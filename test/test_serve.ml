@@ -489,6 +489,36 @@ let test_session_discipline () =
   | outs -> Alcotest.failf "finish after bye: %s" (render_outputs outs));
   Alcotest.(check string) "log stable after close" final (Server.log_contents t)
 
+(* The link structure cannot grow: on the compiled instance every
+   daemon serves, a set-rate that would raise a pair never in range is
+   refused up front and changes nothing; zeroing that pair is a no-op
+   and accepted. *)
+let test_set_rate_cannot_grow () =
+  let p, _ = case ~seed:1 in
+  let n_aps, n_users = Problem.dims p in
+  let u, a =
+    let rec pick k =
+      if k >= n_aps * n_users then Alcotest.fail "no out-of-range pair"
+      else
+        let u = k / n_aps and a = k mod n_aps in
+        if Problem.in_range p ~ap:a ~user:u then pick (k + 1) else (u, a)
+    in
+    pick 0
+  in
+  let t = Server.create ~config:(config p) p in
+  assert_clean (Server.handle_input t hello);
+  let ev time event = Protocol.Event { time; event } in
+  let log_before = Server.log_contents t in
+  expect_error Protocol.Out_of_range
+    (Server.handle_input t
+       (ev 1. (Protocol.Set_rate { user = u; ap = a; rate = 6. })));
+  Alcotest.(check string) "refusal is not logged" log_before
+    (Server.log_contents t);
+  assert_clean
+    (Server.handle_input t
+       (ev 1. (Protocol.Set_rate { user = u; ap = a; rate = 0. })));
+  Alcotest.(check int) "one refusal" 1 (Server.stats t).Server.errors
+
 (* ------------------------------------------------------------------ *)
 (* Live vs replay, jobs 1 vs jobs 4                                    *)
 (* ------------------------------------------------------------------ *)
@@ -967,6 +997,8 @@ let () =
         [
           Alcotest.test_case "handshake, ranges, monotone time, bye" `Quick
             test_session_discipline;
+          Alcotest.test_case "set-rate cannot grow a never-in-range link"
+            `Quick test_set_rate_cannot_grow;
         ] );
       ( "replay",
         [

@@ -1,17 +1,20 @@
-(* The sparse/shard differential battery (PR 6): the range-limited
-   sparse representation and the geometric sharding are proven
-   bit-identical to the dense paths.
+(* The grid/shard differential battery (PR 6): the bucket-grid compile
+   and the geometric sharding are proven bit-identical to brute-force
+   references.
 
-   - Representation equality (qcheck): a scenario compiled dense
-     (Scenario.to_problem) and sparse (Scenario.to_problem_sparse, via
-     the bucket grid) agree on every accessor: rate matrices, in-range
-     signals, neighbor lists, receivers, distinct rates.
+   - Compile equality (qcheck): a scenario compiled by the brute-force
+     all-pairs loop ([All_pairs.problem], "dense": every AP-user pair
+     through the link predicate into a matrix, lowered by
+     [Problem.make]) and by the bucket grid ([Scenario.to_problem],
+     "sparse") agree on every accessor: rate matrices, signals, neighbor
+     lists, receivers, distinct rates — under every model family.
    - Solver differential (qcheck): every solver — SSA, MNU, MLA, BLA,
      Distributed Sequential and Simultaneous, Online settle — produces
-     byte-identical associations and load vectors on the dense and
-     sparse views of the same instance.
+     byte-identical associations and load vectors on the two compiles
+     of the same instance.
    - Churn replays: a random script replayed through Sim.Churn on both
-     views yields identical step metrics, final association and loads.
+     compiles yields identical step metrics, final association and
+     loads.
    - Grid properties: no false negatives at the exact reach boundary or
      on cell edges, index-sorted probes, position-permutation
      invariance.
@@ -21,7 +24,8 @@
      an instance whose dense matrix (2000*40000 floats) is never
      allocated anywhere in the battery.
    - validate: empty candidate lists are rejected on both construction
-     paths unless explicitly allowed. *)
+     paths ([Problem.make] on a matrix, [Problem.make_sparse] on a link
+     structure) unless explicitly allowed. *)
 
 open Wlan_model
 open Mcast_core
@@ -44,9 +48,9 @@ let check_float_arrays what a b =
 
 let fail_if what cond = if cond then Alcotest.failf "%s" what
 
-(* Seed-indexed random geometric case, compiled both ways. Coverage is
-   deliberately not ensured (uncovered users must behave identically),
-   and placement/popularity/budget vary. [rate_model] swaps the
+(* Seed-indexed random geometric case, compiled both ways (all-pairs,
+   grid). Coverage is deliberately not ensured (uncovered users must
+   behave identically), and placement/popularity/budget vary. [rate_model] swaps the
    link-rate model (default: the Table 1 ladder). *)
 let case ?rate_model ~seed () =
   let rng = Random.State.make [| seed; 0x59a25e |] in
@@ -73,21 +77,16 @@ let case ?rate_model ~seed () =
     }
   in
   let sc = Scenario_gen.generate ~rng:(Scenario_gen.scenario_rng ~seed 0) cfg in
-  (sc, Scenario.to_problem sc, Scenario.to_problem_sparse sc)
+  (sc, All_pairs.problem sc, Scenario.to_problem sc)
 
 (* ------------------------------------------------------------------ *)
-(* Representation equality                                             *)
+(* Compile equality: grid = all-pairs                                  *)
 (* ------------------------------------------------------------------ *)
 
 let reprs_agree ?rate_model seed =
   let _, pd, ps = case ?rate_model ~seed () in
-  fail_if "dense view flagged sparse" (Problem.is_sparse pd);
-  fail_if "sparse view flagged dense" (not (Problem.is_sparse ps));
   fail_if "rate matrices differ"
     (Problem.rates_matrix pd <> Problem.rates_matrix ps);
-  (* to_sparse of the dense compile = the grid-built sparse compile *)
-  fail_if "to_sparse(dense) rate matrix differs"
-    (Problem.rates_matrix (Problem.to_sparse pd) <> Problem.rates_matrix ps);
   let n_aps, n_users = Problem.dims pd in
   fail_if "dims differ" (Problem.dims ps <> (n_aps, n_users));
   for u = 0 to n_users - 1 do
@@ -97,18 +96,16 @@ let reprs_agree ?rate_model seed =
       (Problem.neighbors_by_signal pd u <> Problem.neighbors_by_signal ps u);
     fail_if "strongest AP differs"
       (Problem.strongest_ap pd u <> Problem.strongest_ap ps u);
-    (* signal must agree on every in-range pair (out-of-range pairs are
-       never consulted by any algorithm; the sparse form answers
-       neg_infinity there) *)
-    List.iter
-      (fun a ->
-        if
-          not
-            (Float.equal
-               (Problem.signal pd ~ap:a ~user:u)
-               (Problem.signal ps ~ap:a ~user:u))
-        then Alcotest.failf "signal differs at a%d-u%d" a u)
-      (Problem.neighbor_aps pd u)
+    (* signal agrees on every pair (out-of-range pairs answer
+       neg_infinity in both) *)
+    for a = 0 to n_aps - 1 do
+      if
+        not
+          (Float.equal
+             (Problem.signal pd ~ap:a ~user:u)
+             (Problem.signal ps ~ap:a ~user:u))
+      then Alcotest.failf "signal differs at a%d-u%d" a u
+    done
   done;
   fail_if "coverable users differ"
     (Problem.coverable_users pd <> Problem.coverable_users ps);
@@ -130,7 +127,8 @@ let reprs_agree ?rate_model seed =
   true
 
 let qcheck_reprs_agree =
-  QCheck.Test.make ~name:"dense and sparse compilations agree everywhere"
+  QCheck.Test.make
+    ~name:"grid compile = brute-force all-pairs compile everywhere"
     ~count:60
     QCheck.(int_range 0 10_000)
     reprs_agree
@@ -246,13 +244,13 @@ let qcheck_online =
       true)
 
 (* ------------------------------------------------------------------ *)
-(* Path-loss models: dense = sparse under every model family           *)
+(* Path-loss models: grid = all-pairs under every model family         *)
 (* ------------------------------------------------------------------ *)
 
 (* Each Rate_model family, including a low-antenna two-ray whose d⁴
    crossover (≈ 486 m at 5.8 GHz) falls inside the 500 m test area, so
    the ground-reflection branch is actually exercised, and log-distance
-   with seeded shadowing (per-link split-RNG draws). The sparse compile
+   with seeded shadowing (per-link split-RNG draws). The grid compile
    sizes its bucket grid from the model's max_range, so these pin the
    grid against every range the models produce. *)
 let phy_models =
@@ -271,7 +269,7 @@ let qcheck_model_reprs =
   List.map
     (fun (name, m) ->
       QCheck.Test.make
-        ~name:("dense and sparse compilations agree under " ^ name)
+        ~name:("grid compile = brute-force all-pairs compile under " ^ name)
         ~count:25
         QCheck.(int_range 0 10_000)
         (reprs_agree ~rate_model:m))
@@ -382,21 +380,25 @@ let test_grid_exact_boundaries () =
       ~sessions:(Session.uniform ~n:1 ~rate_mbps:1.)
       ~budget:0.9 ()
   in
-  let ps = Scenario.to_problem_sparse sc in
+  let ps = Scenario.to_problem sc in
   Alcotest.(check (list int)) "all three boundary APs found" [ 0; 1; 2 ]
+    (Problem.neighbor_aps ps 0);
+  Alcotest.(check (list int)) "boundary agrees with all-pairs"
+    (Problem.neighbor_aps (All_pairs.problem sc) 0)
     (Problem.neighbor_aps ps 0);
   (* the boundary rate is the lowest tier *)
   Alcotest.(check (float 0.)) "boundary rate" 6.
     (Problem.link_rate ps ~ap:0 ~user:0);
-  (* one millimeter past the reach: gone, exactly like the dense path *)
+  (* one millimeter past the reach: gone, exactly like the all-pairs
+     compile *)
   let sc' =
     Scenario.make ~area_w:400. ~area_h:400. ~ap_pos
       ~user_pos:[| Point.v 200.001 0. |] ~user_session:[| 0 |]
       ~sessions:(Session.uniform ~n:1 ~rate_mbps:1.)
       ~budget:0.9 ()
   in
-  let pd' = Scenario.to_problem sc' and ps' = Scenario.to_problem_sparse sc' in
-  Alcotest.(check (list int)) "past-reach agrees with dense"
+  let pd' = All_pairs.problem sc' and ps' = Scenario.to_problem sc' in
+  Alcotest.(check (list int)) "past-reach agrees with all-pairs"
     (Problem.neighbor_aps pd' 0)
     (Problem.neighbor_aps ps' 0)
 
@@ -490,8 +492,8 @@ let shard_matches_unsharded ~objective seed =
       (Loads.ap_loads ps unsharded.Distributed.assoc)
       (Loads.ap_loads ps r.Shard.assoc)
   in
-  check "candidate plan (sparse)" (Shard.solve ~objective ps);
-  check "candidate plan (dense)" (Shard.solve ~objective pd);
+  check "candidate plan (grid)" (Shard.solve ~objective ps);
+  check "candidate plan (all-pairs)" (Shard.solve ~objective pd);
   let radius = 2. *. Rate_table.range sc.Scenario.rate_table in
   let gplan =
     Shard.plan_geometric ~ap_pos:sc.Scenario.ap_pos
@@ -517,7 +519,7 @@ let test_shard_fig9a_jobs () =
       ~rng:(Scenario_gen.scenario_rng ~seed:2007 0)
       Scenario_gen.paper_default
   in
-  let ps = Scenario.to_problem_sparse sc in
+  let ps = Scenario.to_problem sc in
   let objective = Distributed.Min_load_vector in
   let unsharded =
     Distributed.run ~scheduler:Distributed.Sequential ~objective ps
@@ -557,7 +559,7 @@ let test_shard_phy_jobs () =
         ensure_coverage = false;
       }
   in
-  let ps = Scenario.to_problem_sparse sc in
+  let ps = Scenario.to_problem sc in
   let objective = Distributed.Min_load_vector in
   let unsharded =
     Distributed.run ~scheduler:Distributed.Sequential ~objective ps
@@ -606,7 +608,7 @@ let city_digest ~jobs ps pl =
 
 let test_city_golden () =
   let sc = Scenario_gen.city ~seed:2007 Scenario_gen.city_default in
-  let ps = Scenario.to_problem_sparse sc in
+  let ps = Scenario.to_problem sc in
   let pl =
     Shard.plan_geometric ~ap_pos:sc.Scenario.ap_pos
       ~interaction_radius:(2. *. Rate_table.range sc.Scenario.rate_table)
@@ -632,7 +634,7 @@ let test_validate_rejects_uncovered () =
       if not (Astring.String.is_infix ~affix:"empty candidate list" msg) then
         Alcotest.failf "%s: unexpected message %S" what msg
   in
-  (* dense path *)
+  (* matrix path *)
   expect_reject "dense" (fun () ->
       Problem.make ~session_rates:[| 1. |] ~user_session:[| 0; 0 |]
         ~rates:[| [| 6.; 0. |] |] ~budget:0.9 ());

@@ -766,7 +766,7 @@ let prop_uncovered_users_matches_compile =
         |> List.for_all (fun u ->
                List.mem u uncovered = (Problem.neighbor_aps p u = []))
       in
-      agrees (Scenario.to_problem sc) && agrees (Scenario.to_problem_sparse sc))
+      agrees (Scenario.to_problem sc) && agrees (All_pairs.problem sc))
 
 (* ------------------------------------------------------------------ *)
 (* QCheck properties                                                  *)
