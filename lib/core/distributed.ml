@@ -150,8 +150,17 @@ let decide p assoc ~loads ~objective u =
       AP — instead of re-asked per candidate evaluation. The queries are
       pure, so the cached floats are bit-identical to the boxed rule's
       repeated calls;
+    - under [Min_load_vector] the no-move vector (serving AP at its
+      leave load, every other neighbor at its live load) is sorted once
+      per decision; a candidate's vector differs from it in exactly one
+      entry, so it is the sorted base with that entry replaced by the
+      candidate's join load and re-sorted in one insertion pass — the
+      same multiset, hence the same non-increasing value sequence, in
+      O(d) per candidate and O(d²) per decision instead of O(d³);
     - candidate vectors are built in two reused buffers (best / trial,
-      swapped on improvement) and compared over their logical prefix;
+      swapped on improvement) and compared over their logical prefix
+      from the first entry where either leaves the base (the entries
+      before it are bit-identical, so the eps comparison is unchanged);
     - the fold visits feasible neighbors in the same ascending order and
       applies the same eps comparisons and signal tie-break, so the
       chosen AP — and hence every downstream float — is identical.
@@ -168,7 +177,9 @@ type scratch = {
   mutable join_l : float array;  (* load_if_joins per neighbor *)
   mutable vec_a : float array;  (* candidate vector buffers, swapped *)
   mutable vec_b : float array;
-  mutable vec_stay : float array;
+  mutable vec_base : float array;  (* sorted no-move vector *)
+  mutable base_ord : int array;  (* its slots, in sorted order *)
+  mutable base_pos : int array;  (* slot -> index in [vec_base] *)
 }
 
 let scratch_ensure s n =
@@ -179,7 +190,9 @@ let scratch_ensure s n =
     s.join_l <- Optkit.Arena.floats s.arena "dist.join" n;
     s.vec_a <- Optkit.Arena.floats s.arena "dist.vec_a" n;
     s.vec_b <- Optkit.Arena.floats s.arena "dist.vec_b" n;
-    s.vec_stay <- Optkit.Arena.floats s.arena "dist.vec_stay" n;
+    s.vec_base <- Optkit.Arena.floats s.arena "dist.vec_base" n;
+    s.base_ord <- Optkit.Arena.ints s.arena "dist.base_ord" n;
+    s.base_pos <- Optkit.Arena.ints s.arena "dist.base_pos" n;
     s.cap <- Array.length s.join_l
   end
 
@@ -194,25 +207,13 @@ let make_scratch () =
       join_l = [||];
       vec_a = [||];
       vec_b = [||];
-      vec_stay = [||];
+      vec_base = [||];
+      base_ord = [||];
+      base_pos = [||];
     }
   in
   scratch_ensure s 1;
   s
-
-(* In-place non-increasing insertion sort of [a.(0..n-1)] — the flat
-   counterpart of [Loads.sorted_load_vector]. Loads are never nan, so any
-   correct descending sort yields the identical value sequence. *)
-let sort_desc (a : float array) n =
-  for i = 1 to n - 1 do
-    let x = a.(i) in
-    let j = ref (i - 1) in
-    while !j >= 0 && a.(!j) < x do
-      a.(!j + 1) <- a.(!j);
-      decr j
-    done;
-    a.(!j + 1) <- x
-  done
 
 (* The local rule of [decide_with], on scratch planes against the tracker.
    [nbr.(0..d-1)] is the (live, ascending) neighborhood and
@@ -244,10 +245,32 @@ let decide_flat p tr scr ~nbr ~d ~rates ~sigs ~current ~objective u =
       else if b = old_ap then leave_v
       else base_l.(b)
     in
-    (* objective vector of a hypothetical move, into [dst]; returns the
-       logical length ([Min_total_load] boxes its scalar sum at index 0,
-       folded in neighbor order like the boxed rule's [fold_left]) *)
-    let eval_into new_ap (dst : float array) =
+    (* [Min_load_vector]: the no-move vector, sorted once. A move to the
+       AP in slot [k] changes only slot [k]'s entry (to [join_l.(k)]),
+       and a stay at the serving AP reads its join cache at its own
+       slot, so every vector the fold compares is this base with one
+       entry replaced. *)
+    let vbase = scr.vec_base and pos = scr.base_pos in
+    (match objective with
+    | Min_total_load -> ()
+    | Min_load_vector ->
+        let ord = scr.base_ord in
+        for k = 0 to d - 1 do
+          let b = nbr.(k) in
+          vbase.(k) <- (if b = old_ap then leave_v else base_l.(b));
+          ord.(k) <- k
+        done;
+        Loads.sort_prefix_desc vbase ord d;
+        for i = 0 to d - 1 do
+          pos.(ord.(i)) <- i
+        done);
+    (* objective vector of a move to slot [k]'s AP [new_ap], into [dst];
+       returns the logical length ([Min_total_load] boxes its scalar sum
+       at index 0, folded in neighbor order like the boxed rule's
+       [fold_left]) and leaves in [lo] the first index where [dst] may
+       leave the base vector *)
+    let lo = ref 0 in
+    let eval_into k new_ap (dst : float array) =
       match objective with
       | Min_total_load ->
           let acc = ref 0. in
@@ -257,10 +280,7 @@ let decide_flat p tr scr ~nbr ~d ~rates ~sigs ~current ~objective u =
           dst.(0) <- !acc;
           1
       | Min_load_vector ->
-          for k = 0 to d - 1 do
-            dst.(k) <- hyp k new_ap
-          done;
-          sort_desc dst d;
+          lo := Loads.replace_sorted_prefix vbase d pos.(k) join_l.(k) dst;
           d
     in
     (* fold over feasible neighbors in ascending order: first feasible
@@ -271,18 +291,28 @@ let decide_flat p tr scr ~nbr ~d ~rates ~sigs ~current ~objective u =
     let have_best = ref false in
     let best_ap = ref 0 in
     let best_k = ref 0 in
+    let best_lo = ref 0 in
+    (* a served user's AP is always in its live neighborhood: the
+       tracker rejects zero-rate members, and [Online] detaches a user
+       whose AP fails or whose serving link is lost *)
+    let current_k = ref (-1) in
     for k = 0 to d - 1 do
       let a = nbr.(k) in
+      if a = current then current_k := k;
       if a = current || join_l.(k) <= Problem.ap_budget p a +. 1e-12 then
         if not !have_best then begin
-          ignore (eval_into a !bv : int);
+          ignore (eval_into k a !bv : int);
           best_ap := a;
           best_k := k;
+          best_lo := !lo;
           have_best := true
         end
         else begin
-          let len = eval_into a !tv in
-          let c = Loads.compare_load_prefixes_eps ~len !tv !bv in
+          let len = eval_into k a !tv in
+          let c =
+            Loads.compare_load_prefixes_eps ~from:(Int.min !lo !best_lo)
+              ~len !tv !bv
+          in
           if
             c < 0
             || c = 0 && sigs.(k) > sigs.(!best_k) +. 1e-12
@@ -291,16 +321,21 @@ let decide_flat p tr scr ~nbr ~d ~rates ~sigs ~current ~objective u =
             bv := !tv;
             tv := swap;
             best_ap := a;
-            best_k := k
+            best_k := k;
+            best_lo := !lo
           end
         end
     done;
     if not !have_best then None
     else if current = Association.none then Some !best_ap
     else if !best_ap <> current then begin
-      let len = eval_into current scr.vec_stay in
-      if Loads.compare_load_prefixes_eps ~len !bv scr.vec_stay < 0 then
-        Some !best_ap
+      (* the stay vector goes into the free trial buffer *)
+      let len = eval_into !current_k current !tv in
+      if
+        Loads.compare_load_prefixes_eps ~from:(Int.min !lo !best_lo) ~len
+          !bv !tv
+        < 0
+      then Some !best_ap
       else None
     end
     else None

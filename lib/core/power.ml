@@ -50,7 +50,9 @@ let problem_with_powers (sc : Scenario.t) ~factors ~levels =
             | None -> 0.))
   in
   let signal = Array.map (Array.map (fun d -> -.d)) dists in
-  Problem.make ~signal
+  (* a scaled-down level may strand a user; [optimize] rejects such
+     levels by comparing coverage, so it must be able to build them *)
+  Problem.make ~allow_uncovered:true ~signal
     ~session_rates:(Array.map Session.rate_mbps sc.Scenario.sessions)
     ~user_session:(Array.copy sc.Scenario.user_session)
     ~rates ~budget:sc.Scenario.budget ()

@@ -16,7 +16,9 @@ type plan = {
 
 val default_factors : float array
 
-(** Compile a scenario with per-AP power scalings.
+(** Compile a scenario with per-AP power scalings. A level that leaves a
+    user out of every AP's range yields an instance with that user
+    uncovered ({!optimize} rejects such levels).
     @raise Invalid_argument on arity mismatch. *)
 val problem_with_powers :
   Scenario.t -> factors:float array -> levels:int array -> Problem.t

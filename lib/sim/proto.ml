@@ -102,24 +102,39 @@ type neighbor_info = { ap : int; link_rate : float; signal : float }
     objective — the user re-queries them next period. *)
 let decide ~objective ~session_rates ~session ~current
     ~(neighbors : neighbor_info list) ~(responses : response list) =
-  (* only neighbors we actually heard back from *)
+  (* only neighbors we actually heard back from, in ascending AP index —
+     the order the abstract rule folds its candidates and sums its
+     neighborhood in (scanning lists them strongest first): both the
+     eps-tolerant fold and the float sum are order-sensitive *)
   let neighbors =
     List.filter
       (fun (n : neighbor_info) ->
         List.exists (fun r -> r.from_ap = n.ap) responses)
       neighbors
+    |> List.sort (fun (a : neighbor_info) b -> Int.compare a.ap b.ap)
   in
   let find_resp a = List.find (fun r -> r.from_ap = a) responses in
-  let rate_s = session_rates.(session) in
-  (* hypothetical load of AP [a] with me joined *)
+  (* hypothetical load of AP [a] with me joined: Definition 1 re-summed
+     over the advertised sessions, my session's tx lowered to my link
+     rate (an existing tx I can decode stays), in session order — the
+     float expression the AP sums for its own [load], so the value is
+     exact. An incremental [load - old + new] is an ulp off, and an ulp
+     at the first differing entry of two load vectors turns a strict BLA
+     preference into an eps-tie that the signal then breaks. *)
   let load_if_join (n : neighbor_info) =
     let r = find_resp n.ap in
     if current = Some n.ap then r.load
     else
-      match List.assoc_opt session r.sessions with
-      | Some tx when tx <= n.link_rate -> r.load (* I decode the existing tx *)
-      | Some tx -> r.load -. (rate_s /. tx) +. (rate_s /. n.link_rate)
-      | None -> r.load +. (rate_s /. n.link_rate)
+      let tx_s =
+        match List.assoc_opt session r.sessions with
+        | Some tx when tx <= n.link_rate -> tx
+        | _ -> n.link_rate
+      in
+      (session, tx_s) :: List.remove_assoc session r.sessions
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+      |> List.fold_left
+           (fun acc (s, tx) -> acc +. (session_rates.(s) /. tx))
+           0.
   in
   let load_if_leave a =
     let r = find_resp a in

@@ -107,12 +107,15 @@ let compare_load_vectors_eps ?(eps = 1e-9) (a : float array) (b : float array)
   go 0
 
 (** {!compare_load_vectors_eps} over the length-[len] prefixes of [a] and
-    [b]. The flat decision kernel keeps its hypothetical load vectors in
-    reused scratch buffers whose capacity exceeds the neighborhood size,
-    so the logical length is carried separately; comparing equal-length
-    prefixes is exactly what {!compare_load_vectors_eps} computes on
-    exact-length arrays. *)
-let compare_load_prefixes_eps ?(eps = 1e-9) ~len (a : float array)
+    [b], scanned from index [from]. The flat decision kernel keeps its
+    hypothetical load vectors in reused scratch buffers whose capacity
+    exceeds the neighborhood size, so the logical length is carried
+    separately; comparing equal-length prefixes is exactly what
+    {!compare_load_vectors_eps} computes on exact-length arrays. The
+    caller guarantees [from <= len] and that [a] and [b] are
+    bit-identical below [from]: those entries compare exactly equal and
+    would be skipped anyway. *)
+let compare_load_prefixes_eps ?(eps = 1e-9) ~from ~len (a : float array)
     (b : float array) =
   let rec go i =
     if i = len then 0
@@ -122,7 +125,52 @@ let compare_load_prefixes_eps ?(eps = 1e-9) ~len (a : float array)
       else if Float.abs (a.(i) -. b.(i)) <= eps then 0
       else c
   in
-  go 0
+  go from
+
+(** In-place non-increasing insertion sort of [a.(0..n-1)], applying the
+    same permutation to [ord.(0..n-1)] — {!sorted_load_vector} on a
+    scratch prefix, remembering where each entry came from. Loads are
+    never nan, so any correct descending sort yields the identical value
+    sequence. *)
+let sort_prefix_desc (a : float array) (ord : int array) n =
+  for i = 1 to n - 1 do
+    let x = a.(i) and o = ord.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) < x do
+      a.(!j + 1) <- a.(!j);
+      ord.(!j + 1) <- ord.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x;
+    ord.(!j + 1) <- o
+  done
+
+(** [replace_sorted_prefix base n i x dst] writes into [dst.(0..n-1)] the
+    non-increasing [base.(0..n-1)] with entry [i] replaced by [x], kept
+    sorted by one insertion pass: the entries between [i] and [x]'s
+    place shift one step toward [i]. The result is the non-increasing
+    order of the same multiset a full sort would see, so it is the same
+    value sequence. Returns the first index at which [dst] may differ
+    from [base] — everything below it is a bit-identical copy. *)
+let replace_sorted_prefix (base : float array) n i x (dst : float array) =
+  Array.blit base 0 dst 0 n;
+  let j = ref i in
+  if x > base.(i) then begin
+    while !j > 0 && dst.(!j - 1) < x do
+      dst.(!j) <- dst.(!j - 1);
+      decr j
+    done;
+    dst.(!j) <- x;
+    !j
+  end
+  else begin
+    while !j < n - 1 && dst.(!j + 1) > x do
+      dst.(!j) <- dst.(!j + 1);
+      incr j
+    done;
+    dst.(!j) <- x;
+    i
+  end
 
 (** [respects_budget p assoc] checks every AP's load against the per-AP
     multicast budget, with a small tolerance for float accumulation. *)

@@ -42,9 +42,25 @@ val compare_load_vectors_eps : ?eps:float -> float array -> float array -> int
 (** {!compare_load_vectors_eps} over the length-[len] prefixes of two
     scratch buffers (both at least [len] long) — what the flat decision
     kernel uses for vectors kept in reused arena buffers, where capacity
-    exceeds the logical neighborhood size. *)
+    exceeds the logical neighborhood size. The scan starts at [from <= len];
+    the caller guarantees the buffers are bit-identical below it, so the
+    result equals a scan from [0]. *)
 val compare_load_prefixes_eps :
-  ?eps:float -> len:int -> float array -> float array -> int
+  ?eps:float -> from:int -> len:int -> float array -> float array -> int
+
+(** In-place non-increasing sort of the prefix [a.(0..n-1)], applying
+    the same permutation to [ord.(0..n-1)] — {!sorted_load_vector} on a
+    scratch buffer, remembering where each entry came from. *)
+val sort_prefix_desc : float array -> int array -> int -> unit
+
+(** [replace_sorted_prefix base n i x dst] writes into [dst.(0..n-1)] the
+    non-increasing [base.(0..n-1)] with entry [i] replaced by [x], kept
+    sorted by one O(n) insertion pass: the same value sequence a full
+    descending sort of that multiset gives. Returns the first index at
+    which [dst] may differ from [base]; below it [dst] is a bit-identical
+    copy. *)
+val replace_sorted_prefix :
+  float array -> int -> int -> float -> float array -> int
 
 (** Every AP within the per-AP multicast budget (tolerance [eps]). *)
 val respects_budget : ?eps:float -> Problem.t -> Association.t -> bool

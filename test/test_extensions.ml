@@ -623,6 +623,30 @@ let test_power_mu_zero_objective_is_pure_load () =
   Alcotest.(check bool) "never worse than full-power MLA" true
     (plan.Power.solution.Solution.total_load <= full_power_total +. 1e-9)
 
+(* The ext-power figure driver as [wlan-mcast figures ext-power
+   --scenarios 2 --seed 7] runs it: one of its instances has a power
+   level that strands a user, which the optimizer must reject rather
+   than crash on while compiling it. *)
+let test_power_figure_stranding_level () =
+  let fig =
+    Harness.Experiments.ext_power
+      ~cfg:{ Harness.Experiments.default_config with scenarios = 2; seed = 7 }
+      ()
+  in
+  Alcotest.(check int) "four mu points" 4
+    (List.length fig.Harness.Series.points)
+
+let test_power_stranded_user_is_uncovered () =
+  let sc = power_scenario () in
+  let n = Scenario.n_aps sc in
+  (* every AP at the lowest level strands some user of this instance *)
+  let p =
+    Power.problem_with_powers sc ~factors:[| 1.0; 0.05 |]
+      ~levels:(Array.make n 1)
+  in
+  Alcotest.(check bool) "some user uncovered" true
+    (List.length (Problem.coverable_users p) < Scenario.n_users sc)
+
 let test_mobility_deterministic () =
   let sc = small_scenario 11 in
   let run () =
@@ -682,6 +706,9 @@ let () =
           tc "per-AP compilation" test_power_problem_with_powers;
           tc "optimize trades interference" test_power_optimize;
           tc "mu=0 is pure load descent" test_power_mu_zero_objective_is_pure_load;
+          tc "stranding level is built, not raised"
+            test_power_stranded_user_is_uncovered;
+          tc "ext-power driver, seed 7" test_power_figure_stranding_level;
         ] );
       ( "mobility",
         [

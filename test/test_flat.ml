@@ -9,6 +9,13 @@
      load scans) for every decision, on the all-pairs and grid
      compiles, both objectives, Sequential and Simultaneous — full
      outcome including float loads.
+   - Load-vector kernel on a tie-heavy family (qcheck): up to 40 APs in
+     a 300 m square (neighborhoods up to 40 APs), one session (loads
+     are sums of 1/tier terms, so equal entries abound) and budgets up
+     to 2.0 — [Min_load_vector] runs under Sequential and Simultaneous
+     and [Online] BLA settles under churn, against the boxed oracle; and
+     the sorted-base-with-one-entry-replaced step against a full
+     descending sort on arrays full of duplicates and zeros.
    - Online kernel (qcheck): a seeded delta script (arrive / depart /
      set_rate / fail_ap / recover_ap, settling after each burst) driven
      through an [Online] network and mirrored on a shadow instance
@@ -79,6 +86,28 @@ let case ?(wide = false) ~seed () =
   let sc = Scenario_gen.generate ~rng:(Scenario_gen.scenario_rng ~seed 0) cfg in
   (sc, All_pairs.problem sc, Scenario.to_problem sc)
 
+(* The tie-heavy, high-degree family: up to 40 APs in a 300 m square,
+   so most users hear most APs, and a single session, so every load is
+   a sum of [rate / tier] terms over a handful of Table 1 tiers and
+   exactly equal vector entries are the rule. Budgets up to 2.0 leave
+   most joins feasible. Compiled by both front ends, like [case]. *)
+let dense_case ~seed =
+  let rng = Random.State.make [| seed; 0x7e5a11 |] in
+  let cfg =
+    {
+      Scenario_gen.paper_default with
+      area_w = 300.;
+      area_h = 300.;
+      n_aps = 2 + Random.State.int rng 39;
+      n_users = 1 + Random.State.int rng 50;
+      n_sessions = 1;
+      budget = [| 0.5; 1.0; 2.0 |].(Random.State.int rng 3);
+      ensure_coverage = false;
+    }
+  in
+  let sc = Scenario_gen.generate ~rng:(Scenario_gen.scenario_rng ~seed 0) cfg in
+  (All_pairs.problem sc, Scenario.to_problem sc)
+
 (* ------------------------------------------------------------------ *)
 (* Distributed: flat kernel = boxed reference                          *)
 (* ------------------------------------------------------------------ *)
@@ -135,8 +164,7 @@ let boxed_run ~max_rounds ~simultaneous ~objective p assoc =
     oscillated = !oscillated;
   }
 
-let kernels_agree ~scheduler ~objective seed =
-  let _, pd, ps = case ~seed () in
+let kernels_agree ~problems ~scheduler ~objective seed =
   List.iter
     (fun p ->
       let a = Distributed.run ~max_rounds:300 ~scheduler ~objective p in
@@ -157,27 +185,94 @@ let kernels_agree ~scheduler ~objective seed =
       check_float_arrays "loads"
         (Loads.ap_loads p a.Distributed.assoc)
         (Loads.ap_loads p b.Distributed.assoc))
-    [ pd; ps ];
+    (problems seed);
   true
 
-let qcheck_kernels ~label ~scheduler ~objective =
+let case_problems seed =
+  let _, pd, ps = case ~seed () in
+  [ pd; ps ]
+
+let dense_problems seed =
+  let pd, ps = dense_case ~seed in
+  [ pd; ps ]
+
+let qcheck_kernels ?(problems = case_problems) ?(count = 30) ~label ~scheduler
+    ~objective () =
   QCheck.Test.make
     ~name:(label ^ ": flat kernel = boxed kernel, full outcome")
-    ~count:30
+    ~count
     QCheck.(int_range 0 10_000)
-    (kernels_agree ~scheduler ~objective)
+    (kernels_agree ~problems ~scheduler ~objective)
 
 let qcheck_kernel_seq_total =
   qcheck_kernels ~label:"Distributed Sequential (total-load)"
-    ~scheduler:Distributed.Sequential ~objective:Distributed.Min_total_load
+    ~scheduler:Distributed.Sequential ~objective:Distributed.Min_total_load ()
 
 let qcheck_kernel_seq_vector =
   qcheck_kernels ~label:"Distributed Sequential (load-vector)"
-    ~scheduler:Distributed.Sequential ~objective:Distributed.Min_load_vector
+    ~scheduler:Distributed.Sequential ~objective:Distributed.Min_load_vector ()
 
 let qcheck_kernel_sim =
   qcheck_kernels ~label:"Distributed Simultaneous"
-    ~scheduler:Distributed.Simultaneous ~objective:Distributed.Min_total_load
+    ~scheduler:Distributed.Simultaneous ~objective:Distributed.Min_total_load ()
+
+let qcheck_dense_seq_vector =
+  qcheck_kernels ~problems:dense_problems ~count:20
+    ~label:"Dense ties, Sequential (load-vector)"
+    ~scheduler:Distributed.Sequential ~objective:Distributed.Min_load_vector ()
+
+let qcheck_dense_sim_vector =
+  qcheck_kernels ~problems:dense_problems ~count:20
+    ~label:"Dense ties, Simultaneous (load-vector)"
+    ~scheduler:Distributed.Simultaneous ~objective:Distributed.Min_load_vector
+    ()
+
+(* The load-vector step: a sorted base with one entry replaced, by one
+   insertion pass, equals the full descending sort of the same multiset
+   (values from a short ladder with zeros, so duplicates abound), and
+   agrees with the base below the index it returns. The slot-carrying
+   sort matches [Loads.sorted_load_vector] and returns a permutation. *)
+let replace_matches_sort seed =
+  let rng = Random.State.make [| seed; 0x5e1ec7 |] in
+  let ladder = [| 0.; 0.; 0.125; 0.25; 0.25; 1. /. 3.; 0.5; 1.; 2. |] in
+  let pick () = ladder.(Random.State.int rng (Array.length ladder)) in
+  let n = 1 + Random.State.int rng 40 in
+  let raw = Array.init n (fun _ -> pick ()) in
+  let base = Array.copy raw and ord = Array.init n Fun.id in
+  Loads.sort_prefix_desc base ord n;
+  check_float_arrays "slot-carrying sort" base (Loads.sorted_load_vector raw);
+  Array.iteri
+    (fun i k ->
+      if not (Float.equal raw.(k) base.(i)) then
+        Alcotest.failf "slot %d does not hold sorted entry %d" k i)
+    ord;
+  Alcotest.(check (list int)) "ord is a permutation" (List.init n Fun.id)
+    (List.sort Int.compare (Array.to_list ord));
+  for i = 0 to n - 1 do
+    let x =
+      if Random.State.bool rng then pick ()
+      else base.(Random.State.int rng n)
+    in
+    let dst = Array.make (n + 3) nan in
+    let lo = Loads.replace_sorted_prefix base n i x dst in
+    let expect =
+      Loads.sorted_load_vector
+        (Array.mapi (fun j v -> if j = i then x else v) base)
+    in
+    check_float_arrays "replaced = resorted" (Array.sub dst 0 n) expect;
+    for j = 0 to lo - 1 do
+      if not (Float.equal dst.(j) base.(j)) then
+        Alcotest.failf "index %d below lo %d differs from the base" j lo
+    done
+  done;
+  true
+
+let qcheck_replace_sorted =
+  QCheck.Test.make
+    ~name:"sorted base with one entry replaced = full descending sort"
+    ~count:300
+    QCheck.(int_range 0 100_000)
+    replace_matches_sort
 
 (* ------------------------------------------------------------------ *)
 (* Online: flat kernel = boxed reference under churn deltas            *)
@@ -189,8 +284,8 @@ let qcheck_kernel_sim =
    effective instance makes the same moves in the same rounds. A settle
    with nobody dirty takes no round; the boxed loop then confirms the
    association is already quiescent. *)
-let online_kernels_agree ~mode seed =
-  let _, _, ps = case ~seed () in
+let online_kernels_agree ~problem ~mode seed =
+  let ps = problem seed in
   let n_aps, n_users = Problem.dims ps in
   let net = Distributed.Online.create ~objective:Distributed.Min_load_vector ps in
   let rng = Random.State.make [| seed; 0x1f7a3d |] in
@@ -264,19 +359,39 @@ let online_kernels_agree ~mode seed =
   done;
   true
 
+let case_problem seed =
+  let _, _, ps = case ~seed () in
+  ps
+
+let dense_problem seed = snd (dense_case ~seed)
+
 let qcheck_online_kernels_seq =
   QCheck.Test.make
     ~name:"Online deltas: flat kernel = boxed kernel (sequential settles)"
     ~count:30
     QCheck.(int_range 0 10_000)
-    (online_kernels_agree ~mode:`Sequential)
+    (online_kernels_agree ~problem:case_problem ~mode:`Sequential)
 
 let qcheck_online_kernels_sim =
   QCheck.Test.make
     ~name:"Online deltas: flat kernel = boxed kernel (simultaneous settles)"
     ~count:30
     QCheck.(int_range 0 10_000)
-    (online_kernels_agree ~mode:`Simultaneous)
+    (online_kernels_agree ~problem:case_problem ~mode:`Simultaneous)
+
+let qcheck_online_dense_seq =
+  QCheck.Test.make
+    ~name:"Online deltas, dense ties: flat kernel = boxed kernel (sequential)"
+    ~count:20
+    QCheck.(int_range 0 10_000)
+    (online_kernels_agree ~problem:dense_problem ~mode:`Sequential)
+
+let qcheck_online_dense_sim =
+  QCheck.Test.make
+    ~name:"Online deltas, dense ties: flat kernel = boxed kernel (simultaneous)"
+    ~count:20
+    QCheck.(int_range 0 10_000)
+    (online_kernels_agree ~problem:dense_problem ~mode:`Simultaneous)
 
 (* ------------------------------------------------------------------ *)
 (* Sharded centralized reductions                                      *)
@@ -399,8 +514,13 @@ let qcheck_cases =
       qcheck_kernel_seq_total;
       qcheck_kernel_seq_vector;
       qcheck_kernel_sim;
+      qcheck_dense_seq_vector;
+      qcheck_dense_sim_vector;
+      qcheck_replace_sorted;
       qcheck_online_kernels_seq;
       qcheck_online_kernels_sim;
+      qcheck_online_dense_seq;
+      qcheck_online_dense_sim;
       qcheck_sharded_mnu;
       qcheck_sharded_mnu_wide;
       qcheck_sharded_bla;
