@@ -251,10 +251,6 @@ let algorithm_timings ~quick () =
       ( "mnu-distributed",
         fun p ->
           ignore (C.Distributed.mnu (Wlan_model.Problem.with_budget p 0.05)) );
-      (* opt-in fast path; no counterpart in older baselines, so it
-         shows up without a speedup ratio *)
-      ( "bla-centralized-soft-bisect",
-        fun p -> ignore (C.Bla.run_exn ~mode:`Soft ~strategy:`Bisect p) );
     ]
   in
   let pool_algorithms pool =

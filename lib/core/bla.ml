@@ -35,11 +35,9 @@ let solution_of_scg p inst (r : Optkit.Scg.result) =
     coverable users, since serving one user costs at most
     [session_rate / basic_rate]).
 
-    [strategy] and [fanout] pass through to {!Optkit.Scg.solve_grid}:
-    [fanout] parallelizes the grid with an identical result; [`Bisect]
-    prunes it to O(log) guesses but then ranks realized loads over only
-    the evaluated runs. *)
-let run ?(mode = `Soft) ?strategy ?fanout ?(n_guesses = 12) p =
+    [fanout] passes through to {!Optkit.Scg.solve_grid} and parallelizes
+    the grid with an identical result. *)
+let run ?(mode = `Soft) ?fanout ?(n_guesses = 12) p =
   Wlan_obs.Counters.incr c_runs;
   let inst = Reduction.cover_instance p in
   let universe = Reduction.coverable_users p in
@@ -53,7 +51,7 @@ let run ?(mode = `Soft) ?strategy ?fanout ?(n_guesses = 12) p =
     | Some _ -> None
   in
   let feasible =
-    Optkit.Scg.solve_grid ~mode ?arena ?strategy ?fanout inst ~universe
+    Optkit.Scg.solve_grid ~mode ?arena ?fanout inst ~universe
       ~grid ()
   in
   match feasible with
@@ -73,7 +71,7 @@ let run ?(mode = `Soft) ?strategy ?fanout ?(n_guesses = 12) p =
       Some best
 
 (** [run_exn] for instances known feasible (raises otherwise). *)
-let run_exn ?mode ?strategy ?fanout ?n_guesses p =
-  match run ?mode ?strategy ?fanout ?n_guesses p with
+let run_exn ?mode ?fanout ?n_guesses p =
+  match run ?mode ?fanout ?n_guesses p with
   | Some s -> s
   | None -> failwith "Bla.run: no feasible B* found"

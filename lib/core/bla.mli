@@ -12,13 +12,13 @@ val name : string
 
 (** [None] when no [B* <= 1] covers every coverable user.
 
-    [strategy] and [fanout] pass through to {!Optkit.Scg.solve_grid}:
-    [fanout] (e.g. [Harness.Pool.run pool]) parallelizes the [B*] grid
-    with a bit-identical result; [`Bisect] prunes the grid to O(log)
-    evaluations, ranking realized loads over only those runs. *)
+    The [B*] grid goes through {!Optkit.Scg.solve_grid}: the largest
+    guess runs first and every guess at which no AP budget could bind
+    reuses it exactly. [fanout] (e.g. [Harness.Pool.run pool])
+    parallelizes the other guesses with a bit-identical result.
+    @raise Invalid_argument when [n_guesses < 1]; one guess is [B* = 1]. *)
 val run :
   ?mode:[ `Soft | `Hard ] ->
-  ?strategy:[ `Exhaustive | `Bisect ] ->
   ?fanout:
     ((unit -> Optkit.Scg.result) list -> Optkit.Scg.result list) ->
   ?n_guesses:int ->
@@ -28,7 +28,6 @@ val run :
 (** @raise Failure when {!run} returns [None]. *)
 val run_exn :
   ?mode:[ `Soft | `Hard ] ->
-  ?strategy:[ `Exhaustive | `Bisect ] ->
   ?fanout:
     ((unit -> Optkit.Scg.result) list -> Optkit.Scg.result list) ->
   ?n_guesses:int ->

@@ -332,8 +332,12 @@ let solve_mnu ?plan:pl ?(fanout = List.map (fun f -> f ())) p =
     empties within the global round cap. Feasible probes are ranked
     exactly as [Bla.run]: smallest summed-cover bound first, then the
     smallest {e realized} max AP load wins. [fanout] evaluates the
-    per-probe thunks (submission order, as everywhere). [None] when no
-    [B* <= 1] is feasible. *)
+    per-probe thunks (submission order, as everywhere). The largest
+    guess probes first; every guess at which no shard's budget could
+    bind reuses it exactly ({!Optkit.Scg.reuse_grid}, on the witness and
+    max set cost over all shards: the H1/H2 decision stays global, and
+    with nothing overshooting [H2] is empty in every shard). [None] when
+    no [B* <= 1] is feasible. *)
 let solve_bla ?plan:pl ?(n_guesses = 12) ?(fanout = List.map (fun f -> f ()))
     p =
   let pl = match pl with Some x -> x | None -> plan p in
@@ -463,9 +467,26 @@ let solve_bla ?plan:pl ?(n_guesses = 12) ?(fanout = List.map (fun f -> f ()))
                 assoc.(sh.users.(lu)) <- sh.aps.(la))
             local)
         sels;
-    (feasible, max_gc, assoc)
+    let witness =
+      Array.fold_left
+        (fun acc session -> Float.max acc (Optkit.Mcg.session_witness session))
+        0. sessions
+    in
+    ((feasible, max_gc, assoc), witness)
   in
-  let results = fanout (List.map (fun bstar () -> probe bstar) grid) in
+  let max_cost =
+    Array.fold_left
+      (fun acc (_, _, inst, _) ->
+        Float.max acc (Optkit.Cover_instance.max_cost inst))
+      0. subs
+  in
+  (* a reused probe shares the top probe's association: only the
+     winner's becomes a returned solution *)
+  let results =
+    Optkit.Scg.reuse_grid ~fanout ~max_cost ~probe
+      ~reuse:(fun top _ -> top)
+      grid
+  in
   let feasible =
     List.filter_map
       (fun (ok, max_gc, assoc) -> if ok then Some (max_gc, assoc) else None)

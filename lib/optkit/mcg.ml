@@ -140,6 +140,7 @@ type 'a session = {
   s_in_touched : bool array;
   mutable s_n_touched : int;
   mutable s_first : bool;
+  mutable s_witness : float;  (** see {!session_witness} *)
 }
 
 let make_session ?(mode = `Soft) ?arena ?element_weights inst ~budgets =
@@ -164,6 +165,7 @@ let make_session ?(mode = `Soft) ?arena ?element_weights inst ~budgets =
     s_in_touched = Array.make n false;
     s_n_touched = 0;
     s_first = true;
+    s_witness = 0.;
   }
 
 let session ?mode ?arena inst ~budgets = make_session ?mode ?arena inst ~budgets
@@ -261,7 +263,10 @@ let round s ~remaining =
     match mode with
     | `Soft -> true
     | `Hard ->
-        Cover_instance.cost inst j <= budgets.(g) -. spent.(g) +. 1e-12
+        let c = Cover_instance.cost inst j in
+        let ok = c <= budgets.(g) -. spent.(g) +. 1e-12 in
+        if ok then s.s_witness <- Float.max s.s_witness (c +. spent.(g));
+        ok
   in
   (* pop a group's best candidate; in [`Hard] mode, sets that no longer fit
      the group's remaining budget are dropped for good (remaining budget
@@ -378,10 +383,16 @@ let round s ~remaining =
   Wlan_obs.Counters.add c_candidate_evals !n_candidate_evals;
   Wlan_obs.Counters.add c_heap_pops !n_heap_pops;
   Wlan_obs.Counters.add c_bound_skips !n_bound_skips;
+  Array.iter (fun x -> s.s_witness <- Float.max s.s_witness x) spent;
   let raw_order = List.rev !raw in
   (raw_order, split_of inst ~weights:s.s_weights ~budgets ~x0 ~raw_order)
 
 let session_round_split s ~remaining = snd (round s ~remaining)
+
+(** A round reads its budgets only in [admissible], [eligible], the
+    [`Hard] [fits] check and the split's overshoot tag; the witness
+    bounds every value those reads compared (see the interface). *)
+let session_witness s = s.s_witness
 
 (** One round, keeping the half that covers more. *)
 let session_round s ~remaining =

@@ -92,6 +92,15 @@ type split = {
     same half everywhere, reproducing the unsharded choice. *)
 val session_round_split : 'a session -> remaining:Bitset.t -> split
 
+(** The session's budget witness: the largest final raw spend of any
+    group in any round so far and, in [`Hard] mode, the largest
+    [cost + spent] of any passing fit check. If every budget equals [B],
+    and [b <= B] satisfies [max (witness, max set cost) <= b - 1e-9],
+    the same rounds at uniform budget [b] are identical — same raw
+    orders, splits, covers and costs: no budget ever bound. The SCG grid
+    drivers reuse the top probe at every such [b]. *)
+val session_witness : 'a session -> float
+
 (** Number of elements the solution covers. *)
 val coverage : result -> int
 

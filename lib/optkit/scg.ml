@@ -16,6 +16,7 @@
 let c_solves = Wlan_obs.Counters.make "scg.solves"
 let c_rounds = Wlan_obs.Counters.make "scg.rounds"
 let c_grid_probes = Wlan_obs.Counters.make "scg.grid_probes"
+let c_grid_reuses = Wlan_obs.Counters.make "scg.grid_reuses"
 
 type result = {
   bstar : float;
@@ -40,8 +41,9 @@ let max_group_cost r = Array.fold_left Float.max 0. r.group_cost
     rounds run through one {!Mcg.session}, so set-score bounds persist
     across the shrinking remaining set (no per-round seed pass). [arena]
     backs each round's heap and candidate planes; it must not be shared
-    across pool domains. *)
-let solve_for ?(mode = `Soft) ?arena inst ~bstar ?universe () =
+    across pool domains. The run comes with its session's
+    {!Mcg.session_witness}. *)
+let solve_witnessed ?(mode = `Soft) ?arena inst ~bstar ?universe () =
   Wlan_obs.Counters.incr c_solves;
   let x0 =
     match universe with
@@ -67,12 +69,16 @@ let solve_for ?(mode = `Soft) ?arena inst ~bstar ?universe () =
        Bitset.diff_inplace remaining r.covered
      done
    with Exit -> ());
-  {
-    bstar;
-    rounds = List.rev !rounds;
-    feasible = Bitset.is_empty remaining;
-    group_cost;
-  }
+  ( {
+      bstar;
+      rounds = List.rev !rounds;
+      feasible = Bitset.is_empty remaining;
+      group_cost;
+    },
+    Mcg.session_witness session )
+
+let solve_for ?mode ?arena inst ~bstar ?universe () =
+  fst (solve_witnessed ?mode ?arena inst ~bstar ?universe ())
 
 (** Default grid of [B*] guesses: [n_guesses] points geometrically spaced
     between the smallest [B*] that can possibly be feasible and 1.
@@ -107,7 +113,8 @@ let grid_lo ?universe inst =
   Float.max (Float.min lo 1.) 1e-6
 
 let grid_points ?(n_guesses = 12) lo =
-  if lo >= 1. then [ 1. ]
+  if n_guesses < 1 then invalid_arg "Scg.grid_points: n_guesses < 1";
+  if lo >= 1. || n_guesses = 1 then [ 1. ]
   else
     List.init n_guesses (fun i ->
         let t = float_of_int i /. float_of_int (n_guesses - 1) in
@@ -116,8 +123,46 @@ let grid_points ?(n_guesses = 12) lo =
 let default_grid ?n_guesses ?universe inst =
   grid_points ?n_guesses (grid_lo ?universe inst)
 
+(** Exact B* probe reuse over a grid, for both grid drivers (this one
+    and the sharded lockstep probe). [probe b] runs the guess [b] and
+    returns its result with its {!Mcg.session_witness} (the max over the
+    driver's sessions). The largest guess [B_top] runs first, on its
+    own. With [bound = max witness max_cost], every guess
+    [b <= B_top] with [bound <= b - 1e-9] replays that run exactly — no
+    budget read can take another branch (see {!Mcg.session_witness}) —
+    and yields [reuse top b]; so do copies of [B_top]. The remaining
+    guesses go through [fanout]. Results come back in grid order. *)
+let reuse_grid ~fanout ~max_cost ~probe ~reuse grid =
+  match grid with
+  | [] -> []
+  | b0 :: _ ->
+      let b_top = List.fold_left Float.max b0 grid in
+      let top, witness = probe b_top in
+      let bound = Float.max witness max_cost in
+      let from_top b = b >= b_top || bound <= b -. 1e-9 in
+      let thunks =
+        List.filter_map
+          (fun b -> if from_top b then None else Some (fun () -> fst (probe b)))
+          grid
+      in
+      Wlan_obs.Counters.add c_grid_reuses
+        (List.length grid - 1 - List.length thunks);
+      let rec merge grid fresh =
+        match (grid, fresh) with
+        | [], _ -> []
+        | b :: grid, _ when from_top b -> reuse top b :: merge grid fresh
+        | _ :: grid, r :: fresh -> r :: merge grid fresh
+        | _ :: _, [] -> invalid_arg "Scg.reuse_grid: fanout lost a result"
+      in
+      merge grid (fanout thunks)
+
 (** Try the [B*] guesses of [grid] and return all feasible runs computed,
     best (smallest realized max group cost) first.
+
+    Guesses go through {!reuse_grid}: a reused guess is
+    [{ top with bstar }], sharing [top]'s rounds and cost arrays (nothing
+    downstream mutates a result), so each result is exactly {!solve_for}
+    at its guess and the ranking is unchanged.
 
     [fanout] evaluates the per-guess thunks; the default runs them
     sequentially in list order. Injecting a multicore evaluator (e.g.
@@ -126,62 +171,25 @@ let default_grid ?n_guesses ?universe inst =
     each guess's run is independent and this layer cannot depend on the
     harness, so the pool is passed in rather than created here.
 
-    [strategy] selects grid coverage:
-    - [`Exhaustive] (default): evaluate every grid point.
-    - [`Bisect]: exploit monotonicity of feasibility in [B*] (a larger
-      per-group budget never hurts the MCG rounds) to binary-search the
-      ascending grid for the smallest feasible guess — O(log |grid|)
-      evaluations. Only the runs actually evaluated are returned (always
-      including the smallest feasible guess), so a caller ranking by
-      {e realized} cost sees a subset of [`Exhaustive]'s candidates.
-      [fanout] is unused: each probe depends on the previous verdict.
-
     [arena] lets successive probes reuse their scratch planes — pass it
-    only with the default sequential [fanout] (or [`Bisect], which is
-    always sequential): an arena must never be shared across pool
-    domains. *)
-let solve_grid ?mode ?arena ?(strategy = `Exhaustive)
-    ?(fanout = List.map (fun f -> f ())) inst ?universe ~grid () =
-  let run bstar =
+    only with the default sequential [fanout]: an arena must never be
+    shared across pool domains. *)
+let solve_grid ?mode ?arena ?(fanout = List.map (fun f -> f ())) inst
+    ?universe ~grid () =
+  let probe bstar =
     Wlan_obs.Counters.incr c_grid_probes;
-    solve_for ?mode ?arena inst ~bstar ?universe ()
+    solve_witnessed ?mode ?arena inst ~bstar ?universe ()
   in
-  let results =
-    match strategy with
-    | `Exhaustive -> fanout (List.map (fun bstar () -> run bstar) grid)
-    | `Bisect ->
-        let arr = Array.of_list grid in
-        let n = Array.length arr in
-        let cache = Hashtbl.create 8 in
-        let eval i =
-          match Hashtbl.find_opt cache i with
-          | Some r -> r
-          | None ->
-              let r = run arr.(i) in
-              Hashtbl.replace cache i r;
-              r
-        in
-        if n = 0 then []
-        else begin
-          (if (eval (n - 1)).feasible then begin
-             let lo = ref 0 and hi = ref (n - 1) in
-             while !lo < !hi do
-               let mid = (!lo + !hi) / 2 in
-               if (eval mid).feasible then hi := mid else lo := mid + 1
-             done
-           end);
-          Hashtbl.fold (fun i r acc -> (i, r) :: acc) cache []
-          |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-          |> List.map snd
-        end
-  in
-  List.filter (fun r -> r.feasible) results
+  reuse_grid ~fanout ~max_cost:(Cover_instance.max_cost inst) ~probe
+    ~reuse:(fun top bstar -> { top with bstar })
+    grid
+  |> List.filter (fun r -> r.feasible)
   |> List.sort (fun a b -> Float.compare (max_group_cost a) (max_group_cost b))
 
 (** Best feasible solution over the default grid, if any. *)
-let solve ?mode ?arena ?strategy ?fanout ?n_guesses inst ?universe () =
+let solve ?mode ?arena ?fanout ?n_guesses inst ?universe () =
   match
-    solve_grid ?mode ?arena ?strategy ?fanout inst ?universe
+    solve_grid ?mode ?arena ?fanout inst ?universe
       ~grid:(default_grid ?n_guesses ?universe inst)
       ()
   with

@@ -47,30 +47,47 @@ val default_grid :
 val grid_lo : ?universe:Bitset.t -> 'a Cover_instance.t -> float
 
 (** The geometric guesses for a given lower end;
-    [default_grid = grid_points (grid_lo ...)]. *)
+    [default_grid = grid_points (grid_lo ...)]. One guess is [[1.]].
+    @raise Invalid_argument when [n_guesses < 1]. *)
 val grid_points : ?n_guesses:int -> float -> float list
 
-(** Feasible runs over [grid], smallest realized max group cost first.
+(** Exact B* probe reuse, shared by both grid drivers. [probe b] runs
+    guess [b] and returns its result with its {!Mcg.session_witness}
+    (the max over all of the driver's sessions). The largest guess
+    [B_top] runs first, on its own; every guess [b] with
+    [max (witness, max_cost) <= b - 1e-9], and every copy of [B_top],
+    yields [reuse top b] — [max_cost] must bound every set's cost, so
+    that no budget read could take another branch at [b]. The other
+    guesses go through [fanout] (which must return one result per thunk,
+    in submission order). Results come back in grid order; each reused
+    guess adds one to the [scg.grid_reuses] counter.
+    @raise Invalid_argument when [fanout] returns too few results. *)
+val reuse_grid :
+  fanout:((unit -> 'r) list -> 'r list) ->
+  max_cost:float ->
+  probe:(float -> 'r * float) ->
+  reuse:('r -> float -> 'r) ->
+  float list ->
+  'r list
 
-    [fanout] evaluates the per-guess thunks (default: sequentially, in
-    list order). An evaluator that preserves submission order — e.g.
-    [Harness.Pool.run pool] — parallelizes the grid with an identical
+(** Feasible runs over [grid], smallest realized max group cost first;
+    every run is exactly {!solve_for} at its guess.
+
+    Guesses go through {!reuse_grid} with the instance's max set cost; a
+    reused guess is [{ top with bstar = b }], sharing the top run's
+    rounds and cost arrays (results are never mutated). [fanout]
+    evaluates the other guesses (default: sequentially, in list order).
+    An evaluator that preserves submission order — e.g.
+    [Harness.Pool.run pool] — parallelizes them with an identical
     result; the pool is injected because this layer sits below the
-    harness.
-
-    [strategy]: [`Exhaustive] (default) evaluates every grid point;
-    [`Bisect] binary-searches the ascending grid for the smallest
-    feasible [B*] (feasibility is monotone in the budget), evaluating
-    O(log |grid|) points and returning only those runs ([fanout]
-    unused — probes are sequentially dependent).
+    harness. [scg.grid_probes] counts the guesses solved.
 
     [arena] lets successive probes reuse scratch planes — only pass one
-    with the default sequential [fanout] (or [`Bisect]): arenas must not
-    cross pool domains. *)
+    with the default sequential [fanout]: arenas must not cross pool
+    domains. *)
 val solve_grid :
   ?mode:[ `Soft | `Hard ] ->
   ?arena:Arena.t ->
-  ?strategy:[ `Exhaustive | `Bisect ] ->
   ?fanout:((unit -> result) list -> result list) ->
   'a Cover_instance.t ->
   ?universe:Bitset.t ->
@@ -82,7 +99,6 @@ val solve_grid :
 val solve :
   ?mode:[ `Soft | `Hard ] ->
   ?arena:Arena.t ->
-  ?strategy:[ `Exhaustive | `Bisect ] ->
   ?fanout:((unit -> result) list -> result list) ->
   ?n_guesses:int ->
   'a Cover_instance.t ->

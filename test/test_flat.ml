@@ -453,6 +453,109 @@ let qcheck_sharded_bla_wide =
     QCheck.(int_range 0 10_000)
     (sharded_bla_matches ~wide:true)
 
+(* Centralized BLA with no B* probe reuse: every guess of the default
+   grid solved from scratch, ranked as [Bla.run] ranks (summed-cover
+   bound, stable on ties, then a strict 1e-12 realized-load
+   improvement). Both grid drivers must match it. *)
+let exhaustive_bla ~mode ~n_guesses p =
+  let inst = Reduction.cover_instance p in
+  let universe = Reduction.coverable_users p in
+  let runs =
+    Optkit.Scg.default_grid ~n_guesses ~universe inst
+    |> List.map (fun bstar -> Optkit.Scg.solve_for ~mode inst ~bstar ~universe ())
+    |> List.filter (fun (r : Optkit.Scg.result) -> r.Optkit.Scg.feasible)
+    |> List.stable_sort (fun a b ->
+           Float.compare (Optkit.Scg.max_group_cost a)
+             (Optkit.Scg.max_group_cost b))
+  in
+  let solution r =
+    Reduction.association_of_selections p inst
+      (List.map
+         (fun (s : Optkit.Mcg.selection) -> (s.set, s.newly))
+         (Optkit.Scg.selections r))
+    |> Solution.make ~algorithm:Bla.name p
+  in
+  match List.map solution runs with
+  | [] -> None
+  | first :: rest ->
+      Some
+        (List.fold_left
+           (fun (best : Solution.t) (s : Solution.t) ->
+             if s.max_load < best.max_load -. 1e-12 then s else best)
+           first rest)
+
+let check_optional label a b =
+  match (a, b) with
+  | None, None -> ()
+  | Some a, Some b -> check_solutions label a b
+  | Some _, None -> Alcotest.failf "%s: feasible, the oracle is not" label
+  | None, Some _ -> Alcotest.failf "%s: infeasible, the oracle is not" label
+
+let grid_drivers_match_oracle ~wide (seed, n_guesses) =
+  let _, pd, ps = case ~wide ~seed () in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun mode ->
+          check_optional "BLA" (Bla.run ~mode ~n_guesses p)
+            (exhaustive_bla ~mode ~n_guesses p))
+        [ `Soft; `Hard ];
+      check_optional "sharded BLA"
+        (Shard.solve_bla ~n_guesses p)
+        (exhaustive_bla ~mode:`Soft ~n_guesses p))
+    [ pd; ps ];
+  true
+
+let arb_seed_guesses =
+  QCheck.(pair (int_range 0 10_000) (oneofl [ 1; 2; 3; 6; 12; 24 ]))
+
+let qcheck_grid_reuse =
+  QCheck.Test.make ~name:"BLA grid drivers with probe reuse = exhaustive grid"
+    ~count:25 arb_seed_guesses
+    (grid_drivers_match_oracle ~wide:false)
+
+let qcheck_grid_reuse_wide =
+  QCheck.Test.make
+    ~name:"BLA grid drivers with probe reuse = exhaustive grid (multi-shard)"
+    ~count:25 arb_seed_guesses
+    (grid_drivers_match_oracle ~wide:true)
+
+(* On paper-scale instances most of the grid's upper guesses reuse the
+   top probe; the reused answers still equal the exhaustive grid, and a
+   single guess is B* = 1 (it used to be a NaN grid, infeasible). *)
+let test_grid_reuse_paper_scale () =
+  let problems =
+    Scenario_gen.problems ~seed:15 ~n:2
+      { Scenario_gen.paper_default with n_aps = 50; n_users = 100 }
+  in
+  let reuses = Wlan_obs.Counters.make "scg.grid_reuses" in
+  Wlan_obs.Counters.reset ();
+  Wlan_obs.Counters.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Wlan_obs.Counters.set_enabled false)
+    (fun () ->
+      List.iter
+        (fun p ->
+          List.iter
+            (fun n_guesses ->
+              check_optional
+                (Fmt.str "BLA n_guesses=%d" n_guesses)
+                (Bla.run ~n_guesses p)
+                (exhaustive_bla ~mode:`Soft ~n_guesses p);
+              check_optional
+                (Fmt.str "sharded BLA n_guesses=%d" n_guesses)
+                (Shard.solve_bla ~n_guesses p)
+                (exhaustive_bla ~mode:`Soft ~n_guesses p))
+            [ 1; 2; 12 ];
+          if Option.is_none (Bla.run ~n_guesses:1 p) then
+            Alcotest.fail "one guess (B* = 1) is infeasible")
+        problems);
+  if Wlan_obs.Counters.value reuses = 0 then
+    Alcotest.fail "no grid guess reused the top probe";
+  Alcotest.check_raises "no guess"
+    (Invalid_argument "Scg.grid_points: n_guesses < 1") (fun () ->
+      ignore (Bla.run ~n_guesses:0 (List.hd problems)))
+
 (* fig9a-size sharded centralized solves across pool domains. *)
 let test_sharded_centralized_fig9a_jobs () =
   let sc =
@@ -525,6 +628,8 @@ let qcheck_cases =
       qcheck_sharded_mnu_wide;
       qcheck_sharded_bla;
       qcheck_sharded_bla_wide;
+      qcheck_grid_reuse;
+      qcheck_grid_reuse_wide;
     ]
 
 let () =
@@ -535,6 +640,7 @@ let () =
       ( "sharded-centralized",
         [
           tc "fig9a scale, jobs 1/2/4" test_sharded_centralized_fig9a_jobs;
+          tc "paper scale B* probe reuse" test_grid_reuse_paper_scale;
           tc "city MNU golden, j1 = j4" test_city_mnu_golden;
         ] );
     ]

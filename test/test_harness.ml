@@ -286,11 +286,11 @@ let qcheck_repro_fig11 =
   qcheck_repro "fig11 bit-identical under jobs 1/2/4 and reruns"
     Experiments.fig11
 
-(* The figure golden: the centralized-vs-distributed series of fig9a,
-   fig10a and fig11 at 2 scenarios/point, every summary rendered at full
-   precision (%h), equal at jobs 1 and 2 and pinned to the committed
-   digest. Any change to a centralized solver's selections moves it. *)
-let figs_small_digest ~jobs =
+(* The figure goldens: every summary of the given drivers at 2
+   scenarios/point, rendered at full precision (%h), equal at jobs 1 and
+   2 and pinned to a committed digest. Any change to a centralized
+   solver's selections moves them. *)
+let figs_digest drivers ~jobs =
   let cfg = { (repro_cfg 2007) with jobs } in
   let buf = Buffer.create 4096 in
   List.iter
@@ -305,19 +305,33 @@ let figs_small_digest ~jobs =
                    v.Stats.mean v.Stats.min v.Stats.max v.Stats.n))
             p.Series.values)
         fig.Series.points)
-    [ Experiments.fig9a; Experiments.fig10a; Experiments.fig11 ];
+    drivers;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let test_figs_small_golden () =
-  let d1 = figs_small_digest ~jobs:1 in
-  Alcotest.(check string) "j1 = j2" d1 (figs_small_digest ~jobs:2);
-  match
-    In_channel.with_open_text "golden/figs_small.digest" In_channel.input_line
-  with
+let check_figs_golden file drivers () =
+  let d1 = figs_digest drivers ~jobs:1 in
+  Alcotest.(check string) "j1 = j2" d1 (figs_digest drivers ~jobs:2);
+  match In_channel.with_open_text ("golden/" ^ file) In_channel.input_line with
   | Some golden ->
       Alcotest.(check string) "matches committed golden" (String.trim golden) d1
   | None | (exception Sys_error _) ->
-      Alcotest.failf "golden/figs_small.digest missing; computed %s" d1
+      Alcotest.failf "golden/%s missing; computed %s" file d1
+
+(* the centralized-vs-distributed series of fig9a, fig10a and fig11 *)
+let test_figs_small_golden =
+  check_figs_golden "figs_small.digest"
+    [ Experiments.fig9a; Experiments.fig10a; Experiments.fig11 ]
+
+(* every other figure that runs centralized BLA: both B* grid drivers'
+   callers at several grid sizes and both MCG modes *)
+let test_bla_figs_golden =
+  check_figs_golden "bla_figs.digest"
+    [
+      Experiments.fig10b;
+      Experiments.fig10c;
+      Experiments.ablate_bla_mode;
+      Experiments.ablate_bstar;
+    ]
 
 let qcheck_stats =
   QCheck.Test.make ~name:"summarize bounds: min <= mean <= max" ~count:200
@@ -464,6 +478,8 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_repro_fig9a;
           QCheck_alcotest.to_alcotest qcheck_repro_fig11;
           tc "fig9a/10a/11 golden, j1 = j2" test_figs_small_golden;
+          tc "fig10b/10c/ablate-bla-mode/ablate-bstar golden, j1 = j2"
+            test_bla_figs_golden;
         ] );
       ( "figure shapes",
         [

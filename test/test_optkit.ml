@@ -699,6 +699,22 @@ let test_scg_max_rounds_bound () =
   Alcotest.(check int) "log_{8/7} 100 + 1" 36 (Scg.max_rounds_for 100);
   Alcotest.(check int) "n=1" 1 (Scg.max_rounds_for 1)
 
+let test_scg_grid_points () =
+  Alcotest.(check (list (float 0.))) "one guess" [ 1. ]
+    (Scg.grid_points ~n_guesses:1 0.3);
+  Alcotest.(check (list (float 0.))) "two guesses" [ 0.25; 1. ]
+    (Scg.grid_points ~n_guesses:2 0.25);
+  Alcotest.check_raises "no guess"
+    (Invalid_argument "Scg.grid_points: n_guesses < 1") (fun () ->
+      ignore (Scg.grid_points ~n_guesses:0 0.3));
+  for n_guesses = 1 to 24 do
+    List.iter
+      (fun b ->
+        if Float.is_nan b || b <= 0. || b > 1. then
+          Alcotest.failf "n_guesses=%d: guess %h outside (0, 1]" n_guesses b)
+      (Scg.grid_points ~n_guesses 0.01)
+  done
+
 let prop_scg_selections_disjoint_and_cover =
   QCheck.Test.make ~name:"SCG rounds attribute disjointly" ~count:100
     arb_grouped (fun (n, _, sets, _) ->
@@ -876,32 +892,6 @@ let prop_scg_fanout_order_independent =
       List.length seq = List.length rev
       && List.for_all2 same_scg_result seq rev)
 
-(* `Bisect exploits feasibility monotonicity in B*: it must land on the
-   same smallest feasible grid point as the exhaustive sweep, and every
-   run it returns must be identical to the exhaustive run at that B*. *)
-let prop_scg_bisect_agrees_with_exhaustive =
-  QCheck.Test.make ~name:"SCG bisect finds the exhaustive minimum B*"
-    ~count:100 arb_grouped (fun (n, _, sets, _) ->
-      QCheck.assume (sets <> []);
-      let sets = (List.init n Fun.id, 1.0, 0) :: sets in
-      let inst = mk_grouped ~n sets in
-      let grid = Scg.default_grid ~n_guesses:6 inst in
-      let exh = Scg.solve_grid ~strategy:`Exhaustive inst ~grid () in
-      let bis = Scg.solve_grid ~strategy:`Bisect inst ~grid () in
-      let min_bstar rs =
-        List.fold_left
-          (fun acc (r : Scg.result) ->
-            match acc with
-            | None -> Some r.Scg.bstar
-            | Some b -> Some (Float.min b r.Scg.bstar))
-          None rs
-      in
-      min_bstar exh = min_bstar bis
-      && List.for_all
-           (fun (b : Scg.result) ->
-             List.exists (fun e -> same_scg_result b e) exh)
-           bis)
-
 let same_scg_rounds (a : Scg.result) (b : Scg.result) =
   List.length a.Scg.rounds = List.length b.Scg.rounds
   && List.for_all2
@@ -954,6 +944,146 @@ let prop_scg_session_eq_eager =
           same_scg_result lz eg && same_scg_rounds lz eg
           && same_scg_result lz' eg && same_scg_rounds lz' eg)
         grid)
+
+(* The witness of a from-scratch [solve_for] session at [bstar]: the
+   same rounds replayed on a visible session. *)
+let session_witness_at ~mode inst ~bstar =
+  let session =
+    Mcg.session ~mode inst
+      ~budgets:(Array.make (Cover_instance.n_groups inst) bstar)
+  in
+  let remaining = Cover_instance.coverable inst in
+  let rec go k =
+    if k > 0 && not (Bitset.is_empty remaining) then begin
+      let r = Mcg.session_round session ~remaining in
+      if not (Bitset.is_empty r.Mcg.covered) then begin
+        Bitset.diff_inplace remaining r.Mcg.covered;
+        go (k - 1)
+      end
+    end
+  in
+  go (Scg.max_rounds_for (Bitset.cardinal remaining));
+  Mcg.session_witness session
+
+(* [solve_grid] with no probe reuse: every guess solved from scratch,
+   feasible runs ranked exactly as the driver ranks them. *)
+let exhaustive_grid ~mode inst grid =
+  List.map (fun bstar -> Scg.solve_for ~mode inst ~bstar ()) grid
+  |> List.filter (fun (r : Scg.result) -> r.Scg.feasible)
+  |> List.stable_sort (fun a b ->
+         Float.compare (Scg.max_group_cost a) (Scg.max_group_cost b))
+
+let same_grid_results a b =
+  List.length a = List.length b
+  && List.for_all2 (fun x y -> same_scg_result x y && same_scg_rounds x y) a b
+
+(* B* probe reuse is exact: on grids whose points straddle every set
+   cost and the top probe's reuse bound (max of witness and max cost) by
+   a few ulps to a few margins, repeat points and sometimes sit above
+   1, [solve_grid] returns exactly the from-scratch runs, every field
+   compared, in both modes. Scaling the costs down moves the bound below
+   most of the default grid, so most guesses are reused. *)
+let prop_scg_grid_reuse_exact =
+  QCheck.Test.make ~name:"SCG grid with probe reuse = from-scratch grid"
+    ~count:300
+    (QCheck.quad arb_grouped QCheck.bool QCheck.bool
+       (QCheck.oneofl [ 0.05; 0.3; 1.0 ]))
+    (fun ((n, _, sets, _), hard, above_one, scale) ->
+      QCheck.assume (sets <> []);
+      let sets =
+        List.map (fun (m, c, g) -> (m, c *. scale, g))
+          ((List.init n Fun.id, 1.0, 0) :: sets)
+      in
+      let inst = mk_grouped ~n sets in
+      let mode = if hard then `Hard else `Soft in
+      let base = Scg.default_grid ~n_guesses:6 inst in
+      let b_top = if above_one then 1.5 else 1.0 in
+      let bound =
+        Float.max
+          (session_witness_at ~mode inst ~bstar:b_top)
+          (Cover_instance.max_cost inst)
+      in
+      let straddle x =
+        [ x -. 1e-12; x; x +. 1e-12; x +. 0.5e-9; x +. 1e-9; x +. 2e-9 ]
+      in
+      let costs =
+        List.init (Cover_instance.n_sets inst) (Cover_instance.cost inst)
+      in
+      let grid =
+        List.filter
+          (fun b -> b > 0. && b <= b_top)
+          ((b_top :: base) @ straddle bound
+          @ List.concat_map straddle costs
+          @ [ b_top; List.hd base ])
+      in
+      same_grid_results
+        (exhaustive_grid ~mode inst grid)
+        (Scg.solve_grid ~mode inst ~grid ()))
+
+(* Near-ties at the 1e-12 scale of MCG's tie-break: prio(S1) beats
+   prio(S2) by more than 1e-12, prio(S0) sits within 1e-12 of both, and
+   the less-loaded-group rule lets S0 displace S1 but not S2. So whether
+   group 1 still competes decides the second pick: S0 when it does, S2
+   when it does not. *)
+let near_tie_costs ~gain =
+  ( gain /. (4. +. 0.8e-12) (* S0, group 0 *),
+    gain /. (4. +. 1.5e-12) (* S1, group 1 *) )
+
+let check_grid_exact label ~mode inst grid =
+  if
+    not
+      (same_grid_results
+         (exhaustive_grid ~mode inst grid)
+         (Scg.solve_grid ~mode inst ~grid ()))
+  then Alcotest.failf "%s: reused probe differs from a fresh solve" label
+
+(* Group 1 first picks A1 (six elements), then S0, S1 and S2 compete
+   for the last two. *)
+let near_tie_instance ~a1_cost =
+  let c0, c1 = near_tie_costs ~gain:2. in
+  mk_grouped ~n:8
+    [
+      ([ 6; 7 ], c0, 0);
+      ([ 0; 1; 2; 3; 4; 5 ], a1_cost, 1);
+      ([ 6; 7 ], c1, 1);
+      ([ 6; 7 ], 0.5, 2);
+    ]
+
+(* A1 costs the whole reuse bound (it is the max cost). At B* = 2 group
+   1 stays eligible and S0 wins the second pick; at B* = 1 it is
+   exhausted and S2 wins — a guess at the bound itself must not reuse
+   the top probe (the 1e-9 margin). *)
+let test_scg_reuse_margin () =
+  let inst = near_tie_instance ~a1_cost:1.0 in
+  check_grid_exact "guess at the bound" ~mode:`Soft inst [ 1.0; 2.0 ];
+  check_grid_exact "guesses around the bound" ~mode:`Soft inst
+    [ 1.0 -. 1e-12; 1.0 +. 1e-12; 1.0 +. 2e-9; 2.0 ]
+
+(* In [`Hard] mode S1 passes its fit check at B* = 2 (0.6 + 0.5 <= 2)
+   but is never picked, so no spend exceeds 0.6; at B* = 0.7 it no
+   longer fits, group 1 offers no candidate and S2 wins. The passing
+   fit check must count in the witness. *)
+let test_scg_reuse_fit_witness () =
+  let inst = near_tie_instance ~a1_cost:0.6 in
+  check_grid_exact "unfit candidate" ~mode:`Hard inst [ 0.7; 2.0 ]
+
+(* S1 (cost ~1) is never picked at B* = 2, so no spend reaches it (the
+   witness is A1's 0.6), yet as group 1's candidate it lets S0 win the
+   second pick. At B* = 0.7 it is inadmissible and S2 wins: reuse must
+   also wait for the largest set cost (the max-cost guard). *)
+let test_scg_reuse_max_cost_guard () =
+  let c0, c1 = near_tie_costs ~gain:4. in
+  let inst =
+    mk_grouped ~n:10
+      [
+        ([ 6; 7 ], c0 /. 2., 0);
+        ([ 0; 1; 2; 3; 4; 5 ], 0.6, 1);
+        ([ 6; 7; 8; 9 ], c1, 1);
+        ([ 6; 7 ], 0.5, 2);
+        ([ 8; 9 ], 0.5, 2);
+      ]
+  in
+  check_grid_exact "inadmissible candidate" ~mode:`Soft inst [ 0.7; 2.0 ]
 
 (* The sharded drivers take both halves from [session_round_split]; the
    heavier half must be exactly what [session_round] keeps, round after
@@ -1113,7 +1243,7 @@ let qcheck_cases =
       prop_scg_selections_disjoint_and_cover;
       prop_mcg_greedy_eq_eager;
       prop_scg_fanout_order_independent;
-      prop_scg_bisect_agrees_with_exhaustive;
+      prop_scg_grid_reuse_exact;
       prop_scg_session_eq_eager;
       prop_session_split_matches_round;
       prop_arena_never_changes_results;
@@ -1169,6 +1299,10 @@ let () =
           tc "feasible run" test_scg_feasible_run;
           tc "infeasible" test_scg_infeasible;
           tc "round bound" test_scg_max_rounds_bound;
+          tc "grid points" test_scg_grid_points;
+          tc "reuse needs the margin" test_scg_reuse_margin;
+          tc "reuse needs the max-cost guard" test_scg_reuse_max_cost_guard;
+          tc "reuse needs the fit witness" test_scg_reuse_fit_witness;
         ] );
       ( "subset_sum",
         [
