@@ -37,6 +37,13 @@ let c_plans = Wlan_obs.Counters.make "shard.plans"
 let c_components = Wlan_obs.Counters.make "shard.components"
 let c_halo_reconciles = Wlan_obs.Counters.make "shard.halo_reconciles"
 
+(* Sharded BLA's B* probes: each probe evaluated is one SCG solve (the
+   grid driver counts it in [scg.grid_probes]); [scg.shard_reuses] counts
+   the (probe, shard) pairs that replayed the top run instead of solving.
+   Both are functions of the instance and the grid alone. *)
+let c_scg_solves = Wlan_obs.Counters.make "scg.solves"
+let c_shard_reuses = Wlan_obs.Counters.make "scg.shard_reuses"
+
 type shard = {
   id : int;  (** dense shard index, ascending by smallest AP index *)
   aps : int array;  (** global AP indices, ascending *)
@@ -174,23 +181,11 @@ let plan_geometric ~ap_pos ~interaction_radius p =
     densely (order-preserving, so every iteration the solvers perform
     happens in the same relative order as in the full instance), the
     {e full} session table (so per-session load sums use identical float
-    expressions), and the shard's slice of any per-AP budgets. Always
-    sparse — built from candidate lists, the dense matrix is never
-    allocated. *)
+    expressions), and the shard's slice of any per-AP budgets. The links
+    are a direct slice of the parent's CSR planes ({!Sparse.restrict});
+    the dense matrix is never allocated. *)
 let extract p sh =
-  let n_aps, _ = Problem.dims p in
-  let ap_local = Array.make n_aps (-1) in
-  Array.iteri (fun la a -> ap_local.(a) <- la) sh.aps;
-  let links =
-    Array.map
-      (fun u ->
-        let acc = ref [] in
-        Problem.iter_candidates p u (fun a r sg ->
-            acc := (ap_local.(a), r, sg) :: !acc);
-        List.rev !acc)
-      sh.users
-  in
-  let sparse = Sparse.make ~n_aps:(Array.length sh.aps) ~links in
+  let sparse = Sparse.restrict p.Problem.links ~aps:sh.aps ~users:sh.users in
   let user_session = Array.map (Problem.user_session p) sh.users in
   let ap_budgets =
     Option.map
@@ -324,20 +319,39 @@ let solve_mnu ?plan:pl ?(fanout = List.map (fun f -> f ())) p =
     pl.shards parts;
   Solution.make ~algorithm:mnu_sharded_name p assoc
 
+(* What a probe keeps of one shard's run, for per-shard reuse at the
+   lower guesses (DESIGN.md §4.5): its reuse bound ({!Optkit.Scg.replays}),
+   whether its remaining set emptied, and the splits of the rounds that
+   kept H1, in order. Only the top probe's is read; immutable, so probes
+   on other domains share it read-only. *)
+type shard_run = {
+  bound : float;
+  emptied : bool;
+  kept_h1 : Optkit.Mcg.split list;
+}
+
+(* Where a probe takes a shard's splits from: its own session, or the
+   top run (its reuse bound and the kept-H1 splits still to replay). *)
+type 'a source =
+  | Solve of 'a Optkit.Mcg.session
+  | Replay of float * Optkit.Mcg.split list
+
 (** [solve_bla p] — sharded Centralized BLA. The [B*] grid is the global
     one ({!Optkit.Scg.grid_lo} decomposes as a max over shards); each
-    probe runs every shard's SCG rounds in lockstep through per-shard
-    {!Optkit.Mcg.session}s, making the per-round H1/H2 decision on the
-    summed weights, and is feasible when every shard's remaining set
-    empties within the global round cap. Feasible probes are ranked
-    exactly as [Bla.run]: smallest summed-cover bound first, then the
-    smallest {e realized} max AP load wins. [fanout] evaluates the
-    per-probe thunks (submission order, as everywhere). The largest
-    guess probes first; every guess at which no shard's budget could
-    bind reuses it exactly ({!Optkit.Scg.reuse_grid}, on the witness and
-    max set cost over all shards: the H1/H2 decision stays global, and
-    with nothing overshooting [H2] is empty in every shard). [None] when
-    no [B* <= 1] is feasible. *)
+    probe runs every shard's SCG rounds in lockstep, making the
+    per-round H1/H2 decision on the summed weights, and is feasible when
+    every shard's remaining set empties within the global round cap.
+    Feasible probes are ranked exactly as [Bla.run]: smallest
+    summed-cover bound first, then the smallest {e realized} max AP load
+    wins. [fanout] evaluates the per-probe thunks (submission order, as
+    everywhere). The largest guess probes first; a guess at which no
+    shard's budget could bind reuses it whole ({!Optkit.Scg.reuse_grid},
+    on the witness and max set cost over all shards). At the other
+    guesses, a shard that emptied at the top and whose own witness and
+    max set cost clear the guess by 1e-9 opens no session: it replays
+    its top kept-H1 splits, one per H1 round — the splits a fresh
+    session would return (DESIGN.md §4.5). Only the binding shards
+    re-solve. [None] when no [B* <= 1] is feasible. *)
 let solve_bla ?plan:pl ?(n_guesses = 12) ?(fanout = List.map (fun f -> f ()))
     p =
   let pl = match pl with Some x -> x | None -> plan p in
@@ -366,22 +380,39 @@ let solve_bla ?plan:pl ?(n_guesses = 12) ?(fanout = List.map (fun f -> f ()))
       0 subs
   in
   let k = Optkit.Scg.max_rounds_for n_total in
+  let max_costs =
+    Array.map (fun (_, _, inst, _) -> Optkit.Cover_instance.max_cost inst) subs
+  in
   (* one lockstep probe at a fixed B*: per-shard sessions persist score
      bounds across rounds; the arena is probe-local, so probes are safe
      to fan out across domains *)
-  let probe bstar =
+  let probe top bstar =
+    Wlan_obs.Counters.incr c_scg_solves;
     let arena = Optkit.Arena.create () in
-    let sessions =
-      Array.map
-        (fun (_, _, inst, _) ->
-          Optkit.Mcg.session ~arena inst
-            ~budgets:(Array.make (Optkit.Cover_instance.n_groups inst) bstar))
+    let reusable (t : shard_run) =
+      t.emptied && Optkit.Scg.replays ~bound:t.bound bstar
+    in
+    let sources =
+      Array.mapi
+        (fun i (_, _, inst, _) ->
+          match top with
+          | Some t when reusable t.(i) -> Replay (t.(i).bound, t.(i).kept_h1)
+          | _ ->
+              Solve
+                (Optkit.Mcg.session ~arena inst
+                   ~budgets:
+                     (Array.make (Optkit.Cover_instance.n_groups inst) bstar)))
         subs
     in
+    Wlan_obs.Counters.add c_shard_reuses
+      (Array.fold_left
+         (fun acc -> function Replay _ -> acc + 1 | Solve _ -> acc)
+         0 sources);
     let remaining =
       Array.map (fun (_, _, _, u) -> Optkit.Bitset.copy u) subs
     in
     let sels = Array.make ns [] (* selection lists per shard, reversed *) in
+    let kept_h1 = Array.make ns [] (* kept-H1 splits per shard, reversed *) in
     let group_cost =
       Array.map
         (fun (_, _, inst, _) ->
@@ -396,13 +427,16 @@ let solve_bla ?plan:pl ?(n_guesses = 12) ?(fanout = List.map (fun f -> f ()))
          if all_covered () then raise Exit;
          let splits =
            Array.mapi
-             (fun i session ->
+             (fun i source ->
                if Optkit.Bitset.is_empty remaining.(i) then None
                else
-                 Some
-                   (Optkit.Mcg.session_round_split session
-                      ~remaining:remaining.(i)))
-             sessions
+                 match source with
+                 | Solve session ->
+                     Some
+                       (Optkit.Mcg.session_round_split session
+                          ~remaining:remaining.(i))
+                 | Replay (_, pending) -> Some (List.hd pending))
+             sources
          in
          let w1 = ref 0. and w2 = ref 0. in
          Array.iter
@@ -440,7 +474,16 @@ let solve_bla ?plan:pl ?(n_guesses = 12) ?(fanout = List.map (fun f -> f ()))
                        +. Optkit.Cover_instance.cost inst s.set;
                      sels.(i) <- s :: sels.(i))
                    half;
-                 Optkit.Bitset.diff_inplace remaining.(i) cov)
+                 Optkit.Bitset.diff_inplace remaining.(i) cov;
+                 (* a replayed shard's H2 is empty: only H1 rounds move
+                    it on to its next split *)
+                 if keep_h1 then begin
+                   kept_h1.(i) <- sp :: kept_h1.(i);
+                   match sources.(i) with
+                   | Replay (b, pending) ->
+                       sources.(i) <- Replay (b, List.tl pending)
+                   | Solve _ -> ()
+                 end)
            splits
        done
      with Exit -> ());
@@ -467,23 +510,28 @@ let solve_bla ?plan:pl ?(n_guesses = 12) ?(fanout = List.map (fun f -> f ()))
                 assoc.(sh.users.(lu)) <- sh.aps.(la))
             local)
         sels;
-    let witness =
-      Array.fold_left
-        (fun acc session -> Float.max acc (Optkit.Mcg.session_witness session))
-        0. sessions
+    let record =
+      Array.mapi
+        (fun i source ->
+          {
+            bound =
+              (match source with
+              | Solve session ->
+                  Float.max (Optkit.Mcg.session_witness session) max_costs.(i)
+              | Replay (b, _) -> b);
+            emptied = Optkit.Bitset.is_empty remaining.(i);
+            kept_h1 = List.rev kept_h1.(i);
+          })
+        sources
     in
-    ((feasible, max_gc, assoc), witness)
-  in
-  let max_cost =
-    Array.fold_left
-      (fun acc (_, _, inst, _) ->
-        Float.max acc (Optkit.Cover_instance.max_cost inst))
-      0. subs
+    ((feasible, max_gc, assoc), record)
   in
   (* a reused probe shares the top probe's association: only the
      winner's becomes a returned solution *)
   let results =
-    Optkit.Scg.reuse_grid ~fanout ~max_cost ~probe
+    Optkit.Scg.reuse_grid ~fanout
+      ~bound:(Array.fold_left (fun acc t -> Float.max acc t.bound) 0.)
+      ~probe
       ~reuse:(fun top _ -> top)
       grid
   in

@@ -41,7 +41,9 @@ val plan_geometric :
 
 (** The sub-instance a shard solves: shard APs/users reindexed densely
     (order-preserving), the full session table, sliced per-AP budgets.
-    Always sparse — the dense matrix is never allocated. *)
+    The links are a direct slice of the parent's CSR planes
+    ({!Wlan_model.Sparse.restrict}; lost links dropped), validated like
+    any built instance — the dense matrix is never allocated. *)
 val extract : Problem.t -> shard -> Problem.t
 
 type result = {
@@ -97,10 +99,17 @@ val solve_mnu :
 (** Sharded Centralized BLA (Fig. 6): the global [B*] grid's probes run
     every shard's SCG rounds in lockstep through {!Optkit.Mcg.session}s,
     then feasible probes are ranked exactly as [Bla.run] (summed-cover
-    bound, then realized max load). [fanout] evaluates the per-probe
-    thunks (each yields feasibility, the probe's max summed group cost,
-    and its merged association). [None] when no [B* <= 1] is
-    feasible. *)
+    bound, then realized max load). The largest guess probes first
+    ({!Optkit.Scg.reuse_grid}); at a lower guess, a shard that emptied
+    in that run and whose own budget witness and max set cost clear the
+    guess by 1e-9 opens no session and replays its recorded kept-H1
+    splits — only the binding shards re-solve, and the result is the
+    from-scratch probe's (DESIGN.md §4.5). [fanout] evaluates the
+    per-probe thunks (each yields feasibility, the probe's max summed
+    group cost, and its merged association); they share the top run's
+    record read-only. Counts [scg.grid_probes] and [scg.solves] per
+    probe and [scg.shard_reuses] per replayed shard. [None] when no
+    [B* <= 1] is feasible. *)
 val solve_bla :
   ?plan:plan ->
   ?n_guesses:int ->

@@ -123,28 +123,37 @@ let grid_points ?(n_guesses = 12) lo =
 let default_grid ?n_guesses ?universe inst =
   grid_points ?n_guesses (grid_lo ?universe inst)
 
+(** A run whose {e reuse bound} — its {!Mcg.session_witness} joined
+    with every set cost — is [bound] replays exactly at any uniform
+    budget [b] with [bound <= b - 1e-9]: no budget read can take another
+    branch there (see {!Mcg.session_witness}). *)
+let replays ~bound b = bound <= b -. 1e-9
+
 (** Exact B* probe reuse over a grid, for both grid drivers (this one
-    and the sharded lockstep probe). [probe b] runs the guess [b] and
-    returns its result with its {!Mcg.session_witness} (the max over the
-    driver's sessions). The largest guess [B_top] runs first, on its
-    own. With [bound = max witness max_cost], every guess
-    [b <= B_top] with [bound <= b - 1e-9] replays that run exactly — no
-    budget read can take another branch (see {!Mcg.session_witness}) —
-    and yields [reuse top b]; so do copies of [B_top]. The remaining
-    guesses go through [fanout]. Results come back in grid order. *)
-let reuse_grid ~fanout ~max_cost ~probe ~reuse grid =
+    and the sharded lockstep probe). [probe top b] runs the guess [b] and
+    returns its result with a record [w] of the run; [bound w] is the
+    run's reuse bound over all of the driver's sessions (see
+    {!replays}). The largest guess [B_top] runs first, on its own, as
+    [probe None B_top]; every guess [b] at which that run {!replays}, and
+    every copy of [B_top], yields [reuse top b]. The remaining guesses go
+    through [fanout] as [probe (Some w) b], sharing [w] read-only.
+    Results come back in grid order. *)
+let reuse_grid ~fanout ~bound ~probe ~reuse grid =
   match grid with
   | [] -> []
   | b0 :: _ ->
       let b_top = List.fold_left Float.max b0 grid in
-      let top, witness = probe b_top in
-      let bound = Float.max witness max_cost in
-      let from_top b = b >= b_top || bound <= b -. 1e-9 in
+      let top, w = probe None b_top in
+      let bound = bound w in
+      let from_top b = b >= b_top || replays ~bound b in
       let thunks =
         List.filter_map
-          (fun b -> if from_top b then None else Some (fun () -> fst (probe b)))
+          (fun b ->
+            if from_top b then None
+            else Some (fun () -> fst (probe (Some w) b)))
           grid
       in
+      Wlan_obs.Counters.add c_grid_probes (1 + List.length thunks);
       Wlan_obs.Counters.add c_grid_reuses
         (List.length grid - 1 - List.length thunks);
       let rec merge grid fresh =
@@ -176,12 +185,10 @@ let reuse_grid ~fanout ~max_cost ~probe ~reuse grid =
     shared across pool domains. *)
 let solve_grid ?mode ?arena ?(fanout = List.map (fun f -> f ())) inst
     ?universe ~grid () =
-  let probe bstar =
-    Wlan_obs.Counters.incr c_grid_probes;
-    solve_witnessed ?mode ?arena inst ~bstar ?universe ()
-  in
-  reuse_grid ~fanout ~max_cost:(Cover_instance.max_cost inst) ~probe
-    ~reuse:(fun top bstar -> { top with bstar })
+  let probe _ bstar = solve_witnessed ?mode ?arena inst ~bstar ?universe () in
+  reuse_grid ~fanout
+    ~bound:(Float.max (Cover_instance.max_cost inst))
+    ~probe ~reuse:(fun top bstar -> { top with bstar })
     grid
   |> List.filter (fun r -> r.feasible)
   |> List.sort (fun a b -> Float.compare (max_group_cost a) (max_group_cost b))

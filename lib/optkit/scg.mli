@@ -51,21 +51,29 @@ val grid_lo : ?universe:Bitset.t -> 'a Cover_instance.t -> float
     @raise Invalid_argument when [n_guesses < 1]. *)
 val grid_points : ?n_guesses:int -> float -> float list
 
-(** Exact B* probe reuse, shared by both grid drivers. [probe b] runs
-    guess [b] and returns its result with its {!Mcg.session_witness}
-    (the max over all of the driver's sessions). The largest guess
-    [B_top] runs first, on its own; every guess [b] with
-    [max (witness, max_cost) <= b - 1e-9], and every copy of [B_top],
-    yields [reuse top b] — [max_cost] must bound every set's cost, so
-    that no budget read could take another branch at [b]. The other
-    guesses go through [fanout] (which must return one result per thunk,
-    in submission order). Results come back in grid order; each reused
-    guess adds one to the [scg.grid_reuses] counter.
+(** [replays ~bound b]: a run whose reuse bound — its
+    {!Mcg.session_witness} joined with every set cost — is [bound]
+    replays exactly, bit for bit, at any uniform budget [b] with
+    [bound <= b - 1e-9]. The one reuse rule of both grid drivers. *)
+val replays : bound:float -> float -> bool
+
+(** Exact B* probe reuse, shared by both grid drivers. [probe top b]
+    runs guess [b] and returns its result with a record [w] of the run,
+    whose [bound w] is the run's reuse bound over all of the driver's
+    sessions (see {!replays}). The largest guess [B_top] runs first, on
+    its own, as [probe None B_top]; every guess [b] at which that run
+    {!replays}, and every copy of [B_top], yields [reuse top b]. The
+    other guesses go through [fanout] (which must return one result per
+    thunk, in submission order) as [probe (Some w) b]: the top record is
+    shared read-only, so a driver may reuse parts of the top run exactly
+    (the sharded driver's per-shard reuse). Results come back in grid
+    order; [scg.grid_probes] counts the guesses probed and
+    [scg.grid_reuses] the guesses reused.
     @raise Invalid_argument when [fanout] returns too few results. *)
 val reuse_grid :
   fanout:((unit -> 'r) list -> 'r list) ->
-  max_cost:float ->
-  probe:(float -> 'r * float) ->
+  bound:('w -> float) ->
+  probe:('w option -> float -> 'r * 'w) ->
   reuse:('r -> float -> 'r) ->
   float list ->
   'r list

@@ -181,8 +181,9 @@ let random ~rng ~n_aps ~n_users (cfg : gen_config) =
       | `Fail -> Ap_fail { ap = Random.State.int rng n_aps }
       | `Recover -> Ap_recover { ap = Random.State.int rng n_aps }
       | `Drift ->
-          let steps = Random.State.int rng 5 - 2 in
-          Drift { user = user (); steps = (if steps = 0 then -1 else steps) }
+          (* uniform over -2, -1, +1, +2: an unbiased walk *)
+          let k = Random.State.int rng 4 in
+          Drift { user = user (); steps = (if k < 2 then k - 2 else k - 1) }
       | `Burst ->
           let k = 1 + Random.State.int rng (Int.max 1 cfg.max_burst) in
           Burst { users = List.init k (fun _ -> user ()) }

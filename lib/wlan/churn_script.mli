@@ -75,7 +75,8 @@ val default_gen : gen_config
 
 (** [random ~rng ~n_aps ~n_users cfg] draws [cfg.n_events] weighted
     events from [rng] (PR-1 split discipline: give each run its own
-    state). Generated scripts may contain no-op events — the engine
+    state). Drift steps are uniform over [-2, -1, +1, +2], an unbiased
+    walk. Generated scripts may contain no-op events — the engine
     treats them as such, so every script is replayable. *)
 val random :
   rng:Random.State.t -> n_aps:int -> n_users:int -> gen_config -> t

@@ -99,43 +99,22 @@ let validate t =
   done;
   t
 
-(** [make ~n_aps ~links] builds the two mirrored CSR planes from per-user
-    candidate lists. [links.(u)] is user [u]'s list of
-    [(ap, rate, signal)], strictly ascending by AP index.
-    @raise Invalid_argument on unsorted lists or out-of-range indices. *)
-let make ~n_aps ~links =
+(* The one CSR assembly both builders share: given the candidate plane
+   (per-user slot ranges over ascending APs), mirror it into the member
+   plane, count the build, and validate. *)
+let assemble ~n_aps ~user_off ~cand_ap ~cand_rate ~cand_signal =
   Wlan_obs.Counters.incr c_builds;
-  let n_users = Array.length links in
-  let n = Array.fold_left (fun acc l -> acc + List.length l) 0 links in
+  let n_users = Array.length user_off - 1 in
+  let n = Array.length cand_ap in
   Wlan_obs.Counters.add c_candidate_list_len n;
-  let user_off = Array.make (n_users + 1) 0 in
-  let cand_ap = Array.make n 0 in
-  let cand_rate = Array.make n 0. in
-  let cand_signal = Array.make n 0. in
-  let ap_count = Array.make (Int.max n_aps 0) 0 in
-  let k = ref 0 in
-  Array.iteri
-    (fun u l ->
-      user_off.(u) <- !k;
-      List.iter
-        (fun (a, r, s) ->
-          if a < 0 || a >= n_aps then
-            Fmt.kstr invalid_arg "Sparse.make: unknown AP %d" a;
-          cand_ap.(!k) <- a;
-          cand_rate.(!k) <- r;
-          cand_signal.(!k) <- s;
-          ap_count.(a) <- ap_count.(a) + 1;
-          incr k)
-        l)
-    links;
-  user_off.(n_users) <- !k;
+  let ap_off = Array.make (n_aps + 1) 0 in
+  Array.iter (fun a -> ap_off.(a + 1) <- ap_off.(a + 1) + 1) cand_ap;
+  for a = 0 to n_aps - 1 do
+    ap_off.(a + 1) <- ap_off.(a) + ap_off.(a + 1)
+  done;
   (* member plane: one pass over users in ascending order fills every
      AP's member list in ascending user order *)
-  let ap_off = Array.make (n_aps + 1) 0 in
-  for a = 0 to n_aps - 1 do
-    ap_off.(a + 1) <- ap_off.(a) + ap_count.(a)
-  done;
-  let fill = Array.copy (Array.sub ap_off 0 (Int.max n_aps 1)) in
+  let fill = Array.sub ap_off 0 (Int.max n_aps 1) in
   let memb_user = Array.make n 0 in
   let memb_slot = Array.make n 0 in
   for u = 0 to n_users - 1 do
@@ -158,6 +137,76 @@ let make ~n_aps ~links =
       memb_user;
       memb_slot;
     }
+
+(** [make ~n_aps ~links] builds the two mirrored CSR planes from per-user
+    candidate lists. [links.(u)] is user [u]'s list of
+    [(ap, rate, signal)], strictly ascending by AP index.
+    @raise Invalid_argument on unsorted lists or out-of-range indices. *)
+let make ~n_aps ~links =
+  let n_users = Array.length links in
+  let n = Array.fold_left (fun acc l -> acc + List.length l) 0 links in
+  let user_off = Array.make (n_users + 1) 0 in
+  let cand_ap = Array.make n 0 in
+  let cand_rate = Array.make n 0. in
+  let cand_signal = Array.make n 0. in
+  let k = ref 0 in
+  Array.iteri
+    (fun u l ->
+      user_off.(u) <- !k;
+      List.iter
+        (fun (a, r, s) ->
+          if a < 0 || a >= n_aps then
+            Fmt.kstr invalid_arg "Sparse.make: unknown AP %d" a;
+          cand_ap.(!k) <- a;
+          cand_rate.(!k) <- r;
+          cand_signal.(!k) <- s;
+          incr k)
+        l)
+    links;
+  user_off.(n_users) <- !k;
+  assemble ~n_aps ~user_off ~cand_ap ~cand_rate ~cand_signal
+
+(** [restrict t ~aps ~users] slices the in-range links of [users] out of
+    [t]'s planes, reindexing [aps] and [users] densely in the given
+    order; lost slots are dropped. Equal, plane for plane, to {!make} on
+    the restricted candidate lists — without building them. *)
+let restrict t ~aps ~users =
+  let ap_local = Array.make t.n_aps (-1) in
+  Array.iteri (fun la a -> ap_local.(a) <- la) aps;
+  let n_users = Array.length users in
+  let user_off = Array.make (n_users + 1) 0 in
+  Array.iteri
+    (fun lu u ->
+      let d = ref 0 in
+      for i = t.user_off.(u) to t.user_off.(u + 1) - 1 do
+        if t.cand_rate.(i) > 0. then incr d
+      done;
+      user_off.(lu + 1) <- user_off.(lu) + !d)
+    users;
+  let n = user_off.(n_users) in
+  let cand_ap = Array.make n 0 in
+  let cand_rate = Array.make n 0. in
+  let cand_signal = Array.make n 0. in
+  Array.iteri
+    (fun lu u ->
+      let k = ref user_off.(lu) in
+      for i = t.user_off.(u) to t.user_off.(u + 1) - 1 do
+        let r = t.cand_rate.(i) in
+        if r > 0. then begin
+          let la = ap_local.(t.cand_ap.(i)) in
+          if la < 0 then
+            Fmt.kstr invalid_arg
+              "Sparse.restrict: user %d hears AP %d outside the restriction"
+              u t.cand_ap.(i);
+          cand_ap.(!k) <- la;
+          cand_rate.(!k) <- r;
+          cand_signal.(!k) <- t.cand_signal.(i);
+          incr k
+        end
+      done)
+    users;
+  assemble ~n_aps:(Array.length aps) ~user_off ~cand_ap ~cand_rate
+    ~cand_signal
 
 (** Candidate slot of the [(ap, user)] link, [-1] if the pair was never
     in range. Binary search over the user's ascending candidate list;

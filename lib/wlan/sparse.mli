@@ -25,6 +25,18 @@ val n_links : t -> int
     @raise Invalid_argument on unsorted/duplicate/out-of-range entries. *)
 val make : n_aps:int -> links:(int * float * float) list array -> t
 
+(** [restrict t ~aps ~users] is the sub-structure on the listed APs and
+    users, reindexed densely in the given order (local AP [i] is
+    [aps.(i)], local user [j] is [users.(j)]): each listed user keeps
+    its in-range candidates, lost slots are dropped. It slices [t]'s
+    planes directly and shares {!make}'s member-plane assembly and
+    validation, so it equals {!make} on the restricted candidate lists
+    plane for plane (and counts as one build). [aps] must be ascending
+    for the result to validate — the shard sub-instance's case.
+    @raise Invalid_argument when a listed user hears an AP not in
+    [aps]. *)
+val restrict : t -> aps:int array -> users:int array -> t
+
 (** [of_dense ~n_users ~rates ~signal] builds from (AP × user) matrices:
     one slot per positive-rate pair. The matrices must have [n_users]
     columns. *)

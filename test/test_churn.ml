@@ -595,6 +595,41 @@ let test_script_validate () =
 
 (* ------------------------------------------------------------------ *)
 
+(* Generated drift is an unbiased walk: steps are drawn uniformly from
+   -2, -1, +1, +2 (never 0), so their mean over a long script is ~0 — a
+   downward bias would erode links below the lowest tier for good. *)
+let test_random_drift_unbiased () =
+  let rng = Random.State.make [| 2007; 0xd81f7 |] in
+  let script =
+    Churn_script.random ~rng ~n_aps:4 ~n_users:10
+      {
+        Churn_script.default_gen with
+        n_events = 20_000;
+        join_weight = 0;
+        leave_weight = 0;
+        fail_weight = 0;
+        recover_weight = 0;
+        burst_weight = 0;
+      }
+  in
+  let counts = Array.make 5 0 (* steps -2..2 *) in
+  List.iter
+    (fun (t : Churn_script.timed) ->
+      match t.Churn_script.event with
+      | Churn_script.Drift { steps; _ } ->
+          counts.(steps + 2) <- counts.(steps + 2) + 1
+      | _ -> Alcotest.fail "only drift events were weighted")
+    (Churn_script.events script);
+  let count k = counts.(k + 2) in
+  Alcotest.(check int) "no zero step" 0 (count 0);
+  List.iter
+    (fun k ->
+      if abs (count k - 5_000) > 300 then
+        Alcotest.failf "step %d drawn %d times of 20000" k (count k))
+    [ -2; -1; 1; 2 ];
+  let sum = (2 * (count 2 - count (-2))) + count 1 - count (-1) in
+  if abs sum > 600 then Alcotest.failf "drift sum %d over 20000 steps" sum
+
 let () =
   Alcotest.run "churn"
     [
@@ -647,5 +682,7 @@ let () =
           Alcotest.test_case "serve adapter refuses unsorted events" `Quick
             test_adapter_rejects_unsorted;
           Alcotest.test_case "validate ranges" `Quick test_script_validate;
+          Alcotest.test_case "generated drift is unbiased" `Quick
+            test_random_drift_unbiased;
         ] );
     ]

@@ -1085,6 +1085,30 @@ let test_scg_reuse_max_cost_guard () =
   in
   check_grid_exact "inadmissible candidate" ~mode:`Soft inst [ 0.7; 2.0 ]
 
+(* [reuse_grid] probes the top guess alone, with no record; every
+   guess it does not reuse is probed with the top's record, and results
+   come back in grid order, the top's own slots through [reuse] too. *)
+let test_reuse_grid_shares_top () =
+  let calls = ref [] in
+  let probe top b =
+    calls := (top, b) :: !calls;
+    (b, if Option.is_none top then 0.6 else -1.)
+  in
+  let results =
+    Scg.reuse_grid
+      ~fanout:(List.map (fun f -> f ()))
+      ~bound:(Float.max 0.3) ~probe
+      ~reuse:(fun top b -> top +. (10. *. b))
+      [ 0.2; 0.7; 1.0; 0.5; 1.0 ]
+  in
+  Alcotest.(check (list (float 0.))) "grid order"
+    [ 0.2; 1.0 +. 7.; 1.0 +. 10.; 0.5; 1.0 +. 10. ]
+    results;
+  Alcotest.(check (list (pair (option (float 0.)) (float 0.))))
+    "the top alone first, then the rest with its record"
+    [ (None, 1.0); (Some 0.6, 0.2); (Some 0.6, 0.5) ]
+    (List.rev !calls)
+
 (* The sharded drivers take both halves from [session_round_split]; the
    heavier half must be exactly what [session_round] keeps, round after
    round of a shrinking remaining set. *)
@@ -1119,6 +1143,51 @@ let prop_session_split_matches_round =
                go (k - 1)))
       in
       go 4)
+
+let same_split (a : Mcg.split) (b : Mcg.split) =
+  let same_sels x y =
+    List.length x = List.length y
+    && List.for_all2
+         (fun (s : Mcg.selection) (s' : Mcg.selection) ->
+           s.set = s'.set && Bitset.equal s.newly s'.newly)
+         x y
+  in
+  same_sels a.Mcg.h1 b.Mcg.h1 && same_sels a.Mcg.h2 b.Mcg.h2
+  && Bitset.equal a.Mcg.cov1 b.Mcg.cov1
+  && Bitset.equal a.Mcg.cov2 b.Mcg.cov2
+  && Float.equal a.Mcg.w1 b.Mcg.w1
+  && Float.equal a.Mcg.w2 b.Mcg.w2
+
+(* The sharded driver's per-shard B* reuse rests on this: a session
+   round's split depends only on the remaining set (and the budgets),
+   not on the stored bound plane. Here one session repeats every round
+   and a second never does, while an arbitrary keep sequence — as a
+   global H1/H2 decision across shards would — keeps H1, keeps H2 or
+   (with the kept half empty) leaves the remaining set unchanged. The
+   repeat, and the session that never repeated, return the identical
+   split. *)
+let prop_session_repeat_same_split =
+  QCheck.Test.make
+    ~name:"session round on an unchanged remaining set = the same split"
+    ~count:150
+    (QCheck.triple arb_grouped QCheck.bool
+       (QCheck.list_of_size (QCheck.Gen.int_range 1 6) QCheck.bool))
+    (fun ((n, _, sets, budget), hard, keeps) ->
+      QCheck.assume (sets <> []);
+      let inst = mk_grouped ~n sets in
+      let budgets = Array.make (Cover_instance.n_groups inst) budget in
+      let mode = if hard then `Hard else `Soft in
+      let repeating = Mcg.session ~mode inst ~budgets in
+      let fresh = Mcg.session ~mode inst ~budgets in
+      let remaining = Cover_instance.coverable inst in
+      List.for_all
+        (fun keep_h1 ->
+          let sp = Mcg.session_round_split repeating ~remaining in
+          let again = Mcg.session_round_split repeating ~remaining in
+          let once = Mcg.session_round_split fresh ~remaining in
+          Bitset.diff_inplace remaining (if keep_h1 then sp.Mcg.cov1 else sp.Mcg.cov2);
+          same_split sp again && same_split sp once)
+        keeps)
 
 (* An arena is pure scratch reuse: running every mode with a shared
    (repeatedly reused) arena must be bit-identical to running without
@@ -1246,6 +1315,7 @@ let qcheck_cases =
       prop_scg_grid_reuse_exact;
       prop_scg_session_eq_eager;
       prop_session_split_matches_round;
+      prop_session_repeat_same_split;
       prop_arena_never_changes_results;
       prop_subset_sum_dp_sound;
       prop_makespan_exact_le_lpt;
@@ -1303,6 +1373,7 @@ let () =
           tc "reuse needs the margin" test_scg_reuse_margin;
           tc "reuse needs the max-cost guard" test_scg_reuse_max_cost_guard;
           tc "reuse needs the fit witness" test_scg_reuse_fit_witness;
+          tc "reuse grid shares the top record" test_reuse_grid_shares_top;
         ] );
       ( "subset_sum",
         [

@@ -18,6 +18,9 @@
    - Grid properties: no false negatives at the exact reach boundary or
      on cell edges, index-sorted probes, position-permutation
      invariance.
+   - Shard slices: [Shard.extract]'s CSR slice equals the list-built
+     sub-instance plane for plane (lost links, per-AP budgets,
+     single-user shards) and counts the same build.
    - Shard/halo: sharded solves equal the unsharded sequential solve on
      random instances and on a fig9a-size scenario at --jobs 1/2/4;
      one 2000x40000 city instance is pinned by a golden j1==j4 digest —
@@ -512,6 +515,122 @@ let qcheck_shard_vector =
     QCheck.(int_range 0 10_000)
     (shard_matches_unsharded ~objective:Distributed.Min_load_vector)
 
+(* The sub-instance as [Shard.extract] used to assemble it: per-user
+   candidate lists, reindexed, through [Sparse.make]. The CSR slice must
+   equal it plane for plane and count the same build. *)
+let list_extract p (sh : Shard.shard) =
+  let n_aps, _ = Problem.dims p in
+  let ap_local = Array.make n_aps (-1) in
+  Array.iteri (fun la a -> ap_local.(a) <- la) sh.Shard.aps;
+  let links =
+    Array.map
+      (fun u ->
+        let acc = ref [] in
+        Problem.iter_candidates p u (fun a r sg ->
+            acc := (ap_local.(a), r, sg) :: !acc);
+        List.rev !acc)
+      sh.Shard.users
+  in
+  let sparse = Sparse.make ~n_aps:(Array.length sh.Shard.aps) ~links in
+  Problem.make_sparse
+    ?ap_budgets:
+      (Option.map
+         (fun b -> Array.map (fun a -> b.(a)) sh.Shard.aps)
+         p.Problem.ap_budgets)
+    ~session_rates:(Array.copy p.Problem.session_rates)
+    ~user_session:(Array.map (Problem.user_session p) sh.Shard.users)
+    ~sparse ~budget:(Problem.budget p) ()
+
+let build_counters =
+  List.map Wlan_obs.Counters.make
+    [ "sparse.builds"; "sparse.candidate_list_len" ]
+
+let counted f =
+  Wlan_obs.Counters.reset ();
+  Wlan_obs.Counters.set_enabled true;
+  let r =
+    Fun.protect ~finally:(fun () -> Wlan_obs.Counters.set_enabled false) f
+  in
+  (r, List.map Wlan_obs.Counters.value build_counters)
+
+let check_slices label p =
+  List.iter
+    (fun (sh : Shard.shard) ->
+      let listed, c_listed = counted (fun () -> list_extract p sh) in
+      let sliced, c_sliced = counted (fun () -> Shard.extract p sh) in
+      if listed <> sliced then
+        Alcotest.failf "%s: shard %d slice differs from the list build" label
+          sh.Shard.id;
+      Alcotest.(check (list int))
+        (Fmt.str "%s: shard %d build counters" label sh.Shard.id)
+        c_listed c_sliced)
+    (Shard.plan p).Shard.shards
+
+(* Random geometric cases with lost links (a fifth of the in-range
+   slots zeroed, so some users keep only lost slots and fall out of
+   every shard) and, half the time, per-AP budgets. *)
+let slice_matches seed =
+  let _, _, ps = case ~seed () in
+  let rng = Random.State.make [| seed; 0x511ce |] in
+  let n_aps, n_users = Problem.dims ps in
+  let p =
+    if Random.State.bool rng then
+      Problem.with_ap_budgets ps
+        (Array.init n_aps (fun _ -> Random.State.float rng 1.))
+    else ps
+  in
+  let p = Problem.copy_for_mutation p in
+  for u = 0 to n_users - 1 do
+    List.iter
+      (fun a ->
+        if Random.State.int rng 5 = 0 then
+          Problem.set_link_rate p ~ap:a ~user:u 0.)
+      (Problem.neighbor_aps p u)
+  done;
+  check_slices "random" p;
+  true
+
+let qcheck_slice =
+  QCheck.Test.make ~name:"CSR shard slice = list-built sub-instance"
+    ~count:60
+    QCheck.(int_range 0 10_000)
+    slice_matches
+
+(* Three shards: a single-user one (AP 0), one whose user 2 keeps only
+   a lost slot to AP 2, and one with a lost slot to a shard-mate; with
+   per-AP budgets. A user hearing an AP outside the slice is refused. *)
+let test_slice_edge_cases () =
+  let rates =
+    [|
+      [| 6.; 0.; 0.; 0.; 0. |];
+      [| 0.; 12.; 0.; 24.; 0. |];
+      [| 0.; 54.; 9.; 0.; 0. |];
+      [| 0.; 0.; 0.; 0.; 18. |];
+      [| 0.; 0.; 0.; 0.; 36. |];
+    |]
+  in
+  let p =
+    Problem.make ~allow_uncovered:true ~ap_budgets:[| 0.1; 0.2; 0.3; 0.4; 0.5 |]
+      ~session_rates:[| 1.; 2. |] ~user_session:[| 0; 1; 0; 1; 0 |] ~rates
+      ~budget:0.9 ()
+  in
+  let p = Problem.copy_for_mutation p in
+  Problem.set_link_rate p ~ap:2 ~user:2 0.;
+  Problem.set_link_rate p ~ap:4 ~user:4 0.;
+  let pl = Shard.plan p in
+  Alcotest.(check (list (list int))) "shard users"
+    [ [ 0 ]; [ 1; 3 ]; [ 4 ] ]
+    (List.map (fun (sh : Shard.shard) -> Array.to_list sh.Shard.users) pl.Shard.shards);
+  check_slices "edge cases" p;
+  let sub = Shard.extract p (List.hd pl.Shard.shards) in
+  Alcotest.(check (pair int int)) "single-user shard dims" (1, 1) (Problem.dims sub);
+  Alcotest.(check (float 0.)) "sliced budget" 0.1 (Problem.ap_budget sub 0);
+  Alcotest.check_raises "user outside the slice"
+    (Invalid_argument
+       "Sparse.restrict: user 1 hears AP 2 outside the restriction")
+    (fun () ->
+      ignore (Sparse.restrict p.Problem.links ~aps:[| 1 |] ~users:[| 1 |]))
+
 (* fig9a-size: the paper's 200x400 scale, sharded across pool domains. *)
 let test_shard_fig9a_jobs () =
   let sc =
@@ -698,6 +817,7 @@ let qcheck_cases =
       qcheck_grid_permutation_invariant;
       qcheck_shard_total;
       qcheck_shard_vector;
+      qcheck_slice;
     ]
 
 let qcheck_model_cases =
@@ -717,6 +837,7 @@ let () =
           tc "fig9a scale, jobs 1/2/4" test_shard_fig9a_jobs;
           tc "city 2000x40000 golden, j1 = j4" test_city_golden;
           tc "path-loss model, jobs 1/2/4" test_shard_phy_jobs;
+          tc "CSR slice edge cases" test_slice_edge_cases;
         ] );
       ( "validate",
         [
