@@ -4,7 +4,7 @@
    Subcommands:
      solve     generate a random WLAN and run one or all algorithms
      simulate  full discrete-event run: scan, associate over the air, stream
-     figures   reproduce paper figures, scenarios fanned out over --jobs
+     figures   reproduce Table 1, the paper's figures and headline numbers
      churn     replay a churn & fault-injection script online
      profile   run a workload with deterministic counters + wall-clock spans
      example   replay the paper's Figure 1 walk-throughs
@@ -13,7 +13,7 @@
      dune exec bin/wlan_mcast.exe -- solve --aps 100 --users 200
      dune exec bin/wlan_mcast.exe -- solve --algorithm mnu --budget 0.05
      dune exec bin/wlan_mcast.exe -- simulate --policy distributed-bla
-     dune exec bin/wlan_mcast.exe -- figures fig9a -j 4
+     dune exec bin/wlan_mcast.exe -- figures fig9a headline -j 4
      dune exec bin/wlan_mcast.exe -- churn --script scenarios/churn_demo.churn
      dune exec bin/wlan_mcast.exe -- churn --fig4
      dune exec bin/wlan_mcast.exe -- example *)
@@ -267,20 +267,49 @@ let analyze_cmd =
 
 (* ---------------- figures ---------------- *)
 
+let write_file path s =
+  let oc = open_out path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
+
+(* Shared by figures and profile. A count below 1 would leave every figure
+   point with an empty sample, so it is a usage error. *)
+let scenarios_arg ~default =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ ->
+        Error
+          (`Msg (Fmt.str "invalid value '%s', expected a positive integer" s))
+  in
+  Arg.(
+    value
+    & opt (conv (parse, Fmt.int)) default
+    & info [ "scenarios" ] ~docv:"N"
+        ~doc:"Random scenarios per point (at least 1; Fig. 12 always \
+              runs 8).")
+
+(* Checked before any work starts, so a typo costs nothing. *)
+let check_ids ~what ~known names =
+  match List.find_opt (fun id -> not (List.mem id known)) names with
+  | None -> ()
+  | Some id ->
+      Fmt.epr "unknown %s %S (known: %a)@." what id
+        Fmt.(list ~sep:sp string)
+        known;
+      exit 1
+
 let figures_cmd =
-  let ids = List.map fst Harness.Experiments.drivers in
+  let drivers = Harness.Experiments.drivers in
+  let ids = ("table1" :: List.map fst drivers) @ [ "headline" ] in
   let names =
     Arg.(
       value & pos_all string []
       & info [] ~docv:"FIGURE"
-          ~doc:"Figure ids to reproduce (default: all). Known: fig9a..fig12c \
-                and the ablate-*/ext-* studies; see $(b,bench/main.exe) for \
-                the grouped variants.")
-  in
-  let scenarios =
-    Arg.(
-      value & opt int 40
-      & info [ "scenarios" ] ~doc:"Random scenarios per point.")
+          ~doc:"Figures to reproduce, in order (default: table1, every \
+                figure, then headline). Known: table1, fig9a..fig12c, the \
+                ablate-*/ext-* studies (ablate-phy is the PHY-model \
+                ablation) and headline, the abstract's three claims \
+                recomputed from fig9a, fig10a and fig11.")
   in
   let seed =
     Arg.(value & opt int 2007 & info [ "seed" ] ~doc:"Master seed.")
@@ -296,16 +325,17 @@ let figures_cmd =
              --seed before dispatch, so output is bit-identical for every \
              value of $(docv).")
   in
-  let phy_ablation =
+  let csv =
     Arg.(
-      value & flag
-      & info [ "phy-ablation" ]
-          ~doc:"Run the PHY-model ablation (alias for the $(b,ablate-phy) \
-                figure id): MNU/BLA/MLA/SSA quality and distributed \
-                convergence under Table 1 vs Friis vs two-ray vs \
-                log-distance link-rate models.")
+      value
+      & opt (some string) None
+      & info [ "csv" ] ~docv:"DIR"
+          ~doc:"Also write each figure as $(docv)/<id>.csv, creating \
+                $(docv) if needed.")
   in
-  let run () names phy_ablation scenarios seed jobs =
+  let run () names scenarios seed jobs csv =
+    let names = if names = [] then ids else names in
+    check_ids ~what:"figure" ~known:ids names;
     let cfg =
       {
         Harness.Experiments.default_config with
@@ -314,40 +344,58 @@ let figures_cmd =
         jobs = Int.max 1 jobs;
       }
     in
-    let names =
-      match (names, phy_ablation) with
-      | [], false -> ids
-      | ns, false -> ns
-      | ns, true -> ns @ [ "ablate-phy" ]
+    (* one config per invocation, so the id alone keys the figures that
+       headline shares with the figure ids *)
+    let computed = Hashtbl.create 8 in
+    let figure id =
+      match Hashtbl.find_opt computed id with
+      | Some f -> f
+      | None ->
+          let f = (List.assoc id drivers) ?cfg:(Some cfg) () in
+          Hashtbl.add computed id f;
+          f
+    in
+    let write_csv (f : Harness.Series.figure) =
+      Option.iter
+        (fun dir ->
+          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+          write_file
+            (Filename.concat dir (f.Harness.Series.id ^ ".csv"))
+            (Harness.Report.to_csv f))
+        csv
     in
     List.iter
-      (fun id ->
-        match List.assoc_opt id Harness.Experiments.drivers with
-        | Some f -> Fmt.pr "%a@." Harness.Report.pp_figure (f ?cfg:(Some cfg) ())
-        | None ->
-            Fmt.epr "unknown figure %S (known: %a)@." id
-              Fmt.(list ~sep:sp string)
-              ids;
-            exit 1)
+      (function
+        | "table1" ->
+            Fmt.pr "%a@." Harness.Report.pp_table1
+              (Harness.Experiments.table1 ())
+        | "headline" ->
+            let fig9a = figure "fig9a" in
+            let fig10a = figure "fig10a" in
+            let fig11 = figure "fig11" in
+            Fmt.pr "%a@." Harness.Report.pp_headline
+              (Harness.Experiments.headline ~fig9a ~fig10a ~fig11)
+        | id ->
+            let f = figure id in
+            Fmt.pr "%a@." Harness.Report.pp_figure f;
+            write_csv f)
       names
   in
   Cmd.v
     (Cmd.info "figures"
        ~doc:
-         "Reproduce the paper's figures, fanning scenarios out over --jobs \
-          domains with deterministic output")
+         "Reproduce the paper's Table 1, figures and headline numbers, \
+          fanning scenarios out over --jobs domains with deterministic \
+          output")
     Term.(
-      const run $ verbose_term $ names $ phy_ablation $ scenarios $ seed $ jobs)
+      const run $ verbose_term $ names $ scenarios_arg ~default:40 $ seed
+      $ jobs $ csv)
 
 (* ---------------- churn ---------------- *)
 
 (* Seed-split tag for the generated-script RNG (PR-1 discipline: every
    derived stream gets its own constant tag). *)
 let churn_split_tag = 0x0c817a4
-
-let write_file path s =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
 
 let churn_cmd =
   let load, save = scenario_io_terms in
@@ -600,11 +648,6 @@ let profile_cmd =
           ~doc:"Experiment drivers to profile (default: fig9a). Known: \
                 fig9a..fig12c and the ablate-*/ext-* studies.")
   in
-  let scenarios =
-    Arg.(
-      value & opt int 10
-      & info [ "scenarios" ] ~doc:"Random scenarios per point.")
-  in
   let seed =
     Arg.(value & opt int 2007 & info [ "seed" ] ~doc:"Master seed.")
   in
@@ -694,17 +737,12 @@ let profile_cmd =
             { Harness.Experiments.default_config with scenarios; seed; jobs }
           in
           let names = match names with [] -> [ "fig9a" ] | ns -> ns in
+          check_ids ~what:"target" ~known:ids names;
           List.iter
             (fun id ->
-              match List.assoc_opt id Harness.Experiments.drivers with
-              | Some f ->
-                  Wlan_obs.Span.with_span id (fun () ->
-                      ignore (f ?cfg:(Some cfg) ()))
-              | None ->
-                  Fmt.epr "unknown target %S (known: %a)@." id
-                    Fmt.(list ~sep:sp string)
-                    ids;
-                  exit 1)
+              let f = List.assoc id Harness.Experiments.drivers in
+              Wlan_obs.Span.with_span id (fun () ->
+                  ignore (f ?cfg:(Some cfg) ())))
             names;
           ("experiments", names)
     in
@@ -724,7 +762,8 @@ let profile_cmd =
           event counters (reported as versioned JSON, byte-identical at \
           any --jobs) plus a wall-clock span tree on stdout")
     Term.(
-      const run $ verbose_term $ names $ scenarios $ seed $ jobs $ out
+      const run $ verbose_term $ names $ scenarios_arg ~default:10 $ seed
+      $ jobs $ out
       $ scenario_file $ script_file $ no_spans)
 
 (* ---------------- serve / replay ---------------- *)

@@ -1,219 +1,1 @@
-(** Rendering and (minimal) parsing of the [BENCH_*.json] performance
-    snapshots written by [bench/main.exe --bench-json].
-
-    The schema is deliberately flat so that later PRs can diff two
-    snapshots with standard tools: one [entries] array of uniform
-    [{name, wall_s, cpu_s}] records. Entry names are namespaced:
-
-    - ["exp:<id>"] — wall/cpu time of one figure/experiment run;
-    - ["alg:<algorithm>@<aps>x<users>"] — median single-solve time of one
-      algorithm at a given topology scale;
-    - ["bechamel:<test>"] — a bechamel per-run estimate, in seconds.
-
-    A snapshot may embed the snapshot it was measured against under
-    ["baseline"], and the derived ["speedup"] ratios (baseline wall over
-    current wall; > 1 is an improvement). Only the top-level [entries]
-    array of a file is ever parsed back, so embedding is not recursive.
-
-    This module renders to and parses from strings only; file IO belongs
-    to the binary. The parser is line-oriented and only guaranteed to
-    read what {!render} wrote — it is not a general JSON parser. *)
-
-type entry = { name : string; wall_s : float; cpu_s : float option }
-
-type snapshot = {
-  label : string;  (** e.g. "PR3" — identifies the measured tree *)
-  jobs : int;
-  quick : bool;
-  seed : int;
-  entries : entry list;
-}
-
-let schema = "wlan-mcast/bench/1"
-
-(* ------------------------------------------------------------------ *)
-(* Rendering                                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* JSON string escaping for the few strings we emit (names are ASCII
-   identifiers in practice, but stay correct anyway). *)
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-(* cpu_s is omitted, not zero-filled, when the row has no CPU sample *)
-let render_entry b ~indent { name; wall_s; cpu_s } ~last =
-  let cpu =
-    match cpu_s with
-    | Some c -> Printf.sprintf ", \"cpu_s\": %.6f" c
-    | None -> ""
-  in
-  Buffer.add_string b
-    (Printf.sprintf "%s{ \"name\": \"%s\", \"wall_s\": %.6f%s }%s\n" indent
-       (escape name) wall_s cpu
-       (if last then "" else ","))
-
-let render_entries b ~indent entries =
-  let n = List.length entries in
-  List.iteri
-    (fun i e -> render_entry b ~indent e ~last:(i = n - 1))
-    entries
-
-(** Speedup rows for entries present in both snapshots:
-    [baseline wall / current wall]. *)
-let speedups ~baseline ~current =
-  List.filter_map
-    (fun (c : entry) ->
-      match List.find_opt (fun (b : entry) -> b.name = c.name) baseline with
-      | Some b when c.wall_s > 0. -> Some (c.name, b.wall_s /. c.wall_s)
-      | _ -> None)
-    current.entries
-
-(** Slowdown rows past [threshold]: entries of both lists whose current
-    wall exceeds [baseline * (1 + threshold)], worst first. Baseline
-    rows faster than [min_wall] are below the single-rep timing noise
-    floor (a 200 µs row can "double" from one cache miss) and are
-    skipped entirely. *)
-let regressions ?(min_wall = 0.) ~threshold ~baseline ~current () =
-  List.filter_map
-    (fun (c : entry) ->
-      match List.find_opt (fun (b : entry) -> b.name = c.name) baseline with
-      | Some b
-        when b.wall_s >= min_wall && b.wall_s > 0.
-             && c.wall_s > b.wall_s *. (1. +. threshold) ->
-          Some (c.name, c.wall_s /. b.wall_s)
-      | _ -> None)
-    current
-  |> List.sort (fun (_, a) (_, b) -> Float.compare b a)
-
-(** [render snapshot ~baseline] is the full JSON document. When
-    [baseline] is given its entries are embedded verbatim under
-    ["baseline"] and the ["speedup"] section is derived. *)
-let render ?baseline (s : snapshot) =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b (Printf.sprintf "  \"schema\": \"%s\",\n" (escape schema));
-  Buffer.add_string b (Printf.sprintf "  \"label\": \"%s\",\n" (escape s.label));
-  Buffer.add_string b (Printf.sprintf "  \"jobs\": %d,\n" s.jobs);
-  Buffer.add_string b (Printf.sprintf "  \"quick\": %b,\n" s.quick);
-  Buffer.add_string b (Printf.sprintf "  \"seed\": %d,\n" s.seed);
-  Buffer.add_string b "  \"entries\": [\n";
-  render_entries b ~indent:"    " s.entries;
-  Buffer.add_string b "  ]";
-  (match baseline with
-  | None -> ()
-  | Some (base : snapshot) ->
-      Buffer.add_string b ",\n  \"baseline\": {\n";
-      Buffer.add_string b
-        (Printf.sprintf "    \"label\": \"%s\",\n" (escape base.label));
-      Buffer.add_string b "    \"entries\": [\n";
-      render_entries b ~indent:"      " base.entries;
-      Buffer.add_string b "    ]\n  },\n";
-      Buffer.add_string b "  \"speedup\": [\n";
-      let sp = speedups ~baseline:base.entries ~current:s in
-      let n = List.length sp in
-      List.iteri
-        (fun i (name, ratio) ->
-          Buffer.add_string b
-            (Printf.sprintf "    { \"name\": \"%s\", \"ratio\": %.2f }%s\n"
-               (escape name) ratio
-               (if i = n - 1 then "" else ",")))
-        sp;
-      Buffer.add_string b "  ]");
-  Buffer.add_string b "\n}\n";
-  Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
-(* Parsing (only what render wrote)                                    *)
-(* ------------------------------------------------------------------ *)
-
-let string_field line key =
-  let pat = Printf.sprintf "\"%s\": \"" key in
-  match Astring.String.find_sub ~sub:pat line with
-  | None -> None
-  | Some i -> (
-      let start = i + String.length pat in
-      match String.index_from_opt line start '"' with
-      | None -> None
-      | Some stop -> Some (String.sub line start (stop - start)))
-
-let float_field line key =
-  let pat = Printf.sprintf "\"%s\": " key in
-  match Astring.String.find_sub ~sub:pat line with
-  | None -> None
-  | Some i ->
-      let start = i + String.length pat in
-      let stop = ref start in
-      let len = String.length line in
-      while
-        !stop < len
-        && (match line.[!stop] with
-           | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-           | _ -> false)
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.sub line start (!stop - start))
-
-(** [parse s] recovers the label and the {e top-level} entries of a
-    document written by {!render} (an embedded baseline is skipped: its
-    entries live under a later ["entries"] but parsing stops at the first
-    array's closing bracket). [None] when [s] is not such a document. *)
-let parse s =
-  let lines = String.split_on_char '\n' s in
-  let label = ref None and jobs = ref 1 and quick = ref false and seed = ref 0 in
-  let entries = ref [] in
-  let in_entries = ref false and done_entries = ref false in
-  List.iter
-    (fun line ->
-      if not !done_entries then
-        if !in_entries then begin
-          if Astring.String.is_infix ~affix:"]" line then begin
-            in_entries := false;
-            done_entries := true
-          end
-          else
-            match (string_field line "name", float_field line "wall_s") with
-            | Some name, Some wall_s ->
-                entries :=
-                  { name; wall_s; cpu_s = float_field line "cpu_s" }
-                  :: !entries
-            | _ -> ()
-        end
-        else begin
-          (match string_field line "label" with
-          | Some l when !label = None -> label := Some l
-          | _ -> ());
-          (match float_field line "jobs" with
-          | Some j -> jobs := int_of_float j
-          | None -> ());
-          (match float_field line "seed" with
-          | Some sd -> seed := int_of_float sd
-          | None -> ());
-          if Astring.String.is_infix ~affix:"\"quick\": true" line then
-            quick := true;
-          if Astring.String.is_infix ~affix:"\"entries\": [" line then
-            in_entries := true
-        end)
-    lines;
-  match !label with
-  | None -> None
-  | Some label ->
-      Some
-        {
-          label;
-          jobs = !jobs;
-          quick = !quick;
-          seed = !seed;
-          entries = List.rev !entries;
-        }
+let escape = Wlan_obs.Report.escape

@@ -1,64 +1,4 @@
-(** The [BENCH_*.json] performance-snapshot format written by
-    [bench/main.exe --bench-json]: one flat [entries] array of
-    [{name, wall_s, cpu_s}] records, an optional embedded baseline
-    snapshot and the derived speedup ratios. Renders to / parses from
-    strings; file IO belongs to the binary. The parser only reads what
-    {!render} wrote — it is not a general JSON parser. *)
+(** JSON string escaping for the benchmark's result files; an alias of
+    {!Wlan_obs.Report.escape}. *)
 
-type entry = {
-  name : string;
-      (** namespaced: ["exp:<id>"], ["alg:<name>@<aps>x<users>"] or
-          ["bechamel:<test>"] *)
-  wall_s : float;  (** wall-clock seconds (monotonic source) *)
-  cpu_s : float option;
-      (** process CPU seconds, all domains; [None] when the row has no
-          CPU measurement (bechamel OLS estimates time single runs from
-          a regression — there is no per-run CPU sample to report, and
-          a fabricated [0.] used to be written). The field is omitted
-          from the JSON when absent. *)
-}
-
-type snapshot = {
-  label : string;  (** identifies the measured tree, e.g. "PR3" *)
-  jobs : int;
-  quick : bool;
-  seed : int;
-  entries : entry list;
-}
-
-val schema : string
-
-(** JSON string escaping (shared with the other JSON sinks). *)
 val escape : string -> string
-
-(** [render ?baseline s] is the full JSON document; a [baseline]
-    snapshot is embedded verbatim and speedup ratios
-    ([baseline wall / current wall], > 1 improved) derived for entries
-    present in both. *)
-val render : ?baseline:snapshot -> snapshot -> string
-
-(** Speedup rows for entries present in both snapshots. *)
-val speedups :
-  baseline:entry list -> current:snapshot -> (string * float) list
-
-(** [regressions ~threshold ~baseline ~current ()] — entries present in
-    both whose current wall time exceeds the baseline's by more than
-    [threshold] (a fraction: [0.5] flags anything slower than 1.5x the
-    baseline), as [(name, current/baseline)] slowdown ratios, worst
-    first. Entries appearing on only one side are ignored, as are
-    baseline rows with non-positive wall times and rows whose baseline
-    wall is below [min_wall] (default [0.]) — micro rows under the
-    single-rep timing noise floor regress by whole multiples from one
-    cache miss and would make the check flap. *)
-val regressions :
-  ?min_wall:float ->
-  threshold:float ->
-  baseline:entry list ->
-  current:entry list ->
-  unit ->
-  (string * float) list
-
-(** Recover the label, config and {e top-level} entries of a document
-    written by {!render}; [None] if [s] is not one. An embedded
-    baseline's entries are not returned. *)
-val parse : string -> snapshot option

@@ -20,9 +20,9 @@ type config = {
 let default_config =
   {
     scenarios = 40;
-    small_scenarios = 10;
+    small_scenarios = 8;
     seed = 2007;
-    ilp_node_limit = 60_000;
+    ilp_node_limit = 4_000;
     jobs = 1;
   }
 
@@ -389,22 +389,21 @@ type headline = {
   mla_total_load_reduction_pct : float;
 }
 
-let headline ?(cfg = default_config) () =
-  let f9 = fig9a ~cfg () and f10 = fig10a ~cfg () and f11 = fig11 ~cfg () in
+let headline ~fig9a ~fig10a ~fig11 =
   let at fig name x = Option.get (Series.mean_at fig name x) in
   {
     mla_total_load_reduction_pct =
       Stats.pct_reduction
-        ~baseline:(at f9 "SSA" 400.)
-        ~improved:(at f9 "MLA-centralized" 400.);
+        ~baseline:(at fig9a "SSA" 400.)
+        ~improved:(at fig9a "MLA-centralized" 400.);
     bla_max_load_reduction_pct =
       Stats.pct_reduction
-        ~baseline:(at f10 "SSA" 400.)
-        ~improved:(at f10 "BLA-centralized" 400.);
+        ~baseline:(at fig10a "SSA" 400.)
+        ~improved:(at fig10a "BLA-centralized" 400.);
     mnu_user_gain_pct =
       Stats.pct_gain
-        ~baseline:(at f11 "SSA" 0.04)
-        ~improved:(at f11 "MNU-centralized" 0.04);
+        ~baseline:(at fig11 "SSA" 0.04)
+        ~improved:(at fig11 "MNU-centralized" 0.04);
   }
 
 (** {1 Ablations} (design choices called out in DESIGN.md) *)

@@ -14,7 +14,8 @@ type config = {
           every driver returns bit-identical figures at any [jobs] value. *)
 }
 
-(** 40 scenarios, seed 2007, [jobs = 1]. *)
+(** 40 scenarios (8 for Fig. 12, with a 4,000-node budget per BLA/MNU
+    exact solve), seed 2007, [jobs = 1]. *)
 val default_config : config
 
 (** {1 The paper's figures} *)
@@ -40,7 +41,13 @@ type headline = {
   mla_total_load_reduction_pct : float;
 }
 
-val headline : ?cfg:config -> unit -> headline
+(** The abstract's claims read off already-computed figures: MLA's total
+    load and BLA's max load against SSA at 400 users ([fig9a], [fig10a]),
+    MNU's satisfied users against SSA at budget 0.04 ([fig11]). Raises
+    [Invalid_argument] if a figure lacks one of those points. *)
+val headline :
+  fig9a:Series.figure -> fig10a:Series.figure -> fig11:Series.figure ->
+  headline
 
 (** {1 Ablations} *)
 

@@ -8,8 +8,7 @@
     byte-identical bytes at every [--jobs] value. The golden-trace suite
     and the CI churn-smoke diff rely on that.
 
-    Like {!Bench_json}, this module renders strings only; file IO
-    belongs to the binary. *)
+    This module renders strings only; file IO belongs to the binary. *)
 
 open Wlan_sim
 
@@ -27,7 +26,7 @@ let schema = "wlan-mcast/churn-metrics/1"
 let float_json f =
   if Float.is_finite f then Printf.sprintf "%.17g" f else "null"
 
-let escape = Bench_json.escape
+let escape = Wlan_obs.Report.escape
 
 let render_step b ~indent (s : Churn.step) ~last =
   Buffer.add_string b

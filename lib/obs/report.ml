@@ -13,8 +13,6 @@ type t = {
 let make ~label ~seed ~scenarios ~targets =
   { label; seed; scenarios; targets; counters = Counters.snapshot () }
 
-(* Minimal JSON string escaping; duplicated from Harness.Bench_json
-   because obs sits below every other layer. *)
 let escape s =
   let buf = Buffer.create (String.length s + 2) in
   String.iter

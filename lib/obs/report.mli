@@ -20,6 +20,10 @@ type t = {
 val make : label:string -> seed:int -> scenarios:int -> targets:string list -> t
 (** Capture {!Counters.snapshot} into a report. *)
 
+val escape : string -> string
+(** JSON string-literal escaping (without the surrounding quotes): the
+    one escaper every JSON sink of the repository uses. *)
+
 val json : t -> string
 (** Deterministic JSON rendering, trailing newline included. *)
 

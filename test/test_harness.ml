@@ -106,6 +106,95 @@ let test_table1_renders () =
       Alcotest.(check bool) needle true (Astring.String.is_infix ~affix:needle s))
     [ "54"; "200"; "Rate" ]
 
+(* Hand-built panels at exactly the points the headline reads: SSA total
+   load 8 vs MLA 6 (-25%), SSA max load 0.5 vs BLA 0.2 (-60%), SSA 40
+   satisfied users vs MNU 50 (+25%). A decoy point at another x must be
+   ignored. *)
+let headline_panel id x pairs =
+  {
+    Series.id;
+    title = id;
+    x_label = "x";
+    y_label = "y";
+    points =
+      [
+        {
+          Series.x = 1.;
+          values =
+            List.map (fun (n, _) -> (n, Stats.summarize [ 99. ])) pairs;
+        };
+        {
+          Series.x;
+          values = List.map (fun (n, v) -> (n, Stats.summarize [ v ])) pairs;
+        };
+      ];
+  }
+
+let headline_fig9a =
+  headline_panel "fig9a" 400. [ ("SSA", 8.); ("MLA-centralized", 6.) ]
+
+let headline_fig10a =
+  headline_panel "fig10a" 400. [ ("SSA", 0.5); ("BLA-centralized", 0.2) ]
+
+let headline_fig11 =
+  headline_panel "fig11" 0.04 [ ("SSA", 40.); ("MNU-centralized", 50.) ]
+
+let test_headline () =
+  let h =
+    Experiments.headline ~fig9a:headline_fig9a ~fig10a:headline_fig10a
+      ~fig11:headline_fig11
+  in
+  Alcotest.(check (float 1e-9)) "MLA total-load reduction" 25.
+    h.Experiments.mla_total_load_reduction_pct;
+  Alcotest.(check (float 1e-9)) "BLA max-load reduction" 60.
+    h.Experiments.bla_max_load_reduction_pct;
+  Alcotest.(check (float 1e-9)) "MNU user gain" 25.
+    h.Experiments.mnu_user_gain_pct;
+  let s = Fmt.str "%a" Report.pp_headline h in
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) needle true (Astring.String.is_infix ~affix:needle s))
+    [ "== headline"; "+25.0%"; "-60.0%"; "-25.0%" ]
+
+(* The documented contract: a figure without one of the points the
+   headline reads is rejected with [Invalid_argument], whether the x is
+   missing or the series is. *)
+let test_headline_missing_point () =
+  let rejects what ~fig9a ~fig10a ~fig11 =
+    match Experiments.headline ~fig9a ~fig10a ~fig11 with
+    | _ -> Alcotest.failf "%s: headline accepted an incomplete figure" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "fig9a without x = 400"
+    ~fig9a:(headline_panel "fig9a" 300. [ ("SSA", 8.); ("MLA-centralized", 6.) ])
+    ~fig10a:headline_fig10a ~fig11:headline_fig11;
+  rejects "fig10a without BLA-centralized" ~fig9a:headline_fig9a
+    ~fig10a:(headline_panel "fig10a" 400. [ ("SSA", 0.5) ])
+    ~fig11:headline_fig11;
+  rejects "fig11 without budget 0.04" ~fig9a:headline_fig9a
+    ~fig10a:headline_fig10a
+    ~fig11:(headline_panel "fig11" 0.05 [ ("SSA", 40.); ("MNU-centralized", 50.) ])
+
+(* `wlan-mcast figures` and `profile` share one id namespace: the driver
+   ids plus the reserved `table1` and `headline`, and `headline` reads
+   fig9a, fig10a and fig11 by id. A driver that took a reserved id, a
+   duplicate id, or a renamed headline input would silently change what
+   an id on the command line runs. *)
+let test_driver_ids () =
+  let ids = List.map fst Experiments.drivers in
+  List.iter
+    (fun reserved ->
+      Alcotest.(check bool) (reserved ^ " is not a driver id") false
+        (List.mem reserved ids))
+    [ "table1"; "headline" ];
+  List.iter
+    (fun input ->
+      Alcotest.(check bool) (input ^ " is a driver id") true
+        (List.mem input ids))
+    [ "fig9a"; "fig10a"; "fig11" ];
+  Alcotest.(check int) "driver ids are unique" (List.length ids)
+    (List.length (List.sort_uniq String.compare ids))
+
 (* ------------------------------------------------------------------ *)
 (* Figure shapes (the paper's qualitative claims)                      *)
 (* ------------------------------------------------------------------ *)
@@ -228,31 +317,6 @@ let test_fig12a_optimal_lower_bound () =
          (not (Float.is_nan o)) && o <= c +. 1e-6 && o <= d +. 1e-6))
 
 (* ------------------------------------------------------------------ *)
-(* Figure cache: keyed by (id, cfg), never serves stale data           *)
-(* ------------------------------------------------------------------ *)
-
-let test_fig_cache_keyed_by_cfg () =
-  let cache = Fig_cache.create () in
-  let calls = ref 0 in
-  let get c id =
-    Fig_cache.get cache ~cfg:c ~id (fun () ->
-        incr calls;
-        fig_fixture)
-  in
-  let quick = { cfg with Experiments.scenarios = 1 } in
-  ignore (get cfg "fig9a");
-  ignore (get cfg "fig9a");
-  Alcotest.(check int) "same (id, cfg) served from cache" 1 !calls;
-  (* the bug this guards against: a --quick figure followed by the same
-     figure under the full config must recompute, not reuse stale data *)
-  ignore (get quick "fig9a");
-  Alcotest.(check int) "same id, different cfg recomputes" 2 !calls;
-  ignore (get cfg "fig10a");
-  Alcotest.(check int) "different id recomputes" 3 !calls;
-  Alcotest.(check int) "hits counted" 1 (Fig_cache.hits cache);
-  Alcotest.(check int) "misses counted" 3 (Fig_cache.misses cache)
-
-(* ------------------------------------------------------------------ *)
 (* Reproducibility: per-scenario seed splitting makes every figure     *)
 (* bit-identical at any jobs value                                     *)
 (* ------------------------------------------------------------------ *)
@@ -346,91 +410,8 @@ let qcheck_stats =
            (List.fold_left ( +. ) 0. xs))
 
 (* ------------------------------------------------------------------ *)
-(* Bench_json round-trip; pool-fanout B* grid                          *)
+(* Pool-fanout B* grid                                                 *)
 (* ------------------------------------------------------------------ *)
-
-let test_bench_json_roundtrip () =
-  let snap =
-    {
-      Bench_json.label = "PR3";
-      jobs = 4;
-      quick = false;
-      seed = 4242;
-      entries =
-        [
-          { Bench_json.name = "exp:fig9"; wall_s = 12.5; cpu_s = Some 40.25 };
-          {
-            (* a bechamel-style row: no CPU sample, field omitted *)
-            Bench_json.name = "bechamel:algorithms/ssa";
-            wall_s = 0.118;
-            cpu_s = None;
-          };
-        ];
-    }
-  in
-  let baseline =
-    {
-      snap with
-      Bench_json.label = "pre";
-      entries =
-        [ { Bench_json.name = "exp:fig9"; wall_s = 25.0; cpu_s = Some 80.0 } ];
-    }
-  in
-  let doc = Bench_json.render ~baseline snap in
-  (* a row without a CPU sample must not serialize a fabricated 0. *)
-  Alcotest.(check bool) "no zero-filled cpu_s" false
-    (Astring.String.is_infix ~affix:"\"cpu_s\": 0.000000" doc);
-  (match Bench_json.parse doc with
-  | None -> Alcotest.fail "render output did not parse"
-  | Some s ->
-      Alcotest.(check string) "label" "PR3" s.Bench_json.label;
-      Alcotest.(check int) "jobs" 4 s.Bench_json.jobs;
-      Alcotest.(check bool) "quick" false s.Bench_json.quick;
-      Alcotest.(check int) "seed" 4242 s.Bench_json.seed;
-      Alcotest.(check int) "entries" 2 (List.length s.Bench_json.entries);
-      (match s.Bench_json.entries with
-      | [ e; b ] ->
-          Alcotest.(check string) "name" "exp:fig9" e.Bench_json.name;
-          Alcotest.(check (float 1e-9)) "wall_s" 12.5 e.Bench_json.wall_s;
-          Alcotest.(check (option (float 1e-9))) "cpu_s" (Some 40.25)
-            e.Bench_json.cpu_s;
-          Alcotest.(check (option (float 1e-9))) "absent cpu_s" None
-            b.Bench_json.cpu_s
-      | _ -> Alcotest.fail "expected 2 entries"));
-  match
-    Bench_json.speedups ~baseline:baseline.Bench_json.entries ~current:snap
-  with
-  | [ (name, ratio) ] ->
-      Alcotest.(check string) "speedup row" "exp:fig9" name;
-      Alcotest.(check (float 1e-9)) "ratio" 2.0 ratio
-  | rows ->
-      Alcotest.fail (Fmt.str "expected 1 speedup row, got %d" (List.length rows))
-
-let test_bench_json_regressions () =
-  let e name wall = { Bench_json.name; wall_s = wall; cpu_s = None } in
-  let baseline = [ e "a" 1.0; e "b" 2.0; e "dead" 0.; e "gone" 1.0 ] in
-  let current = [ e "a" 1.4; e "b" 3.2; e "dead" 9.0; e "new" 9.0 ] in
-  (* "a" is within 1.5x; "b" is 1.6x over; zero-wall baselines and
-     one-sided entries never fire *)
-  (match Bench_json.regressions ~threshold:0.5 ~baseline ~current () with
-  | [ ("b", r) ] -> Alcotest.(check (float 1e-9)) "ratio" 1.6 r
-  | rows ->
-      Alcotest.fail (Fmt.str "expected only b, got %d rows" (List.length rows)));
-  (* tighter threshold flags both, worst first *)
-  (match Bench_json.regressions ~threshold:0.2 ~baseline ~current () with
-  | [ ("b", _); ("a", _) ] -> ()
-  | rows ->
-      Alcotest.fail
-        (Fmt.str "expected b then a, got %d rows" (List.length rows)));
-  (* a noise floor skips micro rows entirely: only "b" (baseline 2.0)
-     clears a 1.5 s floor *)
-  match Bench_json.regressions ~min_wall:1.5 ~threshold:0.2 ~baseline ~current ()
-  with
-  | [ ("b", _) ] -> ()
-  | rows ->
-      Alcotest.fail
-        (Fmt.str "expected only b above the floor, got %d rows"
-           (List.length rows))
 
 (* the acceptance criterion for tentpole (c): fanning the B* grid over a
    real pool changes nothing about the solution, at any pool size *)
@@ -465,14 +446,12 @@ let () =
           tc "csv export" test_csv_export;
           tc "csv missing cells" test_csv_missing_series_cells;
           tc "table1 renders" test_table1_renders;
+          tc "headline from figures" test_headline;
+          tc "headline missing point" test_headline_missing_point;
+          tc "driver ids" test_driver_ids;
         ] );
-      ("fig cache", [ tc "keyed by (id, cfg)" test_fig_cache_keyed_by_cfg ]);
       ( "bench",
-        [
-          tc "bench_json roundtrip" test_bench_json_roundtrip;
-          tc "bench_json regressions" test_bench_json_regressions;
-          tc "BLA pool fanout identical" test_bla_pool_fanout_identical;
-        ] );
+        [ tc "BLA pool fanout identical" test_bla_pool_fanout_identical ] );
       ( "reproducibility",
         [
           QCheck_alcotest.to_alcotest qcheck_repro_fig9a;

@@ -197,6 +197,15 @@ let test_report_json () =
        json);
   Alcotest.(check bool) "label escaped" true
     (Astring.String.is_infix ~affix:{|"demo \"x\""|} json);
+  List.iter
+    (fun (raw, escaped) ->
+      Alcotest.(check string) "label escaped" escaped
+        (Wlan_obs.Report.escape raw))
+    [
+      ("a\\b", {|a\\b|});
+      ("l1\nl2\rl3\tend", {|l1\nl2\rl3\tend|});
+      ("bell\007 nul\000 esc\027", {|bell\u0007 nul\u0000 esc\u001b|});
+    ];
   Alcotest.(check bool) "counter present" true
     (Astring.String.is_infix ~affix:{|"test.report": 5|} json);
   Alcotest.(check bool) "trailing newline" true
