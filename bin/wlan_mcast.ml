@@ -103,16 +103,23 @@ let scenario_of (o : net_opts) =
 
 (* ---------------- solve ---------------- *)
 
+(* The distributed algorithms also return their outcome, so a run that
+   hit max_rounds or oscillated says so. *)
 let algorithms =
+  let central f p = (f p, None) in
+  let distributed f p =
+    let sol, o = f p in
+    (sol, Some o)
+  in
   [
-    ("ssa", fun p -> Ssa.run p);
-    ("mla", fun p -> Mla.run p);
-    ("mla-distributed", fun p -> fst (Distributed.mla p));
-    ("bla", fun p -> Bla.run_exn ~mode:`Hard p);
-    ("bla-soft", fun p -> Bla.run_exn ~mode:`Soft p);
-    ("bla-distributed", fun p -> fst (Distributed.bla p));
-    ("mnu", fun p -> Mnu.run p);
-    ("mnu-distributed", fun p -> fst (Distributed.mnu p));
+    ("ssa", central Ssa.run);
+    ("mla", central Mla.run);
+    ("mla-distributed", distributed Distributed.mla);
+    ("bla", central (Bla.run_exn ~mode:`Hard));
+    ("bla-soft", central (Bla.run_exn ~mode:`Soft));
+    ("bla-distributed", distributed Distributed.bla);
+    ("mnu", central Mnu.run);
+    ("mnu-distributed", distributed Distributed.mnu);
   ]
 
 let solve_cmd =
@@ -147,8 +154,14 @@ let solve_cmd =
     in
     List.iter
       (fun (_, f) ->
-        let sol = f p in
+        let sol, outcome = f p in
         Fmt.pr "%a@." Solution.pp sol;
+        Option.iter
+          (fun (o : Distributed.outcome) ->
+            Fmt.pr "  rounds %d, converged %b, oscillated %b@."
+              o.Distributed.rounds o.Distributed.converged
+              o.Distributed.oscillated)
+          outcome;
         if show_assoc then Fmt.pr "  %a@." Association.pp sol.Solution.assoc)
       selected
   in

@@ -321,13 +321,15 @@ let solve_mnu ?plan:pl ?(fanout = List.map (fun f -> f ())) p =
 
 (* What a probe keeps of one shard's run, for per-shard reuse at the
    lower guesses (DESIGN.md §4.5): its reuse bound ({!Optkit.Scg.replays}),
-   whether its remaining set emptied, and the splits of the rounds that
-   kept H1, in order. Only the top probe's is read; immutable, so probes
-   on other domains share it read-only. *)
-type shard_run = {
+   whether its remaining set emptied, the splits of the rounds that
+   kept H1, in order, and its session's first round, which a binding
+   shard resumes. Only the top probe's is read; immutable, so probes on
+   other domains share it read-only. *)
+type 'a shard_run = {
   bound : float;
   emptied : bool;
   kept_h1 : Optkit.Mcg.split list;
+  first : 'a Optkit.Mcg.first_round option;
 }
 
 (* Where a probe takes a shard's splits from: its own session, or the
@@ -351,7 +353,8 @@ type 'a source =
     max set cost clear the guess by 1e-9 opens no session: it replays
     its top kept-H1 splits, one per H1 round — the splits a fresh
     session would return (DESIGN.md §4.5). Only the binding shards
-    re-solve. [None] when no [B* <= 1] is feasible. *)
+    re-solve, each resuming its first round from the top's
+    ({!Optkit.Mcg.resume}). [None] when no [B* <= 1] is feasible. *)
 let solve_bla ?plan:pl ?(n_guesses = 12) ?(fanout = List.map (fun f -> f ()))
     p =
   let pl = match pl with Some x -> x | None -> plan p in
@@ -389,7 +392,7 @@ let solve_bla ?plan:pl ?(n_guesses = 12) ?(fanout = List.map (fun f -> f ()))
   let probe top bstar =
     Wlan_obs.Counters.incr c_scg_solves;
     let arena = Optkit.Arena.create () in
-    let reusable (t : shard_run) =
+    let reusable (t : _ shard_run) =
       t.emptied && Optkit.Scg.replays ~bound:t.bound bstar
     in
     let sources =
@@ -398,10 +401,15 @@ let solve_bla ?plan:pl ?(n_guesses = 12) ?(fanout = List.map (fun f -> f ()))
           match top with
           | Some t when reusable t.(i) -> Replay (t.(i).bound, t.(i).kept_h1)
           | _ ->
-              Solve
-                (Optkit.Mcg.session ~arena inst
-                   ~budgets:
-                     (Array.make (Optkit.Cover_instance.n_groups inst) bstar)))
+              let session =
+                Optkit.Mcg.session ~arena inst
+                  ~budgets:
+                    (Array.make (Optkit.Cover_instance.n_groups inst) bstar)
+              in
+              Option.iter
+                (fun t -> Option.iter (Optkit.Mcg.resume session) t.(i).first)
+                top;
+              Solve session)
         subs
     in
     Wlan_obs.Counters.add c_shard_reuses
@@ -521,6 +529,10 @@ let solve_bla ?plan:pl ?(n_guesses = 12) ?(fanout = List.map (fun f -> f ()))
               | Replay (b, _) -> b);
             emptied = Optkit.Bitset.is_empty remaining.(i);
             kept_h1 = List.rev kept_h1.(i);
+            first =
+              (match source with
+              | Solve session -> Optkit.Mcg.first_round session
+              | Replay _ -> None);
           })
         sources
     in

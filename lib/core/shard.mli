@@ -103,7 +103,8 @@ val solve_mnu :
     ({!Optkit.Scg.reuse_grid}); at a lower guess, a shard that emptied
     in that run and whose own budget witness and max set cost clear the
     guess by 1e-9 opens no session and replays its recorded kept-H1
-    splits — only the binding shards re-solve, and the result is the
+    splits — only the binding shards re-solve, each resuming its first
+    round from the top's ({!Optkit.Mcg.resume}), and the result is the
     from-scratch probe's (DESIGN.md §4.5). [fanout] evaluates the
     per-probe thunks (each yields feasibility, the probe's max summed
     group cost, and its merged association); they share the top run's

@@ -19,6 +19,7 @@ let c_selections = Wlan_obs.Counters.make "mcg.selections"
 let c_candidate_evals = Wlan_obs.Counters.make "mcg.candidate_evals"
 let c_heap_pops = Wlan_obs.Counters.make "mcg.heap_pops"
 let c_bound_skips = Wlan_obs.Counters.make "mcg.bound_skips"
+let c_resumed_picks = Wlan_obs.Counters.make "mcg.resumed_picks"
 
 type selection = { set : int; newly : Bitset.t }
 
@@ -126,7 +127,22 @@ let split_of inst ~weights ~budgets ~x0 ~raw_order =
       (gains never grow back), so it is dropped from all later rounds.
 
     Element weights reach a session only through {!greedy}, which runs a
-    single round; multi-round sessions are unweighted. *)
+    single round; multi-round sessions are unweighted.
+
+    Every session that is not resumed records its first round
+    ({!first_round}); a session at lower budgets {!resume}s from that
+    record instead of refreshing and re-deriving its first picks (DESIGN.md §4.5, "Prefix resumption"). *)
+
+type 'a first_round = {
+  f_inst : 'a Cover_instance.t;
+  f_mode : [ `Soft | `Hard ];
+  f_budgets : float array;
+  f_x0 : Bitset.t;  (** the round's coverable universe *)
+  f_ub : float array;  (** the refresh plane, against [f_x0] *)
+  f_alive : bool array;
+  f_picks : int array;  (** raw picks, in order *)
+  f_witness : float array;  (** running witness at each pick *)
+}
 
 type 'a session = {
   s_inst : 'a Cover_instance.t;
@@ -141,6 +157,8 @@ type 'a session = {
   mutable s_n_touched : int;
   mutable s_first : bool;
   mutable s_witness : float;  (** see {!session_witness} *)
+  mutable s_from : 'a first_round option;  (** set by {!resume} *)
+  mutable s_record : 'a first_round option;  (** see {!first_round} *)
 }
 
 let make_session ?(mode = `Soft) ?arena ?element_weights inst ~budgets =
@@ -166,6 +184,8 @@ let make_session ?(mode = `Soft) ?arena ?element_weights inst ~budgets =
     s_n_touched = 0;
     s_first = true;
     s_witness = 0.;
+    s_from = None;
+    s_record = None;
   }
 
 let session ?mode ?arena inst ~budgets = make_session ?mode ?arena inst ~budgets
@@ -201,19 +221,29 @@ let round s ~remaining =
   (* static eligibility: sets over their group's budget can never be
      picked *)
   let admissible j g = Cover_instance.cost inst j <= budgets.(g) +. 1e-12 in
-  (* refresh: the first round scores every admissible set; later rounds
-     re-score only the sets the previous round popped, against the new
-     remaining — everything else's stored bound is still valid *)
-  if s.s_first then begin
+  (* refresh: the first round scores every admissible set (a resumed one
+     filters the recorded plane instead); later rounds re-score only the
+     sets the previous round popped, against the new remaining —
+     everything else's stored bound is still valid *)
+  let first = s.s_first in
+  if first then begin
     s.s_first <- false;
+    (match s.s_from with
+    | Some f when not (Bitset.equal f.f_x0 x0) ->
+        invalid_arg "Mcg.resume: another first remaining set"
+    | _ -> ());
     for j = 0 to n_sets - 1 do
-      if admissible j (Cover_instance.group inst j) then begin
-        let gain = gain_vs x0 j in
-        if gain > 0. then begin
-          s.s_ub.(j) <- gain /. Cover_instance.cost inst j;
-          s.s_alive.(j) <- true
-        end
-      end
+      if admissible j (Cover_instance.group inst j) then
+        match s.s_from with
+        | Some f ->
+            s.s_ub.(j) <- f.f_ub.(j);
+            s.s_alive.(j) <- f.f_alive.(j)
+        | None ->
+            let gain = gain_vs x0 j in
+            if gain > 0. then begin
+              s.s_ub.(j) <- gain /. Cover_instance.cost inst j;
+              s.s_alive.(j) <- true
+            end
     done
   end
   else
@@ -227,12 +257,47 @@ let round s ~remaining =
       end
     done;
   s.s_n_touched <- 0;
-  (* seed the heap bank from stored bounds — zero gain evaluations. Group
-     capacity = alive seed count: pops always precede re-pushes, so
-     occupancy never exceeds it. *)
+  let touch j =
+    if not s.s_in_touched.(j) then begin
+      s.s_in_touched.(j) <- true;
+      s.s_touched.(s.s_n_touched) <- j;
+      s.s_n_touched <- s.s_n_touched + 1
+    end
+  in
+  let spent = Array.make n_groups 0. in
+  let raw = ref [] in
+  (* the running witness, and its value at each raw pick *)
+  let run_w = ref 0. and picked_w = ref [] in
+  let pick j =
+    incr n_selections;
+    let g = Cover_instance.group inst j in
+    spent.(g) <- spent.(g) +. Cover_instance.cost inst j;
+    raw := j :: !raw;
+    picked_w := !run_w :: !picked_w;
+    Bitset.diff_inplace x' (Cover_instance.set inst j)
+  in
+  (* a resumed first round applies the recorded prefix whose witnesses
+     clear the smallest budget by 1e-9, as the sweeps would have *)
+  (match s.s_from with
+  | Some f when first ->
+      let b = Array.fold_left Float.min infinity budgets in
+      let k = ref 0 in
+      while !k < Array.length f.f_picks && f.f_witness.(!k) <= b -. 1e-9 do
+        run_w := f.f_witness.(!k);
+        touch f.f_picks.(!k);
+        pick f.f_picks.(!k);
+        incr k
+      done;
+      Wlan_obs.Counters.add c_resumed_picks !k
+  | _ -> ());
+  (* seed the heap bank from stored bounds — zero gain evaluations — but
+     not the resumed picks (touched above; in every other round nothing
+     is touched yet). Group capacity = seed count: pops always precede
+     re-pushes, so occupancy never exceeds it. *)
+  let seeds j = s.s_alive.(j) && not s.s_in_touched.(j) in
   let caps = Array.make n_groups 0 in
   for j = 0 to n_sets - 1 do
-    if s.s_alive.(j) then begin
+    if seeds j then begin
       let g = Cover_instance.group inst j in
       caps.(g) <- caps.(g) + 1
     end
@@ -241,32 +306,19 @@ let round s ~remaining =
     Flat_heap.make ?arena:s.s_arena ~slot:"mcg.heap" ~capacities:caps ()
   in
   for j = 0 to n_sets - 1 do
-    if s.s_alive.(j) then
+    if seeds j then
       Flat_heap.push fh (Cover_instance.group inst j) ~prio:s.s_ub.(j) j
   done;
-  let touch j =
-    if not s.s_in_touched.(j) then begin
-      s.s_in_touched.(j) <- true;
-      s.s_touched.(s.s_n_touched) <- j;
-      s.s_n_touched <- s.s_n_touched + 1
-    end
-  in
   let revalidate j =
     touch j;
     let gain = gain_vs x' j in
     if gain <= 0. then neg_infinity
     else gain /. Cover_instance.cost inst j
   in
-  let spent = Array.make n_groups 0. in
-  let raw = ref [] in
   let fits g j =
     match mode with
     | `Soft -> true
-    | `Hard ->
-        let c = Cover_instance.cost inst j in
-        let ok = c <= budgets.(g) -. spent.(g) +. 1e-12 in
-        if ok then s.s_witness <- Float.max s.s_witness (c +. spent.(g));
-        ok
+    | `Hard -> Cover_instance.cost inst j <= budgets.(g) -. spent.(g) +. 1e-12
   in
   (* pop a group's best candidate; in [`Hard] mode, sets that no longer fit
      the group's remaining budget are dropped for good (remaining budget
@@ -277,7 +329,11 @@ let round s ~remaining =
     else begin
       incr n_heap_pops;
       let prio = fh.Flat_heap.last_prio in
-      if fits g j then Some (j, prio) else candidate g
+      if fits g j then begin
+        run_w := Float.max !run_w (Cover_instance.cost inst j +. spent.(g));
+        Some (j, prio)
+      end
+      else candidate g
     end
   in
   (* A group whose stored bound is below the best validated score by more
@@ -370,11 +426,7 @@ let round s ~remaining =
         if pop_j.(k) <> j then
           Flat_heap.push fh pop_g.(k) ~prio:pop_p.(k) pop_j.(k)
       done;
-      incr n_selections;
-      let g = Cover_instance.group inst j in
-      spent.(g) <- spent.(g) +. Cover_instance.cost inst j;
-      raw := j :: !raw;
-      Bitset.diff_inplace x' (Cover_instance.set inst j)
+      pick j
     end
   done;
   Wlan_obs.Counters.incr c_runs;
@@ -384,7 +436,22 @@ let round s ~remaining =
   Wlan_obs.Counters.add c_heap_pops !n_heap_pops;
   Wlan_obs.Counters.add c_bound_skips !n_bound_skips;
   Array.iter (fun x -> s.s_witness <- Float.max s.s_witness x) spent;
+  (* in [`Hard] mode every returned candidate passed its fit check *)
+  if mode = `Hard then s.s_witness <- Float.max s.s_witness !run_w;
   let raw_order = List.rev !raw in
+  if first && Option.is_none s.s_from then
+    s.s_record <-
+      Some
+        {
+          f_inst = inst;
+          f_mode = mode;
+          f_budgets = Array.copy budgets;
+          f_x0 = x0;
+          f_ub = Array.copy s.s_ub;
+          f_alive = Array.copy s.s_alive;
+          f_picks = Array.of_list raw_order;
+          f_witness = Array.of_list (List.rev !picked_w);
+        };
   (raw_order, split_of inst ~weights:s.s_weights ~budgets ~x0 ~raw_order)
 
 let session_round_split s ~remaining = snd (round s ~remaining)
@@ -393,6 +460,17 @@ let session_round_split s ~remaining = snd (round s ~remaining)
     [`Hard] [fits] check and the split's overshoot tag; the witness
     bounds every value those reads compared (see the interface). *)
 let session_witness s = s.s_witness
+
+let first_round s = s.s_record
+let witnesses f = Array.copy f.f_witness
+
+let resume s f =
+  if not s.s_first then invalid_arg "Mcg.resume: the session has started";
+  if s.s_inst != f.f_inst || s.s_mode <> f.f_mode then
+    invalid_arg "Mcg.resume: another instance or mode";
+  if Array.exists2 (fun b b' -> b > b') s.s_budgets f.f_budgets then
+    invalid_arg "Mcg.resume: a larger budget";
+  s.s_from <- Some f
 
 (** One round, keeping the half that covers more. *)
 let session_round s ~remaining =

@@ -101,6 +101,35 @@ val session_round_split : 'a session -> remaining:Bitset.t -> split
     drivers reuse the top probe at every such [b]. *)
 val session_witness : 'a session -> float
 
+(** {1 Prefix resumption} *)
+
+(** What a session's first round computed: its refresh bound plane
+    (scored against the round's [x0]) and its raw picks, each with the
+    running witness — the largest [cost + spent(g)] over every candidate
+    the sweeps had returned up to that pick, in both modes. Immutable:
+    sessions on other domains may share it. *)
+type 'a first_round
+
+(** The session's first round, once it has run; [None] for a resumed
+    session, which records nothing. *)
+val first_round : 'a session -> 'a first_round option
+
+(** The running witness at each raw pick, in pick order. *)
+val witnesses : 'a first_round -> float array
+
+(** [resume s f] makes [s]'s first round start from [f] instead of a
+    refresh: the recorded plane, filtered by [s]'s admissibility test,
+    seeds the heap bank (a fresh refresh would compute exactly it), and
+    the longest prefix of recorded picks whose witness is at most
+    [b - 1e-9], for [b] the smallest budget of [s], is applied without a
+    sweep ([mcg.resumed_picks] counts these picks; [mcg.selections]
+    counts them too). The round's selections are those of a fresh
+    session (DESIGN.md §4.5).
+    @raise Invalid_argument if [s] has started, differs from [f]'s
+    session in instance or mode, or has a budget above [f]'s; its first
+    round raises it on another remaining set. *)
+val resume : 'a session -> 'a first_round -> unit
+
 (** Number of elements the solution covers. *)
 val coverage : result -> int
 

@@ -41,9 +41,10 @@ let max_group_cost r = Array.fold_left Float.max 0. r.group_cost
     rounds run through one {!Mcg.session}, so set-score bounds persist
     across the shrinking remaining set (no per-round seed pass). [arena]
     backs each round's heap and candidate planes; it must not be shared
-    across pool domains. The run comes with its session's
-    {!Mcg.session_witness}. *)
-let solve_witnessed ?(mode = `Soft) ?arena inst ~bstar ?universe () =
+    across pool domains. [from], another run's first round at a larger
+    guess, is resumed ({!Mcg.resume}). The run comes with its session's
+    {!Mcg.session_witness} and first round. *)
+let solve_witnessed ?(mode = `Soft) ?arena ?from inst ~bstar ?universe () =
   Wlan_obs.Counters.incr c_solves;
   let x0 =
     match universe with
@@ -58,6 +59,7 @@ let solve_witnessed ?(mode = `Soft) ?arena inst ~bstar ?universe () =
   let group_cost = Array.make n_groups 0. in
   let k = max_rounds_for n in
   let session = Mcg.session ~mode ?arena inst ~budgets in
+  Option.iter (Mcg.resume session) from;
   (try
      for _ = 1 to k do
        if Bitset.is_empty remaining then raise Exit;
@@ -75,7 +77,7 @@ let solve_witnessed ?(mode = `Soft) ?arena inst ~bstar ?universe () =
       feasible = Bitset.is_empty remaining;
       group_cost;
     },
-    Mcg.session_witness session )
+    (Mcg.session_witness session, Mcg.first_round session) )
 
 let solve_for ?mode ?arena inst ~bstar ?universe () =
   fst (solve_witnessed ?mode ?arena inst ~bstar ?universe ())
@@ -171,7 +173,8 @@ let reuse_grid ~fanout ~bound ~probe ~reuse grid =
     Guesses go through {!reuse_grid}: a reused guess is
     [{ top with bstar }], sharing [top]'s rounds and cost arrays (nothing
     downstream mutates a result), so each result is exactly {!solve_for}
-    at its guess and the ranking is unchanged.
+    at its guess and the ranking is unchanged. Every other guess resumes
+    its first round from the top run's ({!Mcg.resume}).
 
     [fanout] evaluates the per-guess thunks; the default runs them
     sequentially in list order. Injecting a multicore evaluator (e.g.
@@ -185,9 +188,12 @@ let reuse_grid ~fanout ~bound ~probe ~reuse grid =
     shared across pool domains. *)
 let solve_grid ?mode ?arena ?(fanout = List.map (fun f -> f ())) inst
     ?universe ~grid () =
-  let probe _ bstar = solve_witnessed ?mode ?arena inst ~bstar ?universe () in
+  let probe top bstar =
+    solve_witnessed ?mode ?arena ?from:(Option.bind top snd) inst ~bstar
+      ?universe ()
+  in
   reuse_grid ~fanout
-    ~bound:(Float.max (Cover_instance.max_cost inst))
+    ~bound:(fun (w, _) -> Float.max (Cover_instance.max_cost inst) w)
     ~probe ~reuse:(fun top bstar -> { top with bstar })
     grid
   |> List.filter (fun r -> r.feasible)

@@ -83,7 +83,9 @@ val reuse_grid :
 
     Guesses go through {!reuse_grid} with the instance's max set cost; a
     reused guess is [{ top with bstar = b }], sharing the top run's
-    rounds and cost arrays (results are never mutated). [fanout]
+    rounds and cost arrays (results are never mutated). Every other
+    guess resumes its first round from the top run's
+    ({!Mcg.resume}). [fanout]
     evaluates the other guesses (default: sequentially, in list order).
     An evaluator that preserves submission order — e.g.
     [Harness.Pool.run pool] — parallelizes them with an identical

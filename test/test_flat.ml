@@ -615,12 +615,13 @@ let counting f =
    1-14 users on 1-3 sessions. Lone users barely spend, crowded APs
    spend most of the top guess, so at a lower guess some shards bind
    and others can be reused. *)
-let hetero_problem seed =
+let hetero_problem ?(max_users = 14) seed =
   let rng = Random.State.make [| seed; 0x5a4d |] in
   let clusters =
     List.init
       (2 + Random.State.int rng 4)
-      (fun _ -> (1 + Random.State.int rng 3, 1 + Random.State.int rng 14))
+      (fun _ ->
+        (1 + Random.State.int rng 3, 1 + Random.State.int rng max_users))
   in
   let n_aps = List.fold_left (fun acc (a, _) -> acc + a) 0 clusters in
   let n_users = List.fold_left (fun acc (_, u) -> acc + u) 0 clusters in
@@ -668,6 +669,37 @@ let qcheck_hetero_reuse =
     ~name:"sharded BLA with per-shard reuse = exhaustive grid (heterogeneous)"
     ~count:40 arb_seed_guesses
     (fun case -> hetero_reuses case >= 0)
+
+let c_resumed_picks = Wlan_obs.Counters.make "mcg.resumed_picks"
+
+(* Binding shards resume their first round from the top probe's
+   (DESIGN.md §4.5). On a crowded variant of the family (up to 40 users
+   per cluster, so first rounds run long and more shards bind) the
+   sharded grid still equals the from-scratch grid. Returns the picks
+   replayed. *)
+let crowded_resumed_picks (seed, n_guesses) =
+  let p = hetero_problem ~max_users:40 seed in
+  let sharded, _, _ = counting (fun () -> Shard.solve_bla ~n_guesses p) in
+  check_optional "sharded BLA (crowded shards)" sharded
+    (exhaustive_bla ~mode:`Soft ~n_guesses p);
+  Wlan_obs.Counters.value c_resumed_picks
+
+let qcheck_crowded_resume =
+  QCheck.Test.make
+    ~name:"sharded BLA with resumed binding shards = exhaustive grid (crowded)"
+    ~count:40 arb_seed_guesses
+    (fun case -> crowded_resumed_picks case >= 0)
+
+(* ... and the binding shards do replay picks: at the default grid, in
+   most cases some lower probe resumes a non-empty prefix. *)
+let test_crowded_resumes () =
+  let resuming =
+    List.filter
+      (fun seed -> crowded_resumed_picks (seed, 12) > 0)
+      (List.init 30 Fun.id)
+  in
+  if List.length resuming < 20 then
+    Alcotest.failf "only %d of 30 cases resumed a pick" (List.length resuming)
 
 (* On the same family at the default grid, reuse is partial in most
    cases: some probes replay some shards and re-solve others. *)
@@ -1185,6 +1217,7 @@ let qcheck_cases =
         qcheck_grid_reuse;
         qcheck_grid_reuse_wide;
         qcheck_hetero_reuse;
+        qcheck_crowded_resume;
         qcheck_dense_seq_total;
         qcheck_dense_sim_total;
       ]
@@ -1200,6 +1233,7 @@ let () =
           tc "fig9a scale, jobs 1/2/4" test_sharded_centralized_fig9a_jobs;
           tc "paper scale B* probe reuse" test_grid_reuse_paper_scale;
           tc "per-shard reuse is partial" test_hetero_partial_reuse;
+          tc "binding shards resume" test_crowded_resumes;
           tc "H2 round while a shard replays" test_h2_round_with_reused_shard;
           tc "per-shard reuse guards" test_reuse_guards;
           tc "a shard that never emptied re-solves"

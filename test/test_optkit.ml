@@ -945,24 +945,27 @@ let prop_scg_session_eq_eager =
           && same_scg_result lz' eg && same_scg_rounds lz' eg)
         grid)
 
-(* The witness of a from-scratch [solve_for] session at [bstar]: the
-   same rounds replayed on a visible session. *)
-let session_witness_at ~mode inst ~bstar =
-  let session =
-    Mcg.session ~mode inst
-      ~budgets:(Array.make (Cover_instance.n_groups inst) bstar)
-  in
+(* The rounds [Scg.solve_for] runs, on a visible session. *)
+let session_rounds session inst =
   let remaining = Cover_instance.coverable inst in
-  let rec go k =
-    if k > 0 && not (Bitset.is_empty remaining) then begin
+  let rec go k acc =
+    if k = 0 || Bitset.is_empty remaining then List.rev acc
+    else
       let r = Mcg.session_round session ~remaining in
-      if not (Bitset.is_empty r.Mcg.covered) then begin
+      if Bitset.is_empty r.Mcg.covered then List.rev (r :: acc)
+      else begin
         Bitset.diff_inplace remaining r.Mcg.covered;
-        go (k - 1)
+        go (k - 1) (r :: acc)
       end
-    end
   in
-  go (Scg.max_rounds_for (Bitset.cardinal remaining));
+  go (Scg.max_rounds_for (Bitset.cardinal remaining)) []
+
+let uniform inst b = Array.make (Cover_instance.n_groups inst) b
+
+(* The witness of a from-scratch [solve_for] session at [bstar]. *)
+let session_witness_at ~mode inst ~bstar =
+  let session = Mcg.session ~mode inst ~budgets:(uniform inst bstar) in
+  ignore (session_rounds session inst);
   Mcg.session_witness session
 
 (* [solve_grid] with no probe reuse: every guess solved from scratch,
@@ -1019,6 +1022,100 @@ let prop_scg_grid_reuse_exact =
       same_grid_results
         (exhaustive_grid ~mode inst grid)
         (Scg.solve_grid ~mode inst ~grid ()))
+
+let c_resumed_picks = Wlan_obs.Counters.make "mcg.resumed_picks"
+
+(* Prefix resumption is exact: a session at [b] resumed from the top
+   session's first round runs every round exactly as a fresh session at
+   [b] does, and replays exactly the picks whose running witness clears
+   [b] by 1e-9. The guesses straddle each recorded witness and every set
+   cost by a few ulps to a few margins, in both modes; costs scaled to
+   1e-12 put whole runs inside the margin. *)
+let prop_resumed_probe_exact =
+  QCheck.Test.make ~name:"resumed probe = from-scratch probe" ~count:300
+    (QCheck.quad arb_grouped QCheck.bool QCheck.bool
+       (QCheck.oneofl [ `Scaled 1e-12; `Scaled 0.3; `Scaled 1.0; `Tied ]))
+    (fun ((n, _, sets, _), hard, above_one, costs) ->
+      QCheck.assume (sets <> []);
+      let cost i c =
+        match costs with
+        | `Scaled k -> c *. k
+        | `Tied ->
+            Float.max 0.25 (Float.round (c *. 4.) /. 4.)
+            *. (1. +. [| 0.; 0.8e-12; 1.5e-12 |].(i mod 3))
+      in
+      let sets =
+        List.mapi (fun i (m, c, g) -> (m, cost i c, g))
+          ((List.init n Fun.id, 1.0, 0) :: sets)
+      in
+      let inst = mk_grouped ~n sets in
+      let mode = if hard then `Hard else `Soft in
+      let b_top = if above_one then 1.5 else 1.0 in
+      let top = Mcg.session ~mode inst ~budgets:(uniform inst b_top) in
+      ignore (session_rounds top inst);
+      let first = Option.get (Mcg.first_round top) in
+      let witnesses = Mcg.witnesses first in
+      let straddle x =
+        [ x -. 1e-12; x; x +. 1e-12; x +. 0.5e-9; x +. 1e-9; x +. 2e-9 ]
+      in
+      let grid =
+        List.filter
+          (fun b -> b > 0. && b <= b_top)
+          (List.concat_map straddle (Array.to_list witnesses)
+          @ List.init (Cover_instance.n_sets inst) (Cover_instance.cost inst))
+      in
+      List.for_all
+        (fun b ->
+          let fresh =
+            session_rounds (Mcg.session ~mode inst ~budgets:(uniform inst b)) inst
+          in
+          let s = Mcg.session ~mode inst ~budgets:(uniform inst b) in
+          Mcg.resume s first;
+          Wlan_obs.Counters.reset ();
+          Wlan_obs.Counters.set_enabled true;
+          let resumed =
+            Fun.protect
+              ~finally:(fun () -> Wlan_obs.Counters.set_enabled false)
+              (fun () -> session_rounds s inst)
+          in
+          let prefix =
+            Array.fold_left
+              (fun acc w -> if w <= b -. 1e-9 then acc + 1 else acc)
+              0 witnesses
+          in
+          Wlan_obs.Counters.value c_resumed_picks = prefix
+          && List.length fresh = List.length resumed
+          && List.for_all2 same_mcg_result fresh resumed)
+        grid)
+
+(* [resume] refuses what it cannot resume exactly. *)
+let test_resume_guards () =
+  let inst = mk_grouped ~n:2 [ ([ 0 ], 0.5, 0); ([ 1 ], 0.5, 1) ] in
+  let top = Mcg.session inst ~budgets:[| 1.; 1. |] in
+  Alcotest.(check bool) "no first round yet" true
+    (Option.is_none (Mcg.first_round top));
+  ignore (session_rounds top inst);
+  let first = Option.get (Mcg.first_round top) in
+  let raises label f =
+    match f () with
+    | () -> Alcotest.failf "%s: resumed" label
+    | exception Invalid_argument _ -> ()
+  in
+  raises "larger budget" (fun () ->
+      Mcg.resume (Mcg.session inst ~budgets:[| 1.; 1.5 |]) first);
+  raises "other mode" (fun () ->
+      Mcg.resume (Mcg.session ~mode:`Hard inst ~budgets:[| 1.; 1. |]) first);
+  raises "other instance" (fun () ->
+      Mcg.resume
+        (Mcg.session
+           (mk_grouped ~n:2 [ ([ 0 ], 0.5, 0); ([ 1 ], 0.5, 1) ])
+           ~budgets:[| 1.; 1. |])
+        first);
+  raises "started session" (fun () -> Mcg.resume top first);
+  let s = Mcg.session inst ~budgets:[| 0.7; 0.7 |] in
+  Mcg.resume s first;
+  raises "other remaining set" (fun () ->
+      ignore (Mcg.session_round s ~remaining:(Bitset.of_list 2 [ 0 ])))
 
 (* Near-ties at the 1e-12 scale of MCG's tie-break: prio(S1) beats
    prio(S2) by more than 1e-12, prio(S0) sits within 1e-12 of both, and
@@ -1313,6 +1410,7 @@ let qcheck_cases =
       prop_mcg_greedy_eq_eager;
       prop_scg_fanout_order_independent;
       prop_scg_grid_reuse_exact;
+      prop_resumed_probe_exact;
       prop_scg_session_eq_eager;
       prop_session_split_matches_round;
       prop_session_repeat_same_split;
@@ -1374,6 +1472,7 @@ let () =
           tc "reuse needs the max-cost guard" test_scg_reuse_max_cost_guard;
           tc "reuse needs the fit witness" test_scg_reuse_fit_witness;
           tc "reuse grid shares the top record" test_reuse_grid_shares_top;
+          tc "resume guards" test_resume_guards;
         ] );
       ( "subset_sum",
         [
