@@ -740,6 +740,61 @@ let test_city_golden () =
     (read_golden "golden/city_shard.digest")
     d1
 
+(* The compile golden: both CSR planes of a city and of a shadowed
+   log-distance scenario, every float printed [%h], so any change to the
+   compile (slot order, a dropped or extra link, a rate or signal off by
+   one ulp) fails it. Each user's candidate slots and each AP's member
+   slots are hashed line by line, and the line hashes are hashed. *)
+let compile_digest ps =
+  let links = ps.Problem.links in
+  let n_aps, n_users = Problem.dims ps in
+  let lines = Buffer.create (16 * (n_aps + n_users + 1)) in
+  let line s = Buffer.add_string lines (Digest.string s) in
+  line (Fmt.str "%d aps %d users %d links" n_aps n_users (Sparse.n_links links));
+  for u = 0 to n_users - 1 do
+    let b = Buffer.create 256 in
+    Buffer.add_string b (Fmt.str "u%d/%d:" u (Sparse.degree links u));
+    Sparse.iter_candidates links u (fun a r s ->
+        Buffer.add_string b
+          (Fmt.str " %d@%d %h %h" a (Sparse.find_slot links ~ap:a ~user:u) r s));
+    line (Buffer.contents b)
+  done;
+  for a = 0 to n_aps - 1 do
+    let b = Buffer.create 256 in
+    Buffer.add_string b (Fmt.str "a%d:" a);
+    Sparse.iter_members links a (fun u r ->
+        Buffer.add_string b
+          (Fmt.str " %d@%d %h" u (Sparse.find_slot links ~ap:a ~user:u) r));
+    line (Buffer.contents b)
+  done;
+  digest (Buffer.contents lines)
+
+let test_compile_golden () =
+  let city = Scenario_gen.city ~seed:2007 Scenario_gen.city_default in
+  let shadowed =
+    Scenario_gen.generate
+      ~rng:(Scenario_gen.scenario_rng ~seed:2009 0)
+      {
+        Scenario_gen.paper_default with
+        n_aps = 120;
+        n_users = 1500;
+        rate_model =
+          Some
+            (Rate_model.log_distance
+               ~shadowing:{ Rate_model.sigma_db = 6.; seed = 13 }
+               ());
+        ensure_coverage = false;
+      }
+  in
+  let d =
+    Fmt.str "city %s@.log-shadow %s@."
+      (compile_digest (Scenario.to_problem city))
+      (compile_digest (Scenario.to_problem shadowed))
+  in
+  Alcotest.(check string) "matches committed golden"
+    (read_golden "golden/city_compile.digest")
+    (digest d)
+
 (* ------------------------------------------------------------------ *)
 (* validate: empty candidate lists                                     *)
 (* ------------------------------------------------------------------ *)
@@ -836,6 +891,7 @@ let () =
         [
           tc "fig9a scale, jobs 1/2/4" test_shard_fig9a_jobs;
           tc "city 2000x40000 golden, j1 = j4" test_city_golden;
+          tc "compile planes golden" test_compile_golden;
           tc "path-loss model, jobs 1/2/4" test_shard_phy_jobs;
           tc "CSR slice edge cases" test_slice_edge_cases;
         ] );
