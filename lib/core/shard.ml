@@ -474,14 +474,9 @@ let solve_bla ?plan:pl ?(n_guesses = 12) ?(fanout = List.map (fun f -> f ()))
                  let half = if keep_h1 then sp.h1 else sp.h2 in
                  let cov = if keep_h1 then sp.cov1 else sp.cov2 in
                  let _, _, inst, _ = subs.(i) in
-                 List.iter
-                   (fun (s : Optkit.Mcg.selection) ->
-                     let g = Optkit.Cover_instance.group inst s.set in
-                     group_cost.(i).(g) <-
-                       group_cost.(i).(g)
-                       +. Optkit.Cover_instance.cost inst s.set;
-                     sels.(i) <- s :: sels.(i))
-                   half;
+                 Optkit.Scg.add_round_cost group_cost.(i)
+                   (Optkit.Mcg.kept_group_cost inst half);
+                 List.iter (fun s -> sels.(i) <- s :: sels.(i)) half;
                  Optkit.Bitset.diff_inplace remaining.(i) cov;
                  (* a replayed shard's H2 is empty: only H1 rounds move
                     it on to its next split *)

@@ -472,20 +472,24 @@ let resume s f =
     invalid_arg "Mcg.resume: a larger budget";
   s.s_from <- Some f
 
-(** One round, keeping the half that covers more. *)
-let session_round s ~remaining =
-  let inst = s.s_inst in
-  let raw_order, sp = round s ~remaining in
-  let kept, covered =
-    if sp.w1 >= sp.w2 then (sp.h1, sp.cov1) else (sp.h2, sp.cov2)
-  in
+(** Per-group cost of one round's kept selections, summed in selection
+    order. *)
+let kept_group_cost inst kept =
   let group_cost = Array.make (Cover_instance.n_groups inst) 0. in
   List.iter
     (fun { set = j; _ } ->
       let g = Cover_instance.group inst j in
       group_cost.(g) <- group_cost.(g) +. Cover_instance.cost inst j)
     kept;
-  { kept; raw_order; covered; group_cost }
+  group_cost
+
+(** One round, keeping the half that covers more. *)
+let session_round s ~remaining =
+  let raw_order, sp = round s ~remaining in
+  let kept, covered =
+    if sp.w1 >= sp.w2 then (sp.h1, sp.cov1) else (sp.h2, sp.cov2)
+  in
+  { kept; raw_order; covered; group_cost = kept_group_cost s.s_inst kept }
 
 (** [greedy inst ~budgets ?universe ()] runs budgeted greedy + split: the
     first round of a fresh session. Only elements of [universe] (default:

@@ -75,6 +75,10 @@ val session :
     fresh [greedy ~universe:remaining]. *)
 val session_round : 'a session -> remaining:Bitset.t -> result
 
+(** Per-group cost of one round's kept selections, summed in selection
+    order from [0.] — a {!result}'s [group_cost]. *)
+val kept_group_cost : 'a Cover_instance.t -> selection list -> float array
+
 (** {1 Split for sharded drivers} *)
 
 type split = {

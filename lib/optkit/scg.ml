@@ -35,6 +35,13 @@ let selections r = List.concat_map (fun (m : Mcg.result) -> m.kept) r.rounds
 
 let max_group_cost r = Array.fold_left Float.max 0. r.group_cost
 
+(** [add_round_cost acc round] adds one round's per-group cost
+    ({!Mcg.kept_group_cost}) into the running sum [acc]. Both grid
+    drivers sum a run's cost this way, round by round, so their summed
+    costs — and the ranking of near-tied probes — agree to the ulp. *)
+let add_round_cost acc round =
+  Array.iteri (fun g c -> acc.(g) <- acc.(g) +. c) round
+
 (** One SCG run for a fixed [B*]. When [universe] is given explicitly it is
     taken literally: elements of it that no set contains make the run
     infeasible (the default universe is everything coverable). The
@@ -67,7 +74,7 @@ let solve_witnessed ?(mode = `Soft) ?arena ?from inst ~bstar ?universe () =
        let r = Mcg.session_round session ~remaining in
        if Bitset.is_empty r.covered then raise Exit (* no progress: infeasible *);
        rounds := r :: !rounds;
-       Array.iteri (fun g c -> group_cost.(g) <- group_cost.(g) +. c) r.group_cost;
+       add_round_cost group_cost r.group_cost;
        Bitset.diff_inplace remaining r.covered
      done
    with Exit -> ());

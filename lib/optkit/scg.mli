@@ -20,6 +20,13 @@ val selections : result -> Mcg.selection list
 
 val max_group_cost : result -> float
 
+(** [add_round_cost acc round] adds one round's per-group cost
+    ({!Mcg.kept_group_cost}) into the running sum [acc]. Every driver
+    sums a run's cost this way, round by round — never selection by
+    selection, which rounds differently in the last ulp and can reorder
+    near-tied probes. *)
+val add_round_cost : float array -> float array -> unit
+
 (** One run at a fixed [B*]. An explicitly-passed [universe] is taken
     literally (uncoverable members make the run infeasible); the default
     universe is everything coverable. The rounds run through one

@@ -690,6 +690,16 @@ let qcheck_crowded_resume =
     ~count:40 arb_seed_guesses
     (fun case -> crowded_resumed_picks case >= 0)
 
+(* Near-tied probes: on these (seed, n_guesses) cases two probes' max
+   costs differ only in the last ulp depending on whether a driver sums
+   the cost per selection or per round (1.0046296296296295 vs ...298 at
+   seed 135, B* = 0.577), and the stable ranking orders them
+   differently. Both drivers now sum per round, so they agree. *)
+let test_crowded_near_ties () =
+  List.iter
+    (fun case -> ignore (crowded_resumed_picks case))
+    [ (135, 3); (259, 6); (388, 2); (1043, 2) ]
+
 (* ... and the binding shards do replay picks: at the default grid, in
    most cases some lower probe resumes a non-empty prefix. *)
 let test_crowded_resumes () =
@@ -1234,6 +1244,7 @@ let () =
           tc "paper scale B* probe reuse" test_grid_reuse_paper_scale;
           tc "per-shard reuse is partial" test_hetero_partial_reuse;
           tc "binding shards resume" test_crowded_resumes;
+          tc "near-tied probes rank alike" test_crowded_near_ties;
           tc "H2 round while a shard replays" test_h2_round_with_reused_shard;
           tc "per-shard reuse guards" test_reuse_guards;
           tc "a shard that never emptied re-solves"
