@@ -166,13 +166,9 @@ let plan_geometric ~ap_pos ~interaction_radius p =
   if n_aps > 0 && interaction_radius > 0. then begin
     let grid = Sparse.Grid.build ~cell:interaction_radius ap_pos in
     for a = 0 to n_aps - 1 do
-      List.iter
-        (fun b ->
-          if
-            b > a
-            && Point.dist ap_pos.(a) ap_pos.(b) <= interaction_radius
+      Sparse.Grid.iter_block grid ap_pos.(a) (fun b ->
+          if b > a && Point.dist ap_pos.(a) ap_pos.(b) <= interaction_radius
           then union parent a b)
-        (Sparse.Grid.probe grid ap_pos.(a))
     done
   end;
   plan_of_roots p parent

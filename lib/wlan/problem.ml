@@ -124,7 +124,7 @@ let validate t =
   t
 
 (** Build and validate an instance around an existing link structure
-    (see {!Sparse.make} and {!Scenario.to_problem}). *)
+    (see {!Sparse.of_geometry} and {!Scenario.to_problem}). *)
 let make_sparse ?ap_budgets ?(allow_uncovered = false) ~session_rates
     ~user_session ~sparse ~budget () =
   validate

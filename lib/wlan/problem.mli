@@ -90,7 +90,7 @@ val make :
   t
 
 (** Build and validate an instance around an existing link structure
-    (see {!Sparse.make} and [Scenario.to_problem]). *)
+    (see {!Sparse.of_geometry} and [Scenario.to_problem]). *)
 val make_sparse :
   ?ap_budgets:float array ->
   ?allow_uncovered:bool ->

@@ -55,31 +55,23 @@ let distances t =
     (fun ap -> Array.map (fun u -> Point.dist ap u) t.user_pos)
     t.ap_pos
 
+(* The scenario's CSR planes. [Rate_model.link] goes in as one 3-ary
+   closure: a partial application would re-curry on every call. *)
+let links t =
+  let model = t.model in
+  Sparse.of_geometry ~cell:(range t) ~ap_pos:t.ap_pos ~user_pos:t.user_pos
+    ~link:(fun ~ap ~user ~dist -> Rate_model.link model ~ap ~user ~dist)
+
 (** Compile into the abstract problem instance without ever allocating
-    an (AP × user) matrix: a {!Sparse.Grid} bucket grid over the AP
-    positions (cell = the model's {!Rate_model.max_range}) yields each
-    user's candidate superset, and the model's link predicate —
-    [Rate_model.link] on [Point.dist] — decides membership. Random
-    placement can legitimately strand a user out of every AP's range,
-    so the compiled instance allows uncovered users —
-    {!uncovered_users} reports them. O(APs + users · candidates). *)
+    an (AP × user) matrix: {!Sparse.of_geometry} sorts the AP positions
+    into a grid (cell = the model's {!Rate_model.max_range}) and writes
+    the CSR planes straight from each user's 3×3 cell block, with the
+    model's link predicate — [Rate_model.link] on [Point.dist] —
+    deciding membership. Random placement can legitimately strand a
+    user out of every AP's range, so the compiled instance allows
+    uncovered users — {!uncovered_users} reports them. *)
 let to_problem t =
-  let grid = Sparse.Grid.build ~cell:(range t) t.ap_pos in
-  let links =
-    Array.mapi
-      (fun ui u ->
-        (* probe order is ascending, so the candidate list is sorted *)
-        List.filter_map
-          (fun a ->
-            let dist = Point.dist t.ap_pos.(a) u in
-            match Rate_model.link t.model ~ap:a ~user:ui ~dist with
-            | Some (r, s) -> Some (a, r, s)
-            | None -> None)
-          (Sparse.Grid.probe grid u))
-      t.user_pos
-  in
-  Problem.make_sparse ~allow_uncovered:true
-    ~sparse:(Sparse.make ~n_aps:(n_aps t) ~links)
+  Problem.make_sparse ~allow_uncovered:true ~sparse:(links t)
     ~session_rates:(Array.map Session.rate_mbps t.sessions)
     ~user_session:(Array.copy t.user_session)
     ~budget:t.budget ()
@@ -87,31 +79,16 @@ let to_problem t =
 (** Alias of {!to_problem}. *)
 let to_problem_sparse = to_problem
 
-(** Users no AP can serve — decided by the same {!Rate_model.link}
-    predicate the compile uses, so this list agrees exactly with the
-    compiled problem's empty candidate sets (historically it tested
-    [Point.within], whose squared-distance comparison could disagree
-    with the compile at the range boundary in floating point). *)
+(** Users no AP can serve: the empty candidate lists of the compile's
+    own planes, so this list agrees with the compiled problem by
+    construction (historically an all-pairs scan, and before that a
+    [Point.within] test that could disagree with the compile at the
+    range boundary in floating point). *)
 let uncovered_users t =
-  let n_aps = Array.length t.ap_pos in
-  let covered u =
-    let up = t.user_pos.(u) in
-    let rec probe a =
-      a < n_aps
-      && (match
-            Rate_model.link t.model ~ap:a ~user:u
-              ~dist:(Point.dist t.ap_pos.(a) up)
-          with
-         | Some _ -> true
-         | None -> probe (a + 1))
-    in
-    probe 0
-  in
-  let acc = ref [] in
-  for u = Array.length t.user_pos - 1 downto 0 do
-    if not (covered u) then acc := u :: !acc
-  done;
-  !acc
+  let links = links t in
+  List.filter
+    (fun u -> Sparse.degree links u = 0)
+    (List.init (n_users t) Fun.id)
 
 let fully_covered t = uncovered_users t = []
 

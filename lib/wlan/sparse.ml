@@ -16,18 +16,18 @@
     Both views share one value array, so a rate mutation (churn drift) is
     seen consistently from either side.
 
-    The slot structure is {b immutable} after {!make}: churn may change a
+    The slot structure is {b immutable} once built: churn may change a
     slot's rate — including to [0.], "link lost", which every reader skips
     — but can never add a link that was out of range at build time. That
     is exactly the contract of the rate-drift churn tier ladder, and it is
     what keeps the representation allocation-free under replay.
 
-    {!Grid} is the spatial bucket grid used to build candidate lists from
-    geometry in O(APs + users · candidates) without ever forming the dense
-    matrix: APs are bucketed into square cells whose side is the radio
-    range, so every AP within range of a point lies in the 3×3 cell block
-    around it — including APs sitting exactly at the reach boundary or on
-    a cell edge. *)
+    {!Grid} is the spatial bucket grid {!of_geometry} uses to compile
+    positions into the planes in O(APs log APs + users · block) without
+    ever forming the dense matrix: APs are sorted by square cells whose
+    side is the radio range, so every AP within range of a point lies in
+    the 3×3 cell block around it — including APs sitting exactly at the
+    reach boundary or on a cell edge. *)
 
 (* Deterministic event counters (DESIGN.md §4.9): builds and probes are
    driven by index-ordered scans, so these totals are pure functions of
@@ -99,7 +99,7 @@ let validate t =
   done;
   t
 
-(* The one CSR assembly both builders share: given the candidate plane
+(* The one CSR assembly every builder shares: given the candidate plane
    (per-user slot ranges over ascending APs), mirror it into the member
    plane, count the build, and validate. *)
 let assemble ~n_aps ~user_off ~cand_ap ~cand_rate ~cand_signal =
@@ -108,7 +108,12 @@ let assemble ~n_aps ~user_off ~cand_ap ~cand_rate ~cand_signal =
   let n = Array.length cand_ap in
   Wlan_obs.Counters.add c_candidate_list_len n;
   let ap_off = Array.make (n_aps + 1) 0 in
-  Array.iter (fun a -> ap_off.(a + 1) <- ap_off.(a + 1) + 1) cand_ap;
+  Array.iter
+    (fun a ->
+      if a < 0 || a >= n_aps then
+        Fmt.kstr invalid_arg "Sparse.assemble: unknown AP %d" a;
+      ap_off.(a + 1) <- ap_off.(a + 1) + 1)
+    cand_ap;
   for a = 0 to n_aps - 1 do
     ap_off.(a + 1) <- ap_off.(a) + ap_off.(a + 1)
   done;
@@ -138,38 +143,9 @@ let assemble ~n_aps ~user_off ~cand_ap ~cand_rate ~cand_signal =
       memb_slot;
     }
 
-(** [make ~n_aps ~links] builds the two mirrored CSR planes from per-user
-    candidate lists. [links.(u)] is user [u]'s list of
-    [(ap, rate, signal)], strictly ascending by AP index.
-    @raise Invalid_argument on unsorted lists or out-of-range indices. *)
-let make ~n_aps ~links =
-  let n_users = Array.length links in
-  let n = Array.fold_left (fun acc l -> acc + List.length l) 0 links in
-  let user_off = Array.make (n_users + 1) 0 in
-  let cand_ap = Array.make n 0 in
-  let cand_rate = Array.make n 0. in
-  let cand_signal = Array.make n 0. in
-  let k = ref 0 in
-  Array.iteri
-    (fun u l ->
-      user_off.(u) <- !k;
-      List.iter
-        (fun (a, r, s) ->
-          if a < 0 || a >= n_aps then
-            Fmt.kstr invalid_arg "Sparse.make: unknown AP %d" a;
-          cand_ap.(!k) <- a;
-          cand_rate.(!k) <- r;
-          cand_signal.(!k) <- s;
-          incr k)
-        l)
-    links;
-  user_off.(n_users) <- !k;
-  assemble ~n_aps ~user_off ~cand_ap ~cand_rate ~cand_signal
-
 (** [restrict t ~aps ~users] slices the in-range links of [users] out of
     [t]'s planes, reindexing [aps] and [users] densely in the given
-    order; lost slots are dropped. Equal, plane for plane, to {!make} on
-    the restricted candidate lists — without building them. *)
+    order; lost slots are dropped. *)
 let restrict t ~aps ~users =
   let ap_local = Array.make t.n_aps (-1) in
   Array.iteri (fun la a -> ap_local.(a) <- la) aps;
@@ -339,16 +315,30 @@ let map_rates t f =
     from. *)
 let of_dense ~n_users ~rates ~signal =
   let n_aps = Array.length rates in
-  let links =
-    Array.init n_users (fun u ->
-        let acc = ref [] in
-        for a = n_aps - 1 downto 0 do
-          if rates.(a).(u) > 0. then
-            acc := (a, rates.(a).(u), signal.(a).(u)) :: !acc
-        done;
-        !acc)
-  in
-  make ~n_aps ~links
+  let user_off = Array.make (n_users + 1) 0 in
+  for u = 0 to n_users - 1 do
+    let d = ref 0 in
+    for a = 0 to n_aps - 1 do
+      if rates.(a).(u) > 0. then incr d
+    done;
+    user_off.(u + 1) <- user_off.(u) + !d
+  done;
+  let n = user_off.(n_users) in
+  let cand_ap = Array.make n 0 in
+  let cand_rate = Array.make n 0. in
+  let cand_signal = Array.make n 0. in
+  for u = 0 to n_users - 1 do
+    let k = ref user_off.(u) in
+    for a = 0 to n_aps - 1 do
+      if rates.(a).(u) > 0. then begin
+        cand_ap.(!k) <- a;
+        cand_rate.(!k) <- rates.(a).(u);
+        cand_signal.(!k) <- signal.(a).(u);
+        incr k
+      end
+    done
+  done;
+  assemble ~n_aps ~user_off ~cand_ap ~cand_rate ~cand_signal
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>sparse: %d APs, %d users, %d links (%.2f cand/user)@]"
@@ -356,55 +346,138 @@ let pp ppf t =
     (if t.n_users = 0 then 0.
      else float_of_int (n_links t) /. float_of_int t.n_users)
 
-(** {1 Spatial bucket grid}
+(** {1 Spatial bucket grid} *)
 
-    Square cells of side [cell] over the plane; a point's candidates are
-    gathered from the 3×3 cell block around it. With [cell >= range]
-    every AP within [range] of the point lies in that block — including
-    APs exactly at distance [range] and points sitting on cell edges —
-    so the probe has {e no false negatives}; distance filtering (the
-    exact same float comparison as an all-pairs scan) happens
-    downstream. *)
 module Grid = struct
-  type grid = {
-    cell : float;
-    buckets : (int * int, int list) Hashtbl.t;
-        (** cell -> AP indices, ascending; probed by explicit key lookup
-            only, never folded, so iteration order cannot leak *)
-  }
+  (* Flat arrays of point indices sorted by (cell row, cell column,
+     index); entry [i] is point [idx.(i)] in cell [(row.(i), col.(i))]. *)
+  type grid = { cell : float; row : int array; col : int array; idx : int array }
 
-  let cell_of g (p : Point.t) =
-    (int_of_float (Float.floor (p.Point.x /. g)),
-     int_of_float (Float.floor (p.Point.y /. g)))
+  let key cell v = int_of_float (Float.floor (v /. cell))
 
-  (** [build ~cell pts] buckets every point index by its cell.
-      @raise Invalid_argument if [cell <= 0]. *)
   let build ~cell pts =
     if not (cell > 0.) then invalid_arg "Sparse.Grid.build: cell must be > 0";
-    let buckets = Hashtbl.create (Int.max 16 (Array.length pts)) in
-    (* descending, so each bucket's prepend-list ends up ascending *)
-    for i = Array.length pts - 1 downto 0 do
-      let key = cell_of cell pts.(i) in
-      let tl = Option.value ~default:[] (Hashtbl.find_opt buckets key) in
-      Hashtbl.replace buckets key (i :: tl)
-    done;
-    { cell; buckets }
+    let row = Array.map (fun (p : Point.t) -> key cell p.y) pts in
+    let col = Array.map (fun (p : Point.t) -> key cell p.x) pts in
+    let idx = Array.init (Array.length pts) Fun.id in
+    Array.sort
+      (fun i j ->
+        if row.(i) <> row.(j) then Int.compare row.(i) row.(j)
+        else if col.(i) <> col.(j) then Int.compare col.(i) col.(j)
+        else Int.compare i j)
+      idx;
+    {
+      cell;
+      row = Array.map (fun i -> row.(i)) idx;
+      col = Array.map (fun i -> col.(i)) idx;
+      idx;
+    }
 
-  (** All point indices in the 3×3 cell block around [p], ascending.
-      A superset of the points within [cell] of [p]; the caller applies
-      the exact distance predicate. *)
-  let probe t p =
-    let cx, cy = cell_of t.cell p in
-    let acc = ref [] in
-    for dy = 1 downto -1 do
-      for dx = 1 downto -1 do
-        match Hashtbl.find_opt t.buckets (cx + dx, cy + dy) with
-        | None -> ()
-        | Some l ->
-            Wlan_obs.Counters.incr c_grid_cells_probed;
-            acc := l :: !acc
+  (* First entry of cell [(r, c)], or where it would be. *)
+  let lower g r c =
+    let lo = ref 0 and hi = ref (Array.length g.idx) in
+    while !lo < !hi do
+      let m = (!lo + !hi) / 2 in
+      if g.row.(m) < r || (g.row.(m) = r && g.col.(m) < c) then lo := m + 1
+      else hi := m
+    done;
+    !lo
+
+  (* Fills [span] (18 ints) with the [lo, hi) entry ranges of the
+     non-empty cells of the 3×3 block around [p], cell by cell, and
+     returns how many. Each of the nine cells is looked up on its own:
+     keys wrap at |x| >= 2^62 · cell, so the three cells of a block row
+     need not be adjacent in the sort order. *)
+  let block g (p : Point.t) span =
+    let r0 = key g.cell p.y and c0 = key g.cell p.x in
+    let n = Array.length g.idx and k = ref 0 in
+    for dr = -1 to 1 do
+      for dc = -1 to 1 do
+        let r = r0 + dr and c = c0 + dc in
+        let lo = lower g r c in
+        let hi = ref lo in
+        while !hi < n && g.row.(!hi) = r && g.col.(!hi) = c do
+          incr hi
+        done;
+        if !hi > lo then begin
+          span.(2 * !k) <- lo;
+          span.((2 * !k) + 1) <- !hi;
+          incr k
+        end
       done
     done;
-    (* cells are disjoint and each list ascending; a plain sort merges *)
-    List.sort Int.compare (List.concat !acc)
+    !k
+
+  let iter_block g p f =
+    let span = Array.make 18 0 in
+    let cells = block g p span in
+    Wlan_obs.Counters.add c_grid_cells_probed cells;
+    for c = 0 to cells - 1 do
+      for i = span.(2 * c) to span.((2 * c) + 1) - 1 do
+        f g.idx.(i)
+      done
+    done
 end
+
+(* [Point.dist] written out — the same operations in the same order,
+   hence the same bits — so the block scans box no float per AP-user
+   pair: the dev profile compiles libraries [-opaque], which rules out
+   inlining [Point.dist] across modules. *)
+let[@inline] dist (a : Point.t) (b : Point.t) =
+  let dx = a.x -. b.x and dy = a.y -. b.y in
+  sqrt ((dx *. dx) +. (dy *. dy))
+
+(** [of_geometry ~cell ~ap_pos ~user_pos ~link] compiles positions
+    straight into the planes. Pass 1 counts each user's block APs within
+    reach, which sizes the planes; pass 2 inserts every link [link]
+    accepts into its user's slots in ascending AP order. The planes
+    shrink only when [link] rejected an in-reach pair. *)
+let of_geometry ~cell ~ap_pos ~user_pos ~link =
+  let g = Grid.build ~cell ap_pos and span = Array.make 18 0 in
+  let n_users = Array.length user_pos in
+  let user_off = Array.make (n_users + 1) 0 in
+  for u = 0 to n_users - 1 do
+    let p = user_pos.(u) and d = ref 0 in
+    let cells = Grid.block g p span in
+    Wlan_obs.Counters.add c_grid_cells_probed cells;
+    for c = 0 to cells - 1 do
+      for i = span.(2 * c) to span.((2 * c) + 1) - 1 do
+        if dist ap_pos.(g.idx.(i)) p <= cell then incr d
+      done
+    done;
+    user_off.(u + 1) <- user_off.(u) + !d
+  done;
+  let n = user_off.(n_users) in
+  let cand_ap = Array.make n 0 in
+  let cand_rate = Array.make n 0. in
+  let cand_signal = Array.make n 0. in
+  let k = ref 0 in
+  for u = 0 to n_users - 1 do
+    let p = user_pos.(u) and start = !k in
+    user_off.(u) <- start;
+    for c = 0 to Grid.block g p span - 1 do
+      for i = span.(2 * c) to span.((2 * c) + 1) - 1 do
+        let a = g.idx.(i) in
+        let dist = dist ap_pos.(a) p in
+        if dist <= cell then
+          match link ~ap:a ~user:u ~dist with
+          | None -> ()
+          | Some (r, s) ->
+              let j = ref !k in
+              while !j > start && cand_ap.(!j - 1) > a do
+                cand_ap.(!j) <- cand_ap.(!j - 1);
+                cand_rate.(!j) <- cand_rate.(!j - 1);
+                cand_signal.(!j) <- cand_signal.(!j - 1);
+                decr j
+              done;
+              cand_ap.(!j) <- a;
+              cand_rate.(!j) <- r;
+              cand_signal.(!j) <- s;
+              incr k
+      done
+    done
+  done;
+  user_off.(n_users) <- !k;
+  let fit a = if !k = n then a else Array.sub a 0 !k in
+  assemble ~n_aps:(Array.length ap_pos) ~user_off ~cand_ap:(fit cand_ap)
+    ~cand_rate:(fit cand_rate) ~cand_signal:(fit cand_signal)

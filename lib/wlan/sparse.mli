@@ -3,7 +3,7 @@
     the spatial bucket grid that builds them from geometry without ever
     allocating the dense (AP × user) matrix. See DESIGN.md §4.10.
 
-    The slot structure is immutable after {!make}: churn may drive a
+    The slot structure is immutable once built: churn may drive a
     slot's rate to [0.] ("link lost", skipped by every reader) and back,
     but a pair that was out of range at build time can never gain a link.
 
@@ -19,19 +19,25 @@ val n_users : t -> int
 (** Total number of slots (in-range pairs at build time, lost or not). *)
 val n_links : t -> int
 
-(** [make ~n_aps ~links] builds both CSR planes from per-user candidate
-    lists: [links.(u)] lists user [u]'s [(ap, rate, signal)] triples in
-    strictly ascending AP order. Rates must be finite and non-negative.
-    @raise Invalid_argument on unsorted/duplicate/out-of-range entries. *)
-val make : n_aps:int -> links:(int * float * float) list array -> t
+(** [assemble ~n_aps ~user_off ~cand_ap ~cand_rate ~cand_signal] builds
+    both CSR planes from the candidate plane: user [u]'s slots are
+    [user_off.(u) .. user_off.(u+1) - 1], in strictly ascending AP order,
+    with finite non-negative rates. Mirrors them into the member plane,
+    counts one build and validates; the arrays are taken, not copied.
+    @raise Invalid_argument on malformed planes. *)
+val assemble :
+  n_aps:int ->
+  user_off:int array ->
+  cand_ap:int array ->
+  cand_rate:float array ->
+  cand_signal:float array ->
+  t
 
 (** [restrict t ~aps ~users] is the sub-structure on the listed APs and
     users, reindexed densely in the given order (local AP [i] is
     [aps.(i)], local user [j] is [users.(j)]): each listed user keeps
     its in-range candidates, lost slots are dropped. It slices [t]'s
-    planes directly and shares {!make}'s member-plane assembly and
-    validation, so it equals {!make} on the restricted candidate lists
-    plane for plane (and counts as one build). [aps] must be ascending
+    planes directly into {!assemble} (one build). [aps] must be ascending
     for the result to validate — the shard sub-instance's case.
     @raise Invalid_argument when a listed user hears an AP not in
     [aps]. *)
@@ -112,22 +118,36 @@ val map_rates : t -> (float -> float) -> t
 
 val pp : Format.formatter -> t -> unit
 
-(** Spatial bucket grid over point sets (typically AP positions). Square
-    cells of side [cell]; probing gathers the 3×3 cell block around a
-    point, a guaranteed superset of the points within [cell] of it — no
-    false negatives at the exact reach boundary or on cell edges. The
-    caller applies the exact distance/rate predicate downstream, so
-    candidate construction is bit-identical to an all-pairs scan. *)
+(** Spatial bucket grid over point sets (typically AP positions): point
+    indices sorted by square cell of side [cell]. The 3×3 cell block
+    around a point is a superset of the points within [cell] of it — no
+    false negatives at the exact reach boundary or on cell edges. *)
 module Grid : sig
   type grid
 
-  (** [build ~cell pts] buckets every point index by its cell.
-      Bucket contents are index-ascending regardless of input order.
+  (** [build ~cell pts] sorts every point index by its cell.
       @raise Invalid_argument if [cell <= 0]. *)
   val build : cell:float -> Point.t array -> grid
 
-  (** All point indices in the 3×3 cell block around the probe point, in
-      ascending index order (deterministic: explicit key lookups, no
-      hash-order iteration). *)
-  val probe : grid -> Point.t -> int list
+  (** [iter_block g p f] calls [f i] for every point index in the 3×3
+      cell block around [p]: cell by cell (each found by its own binary
+      search, so cell keys that wrap at |x| >= 2^62 · cell are still
+      exact), ascending index within a cell. Deterministic; counts the
+      non-empty cells in [sparse.grid_cells_probed]. *)
+  val iter_block : grid -> Point.t -> (int -> unit) -> unit
 end
+
+(** [of_geometry ~cell ~ap_pos ~user_pos ~link] compiles positions
+    straight into the planes: user [u] gets a slot for AP [a] iff
+    [dist <= cell] and [link ~ap:a ~user:u ~dist] is [Some (rate,
+    signal)], [dist] being [Point.dist]'s bits. With [link] [None] beyond
+    [cell], this equals an all-pairs scan. One {!Grid} and two passes
+    over its blocks: the first sizes the planes exactly, the second
+    inserts each link in ascending AP order.
+    @raise Invalid_argument if [cell <= 0] or a rate is invalid. *)
+val of_geometry :
+  cell:float ->
+  ap_pos:Point.t array ->
+  user_pos:Point.t array ->
+  link:(ap:int -> user:int -> dist:float -> (float * float) option) ->
+  t

@@ -16,8 +16,9 @@
      compiles yields identical step metrics, final association and
      loads.
    - Grid properties: no false negatives at the exact reach boundary or
-     on cell edges, index-sorted probes, position-permutation
-     invariance.
+     on cell edges, blocks that are exactly the nine cells' points
+     (ascending within a cell), position-permutation invariance, and
+     co-located pairs at coordinates whose cell keys wrap.
    - Shard slices: [Shard.extract]'s CSR slice equals the list-built
      sub-instance plane for plane (lost links, per-AP budgets,
      single-user shards) and counts the same build.
@@ -50,6 +51,20 @@ let check_float_arrays what a b =
     a
 
 let fail_if what cond = if cond then Alcotest.failf "%s" what
+
+(* CSR planes from per-user [(ap, rate, signal)] lists, ascending by AP
+   — the list builder the library used before it compiled straight into
+   the planes, kept as the reference for [Sparse.restrict]. *)
+let of_lists ~n_aps ~links =
+  let user_off = Array.make (Array.length links + 1) 0 in
+  Array.iteri
+    (fun u l -> user_off.(u + 1) <- user_off.(u) + List.length l)
+    links;
+  let slots = Array.of_list (List.concat (Array.to_list links)) in
+  Sparse.assemble ~n_aps ~user_off
+    ~cand_ap:(Array.map (fun (a, _, _) -> a) slots)
+    ~cand_rate:(Array.map (fun (_, r, _) -> r) slots)
+    ~cand_signal:(Array.map (fun (_, _, s) -> s) slots)
 
 (* Seed-indexed random geometric case, compiled both ways (all-pairs,
    grid). Coverage is deliberately not ensured (uncovered users must
@@ -86,8 +101,7 @@ let case ?rate_model ~seed () =
 (* Compile equality: grid = all-pairs                                  *)
 (* ------------------------------------------------------------------ *)
 
-let reprs_agree ?rate_model seed =
-  let _, pd, ps = case ?rate_model ~seed () in
+let planes_agree pd ps =
   fail_if "rate matrices differ"
     (Problem.rates_matrix pd <> Problem.rates_matrix ps);
   let n_aps, n_users = Problem.dims pd in
@@ -126,7 +140,27 @@ let reprs_agree ?rate_model seed =
   done;
   fail_if "basic-rate restrictions differ"
     (Problem.rates_matrix (Problem.restrict_to_basic_rate pd)
-    <> Problem.rates_matrix (Problem.restrict_to_basic_rate ps));
+    <> Problem.rates_matrix (Problem.restrict_to_basic_rate ps))
+
+(* The same case moved off the first quadrant: the left half of the area
+   to around (-1e6, 0) with y mirrored negative, the right half shifted
+   down by 500 m — negative cell keys, and two clusters 1e6 m apart whose
+   straddling pairs drop out of range on both compiles. *)
+let far_apart (sc : Scenario.t) =
+  let move (p : Point.t) =
+    if p.x < 250. then Point.v (p.x -. 1e6) (-.p.y) else Point.v p.x (p.y -. 500.)
+  in
+  {
+    sc with
+    Scenario.ap_pos = Array.map move sc.Scenario.ap_pos;
+    user_pos = Array.map move sc.Scenario.user_pos;
+  }
+
+let reprs_agree ?rate_model seed =
+  let sc, pd, ps = case ?rate_model ~seed () in
+  planes_agree pd ps;
+  let far = far_apart sc in
+  planes_agree (All_pairs.problem far) (Scenario.to_problem far);
   true
 
 let qcheck_reprs_agree =
@@ -422,6 +456,14 @@ let arb_points =
              in
              Point.v (coord ()) (coord ()))))
 
+(* The indices [Grid.iter_block] visits around [q], in visit order. *)
+let block grid q =
+  let acc = ref [] in
+  Sparse.Grid.iter_block grid q (fun i -> acc := i :: !acc);
+  List.rev !acc
+
+let cell_key v = int_of_float (Float.floor (v /. 200.))
+
 let qcheck_grid_no_false_negatives =
   QCheck.Test.make ~name:"grid probe: every in-range point is returned"
     ~count:200 arb_points (fun pts ->
@@ -429,24 +471,39 @@ let qcheck_grid_no_false_negatives =
       let grid = Sparse.Grid.build ~cell pts in
       Array.for_all
         (fun q ->
-          let found = Sparse.Grid.probe grid q in
+          let found = block grid q in
           Array.for_all
             (fun i ->
               Point.dist pts.(i) q > cell || List.mem i found)
             (Array.init (Array.length pts) Fun.id))
         pts)
 
-let qcheck_grid_sorted =
-  QCheck.Test.make ~name:"grid probe: strictly ascending indices" ~count:200
-    arb_points (fun pts ->
+(* The block is exactly the points of the nine cells around the probe,
+   each visited once, cell by cell and ascending within a cell. *)
+let qcheck_grid_block_exact =
+  QCheck.Test.make
+    ~name:"grid block: the nine cells' points, once each, ascending per cell"
+    ~count:200 arb_points (fun pts ->
       let grid = Sparse.Grid.build ~cell:200. pts in
+      let key (p : Point.t) = (cell_key p.y, cell_key p.x) in
       Array.for_all
-        (fun q ->
-          let rec ascending = function
-            | a :: (b :: _ as rest) -> a < b && ascending rest
+        (fun (q : Point.t) ->
+          let r0, c0 = key q in
+          let near k k0 = k = k0 - 1 || k = k0 || k = k0 + 1 in
+          let expected =
+            List.filter
+              (fun i ->
+                let r, c = key pts.(i) in
+                near r r0 && near c c0)
+              (List.init (Array.length pts) Fun.id)
+          in
+          let found = block grid q in
+          let rec ascending_per_cell = function
+            | a :: (b :: _ as rest) ->
+                (key pts.(a) <> key pts.(b) || a < b) && ascending_per_cell rest
             | _ -> true
           in
-          ascending (Sparse.Grid.probe grid q))
+          List.sort Int.compare found = expected && ascending_per_cell found)
         pts)
 
 let qcheck_grid_permutation_invariant =
@@ -468,14 +525,41 @@ let qcheck_grid_permutation_invariant =
       let g2 = Sparse.Grid.build ~cell:200. shuffled in
       Array.for_all
         (fun q ->
-          let original = Sparse.Grid.probe g1 q in
+          let original = List.sort Int.compare (block g1 q) in
           (* map shuffled indices back to original ones *)
           let mapped =
-            List.sort Int.compare
-              (List.map (fun i -> perm.(i)) (Sparse.Grid.probe g2 q))
+            List.sort Int.compare (List.map (fun i -> perm.(i)) (block g2 q))
           in
           original = mapped)
         pts)
+
+(* Co-located AP/user pairs at extreme coordinates. At
+   ±9.223372036854775808e20 (= 2^63 m) a 200 m cell key is ±2^62, past
+   the largest OCaml int, so it wraps and the block's neighbouring keys
+   wrap with it; at ±1e300 the key conversion overflows outright. The
+   per-cell lookup still finds the pair's own cell, so every pair links
+   at distance 0, as in the all-pairs compile. *)
+let test_grid_extreme_coordinates () =
+  let xs = [ 9.223372036854775808e20; -9.223372036854775808e20; 1e300; -1e300 ] in
+  let pts =
+    Array.of_list
+      (List.concat_map (fun x -> [ Point.v x 0.; Point.v 0. x; Point.v x x ]) xs)
+  in
+  let sc =
+    Scenario.make ~area_w:1. ~area_h:1. ~ap_pos:pts ~user_pos:pts
+      ~user_session:(Array.make (Array.length pts) 0)
+      ~sessions:(Session.uniform ~n:1 ~rate_mbps:1.)
+      ~budget:0.9 ()
+  in
+  let ps = Scenario.to_problem sc in
+  Array.iteri
+    (fun u _ ->
+      Alcotest.(check (list int))
+        (Fmt.str "user %d hears its co-located AP" u)
+        [ u ] (Problem.neighbor_aps ps u))
+    pts;
+  planes_agree (All_pairs.problem sc) ps;
+  Alcotest.(check (list int)) "no user uncovered" [] (Scenario.uncovered_users sc)
 
 (* ------------------------------------------------------------------ *)
 (* Shard/halo reconciliation                                           *)
@@ -516,7 +600,7 @@ let qcheck_shard_vector =
     (shard_matches_unsharded ~objective:Distributed.Min_load_vector)
 
 (* The sub-instance as [Shard.extract] used to assemble it: per-user
-   candidate lists, reindexed, through [Sparse.make]. The CSR slice must
+   candidate lists, reindexed, through [of_lists]. The CSR slice must
    equal it plane for plane and count the same build. *)
 let list_extract p (sh : Shard.shard) =
   let n_aps, _ = Problem.dims p in
@@ -531,7 +615,7 @@ let list_extract p (sh : Shard.shard) =
         List.rev !acc)
       sh.Shard.users
   in
-  let sparse = Sparse.make ~n_aps:(Array.length sh.Shard.aps) ~links in
+  let sparse = of_lists ~n_aps:(Array.length sh.Shard.aps) ~links in
   Problem.make_sparse
     ?ap_budgets:
       (Option.map
@@ -816,12 +900,12 @@ let test_validate_rejects_uncovered () =
      link are both uncovered *)
   expect_reject "sparse, no slots" (fun () ->
       Problem.make_sparse ~session_rates:[| 1. |] ~user_session:[| 0; 0 |]
-        ~sparse:(Sparse.make ~n_aps:1 ~links:[| [ (0, 6., 6.) ]; [] |])
+        ~sparse:(of_lists ~n_aps:1 ~links:[| [ (0, 6., 6.) ]; [] |])
         ~budget:0.9 ());
   expect_reject "sparse, lost link" (fun () ->
       Problem.make_sparse ~session_rates:[| 1. |] ~user_session:[| 0; 0 |]
         ~sparse:
-          (Sparse.make ~n_aps:1 ~links:[| [ (0, 6., 6.) ]; [ (0, 0., 6.) ] |])
+          (of_lists ~n_aps:1 ~links:[| [ (0, 6., 6.) ]; [ (0, 0., 6.) ] |])
         ~budget:0.9 ());
   (* the geometric escape hatch accepts both *)
   let pd =
@@ -831,7 +915,7 @@ let test_validate_rejects_uncovered () =
   let ps =
     Problem.make_sparse ~allow_uncovered:true ~session_rates:[| 1. |]
       ~user_session:[| 0; 0 |]
-      ~sparse:(Sparse.make ~n_aps:1 ~links:[| [ (0, 6., 6.) ]; [] |])
+      ~sparse:(of_lists ~n_aps:1 ~links:[| [ (0, 6., 6.) ]; [] |])
       ~budget:0.9 ()
   in
   Alcotest.(check (list int)) "dense coverable" [ 0 ]
@@ -840,7 +924,7 @@ let test_validate_rejects_uncovered () =
     (Problem.coverable_users ps)
 
 let test_sparse_cannot_grow () =
-  let s = Sparse.make ~n_aps:2 ~links:[| [ (0, 6., 6.) ] |] in
+  let s = of_lists ~n_aps:2 ~links:[| [ (0, 6., 6.) ] |] in
   (* re-arming a lost slot and zeroing an absent link are fine *)
   Sparse.set_rate s ~ap:0 ~user:0 0.;
   Sparse.set_rate s ~ap:0 ~user:0 9.;
@@ -868,7 +952,7 @@ let qcheck_cases =
       qcheck_churn_mla;
       qcheck_churn_bla;
       qcheck_grid_no_false_negatives;
-      qcheck_grid_sorted;
+      qcheck_grid_block_exact;
       qcheck_grid_permutation_invariant;
       qcheck_shard_total;
       qcheck_shard_vector;
@@ -886,7 +970,11 @@ let () =
       ("differential", qcheck_cases);
       ("phy_models", qcheck_model_cases);
       ( "grid",
-        [ tc "exact reach and cell boundaries" test_grid_exact_boundaries ] );
+        [
+          tc "exact reach and cell boundaries" test_grid_exact_boundaries;
+          tc "co-located pairs at extreme coordinates"
+            test_grid_extreme_coordinates;
+        ] );
       ( "shard",
         [
           tc "fig9a scale, jobs 1/2/4" test_shard_fig9a_jobs;
