@@ -68,6 +68,15 @@ let net_term =
   in
   Term.(const mk $ aps $ users $ sessions $ rate $ budget $ area $ seed)
 
+(* A scenario file that does not parse, or describes an invalid
+   scenario (a non-finite coordinate, an unknown session), is a user
+   error: say so and exit 1 rather than surface an internal error. *)
+let load_scenario path =
+  try Scenario_io.of_file path
+  with Scenario_io.Parse_error msg ->
+    Fmt.epr "wlan-mcast: scenario %s: %s@." path msg;
+    exit 1
+
 let scenario_io_terms =
   let load =
     Arg.(
@@ -137,7 +146,7 @@ let solve_cmd =
   let run () net load save algorithm show_assoc =
     let sc =
       match load with
-      | Some path -> Scenario_io.of_file path
+      | Some path -> load_scenario path
       | None -> scenario_of net
     in
     Option.iter (fun path -> Scenario_io.to_file path sc) save;
@@ -188,7 +197,7 @@ let simulate_cmd =
   let run () net load save policy window =
     let sc =
       match load with
-      | Some path -> Scenario_io.of_file path
+      | Some path -> load_scenario path
       | None -> scenario_of net
     in
     Option.iter (fun path -> Scenario_io.to_file path sc) save;
@@ -252,7 +261,7 @@ let analyze_cmd =
   let run () net load save =
     let sc =
       match load with
-      | Some path -> Scenario_io.of_file path
+      | Some path -> load_scenario path
       | None -> scenario_of net
     in
     Option.iter (fun path -> Scenario_io.to_file path sc) save;
@@ -561,7 +570,7 @@ let churn_cmd =
     else begin
       let sc =
         match load with
-        | Some path -> Scenario_io.of_file path
+        | Some path -> load_scenario path
         | None -> scenario_of net
       in
       Option.iter (fun path -> Scenario_io.to_file path sc) save;
@@ -714,7 +723,7 @@ let profile_cmd =
     let label, targets =
       match scenario_file with
       | Some path ->
-          let sc = Scenario_io.of_file path in
+          let sc = load_scenario path in
           let p = Scenario.to_problem sc in
           let n_aps, n_users = Problem.dims p in
           let script =
@@ -948,7 +957,7 @@ let serve_cmd =
       mode max_rounds queue_limit jobs =
     let sc =
       match load with
-      | Some path -> Scenario_io.of_file path
+      | Some path -> load_scenario path
       | None -> scenario_of net
     in
     Option.iter (fun path -> Scenario_io.to_file path sc) save;
@@ -1069,7 +1078,7 @@ let replay_cmd =
         Fmt.epr "corrupt replay log: %s@." msg;
         exit 2
     in
-    let sc = Scenario_io.of_file scenario in
+    let sc = load_scenario scenario in
     (match header.Mcast_serve.Replay_log.scenario_digest with
     | Some d when d <> scenario_digest_of sc ->
         Fmt.epr

@@ -25,8 +25,8 @@ val n_users : t -> int
     with [tbl] so the two fields never diverge; a [Path_loss] model
     leaves [rate_table] as given (the simulator's MAC timing still
     consumes it).
-    @raise Invalid_argument on user/session arity or index errors, or an
-    ill-formed model. *)
+    @raise Invalid_argument on user/session arity or index errors, a
+    non-finite AP or user coordinate, or an ill-formed model. *)
 val make :
   area_w:float ->
   area_h:float ->

@@ -2,7 +2,9 @@
 # Hostile `figures` / `profile` arguments must fail before any work: a
 # usage error (exit 124) for a scenario count below 1, exit 1 for an
 # unknown figure id, nothing on stdout either way, and never an uncaught
-# exception. Then `solve` must print each distributed run's outcome.
+# exception. A scenario file with a non-finite coordinate is refused the
+# same way (exit 1). Then `solve` must print each distributed run's
+# outcome.
 #
 # Usage: sh cli_errors.sh PATH/TO/wlan_mcast.exe
 bin=$1
@@ -34,6 +36,15 @@ for cmd in figures profile; do
   expect 124 "$cmd" fig9a --scenarios=-3
   expect 1 "$cmd" fig9a bogus --scenarios 1
 done
+
+# `ap nan 1e300` used to load, and the AP silently never linked.
+printf 'wlan-mcast-scenario 1\narea 100 100\nbudget 0.9\nrates 54:35 6:200\nsessions 1\nap nan 1e300\nap 10 10\nuser 12 12 0\n' \
+  >"$tmp/nan.scn"
+expect 1 solve --scenario "$tmp/nan.scn"
+if ! grep -q "not finite" "$tmp/err"; then
+  echo "wlan-mcast solve --scenario (nan AP): no 'not finite' message"
+  status=1
+fi
 
 # `solve` reports whether each distributed run converged, and prints no
 # such line for a centralized algorithm.

@@ -567,7 +567,39 @@ let test_scenario_io_parse_error_discipline () =
   let radio_snr = "radio 16 5.8 -85 iso iso\nsnr 54:25.5 6:6\n" in
   bad (v2 ^ "model log-distance 0\n" ^ radio_snr ^ tail);
   bad (v2 ^ "model two-ray 0 1.5\n" ^ radio_snr ^ tail);
-  bad (v2 ^ "model friis\nradio 16 5.8 -85 iso iso\nsnr 6:6 54:25.5\n" ^ tail)
+  bad (v2 ^ "model friis\nradio 16 5.8 -85 iso iso\nsnr 6:6 54:25.5\n" ^ tail);
+  (* non-finite coordinates: fail inside Scenario.make *)
+  List.iter
+    (fun line -> bad (preamble ^ "rates 54:35\nsessions 1\n" ^ line))
+    [
+      "ap nan 1e300\nap 1 1\nuser 2 2 0\n";
+      "ap 1 inf\nuser 2 2 0\n";
+      "ap 1 1\nuser -inf 2 0\n";
+      "ap 1 1\nuser 2 nan 0\n";
+    ]
+
+(* [Scenario.make] refuses a non-finite AP or user coordinate: such an AP
+   used to load and silently never link. *)
+let test_scenario_rejects_non_finite () =
+  let make ~ap ~user =
+    Scenario.make ~area_w:10. ~area_h:10. ~ap_pos:[| ap |] ~user_pos:[| user |]
+      ~user_session:[| 0 |]
+      ~sessions:(Session.uniform ~n:1 ~rate_mbps:1.)
+      ~budget:0.9 ()
+  in
+  let ok = Point.v 1. 1. in
+  List.iter
+    (fun (ap, user) ->
+      match make ~ap ~user with
+      | _ -> Alcotest.failf "accepted %a / %a" Point.pp ap Point.pp user
+      | exception Invalid_argument _ -> ())
+    [
+      (Point.v nan 1e300, ok);
+      (Point.v 1. infinity, ok);
+      (ok, Point.v neg_infinity 1.);
+      (ok, Point.v 1. nan);
+    ];
+  ignore (make ~ap:(Point.v (-1e300) 1e300) ~user:ok)
 
 let test_scenario_io_rejects_v2_garbage () =
   let bad s =
@@ -1084,6 +1116,7 @@ let () =
           tc "bit-exact floats" test_scenario_io_bit_exact_floats;
           tc "rejects garbage" test_scenario_io_rejects_garbage;
           tc "parse-error discipline" test_scenario_io_parse_error_discipline;
+          tc "non-finite coordinates" test_scenario_rejects_non_finite;
           tc "rejects v2 garbage" test_scenario_io_rejects_v2_garbage;
           tc "v1 byte compat" test_scenario_io_v1_byte_compat;
           tc "non-default tables" test_scenario_io_roundtrip_tables;
