@@ -472,8 +472,6 @@ let resume s f =
     invalid_arg "Mcg.resume: a larger budget";
   s.s_from <- Some f
 
-(** Per-group cost of one round's kept selections, summed in selection
-    order. *)
 let kept_group_cost inst kept =
   let group_cost = Array.make (Cover_instance.n_groups inst) 0. in
   List.iter

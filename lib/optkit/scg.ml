@@ -35,10 +35,8 @@ let selections r = List.concat_map (fun (m : Mcg.result) -> m.kept) r.rounds
 
 let max_group_cost r = Array.fold_left Float.max 0. r.group_cost
 
-(** [add_round_cost acc round] adds one round's per-group cost
-    ({!Mcg.kept_group_cost}) into the running sum [acc]. Both grid
-    drivers sum a run's cost this way, round by round, so their summed
-    costs — and the ranking of near-tied probes — agree to the ulp. *)
+(* Both grid drivers sum a run's cost round by round through this, so
+   their sums — and the ranking of near-tied probes — agree to the ulp. *)
 let add_round_cost acc round =
   Array.iteri (fun g c -> acc.(g) <- acc.(g) +. c) round
 

@@ -32,13 +32,11 @@ let make ~area_w ~area_h ~ap_pos ~user_pos ~user_session ~sessions
       if s < 0 || s >= Array.length sessions then
         invalid_arg "Scenario.make: user requests unknown session")
     user_session;
-  let finite what (p : Point.t) =
-    if not (Float.is_finite p.x && Float.is_finite p.y) then
-      Fmt.kstr invalid_arg "Scenario.make: %s at (%g, %g) is not finite" what
-        p.x p.y
-  in
-  Array.iter (finite "AP") ap_pos;
-  Array.iter (finite "user") user_pos;
+  Array.iter
+    (fun (p : Point.t) ->
+      if not (Float.is_finite p.x && Float.is_finite p.y) then
+        Fmt.kstr invalid_arg "Scenario.make: (%g, %g) is not finite" p.x p.y)
+    (Array.append ap_pos user_pos);
   let model =
     match model with
     | None -> Rate_model.Table rate_table

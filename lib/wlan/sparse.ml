@@ -108,12 +108,9 @@ let assemble ~n_aps ~user_off ~cand_ap ~cand_rate ~cand_signal =
   let n = Array.length cand_ap in
   Wlan_obs.Counters.add c_candidate_list_len n;
   let ap_off = Array.make (n_aps + 1) 0 in
-  Array.iter
-    (fun a ->
-      if a < 0 || a >= n_aps then
-        Fmt.kstr invalid_arg "Sparse.assemble: unknown AP %d" a;
-      ap_off.(a + 1) <- ap_off.(a + 1) + 1)
-    cand_ap;
+  if Array.exists (fun a -> a < 0 || a >= n_aps) cand_ap then
+    invalid_arg "Sparse.assemble: slot references an unknown AP";
+  Array.iter (fun a -> ap_off.(a + 1) <- ap_off.(a + 1) + 1) cand_ap;
   for a = 0 to n_aps - 1 do
     ap_off.(a + 1) <- ap_off.(a) + ap_off.(a + 1)
   done;
@@ -317,11 +314,10 @@ let of_dense ~n_users ~rates ~signal =
   let n_aps = Array.length rates in
   let user_off = Array.make (n_users + 1) 0 in
   for u = 0 to n_users - 1 do
-    let d = ref 0 in
-    for a = 0 to n_aps - 1 do
-      if rates.(a).(u) > 0. then incr d
-    done;
-    user_off.(u + 1) <- user_off.(u) + !d
+    user_off.(u + 1) <-
+      Array.fold_left
+        (fun k r -> if r.(u) > 0. then k + 1 else k)
+        user_off.(u) rates
   done;
   let n = user_off.(n_users) in
   let cand_ap = Array.make n 0 in
@@ -419,10 +415,9 @@ module Grid = struct
     done
 end
 
-(* [Point.dist] written out — the same operations in the same order,
-   hence the same bits — so the block scans box no float per AP-user
-   pair: the dev profile compiles libraries [-opaque], which rules out
-   inlining [Point.dist] across modules. *)
+(* [Point.dist] written out (same operations, same order, same bits) so
+   the block scans box no float per pair: the dev profile compiles
+   [-opaque], which rules out inlining [Point.dist] across modules. *)
 let[@inline] dist (a : Point.t) (b : Point.t) =
   let dx = a.x -. b.x and dy = a.y -. b.y in
   sqrt ((dx *. dx) +. (dy *. dy))
