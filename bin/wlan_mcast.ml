@@ -68,14 +68,17 @@ let net_term =
   in
   Term.(const mk $ aps $ users $ sessions $ rate $ budget $ area $ seed)
 
-(* A scenario file that does not parse, or describes an invalid
-   scenario (a non-finite coordinate, an unknown session), is a user
-   error: say so and exit 1 rather than surface an internal error. *)
-let load_scenario path =
-  try Scenario_io.of_file path
+(* A scenario or churn file that does not parse, or describes an
+   invalid scenario (a non-finite coordinate, an unknown session), is a
+   user error: say so and exit 1 rather than surface an internal error. *)
+let load what of_file path =
+  try of_file path
   with Scenario_io.Parse_error msg ->
-    Fmt.epr "wlan-mcast: scenario %s: %s@." path msg;
+    Fmt.epr "wlan-mcast: %s %s: %s@." what path msg;
     exit 1
+
+let load_scenario = load "scenario" Scenario_io.of_file
+let load_churn = load "churn script" Scenario_io.churn_of_file
 
 let scenario_io_terms =
   let load =
@@ -578,7 +581,7 @@ let churn_cmd =
       let n_aps, n_users = Problem.dims p in
       let script =
         match script_file with
-        | Some f -> Scenario_io.churn_of_file f
+        | Some f -> load_churn f
         | None ->
             let rng = Random.State.make [| net.seed; churn_split_tag |] in
             Churn_script.random ~rng ~n_aps ~n_users
@@ -728,7 +731,7 @@ let profile_cmd =
           let n_aps, n_users = Problem.dims p in
           let script =
             match script_file with
-            | Some f -> Scenario_io.churn_of_file f
+            | Some f -> load_churn f
             | None ->
                 let rng = Random.State.make [| seed; churn_split_tag |] in
                 Churn_script.random ~rng ~n_aps ~n_users
@@ -971,7 +974,7 @@ let serve_cmd =
     in
     (match script_file with
     | Some f ->
-        let script = Scenario_io.churn_of_file f in
+        let script = load_churn f in
         let frames =
           match Mcast_serve.Adapter.frames_of_script script with
           | Ok s -> s

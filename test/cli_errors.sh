@@ -2,8 +2,8 @@
 # Hostile `figures` / `profile` arguments must fail before any work: a
 # usage error (exit 124) for a scenario count below 1, exit 1 for an
 # unknown figure id, nothing on stdout either way, and never an uncaught
-# exception. A scenario file with a non-finite coordinate is refused the
-# same way (exit 1). Then `solve` must print each distributed run's
+# exception. A scenario file with a non-finite coordinate, and a churn
+# script that does not parse, are refused the same way (exit 1). Then `solve` must print each distributed run's
 # outcome.
 #
 # Usage: sh cli_errors.sh PATH/TO/wlan_mcast.exe
@@ -45,6 +45,9 @@ if ! grep -q "not finite" "$tmp/err"; then
   echo "wlan-mcast solve --scenario (nan AP): no 'not finite' message"
   status=1
 fi
+printf 'garbage\n' >"$tmp/bad.churn"
+expect 1 churn --scenario "$tmp/nan.scn"
+expect 1 churn --script "$tmp/bad.churn"
 
 # `solve` reports whether each distributed run converged, and prints no
 # such line for a centralized algorithm.
