@@ -7,7 +7,11 @@
      through the link predicate into a matrix, lowered by
      [Problem.make]) and by the bucket grid ([Scenario.to_problem],
      "sparse") agree on every accessor: rate matrices, signals, neighbor
-     lists, receivers, distinct rates — under every model family.
+     lists, receivers, distinct rates — under every model family, and
+     again with the case moved to negative coordinates and split into
+     two clusters 1e6 m apart.
+   - Compile golden: both CSR planes of a city and of a shadowed
+     log-distance scenario, every float printed [%h].
    - Solver differential (qcheck): every solver — SSA, MNU, MLA, BLA,
      Distributed Sequential and Simultaneous, Online settle — produces
      byte-identical associations and load vectors on the two compiles
