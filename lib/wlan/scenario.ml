@@ -86,9 +86,7 @@ let to_problem_sparse = to_problem
 
 (** Users no AP can serve: the empty candidate lists of the compile's
     own planes, so this list agrees with the compiled problem by
-    construction (historically an all-pairs scan, and before that a
-    [Point.within] test that could disagree with the compile at the
-    range boundary in floating point). *)
+    construction, range boundary included. *)
 let uncovered_users t =
   let links = links t in
   List.filter

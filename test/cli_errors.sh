@@ -37,7 +37,7 @@ for cmd in figures profile; do
   expect 1 "$cmd" fig9a bogus --scenarios 1
 done
 
-# `ap nan 1e300` used to load, and the AP silently never linked.
+# An AP at (nan, 1e300) would otherwise load and silently never link.
 printf 'wlan-mcast-scenario 1\narea 100 100\nbudget 0.9\nrates 54:35 6:200\nsessions 1\nap nan 1e300\nap 10 10\nuser 12 12 0\n' \
   >"$tmp/nan.scn"
 expect 1 solve --scenario "$tmp/nan.scn"

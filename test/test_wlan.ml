@@ -578,8 +578,8 @@ let test_scenario_io_parse_error_discipline () =
       "ap 1 1\nuser 2 nan 0\n";
     ]
 
-(* [Scenario.make] refuses a non-finite AP or user coordinate: such an AP
-   used to load and silently never link. *)
+(* [Scenario.make] refuses a non-finite AP or user coordinate: an AP at
+   NaN is at no distance from anyone, so it would load and never link. *)
 let test_scenario_rejects_non_finite () =
   let make ~ap ~user =
     Scenario.make ~area_w:10. ~area_h:10. ~ap_pos:[| ap |] ~user_pos:[| user |]
