@@ -354,21 +354,23 @@ let qcheck_repro_fig11 =
    scenarios/point, rendered at full precision (%h), equal at jobs 1 and
    2 and pinned to a committed digest. Any change to a centralized
    solver's selections moves them. *)
+let add_summaries buf (fig : Series.figure) =
+  List.iter
+    (fun (p : Series.point) ->
+      List.iter
+        (fun (name, (v : Stats.summary)) ->
+          Buffer.add_string buf
+            (Fmt.str "%s %h %s %h %h %h %d\n" fig.Series.id p.Series.x name
+               v.Stats.mean v.Stats.min v.Stats.max v.Stats.n))
+        p.Series.values)
+    fig.Series.points
+
 let figs_digest drivers ~jobs =
   let cfg = { (repro_cfg 2007) with jobs } in
   let buf = Buffer.create 4096 in
   List.iter
     (fun (driver : ?cfg:Experiments.config -> unit -> Series.figure) ->
-      let fig = driver ~cfg () in
-      List.iter
-        (fun (p : Series.point) ->
-          List.iter
-            (fun (name, (v : Stats.summary)) ->
-              Buffer.add_string buf
-                (Fmt.str "%s %h %s %h %h %h %d\n" fig.Series.id p.Series.x name
-                   v.Stats.mean v.Stats.min v.Stats.max v.Stats.n))
-            p.Series.values)
-        fig.Series.points)
+      add_summaries buf (driver ~cfg ()))
     drivers;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
@@ -396,6 +398,48 @@ let test_bla_figs_golden =
       Experiments.ablate_bla_mode;
       Experiments.ablate_bstar;
     ]
+
+(* The registry golden: one line "<id> <digest>" per driver in
+   golden/drivers.digest, where the digest covers the figure's id, title
+   and axis labels as well as every summary. Each driver is its own case,
+   checked j1 = j2 like the goldens above. *)
+let driver_digest id ~jobs =
+  let cfg = { (repro_cfg 2007) with jobs } in
+  let fig = (List.assoc id Experiments.drivers) ~cfg () in
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf
+    (String.concat "\n"
+       [ fig.Series.id; fig.Series.title; fig.Series.x_label; fig.Series.y_label ]
+    ^ "\n");
+  add_summaries buf fig;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let drivers_golden =
+  lazy
+    (match
+       In_channel.with_open_text "golden/drivers.digest" In_channel.input_lines
+     with
+    | lines ->
+        List.filter_map
+          (fun l ->
+            match String.split_on_char ' ' (String.trim l) with
+            | [ id; d ] -> Some (id, d)
+            | _ -> None)
+          lines
+    | exception Sys_error _ -> [])
+
+let check_driver_golden id () =
+  let d1 = driver_digest id ~jobs:1 in
+  Alcotest.(check string) "j1 = j2" d1 (driver_digest id ~jobs:2);
+  match List.assoc_opt id (Lazy.force drivers_golden) with
+  | Some golden -> Alcotest.(check string) "matches committed golden" golden d1
+  | None -> Alcotest.failf "golden/drivers.digest has no %s; computed %s" id d1
+
+(* the golden names exactly the registry's ids, in registry order *)
+let test_drivers_golden_ids () =
+  Alcotest.(check (list string)) "golden ids = registry ids"
+    (List.map fst Experiments.drivers)
+    (List.map fst (Lazy.force drivers_golden))
 
 let qcheck_stats =
   QCheck.Test.make ~name:"summarize bounds: min <= mean <= max" ~count:200
@@ -460,6 +504,14 @@ let () =
           tc "fig10b/10c/ablate-bla-mode/ablate-bstar golden, j1 = j2"
             test_bla_figs_golden;
         ] );
+      ( "drivers golden",
+        tc "ids" test_drivers_golden_ids
+        :: List.map
+             (fun (id, _) ->
+               (* exact MLA's 500,000-node floor makes fig12a the slow one *)
+               (if id = "fig12a" then slow else tc)
+                 (id ^ ", j1 = j2") (check_driver_golden id))
+             Experiments.drivers );
       ( "figure shapes",
         [
           tc "table1 roundtrip" test_table1_roundtrip;
