@@ -18,19 +18,6 @@ type config = {
     exact solve), seed 2007, [jobs = 1]. *)
 val default_config : config
 
-(** {1 The paper's figures} *)
-
-val fig9a : ?cfg:config -> unit -> Series.figure
-val fig9b : ?cfg:config -> unit -> Series.figure
-val fig9c : ?cfg:config -> unit -> Series.figure
-val fig10a : ?cfg:config -> unit -> Series.figure
-val fig10b : ?cfg:config -> unit -> Series.figure
-val fig10c : ?cfg:config -> unit -> Series.figure
-val fig11 : ?cfg:config -> unit -> Series.figure
-val fig12a : ?cfg:config -> unit -> Series.figure
-val fig12b : ?cfg:config -> unit -> Series.figure
-val fig12c : ?cfg:config -> unit -> Series.figure
-
 (** Table 1 as (rate, distance threshold) pairs. *)
 val table1 : unit -> (float * float) list
 
@@ -49,36 +36,14 @@ val headline :
   fig9a:Series.figure -> fig10a:Series.figure -> fig11:Series.figure ->
   headline
 
-(** {1 Ablations} *)
-
-val ablate_rate : ?cfg:config -> unit -> Series.figure
-val ablate_bstar : ?cfg:config -> unit -> Series.figure
-val ablate_sched : ?cfg:config -> unit -> Series.figure
-val ablate_bla_mode : ?cfg:config -> unit -> Series.figure
-val ablate_mla_alg : ?cfg:config -> unit -> Series.figure
-
-(** {1 Extension studies} *)
-
-val ext_popularity : ?cfg:config -> unit -> Series.figure
-val ext_interference : ?cfg:config -> unit -> Series.figure
-val ext_dual : ?cfg:config -> unit -> Series.figure
-val ext_loss : ?cfg:config -> unit -> Series.figure
-val ext_mobility : ?cfg:config -> unit -> Series.figure
-val ext_power : ?cfg:config -> unit -> Series.figure
-val ext_standards : ?cfg:config -> unit -> Series.figure
-
-(** Per-step churn disruption vs script intensity (replays random
-    {!Wlan_model.Churn_script}s through {!Wlan_sim.Churn}). *)
-val ext_churn : ?cfg:config -> unit -> Series.figure
-
-(** PHY-model ablation: MNU/BLA/MLA/SSA quality and distributed
-    convergence rounds under Table 1 vs Friis vs two-ray vs
-    log-distance (+ seeded shadowing) link-rate models, same split-RNG
-    deployment streams. *)
-val ablate_phy : ?cfg:config -> unit -> Series.figure
-
 (** {1 Registry} *)
 
-(** Every figure driver by id ("fig9a" .. "ext-standards"), shared by the
-    front ends. *)
+(** Every figure driver by id, in the order [wlan-mcast figures] runs
+    them: the paper's Figs. 9(a-c)-12(a-c), the [ablate-*] design-choice
+    ablations and the [ext-*] extension studies. Read by the [figures]
+    and [profile] subcommands and the end-to-end benchmark's figure
+    workload. *)
 val drivers : (string * (?cfg:config -> unit -> Series.figure)) list
+
+(** The Fig. 9(a) entry of {!drivers}. *)
+val fig9a : ?cfg:config -> unit -> Series.figure

@@ -4,7 +4,7 @@
 type point = { x : float; values : (string * Stats.summary) list }
 
 type figure = {
-  id : string;  (** e.g. "fig9a" *)
+  id : string;  (** a driver's figure carries its registry id *)
   title : string;
   x_label : string;
   y_label : string;

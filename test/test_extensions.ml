@@ -629,7 +629,7 @@ let test_power_mu_zero_objective_is_pure_load () =
    than crash on while compiling it. *)
 let test_power_figure_stranding_level () =
   let fig =
-    Harness.Experiments.ext_power
+    (List.assoc "ext-power" Harness.Experiments.drivers)
       ~cfg:{ Harness.Experiments.default_config with scenarios = 2; seed = 7 }
       ()
   in

@@ -17,6 +17,8 @@ let cfg =
     jobs = 1;
   }
 
+let driver id = List.assoc id Experiments.drivers
+
 (* ------------------------------------------------------------------ *)
 (* Stats                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -242,14 +244,14 @@ let test_fig9a_total_load_grows_with_users () =
 
 (* fig9b: total load decreases as APs increase (density raises rates) *)
 let test_fig9b_load_falls_with_aps () =
-  let fig = Experiments.fig9b ~cfg () in
+  let fig = driver "fig9b" ~cfg () in
   let first = mean_exn fig "MLA-centralized" 25. in
   let last = mean_exn fig "MLA-centralized" 200. in
   Alcotest.(check bool) "fewer APs, higher load" true (first > last)
 
 (* fig10a: BLA (both) at or below SSA's max load at every point *)
 let test_fig10a_bla_beats_ssa () =
-  let fig = Experiments.fig10a ~cfg () in
+  let fig = driver "fig10a" ~cfg () in
   Alcotest.(check bool) "BLA <= SSA everywhere" true
     (every_point fig (fun _ values ->
          let c = (List.assoc "BLA-centralized" values).Stats.mean in
@@ -259,7 +261,7 @@ let test_fig10a_bla_beats_ssa () =
 
 (* fig11: satisfied users grow with the budget; MNU >= SSA at every point *)
 let test_fig11_shape () =
-  let fig = Experiments.fig11 ~cfg () in
+  let fig = driver "fig11" ~cfg () in
   Alcotest.(check bool) "MNU >= SSA everywhere" true
     (every_point fig (fun _ values ->
          let m = (List.assoc "MNU-centralized" values).Stats.mean in
@@ -279,7 +281,7 @@ let test_fig11_shape () =
 
 (* ablations *)
 let test_ablate_rate_basic_worse () =
-  let fig = Experiments.ablate_rate ~cfg () in
+  let fig = driver "ablate-rate" ~cfg () in
   let multi = mean_exn fig "MLA-centralized" 0. in
   let basic = mean_exn fig "MLA-centralized" 1. in
   Alcotest.(check bool) "basic rate costs more airtime" true (basic >= multi);
@@ -289,7 +291,7 @@ let test_ablate_rate_basic_worse () =
     (basic <= ssa_basic +. 1e-9)
 
 let test_ablate_bla_mode () =
-  let fig = Experiments.ablate_bla_mode ~cfg () in
+  let fig = driver "ablate-bla-mode" ~cfg () in
   let soft = mean_exn fig "soft (paper Fig. 3)" 400. in
   let hard = mean_exn fig "hard caps" 400. in
   Alcotest.(check bool) "both positive" true (soft > 0. && hard > 0.);
@@ -297,7 +299,7 @@ let test_ablate_bla_mode () =
     (hard <= soft +. 1e-9)
 
 let test_ablate_sched_locked_converges_same_ballpark () =
-  let fig = Experiments.ablate_sched ~cfg () in
+  let fig = driver "ablate-sched" ~cfg () in
   let seq = mean_exn fig "total-load" 0. in
   let locked = mean_exn fig "total-load" 2. in
   Alcotest.(check bool) "locked within 10% of sequential" true
@@ -308,7 +310,7 @@ let test_fig12a_optimal_lower_bound () =
   let tiny =
     { cfg with small_scenarios = 1; ilp_node_limit = 50_000 }
   in
-  let fig = Experiments.fig12a ~cfg:tiny () in
+  let fig = driver "fig12a" ~cfg:tiny () in
   Alcotest.(check bool) "optimal <= both greedy algorithms" true
     (every_point fig (fun _ values ->
          let o = (List.assoc "optimal" values).Stats.mean in
@@ -348,7 +350,7 @@ let qcheck_repro_fig9a =
 
 let qcheck_repro_fig11 =
   qcheck_repro "fig11 bit-identical under jobs 1/2/4 and reruns"
-    Experiments.fig11
+    (driver "fig11")
 
 (* The figure goldens: every summary of the given drivers at 2
    scenarios/point, rendered at full precision (%h), equal at jobs 1 and
@@ -386,17 +388,17 @@ let check_figs_golden file drivers () =
 (* the centralized-vs-distributed series of fig9a, fig10a and fig11 *)
 let test_figs_small_golden =
   check_figs_golden "figs_small.digest"
-    [ Experiments.fig9a; Experiments.fig10a; Experiments.fig11 ]
+    [ Experiments.fig9a; driver "fig10a"; driver "fig11" ]
 
 (* every other figure that runs centralized BLA: both B* grid drivers'
    callers at several grid sizes and both MCG modes *)
 let test_bla_figs_golden =
   check_figs_golden "bla_figs.digest"
     [
-      Experiments.fig10b;
-      Experiments.fig10c;
-      Experiments.ablate_bla_mode;
-      Experiments.ablate_bstar;
+      driver "fig10b";
+      driver "fig10c";
+      driver "ablate-bla-mode";
+      driver "ablate-bstar";
     ]
 
 (* The registry golden: one line "<id> <digest>" per driver in
@@ -405,7 +407,7 @@ let test_bla_figs_golden =
    checked j1 = j2 like the goldens above. *)
 let driver_digest id ~jobs =
   let cfg = { (repro_cfg 2007) with jobs } in
-  let fig = (List.assoc id Experiments.drivers) ~cfg () in
+  let fig = driver id ~cfg () in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (String.concat "\n"
