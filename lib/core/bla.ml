@@ -12,7 +12,9 @@
     only improve on the covering cost). *)
 
 
-let name = "BLA-centralized"
+let name = function
+  | `Hard -> "BLA-centralized"
+  | `Soft -> "BLA-centralized-soft"
 
 let c_runs = Wlan_obs.Counters.make "bla.runs"
 
@@ -20,14 +22,14 @@ let src = Logs.Src.create "mcast.bla" ~doc:"Centralized BLA"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-let solution_of_scg p inst (r : Optkit.Scg.result) =
+let solution_of_scg ~mode p inst (r : Optkit.Scg.result) =
   let assoc =
     Reduction.association_of_selections p inst
       (List.map
          (fun (s : Optkit.Mcg.selection) -> (s.set, s.newly))
          (Optkit.Scg.selections r))
   in
-  Solution.make ~algorithm:name p assoc
+  Solution.make ~algorithm:(name mode) p assoc
 
 (** [run ?n_guesses p] — [n_guesses] is the size of the [B*] grid
     (default 12). Returns [None] when some coverable user cannot be covered
@@ -60,7 +62,7 @@ let run ?(mode = `Soft) ?fanout ?(n_guesses = 12) p =
       Log.debug (fun m ->
           m "%d feasible B* guesses out of %d" (List.length runs)
             (List.length grid));
-      let sols = List.map (solution_of_scg p inst) runs in
+      let sols = List.map (solution_of_scg ~mode p inst) runs in
       let best =
         List.fold_left
           (fun (best : Solution.t) (s : Solution.t) ->

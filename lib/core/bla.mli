@@ -8,7 +8,9 @@
     the figure harness labels "BLA-centralized"). Among feasible B*
     guesses the run with the smallest {e realized} maximum AP load wins. *)
 
-val name : string
+(** The solution label of each mode: ["BLA-centralized"] for [`Hard],
+    ["BLA-centralized-soft"] for [`Soft]. *)
+val name : [ `Soft | `Hard ] -> string
 
 (** [None] when no [B* <= 1] covers every coverable user.
 

@@ -4,7 +4,7 @@
 # unknown figure id, nothing on stdout either way, and never an uncaught
 # exception. A scenario file with a non-finite coordinate, and a churn
 # script that does not parse, are refused the same way (exit 1). Then `solve` must print each distributed run's
-# outcome.
+# outcome, and label every algorithm's result differently.
 #
 # Usage: sh cli_errors.sh PATH/TO/wlan_mcast.exe
 bin=$1
@@ -62,6 +62,19 @@ done
 if ! "$bin" solve --aps 10 --users 20 --algorithm mnu >"$tmp/out" ||
   grep -Eq "$outcome" "$tmp/out"; then
   echo "wlan-mcast solve --algorithm mnu: unexpected outcome line"
+  status=1
+fi
+
+# `solve --algorithm all` runs eight algorithms and must label each
+# result line differently (the two centralized BLA modes included).
+if ! "$bin" solve --aps 5 --users 10 --algorithm all >"$tmp/out"; then
+  echo "wlan-mcast solve --algorithm all: failed"
+  status=1
+fi
+sed -n 's/^\([A-Za-z-]*\): [0-9]* users served.*/\1/p' "$tmp/out" >"$tmp/labels"
+if [ "$(sort -u "$tmp/labels" | wc -l)" -ne 8 ]; then
+  echo "wlan-mcast solve --algorithm all: expected 8 distinct labels, got:"
+  cat "$tmp/labels"
   status=1
 fi
 exit $status

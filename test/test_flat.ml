@@ -508,7 +508,7 @@ let exhaustive_bla ~mode ~n_guesses p =
       (List.map
          (fun (s : Optkit.Mcg.selection) -> (s.set, s.newly))
          (Optkit.Scg.selections r))
-    |> Solution.make ~algorithm:Bla.name p
+    |> Solution.make ~algorithm:(Bla.name mode) p
   in
   match List.map solution runs with
   | [] -> None
