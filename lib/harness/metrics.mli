@@ -21,8 +21,6 @@ val schema : string
     disabled-baseline [nan]s) render as [null]. *)
 val json : seed:int -> run list -> string
 
-val csv_header : string
-
 (** One row per step per run. Fields are RFC-4180 quoted: a label
     containing a comma, quote or line break is wrapped in double quotes
     with embedded quotes doubled, so hostile labels cannot corrupt the

@@ -26,5 +26,3 @@ let pct_reduction ~baseline ~improved =
 let pct_gain ~baseline ~improved =
   if (baseline = 0.) [@lint.allow float_eq] then 0.
   else (improved -. baseline) /. baseline *. 100.
-
-let pp_summary ppf s = Fmt.pf ppf "%.4f (%.4f..%.4f)" s.mean s.min s.max

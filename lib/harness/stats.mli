@@ -11,5 +11,3 @@ val pct_reduction : baseline:float -> improved:float -> float
 
 (** Percent improvement when higher is better: [(b - a) / a * 100]. *)
 val pct_gain : baseline:float -> improved:float -> float
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -64,24 +64,4 @@ let coverable t =
   Array.iter (Bitset.union_inplace u) t.sets;
   u
 
-(** Indices of the sets in each group. *)
-let sets_by_group t =
-  let by = Array.make t.n_groups [] in
-  for j = Array.length t.sets - 1 downto 0 do
-    by.(t.group_of.(j)) <- j :: by.(t.group_of.(j))
-  done;
-  by
-
-(** Restrict the ground set: drop (in place of a copy) the given elements
-    from every set. Used by SCG's iterated rounds. *)
-let remove_elements t covered =
-  {
-    t with
-    sets = Array.map (fun s -> Bitset.diff s covered) t.sets;
-  }
-
 let max_cost t = Array.fold_left Float.max 0. t.costs
-
-let pp_stats ppf t =
-  Fmt.pf ppf "cover instance: %d elements, %d sets, %d groups" t.n_elements
-    (n_sets t) t.n_groups

@@ -35,12 +35,4 @@ val payload : 'a t -> int -> 'a
 (** Union of all sets — the coverable portion of the ground set. *)
 val coverable : 'a t -> Bitset.t
 
-(** Indices of the sets in each group. *)
-val sets_by_group : 'a t -> int list array
-
-(** A copy with the given elements removed from every set (used by SCG's
-    iterated rounds). *)
-val remove_elements : 'a t -> Bitset.t -> 'a t
-
 val max_cost : 'a t -> float
-val pp_stats : Format.formatter -> 'a t -> unit

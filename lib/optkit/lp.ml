@@ -256,8 +256,3 @@ let solve (p : problem) : result =
         in
         Optimal { x; objective_value }
   end
-
-let pp_result ppf = function
-  | Infeasible -> Fmt.string ppf "infeasible"
-  | Unbounded -> Fmt.string ppf "unbounded"
-  | Optimal { objective_value; _ } -> Fmt.pf ppf "optimal(%g)" objective_value

@@ -25,5 +25,3 @@ type result = Optimal of solution | Infeasible | Unbounded
 (** @raise Invalid_argument on arity mismatches between [n_vars],
     [objective] and constraint rows. *)
 val solve : problem -> result
-
-val pp_result : Format.formatter -> result -> unit

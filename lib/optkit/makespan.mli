@@ -6,8 +6,6 @@ type schedule = {
   makespan : float;
 }
 
-val makespan_of : machines:int -> jobs:float array -> int array -> float
-
 (** Longest-Processing-Time-first: the classic 4/3-approximation.
     @raise Invalid_argument when [machines <= 0]. *)
 val lpt : machines:int -> jobs:float list -> schedule

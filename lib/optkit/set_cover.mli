@@ -42,12 +42,10 @@ val lp_rounding : ?universe:Bitset.t -> 'a Cover_instance.t -> result option
 
 type exact_result = { sets : int list; cost : float; proved_optimal : bool }
 
-(** Admissible lower bound on the cost of covering [x']: each uncovered
-    element is charged its cheapest per-element share. *)
-val lower_bound : 'a Cover_instance.t -> Bitset.t -> float
-
 (** Exact weighted set cover by branch and bound (greedy incumbent,
-    {!lower_bound} pruning, branching on the most constrained element).
+    pruning by an admissible lower bound that charges each uncovered
+    element its cheapest per-element share, branching on the most
+    constrained element).
     [None] when some universe element is in no set. If [node_limit] is
     exhausted the incumbent is returned with [proved_optimal = false]. *)
 val exact :

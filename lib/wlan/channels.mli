@@ -6,14 +6,9 @@
     coloring onto the available channels, and metrics charging each AP the
     multicast load of its same-channel conflict neighbors. *)
 
-(** 802.11a in US/Canada: 12 non-overlapping channels. *)
-val default_n_channels : int
-
 (** APs within [range] meters of each other (carrier-sense range;
     typically ~2x the data range). *)
 val conflict_edges : range:float -> Point.t array -> (int * int) list
-
-val adjacency : n_aps:int -> (int * int) list -> int list array
 
 type assignment = {
   channels : int array;  (** AP index -> channel in [0, n_channels) *)
@@ -23,8 +18,10 @@ type assignment = {
       (** same-channel conflict edges the coloring could not avoid *)
 }
 
-(** DSATUR greedy coloring; when all colors clash at a vertex it takes the
-    color least used among its neighbors (graceful degradation).
+(** DSATUR greedy coloring onto [n_channels] channels (default 12, the
+    non-overlapping 802.11a channels in US/Canada); when all colors clash
+    at a vertex it takes the color least used among its neighbors
+    (graceful degradation).
     @raise Invalid_argument when [n_channels <= 0]. *)
 val color : ?n_channels:int -> n_aps:int -> (int * int) list -> assignment
 

@@ -53,8 +53,6 @@ val steps : t -> (float * event list) list
     and the serve daemon. *)
 val drifted_rate : tiers:float list -> float -> int -> float
 
-val pp_event : event Fmt.t
-val pp_timed : timed Fmt.t
 val pp : t Fmt.t
 
 (** {1 Random scripts} *)

@@ -4,9 +4,6 @@
 (** {1 Figure 1} — two APs, five users; u1,u3 request s1, u2,u4,u5 request
     s2; budget 1. Link rates: a1 -> 3,6,4,4,4; a2 -> -,-,5,5,3. *)
 
-val fig1_rates : float array array
-val fig1_user_session : int array
-
 (** Figure 1 with both session rates set to [session_rate_mbps] (3 for the
     MNU walk-through, 1 for BLA/MLA). *)
 val fig1 : session_rate_mbps:float -> Problem.t

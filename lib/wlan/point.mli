@@ -4,7 +4,6 @@ type t = { x : float; y : float }
 
 val v : float -> float -> t
 val origin : t
-val dist2 : t -> t -> float
 
 (** Euclidean distance in meters. *)
 val dist : t -> t -> float
