@@ -1,5 +1,6 @@
 (** Minimum Makespan Scheduling on identical machines — source problem of
-    the paper's BLA NP-hardness proof (Appendix B). *)
+    the paper's BLA NP-hardness proof (Appendix B); the tests use its
+    exact solver as the oracle for the BLA reduction. *)
 
 type schedule = {
   assignment : int array;  (** job index -> machine index *)

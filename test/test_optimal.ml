@@ -151,7 +151,7 @@ let test_subset_sum_reduction () =
   List.iter
     (fun (numbers, target) ->
       let p = Examples.of_subset_sum ~numbers ~target in
-      let expected = Optkit.Subset_sum.best_at_most numbers target in
+      let expected = Subset_sum.best_at_most numbers target in
       let v = Optimal.mnu p in
       let got = match v with Some v -> v.Optimal.value | None -> 0 in
       Alcotest.(check int)
@@ -168,7 +168,7 @@ let prop_subset_sum_reduction_random =
         (int_range 1 8))
     (fun (numbers, target) ->
       let p = Examples.of_subset_sum ~numbers ~target in
-      let expected = Optkit.Subset_sum.best_at_most numbers target in
+      let expected = Subset_sum.best_at_most numbers target in
       let got =
         match Optimal.mnu p with Some v -> v.Optimal.value | None -> 0
       in
@@ -185,8 +185,8 @@ let test_makespan_reduction () =
   let scale = List.fold_left ( +. ) 1. jobs in
   let p = Examples.of_makespan ~jobs ~machines in
   let e = Option.get (Optimal.bla p) in
-  let ms = Optkit.Makespan.exact ~machines ~jobs in
-  check_float "BLA opt = makespan opt" (ms.Optkit.Makespan.makespan /. scale)
+  let ms = Makespan.exact ~machines ~jobs in
+  check_float "BLA opt = makespan opt" (ms.Makespan.makespan /. scale)
     e.Optimal.value
 
 let prop_makespan_reduction_random =
@@ -202,8 +202,8 @@ let prop_makespan_reduction_random =
       match Optimal.bla p with
       | None -> false
       | Some e ->
-          let ms = Optkit.Makespan.exact ~machines ~jobs in
-          feq ~eps:1e-6 (ms.Optkit.Makespan.makespan /. scale) e.Optimal.value)
+          let ms = Makespan.exact ~machines ~jobs in
+          feq ~eps:1e-6 (ms.Makespan.makespan /. scale) e.Optimal.value)
 
 (* ------------------------------------------------------------------ *)
 (* Appendix C: Set Cover <-> MLA on the constructed WLAN              *)
