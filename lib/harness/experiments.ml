@@ -71,6 +71,7 @@ let gen_problems pool cfg ~ix gen_cfg =
   par_problems pool ~seed:(cfg.seed + (1009 * ix)) ~n:cfg.scenarios gen_cfg
 
 let paper n_aps n_users = { Scenario_gen.paper_default with n_aps; n_users }
+let at_most k cfg = Int.min cfg.scenarios k
 let ints = List.map (fun x -> (float_of_int x, x))
 let keyed = List.map (fun x -> (x, x))
 
@@ -481,7 +482,7 @@ let ablate_phy =
                ])
           ~problems:(fun rate_model ->
             par_problems pool ~seed:(cfg.seed + 23)
-              ~n:(Int.min cfg.scenarios 10)
+              ~n:(at_most 10 cfg)
               { (paper 100 200) with rate_model })
           phy_models);
   }
@@ -504,7 +505,6 @@ let sampled ~columns ~n sample xs cfg pool =
       })
     xs
 
-let at_most k cfg = Int.min cfg.scenarios k
 let all_scenarios cfg = cfg.scenarios
 
 let generate key gen =
@@ -770,8 +770,8 @@ let extensions =
   ]
 
 (** Every figure driver by id, in the order [wlan-mcast figures] runs
-    them. Its readers are the [figures] and [profile] subcommands and the
-    end-to-end benchmark's figure workload. *)
+    them. Its readers are the [figures] and [profile] subcommands and
+    [bench/e2e/figs.ml]. *)
 let drivers : (string * (?cfg:config -> unit -> Series.figure)) list =
   List.map
     (fun e ->

@@ -41,8 +41,7 @@ val headline :
 (** Every figure driver by id, in the order [wlan-mcast figures] runs
     them: the paper's Figs. 9(a-c)-12(a-c), the [ablate-*] design-choice
     ablations and the [ext-*] extension studies. Read by the [figures]
-    and [profile] subcommands and the end-to-end benchmark's figure
-    workload. *)
+    and [profile] subcommands and [bench/e2e/figs.ml]. *)
 val drivers : (string * (?cfg:config -> unit -> Series.figure)) list
 
 (** The Fig. 9(a) entry of {!drivers}. *)
