@@ -491,8 +491,8 @@ let ablate_phy =
     built on its §8 future work and §3.1 framework citations.
 
     Most are per-instance sampling studies: [sampled ~columns ~n sample xs]
-    runs [sample cfg x i] for the first [n cfg] instances at each x, each
-    returning one float per column. *)
+    runs [sample cfg key i] for the first [n cfg] instances at each
+    [(x, key)] of [xs], each returning one float per column. *)
 
 let sampled ~columns ~n sample xs cfg pool =
   List.map
