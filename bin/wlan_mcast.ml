@@ -310,8 +310,10 @@ let scenarios_arg ~default =
     value
     & opt (conv (parse, Fmt.int)) default
     & info [ "scenarios" ] ~docv:"N"
-        ~doc:"Random scenarios per point (at least 1; Fig. 12 always \
-              runs 8).")
+        ~doc:"Random scenarios per point (at least 1). Fig. 12 always \
+              runs 8; $(b,ext-loss), $(b,ext-power) and $(b,ablate-phy) \
+              run at most 10, $(b,ext-mobility) and $(b,ext-churn) at \
+              most 8.")
 
 (* Checked before any work starts, so a typo costs nothing. *)
 let check_ids ~what ~known names =

@@ -45,38 +45,34 @@ let c_runs = Wlan_obs.Counters.make "distributed.runs"
 let c_rounds = Wlan_obs.Counters.make "distributed.rounds"
 let c_moves = Wlan_obs.Counters.make "distributed.moves"
 let c_decisions = Wlan_obs.Counters.make "distributed.decisions"
-let c_stay_memo_hits = Wlan_obs.Counters.make "distributed.stay_memo_hits"
 
 type outcome = {
   assoc : Association.t;
   rounds : int;  (** decision rounds executed *)
   moves : int;  (** total (re)associations applied *)
-  converged : bool;  (** a full round made no move *)
+  converged : bool;  (** the last round made no move *)
   oscillated : bool;  (** a previously seen state recurred (Simultaneous) *)
 }
-
 
 let vec_lt a b = Loads.compare_load_vectors_eps a b < 0
 let vec_approx_equal a b =
   Array.length a = Array.length b && Loads.compare_load_vectors_eps a b = 0
 
-(* The local decision rule, abstracted over how hypothetical and current
-   loads are obtained. [if_joins]/[if_leaves] answer "what would AP [ap]'s
-   load be if [user] joined / left"; [load] is the current load of an
-   unaffected AP. Both the eager array-scanning queries and the
-   incremental {!Loads.Tracker} queries compute bit-identical floats, so
-   the decision is the same under either backend. *)
-let decide_with p ~neighbors ~current ~if_joins ~if_leaves ~load ~objective u =
+(** The local decision of user [u]: [Some ap] when [u] should (re)associate
+    with [ap], [None] to stay put. [loads] must be the current AP loads;
+    the hypothetical loads come from the eager scans of {!Loads}. *)
+let decide p assoc ~loads ~objective u =
   Wlan_obs.Counters.incr c_decisions;
-  match neighbors with
+  match Problem.neighbor_aps p u with
   | [] -> None
-  | _ ->
-      let old_ap = current in
+  | neighbors ->
+      let current = assoc.(u) in
+      let if_joins a = Loads.load_if_joins p assoc ~user:u ~ap:a in
       (* Hypothetical load of neighbor [b] if [u] moves to [new_ap]. *)
       let hypothetical new_ap b =
-        if b = new_ap then if_joins ~user:u ~ap:b
-        else if b = old_ap then if_leaves ~user:u ~ap:b
-        else load b
+        if b = new_ap then if_joins b
+        else if b = current then Loads.load_if_leaves p assoc ~user:u ~ap:b
+        else loads.(b)
       in
       (* Objective value of the neighborhood after a hypothetical move.
          Total-load objective: scalar sum boxed in a 1-element array so
@@ -96,8 +92,7 @@ let decide_with p ~neighbors ~current ~if_joins ~if_leaves ~load ~objective u =
               (Array.of_list (List.map (hypothetical new_ap) neighbors))
       in
       let feasible a =
-        a = current
-        || if_joins ~user:u ~ap:a <= Problem.ap_budget p a +. 1e-12
+        a = current || if_joins a <= Problem.ap_budget p a +. 1e-12
       in
       let candidates = List.filter feasible neighbors in
       let scored = List.map (fun a -> (a, eval a)) candidates in
@@ -128,22 +123,13 @@ let decide_with p ~neighbors ~current ~if_joins ~if_leaves ~load ~objective u =
           end
           else None)
 
-(** The local decision of user [u]: [Some ap] when [u] should (re)associate
-    with [ap], [None] to stay put. [loads] must be the current AP loads. *)
-let decide p assoc ~loads ~objective u =
-  decide_with p ~neighbors:(Problem.neighbor_aps p u) ~current:assoc.(u)
-    ~if_joins:(fun ~user ~ap -> Loads.load_if_joins p assoc ~user ~ap)
-    ~if_leaves:(fun ~user ~ap -> Loads.load_if_leaves p assoc ~user ~ap)
-    ~load:(fun b -> loads.(b))
-    ~objective u
-
 (** {2 Flat decision kernel (DESIGN.md §4.12)}
 
     The boxed rule above ({!decide}) allocates per decision: a filtered
     candidate list, a scored assoc list, and — under [Min_load_vector] —
-    a fresh sorted array per candidate. The flat kernel every scheduler
-    and [Online] runs computes the {e same} decision into preallocated
-    scratch planes:
+    a fresh sorted array per candidate. The flat kernel that the round
+    engine ({!Online}'s drain, under every scheduler) runs computes the
+    {e same} decision into preallocated scratch planes:
 
     - the hypothetical queries are cached once per decision — one
       [load_if_joins] per neighbor, one [load_if_leaves] for the serving
@@ -169,13 +155,14 @@ let decide p assoc ~loads ~objective u =
       applies the same eps comparisons and signal tie-break, so the
       chosen AP — and hence every downstream float — is identical.
 
-    Scratch lives in an {!Optkit.Arena}: one allocation per run (or per
-    [Online] network), reused across every decision and settle. *)
+    Scratch lives in an {!Optkit.Arena}: one allocation per [Online]
+    network (a run drains one), reused across every decision and
+    settle. *)
 
 type scratch = {
   arena : Optkit.Arena.t;
   mutable cap : int;  (* all planes hold at least [cap] entries *)
-  mutable nbr : int array;  (* live neighborhood (Online fills these) *)
+  mutable nbr : int array;  (* live neighborhood of the deciding user *)
   mutable nrate : float array;  (* its link rates *)
   mutable nsig : float array;  (* its signals *)
   mutable join_l : float array;  (* load_if_joins per neighbor *)
@@ -246,7 +233,6 @@ let decide_flat p tr scr ~nbr ~d ~rates ~sigs ~current ~objective u =
   Wlan_obs.Counters.incr c_decisions;
   if d = 0 then None
   else begin
-    scratch_ensure scr d;
     let join_l = scr.join_l and plane = scr.vec_base in
     Loads.Tracker.load_if_joins_into tr ~user:u ~rates ~nbr ~d ~into:join_l;
     (* The no-move plane: the serving AP at its leave load, every other
@@ -343,181 +329,29 @@ let decide_flat p tr scr ~nbr ~d ~rates ~sigs ~current ~objective u =
     else None
   end
 
-let run ?init ?(max_rounds = 200) ~scheduler ~objective p =
-  Wlan_obs.Counters.incr c_runs;
-  let n_aps, n_users = Problem.dims p in
-  let assoc =
-    match init with
-    | Some a -> Association.copy a
-    | None -> Association.empty ~n_users
-  in
-  let tr = Loads.Tracker.create p assoc in
-  (* per-user neighborhood planes — AP, link rate and signal side by
-     side, read once off the candidate slots (the topology is static for
-     the whole run, so the cached rates and signals are exactly what the
-     live queries return) — plus scratch sized to the maximum degree *)
-  let links = p.Problem.links in
-  let max_d = ref 1 in
-  for u = 0 to n_users - 1 do
-    max_d := Int.max !max_d (Sparse.degree links u)
-  done;
-  let scr = make_scratch () in
-  scratch_ensure scr !max_d;
-  let all_alive = Array.make n_aps true in
-  let nbr = Array.make n_users [||] in
-  let nrate = Array.make n_users [||] in
-  let nsig = Array.make n_users [||] in
-  for u = 0 to n_users - 1 do
-    let d =
-      Sparse.fill_candidates links u ~ap_alive:all_alive ~aps:scr.nbr
-        ~rates:scr.nrate ~sigs:scr.nsig
-    in
-    nbr.(u) <- Array.sub scr.nbr 0 d;
-    nrate.(u) <- Array.sub scr.nrate 0 d;
-    nsig.(u) <- Array.sub scr.nsig 0 d
-  done;
-  (* Decision memoisation. A user's decision is a pure function of its own
-     association and the tracker state of its neighbor APs (loads and tx
-     rows), and that state only changes when some user moves into or out
-     of the AP. We version every AP, bump the versions of the APs a move
-     touches, and remember the neighborhood version sum at which a user
-     last decided to stay: versions only grow, so an equal sum means no
-     neighbor AP changed and the cached "stay" is still the decision the
-     full evaluation would return. Skipped stays have no side effects in
-     any scheduler, so the move sequence — and every float — is identical
-     to the unmemoised loop. *)
-  let version = Array.make n_aps 0 in
-  let stay_stamp = Array.make n_users (-1) in
-  let stamp u = Array.fold_left (fun acc a -> acc + version.(a)) 0 nbr.(u) in
-  let apply ~user ~ap =
-    let old_ap = assoc.(user) in
-    if old_ap <> Association.none then
-      version.(old_ap) <- version.(old_ap) + 1;
-    version.(ap) <- version.(ap) + 1;
-    Loads.Tracker.move tr ~user ~ap
-  in
-  (* [Some d] when the decision must be (re)computed — [d] is it, and a
-     stay is recorded under [s]; [None] for a memoised stay. *)
-  let decide_memo u =
-    let s = stamp u in
-    if stay_stamp.(u) = s then begin
-      Wlan_obs.Counters.incr c_stay_memo_hits;
-      None
-    end
-    else begin
-      let d =
-        decide_flat p tr scr ~nbr:nbr.(u) ~d:(Array.length nbr.(u))
-          ~rates:nrate.(u) ~sigs:nsig.(u) ~current:assoc.(u) ~objective u
-      in
-      if d = None then stay_stamp.(u) <- s;
-      Some d
-    end
-  in
-  let moves = ref 0 in
-  let rounds = ref 0 in
-  let converged = ref false in
-  let oscillated = ref false in
-  (match scheduler with
-  | Sequential ->
-      while (not !converged) && !rounds < max_rounds do
-        incr rounds;
-        let moved = ref false in
-        for u = 0 to n_users - 1 do
-          match decide_memo u with
-          | None | Some None -> ()
-          | Some (Some ap) ->
-              apply ~user:u ~ap;
-              incr moves;
-              moved := true
-        done;
-        if not !moved then converged := true
-      done
-  | Simultaneous ->
-      let seen = Hashtbl.create 64 in
-      Hashtbl.replace seen (Array.to_list assoc) ();
-      while (not !converged) && (not !oscillated) && !rounds < max_rounds do
-        incr rounds;
-        (* all decisions read the same snapshot: take them before any is
-           applied (the version stamps are untouched until then, so the
-           memo is consistent with the snapshot) *)
-        let decisions =
-          List.init n_users (fun u -> (u, decide_memo u))
-          |> List.filter_map (fun (u, d) ->
-                 match d with Some (Some ap) -> Some (u, ap) | _ -> None)
-        in
-        if decisions = [] then converged := true
-        else begin
-          (* applying them through the tracker one by one ends in the same
-             state (and the same cached-load floats) as a full recompute *)
-          List.iter (fun (u, ap) -> apply ~user:u ~ap) decisions;
-          moves := !moves + List.length decisions;
-          let key = Array.to_list assoc in
-          if Hashtbl.mem seen key then oscillated := true
-          else Hashtbl.replace seen key ()
-        end
-      done
-  | Locked ->
-      (* Locks held by users that committed a move stay held until the end
-         of the round (their neighborhoods must not be re-read by peers);
-         users that decide to stay release immediately — which is also why
-         a memoised stay (no locks ever taken) is indistinguishable from
-         the full lock-decide-release cycle it replaces. The scan origin
-         rotates every round so no user starves behind a habitual locker. *)
-      while (not !converged) && !rounds < max_rounds do
-        let locked = Array.make n_aps false in
-        let moved = ref false in
-        let offset = if n_users = 0 then 0 else !rounds mod n_users in
-        incr rounds;
-        for i = 0 to n_users - 1 do
-          let u = (i + offset) mod n_users in
-          let ns = nbr.(u) in
-          if Array.length ns > 0 && stay_stamp.(u) <> stamp u
-             && Array.for_all (fun a -> not locked.(a)) ns
-          then begin
-            (* acquire locks, decide on live state *)
-            Array.iter (fun a -> locked.(a) <- true) ns;
-            match decide_memo u with
-            | None | Some None ->
-                Array.iter (fun a -> locked.(a) <- false) ns
-            | Some (Some ap) ->
-                apply ~user:u ~ap;
-                incr moves;
-                moved := true
-          end
-        done;
-        if not !moved then converged := true
-      done);
-  Wlan_obs.Counters.add c_rounds !rounds;
-  Wlan_obs.Counters.add c_moves !moves;
-  Log.debug (fun m ->
-      m "finished: rounds %d, moves %d, converged %b, oscillated %b" !rounds
-        !moves !converged !oscillated);
-  { assoc; rounds = !rounds; moves = !moves; converged = !converged;
-    oscillated = !oscillated }
-
-(** {1 Online re-association under churn}
+(** {1 The round engine: online re-association}
 
     [Online] keeps a running network alive across membership and topology
-    deltas. Where {!run} solves one frozen instance to quiescence, an
-    [Online.t] absorbs events — users arriving and departing, APs failing
-    and recovering, link rates drifting — and re-converges {e
-    incrementally}: each delta marks only the users whose decision inputs
-    it touched (a dirty set; an AP's watchers are its in-range members,
-    read straight off the working link structure),
-    and {!settle} re-runs the local rule for exactly those users, letting
-    dirtiness propagate move by move. No from-scratch solve ever happens.
+    deltas — users arriving and departing, APs failing and recovering,
+    link rates drifting — and re-converges {e incrementally}: each delta
+    marks only the users whose decision inputs it touched (a dirty set;
+    an AP's watchers are its in-range members, read straight off the link
+    structure), and {!settle} re-runs the local rule for exactly those
+    users, letting dirtiness propagate move by move. Its drain is the
+    module's one round loop: {!run} drains an all-dirty network.
 
-    {b Equivalence.} The dirty set is the same staleness relation the
-    version-stamp memo in {!run} tracks: a user is dirty iff some AP in
-    its base neighborhood changed since the user last decided. Skipped
-    users would decide "stay" with no side effect, so a [settle] from an
-    all-dirty start executes the {e identical} move sequence — and, via
-    the {!Loads.Tracker} bit-exactness contract, the identical floats —
-    as [run ~scheduler:Sequential] on the effective static instance (dead
-    AP rows and absent user columns zeroed, see {!effective_problem}).
-    At quiescence the association is therefore a Nash point of the local
-    rule on the final static topology. The differential and oracle suites
-    in [test_churn.ml] pin both facts.
+    {b Equivalence.} A decision is a pure function of the user's own
+    association and its neighbor APs' tracker state, and a user is dirty
+    iff one of those APs changed since it last decided (a move marks the
+    watchers of the APs it leaves and joins, the mover among them). A
+    clean user would stay, with no side effect, so the drain makes the
+    moves, rounds and floats of the loop that re-decides every user every
+    round, under all three schedulers; a round that empties the dirty set
+    is a round without a move. A [settle] from an all-dirty start is thus
+    [run] on the effective static instance ({!effective_problem}), and at
+    quiescence the association is a Nash point of the local rule on the
+    final static topology. The boxed reference loop of the test suite
+    pins both facts for every scheduler.
 
     Determinism: every operation iterates users and APs in ascending
     index order and draws no randomness, so a churn run is a pure
@@ -536,7 +370,8 @@ module Online = struct
 
   type t = {
     p : Problem.t;
-        (* working copy: the rate plane is owned and mutated on drift;
+        (* [create]'s private copy, whose rate plane drift mutates (a
+           [run] network is the caller's instance: it takes no delta);
            its candidate and member lists are the base neighborhoods
            (rate > 0, ascending, alive-agnostic) and the AP -> watcher
            index *)
@@ -567,9 +402,34 @@ module Online = struct
   let mark_watchers t a =
     Sparse.iter_member_users t.p.Problem.links a (fun u -> mark t u)
 
-  let create ?init ?present ~objective p =
+  (* A network on [p] itself serving [assoc], every present user dirty. *)
+  let network ~objective ~present ~assoc p =
     let n_aps, n_users = Problem.dims p in
-    let p = Problem.copy_for_mutation p in
+    let t =
+      {
+        p;
+        objective;
+        assoc;
+        tr = Loads.Tracker.create p assoc;
+        present;
+        alive = Array.make n_aps true;
+        dirty = Array.make n_users false;
+        n_dirty = 0;
+        scr = make_scratch ();
+      }
+    in
+    (* the slot structure never grows, so no later neighborhood (lost
+       links re-armed included) outgrows the largest slot count *)
+    let max_d = ref 0 in
+    for u = 0 to n_users - 1 do
+      max_d := Int.max !max_d (Sparse.degree p.Problem.links u);
+      mark t u
+    done;
+    scratch_ensure t.scr !max_d;
+    t
+
+  let create ?init ?present ~objective p =
+    let _, n_users = Problem.dims p in
     let present =
       match present with
       | Some pr ->
@@ -587,29 +447,7 @@ module Online = struct
     Array.iteri
       (fun u pr -> if not pr then assoc.(u) <- Association.none)
       present;
-    let tr = Loads.Tracker.create p assoc in
-    let t =
-      {
-        p;
-        objective;
-        assoc;
-        tr;
-        present;
-        alive = Array.make n_aps true;
-        dirty = Array.make n_users false;
-        n_dirty = 0;
-        scr = make_scratch ();
-      }
-    in
-    (* the slot structure never grows, so no later neighborhood (lost
-       links re-armed included) outgrows the largest slot count *)
-    let max_d = ref 0 in
-    for u = 0 to n_users - 1 do
-      max_d := Int.max !max_d (Sparse.degree p.Problem.links u);
-      mark t u
-    done;
-    scratch_ensure t.scr !max_d;
-    t
+    network ~objective ~present ~assoc (Problem.copy_for_mutation p)
 
   (** The live association — shared, not a copy. *)
   let assoc t = t.assoc
@@ -628,15 +466,17 @@ module Online = struct
   let link_rate t ~ap ~user = Problem.link_rate t.p ~ap ~user
 
   (* A dead AP answers no queries: it simply drops out of everyone's
-     neighborhood. The live slots of [u] at alive APs, in ascending
-     order, fill the neighborhood planes, so the rule sees exactly the
-     candidates of [u] on [effective_problem]. *)
-  let decide_online t u =
+     neighborhood. [fill t u] writes the live slots of [u] at alive APs,
+     in ascending order, into the neighborhood planes and returns how
+     many, so [decide t u d] sees exactly the candidates of [u] on
+     [effective_problem]. *)
+  let fill t u =
     let scr = t.scr in
-    let d =
-      Sparse.fill_candidates t.p.Problem.links u ~ap_alive:t.alive
-        ~aps:scr.nbr ~rates:scr.nrate ~sigs:scr.nsig
-    in
+    Sparse.fill_candidates t.p.Problem.links u ~ap_alive:t.alive
+      ~aps:scr.nbr ~rates:scr.nrate ~sigs:scr.nsig
+
+  let decide t u d =
+    let scr = t.scr in
     decide_flat t.p t.tr scr ~nbr:scr.nbr ~d ~rates:scr.nrate ~sigs:scr.nsig
       ~current:t.assoc.(u) ~objective:t.objective u
 
@@ -759,6 +599,93 @@ module Online = struct
 
   (** {2 Re-convergence} *)
 
+  (* The one round loop: rounds until the dirty set is empty
+     ([converged]), a state recurs or [max_rounds] ran; also returns the
+     dirty users scanned and the largest dirty set at a round's start. A
+     round re-decides each dirty user, scanning up from user 0 (from
+     [rounds mod n_users] under [Locked], so no user starves behind a
+     habitual locker). [Simultaneous] applies the round's moves after
+     deciding them all. Under [Locked] a user locks its neighborhood to
+     decide; a mover keeps its locks to the round's end (peers must not
+     re-read its neighborhood), and a user finding one held stays dirty. *)
+  let drain t ~max_rounds ~scheduler =
+    let n_users = Array.length t.assoc in
+    let rounds = ref 0 and moves = ref 0 and oscillated = ref false in
+    let scanned = ref 0 and peak = ref 0 in
+    let seen = Hashtbl.create 64 in
+    if scheduler = Simultaneous then
+      Hashtbl.replace seen (Array.to_list t.assoc) ();
+    let locked =
+      Array.make (if scheduler = Locked then Array.length t.alive else 0) false
+    in
+    (* the neighborhood [fill] wrote ([network] fixed its capacity) *)
+    let nbr = t.scr.nbr in
+    let lock d v = for k = 0 to d - 1 do locked.(nbr.(k)) <- v done in
+    let rec held d k = k < d && (locked.(nbr.(k)) || held d (k + 1)) in
+    while t.n_dirty > 0 && (not !oscillated) && !rounds < max_rounds do
+      scanned := !scanned + t.n_dirty;
+      peak := Int.max !peak t.n_dirty;
+      let origin = !rounds mod n_users in
+      incr rounds;
+      match scheduler with
+      | Sequential ->
+          for u = 0 to n_users - 1 do
+            if t.dirty.(u) then begin
+              clear t u;
+              match decide t u (fill t u) with
+              | None -> ()
+              | Some ap ->
+                  apply_move t ~user:u ~ap;
+                  incr moves
+            end
+          done
+      | Simultaneous ->
+          let decisions = ref [] in
+          for u = n_users - 1 downto 0 do
+            if t.dirty.(u) then begin
+              clear t u;
+              match decide t u (fill t u) with
+              | None -> ()
+              | Some ap -> decisions := (u, ap) :: !decisions
+            end
+          done;
+          if !decisions <> [] then begin
+            List.iter (fun (u, ap) -> apply_move t ~user:u ~ap) !decisions;
+            moves := !moves + List.length !decisions;
+            let key = Array.to_list t.assoc in
+            if Hashtbl.mem seen key then oscillated := true
+            else Hashtbl.replace seen key ()
+          end
+      | Locked ->
+          Array.fill locked 0 (Array.length locked) false;
+          for i = 0 to n_users - 1 do
+            let u = (i + origin) mod n_users in
+            if t.dirty.(u) then begin
+              let d = fill t u in
+              if d = 0 then clear t u
+              else if not (held d 0) then begin
+                lock d true;
+                clear t u;
+                match decide t u d with
+                | None -> lock d false
+                | Some ap ->
+                    apply_move t ~user:u ~ap;
+                    incr moves
+              end
+            end
+          done
+    done;
+    let o : outcome =
+      {
+        assoc = t.assoc;
+        rounds = !rounds;
+        moves = !moves;
+        converged = t.n_dirty = 0;
+        oscillated = !oscillated;
+      }
+    in
+    (o, !scanned, !peak)
+
   type settle_stats = {
     rounds : int;  (** scan rounds that evaluated at least one user *)
     moves : int;  (** (re)associations applied *)
@@ -771,85 +698,30 @@ module Online = struct
     oscillated : bool;  (** a seen state recurred ([`Simultaneous] only) *)
   }
 
-  (** [settle t] drains the dirty set: each round re-runs the local rule
-      for the users marked dirty at the round's start (ascending index),
-      letting moves mark further users, until no user is dirty.
-      [`Sequential] applies each move immediately and always converges on
-      a static network; [`Simultaneous] decides the whole round on one
-      snapshot and can oscillate (Fig. 4) — revisited states are detected
-      and reported. Already-quiescent states return in O(1) with
-      [rounds = 0]. *)
+  (** [settle t] drains the dirty set under the [mode] scheduler; it has
+      converged when the dirty set is empty at the end. Already-quiescent
+      states return with [rounds = 0]. *)
   let settle ?(max_rounds = 200) ?(mode = `Sequential) t =
     Wlan_obs.Counters.incr c_settles;
-    let n_users = Array.length t.assoc in
     let before = Association.copy t.assoc in
-    let rounds = ref 0 and moves = ref 0 in
-    let converged = ref false and oscillated = ref false in
-    (match mode with
-    | `Sequential ->
-        while (not !converged) && !rounds < max_rounds do
-          if t.n_dirty = 0 then converged := true
-          else begin
-            incr rounds;
-            Wlan_obs.Counters.add c_dirty_scanned t.n_dirty;
-            Wlan_obs.Counters.record_max c_dirty_peak t.n_dirty;
-            for u = 0 to n_users - 1 do
-              if t.dirty.(u) then begin
-                clear t u;
-                match decide_online t u with
-                | None -> ()
-                | Some ap ->
-                    apply_move t ~user:u ~ap;
-                    incr moves
-              end
-            done
-          end
-        done
-    | `Simultaneous ->
-        let seen = Hashtbl.create 64 in
-        Hashtbl.replace seen (Array.to_list t.assoc) ();
-        while
-          (not !converged) && (not !oscillated) && !rounds < max_rounds
-        do
-          if t.n_dirty = 0 then converged := true
-          else begin
-            incr rounds;
-            Wlan_obs.Counters.add c_dirty_scanned t.n_dirty;
-            Wlan_obs.Counters.record_max c_dirty_peak t.n_dirty;
-            (* decide the whole round on one snapshot, then apply *)
-            let decisions = ref [] in
-            for u = n_users - 1 downto 0 do
-              if t.dirty.(u) then begin
-                clear t u;
-                match decide_online t u with
-                | None -> ()
-                | Some ap -> decisions := (u, ap) :: !decisions
-              end
-            done;
-            match !decisions with
-            | [] -> ()
-            | ds ->
-                List.iter (fun (u, ap) -> apply_move t ~user:u ~ap) ds;
-                moves := !moves + List.length ds;
-                let key = Array.to_list t.assoc in
-                if Hashtbl.mem seen key then oscillated := true
-                else Hashtbl.replace seen key ()
-          end
-        done);
-    Wlan_obs.Counters.add c_settle_rounds !rounds;
-    Wlan_obs.Counters.add c_settle_moves !moves;
+    let scheduler = if mode = `Sequential then Sequential else Simultaneous in
+    let o, scanned, peak = drain t ~max_rounds ~scheduler in
+    Wlan_obs.Counters.add c_dirty_scanned scanned;
+    Wlan_obs.Counters.record_max c_dirty_peak peak;
+    Wlan_obs.Counters.add c_settle_rounds o.rounds;
+    Wlan_obs.Counters.add c_settle_moves o.moves;
     let changed = ref [] in
-    for u = n_users - 1 downto 0 do
+    for u = Array.length t.assoc - 1 downto 0 do
       if t.assoc.(u) <> before.(u) then
         changed := (u, before.(u), t.assoc.(u)) :: !changed
     done;
     {
-      rounds = !rounds;
-      moves = !moves;
+      rounds = o.rounds;
+      moves = o.moves;
       reassociated = List.length !changed;
       changed = !changed;
-      converged = !converged;
-      oscillated = !oscillated;
+      converged = o.converged;
+      oscillated = o.oscillated;
     }
 
   (** The static instance the network currently embodies: the working
@@ -860,6 +732,26 @@ module Online = struct
   let effective_problem t =
     Problem.masked t.p ~ap_alive:t.alive ~user_present:t.present
 end
+
+(* No copy of the rate plane: a run applies no delta. *)
+let run ?init ?(max_rounds = 200) ~scheduler ~objective p =
+  Wlan_obs.Counters.incr c_runs;
+  let _, n_users = Problem.dims p in
+  let assoc =
+    match init with
+    | Some a -> Association.copy a
+    | None -> Association.empty ~n_users
+  in
+  let net =
+    Online.network ~objective ~present:(Array.make n_users true) ~assoc p
+  in
+  let o, _, _ = Online.drain net ~max_rounds ~scheduler in
+  Wlan_obs.Counters.add c_rounds o.rounds;
+  Wlan_obs.Counters.add c_moves o.moves;
+  Log.debug (fun m ->
+      m "finished: rounds %d, moves %d, converged %b, oscillated %b" o.rounds
+        o.moves o.converged o.oscillated);
+  o
 
 (** {1 The paper's three distributed algorithms} *)
 

@@ -21,7 +21,7 @@ type outcome = {
   assoc : Association.t;
   rounds : int;  (** decision rounds executed *)
   moves : int;  (** (re)associations applied *)
-  converged : bool;  (** a full round made no move *)
+  converged : bool;  (** the last round made no move *)
   oscillated : bool;  (** a previously seen state recurred (Simultaneous) *)
 }
 
@@ -42,9 +42,10 @@ val decide :
   int option
 
 (** Run rounds of local decisions from [init] (default: all unserved)
-    until a fixpoint, oscillation, or [max_rounds] (default 200). Each
-    decision is {!decide}'s, evaluated in preallocated arena scratch
-    planes with per-decision hypothetical-load caching. *)
+    until a fixpoint, oscillation, or [max_rounds] (default 200): an
+    all-dirty {!Online} network on [p] itself, drained once. A round
+    re-decides only the users some move touched (the rest would stay),
+    by {!decide}'s rule in preallocated arena scratch planes. *)
 val run :
   ?init:Association.t ->
   ?max_rounds:int ->
@@ -58,9 +59,10 @@ val run :
     A running network that absorbs membership and topology deltas and
     re-converges incrementally: each delta marks only the users whose
     decision inputs it touched (an AP's in-range members), and
-    {!Online.settle} re-runs the local rule for exactly those users. A
-    settle from an all-dirty start executes the identical move sequence
-    (and identical floats) as {!run} [~scheduler:Sequential] on
+    {!Online.settle} re-runs the local rule for exactly those users. Its
+    drain is {!run}'s: a settle from an all-dirty start executes the
+    identical move sequence, in the same rounds and with identical
+    floats, as {!run} with the same scheduler on
     {!Online.effective_problem}; at quiescence the association is a Nash
     point of the rule on the final static topology. All operations are
     deterministic (ascending index order, no randomness). *)
@@ -151,11 +153,12 @@ module Online : sig
     oscillated : bool;  (** a seen state recurred ([`Simultaneous] only) *)
   }
 
-  (** Drain the dirty set (default [`Sequential], [max_rounds] 200).
-      [`Sequential] applies moves immediately and always converges on a
-      static network; [`Simultaneous] decides each round on one snapshot
-      and may oscillate (Fig. 4) — detected and reported. Quiescent
-      states return in O(1) with [rounds = 0]. *)
+  (** Drain the dirty set (default [`Sequential], [max_rounds] 200);
+      [converged] when it is empty at the end, the last allowed round
+      included. [`Sequential] applies moves immediately and always
+      converges on a static network; [`Simultaneous] decides each round
+      on one snapshot and may oscillate (Fig. 4) — detected and
+      reported. Quiescent states return with [rounds = 0]. *)
   val settle :
     ?max_rounds:int ->
     ?mode:[ `Sequential | `Simultaneous ] ->

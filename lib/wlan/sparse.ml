@@ -44,15 +44,29 @@ type t = {
   cand_ap : int array;  (** slot -> AP index, ascending within a user *)
   cand_rate : float array;
       (** slot -> link rate; [0.] = link lost (skipped by every reader).
-          The only mutable plane: {!set_rate} writes it, {!copy_values}
-          unshares it. *)
+          Mutable with [ap_lost]: {!set_rate} writes both, {!copy_values}
+          unshares both. *)
   cand_signal : float array;  (** slot -> signal metric (higher = stronger) *)
   ap_off : int array;  (** per-AP member range over [memb_*] *)
   memb_user : int array;  (** member slot -> user index, ascending per AP *)
   memb_slot : int array;
       (** member slot -> candidate slot of the same link, so both views
           read the one [cand_rate] plane *)
+  ap_lost : int array;
+      (** per AP, how many of its slots are lost: an AP with none has
+          every member in range, and {!iter_member_users} walks it
+          without reading the rates *)
 }
+
+(* [t] with [ap_lost] counted off its rate plane. *)
+let count_lost t =
+  let lost = Array.make t.n_aps 0 in
+  Array.iteri
+    (fun i r ->
+      let a = t.cand_ap.(i) in
+      if not (r > 0.) then lost.(a) <- lost.(a) + 1)
+    t.cand_rate;
+  { t with ap_lost = lost }
 
 let n_aps t = t.n_aps
 let n_users t = t.n_users
@@ -128,17 +142,19 @@ let assemble ~n_aps ~user_off ~cand_ap ~cand_rate ~cand_signal =
     done
   done;
   validate
-    {
-      n_aps;
-      n_users;
-      user_off;
-      cand_ap;
-      cand_rate;
-      cand_signal;
-      ap_off;
-      memb_user;
-      memb_slot;
-    }
+    (count_lost
+       {
+         n_aps;
+         n_users;
+         user_off;
+         cand_ap;
+         cand_rate;
+         cand_signal;
+         ap_off;
+         memb_user;
+         memb_slot;
+         ap_lost = [||];
+       })
 
 (** [restrict t ~aps ~users] slices the in-range links of [users] out of
     [t]'s planes, reindexing [aps] and [users] densely in the given
@@ -226,10 +242,11 @@ let iter_members t a f =
 
 (** [iter_member_users t a f] calls [f user] for every in-range member
     of AP [a], ascending — {!iter_members} without the rate, so no float
-    is boxed per call. *)
+    is boxed per call. An AP with no lost slot skips the rate reads. *)
 let iter_member_users t a f =
+  let in_range = t.ap_lost.(a) = 0 in
   for i = t.ap_off.(a) to t.ap_off.(a + 1) - 1 do
-    if t.cand_rate.(t.memb_slot.(i)) > 0. then f t.memb_user.(i)
+    if in_range || t.cand_rate.(t.memb_slot.(i)) > 0. then f t.memb_user.(i)
   done
 
 (** [fill_candidates t u ~ap_alive ~aps ~rates ~sigs] writes user [u]'s
@@ -268,7 +285,11 @@ let degree t u = t.user_off.(u + 1) - t.user_off.(u)
     link to [0.] is a no-op. *)
 let set_rate t ~ap ~user r =
   let i = find_slot t ~ap ~user in
-  if i >= 0 then t.cand_rate.(i) <- r
+  if i >= 0 then begin
+    if t.cand_rate.(i) > 0. <> (r > 0.) then
+      t.ap_lost.(ap) <- (t.ap_lost.(ap) + if r > 0. then -1 else 1);
+    t.cand_rate.(i) <- r
+  end
   else if r > 0. then
     Fmt.kstr invalid_arg
       "Sparse.set_rate: link a%d-u%d was never in range (the sparse \
@@ -277,7 +298,8 @@ let set_rate t ~ap ~user r =
 
 (** A copy whose rate plane is private; every other (immutable) plane is
     shared. This is what a churn layer must take before mutating. *)
-let copy_values t = { t with cand_rate = Array.copy t.cand_rate }
+let copy_values t =
+  { t with cand_rate = Array.copy t.cand_rate; ap_lost = Array.copy t.ap_lost }
 
 (** [masked t ~ap_alive ~user_present] is a copy with the rates of dead
     APs' and absent users' slots forced to [0.] — the sparse counterpart
@@ -296,7 +318,7 @@ let masked t ~ap_alive ~user_present =
         c.cand_rate.(t.memb_slot.(i)) <- 0.
       done
   done;
-  c
+  count_lost c
 
 (** A copy with every in-range rate mapped through [f] (lost links stay
     lost). *)
@@ -305,7 +327,7 @@ let map_rates t f =
   Array.iteri
     (fun i r -> if r > 0. then c.cand_rate.(i) <- f r)
     t.cand_rate;
-  c
+  count_lost c
 
 (** Build from dense matrices: one slot per positive-rate pair. [n_users]
     is explicit because a matrix with no AP rows has no row to read it

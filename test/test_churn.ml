@@ -7,8 +7,10 @@
      from-scratch eager recompute bit for bit — for the MNU (tight
      budget), BLA and MLA variants.
    - Differential settle: an all-dirty Online settle executes the same
-     moves and lands on the same association and floats as
-     Distributed.run ~scheduler:Sequential on the same instance.
+     moves in the same rounds and lands on the same association and
+     floats as the boxed reference loop (test/boxed.ml), Sequential, on
+     the same instance; a settle whose last allowed round empties the
+     dirty set has converged.
    - Golden traces: the committed demo scenario replays to the committed
      trace/metrics digests, byte-identical at jobs 1 and jobs 4.
    - Fig. 4: simultaneous decisions from the crossed start oscillate;
@@ -91,18 +93,23 @@ let oracle_mnu =
     ~tweak:(fun p -> Problem.with_budget p 0.3)
 
 (* ------------------------------------------------------------------ *)
-(* Differential: Online all-dirty settle = static sequential run        *)
+(* Differential: Online all-dirty settle = boxed sequential loop         *)
 (* ------------------------------------------------------------------ *)
 
 let differential_settle ~objective seed =
   let p, _ = case ~seed in
-  let st = Distributed.run ~max_rounds:500 ~scheduler:Sequential ~objective p in
+  let st =
+    Boxed.run ~max_rounds:500 ~scheduler:Sequential ~objective p
+      (Association.empty ~n_users:(snd (Problem.dims p)))
+  in
   let net = Distributed.Online.create ~objective p in
   let stats = Distributed.Online.settle ~max_rounds:500 net in
   if not (Association.equal st.Distributed.assoc (Distributed.Online.assoc net))
-  then Alcotest.fail "association differs from static sequential run";
+  then Alcotest.fail "association differs from the boxed sequential loop";
   Alcotest.(check int) "same moves" st.Distributed.moves
     stats.Distributed.Online.moves;
+  Alcotest.(check int) "same rounds" st.Distributed.rounds
+    stats.Distributed.Online.rounds;
   Alcotest.(check bool) "converged" true stats.Distributed.Online.converged;
   check_float_arrays "loads"
     (Loads.ap_loads p st.Distributed.assoc)
@@ -114,16 +121,38 @@ let differential_settle ~objective seed =
   true
 
 let qcheck_differential_mla =
-  QCheck.Test.make ~name:"Online settle = Distributed.run (MLA rule)"
+  QCheck.Test.make ~name:"Online settle = boxed loop (MLA rule)"
     ~count:60
     QCheck.(int_range 0 10_000)
     (differential_settle ~objective:Distributed.Min_total_load)
 
 let qcheck_differential_bla =
-  QCheck.Test.make ~name:"Online settle = Distributed.run (BLA rule)"
+  QCheck.Test.make ~name:"Online settle = boxed loop (BLA rule)"
     ~count:60
     QCheck.(int_range 0 10_000)
     (differential_settle ~objective:Distributed.Min_load_vector)
+
+(* A settle capped at exactly the rounds a full run takes has drained the
+   dirty set in its last round, so it has converged; one round fewer has
+   not. Paper-default instance, seed 1, total-load rule (4 rounds). *)
+let test_settle_converges_on_last_round () =
+  let p = Scenario_gen.nth_problem ~seed:1 ~index:0 Scenario_gen.paper_default in
+  let objective = Distributed.Min_total_load in
+  let full = Distributed.run ~scheduler:Sequential ~objective p in
+  Alcotest.(check bool) "full run converged" true full.Distributed.converged;
+  let capped rounds =
+    let net = Distributed.Online.create ~objective p in
+    let s = Distributed.Online.settle ~max_rounds:rounds net in
+    (s, Distributed.Online.dirty_count net)
+  in
+  let s, dirty = capped full.Distributed.rounds in
+  Alcotest.(check int) "dirty set drained" 0 dirty;
+  Alcotest.(check bool) "converged at the cap" true
+    s.Distributed.Online.converged;
+  let s, dirty = capped (full.Distributed.rounds - 1) in
+  Alcotest.(check bool) "dirty users left" true (dirty > 0);
+  Alcotest.(check bool) "not converged below the cap" false
+    s.Distributed.Online.converged
 
 (* ------------------------------------------------------------------ *)
 (* Online delta bookkeeping                                            *)
@@ -640,7 +669,11 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [ qcheck_differential_mla; qcheck_differential_bla ] );
       ( "online",
-        [ Alcotest.test_case "delta bookkeeping" `Quick test_online_deltas ] );
+        [
+          Alcotest.test_case "delta bookkeeping" `Quick test_online_deltas;
+          Alcotest.test_case "settle converges on its last round" `Quick
+            test_settle_converges_on_last_round;
+        ] );
       ( "fig4",
         [
           Alcotest.test_case "simultaneous oscillates" `Quick

@@ -2,18 +2,19 @@
    greedy cores and the shard-aware centralized reductions are proven
    bit-identical to their reference implementations.
 
-   - Distributed kernel (qcheck): [Distributed.run] (preallocated
-     scratch planes, hypothetical-load caching, stay memo) = a
-     test-local boxed reference loop that asks the public
+   - Distributed kernel (qcheck): [Distributed.run] (the [Online]
+     dirty-set drain over preallocated scratch planes with
+     hypothetical-load caching) = the boxed reference loop of boxed.ml,
+     which re-decides every user every round through the public
      [Distributed.decide] (the original list-and-array rule over eager
-     load scans) for every decision, on the all-pairs and grid
-     compiles, both objectives, Sequential and Simultaneous — full
-     outcome including float loads.
+     load scans), on the all-pairs and grid compiles, both objectives,
+     Sequential, Simultaneous and Locked — full outcome including float
+     loads.
    - Both rules on a tie-heavy family (qcheck): up to 40 APs in a
      300 m square (neighborhoods up to 40 APs), one session (loads are
      sums of 1/tier terms, so equal entries abound) and budgets up to
-     2.0 — runs under Sequential and Simultaneous and [Online] settles
-     under churn, against the boxed oracle; and the load-vector
+     2.0 — runs under all three schedulers and [Online] settles under
+     churn, against the boxed oracle; and the load-vector
      sorted-base-with-one-entry-replaced step against a full
      descending sort on arrays full of duplicates and zeros.
    - Online kernel (qcheck): a seeded delta script (arrive / depart /
@@ -124,66 +125,12 @@ let dense_case ~seed =
 (* Distributed: flat kernel = boxed reference                          *)
 (* ------------------------------------------------------------------ *)
 
-(* The boxed reference loop: rounds over every user in ascending order,
-   each decision from [Distributed.decide] against loads recomputed by
-   the eager scan. Sequential applies each move at once; Simultaneous
-   decides the round on one snapshot, applies it, and stops on a
-   revisited association. Mutates [assoc], which the outcome returns. *)
-let boxed_run ~max_rounds ~simultaneous ~objective p assoc =
-  let n_users = Array.length assoc in
-  let decide u =
-    Distributed.decide p assoc ~loads:(Loads.ap_loads p assoc) ~objective u
-  in
-  let rounds = ref 0 and moves = ref 0 in
-  let converged = ref false and oscillated = ref false in
-  let seen = Hashtbl.create 16 in
-  Hashtbl.replace seen (Array.to_list assoc) ();
-  while (not !converged) && (not !oscillated) && !rounds < max_rounds do
-    incr rounds;
-    if simultaneous then begin
-      let ds =
-        List.filter_map
-          (fun u -> Option.map (fun a -> (u, a)) (decide u))
-          (List.init n_users Fun.id)
-      in
-      if ds = [] then converged := true
-      else begin
-        List.iter (fun (u, a) -> assoc.(u) <- a) ds;
-        moves := !moves + List.length ds;
-        let key = Array.to_list assoc in
-        if Hashtbl.mem seen key then oscillated := true
-        else Hashtbl.replace seen key ()
-      end
-    end
-    else begin
-      let moved = ref false in
-      for u = 0 to n_users - 1 do
-        match decide u with
-        | None -> ()
-        | Some a ->
-            assoc.(u) <- a;
-            incr moves;
-            moved := true
-      done;
-      if not !moved then converged := true
-    end
-  done;
-  {
-    Distributed.assoc;
-    rounds = !rounds;
-    moves = !moves;
-    converged = !converged;
-    oscillated = !oscillated;
-  }
-
 let kernels_agree ~problems ~scheduler ~objective seed =
   List.iter
     (fun p ->
       let a = Distributed.run ~max_rounds:300 ~scheduler ~objective p in
       let b =
-        boxed_run ~max_rounds:300
-          ~simultaneous:(scheduler = Distributed.Simultaneous)
-          ~objective p
+        Boxed.run ~max_rounds:300 ~scheduler ~objective p
           (Association.empty ~n_users:(snd (Problem.dims p)))
       in
       if not (Association.equal a.Distributed.assoc b.Distributed.assoc) then
@@ -248,6 +195,24 @@ let qcheck_dense_sim_total =
   qcheck_kernels ~problems:dense_problems ~count:20
     ~label:"Dense ties, Simultaneous (total-load)"
     ~scheduler:Distributed.Simultaneous ~objective:Distributed.Min_total_load ()
+
+(* Locked: the rotating scan origin and the neighborhood locks, on both
+   families and both rules. *)
+let qcheck_kernel_locked =
+  List.concat_map
+    (fun (rule, objective) ->
+      [
+        qcheck_kernels
+          ~label:(Fmt.str "Distributed Locked (%s)" rule)
+          ~scheduler:Distributed.Locked ~objective ();
+        qcheck_kernels ~problems:dense_problems ~count:20
+          ~label:(Fmt.str "Dense ties, Locked (%s)" rule)
+          ~scheduler:Distributed.Locked ~objective ();
+      ])
+    [
+      ("total-load", Distributed.Min_total_load);
+      ("load-vector", Distributed.Min_load_vector);
+    ]
 
 (* The load-vector step: a sorted base with one entry replaced, by one
    insertion pass, equals the full descending sort of the same multiset
@@ -359,8 +324,11 @@ let online_kernels_agree ~problem ~objective ~mode seed =
     let sa = Distributed.Online.settle ~max_rounds:300 ~mode net in
     let eff = Problem.masked work ~ap_alive:alive ~user_present:present in
     let sb =
-      boxed_run ~max_rounds:300
-        ~simultaneous:(mode = `Simultaneous)
+      Boxed.run ~max_rounds:300
+        ~scheduler:
+          (match mode with
+          | `Sequential -> Distributed.Sequential
+          | `Simultaneous -> Distributed.Simultaneous)
         ~objective eff assoc
     in
     if not (Association.equal (Distributed.Online.assoc net) assoc) then
@@ -1231,7 +1199,7 @@ let qcheck_cases =
         qcheck_dense_seq_total;
         qcheck_dense_sim_total;
       ]
-    @ qcheck_online_total)
+    @ qcheck_online_total @ qcheck_kernel_locked)
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in

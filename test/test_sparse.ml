@@ -684,6 +684,50 @@ let qcheck_slice =
     QCheck.(int_range 0 10_000)
     slice_matches
 
+(* [iter_member_users] walks an AP with no lost slot without reading
+   rates, so the per-AP lost counts must follow every rate write: links
+   lost and re-armed at random, then masked, rate-mapped to zero and
+   copied, each checked against [iter_members]. *)
+let member_users_skip_lost seed =
+  let _, _, ps = case ~seed () in
+  let rng = Random.State.make [| seed; 0x1057 |] in
+  let n_aps, n_users = Problem.dims ps in
+  let check what (l : Sparse.t) =
+    for a = 0 to n_aps - 1 do
+      let by_rate = ref [] and users = ref [] in
+      Sparse.iter_members l a (fun u _ -> by_rate := u :: !by_rate);
+      Sparse.iter_member_users l a (fun u -> users := u :: !users);
+      Alcotest.(check (list int)) (Fmt.str "%s AP %d" what a) !by_rate !users
+    done
+  in
+  let p = Problem.copy_for_mutation ps in
+  for _ = 1 to 4 * n_users do
+    let u = Random.State.int rng n_users in
+    match Problem.neighbor_aps ps u with
+    | [] -> ()
+    | aps ->
+        let a = List.nth aps (Random.State.int rng (List.length aps)) in
+        Problem.set_link_rate p ~ap:a ~user:u
+          [| 0.; 0.; 6.; 54. |].(Random.State.int rng 4)
+  done;
+  check "mutated" p.Problem.links;
+  let copy = Sparse.copy_values p.Problem.links in
+  Problem.iter_candidates p 0 (fun a _ _ -> Sparse.set_rate copy ~ap:a ~user:0 0.);
+  check "copy" copy;
+  check "original after the copy's writes" p.Problem.links;
+  let alive = Array.init n_aps (fun _ -> Random.State.bool rng) in
+  let present = Array.init n_users (fun _ -> Random.State.bool rng) in
+  check "masked"
+    (Sparse.masked p.Problem.links ~ap_alive:alive ~user_present:present);
+  check "mapped to zero"
+    (Sparse.map_rates p.Problem.links (fun r -> if r > 10. then 0. else r));
+  true
+
+let qcheck_member_users =
+  QCheck.Test.make ~name:"member users skip lost slots" ~count:60
+    QCheck.(int_range 0 10_000)
+    member_users_skip_lost
+
 (* Three shards: a single-user one (AP 0), one whose user 2 keeps only
    a lost slot to AP 2, and one with a lost slot to a shard-mate; with
    per-AP budgets. A user hearing an AP outside the slice is refused. *)
@@ -961,6 +1005,7 @@ let qcheck_cases =
       qcheck_shard_total;
       qcheck_shard_vector;
       qcheck_slice;
+      qcheck_member_users;
     ]
 
 let qcheck_model_cases =
