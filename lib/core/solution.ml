@@ -30,7 +30,7 @@ let make ~algorithm p assoc =
 let in_range_ok p t = Association.in_range_ok p t.assoc
 
 (** Budget feasibility: every AP load within the per-AP multicast budget. *)
-let respects_budget ?eps p t = Loads.respects_budget ?eps p t.assoc
+let respects_budget p t = Loads.respects_budget p t.assoc
 
 let unsatisfied p t =
   let _, n_users = Problem.dims p in

@@ -18,8 +18,9 @@ val make : algorithm:string -> Problem.t -> Association.t -> t
 (** Every served user in range of its AP. *)
 val in_range_ok : Problem.t -> t -> bool
 
-(** Every AP load within the per-AP multicast budget. *)
-val respects_budget : ?eps:float -> Problem.t -> t -> bool
+(** Every AP load within the per-AP multicast budget (tolerance
+    [1e-9]). *)
+val respects_budget : Problem.t -> t -> bool
 
 val unsatisfied : Problem.t -> t -> int
 val pp : Format.formatter -> t -> unit

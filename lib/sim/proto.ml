@@ -2,18 +2,17 @@
 
     Users periodically query their neighbor APs; each AP responds with the
     multicast sessions it currently transmits, the transmission rates, its
-    resulting load, and — for its own associated user — the load it would
-    have if that user left. From those responses alone (no global state) a
-    user computes every neighbor's hypothetical load if it joined, applies
-    the objective (minimum total neighborhood load for MNU/MLA, minimum
-    sorted load vector for BLA), and re-associates when strictly better.
+    resulting load, its budget and — for its own associated user — the
+    load it would have if that user left. From those responses alone (no
+    global state) a user computes every neighbor's hypothetical load if it
+    joined, and decides by the abstract engine's own local rule
+    ([Mcast_core.Distributed.choose]): the rule is shared, not
+    re-implemented, so only the inputs here are message-level.
 
     APs are tiny state machines keyed by their associated users; user
     decisions are pure functions of the response set, so the protocol's
     outcome can be asserted equal to the abstract [Mcast_core.Distributed]
     fixpoint in the integration tests. *)
-
-open Wlan_model
 
 (** {1 AP agents} *)
 
@@ -94,8 +93,9 @@ let ap_answer st ~session_rates ~budget ~user =
 (** What a user knows about one neighbor AP: measured during scanning. *)
 type neighbor_info = { ap : int; link_rate : float; signal : float }
 
-(** [decide] — the §4.2/§5.2 local rule, computed from responses only.
-    Returns [Some ap] to (re)associate with [ap], [None] to stay.
+(** [decide] — the §4.2/§5.2 local rule ({!Mcast_core.Distributed.choose},
+    the one the abstract engine runs), on planes filled from responses
+    only. Returns [Some ap] to (re)associate with [ap], [None] to stay.
 
     Robust to partial information: neighbors whose query response was lost
     are simply not candidates this round and do not enter the neighborhood
@@ -103,91 +103,57 @@ type neighbor_info = { ap : int; link_rate : float; signal : float }
 let decide ~objective ~session_rates ~session ~current
     ~(neighbors : neighbor_info list) ~(responses : response list) =
   (* only neighbors we actually heard back from, in ascending AP index —
-     the order the abstract rule folds its candidates and sums its
-     neighborhood in (scanning lists them strongest first): both the
-     eps-tolerant fold and the float sum are order-sensitive *)
-  let neighbors =
-    List.filter
+     the order the rule folds its candidates and sums its neighborhood
+     in (scanning lists them strongest first) *)
+  let heard =
+    List.filter_map
       (fun (n : neighbor_info) ->
-        List.exists (fun r -> r.from_ap = n.ap) responses)
+        List.find_opt (fun r -> r.from_ap = n.ap) responses
+        |> Option.map (fun r -> (n, r)))
       neighbors
-    |> List.sort (fun (a : neighbor_info) b -> Int.compare a.ap b.ap)
+    |> List.sort (fun ((a : neighbor_info), _) (b, _) -> Int.compare a.ap b.ap)
+    |> Array.of_list
   in
-  let find_resp a = List.find (fun r -> r.from_ap = a) responses in
-  (* hypothetical load of AP [a] with me joined: Definition 1 re-summed
-     over the advertised sessions, my session's tx lowered to my link
-     rate (an existing tx I can decode stays), in session order — the
-     float expression the AP sums for its own [load], so the value is
-     exact. An incremental [load - old + new] is an ulp off, and an ulp
-     at the first differing entry of two load vectors turns a strict BLA
-     preference into an eps-tie that the signal then breaks. *)
-  let load_if_join (n : neighbor_info) =
-    let r = find_resp n.ap in
-    if current = Some n.ap then r.load
-    else
-      let tx_s =
-        match List.assoc_opt session r.sessions with
-        | Some tx when tx <= n.link_rate -> tx
-        | _ -> n.link_rate
-      in
-      (session, tx_s) :: List.remove_assoc session r.sessions
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-      |> List.fold_left
-           (fun acc (s, tx) -> acc +. (session_rates.(s) /. tx))
-           0.
+  let serving =
+    match current with
+    | None -> Some (-1)
+    | Some a0 ->
+        Array.find_index (fun ((n : neighbor_info), _) -> n.ap = a0) heard
   in
-  let load_if_leave a =
-    let r = find_resp a in
-    match r.load_without_you with Some l -> l | None -> r.load
-  in
-  (* objective value over my neighborhood if I associate with [target] *)
-  let value target =
-    let loads =
-      List.map
-        (fun (n : neighbor_info) ->
-          if n.ap = target then load_if_join n
-          else
-            match current with
-            | Some a0 when n.ap = a0 -> load_if_leave a0
-            | _ -> (find_resp n.ap).load)
-        neighbors
-    in
-    match objective with
-    | Mcast_core.Distributed.Min_total_load ->
-        [| List.fold_left ( +. ) 0. loads |]
-    | Mcast_core.Distributed.Min_load_vector ->
-        Loads.sorted_load_vector (Array.of_list loads)
-  in
-  let heard a = List.exists (fun r -> r.from_ap = a) responses in
-  let feasible (n : neighbor_info) =
-    current = Some n.ap
-    || load_if_join n <= (find_resp n.ap).budget +. 1e-12
-  in
-  let candidates = List.filter feasible neighbors in
-  match candidates with
-  | [] -> None
-  (* if our own AP's answer was lost we cannot evaluate leaving it:
-     stay put and retry next period *)
-  | _ when (match current with Some a0 -> not (heard a0) | None -> false) ->
+  match serving with
+  | None ->
+      (* our own AP's answer was lost, so we cannot evaluate leaving it:
+         stay put and retry next period *)
       None
-  | first :: rest -> (
-      let best =
-        List.fold_left
-          (fun (bn, bv) (n : neighbor_info) ->
-            let v = value n.ap in
-            if Loads.compare_load_vectors_eps v bv < 0 then (n, v)
-            else if
-              Loads.compare_load_vectors_eps v bv = 0
-              && n.signal > bn.signal +. 1e-12
-            then (n, v)
-            else (bn, bv))
-          (first, value first.ap) rest
+  | Some serving ->
+      (* hypothetical load of a neighbor with me joined: Definition 1
+         re-summed over the advertised sessions, my session's tx lowered
+         to my link rate (an existing tx I can decode stays), in session
+         order — the float expression the AP sums for its own [load], so
+         the value is exact. An incremental [load - old + new] is an ulp
+         off, and an ulp at the first differing entry of two load vectors
+         turns a strict BLA preference into an eps-tie that the signal
+         then breaks. *)
+      let join k ((n : neighbor_info), r) =
+        if k = serving then r.load
+        else
+          let tx_s =
+            match List.assoc_opt session r.sessions with
+            | Some tx when tx <= n.link_rate -> tx
+            | _ -> n.link_rate
+          in
+          (session, tx_s) :: List.remove_assoc session r.sessions
+          |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+          |> List.fold_left
+               (fun acc (s, tx) -> acc +. (session_rates.(s) /. tx))
+               0.
       in
-      let best_n, best_v = best in
-      match current with
-      | None -> Some best_n.ap
-      | Some a0 when best_n.ap <> a0 ->
-          if Loads.compare_load_vectors_eps best_v (value a0) < 0 then
-            Some best_n.ap
-          else None
-      | Some _ -> None)
+      let base k (_, r) =
+        if k = serving then Option.value r.load_without_you ~default:r.load
+        else r.load
+      in
+      Mcast_core.Distributed.choose ~objective ~serving
+        ~aps:(Array.map (fun ((n : neighbor_info), _) -> n.ap) heard)
+        ~joins:(Array.mapi join heard) ~base:(Array.mapi base heard)
+        ~budgets:(Array.map (fun (_, r) -> r.budget) heard)
+        ~signals:(Array.map (fun ((n : neighbor_info), _) -> n.signal) heard)

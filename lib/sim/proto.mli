@@ -1,8 +1,9 @@
 (** The distributed association protocol at message level (§4.2/§5.2):
-    AP agents answering load queries, and the user decision rule computed
-    from responses only (no global state). The integration tests assert
-    that the protocol's fixpoint equals the abstract
-    [Mcast_core.Distributed] one. *)
+    AP agents answering load queries, and user decisions computed from
+    responses only (no global state) by the abstract engine's own rule,
+    [Mcast_core.Distributed.choose]. The integration tests assert that
+    the protocol's fixpoint equals the abstract [Mcast_core.Distributed]
+    one. *)
 
 (** {1 AP agents} *)
 
@@ -41,10 +42,13 @@ val ap_answer :
 (** What a user learned about one neighbor AP during scanning. *)
 type neighbor_info = { ap : int; link_rate : float; signal : float }
 
-(** The local rule, computed from responses only: [Some ap] to
-    (re)associate, [None] to stay. Robust to partial information:
-    neighbors whose response was lost are not candidates this round, and
-    if the user's own AP did not answer it stays put. *)
+(** The local rule ({!Mcast_core.Distributed.choose}) on inputs taken
+    from responses only: the advertised load, budget and load without the
+    user, and each neighbor's join load re-summed from its advertised
+    sessions. [Some ap] to (re)associate, [None] to stay. Robust to
+    partial information: neighbors whose response was lost are neither
+    candidates nor part of the objective this round, and if the user's
+    own AP did not answer it stays put. *)
 val decide :
   objective:Mcast_core.Distributed.objective ->
   session_rates:float array ->

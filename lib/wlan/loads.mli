@@ -15,38 +15,26 @@ val load_of_tx : Problem.t -> float array -> float
 (** Multicast load of every AP. *)
 val ap_loads : Problem.t -> Association.t -> float array
 
-(** Load of one AP (prefer {!ap_loads} for all of them). *)
-val ap_load : Problem.t -> Association.t -> ap:int -> float
-
 (** The MLA objective: sum of all AP loads. *)
 val total_load : Problem.t -> Association.t -> float
 
 (** The BLA objective: maximum AP load. *)
 val max_load : Problem.t -> Association.t -> float
 
-(** Non-increasing copy of a load array — the distributed BLA comparison
-    order (footnote 5). *)
-val sorted_load_vector : float array -> float array
-
-(** Exact lexicographic comparison of non-increasing load vectors. *)
-val compare_load_vectors : float array -> float array -> int
-
-(** Like {!compare_load_vectors} but a sub-[eps] difference (default
-    [eps = 1e-9]) at the first differing entry makes the vectors compare
-    equal — decision rules must use this so float summation-order noise
-    can never flip a strict-improvement test. Exactly equal entries are
-    skipped, so the induced strict order (common exact prefix, then a
-    gap > [eps]) is transitive. *)
-val compare_load_vectors_eps : ?eps:float -> float array -> float array -> int
-
-(** {!compare_load_vectors_eps} over the length-[len] prefixes of two
-    scratch buffers (both at least [len] long) — what the flat decision
-    kernel uses for vectors kept in reused arena buffers, where capacity
-    exceeds the logical neighborhood size. The scan starts at [from <= len];
-    the caller guarantees the buffers are bit-identical below it, so the
-    result equals a scan from [0]. *)
+(** Lexicographic comparison of the length-[len] prefixes of two
+    non-increasing load vectors (footnote 5), as the decision rules
+    compare them: a difference within [1e-9] at the first differing
+    entry makes the vectors compare equal, so float summation-order
+    noise can never flip a strict-improvement test. Exactly equal
+    entries are skipped, so the induced strict order (common exact
+    prefix, then a gap > [1e-9]) is transitive. Both buffers are at
+    least [len] long — the flat decision kernel keeps its vectors in
+    reused arena buffers, where capacity exceeds the logical
+    neighborhood size. The scan starts at [from <= len]; the caller
+    guarantees the buffers are bit-identical below it, so the result
+    equals a scan from [0]. *)
 val compare_load_prefixes_eps :
-  ?eps:float -> from:int -> len:int -> float array -> float array -> int
+  from:int -> len:int -> float array -> float array -> int
 
 (** {2 Gated total-load comparison}
 
@@ -75,14 +63,14 @@ val undecided : int
 
 (** [gate_replaced_sums ~est ~margin i j] is [c] in [{-1, 0, 1}] when the
     estimates decide the comparison of exact sums [i] and [j] — then [c]
-    is {!compare_load_prefixes_eps} (default [eps]) on those two sums —
+    is {!compare_load_prefixes_eps} on those two sums —
     and {!undecided} otherwise. Pure; allocates nothing. *)
 val gate_replaced_sums :
   est:float array -> margin:float array -> int -> int -> int
 
 (** In-place non-increasing sort of the prefix [a.(0..n-1)], applying
-    the same permutation to [ord.(0..n-1)] — {!sorted_load_vector} on a
-    scratch buffer, remembering where each entry came from. *)
+    the same permutation to [ord.(0..n-1)], remembering where each entry
+    came from. *)
 val sort_prefix_desc : float array -> int array -> int -> unit
 
 (** [replace_sorted_prefix base n i x dst] writes into [dst.(0..n-1)] the
@@ -94,14 +82,12 @@ val sort_prefix_desc : float array -> int array -> int -> unit
 val replace_sorted_prefix :
   float array -> int -> int -> float -> float array -> int
 
-(** Every AP within the per-AP multicast budget (tolerance [eps]). *)
-val respects_budget : ?eps:float -> Problem.t -> Association.t -> bool
+(** Every AP within the per-AP multicast budget (tolerance [1e-9]). *)
+val respects_budget : Problem.t -> Association.t -> bool
 
-(** Hypothetical loads for the distributed rules; neither mutates the
-    association. *)
-
+(** The load AP [ap] would carry if [user] joined it (its current load
+    if [user] is already there); does not mutate the association. *)
 val load_if_joins : Problem.t -> Association.t -> user:int -> ap:int -> float
-val load_if_leaves : Problem.t -> Association.t -> user:int -> ap:int -> float
 
 val pp_loads : Format.formatter -> float array -> unit
 
@@ -144,8 +130,10 @@ module Tracker : sig
   (** O(1) maximum AP load. *)
   val max_load : t -> float
 
-  (** Hypothetical loads, as {!Loads.load_if_joins} /
-      {!Loads.load_if_leaves} but in O(log members + n_sessions). *)
+  (** Hypothetical loads in O(log members + n_sessions):
+      [load_if_joins] as {!Loads.load_if_joins}; [load_if_leaves t ~user
+      ~ap] is [ap]'s load without [user] (its live load if [user] is not
+      there). *)
 
   val load_if_joins : t -> user:int -> ap:int -> float
   val load_if_leaves : t -> user:int -> ap:int -> float

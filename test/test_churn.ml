@@ -68,7 +68,7 @@ let quiescent_after_churn ~label ~objective ~tweak seed =
   (* Nash: no user's local rule wants to move on the final topology *)
   let _, n_users = Problem.dims eff in
   for u = 0 to n_users - 1 do
-    match Distributed.decide eff assoc ~loads:eager ~objective u with
+    match Boxed.decide eff assoc ~loads:eager ~objective u with
     | None -> ()
     | Some ap -> Alcotest.failf "%s: user %d still wants AP %d" label u ap
   done;
@@ -204,7 +204,7 @@ let test_online_deltas () =
   let _, n_users = Problem.dims eff in
   for u = 0 to n_users - 1 do
     match
-      Distributed.decide eff assoc ~loads
+      Boxed.decide eff assoc ~loads
         ~objective:Distributed.Min_total_load u
     with
     | None -> ()

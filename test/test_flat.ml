@@ -5,9 +5,9 @@
    - Distributed kernel (qcheck): [Distributed.run] (the [Online]
      dirty-set drain over preallocated scratch planes with
      hypothetical-load caching) = the boxed reference loop of boxed.ml,
-     which re-decides every user every round through the public
-     [Distributed.decide] (the original list-and-array rule over eager
-     load scans), on the all-pairs and grid compiles, both objectives,
+     which re-decides every user every round through [Boxed.decide]
+     (the list-and-array rule over eager load scans), on the all-pairs
+     and grid compiles, both objectives,
      Sequential, Simultaneous and Locked — full outcome including float
      loads.
    - Both rules on a tie-heavy family (qcheck): up to 40 APs in a
@@ -218,7 +218,7 @@ let qcheck_kernel_locked =
    insertion pass, equals the full descending sort of the same multiset
    (values from a short ladder with zeros, so duplicates abound), and
    agrees with the base below the index it returns. The slot-carrying
-   sort matches [Loads.sorted_load_vector] and returns a permutation. *)
+   sort matches [Boxed.sorted_load_vector] and returns a permutation. *)
 let replace_matches_sort seed =
   let rng = Random.State.make [| seed; 0x5e1ec7 |] in
   let ladder = [| 0.; 0.; 0.125; 0.25; 0.25; 1. /. 3.; 0.5; 1.; 2. |] in
@@ -227,7 +227,7 @@ let replace_matches_sort seed =
   let raw = Array.init n (fun _ -> pick ()) in
   let base = Array.copy raw and ord = Array.init n Fun.id in
   Loads.sort_prefix_desc base ord n;
-  check_float_arrays "slot-carrying sort" base (Loads.sorted_load_vector raw);
+  check_float_arrays "slot-carrying sort" base (Boxed.sorted_load_vector raw);
   Array.iteri
     (fun i k ->
       if not (Float.equal raw.(k) base.(i)) then
@@ -243,7 +243,7 @@ let replace_matches_sort seed =
     let dst = Array.make (n + 3) nan in
     let lo = Loads.replace_sorted_prefix base n i x dst in
     let expect =
-      Loads.sorted_load_vector
+      Boxed.sorted_load_vector
         (Array.mapi (fun j v -> if j = i then x else v) base)
     in
     check_float_arrays "replaced = resorted" (Array.sub dst 0 n) expect;

@@ -714,7 +714,7 @@ let nash_check what net =
   let _, n_users = Problem.dims eff in
   for u = 0 to n_users - 1 do
     match
-      Distributed.decide eff assoc ~loads ~objective:Distributed.Min_total_load
+      Boxed.decide eff assoc ~loads ~objective:Distributed.Min_total_load
         u
     with
     | None -> ()

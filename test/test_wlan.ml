@@ -272,7 +272,7 @@ let test_loads_fig1_mnu_example () =
 let test_loads_infeasible_pair () =
   (* the paper: u1 and u2 both on a1 gives 3/3 + 3/6 = 1.5 > 1 *)
   let assoc : Association.t = [| 0; 0; -1; -1; -1 |] in
-  check_float "overload" 1.5 (Loads.ap_load fig1 assoc ~ap:0);
+  check_float "overload" 1.5 (Boxed.ap_load fig1 assoc ~ap:0);
   Alcotest.(check bool) "violates budget" false
     (Loads.respects_budget fig1 assoc)
 
@@ -294,9 +294,9 @@ let test_loads_fig1_mla_example () =
 let test_loads_min_rate_rule () =
   (* adding a slower receiver re-rates the whole transmission *)
   let assoc : Association.t = [| -1; 0; -1; -1; -1 |] in
-  check_float "u2 alone at 6" (1. /. 6.) (Loads.ap_load fig1_bla assoc ~ap:0);
+  check_float "u2 alone at 6" (1. /. 6.) (Boxed.ap_load fig1_bla assoc ~ap:0);
   let assoc : Association.t = [| -1; 0; -1; 0; -1 |] in
-  check_float "u2+u4 at 4" (1. /. 4.) (Loads.ap_load fig1_bla assoc ~ap:0)
+  check_float "u2+u4 at 4" (1. /. 4.) (Boxed.ap_load fig1_bla assoc ~ap:0)
 
 let test_loads_if_joins_leaves () =
   let assoc : Association.t = [| -1; 0; -1; -1; -1 |] in
@@ -305,19 +305,23 @@ let test_loads_if_joins_leaves () =
   (* probing must not mutate *)
   Alcotest.(check (option int)) "u4 untouched" None (Association.ap_of assoc 3);
   check_float "if u2 leaves a1" 0.
-    (Loads.load_if_leaves fig1_bla assoc ~user:1 ~ap:0);
+    (Loads.Tracker.load_if_leaves
+       (Loads.Tracker.create fig1_bla assoc)
+       ~user:1 ~ap:0);
   Alcotest.(check (option int)) "u2 untouched" (Some 0)
     (Association.ap_of assoc 1)
 
 let test_load_vector_compare () =
-  let c = Loads.compare_load_vectors in
+  let c = Loads.compare_load_prefixes_eps ~from:0 ~len:2 in
   Alcotest.(check bool) "(1/2,0) < (1/2,1/5)" true
     (c [| 0.5; 0. |] [| 0.5; 0.2 |] < 0);
   Alcotest.(check bool) "equal" true (c [| 0.5; 0.2 |] [| 0.5; 0.2 |] = 0);
   Alcotest.(check bool) "(7/12,0) > (1/2,1/5)" true
     (c [| 7. /. 12.; 0. |] [| 0.5; 0.2 |] > 0);
-  let v = Loads.sorted_load_vector [| 0.1; 0.7; 0.3 |] in
-  Alcotest.(check (array (float 1e-12))) "sorted desc" [| 0.7; 0.3; 0.1 |] v
+  let v = [| 0.1; 0.7; 0.3 |] and ord = [| 0; 1; 2 |] in
+  Loads.sort_prefix_desc v ord 3;
+  Alcotest.(check (array (float 1e-12))) "sorted desc" [| 0.7; 0.3; 0.1 |] v;
+  Alcotest.(check (array int)) "slots follow" [| 1; 2; 0 |] ord
 
 (* ------------------------------------------------------------------ *)
 (* Scenario and generation                                            *)
@@ -846,6 +850,8 @@ let prop_total_is_sum =
         (Array.fold_left ( +. ) 0. loads)
         (Loads.total_load p assoc))
 
+(* The single-AP scan behind [load_if_joins]: a user probing the AP it
+   is already on reads that AP's load. *)
 let prop_ap_load_consistent =
   QCheck.Test.make ~name:"ap_load agrees with ap_loads" ~count:100 arb_problem
     (fun p ->
@@ -853,7 +859,11 @@ let prop_ap_load_consistent =
       let assoc = random_assoc rng p in
       let loads = Loads.ap_loads p assoc in
       Array.for_all Fun.id
-        (Array.mapi (fun a l -> feq l (Loads.ap_load p assoc ~ap:a)) loads))
+        (Array.mapi
+           (fun u a ->
+             a = Association.none
+             || feq loads.(a) (Loads.load_if_joins p assoc ~user:u ~ap:a))
+           assoc))
 
 let prop_load_monotone_in_users =
   QCheck.Test.make ~name:"adding a user never decreases an AP's load"
@@ -866,7 +876,7 @@ let prop_load_monotone_in_users =
           if a = Association.none then
             List.iter
               (fun ap ->
-                let before = Loads.ap_load p assoc ~ap in
+                let before = Boxed.ap_load p assoc ~ap in
                 let after = Loads.load_if_joins p assoc ~user:u ~ap in
                 if after < before -. 1e-12 then ok := false)
               (Problem.neighbor_aps p u))
@@ -882,8 +892,8 @@ let prop_leaving_never_increases =
       Array.iteri
         (fun u a ->
           if a <> Association.none then begin
-            let before = Loads.ap_load p assoc ~ap:a in
-            let after = Loads.load_if_leaves p assoc ~user:u ~ap:a in
+            let before = Boxed.ap_load p assoc ~ap:a in
+            let after = Boxed.load_if_leaves p assoc ~user:u ~ap:a in
             if after > before +. 1e-12 then ok := false
           end)
         assoc;
@@ -928,7 +938,7 @@ let prop_tracker_matches_eager =
             if
               not
                 (Float.equal
-                   (Loads.load_if_leaves p assoc ~user:u ~ap)
+                   (Boxed.load_if_leaves p assoc ~user:u ~ap)
                    (Loads.Tracker.load_if_leaves tr ~user:u ~ap))
             then ok := false)
           (Problem.neighbor_aps p u)

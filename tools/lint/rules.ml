@@ -183,7 +183,7 @@ let float_eq =
                   "structural %s on float operands is exact: summation-order \
                    noise can flip it and destabilise distributed decisions; \
                    compare through an epsilon-tolerant helper (e.g. \
-                   Loads.compare_load_vectors_eps, Float.abs (a -. b) <= eps) \
+                   Loads.compare_load_prefixes_eps, Float.abs (a -. b) <= eps) \
                    or annotate [@lint.allow float_eq] if exactness is the \
                    point"
                   (if op = "compare" then "compare" else "(" ^ op ^ ")")
