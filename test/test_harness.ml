@@ -352,10 +352,11 @@ let qcheck_repro_fig11 =
   qcheck_repro "fig11 bit-identical under jobs 1/2/4 and reruns"
     (driver "fig11")
 
-(* The figure goldens: every summary of the given drivers at 2
-   scenarios/point, rendered at full precision (%h), equal at jobs 1 and
-   2 and pinned to a committed digest. Any change to a centralized
-   solver's selections moves them. *)
+(* The registry golden: one line "<id> <digest>" per driver in
+   golden/drivers.digest, where the digest covers the figure's id, title
+   and axis labels and every summary at 2 scenarios/point, rendered at
+   full precision (%h). Each driver is its own case, checked j1 = j2.
+   Any change to a solver's selections moves it. *)
 let add_summaries buf (fig : Series.figure) =
   List.iter
     (fun (p : Series.point) ->
@@ -367,44 +368,6 @@ let add_summaries buf (fig : Series.figure) =
         p.Series.values)
     fig.Series.points
 
-let figs_digest drivers ~jobs =
-  let cfg = { (repro_cfg 2007) with jobs } in
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun (driver : ?cfg:Experiments.config -> unit -> Series.figure) ->
-      add_summaries buf (driver ~cfg ()))
-    drivers;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
-
-let check_figs_golden file drivers () =
-  let d1 = figs_digest drivers ~jobs:1 in
-  Alcotest.(check string) "j1 = j2" d1 (figs_digest drivers ~jobs:2);
-  match In_channel.with_open_text ("golden/" ^ file) In_channel.input_line with
-  | Some golden ->
-      Alcotest.(check string) "matches committed golden" (String.trim golden) d1
-  | None | (exception Sys_error _) ->
-      Alcotest.failf "golden/%s missing; computed %s" file d1
-
-(* the centralized-vs-distributed series of fig9a, fig10a and fig11 *)
-let test_figs_small_golden =
-  check_figs_golden "figs_small.digest"
-    [ Experiments.fig9a; driver "fig10a"; driver "fig11" ]
-
-(* every other figure that runs centralized BLA: both B* grid drivers'
-   callers at several grid sizes and both MCG modes *)
-let test_bla_figs_golden =
-  check_figs_golden "bla_figs.digest"
-    [
-      driver "fig10b";
-      driver "fig10c";
-      driver "ablate-bla-mode";
-      driver "ablate-bstar";
-    ]
-
-(* The registry golden: one line "<id> <digest>" per driver in
-   golden/drivers.digest, where the digest covers the figure's id, title
-   and axis labels as well as every summary. Each driver is its own case,
-   checked j1 = j2 like the goldens above. *)
 let driver_digest id ~jobs =
   let cfg = { (repro_cfg 2007) with jobs } in
   let fig = driver id ~cfg () in
@@ -502,9 +465,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest qcheck_repro_fig9a;
           QCheck_alcotest.to_alcotest qcheck_repro_fig11;
-          tc "fig9a/10a/11 golden, j1 = j2" test_figs_small_golden;
-          tc "fig10b/10c/ablate-bla-mode/ablate-bstar golden, j1 = j2"
-            test_bla_figs_golden;
         ] );
       ( "drivers golden",
         tc "ids" test_drivers_golden_ids
