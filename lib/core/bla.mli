@@ -14,10 +14,11 @@ val name : [ `Soft | `Hard ] -> string
 
 (** [None] when no [B* <= 1] covers every coverable user.
 
-    The [B*] grid goes through {!Optkit.Scg.solve_grid}: the largest
-    guess runs first and every guess at which no AP budget could bind
-    reuses it exactly. [fanout] (e.g. [Harness.Pool.run pool])
-    parallelizes the other guesses with a bit-identical result.
+    {!Shard.solve_bla} on the instance's interaction components
+    ({!Shard.plan}), relabelled {!name}: the largest guess runs first
+    and every guess at which no AP budget could bind reuses it exactly.
+    [fanout] (e.g. [Harness.Pool.run pool]) parallelizes the other
+    guesses with a bit-identical result.
     @raise Invalid_argument when [n_guesses < 1]; one guess is [B* = 1]. *)
 val run :
   ?mode:[ `Soft | `Hard ] ->

@@ -10,18 +10,10 @@ open Wlan_model
 
 let name = "MNU-centralized"
 
-let run p =
-  let inst = Reduction.cover_instance ~filter_over_budget:true p in
-  let universe = Reduction.coverable_users p in
-  let budgets =
-    Array.init (Optkit.Cover_instance.n_groups inst) (Problem.ap_budget p)
-  in
-  let r = Optkit.Mcg.greedy inst ~budgets ~universe () in
-  let assoc =
-    Reduction.association_of_selections p inst
-      (List.map (fun (s : Optkit.Mcg.selection) -> (s.set, s.newly)) r.kept)
-  in
-  Solution.make ~algorithm:name p assoc
+(** [run p] is {!Shard.solve_mnu} on the instance's interaction
+    components ({!Shard.plan}), relabelled: the one centralized MNU
+    driver. *)
+let run p = { (Shard.solve_mnu p) with Solution.algorithm = name }
 
 (** Revenue-weighted MNU: maximize the total {e value} of satisfied users
     rather than their count — the paper's pay-per-view revenue model

@@ -37,13 +37,6 @@ let c_plans = Wlan_obs.Counters.make "shard.plans"
 let c_components = Wlan_obs.Counters.make "shard.components"
 let c_halo_reconciles = Wlan_obs.Counters.make "shard.halo_reconciles"
 
-(* Sharded BLA's B* probes: each probe evaluated is one SCG solve (the
-   grid driver counts it in [scg.grid_probes]); [scg.shard_reuses] counts
-   the (probe, shard) pairs that replayed the top run instead of solving.
-   Both are functions of the instance and the grid alone. *)
-let c_scg_solves = Wlan_obs.Counters.make "scg.solves"
-let c_shard_reuses = Wlan_obs.Counters.make "scg.shard_reuses"
-
 type shard = {
   id : int;  (** dense shard index, ascending by smallest AP index *)
   aps : int array;  (** global AP indices, ascending *)
@@ -192,6 +185,13 @@ let extract p sh =
     ~session_rates:(Array.copy p.Problem.session_rates)
     ~user_session ~sparse ~budget:(Problem.budget p) ()
 
+(* Write a shard's local association into the global one. *)
+let merge assoc sh local =
+  Array.iteri
+    (fun lu la ->
+      if la <> Association.none then assoc.(sh.users.(lu)) <- sh.aps.(la))
+    local
+
 type result = {
   assoc : Association.t;  (** merged global association *)
   rounds : int;  (** max shard rounds (shards run concurrently) *)
@@ -226,11 +226,7 @@ let solve ?plan:pl ?(fanout = List.map (fun f -> f ())) ?max_rounds ~objective
   List.iter2
     (fun sh (o : Distributed.outcome) ->
       Wlan_obs.Counters.incr c_halo_reconciles;
-      Array.iteri
-        (fun lu la ->
-          if la <> Association.none then
-            assoc.(sh.users.(lu)) <- sh.aps.(la))
-        o.Distributed.assoc;
+      merge assoc sh o.Distributed.assoc;
       rounds := Int.max !rounds o.Distributed.rounds;
       moves := !moves + o.Distributed.moves;
       converged := !converged && o.Distributed.converged)
@@ -254,13 +250,14 @@ let solve ?plan:pl ?(fanout = List.map (fun f -> f ())) ?max_rounds ~objective
       per-shard [Mcg.session_round_split] weights are summed and the same
       half kept everywhere;
     - SCG's per-round keep decision likewise, so the [B*] probes run all
-      shards in lockstep, round by round.
+      shards in lockstep, round by round ({!Optkit.Scg.solve_grid}).
 
     The greedy's lower-index total tie order makes per-shard selection
     sequences exactly the unsharded run's projection, so merged
-    associations are byte-identical to the unsharded [Mnu.run] /
-    [Bla.run] solves — pinned by the differential suites in
-    [test/test_flat.ml]. *)
+    associations are byte-identical to one solve over the whole
+    instance — pinned against the unsharded references in
+    [test/test_flat.ml]. These are the only centralized MNU and BLA
+    drivers: [Mnu.run] and [Bla.run] call them on {!plan}. *)
 
 let mnu_sharded_name = "MNU-centralized-sharded"
 let bla_sharded_name = "BLA-centralized-sharded"
@@ -307,52 +304,19 @@ let solve_mnu ?plan:pl ?(fanout = List.map (fun f -> f ())) p =
   List.iter2
     (fun sh (_, _, a1, a2) ->
       Wlan_obs.Counters.incr c_halo_reconciles;
-      let local = if keep_h1 then a1 else a2 in
-      Array.iteri
-        (fun lu la ->
-          if la <> Association.none then assoc.(sh.users.(lu)) <- sh.aps.(la))
-        local)
+      merge assoc sh (if keep_h1 then a1 else a2))
     pl.shards parts;
   Solution.make ~algorithm:mnu_sharded_name p assoc
 
-(* What a probe keeps of one shard's run, for per-shard reuse at the
-   lower guesses (DESIGN.md §4.5): its reuse bound ({!Optkit.Scg.replays}),
-   whether its remaining set emptied, the splits of the rounds that
-   kept H1, in order, and its session's first round, which a binding
-   shard resumes. Only the top probe's is read; immutable, so probes on
-   other domains share it read-only. *)
-type 'a shard_run = {
-  bound : float;
-  emptied : bool;
-  kept_h1 : Optkit.Mcg.split list;
-  first : 'a Optkit.Mcg.first_round option;
-}
-
-(* Where a probe takes a shard's splits from: its own session, or the
-   top run (its reuse bound and the kept-H1 splits still to replay). *)
-type 'a source =
-  | Solve of 'a Optkit.Mcg.session
-  | Replay of float * Optkit.Mcg.split list
-
 (** [solve_bla p] — sharded Centralized BLA. The [B*] grid is the global
-    one ({!Optkit.Scg.grid_lo} decomposes as a max over shards); each
-    probe runs every shard's SCG rounds in lockstep, making the
-    per-round H1/H2 decision on the summed weights, and is feasible when
-    every shard's remaining set empties within the global round cap.
-    Feasible probes are ranked exactly as [Bla.run]: smallest
-    summed-cover bound first, then the smallest {e realized} max AP load
-    wins. [fanout] evaluates the per-probe thunks (submission order, as
-    everywhere). The largest guess probes first; a guess at which no
-    shard's budget could bind reuses it whole ({!Optkit.Scg.reuse_grid},
-    on the witness and max set cost over all shards). At the other
-    guesses, a shard that emptied at the top and whose own witness and
-    max set cost clear the guess by 1e-9 opens no session: it replays
-    its top kept-H1 splits, one per H1 round — the splits a fresh
-    session would return (DESIGN.md §4.5). Only the binding shards
-    re-solve, each resuming its first round from the top's
-    ({!Optkit.Mcg.resume}). [None] when no [B* <= 1] is feasible. *)
-let solve_bla ?plan:pl ?(n_guesses = 12) ?(fanout = List.map (fun f -> f ()))
-    p =
+    one ({!Optkit.Scg.grid_lo} decomposes as a max over shards), and
+    {!Optkit.Scg.solve_grid} probes it over the shards' cover instances
+    in lockstep, with per-shard reuse. Each feasible probe's per-shard
+    selections merge into one association; the probes come ranked by
+    summed-cover bound (stable on ties) and the smallest {e realized} max
+    AP load wins, by a strict 1e-12 improvement. [None] when no
+    [B* <= 1] is feasible. *)
+let solve_bla ?plan:pl ?mode ?n_guesses ?fanout p =
   let pl = match pl with Some x -> x | None -> plan p in
   let _, n_users = Problem.dims p in
   let subs =
@@ -360,211 +324,43 @@ let solve_bla ?plan:pl ?(n_guesses = 12) ?(fanout = List.map (fun f -> f ()))
       (List.map
          (fun sh ->
            let sub = extract p sh in
-           let inst = Reduction.cover_instance sub in
-           let universe = Reduction.coverable_users sub in
-           (sh, sub, inst, universe))
+           (sh, sub, Reduction.cover_instance sub))
          pl.shards)
   in
-  let ns = Array.length subs in
+  let shards =
+    Array.map (fun (_, sub, inst) -> (inst, Reduction.coverable_users sub)) subs
+  in
   let lo =
     Array.fold_left
-      (fun acc (_, _, inst, u) ->
-        Float.max acc (Optkit.Scg.grid_lo ~universe:u inst))
-      1e-6 subs
+      (fun acc (inst, universe) ->
+        Float.max acc (Optkit.Scg.grid_lo ~universe inst))
+      1e-6 shards
   in
-  let grid = Optkit.Scg.grid_points ~n_guesses lo in
-  let n_total =
-    Array.fold_left
-      (fun acc (_, _, _, u) -> acc + Optkit.Bitset.cardinal u)
-      0 subs
-  in
-  let k = Optkit.Scg.max_rounds_for n_total in
-  let max_costs =
-    Array.map (fun (_, _, inst, _) -> Optkit.Cover_instance.max_cost inst) subs
-  in
-  (* one lockstep probe at a fixed B*: per-shard sessions persist score
-     bounds across rounds; the arena is probe-local, so probes are safe
-     to fan out across domains *)
-  let probe top bstar =
-    Wlan_obs.Counters.incr c_scg_solves;
-    let arena = Optkit.Arena.create () in
-    let reusable (t : _ shard_run) =
-      t.emptied && Optkit.Scg.replays ~bound:t.bound bstar
-    in
-    let sources =
-      Array.mapi
-        (fun i (_, _, inst, _) ->
-          match top with
-          | Some t when reusable t.(i) -> Replay (t.(i).bound, t.(i).kept_h1)
-          | _ ->
-              let session =
-                Optkit.Mcg.session ~arena inst
-                  ~budgets:
-                    (Array.make (Optkit.Cover_instance.n_groups inst) bstar)
-              in
-              Option.iter
-                (fun t -> Option.iter (Optkit.Mcg.resume session) t.(i).first)
-                top;
-              Solve session)
-        subs
-    in
-    Wlan_obs.Counters.add c_shard_reuses
-      (Array.fold_left
-         (fun acc -> function Replay _ -> acc + 1 | Solve _ -> acc)
-         0 sources);
-    let remaining =
-      Array.map (fun (_, _, _, u) -> Optkit.Bitset.copy u) subs
-    in
-    let sels = Array.make ns [] (* selection lists per shard, reversed *) in
-    let kept_h1 = Array.make ns [] (* kept-H1 splits per shard, reversed *) in
-    let group_cost =
-      Array.map
-        (fun (_, _, inst, _) ->
-          Array.make (Optkit.Cover_instance.n_groups inst) 0.)
-        subs
-    in
-    let all_covered () =
-      Array.for_all Optkit.Bitset.is_empty remaining
-    in
-    (try
-       for _ = 1 to k do
-         if all_covered () then raise Exit;
-         let splits =
-           Array.mapi
-             (fun i source ->
-               if Optkit.Bitset.is_empty remaining.(i) then None
-               else
-                 match source with
-                 | Solve session ->
-                     Some
-                       (Optkit.Mcg.session_round_split session
-                          ~remaining:remaining.(i))
-                 | Replay (_, pending) -> Some (List.hd pending))
-             sources
-         in
-         let w1 = ref 0. and w2 = ref 0. in
-         Array.iter
-           (function
-             | None -> ()
-             | Some (sp : Optkit.Mcg.split) ->
-                 w1 := !w1 +. sp.w1;
-                 w2 := !w2 +. sp.w2)
-           splits;
-         let keep_h1 = !w1 >= !w2 in
-         let progress = ref 0 in
-         Array.iter
-           (function
-             | None -> ()
-             | Some (sp : Optkit.Mcg.split) ->
-                 progress :=
-                   !progress
-                   + Optkit.Bitset.cardinal
-                       (if keep_h1 then sp.cov1 else sp.cov2))
-           splits;
-         if !progress = 0 then raise Exit (* no progress: infeasible *);
-         Array.iteri
-           (fun i sp ->
-             match sp with
-             | None -> ()
-             | Some (sp : Optkit.Mcg.split) ->
-                 let half = if keep_h1 then sp.h1 else sp.h2 in
-                 let cov = if keep_h1 then sp.cov1 else sp.cov2 in
-                 let _, _, inst, _ = subs.(i) in
-                 Optkit.Scg.add_round_cost group_cost.(i)
-                   (Optkit.Mcg.kept_group_cost inst half);
-                 List.iter (fun s -> sels.(i) <- s :: sels.(i)) half;
-                 Optkit.Bitset.diff_inplace remaining.(i) cov;
-                 (* a replayed shard's H2 is empty: only H1 rounds move
-                    it on to its next split *)
-                 if keep_h1 then begin
-                   kept_h1.(i) <- sp :: kept_h1.(i);
-                   match sources.(i) with
-                   | Replay (b, pending) ->
-                       sources.(i) <- Replay (b, List.tl pending)
-                   | Solve _ -> ()
-                 end)
-           splits
-       done
-     with Exit -> ());
-    let max_gc =
-      Array.fold_left
-        (fun acc gc -> Array.fold_left Float.max acc gc)
-        0. group_cost
-    in
-    let feasible = all_covered () in
-    let assoc = Association.empty ~n_users in
-    if feasible then
-      Array.iteri
-        (fun i shard_sels ->
-          let sh, sub, inst, _ = subs.(i) in
-          let local =
-            Reduction.association_of_selections sub inst
-              (List.map
-                 (fun (s : Optkit.Mcg.selection) -> (s.set, s.newly))
-                 (List.rev shard_sels))
-          in
-          Array.iteri
-            (fun lu la ->
-              if la <> Association.none then
-                assoc.(sh.users.(lu)) <- sh.aps.(la))
-            local)
-        sels;
-    let record =
-      Array.mapi
-        (fun i source ->
-          {
-            bound =
-              (match source with
-              | Solve session ->
-                  Float.max (Optkit.Mcg.session_witness session) max_costs.(i)
-              | Replay (b, _) -> b);
-            emptied = Optkit.Bitset.is_empty remaining.(i);
-            kept_h1 = List.rev kept_h1.(i);
-            first =
-              (match source with
-              | Solve session -> Optkit.Mcg.first_round session
-              | Replay _ -> None);
-          })
-        sources
-    in
-    ((feasible, max_gc, assoc), record)
-  in
-  (* a reused probe shares the top probe's association: only the
-     winner's becomes a returned solution *)
-  let results =
-    Optkit.Scg.reuse_grid ~fanout
-      ~bound:(Array.fold_left (fun acc t -> Float.max acc t.bound) 0.)
-      ~probe
-      ~reuse:(fun top _ -> top)
-      grid
-  in
-  let feasible =
-    List.filter_map
-      (fun (ok, max_gc, assoc) -> if ok then Some (max_gc, assoc) else None)
-      results
-  in
-  match feasible with
+  match
+    Optkit.Scg.solve_grid ?mode ?fanout shards
+      ~grid:(Optkit.Scg.grid_points ?n_guesses lo)
+  with
   | [] -> None
-  | _ ->
-      Array.iter
-        (fun _ -> Wlan_obs.Counters.incr c_halo_reconciles)
-        subs;
-      (* rank exactly as the unsharded driver: ascending summed-cover
-         bound (stable on ties), then the smallest realized max load
-         with a strict 1e-12 improvement *)
-      let sorted =
-        List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) feasible
-      in
-      let sols =
-        List.map
-          (fun (_, assoc) -> Solution.make ~algorithm:bla_sharded_name p assoc)
-          sorted
+  | first :: rest ->
+      Wlan_obs.Counters.add c_halo_reconciles (Array.length subs);
+      let solution (r : Optkit.Scg.result) =
+        let assoc = Association.empty ~n_users in
+        Array.iteri
+          (fun i (sh, sub, inst) ->
+            merge assoc sh
+              (Reduction.association_of_selections sub inst
+                 (List.map
+                    (fun (s : Optkit.Mcg.selection) -> (s.set, s.newly))
+                    r.selections.(i))))
+          subs;
+        Solution.make ~algorithm:bla_sharded_name p assoc
       in
       Some
         (List.fold_left
-           (fun (best : Solution.t) (s : Solution.t) ->
+           (fun (best : Solution.t) r ->
+             let s = solution r in
              if s.max_load < best.max_load -. 1e-12 then s else best)
-           (List.hd sols) (List.tl sols))
+           (solution first) rest)
 
 let pp_plan ppf pl =
   Fmt.pf ppf "@[<v>%d shards (%d idle APs, %d uncovered users)@,%a@]"

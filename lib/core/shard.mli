@@ -79,9 +79,10 @@ val solve :
     it — are re-made on weights summed across shards, reproducing the
     unsharded choice. The greedy's lower-index total tie order makes
     per-shard selection sequences exactly the unsharded run's
-    projection, so the merged association is byte-identical to the
-    unsharded solve: [solve_mnu p] ≡ [Mnu.run p] and [solve_bla p] ≡
-    [Bla.run p]. *)
+    projection, so the merged association is byte-identical to one
+    solve over the whole instance. These are the only centralized MNU
+    and BLA drivers: [Mnu.run] and [Bla.run] are [solve_mnu] and
+    [solve_bla] on {!plan}, relabelled. *)
 
 (** Sharded Centralized MNU (Fig. 3 per shard, global H1/H2 decision).
     [fanout] spreads the per-shard solve thunks over domains (each
@@ -96,27 +97,24 @@ val solve_mnu :
   Problem.t ->
   Solution.t
 
-(** Sharded Centralized BLA (Fig. 6): the global [B*] grid's probes run
-    every shard's SCG rounds in lockstep through {!Optkit.Mcg.session}s,
-    then feasible probes are ranked exactly as [Bla.run] (summed-cover
-    bound, then realized max load). The largest guess probes first
-    ({!Optkit.Scg.reuse_grid}); at a lower guess, a shard that emptied
-    in that run and whose own budget witness and max set cost clear the
-    guess by 1e-9 opens no session and replays its recorded kept-H1
-    splits — only the binding shards re-solve, each resuming its first
-    round from the top's ({!Optkit.Mcg.resume}), and the result is the
-    from-scratch probe's (DESIGN.md §4.5). [fanout] evaluates the
-    per-probe thunks (each yields feasibility, the probe's max summed
-    group cost, and its merged association); they share the top run's
-    record read-only. Counts [scg.grid_probes] and [scg.solves] per
-    probe and [scg.shard_reuses] per replayed shard. [None] when no
-    [B* <= 1] is feasible. *)
+(** Sharded Centralized BLA (Fig. 6), the one BLA driver ([Bla.run] is
+    this on {!plan}). The global [B*] grid goes to
+    {!Optkit.Scg.solve_grid} over the shards' cover instances: every
+    probe runs the shards' SCG rounds in lockstep, the largest guess
+    probes first, and lower guesses reuse it whole or per shard
+    (DESIGN.md §4.5). Each feasible probe's per-shard selections merge
+    into one association; among them, in summed-cover-bound order, the
+    smallest realized max AP load wins. [mode] is the MCG inner loop
+    (default [`Soft], see [Bla]); [fanout] evaluates the per-probe
+    thunks in submission order, so the result is identical at any job
+    count. [None] when no [B* <= 1] is feasible.
+    @raise Invalid_argument when [n_guesses < 1]. *)
 val solve_bla :
   ?plan:plan ->
+  ?mode:[ `Soft | `Hard ] ->
   ?n_guesses:int ->
   ?fanout:
-    ((unit -> bool * float * Association.t) list ->
-    (bool * float * Association.t) list) ->
+    ((unit -> Optkit.Scg.result) list -> Optkit.Scg.result list) ->
   Problem.t ->
   Solution.t option
 

@@ -1,10 +1,12 @@
 (** Scratch-buffer arena (DESIGN.md §4.12).
 
     The flat greedy kernels work on preallocated int/float array planes.
-    Repeated solves — the [Scg.solve_grid] probe loop, the churn-driven
-    [Distributed.Online] settles, every round of a distributed run —
-    would re-allocate those planes per probe; an arena lets them be
-    fetched once and reused, turning the inner loops allocation-free.
+    Repeated solves — the shard sessions and rounds of one
+    [Scg.solve_grid] probe, the churn-driven [Distributed.Online]
+    settles, every round of a distributed run — would re-allocate those
+    planes each time; an arena lets them be fetched once and reused,
+    turning the inner loops allocation-free. A B* probe owns its arena,
+    so grid probes on pool domains never share one.
 
     An arena is a set of named mutable buffers. {!floats}/{!ints} return
     the buffer registered under a slot name, growing it when the

@@ -7,9 +7,13 @@
     feasible), with per-group total cost at most [(log_{8/7} n + 1) B*]
     (Theorem 4). The driver tries a grid of [B*] values between the
     smallest possibly-feasible bound and 1 (a tightening of the paper's
-    "try several values of B* between c_max and 1" — see {!default_grid})
-    and keeps the feasible solution minimizing the realized maximum group
-    cost. *)
+    "try several values of B* between c_max and 1" — see {!grid_lo}) and
+    returns the feasible runs by realized maximum group cost.
+
+    The instance comes as an array of shards — interaction components
+    whose sets and elements are disjoint — and every probe runs all of
+    them in lockstep, one global round at a time (DESIGN.md §4.5). A
+    single-shard array is the unsharded solve. *)
 
 (* Deterministic event counters (DESIGN.md §4.9). Grid probes may run on
    pool domains, but the probe set is jobs-independent, so totals are too. *)
@@ -17,91 +21,35 @@ let c_solves = Wlan_obs.Counters.make "scg.solves"
 let c_rounds = Wlan_obs.Counters.make "scg.rounds"
 let c_grid_probes = Wlan_obs.Counters.make "scg.grid_probes"
 let c_grid_reuses = Wlan_obs.Counters.make "scg.grid_reuses"
+let c_shard_reuses = Wlan_obs.Counters.make "scg.shard_reuses"
 
 type result = {
   bstar : float;
-  rounds : Mcg.result list;  (** one MCG result per iteration *)
-  feasible : bool;  (** all elements of the universe covered *)
-  group_cost : float array;  (** summed over rounds *)
+  feasible : bool;  (** every shard's universe covered *)
+  selections : Mcg.selection list array;  (** per shard, selection order *)
+  group_cost : float array array;  (** per shard, summed over rounds *)
 }
 
 let max_rounds_for n =
   if n <= 1 then 1
   else int_of_float (ceil (log (float_of_int n) /. log (8. /. 7.))) + 1
 
-(** All selections of a result, flattened in selection order. The [newly]
-    attributions of different rounds are disjoint by construction. *)
-let selections r = List.concat_map (fun (m : Mcg.result) -> m.kept) r.rounds
+let max_group_cost r =
+  Array.fold_left (Array.fold_left Float.max) 0. r.group_cost
 
-let max_group_cost r = Array.fold_left Float.max 0. r.group_cost
-
-(* Both grid drivers sum a run's cost round by round through this, so
-   their sums — and the ranking of near-tied probes — agree to the ulp. *)
+(* Every driver sums a run's cost round by round through this, so sums —
+   and the ranking of near-tied probes — agree to the ulp. *)
 let add_round_cost acc round =
   Array.iteri (fun g c -> acc.(g) <- acc.(g) +. c) round
 
-(** One SCG run for a fixed [B*]. When [universe] is given explicitly it is
-    taken literally: elements of it that no set contains make the run
-    infeasible (the default universe is everything coverable). The
-    rounds run through one {!Mcg.session}, so set-score bounds persist
-    across the shrinking remaining set (no per-round seed pass). [arena]
-    backs each round's heap and candidate planes; it must not be shared
-    across pool domains. [from], another run's first round at a larger
-    guess, is resumed ({!Mcg.resume}). The run comes with its session's
-    {!Mcg.session_witness} and first round. *)
-let solve_witnessed ?(mode = `Soft) ?arena ?from inst ~bstar ?universe () =
-  Wlan_obs.Counters.incr c_solves;
-  let x0 =
-    match universe with
-    | Some u -> Bitset.copy u
-    | None -> Cover_instance.coverable inst
-  in
-  let n = Bitset.cardinal x0 in
-  let n_groups = Cover_instance.n_groups inst in
-  let budgets = Array.make n_groups bstar in
-  let remaining = Bitset.copy x0 in
-  let rounds = ref [] in
-  let group_cost = Array.make n_groups 0. in
-  let k = max_rounds_for n in
-  let session = Mcg.session ~mode ?arena inst ~budgets in
-  Option.iter (Mcg.resume session) from;
-  (try
-     for _ = 1 to k do
-       if Bitset.is_empty remaining then raise Exit;
-       Wlan_obs.Counters.incr c_rounds;
-       let r = Mcg.session_round session ~remaining in
-       if Bitset.is_empty r.covered then raise Exit (* no progress: infeasible *);
-       rounds := r :: !rounds;
-       add_round_cost group_cost r.group_cost;
-       Bitset.diff_inplace remaining r.covered
-     done
-   with Exit -> ());
-  ( {
-      bstar;
-      rounds = List.rev !rounds;
-      feasible = Bitset.is_empty remaining;
-      group_cost;
-    },
-    (Mcg.session_witness session, Mcg.first_round session) )
-
-let solve_for ?mode ?arena inst ~bstar ?universe () =
-  fst (solve_witnessed ?mode ?arena inst ~bstar ?universe ())
-
-(** Default grid of [B*] guesses: [n_guesses] points geometrically spaced
-    between the smallest [B*] that can possibly be feasible and 1.
-
-    The paper suggests guessing between [c_max] and 1, but [c_max] over
-    {e all} sets is needlessly coarse: a group never has to afford its most
-    expensive set, only {e some} set covering each element. The tight lower
-    end is [max_e min_{S ∋ e} c(S)] — below it some element of the universe
-    cannot be covered at all (MCG refuses sets costing more than the group
-    budget). *)
-let grid_lo ?universe inst =
-  let u =
-    match universe with
-    | Some u -> u
-    | None -> Cover_instance.coverable inst
-  in
+(** The grid's lower end. The paper suggests guessing between [c_max]
+    and 1, but [c_max] over {e all} sets is needlessly coarse: a group
+    never has to afford its most expensive set, only {e some} set
+    covering each element. The tight lower end is
+    [max_e min_{S ∋ e} c(S)] — below it some element of the universe
+    cannot be covered at all (MCG refuses sets costing more than the
+    group budget). *)
+let grid_lo ~universe inst =
   let n = Cover_instance.n_elements inst in
   let min_cost = Array.make n infinity in
   for j = 0 to Cover_instance.n_sets inst - 1 do
@@ -115,7 +63,7 @@ let grid_lo ?universe inst =
       (fun e acc ->
         if (min_cost.(e) = infinity) [@lint.allow float_eq] then acc
         else Float.max acc min_cost.(e))
-      u 0.
+      universe 0.
   in
   Float.max (Float.min lo 1.) 1e-6
 
@@ -127,24 +75,20 @@ let grid_points ?(n_guesses = 12) lo =
         let t = float_of_int i /. float_of_int (n_guesses - 1) in
         lo *. ((1. /. lo) ** t))
 
-let default_grid ?n_guesses ?universe inst =
-  grid_points ?n_guesses (grid_lo ?universe inst)
-
-(** A run whose {e reuse bound} — its {!Mcg.session_witness} joined
-    with every set cost — is [bound] replays exactly at any uniform
-    budget [b] with [bound <= b - 1e-9]: no budget read can take another
-    branch there (see {!Mcg.session_witness}). *)
+(* A run whose reuse bound — its {!Mcg.session_witness} joined with
+   every set cost — is [bound] replays exactly at any uniform budget [b]
+   with [bound <= b - 1e-9]: no budget read can take another branch
+   there (see {!Mcg.session_witness}). *)
 let replays ~bound b = bound <= b -. 1e-9
 
-(** Exact B* probe reuse over a grid, for both grid drivers (this one
-    and the sharded lockstep probe). [probe top b] runs the guess [b] and
-    returns its result with a record [w] of the run; [bound w] is the
-    run's reuse bound over all of the driver's sessions (see
-    {!replays}). The largest guess [B_top] runs first, on its own, as
-    [probe None B_top]; every guess [b] at which that run {!replays}, and
-    every copy of [B_top], yields [reuse top b]. The remaining guesses go
-    through [fanout] as [probe (Some w) b], sharing [w] read-only.
-    Results come back in grid order. *)
+(** Exact B* probe reuse over a grid. [probe top b] runs the guess [b]
+    and returns its result with a record [w] of the run; [bound w] is the
+    run's reuse bound over all of its sessions (see {!replays}). The
+    largest guess [B_top] runs first, on its own, as [probe None B_top];
+    every guess [b] at which that run {!replays}, and every copy of
+    [B_top], yields [reuse top b]. The remaining guesses go through
+    [fanout] as [probe (Some w) b], sharing [w] read-only. Results come
+    back in grid order. *)
 let reuse_grid ~fanout ~bound ~probe ~reuse grid =
   match grid with
   | [] -> []
@@ -172,44 +116,167 @@ let reuse_grid ~fanout ~bound ~probe ~reuse grid =
       in
       merge grid (fanout thunks)
 
-(** Try the [B*] guesses of [grid] and return all feasible runs computed,
-    best (smallest realized max group cost) first.
+(* What a probe keeps of one shard's run, for per-shard reuse at the
+   lower guesses (DESIGN.md §4.5): its reuse bound, whether its
+   remaining set emptied, the splits of the rounds that kept H1, in
+   order, and its session's first round, which a binding shard resumes.
+   Only the top probe's is read; immutable, so probes on other domains
+   share it read-only. *)
+type 'a shard_run = {
+  bound : float;
+  emptied : bool;
+  kept_h1 : Mcg.split list;
+  first : 'a Mcg.first_round option;
+}
 
-    Guesses go through {!reuse_grid}: a reused guess is
-    [{ top with bstar }], sharing [top]'s rounds and cost arrays (nothing
-    downstream mutates a result), so each result is exactly {!solve_for}
-    at its guess and the ranking is unchanged. Every other guess resumes
-    its first round from the top run's ({!Mcg.resume}).
+(* Where a probe takes a shard's splits from: its own session, or the
+   top run (its reuse bound and the kept-H1 splits still to replay). *)
+type 'a source =
+  | Solve of 'a Mcg.session
+  | Replay of float * Mcg.split list
 
-    [fanout] evaluates the per-guess thunks; the default runs them
-    sequentially in list order. Injecting a multicore evaluator (e.g.
-    [Harness.Pool.run pool], which returns results in submission order)
-    parallelizes the grid with a result identical to the sequential one —
-    each guess's run is independent and this layer cannot depend on the
-    harness, so the pool is passed in rather than created here.
+(** [solve_grid shards ~grid] — each probe runs every shard's SCG rounds
+    in lockstep through {!Mcg.session}s, making the per-round H1/H2
+    decision on the weights summed over shards, and is feasible when
+    every shard's universe empties within the global round cap
+    [max_rounds_for] (total universe size). The greedy's lower-index tie
+    order makes each shard's selections the projection of one run over
+    the shards' disjoint union.
 
-    [arena] lets successive probes reuse their scratch planes — pass it
-    only with the default sequential [fanout]: an arena must never be
-    shared across pool domains. *)
-let solve_grid ?mode ?arena ?(fanout = List.map (fun f -> f ())) inst
-    ?universe ~grid () =
-  let probe top bstar =
-    solve_witnessed ?mode ?arena ?from:(Option.bind top snd) inst ~bstar
-      ?universe ()
+    The largest guess probes first; a guess at which no shard's budget
+    could bind reuses it whole ({!reuse_grid}, on the witness and max set
+    cost over all shards). At the other guesses, a shard that emptied at
+    the top and whose own witness and max set cost clear the guess by
+    1e-9 opens no session: it replays its top kept-H1 splits, one per
+    H1 round — the splits a fresh session would return. Only the binding
+    shards re-solve, each resuming its first round from the top's
+    ({!Mcg.resume}). Every probe gets its own arena, shared by its
+    shards' sessions. *)
+let solve_grid ?(mode = `Soft) ?(fanout = List.map (fun f -> f ())) shards
+    ~grid =
+  let ns = Array.length shards in
+  let k =
+    max_rounds_for
+      (Array.fold_left (fun acc (_, u) -> acc + Bitset.cardinal u) 0 shards)
   in
+  let max_costs = Array.map (fun (inst, _) -> Cover_instance.max_cost inst) shards in
+  let probe top bstar =
+    Wlan_obs.Counters.incr c_solves;
+    let arena = Arena.create () in
+    let reusable t = t.emptied && replays ~bound:t.bound bstar in
+    let sources =
+      Array.mapi
+        (fun i (inst, _) ->
+          match top with
+          | Some t when reusable t.(i) -> Replay (t.(i).bound, t.(i).kept_h1)
+          | _ ->
+              let session =
+                Mcg.session ~mode ~arena inst
+                  ~budgets:(Array.make (Cover_instance.n_groups inst) bstar)
+              in
+              Option.iter
+                (fun t -> Option.iter (Mcg.resume session) t.(i).first)
+                top;
+              Solve session)
+        shards
+    in
+    Wlan_obs.Counters.add c_shard_reuses
+      (Array.fold_left
+         (fun acc -> function Replay _ -> acc + 1 | Solve _ -> acc)
+         0 sources);
+    let remaining = Array.map (fun (_, u) -> Bitset.copy u) shards in
+    let sels = Array.make ns [] (* selections per shard, reversed *) in
+    let kept_h1 = Array.make ns [] (* kept-H1 splits per shard, reversed *) in
+    let group_cost =
+      Array.map
+        (fun (inst, _) -> Array.make (Cover_instance.n_groups inst) 0.)
+        shards
+    in
+    let all_covered () = Array.for_all Bitset.is_empty remaining in
+    (try
+       for _ = 1 to k do
+         if all_covered () then raise Exit;
+         Wlan_obs.Counters.incr c_rounds;
+         let splits =
+           Array.mapi
+             (fun i source ->
+               if Bitset.is_empty remaining.(i) then None
+               else
+                 match source with
+                 | Solve session ->
+                     Some (Mcg.session_round_split session ~remaining:remaining.(i))
+                 | Replay (_, pending) -> Some (List.hd pending))
+             sources
+         in
+         let w1 = ref 0. and w2 = ref 0. in
+         Array.iter
+           (Option.iter (fun (sp : Mcg.split) ->
+                w1 := !w1 +. sp.w1;
+                w2 := !w2 +. sp.w2))
+           splits;
+         let keep_h1 = !w1 >= !w2 in
+         let progress = ref 0 in
+         Array.iter
+           (Option.iter (fun (sp : Mcg.split) ->
+                progress :=
+                  !progress + Bitset.cardinal (if keep_h1 then sp.cov1 else sp.cov2)))
+           splits;
+         if !progress = 0 then raise Exit (* no progress: infeasible *);
+         Array.iteri
+           (fun i ->
+             Option.iter (fun (sp : Mcg.split) ->
+                 let half, cov =
+                   if keep_h1 then (sp.h1, sp.cov1) else (sp.h2, sp.cov2)
+                 in
+                 add_round_cost group_cost.(i)
+                   (Mcg.kept_group_cost (fst shards.(i)) half);
+                 sels.(i) <- List.rev_append half sels.(i);
+                 Bitset.diff_inplace remaining.(i) cov;
+                 (* a replayed shard's H2 is empty: only H1 rounds move
+                    it on to its next split *)
+                 if keep_h1 then begin
+                   kept_h1.(i) <- sp :: kept_h1.(i);
+                   match sources.(i) with
+                   | Replay (b, pending) ->
+                       sources.(i) <- Replay (b, List.tl pending)
+                   | Solve _ -> ()
+                 end))
+           splits
+       done
+     with Exit -> ());
+    let record =
+      Array.mapi
+        (fun i source ->
+          {
+            bound =
+              (match source with
+              | Solve session ->
+                  Float.max (Mcg.session_witness session) max_costs.(i)
+              | Replay (b, _) -> b);
+            emptied = Bitset.is_empty remaining.(i);
+            kept_h1 = List.rev kept_h1.(i);
+            first =
+              (match source with
+              | Solve session -> Mcg.first_round session
+              | Replay _ -> None);
+          })
+        sources
+    in
+    ( {
+        bstar;
+        feasible = all_covered ();
+        selections = Array.map List.rev sels;
+        group_cost;
+      },
+      record )
+  in
+  (* a reused guess shares the top run's selections and cost arrays:
+     results are never mutated *)
   reuse_grid ~fanout
-    ~bound:(fun (w, _) -> Float.max (Cover_instance.max_cost inst) w)
-    ~probe ~reuse:(fun top bstar -> { top with bstar })
+    ~bound:(Array.fold_left (fun acc t -> Float.max acc t.bound) 0.)
+    ~probe
+    ~reuse:(fun top bstar -> { top with bstar })
     grid
   |> List.filter (fun r -> r.feasible)
-  |> List.sort (fun a b -> Float.compare (max_group_cost a) (max_group_cost b))
-
-(** Best feasible solution over the default grid, if any. *)
-let solve ?mode ?arena ?fanout ?n_guesses inst ?universe () =
-  match
-    solve_grid ?mode ?arena ?fanout inst ?universe
-      ~grid:(default_grid ?n_guesses ?universe inst)
-      ()
-  with
-  | [] -> None
-  | best :: _ -> Some best
+  |> List.stable_sort (fun a b ->
+         Float.compare (max_group_cost a) (max_group_cost b))

@@ -23,17 +23,19 @@
      stays in lockstep with the boxed loop run on the shadow's
      effective instance: identical associations, loads and settle stats
      after every burst, for both rules and both settle modes.
-   - Sharded centralized MNU/BLA (qcheck): [Shard.solve_mnu] /
-     [Shard.solve_bla] = the unsharded [Mnu.run] / [Bla.run] on the
-     all-pairs and grid compiles, including wide-area instances whose plans have
-     several shards.
+   - Sharded centralized MNU/BLA (qcheck): [Shard.solve_mnu] (so
+     [Mnu.run]) = one budgeted greedy over the whole instance, and
+     [Bla.run] (= [Shard.solve_bla] on the component plan) = the
+     exhaustive single-instance grid of scg_ref.ml in both budget
+     modes, on the all-pairs and grid compiles, including wide-area
+     instances whose plans have several shards.
    - Per-shard B* reuse in [Shard.solve_bla]: a heterogeneous
      multi-shard family against a from-scratch grid oracle (reuse is
      partial there), and constructed instances for an H2 round while a
      shard replays, the max-cost and 1e-9 guards, and a shard that never
      emptied at the top probe.
    - Pool fanout: fig9a-size sharded centralized solves at --jobs 1/2/4
-     equal the unsharded runs.
+     equal the sequential [Mnu.run] / [Bla.run].
    - City scale: the sharded centralized MNU and BLA associations on
      the 2000x40000 instance are pinned by golden j1==j4 digests (no
      AP x user matrix is ever allocated).
@@ -410,23 +412,26 @@ let check_solutions label (a : Solution.t) (b : Solution.t) =
   if not (Float.equal a.Solution.max_load b.Solution.max_load) then
     Alcotest.failf "%s: max loads differ" label
 
+(* Centralized MNU over the whole instance: one budgeted greedy with
+   the H1/H2 split on one cover instance, the unsharded reference
+   [Shard.solve_mnu] (and so [Mnu.run]) is proven against. *)
+let unsharded_mnu p =
+  let inst = Reduction.cover_instance ~filter_over_budget:true p in
+  let budgets =
+    Array.init (Optkit.Cover_instance.n_groups inst) (Problem.ap_budget p)
+  in
+  let r =
+    Optkit.Mcg.greedy inst ~budgets ~universe:(Reduction.coverable_users p) ()
+  in
+  Reduction.association_of_selections p inst
+    (List.map (fun (s : Optkit.Mcg.selection) -> (s.set, s.newly)) r.kept)
+  |> Solution.make ~algorithm:Mnu.name p
+
 let sharded_mnu_matches ~wide seed =
   let _, pd, ps = case ~wide ~seed () in
   List.iter
     (fun p ->
-      check_solutions "sharded MNU" (Shard.solve_mnu p) (Mnu.run p))
-    [ pd; ps ];
-  true
-
-let sharded_bla_matches ~wide seed =
-  let _, pd, ps = case ~wide ~seed () in
-  List.iter
-    (fun p ->
-      match (Shard.solve_bla p, Bla.run p) with
-      | None, None -> ()
-      | Some a, Some b -> check_solutions "sharded BLA" a b
-      | Some _, None -> Alcotest.fail "sharded feasible, unsharded not"
-      | None, Some _ -> Alcotest.fail "unsharded feasible, sharded not")
+      check_solutions "sharded MNU" (Shard.solve_mnu p) (unsharded_mnu p))
     [ pd; ps ];
   true
 
@@ -443,39 +448,24 @@ let qcheck_sharded_mnu_wide =
     QCheck.(int_range 0 10_000)
     (sharded_mnu_matches ~wide:true)
 
-let qcheck_sharded_bla =
-  QCheck.Test.make ~name:"sharded centralized BLA = unsharded BLA"
-    ~count:25
-    QCheck.(int_range 0 10_000)
-    (sharded_bla_matches ~wide:false)
-
-let qcheck_sharded_bla_wide =
-  QCheck.Test.make
-    ~name:"sharded centralized BLA = unsharded BLA (multi-shard)"
-    ~count:25
-    QCheck.(int_range 0 10_000)
-    (sharded_bla_matches ~wide:true)
-
-(* Centralized BLA with no B* probe reuse: every guess of the default
-   grid solved from scratch, ranked as [Bla.run] ranks (summed-cover
+(* Centralized BLA over the whole instance with no B* probe reuse:
+   every guess of the default grid solved from scratch on one cover
+   instance ([Scg_ref]), ranked as [Shard.solve_bla] ranks (summed-cover
    bound, stable on ties, then a strict 1e-12 realized-load
-   improvement). Both grid drivers must match it. *)
+   improvement). [Bla.run] — the sharded driver on the component plan —
+   must match it. *)
 let exhaustive_bla ~mode ~n_guesses p =
   let inst = Reduction.cover_instance p in
   let universe = Reduction.coverable_users p in
   let runs =
-    Optkit.Scg.default_grid ~n_guesses ~universe inst
-    |> List.map (fun bstar -> Optkit.Scg.solve_for ~mode inst ~bstar ~universe ())
-    |> List.filter (fun (r : Optkit.Scg.result) -> r.Optkit.Scg.feasible)
-    |> List.stable_sort (fun a b ->
-           Float.compare (Optkit.Scg.max_group_cost a)
-             (Optkit.Scg.max_group_cost b))
+    Scg_ref.exhaustive ~mode ~universe inst
+      (Scg_ref.default_grid ~n_guesses ~universe inst)
   in
   let solution r =
     Reduction.association_of_selections p inst
       (List.map
          (fun (s : Optkit.Mcg.selection) -> (s.set, s.newly))
-         (Optkit.Scg.selections r))
+         (Scg_ref.selections r))
     |> Solution.make ~algorithm:(Bla.name mode) p
   in
   match List.map solution runs with
@@ -502,10 +492,7 @@ let grid_drivers_match_oracle ~wide (seed, n_guesses) =
         (fun mode ->
           check_optional "BLA" (Bla.run ~mode ~n_guesses p)
             (exhaustive_bla ~mode ~n_guesses p))
-        [ `Soft; `Hard ];
-      check_optional "sharded BLA"
-        (Shard.solve_bla ~n_guesses p)
-        (exhaustive_bla ~mode:`Soft ~n_guesses p))
+        [ `Soft; `Hard ])
     [ pd; ps ];
   true
 
@@ -513,24 +500,32 @@ let arb_seed_guesses =
   QCheck.(pair (int_range 0 10_000) (oneofl [ 1; 2; 3; 6; 12; 24 ]))
 
 let qcheck_grid_reuse =
-  QCheck.Test.make ~name:"BLA grid drivers with probe reuse = exhaustive grid"
+  QCheck.Test.make ~name:"BLA grid driver with probe reuse = exhaustive grid"
     ~count:25 arb_seed_guesses
     (grid_drivers_match_oracle ~wide:false)
 
 let qcheck_grid_reuse_wide =
   QCheck.Test.make
-    ~name:"BLA grid drivers with probe reuse = exhaustive grid (multi-shard)"
+    ~name:"BLA grid driver with probe reuse = exhaustive grid (multi-shard)"
     ~count:25 arb_seed_guesses
     (grid_drivers_match_oracle ~wide:true)
 
 (* On paper-scale instances most of the grid's upper guesses reuse the
-   top probe; the reused answers still equal the exhaustive grid, and a
-   single guess is B* = 1 (it used to be a NaN grid, infeasible). *)
+   top probe; the reused answers still equal the exhaustive grid in both
+   modes, and a single guess is B* = 1 (it used to be a NaN grid,
+   infeasible). The third instance spreads the same population over a
+   2 km square, so its plan has several shards. *)
 let test_grid_reuse_paper_scale () =
-  let problems =
-    Scenario_gen.problems ~seed:15 ~n:2
-      { Scenario_gen.paper_default with n_aps = 50; n_users = 100 }
+  let cfg = { Scenario_gen.paper_default with n_aps = 50; n_users = 100 } in
+  let wide = Scenario_gen.problems ~seed:15 ~n:1
+      { cfg with area_w = 2000.; area_h = 2000.; ensure_coverage = false }
   in
+  List.iter
+    (fun p ->
+      if List.length (Shard.plan p).Shard.shards < 2 then
+        Alcotest.fail "the wide instance plans as one shard")
+    wide;
+  let problems = Scenario_gen.problems ~seed:15 ~n:2 cfg @ wide in
   let reuses = Wlan_obs.Counters.make "scg.grid_reuses" in
   Wlan_obs.Counters.reset ();
   Wlan_obs.Counters.set_enabled true;
@@ -540,16 +535,12 @@ let test_grid_reuse_paper_scale () =
       List.iter
         (fun p ->
           List.iter
-            (fun n_guesses ->
+            (fun (mode, n_guesses) ->
               check_optional
                 (Fmt.str "BLA n_guesses=%d" n_guesses)
-                (Bla.run ~n_guesses p)
-                (exhaustive_bla ~mode:`Soft ~n_guesses p);
-              check_optional
-                (Fmt.str "sharded BLA n_guesses=%d" n_guesses)
-                (Shard.solve_bla ~n_guesses p)
-                (exhaustive_bla ~mode:`Soft ~n_guesses p))
-            [ 1; 2; 12 ];
+                (Bla.run ~mode ~n_guesses p)
+                (exhaustive_bla ~mode ~n_guesses p))
+            [ (`Soft, 1); (`Soft, 2); (`Soft, 12); (`Hard, 2); (`Hard, 12) ];
           if Option.is_none (Bla.run ~n_guesses:1 p) then
             Alcotest.fail "one guess (B* = 1) is infeasible")
         problems);
@@ -720,9 +711,9 @@ let test_h2_round_with_reused_shard () =
      with B's selection in the dropped H1 *)
   let inst = Reduction.cover_instance p in
   let universe = Reduction.coverable_users p in
-  let lo = List.hd (Optkit.Scg.default_grid ~n_guesses:12 ~universe inst) in
-  let r = Optkit.Scg.solve_for inst ~bstar:lo ~universe () in
-  match r.Optkit.Scg.rounds with
+  let lo = List.hd (Scg_ref.default_grid ~n_guesses:12 ~universe inst) in
+  let r = Scg_ref.solve_for inst ~bstar:lo ~universe () in
+  match r.Scg_ref.rounds with
   | first :: _ ->
       Alcotest.(check (pair int int)) "first round: 3 picked, H2 kept" (3, 1)
         (List.length first.Optkit.Mcg.raw_order, List.length first.Optkit.Mcg.kept)
@@ -1190,8 +1181,6 @@ let qcheck_cases =
     @ [
         qcheck_sharded_mnu;
         qcheck_sharded_mnu_wide;
-        qcheck_sharded_bla;
-        qcheck_sharded_bla_wide;
         qcheck_grid_reuse;
         qcheck_grid_reuse_wide;
         qcheck_hetero_reuse;

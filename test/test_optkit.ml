@@ -671,29 +671,45 @@ let test_mcg_weighted_validation () =
 (* SCG                                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* The best feasible probe of the default grid over one shard, if any. *)
+let scg_best inst =
+  let universe = Cover_instance.coverable inst in
+  match
+    Scg.solve_grid [| (inst, universe) |]
+      ~grid:(Scg_ref.default_grid ~universe inst)
+  with
+  | [] -> None
+  | best :: _ -> Some best
+
 let test_scg_feasible_run () =
   let inst =
     mk_grouped ~n:4
       [ ([ 0; 1 ], 0.4, 0); ([ 2 ], 0.3, 0); ([ 3 ], 0.3, 1) ]
   in
-  match Scg.solve inst () with
+  match scg_best inst with
   | None -> Alcotest.fail "expected feasible"
   | Some r ->
       Alcotest.(check bool) "feasible" true r.Scg.feasible;
       let covered = Bitset.create 4 in
       List.iter
         (fun (s : Mcg.selection) -> Bitset.union_inplace covered s.newly)
-        (Scg.selections r);
+        r.Scg.selections.(0);
       Alcotest.(check int) "all covered" 4 (Bitset.cardinal covered)
 
 let test_scg_infeasible () =
   (* element 1 in no set: infeasible when the universe demands it,
-     feasible when the universe defaults to the coverable elements *)
+     feasible when the universe is the coverable elements *)
   let inst = mk_grouped ~n:2 [ ([ 0 ], 0.4, 0) ] in
-  let r = Scg.solve_for inst ~bstar:1.0 ~universe:(Bitset.full 2) () in
-  Alcotest.(check bool) "explicit universe infeasible" false r.Scg.feasible;
-  let r = Scg.solve_for inst ~bstar:1.0 () in
-  Alcotest.(check bool) "default universe feasible" true r.Scg.feasible
+  let feasible universe =
+    Scg.solve_grid [| (inst, universe) |] ~grid:[ 1.0 ] <> []
+  in
+  Alcotest.(check bool) "explicit universe infeasible" false
+    (feasible (Bitset.full 2));
+  Alcotest.(check bool) "coverable universe feasible" true
+    (feasible (Cover_instance.coverable inst));
+  Alcotest.(check bool) "reference agrees" false
+    (Scg_ref.solve_for inst ~bstar:1.0 ~universe:(Bitset.full 2) ())
+      .Scg_ref.feasible
 
 let test_scg_max_rounds_bound () =
   Alcotest.(check int) "log_{8/7} 100 + 1" 36 (Scg.max_rounds_for 100);
@@ -722,7 +738,7 @@ let prop_scg_selections_disjoint_and_cover =
       (* add a universal set so the instance is coverable *)
       let sets = (List.init n Fun.id, 1.0, 0) :: sets in
       let inst = mk_grouped ~n sets in
-      match Scg.solve inst () with
+      match scg_best inst with
       | None -> QCheck.assume_fail ()
       | Some r ->
           let seen = Bitset.create n in
@@ -731,7 +747,7 @@ let prop_scg_selections_disjoint_and_cover =
             (fun (s : Mcg.selection) ->
               if Bitset.inter_cardinal seen s.newly > 0 then disjoint := false;
               Bitset.union_inplace seen s.newly)
-            (Scg.selections r);
+            r.Scg.selections.(0);
           !disjoint && (not r.Scg.feasible) || Bitset.cardinal seen = n)
 
 (* The reference the greedy is proven against: a full rescan of every
@@ -864,44 +880,138 @@ let prop_mcg_greedy_eq_eager =
       in
       check None && check (Some weights))
 
-let same_scg_result (a : Scg.result) (b : Scg.result) =
-  Float.equal a.Scg.bstar b.Scg.bstar
-  && a.Scg.feasible = b.Scg.feasible
-  && Array.for_all2 Float.equal a.Scg.group_cost b.Scg.group_cost
-  && List.length (Scg.selections a) = List.length (Scg.selections b)
+let same_selections a b =
+  List.length a = List.length b
   && List.for_all2
        (fun (s : Mcg.selection) (s' : Mcg.selection) ->
          s.set = s'.set && Bitset.equal s.newly s'.newly)
-       (Scg.selections a) (Scg.selections b)
+       a b
+
+(* Driver probes: every field of every shard. *)
+let same_scg_result (a : Scg.result) (b : Scg.result) =
+  Float.equal a.Scg.bstar b.Scg.bstar
+  && a.Scg.feasible = b.Scg.feasible
+  && Array.length a.Scg.group_cost = Array.length b.Scg.group_cost
+  && Array.for_all2 (Array.for_all2 Float.equal) a.Scg.group_cost
+       b.Scg.group_cost
+  && Array.for_all2 same_selections a.Scg.selections b.Scg.selections
+
+let same_grid_results a b =
+  List.length a = List.length b && List.for_all2 same_scg_result a b
+
+(* Reference runs: every field, raw orders included. *)
+let same_ref_result (a : Scg_ref.result) (b : Scg_ref.result) =
+  Float.equal a.Scg_ref.bstar b.Scg_ref.bstar
+  && a.Scg_ref.feasible = b.Scg_ref.feasible
+  && Array.for_all2 Float.equal a.Scg_ref.group_cost b.Scg_ref.group_cost
+  && same_selections (Scg_ref.selections a) (Scg_ref.selections b)
+  && List.length a.Scg_ref.rounds = List.length b.Scg_ref.rounds
+  && List.for_all2
+       (fun (ra : Mcg.result) (rb : Mcg.result) ->
+         ra.Mcg.raw_order = rb.Mcg.raw_order
+         && Bitset.equal ra.Mcg.covered rb.Mcg.covered)
+       a.Scg_ref.rounds b.Scg_ref.rounds
+
+(* The grid driver over one shard, [sets], and over two: [sets] and a
+   copy of it at [scale] times the cost, which binds at fewer guesses
+   and so replays at the probes where the first shard re-solves. With
+   the reference runs on the one instance and on the two shards'
+   disjoint union (the copy's elements, sets and groups after the
+   first's), projected back onto the shards. *)
+type grid_case = {
+  one : (int Cover_instance.t * Bitset.t) array;
+  two : (int Cover_instance.t * Bitset.t) array;
+  union : int Cover_instance.t;
+  project : Scg_ref.result -> Scg.result;
+}
+
+let with_universe inst = (inst, Cover_instance.coverable inst)
+
+let grid_case ?(scale = 0.05) ~n sets =
+  let a = mk_grouped ~n sets in
+  let copy = List.map (fun (m, c, g) -> (m, c *. scale, g)) sets in
+  let ga = Cover_instance.n_groups a and sa = Cover_instance.n_sets a in
+  let union =
+    mk_grouped ~n:(2 * n)
+      (sets @ List.map (fun (m, c, g) -> (List.map (( + ) n) m, c, g + ga)) copy)
+  in
+  let project (r : Scg_ref.result) =
+    let side lo (s : Mcg.selection) =
+      let newly = Bitset.create n in
+      Bitset.iter
+        (fun e -> if e >= lo && e < lo + n then Bitset.add newly (e - lo))
+        s.newly;
+      { Mcg.set = s.set - (if lo = 0 then 0 else sa); newly }
+    in
+    let sels = Scg_ref.selections r in
+    let gc = r.Scg_ref.group_cost in
+    {
+      Scg.bstar = r.Scg_ref.bstar;
+      feasible = r.Scg_ref.feasible;
+      selections =
+        [|
+          List.filter_map
+            (fun (s : Mcg.selection) ->
+              if s.set < sa then Some (side 0 s) else None)
+            sels;
+          List.filter_map
+            (fun (s : Mcg.selection) ->
+              if s.set >= sa then Some (side n s) else None)
+            sels;
+        |];
+      group_cost =
+        [| Array.sub gc 0 ga; Array.sub gc ga (Array.length gc - ga) |];
+    }
+  in
+  {
+    one = [| with_universe a |];
+    two = [| with_universe a; with_universe (mk_grouped ~n copy) |];
+    union;
+    project;
+  }
+
+let of_ref (r : Scg_ref.result) =
+  {
+    Scg.bstar = r.Scg_ref.bstar;
+    feasible = r.Scg_ref.feasible;
+    selections = [| Scg_ref.selections r |];
+    group_cost = [| r.Scg_ref.group_cost |];
+  }
+
+(* [solve_grid] with probe reuse = the from-scratch reference grid, on
+   one shard and on two. *)
+let grid_matches_reference ~mode c grid =
+  let inst, _ = c.one.(0) in
+  same_grid_results
+    (List.map of_ref (Scg_ref.exhaustive ~mode inst grid))
+    (Scg.solve_grid ~mode c.one ~grid)
+  && same_grid_results
+       (List.map c.project (Scg_ref.exhaustive ~mode c.union grid))
+       (Scg.solve_grid ~mode c.two ~grid)
 
 (* the [fanout] contract: any evaluator that returns results in
    submission order — here one that forces the thunks in reverse — is
-   indistinguishable from the sequential default *)
+   indistinguishable from the sequential default, on one shard and on
+   two *)
 let prop_scg_fanout_order_independent =
   QCheck.Test.make ~name:"SCG grid fanout: reverse evaluation = sequential"
     ~count:100 arb_grouped (fun (n, _, sets, _) ->
       QCheck.assume (sets <> []);
       let sets = (List.init n Fun.id, 1.0, 0) :: sets in
-      let inst = mk_grouped ~n sets in
-      let grid = Scg.default_grid ~n_guesses:6 inst in
+      let c = grid_case ~n sets in
+      let grid = Scg_ref.default_grid ~n_guesses:6 (fst c.one.(0)) in
       let reverse_fanout thunks =
         List.rev_map (fun f -> f ()) thunks |> List.rev
       in
-      let seq = Scg.solve_grid inst ~grid () in
-      let rev = Scg.solve_grid ~fanout:reverse_fanout inst ~grid () in
-      List.length seq = List.length rev
-      && List.for_all2 same_scg_result seq rev)
+      List.for_all
+        (fun shards ->
+          same_grid_results
+            (Scg.solve_grid shards ~grid)
+            (Scg.solve_grid ~fanout:reverse_fanout shards ~grid))
+        [ c.one; c.two ])
 
-let same_scg_rounds (a : Scg.result) (b : Scg.result) =
-  List.length a.Scg.rounds = List.length b.Scg.rounds
-  && List.for_all2
-       (fun (ra : Mcg.result) (rb : Mcg.result) ->
-         ra.Mcg.raw_order = rb.Mcg.raw_order
-         && Bitset.equal ra.Mcg.covered rb.Mcg.covered)
-       a.Scg.rounds b.Scg.rounds
-
-(* [Scg.solve_for] with every round re-run from scratch by the eager
-   rescan, over the same shrinking remaining set. *)
+(* [Scg_ref.solve_for] with every round re-run from scratch by the
+   eager rescan, over the same shrinking remaining set. *)
 let eager_scg ~mode inst ~bstar =
   let budgets = Array.make (Cover_instance.n_groups inst) bstar in
   let remaining = Cover_instance.coverable inst in
@@ -921,7 +1031,7 @@ let eager_scg ~mode inst ~bstar =
   in
   let k = Scg.max_rounds_for (Bitset.cardinal remaining) in
   let rounds = go k [] in
-  { Scg.bstar; rounds; feasible = Bitset.is_empty remaining; group_cost }
+  { Scg_ref.bstar; rounds; feasible = Bitset.is_empty remaining; group_cost }
 
 (* The SCG session (cross-round bound persistence, DESIGN.md §4.12) must
    reproduce per-round eager rescans exactly — raw orders included —
@@ -935,17 +1045,16 @@ let prop_scg_session_eq_eager =
       let inst = mk_grouped ~n sets in
       let mode = if hard then `Hard else `Soft in
       let arena = Arena.create () in
-      let grid = Scg.default_grid ~n_guesses:4 inst in
+      let grid = Scg_ref.default_grid ~n_guesses:4 inst in
       List.for_all
         (fun bstar ->
           let eg = eager_scg ~mode inst ~bstar in
-          let lz = Scg.solve_for ~mode ~arena inst ~bstar () in
-          let lz' = Scg.solve_for ~mode inst ~bstar () in
-          same_scg_result lz eg && same_scg_rounds lz eg
-          && same_scg_result lz' eg && same_scg_rounds lz' eg)
+          let lz = Scg_ref.solve_for ~mode ~arena inst ~bstar () in
+          let lz' = Scg_ref.solve_for ~mode inst ~bstar () in
+          same_ref_result lz eg && same_ref_result lz' eg)
         grid)
 
-(* The rounds [Scg.solve_for] runs, on a visible session. *)
+(* The rounds [Scg_ref.solve_for] runs, on a visible session. *)
 let session_rounds session inst =
   let remaining = Cover_instance.coverable inst in
   let rec go k acc =
@@ -962,30 +1071,19 @@ let session_rounds session inst =
 
 let uniform inst b = Array.make (Cover_instance.n_groups inst) b
 
-(* The witness of a from-scratch [solve_for] session at [bstar]. *)
+(* The witness of a from-scratch session at [bstar]. *)
 let session_witness_at ~mode inst ~bstar =
   let session = Mcg.session ~mode inst ~budgets:(uniform inst bstar) in
   ignore (session_rounds session inst);
   Mcg.session_witness session
 
-(* [solve_grid] with no probe reuse: every guess solved from scratch,
-   feasible runs ranked exactly as the driver ranks them. *)
-let exhaustive_grid ~mode inst grid =
-  List.map (fun bstar -> Scg.solve_for ~mode inst ~bstar ()) grid
-  |> List.filter (fun (r : Scg.result) -> r.Scg.feasible)
-  |> List.stable_sort (fun a b ->
-         Float.compare (Scg.max_group_cost a) (Scg.max_group_cost b))
-
-let same_grid_results a b =
-  List.length a = List.length b
-  && List.for_all2 (fun x y -> same_scg_result x y && same_scg_rounds x y) a b
-
 (* B* probe reuse is exact: on grids whose points straddle every set
    cost and the top probe's reuse bound (max of witness and max cost) by
    a few ulps to a few margins, repeat points and sometimes sit above
    1, [solve_grid] returns exactly the from-scratch runs, every field
-   compared, in both modes. Scaling the costs down moves the bound below
-   most of the default grid, so most guesses are reused. *)
+   compared, in both modes, on one shard and on two. Scaling the costs
+   down moves the bound below most of the default grid, so most guesses
+   are reused. *)
 let prop_scg_grid_reuse_exact =
   QCheck.Test.make ~name:"SCG grid with probe reuse = from-scratch grid"
     ~count:300
@@ -997,9 +1095,10 @@ let prop_scg_grid_reuse_exact =
         List.map (fun (m, c, g) -> (m, c *. scale, g))
           ((List.init n Fun.id, 1.0, 0) :: sets)
       in
-      let inst = mk_grouped ~n sets in
+      let c = grid_case ~n sets in
+      let inst, _ = c.one.(0) in
       let mode = if hard then `Hard else `Soft in
-      let base = Scg.default_grid ~n_guesses:6 inst in
+      let base = Scg_ref.default_grid ~n_guesses:6 inst in
       let b_top = if above_one then 1.5 else 1.0 in
       let bound =
         Float.max
@@ -1019,9 +1118,7 @@ let prop_scg_grid_reuse_exact =
           @ List.concat_map straddle costs
           @ [ b_top; List.hd base ])
       in
-      same_grid_results
-        (exhaustive_grid ~mode inst grid)
-        (Scg.solve_grid ~mode inst ~grid ()))
+      grid_matches_reference ~mode c grid)
 
 let c_resumed_picks = Wlan_obs.Counters.make "mcg.resumed_picks"
 
@@ -1126,34 +1223,30 @@ let near_tie_costs ~gain =
   ( gain /. (4. +. 0.8e-12) (* S0, group 0 *),
     gain /. (4. +. 1.5e-12) (* S1, group 1 *) )
 
-let check_grid_exact label ~mode inst grid =
-  if
-    not
-      (same_grid_results
-         (exhaustive_grid ~mode inst grid)
-         (Scg.solve_grid ~mode inst ~grid ()))
-  then Alcotest.failf "%s: reused probe differs from a fresh solve" label
+(* [grid_matches_reference] on one named case. *)
+let check_grid_exact label ~mode ~n sets grid =
+  if not (grid_matches_reference ~mode (grid_case ~n sets) grid) then
+    Alcotest.failf "%s: reused probe differs from a fresh solve" label
 
 (* Group 1 first picks A1 (six elements), then S0, S1 and S2 compete
    for the last two. *)
-let near_tie_instance ~a1_cost =
+let near_tie_sets ~a1_cost =
   let c0, c1 = near_tie_costs ~gain:2. in
-  mk_grouped ~n:8
-    [
-      ([ 6; 7 ], c0, 0);
-      ([ 0; 1; 2; 3; 4; 5 ], a1_cost, 1);
-      ([ 6; 7 ], c1, 1);
-      ([ 6; 7 ], 0.5, 2);
-    ]
+  [
+    ([ 6; 7 ], c0, 0);
+    ([ 0; 1; 2; 3; 4; 5 ], a1_cost, 1);
+    ([ 6; 7 ], c1, 1);
+    ([ 6; 7 ], 0.5, 2);
+  ]
 
 (* A1 costs the whole reuse bound (it is the max cost). At B* = 2 group
    1 stays eligible and S0 wins the second pick; at B* = 1 it is
    exhausted and S2 wins — a guess at the bound itself must not reuse
    the top probe (the 1e-9 margin). *)
 let test_scg_reuse_margin () =
-  let inst = near_tie_instance ~a1_cost:1.0 in
-  check_grid_exact "guess at the bound" ~mode:`Soft inst [ 1.0; 2.0 ];
-  check_grid_exact "guesses around the bound" ~mode:`Soft inst
+  let sets = near_tie_sets ~a1_cost:1.0 in
+  check_grid_exact "guess at the bound" ~mode:`Soft ~n:8 sets [ 1.0; 2.0 ];
+  check_grid_exact "guesses around the bound" ~mode:`Soft ~n:8 sets
     [ 1.0 -. 1e-12; 1.0 +. 1e-12; 1.0 +. 2e-9; 2.0 ]
 
 (* In [`Hard] mode S1 passes its fit check at B* = 2 (0.6 + 0.5 <= 2)
@@ -1161,8 +1254,9 @@ let test_scg_reuse_margin () =
    longer fits, group 1 offers no candidate and S2 wins. The passing
    fit check must count in the witness. *)
 let test_scg_reuse_fit_witness () =
-  let inst = near_tie_instance ~a1_cost:0.6 in
-  check_grid_exact "unfit candidate" ~mode:`Hard inst [ 0.7; 2.0 ]
+  check_grid_exact "unfit candidate" ~mode:`Hard ~n:8
+    (near_tie_sets ~a1_cost:0.6)
+    [ 0.7; 2.0 ]
 
 (* S1 (cost ~1) is never picked at B* = 2, so no spend reaches it (the
    witness is A1's 0.6), yet as group 1's candidate it lets S0 win the
@@ -1170,17 +1264,15 @@ let test_scg_reuse_fit_witness () =
    also wait for the largest set cost (the max-cost guard). *)
 let test_scg_reuse_max_cost_guard () =
   let c0, c1 = near_tie_costs ~gain:4. in
-  let inst =
-    mk_grouped ~n:10
-      [
-        ([ 6; 7 ], c0 /. 2., 0);
-        ([ 0; 1; 2; 3; 4; 5 ], 0.6, 1);
-        ([ 6; 7; 8; 9 ], c1, 1);
-        ([ 6; 7 ], 0.5, 2);
-        ([ 8; 9 ], 0.5, 2);
-      ]
-  in
-  check_grid_exact "inadmissible candidate" ~mode:`Soft inst [ 0.7; 2.0 ]
+  check_grid_exact "inadmissible candidate" ~mode:`Soft ~n:10
+    [
+      ([ 6; 7 ], c0 /. 2., 0);
+      ([ 0; 1; 2; 3; 4; 5 ], 0.6, 1);
+      ([ 6; 7; 8; 9 ], c1, 1);
+      ([ 6; 7 ], 0.5, 2);
+      ([ 8; 9 ], 0.5, 2);
+    ]
+    [ 0.7; 2.0 ]
 
 (* [reuse_grid] probes the top guess alone, with no record; every
    guess it does not reuse is probed with the top's record, and results

@@ -550,6 +550,32 @@ let test_proto_no_feasible_neighbor () =
       Alcotest.check decision "feasible at 0.9" (Some 2)
         (proto_decide ~objective (three_aps ()) assoc 0))
 
+(* An exact tie: two APs at the same distance from unserved user 0, so
+   equal link rates and signals, each already sending the session at
+   that rate to one other user, so equal advertised loads and an equal
+   join. Scanning lists AP 1 first; the rule folds candidates in
+   ascending AP index and keeps the first of an exact tie, so the user
+   joins AP 0 under both objectives, whatever order it heard them in. *)
+let test_proto_exact_tie_ascending () =
+  let session_rates = [| 1. |] in
+  let responses =
+    List.map
+      (fun a ->
+        let st = Proto.ap_create a in
+        Proto.ap_join st ~user:(a + 1) ~session:0 ~link_rate:6.;
+        Proto.ap_answer st ~session_rates ~budget:0.9 ~user:0)
+      [ 1; 0 ]
+  in
+  let neighbors =
+    List.map
+      (fun ap -> { Proto.ap; link_rate = 6.; signal = 2. })
+      [ 1; 0 ]
+  in
+  both_objectives (fun objective ->
+      Alcotest.check decision "the lower AP index wins" (Some 0)
+        (Proto.decide ~objective ~session_rates ~session:0 ~current:None
+           ~neighbors ~responses))
+
 let prop_sim_ssa_matches_abstract =
   QCheck.Test.make ~name:"simulated SSA = abstract Ssa.run" ~count:40
     arb_scenario (fun sc ->
@@ -716,6 +742,7 @@ let differential_cases =
       tc "lost response" test_proto_lost_response;
       tc "unheard serving AP" test_proto_unheard_serving_ap;
       tc "no feasible neighbor" test_proto_no_feasible_neighbor;
+      tc "exact tie: ascending AP order" test_proto_exact_tie_ascending;
     ]
 
 let () =

@@ -36,10 +36,10 @@ let ok_outside pool jobs =
   ignore !n;
   Pool.run pool (List.map (fun j () -> j) jobs)
 
-(* the same hazard one layer up: a [~fanout] handed to the B* grid
-   typically wraps Pool.run, so its closures ship the grid thunks to
+(* the same hazard one layer up: a [~fanout], whoever takes it,
+   typically wraps Pool.run, so its closures ship their thunks to
    worker domains too *)
-let bad_fanout_counter run_parallel inst grid =
+let bad_fanout_counter run_parallel shards grid =
   let evals = ref 0 in
   Scg.solve_grid
     ~fanout:(fun fs ->
@@ -49,7 +49,7 @@ let bad_fanout_counter run_parallel inst grid =
              incr evals;
              f ())
            fs))
-    inst ~grid ()
+    shards ~grid
 
 let bad_bla_fanout run_parallel p =
   let best = Hashtbl.create 4 in
@@ -58,11 +58,26 @@ let bad_bla_fanout run_parallel p =
       run_parallel (List.map (fun f () -> Hashtbl.replace best 0 (f ())) fs))
     p
 
-let ok_fanout_pool pool inst grid =
-  Scg.solve_grid ~fanout:(Pool.run pool) inst ~grid ()
+let ok_fanout_pool pool shards grid =
+  Scg.solve_grid ~fanout:(Pool.run pool) shards ~grid
 
 let ok_fanout_presplit pool p =
   (* mutable state used before dispatch only, never inside the fanout *)
   let n = ref 0 in
   n := 12;
   Bla.run_exn ~n_guesses:!n ~fanout:(Pool.run pool) p
+
+let bad_shard_fanout run_parallel p =
+  let log = Buffer.create 16 in
+  Shard.solve_bla
+    ~fanout:(fun fs ->
+      run_parallel
+        (List.map
+           (fun f () ->
+             Buffer.add_char log '.';
+             f ())
+           fs))
+    p
+
+let ok_shard_fanout pool plan p =
+  Shard.solve_bla ~plan ~fanout:(Pool.run pool) p

@@ -345,31 +345,31 @@ let pool_capture =
           (match e.pexp_desc with
           | Pexp_apply (f, args) -> (
               match ident_path f with
-              | Some p -> (
-                  match List.rev p with
-                  | fn :: "Pool" :: _ when fn = "run" || fn = "map" ->
-                      List.iter
-                        (fun (_, a) -> scan_pool_arg ~what:"Pool.run/map" a)
-                        args
-                  (* the B* grid fan-out: a [~fanout] given to
-                     [Scg.solve_grid]/[Scg.solve]/[Bla.run]/[Bla.run_exn]
-                     typically wraps [Pool.run], so its closures run the
-                     grid thunks on worker domains too *)
-                  | fn :: m :: _
-                    when (m = "Scg" && (fn = "solve_grid" || fn = "solve"))
-                         || (m = "Bla" && (fn = "run" || fn = "run_exn")) ->
-                      List.iter
-                        (fun ((lbl : Asttypes.arg_label), a) ->
-                          match lbl with
-                          | Labelled "fanout" | Optional "fanout" ->
-                              scan_pool_arg
-                                ~what:
-                                  (Printf.sprintf "the ~fanout of %s.%s" m fn)
-                                a
-                          | _ -> ())
-                        args
-                  | _ -> ())
-              | None -> ())
+              | Some p
+                when match List.rev p with
+                     | fn :: "Pool" :: _ -> fn = "run" || fn = "map"
+                     | _ -> false ->
+                  List.iter
+                    (fun (_, a) -> scan_pool_arg ~what:"Pool.run/map" a)
+                    args
+              (* one layer up, whatever the callee: a [~fanout] (the B*
+                 grid, the sharded drivers, anything that takes one)
+                 typically wraps [Pool.run], so its closures ship their
+                 thunks to worker domains too *)
+              | p ->
+                  let callee =
+                    Option.fold ~none:"an application"
+                      ~some:(String.concat ".") p
+                  in
+                  List.iter
+                    (fun ((lbl : Asttypes.arg_label), a) ->
+                      match lbl with
+                      | Labelled "fanout" | Optional "fanout" ->
+                          scan_pool_arg
+                            ~what:(Printf.sprintf "the ~fanout of %s" callee)
+                            a
+                      | _ -> ())
+                    args)
           | _ -> ());
           Ast_iterator.default_iterator.expr it e
         in

@@ -9,7 +9,8 @@
        [Domain.spawn];}
     {- applications of a parameter literally named [fanout] — the
        repo-wide convention for injectable grid/shard fan-out
-       ([Scg.solve_grid], [Shard.solve]); the {e caller}-side
+       ([Scg.reuse_grid] under the B* grid driver, [Shard.solve],
+       [Shard.solve_mnu]); the {e caller}-side
        [~fanout:...] argument is not a boundary (it runs on the
        submitting domain).}}
 
