@@ -24,11 +24,13 @@
      effective instance: identical associations, loads and settle stats
      after every burst, for both rules and both settle modes.
    - Sharded centralized MNU/BLA (qcheck): [Shard.solve_mnu] (so
-     [Mnu.run]) = one budgeted greedy over the whole instance, and
-     [Bla.run] (= [Shard.solve_bla] on the component plan) = the
-     exhaustive single-instance grid of scg_ref.ml in both budget
-     modes, on the all-pairs and grid compiles, including wide-area
-     instances whose plans have several shards.
+     [Mnu.run]) = one budgeted greedy over the whole instance,
+     [Shard.solve_bla] on the component plan = the same driver on one
+     shard holding the whole instance, and [Bla.run] (= [Shard.solve_bla]
+     on the component plan) = the exhaustive single-instance grid of
+     scg_ref.ml, each in both budget modes, on the all-pairs and grid
+     compiles, including wide-area instances whose plans have several
+     shards.
    - Per-shard B* reuse in [Shard.solve_bla]: a heterogeneous
      multi-shard family against a from-scratch grid oracle (reuse is
      partial there), and constructed instances for an H2 round while a
@@ -448,6 +450,56 @@ let qcheck_sharded_mnu_wide =
     QCheck.(int_range 0 10_000)
     (sharded_mnu_matches ~wide:true)
 
+let check_optional label a b =
+  match (a, b) with
+  | None, None -> ()
+  | Some a, Some b -> check_solutions label a b
+  | Some _, None -> Alcotest.failf "%s: feasible, the oracle is not" label
+  | None, Some _ -> Alcotest.failf "%s: infeasible, the oracle is not" label
+
+(* One shard holding every AP some user hears and every user with a
+   candidate: [Shard.solve_bla] on it is the unsharded BLA, one cover
+   instance through the same grid driver. *)
+let whole_plan p =
+  let pl = Shard.plan p in
+  let outside set n =
+    let mark = Array.make n false in
+    Array.iter (fun i -> mark.(i) <- true) set;
+    Array.of_list (List.filter (fun i -> not mark.(i)) (List.init n Fun.id))
+  in
+  let users = outside pl.Shard.uncovered p.Problem.n_users in
+  let shards =
+    if Array.length users = 0 then []
+    else
+      [ { Shard.id = 0; aps = outside pl.Shard.idle_aps p.Problem.n_aps; users } ]
+  in
+  { pl with Shard.shards }
+
+let sharded_bla_matches ~wide seed =
+  let _, pd, ps = case ~wide ~seed () in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun mode ->
+          check_optional "sharded BLA" (Shard.solve_bla ~mode p)
+            (Shard.solve_bla ~plan:(whole_plan p) ~mode p))
+        [ `Soft; `Hard ])
+    [ pd; ps ];
+  true
+
+let qcheck_sharded_bla =
+  QCheck.Test.make ~name:"sharded centralized BLA = unsharded BLA"
+    ~count:25
+    QCheck.(int_range 0 10_000)
+    (sharded_bla_matches ~wide:false)
+
+let qcheck_sharded_bla_wide =
+  QCheck.Test.make
+    ~name:"sharded centralized BLA = unsharded BLA (multi-shard)"
+    ~count:25
+    QCheck.(int_range 0 10_000)
+    (sharded_bla_matches ~wide:true)
+
 (* Centralized BLA over the whole instance with no B* probe reuse:
    every guess of the default grid solved from scratch on one cover
    instance ([Scg_ref]), ranked as [Shard.solve_bla] ranks (summed-cover
@@ -476,13 +528,6 @@ let exhaustive_bla ~mode ~n_guesses p =
            (fun (best : Solution.t) (s : Solution.t) ->
              if s.max_load < best.max_load -. 1e-12 then s else best)
            first rest)
-
-let check_optional label a b =
-  match (a, b) with
-  | None, None -> ()
-  | Some a, Some b -> check_solutions label a b
-  | Some _, None -> Alcotest.failf "%s: feasible, the oracle is not" label
-  | None, Some _ -> Alcotest.failf "%s: infeasible, the oracle is not" label
 
 let grid_drivers_match_oracle ~wide (seed, n_guesses) =
   let _, pd, ps = case ~wide ~seed () in
@@ -1181,6 +1226,8 @@ let qcheck_cases =
     @ [
         qcheck_sharded_mnu;
         qcheck_sharded_mnu_wide;
+        qcheck_sharded_bla;
+        qcheck_sharded_bla_wide;
         qcheck_grid_reuse;
         qcheck_grid_reuse_wide;
         qcheck_hetero_reuse;
