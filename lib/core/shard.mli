@@ -43,7 +43,9 @@ val plan_geometric :
     (order-preserving), the full session table, sliced per-AP budgets.
     The links are a direct slice of the parent's CSR planes
     ({!Wlan_model.Sparse.restrict}; lost links dropped), validated like
-    any built instance — the dense matrix is never allocated. *)
+    any built instance — the dense matrix is never allocated. A shard
+    holding every AP and user of an instance with no lost link returns
+    the instance itself, physically (no [sparse.builds]). *)
 val extract : Problem.t -> shard -> Problem.t
 
 type result = {

@@ -50,22 +50,23 @@ let add_round_cost acc round =
     cannot be covered at all (MCG refuses sets costing more than the
     group budget). *)
 let grid_lo ~universe inst =
-  let n = Cover_instance.n_elements inst in
-  let min_cost = Array.make n infinity in
-  for j = 0 to Cover_instance.n_sets inst - 1 do
-    let c = Cover_instance.cost inst j in
-    Bitset.iter
-      (fun e -> if c < min_cost.(e) then min_cost.(e) <- c)
-      (Cover_instance.set inst j)
-  done;
-  let lo =
-    Bitset.fold
-      (fun e acc ->
-        if (min_cost.(e) = infinity) [@lint.allow float_eq] then acc
-        else Float.max acc min_cost.(e))
-      universe 0.
-  in
-  Float.max (Float.min lo 1.) 1e-6
+  let { Cover_instance.sets; costs; n_elements; _ } = inst in
+  let min_cost = Array.make n_elements infinity in
+  Array.iteri
+    (fun j set ->
+      Bitset.iter
+        (fun e -> if costs.(j) < min_cost.(e) then min_cost.(e) <- costs.(j))
+        set)
+    sets;
+  (* a float cell, not a boxed fold accumulator *)
+  let lo = [| 0. |] in
+  Bitset.iter
+    (fun e ->
+      let c = min_cost.(e) in
+      if c > lo.(0) && not ((c = infinity) [@lint.allow float_eq]) then
+        lo.(0) <- c)
+    universe;
+  Float.max (Float.min lo.(0) 1.) 1e-6
 
 let grid_points ?(n_guesses = 12) lo =
   if n_guesses < 1 then invalid_arg "Scg.grid_points: n_guesses < 1";

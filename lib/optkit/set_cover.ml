@@ -24,27 +24,29 @@ let cost_of_sets inst sets =
     pick the lower set index; [arena] reuses its planes across solves. *)
 let greedy ?arena ?(universe : Bitset.t option) inst =
   let n = Cover_instance.n_elements inst in
+  let { Cover_instance.sets; costs; _ } = inst in
   let x' =
     match universe with
-    | Some u -> Bitset.inter u (Cover_instance.coverable inst)
+    | Some u -> Bitset.inter u inst.Cover_instance.coverable
     | None -> Cover_instance.coverable inst
   in
   let target = Bitset.copy x' in
   let heap =
     Flat_heap.make ?arena ~slot:"set_cover.heap"
-      ~capacities:[| Cover_instance.n_sets inst |] ()
+      ~capacities:[| Array.length sets |] ()
   in
-  for j = 0 to Cover_instance.n_sets inst - 1 do
-    let gain = Bitset.inter_cardinal (Cover_instance.set inst j) x' in
-    if gain > 0 then
-      Flat_heap.push heap 0
-        ~prio:(float_of_int gain /. Cover_instance.cost inst j)
-        j
+  let cell = heap.Flat_heap.cell in
+  for j = 0 to Array.length sets - 1 do
+    let gain = Bitset.inter_cardinal sets.(j) x' in
+    if gain > 0 then begin
+      cell.(0) <- float_of_int gain /. costs.(j);
+      Flat_heap.push heap 0 j
+    end
   done;
   let revalidate j =
-    let gain = Bitset.inter_cardinal (Cover_instance.set inst j) x' in
-    if gain = 0 then neg_infinity
-    else float_of_int gain /. Cover_instance.cost inst j
+    let gain = Bitset.inter_cardinal sets.(j) x' in
+    if gain = 0 then cell.(0) <- neg_infinity
+    else cell.(0) <- float_of_int gain /. costs.(j)
   in
   let chosen = ref [] in
   let continue = ref true in
@@ -101,7 +103,7 @@ let max_frequency ?universe inst =
 let layered ?universe inst =
   let x' =
     match universe with
-    | Some u -> Bitset.inter u (Cover_instance.coverable inst)
+    | Some u -> Bitset.inter u inst.Cover_instance.coverable
     | None -> Cover_instance.coverable inst
   in
   let target = Bitset.copy x' in
@@ -161,8 +163,8 @@ let layered ?universe inst =
 let lp_rounding ?universe inst =
   let x0 =
     match universe with
-    | Some u -> Bitset.inter u (Cover_instance.coverable inst)
-    | None -> Cover_instance.coverable inst
+    | Some u -> Bitset.inter u inst.Cover_instance.coverable
+    | None -> inst.Cover_instance.coverable
   in
   let m = Cover_instance.n_sets inst in
   let f = Int.max 1 (max_frequency ~universe:x0 inst) in
@@ -241,7 +243,7 @@ let lower_bound inst x' =
     in no set. [node_limit] caps the search; if hit, the incumbent is
     returned with [proved_optimal = false]. *)
 let exact ?(node_limit = 2_000_000) ?universe inst =
-  let coverable = Cover_instance.coverable inst in
+  let coverable = inst.Cover_instance.coverable in
   let x0 =
     match universe with
     | Some u -> Bitset.copy u

@@ -19,6 +19,9 @@ val n_users : t -> int
 (** Total number of slots (in-range pairs at build time, lost or not). *)
 val n_links : t -> int
 
+(** Whether some slot is lost (rate [0.]): {!restrict} drops those. *)
+val has_lost : t -> bool
+
 (** [assemble ~n_aps ~user_off ~cand_ap ~cand_rate ~cand_signal] builds
     both CSR planes from the candidate plane: user [u]'s slots are
     [user_off.(u) .. user_off.(u+1) - 1], in strictly ascending AP order,
