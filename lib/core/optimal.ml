@@ -51,6 +51,7 @@ let mnu ?node_limit ?initial_bound p =
   let universe = Reduction.coverable_users p in
   let users = Optkit.Bitset.to_list universe in
   let n_y = Optkit.Cover_instance.n_sets inst in
+  let sets = Array.init n_y (Optkit.Cover_instance.set inst) in
   let n_u = List.length users in
   let n_vars = n_y + n_u in
   let user_slot = Hashtbl.create 64 in
@@ -62,7 +63,7 @@ let mnu ?node_limit ?initial_bound p =
       let c = Array.make n_vars 0. in
       c.(Hashtbl.find user_slot u) <- 1.;
       for j = 0 to n_y - 1 do
-        if Optkit.Bitset.mem (Optkit.Cover_instance.set inst j) u then
+        if Optkit.Bitset.mem sets.(j) u then
           c.(j) <- -1.
       done;
       constraints := Lp.{ coeffs = c; cmp = Le; rhs = 0. } :: !constraints)
@@ -142,6 +143,7 @@ let bla ?node_limit ?initial_bound p =
   let universe = Reduction.coverable_users p in
   let users = Optkit.Bitset.to_list universe in
   let n_y = Optkit.Cover_instance.n_sets inst in
+  let sets = Array.init n_y (Optkit.Cover_instance.set inst) in
   let n_vars = n_y + 1 in
   let z = n_y in
   let constraints = ref [] in
@@ -149,7 +151,7 @@ let bla ?node_limit ?initial_bound p =
     (fun u ->
       let c = Array.make n_vars 0. in
       for j = 0 to n_y - 1 do
-        if Optkit.Bitset.mem (Optkit.Cover_instance.set inst j) u then
+        if Optkit.Bitset.mem sets.(j) u then
           c.(j) <- 1.
       done;
       constraints := Lp.{ coeffs = c; cmp = Ge; rhs = 1. } :: !constraints)

@@ -24,38 +24,59 @@ type tx = { ap : int; session : int; tx_rate : float }
 let pp_tx ppf { ap; session; tx_rate } =
   Fmt.pf ppf "a%d:s%d@%g" ap session tx_rate
 
-(** [cover_instance p] builds the covering instance. When
+(** [shard_cover ~filter_over_budget p ~aps ~local ~n_local] builds the
+    covering instance of the sub-problem on the APs [aps] (ascending
+    global indices; group [g] is AP [aps.(g)]) and the users [local]
+    maps to [0, n_local) (global user -> local index, [-1] outside),
+    straight from [p]'s member planes: no sub-problem is built. Returns
+    it with its universe, the local users that hear one of [aps]. When
     [filter_over_budget] (used by MNU), subsets costing more than the AP
-    budget are dropped — they can never appear in a feasible solution, and
-    the MCG analysis assumes every set fits its group's budget.
+    budget are dropped — they can never appear in a feasible solution,
+    and the MCG analysis assumes every set fits its group's budget.
 
     Allocation-free up to the instance (DESIGN.md §4.12): pass 1 counts
-    the sets, pass 2 fills exact-size arrays from the end, each set a
-    suffix of an AP's members sorted by session, then by rate. *)
-let cover_instance ?(filter_over_budget = false) p =
-  let n_aps, n_users = Problem.dims p in
-  let n_sessions = Problem.n_sessions p in
+    the sets and members, pass 2 fills exact-size planes from the end.
+    An AP's members, sorted by session, then by rate, form one segment
+    per session in the member plane, and its sets are the segment's
+    suffixes. *)
+let shard_cover ~filter_over_budget p ~aps ~local ~n_local =
+  let n_sessions = Problem.n_sessions p and links = p.Problem.links in
   let rates = p.Problem.session_rates and sess = p.Problem.user_session in
-  let n = n_users + 1 (* an AP's members: at most every user *) in
+  (* an AP's members: at most its member slots *)
+  let n =
+    1
+    + Array.fold_left
+        (fun acc a -> Int.max acc (Sparse.member_degree links a))
+        0 aps
+  in
   let users = Array.make n 0 and link_rate = Array.make n 0. in
   let su = Array.make n 0 and sr = Array.make n 0. in
   let dr = Array.make n 0. and at = Array.make n 0 in
   let ids = Array.make n 0 and rk = Array.make n 0 in
   let count = Array.make (n_sessions + 1) 0 in
-  (* AP [a]'s members into [users]/[link_rate], sorted by session; how
-     many. The budget filter drops members whose own rate costs too much:
-     costs only fall as rates rise, so no kept set holds them. *)
-  let lay_out a =
+  let universe = Optkit.Bitset.create n_local in
+  (* group [g]'s members (global users) into [users]/[link_rate], sorted
+     by session; how many. The budget filter drops members whose own
+     rate costs too much: costs only fall as rates rise, so no kept set
+     holds them. Every member is in the universe. *)
+  let lay_out g =
+    let a = aps.(g) in
     let k = ref 0 and budget = Problem.ap_budget p a +. 1e-12 in
     Array.fill count 0 (n_sessions + 1) 0;
-    Problem.iter_members p a (fun u r ->
+    (* compacted in place: the kept member [k] was read at [i >= k] *)
+    for i = 0 to Sparse.fill_members links a ~users:su ~rates:sr - 1 do
+      let u = su.(i) and r = sr.(i) in
+      if local.(u) >= 0 then begin
+        Optkit.Bitset.add universe local.(u);
         let s = sess.(u) in
         if (not filter_over_budget) || rates.(s) /. r <= budget then begin
           su.(!k) <- u;
           sr.(!k) <- r;
           incr k;
           count.(s + 1) <- count.(s + 1) + 1
-        end);
+        end
+      end
+    done;
     for s = 0 to n_sessions - 1 do
       count.(s + 1) <- count.(s + 1) + count.(s)
     done;
@@ -73,7 +94,11 @@ let cover_instance ?(filter_over_budget = false) p =
     let k = ref 0 in
     for i = lo to hi - 1 do
       let d = ref 0 in
-      while !d < !k && Float.compare dr.(!d) link_rate.(i) <> 0 do incr d done;
+      (* rates are finite and positive: compared in place, where a
+         [Float.compare] call would box both under [-opaque] *)
+      while !d < !k && (dr.(!d) < link_rate.(i) || dr.(!d) > link_rate.(i)) do
+        incr d
+      done;
       if !d = !k then begin
         dr.(!k) <- link_rate.(i);
         incr k
@@ -117,42 +142,56 @@ let cover_instance ?(filter_over_budget = false) p =
       hi := !lo
     done
   in
-  (* [f s q] on each set of the session-[s] segment [lo, hi): each
-     distinct rate, by the index [q] of its first user, descending *)
-  let iter_sets lo hi f =
-    for q = hi - 1 downto lo do
-      if q = lo || Float.compare link_rate.(q) link_rate.(q - 1) <> 0 then
-        f sess.(users.(lo)) q
-    done
-  in
-  let n_sets = ref 0 in
-  for a = 0 to n_aps - 1 do
-    iter_segments (lay_out a) (fun lo hi ->
-        n_sets := !n_sets + distinct lo hi)
+  let n_groups = Array.length aps in
+  let n_sets = ref 0 and n_members = ref 0 in
+  for g = 0 to n_groups - 1 do
+    iter_segments (lay_out g) (fun lo hi ->
+        n_sets := !n_sets + distinct lo hi;
+        n_members := !n_members + (hi - lo))
   done;
-  let sets = Array.make !n_sets (Optkit.Bitset.create 0) in
+  let members = Array.make !n_members 0 in
+  let set_lo = Array.make !n_sets 0 and set_hi = Array.make !n_sets 0 in
   let costs = Array.make !n_sets 0. and group_of = Array.make !n_sets 0 in
-  let payload = Array.make !n_sets { ap = 0; session = 0; tx_rate = 0. } in
-  (* APs, sessions and rates descending: each set adds its rate's users
-     to the last *)
-  for a = n_aps - 1 downto 0 do
-    iter_segments (lay_out a) (fun lo hi ->
+  let session = Array.make !n_sets 0 and tx_rate = Array.make !n_sets 0. in
+  (* APs, sessions and rates descending, both planes filled from the
+     end: the segment's set at rate [link_rate.(q)] is its suffix from
+     [q], each distinct rate's first index *)
+  for g = n_groups - 1 downto 0 do
+    iter_segments (lay_out g) (fun lo hi ->
         sort_by_rate lo hi (distinct lo hi);
-        let cur = Optkit.Bitset.create n_users and top = ref hi in
-        iter_sets lo hi (fun s q ->
-            for i = q to !top - 1 do
-              Optkit.Bitset.add cur users.(i)
-            done;
-            top := q;
+        n_members := !n_members - (hi - lo);
+        let base = !n_members - lo and s = sess.(users.(lo)) in
+        for i = lo to hi - 1 do
+          members.(base + i) <- local.(users.(i))
+        done;
+        for q = hi - 1 downto lo do
+          if
+            q = lo
+            || link_rate.(q) < link_rate.(q - 1)
+            || link_rate.(q) > link_rate.(q - 1)
+          then begin
             decr n_sets;
-            let t = link_rate.(q) in
-            sets.(!n_sets) <- Optkit.Bitset.copy cur;
-            costs.(!n_sets) <- rates.(s) /. t;
-            group_of.(!n_sets) <- a;
-            payload.(!n_sets) <- { ap = a; session = s; tx_rate = t }))
+            set_lo.(!n_sets) <- base + q;
+            set_hi.(!n_sets) <- base + hi;
+            costs.(!n_sets) <- rates.(s) /. link_rate.(q);
+            group_of.(!n_sets) <- g;
+            session.(!n_sets) <- s;
+            tx_rate.(!n_sets) <- link_rate.(q)
+          end
+        done)
   done;
-  Optkit.Cover_instance.make ~n_elements:n_users ~sets ~costs ~group_of
-    ~n_groups:n_aps ~payload ()
+  ( Optkit.Cover_instance.of_planes ~n_elements:n_local ~members ~lo:set_lo
+      ~hi:set_hi ~costs ~group_of ~n_groups
+      ~payload:(fun j ->
+        { ap = group_of.(j); session = session.(j); tx_rate = tx_rate.(j) }),
+    universe )
+
+(** [cover_instance p] is {!shard_cover} on every AP and user of [p]. *)
+let cover_instance ?(filter_over_budget = false) p =
+  let n_aps, n_users = Problem.dims p in
+  fst
+    (shard_cover ~filter_over_budget p ~aps:(Array.init n_aps Fun.id)
+       ~local:(Array.init n_users Fun.id) ~n_local:n_users)
 
 (** Users that the covering ground set should contain: everyone within range
     of at least one AP (users out of all ranges can never be served). *)

@@ -19,6 +19,21 @@ val pp_tx : Format.formatter -> tx -> unit
 val cover_instance :
   ?filter_over_budget:bool -> Problem.t -> tx Optkit.Cover_instance.t
 
+(** [shard_cover ~filter_over_budget p ~aps ~local ~n_local] is the
+    covering instance of the sub-problem on the ascending APs [aps] —
+    group [g] is AP [aps.(g)], with its budget — over the users [local]
+    maps into [0, n_local) ([-1]: outside), built straight from [p]'s
+    member planes, with its universe: the local users in range of one
+    of [aps]. Equal to {!cover_instance} and {!coverable_users} of the
+    reindexed sub-problem (DESIGN.md §4.10). *)
+val shard_cover :
+  filter_over_budget:bool ->
+  Problem.t ->
+  aps:int array ->
+  local:int array ->
+  n_local:int ->
+  tx Optkit.Cover_instance.t * Optkit.Bitset.t
+
 (** The ground set the cover should target: users within range of at
     least one AP. *)
 val coverable_users : Problem.t -> Optkit.Bitset.t

@@ -69,9 +69,10 @@ let union parent a b =
 let plan_of_roots p parent =
   let n_aps, n_users = Problem.dims p in
   let user_root = Array.make n_users (-1) in
-  for u = 0 to n_users - 1 do
-    Problem.iter_candidates p u (fun a _ _ ->
-        let r = find parent a in
+  for a = 0 to n_aps - 1 do
+    let r = find parent a in
+    (* member lists, not candidate lists: no rate is boxed per link *)
+    Sparse.iter_member_users p.Problem.links a (fun u ->
         if user_root.(u) = -1 then user_root.(u) <- r
         else if user_root.(u) <> r then
           (* only reachable through a mis-parameterized geometric plan:
@@ -159,8 +160,13 @@ let plan_geometric ~ap_pos ~interaction_radius p =
   if n_aps > 0 && interaction_radius > 0. then begin
     let grid = Sparse.Grid.build ~cell:interaction_radius ap_pos in
     for a = 0 to n_aps - 1 do
-      Sparse.Grid.iter_block grid ap_pos.(a) (fun b ->
-          if b > a && Point.dist ap_pos.(a) ap_pos.(b) <= interaction_radius
+      let (pa : Point.t) = ap_pos.(a) in
+      Sparse.Grid.iter_block grid pa (fun b ->
+          (* [Point.dist] written out, as [Sparse.of_geometry] does: the
+             same bits, no float boxed per pair under [-opaque] *)
+          let (pb : Point.t) = ap_pos.(b) in
+          let dx = pa.x -. pb.x and dy = pa.y -. pb.y in
+          if b > a && sqrt ((dx *. dx) +. (dy *. dy)) <= interaction_radius
           then union parent a b)
     done
   end;
@@ -270,6 +276,37 @@ let solve ?plan:pl ?(fanout = List.map (fun f -> f ())) ?max_rounds ~objective
 let mnu_sharded_name = "MNU-centralized-sharded"
 let bla_sharded_name = "BLA-centralized-sharded"
 
+(* Every shard's covering instance, built straight from [p]'s planes
+   through one map of users to their shard-local index (DESIGN.md
+   §4.10): no sub-problem is extracted. *)
+let shard_covers ~filter_over_budget p pl =
+  let _, n_users = Problem.dims p in
+  let local = Array.make n_users (-1) in
+  List.iter (fun sh -> Array.iteri (fun lu u -> local.(u) <- lu) sh.users)
+    pl.shards;
+  fun sh ->
+    Reduction.shard_cover ~filter_over_budget p ~aps:sh.aps ~local
+      ~n_local:(Array.length sh.users)
+
+(* A shard's local association from its selected set ids: replayed in
+   order against the universe, each user goes to the group (local AP)
+   of the set that first covers it. *)
+let local_assoc ((inst : Reduction.tx Optkit.Cover_instance.t), universe) ids =
+  let { Optkit.Cover_instance.members; lo; hi; group_of; _ } = inst in
+  let x' = Optkit.Bitset.copy universe in
+  let assoc = Association.empty ~n_users:(Optkit.Bitset.capacity universe) in
+  Array.iter
+    (fun j ->
+      for i = lo.(j) to hi.(j) - 1 do
+        let u = members.(i) in
+        if Optkit.Bitset.mem x' u then begin
+          Optkit.Bitset.remove x' u;
+          Association.serve assoc ~user:u ~ap:group_of.(j)
+        end
+      done)
+    ids;
+  assoc
+
 (** [solve_mnu p] — sharded Centralized MNU: per-shard budgeted greedy,
     H1/H2 halves recomputed per shard and the keep decision made on the
     summed weights. [fanout] runs the per-shard solves (inject
@@ -278,29 +315,19 @@ let bla_sharded_name = "BLA-centralized-sharded"
 let solve_mnu ?plan:pl ?(fanout = List.map (fun f -> f ())) p =
   let pl = match pl with Some x -> x | None -> plan p in
   let _, n_users = Problem.dims p in
+  let cover = shard_covers ~filter_over_budget:true p pl in
   let parts =
     fanout
       (List.map
          (fun sh () ->
-           let sub = extract p sh in
-           let inst = Reduction.cover_instance ~filter_over_budget:true sub in
-           let universe = Reduction.coverable_users sub in
-           let budgets =
-             Array.init
-               (Optkit.Cover_instance.n_groups inst)
-               (Problem.ap_budget sub)
-           in
+           let ((inst, universe) as shard) = cover sh in
+           let budgets = Array.map (Problem.ap_budget p) sh.aps in
            let sp =
              Optkit.Mcg.session_round_split
                (Optkit.Mcg.session inst ~budgets)
                ~remaining:universe
            in
-           let local_of sels =
-             Reduction.association_of_selections sub inst
-               (List.map
-                  (fun (s : Optkit.Mcg.selection) -> (s.set, s.newly))
-                  sels)
-           in
+           let local_of half = local_assoc shard (Array.of_list half) in
            (sp.Optkit.Mcg.w1, sp.Optkit.Mcg.w2, local_of sp.Optkit.Mcg.h1,
             local_of sp.Optkit.Mcg.h2))
          pl.shards)
@@ -319,48 +346,37 @@ let solve_mnu ?plan:pl ?(fanout = List.map (fun f -> f ())) p =
 (** [solve_bla p] — sharded Centralized BLA. The [B*] grid is the global
     one ({!Optkit.Scg.grid_lo} decomposes as a max over shards), and
     {!Optkit.Scg.solve_grid} probes it over the shards' cover instances
-    in lockstep, with per-shard reuse. Each feasible probe's per-shard
-    selections merge into one association; the probes come ranked by
-    summed-cover bound (stable on ties) and the smallest {e realized} max
-    AP load wins, by a strict 1e-12 improvement. [None] when no
-    [B* <= 1] is feasible. *)
+    in lockstep, with per-shard reuse. Each feasible probe keeps its
+    per-shard set ids; replayed, they merge into one association. The
+    probes come ranked by summed-cover bound (stable on ties) and the
+    smallest {e realized} max AP load wins, by a strict 1e-12
+    improvement. [None] when no [B* <= 1] is feasible. *)
 let solve_bla ?plan:pl ?mode ?n_guesses ?fanout p =
   let pl = match pl with Some x -> x | None -> plan p in
   let _, n_users = Problem.dims p in
-  let subs =
-    Array.of_list
-      (List.map
-         (fun sh ->
-           let sub = extract p sh in
-           (sh, sub, Reduction.cover_instance sub))
-         pl.shards)
-  in
-  let shards =
-    Array.map (fun (_, sub, inst) -> (inst, Reduction.coverable_users sub)) subs
+  let shards = Array.of_list pl.shards in
+  let covers =
+    Array.map (shard_covers ~filter_over_budget:false p pl) shards
   in
   let lo =
     Array.fold_left
       (fun acc (inst, universe) ->
         Float.max acc (Optkit.Scg.grid_lo ~universe inst))
-      1e-6 shards
+      1e-6 covers
   in
   match
-    Optkit.Scg.solve_grid ?mode ?fanout shards
+    Optkit.Scg.solve_grid ?mode ?fanout covers
       ~grid:(Optkit.Scg.grid_points ?n_guesses lo)
   with
   | [] -> None
   | first :: rest ->
-      Wlan_obs.Counters.add c_halo_reconciles (Array.length subs);
+      Wlan_obs.Counters.add c_halo_reconciles (Array.length shards);
       let solution (r : Optkit.Scg.result) =
         let assoc = Association.empty ~n_users in
         Array.iteri
-          (fun i (sh, sub, inst) ->
-            merge assoc sh
-              (Reduction.association_of_selections sub inst
-                 (List.map
-                    (fun (s : Optkit.Mcg.selection) -> (s.set, s.newly))
-                    r.selections.(i))))
-          subs;
+          (fun i sh ->
+            merge assoc sh (local_assoc covers.(i) r.selections.(i)))
+          shards;
         Solution.make ~algorithm:bla_sharded_name p assoc
       in
       Some

@@ -113,6 +113,49 @@ let of_list capacity l =
   List.iter (add t) l;
   t
 
+(** {1 Member slices}
+
+    A cover instance stores each set as a slice [a.(lo) .. a.(hi - 1)]
+    of one member plane; these read and write a bitset against such a
+    slice, word by word, without allocating. Members must lie in
+    [0, capacity) (the instance checks its plane once). *)
+
+let count_in t a lo hi =
+  let k = ref 0 in
+  for i = lo to hi - 1 do
+    let e = a.(i) in
+    k := !k + ((t.words.(e / bits_per_word) lsr (e mod bits_per_word)) land 1)
+  done;
+  !k
+
+let add_in t a lo hi =
+  for i = lo to hi - 1 do
+    let e = a.(i) in
+    let w = e / bits_per_word in
+    t.words.(w) <- t.words.(w) lor (1 lsl (e mod bits_per_word))
+  done
+
+let remove_in t a lo hi =
+  for i = lo to hi - 1 do
+    let e = a.(i) in
+    let w = e / bits_per_word in
+    t.words.(w) <- t.words.(w) land lnot (1 lsl (e mod bits_per_word))
+  done
+
+let move_in ~src ~dst a lo hi =
+  same_capacity src dst;
+  let k = ref 0 in
+  for i = lo to hi - 1 do
+    let e = a.(i) in
+    let w = e / bits_per_word and b = 1 lsl (e mod bits_per_word) in
+    if src.words.(w) land b <> 0 then begin
+      src.words.(w) <- src.words.(w) land lnot b;
+      dst.words.(w) <- dst.words.(w) lor b;
+      incr k
+    end
+  done;
+  !k
+
 (** [fold_words f acc t] folds over the backing words (index, 62-bit
     payload), skipping nothing: callers that fuse word-wise set algebra
     with accumulation avoid materialising intermediate sets. *)

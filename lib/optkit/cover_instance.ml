@@ -6,62 +6,103 @@
     paper's groups are "all subsets of one AP"). Ungrouped problems put
     every set in group 0. Each set carries an opaque payload so callers can
     map chosen sets back to their domain ((AP, session, rate) triples in the
-    reductions). *)
+    reductions).
+
+    Sets are slices of one member plane (CSR): set [j] is
+    [members.(lo.(j)) .. members.(hi.(j) - 1)]. Slices may overlap — the
+    reductions' sets of one (AP, session) are suffixes of one segment —
+    so an instance costs a word per member slot plus a few per set,
+    whatever the ground set's size (DESIGN.md §4.12). *)
 
 type 'a t = {
   n_elements : int;
-  sets : Bitset.t array;
+  members : int array;
+  lo : int array;
+  hi : int array;
   costs : float array;
   group_of : int array;
   n_groups : int;
-  payload : 'a array;
-  coverable : Bitset.t;  (** union of [sets], computed once by {!make} *)
+  payload : int -> 'a;
+  coverable : Bitset.t;  (** union of the sets, computed once *)
 }
+
+let of_planes ~n_elements ~members ~lo ~hi ~costs ~group_of ~n_groups
+    ~payload =
+  let m = Array.length costs in
+  if Array.length lo <> m || Array.length hi <> m || Array.length group_of <> m
+  then invalid_arg "Cover_instance: array length mismatch";
+  Array.iter
+    (fun e ->
+      if e < 0 || e >= n_elements then
+        invalid_arg "Cover_instance: member outside the ground set")
+    members;
+  let coverable = Bitset.create n_elements in
+  (* a loop, not [Array.iter]: a closure would box every cost *)
+  for j = 0 to m - 1 do
+    if costs.(j) <= 0. then invalid_arg "Cover_instance: cost <= 0";
+    if lo.(j) < 0 || lo.(j) > hi.(j) || hi.(j) > Array.length members then
+      invalid_arg "Cover_instance: set slice outside the member plane";
+    if group_of.(j) < 0 then invalid_arg "Cover_instance: negative group";
+    if group_of.(j) >= n_groups then
+      invalid_arg "Cover_instance: n_groups below max group index";
+    Bitset.add_in coverable members lo.(j) hi.(j)
+  done;
+  { n_elements; members; lo; hi; costs; group_of; n_groups; payload; coverable }
 
 let make ~n_elements ~sets ~costs ?group_of ?n_groups ~payload () =
   let m = Array.length sets in
   if Array.length costs <> m || Array.length payload <> m then
     invalid_arg "Cover_instance.make: array length mismatch";
   Array.iter
-    (fun c -> if c <= 0. then invalid_arg "Cover_instance.make: cost <= 0")
-    costs;
-  Array.iter
     (fun s ->
       if Bitset.capacity s <> n_elements then
         invalid_arg "Cover_instance.make: set capacity mismatch")
     sets;
-  let group_of =
-    match group_of with Some g -> g | None -> Array.make m 0
-  in
+  let group_of = match group_of with Some g -> g | None -> Array.make m 0 in
   if Array.length group_of <> m then
     invalid_arg "Cover_instance.make: group_of length mismatch";
-  let min_groups =
-    Array.fold_left (fun acc g -> Int.max acc (g + 1)) 0 group_of
-  in
   let n_groups =
+    let min_groups =
+      Array.fold_left (fun acc g -> Int.max acc (g + 1)) 0 group_of
+    in
     match n_groups with
+    | Some n when n < min_groups ->
+        invalid_arg "Cover_instance.make: n_groups below max group index"
+    | Some n -> n
     | None -> min_groups
-    | Some n ->
-        if n < min_groups then
-          invalid_arg "Cover_instance.make: n_groups below max group index";
-        n
   in
-  Array.iter
-    (fun g -> if g < 0 then invalid_arg "Cover_instance.make: negative group")
-    group_of;
-  let coverable = Bitset.create n_elements in
-  Array.iter (Bitset.union_inplace coverable) sets;
-  { n_elements; sets; costs; group_of; n_groups; payload; coverable }
+  let hi = Array.make m 0 in
+  Array.iteri
+    (fun j s -> hi.(j) <- (if j = 0 then 0 else hi.(j - 1)) + Bitset.cardinal s)
+    sets;
+  let lo = Array.init m (fun j -> if j = 0 then 0 else hi.(j - 1)) in
+  let members = Array.make (if m = 0 then 0 else hi.(m - 1)) 0 in
+  Array.iteri
+    (fun j s ->
+      let k = ref lo.(j) in
+      Bitset.iter
+        (fun e ->
+          members.(!k) <- e;
+          incr k)
+        s)
+    sets;
+  of_planes ~n_elements ~members ~lo ~hi ~costs ~group_of ~n_groups
+    ~payload:(Array.get payload)
 
-let n_sets t = Array.length t.sets
+let n_sets t = Array.length t.costs
 let n_elements t = t.n_elements
 let n_groups t = t.n_groups
-let set t j = t.sets.(j)
+
+let set t j =
+  let s = Bitset.create t.n_elements in
+  Bitset.add_in s t.members t.lo.(j) t.hi.(j);
+  s
+
 let cost t j = t.costs.(j)
 let group t j = t.group_of.(j)
-let payload t j = t.payload.(j)
+let payload t j = t.payload j
 
-(** A copy of the [coverable] plane {!make} computed: callers mutate it. *)
+(** A copy of the [coverable] plane: callers mutate it. *)
 let coverable t = Bitset.copy t.coverable
 
 let max_cost t = Array.fold_left Float.max 0. t.costs

@@ -30,18 +30,26 @@ type result = {
   group_cost : float array;  (** per-group cost of [kept]; each <= budget *)
 }
 
+(* [sets] in order against [universe]: each with what it newly covers *)
 let replay inst ~universe sets =
+  let { Cover_instance.members; lo; hi; _ } = inst in
   let x' = Bitset.copy universe in
-  let kept =
-    List.map
-      (fun j ->
-        let newly = Bitset.inter (Cover_instance.set inst j) x' in
-        Bitset.diff_inplace x' newly;
-        { set = j; newly })
-      sets
-  in
-  let covered = Bitset.diff universe x' in
-  (kept, covered)
+  List.map
+    (fun j ->
+      let newly = Bitset.create (Bitset.capacity x') in
+      ignore (Bitset.move_in ~src:x' ~dst:newly members lo.(j) hi.(j));
+      { set = j; newly })
+    sets
+
+(* what [sets] cover of [universe] *)
+let cover_of inst ~universe sets =
+  let { Cover_instance.members; lo; hi; _ } = inst in
+  let x' = Bitset.copy universe in
+  let cov = Bitset.create (Bitset.capacity universe) in
+  List.iter
+    (fun j -> ignore (Bitset.move_in ~src:x' ~dst:cov members lo.(j) hi.(j)))
+    sets;
+  cov
 
 (** {1 The H1/H2 split}
 
@@ -56,8 +64,8 @@ let replay inst ~universe sets =
     keep decision from the same split. *)
 
 type split = {
-  h1 : selection list;  (** within-budget selections, replayed *)
-  h2 : selection list;  (** overshooting selections, replayed *)
+  h1 : int list;  (** within-budget selections, in order *)
+  h2 : int list;  (** overshooting selections, in order *)
   cov1 : Bitset.t;
   cov2 : Bitset.t;
   w1 : float;  (** weight of [cov1], as {!greedy} would score it *)
@@ -86,11 +94,11 @@ let split_of inst ~weights ~budgets ~x0 ~raw_order =
   let h2 =
     List.filter_map (fun (j, over) -> if over then Some j else None) tagged
   in
-  let kept1, cov1 = replay inst ~universe:x0 h1 in
-  let kept2, cov2 = replay inst ~universe:x0 h2 in
+  let cov1 = cover_of inst ~universe:x0 h1 in
+  let cov2 = cover_of inst ~universe:x0 h2 in
   {
-    h1 = kept1;
-    h2 = kept2;
+    h1;
+    h2;
     cov1;
     cov2;
     w1 = weight_of cov1;
@@ -153,6 +161,7 @@ type 'a session = {
   s_ub : float array;  (** stored score bound per set (alive sets only) *)
   s_alive : bool array;
   s_touched : int array;  (** sets the last round popped, to re-score *)
+  s_scratch : Bitset.t;  (** a weighted gain's set, in ascending order *)
   s_in_touched : bool array;
   mutable s_n_touched : int;
   mutable s_first : bool;
@@ -180,6 +189,9 @@ let make_session ?(mode = `Soft) ?arena ?element_weights inst ~budgets =
     s_ub = Array.make n 0.;
     s_alive = Array.make n false;
     s_touched = Array.make n 0;
+    s_scratch =
+      Bitset.create
+        (if element_weights = None then 0 else Cover_instance.n_elements inst);
     s_in_touched = Array.make n false;
     s_n_touched = 0;
     s_first = true;
@@ -196,8 +208,10 @@ let session ?mode ?arena inst ~budgets = make_session ?mode ?arena inst ~budgets
 let round s ~remaining =
   let inst = s.s_inst and budgets = s.s_budgets and mode = s.s_mode in
   (* planes read in place: no boxed float per access (DESIGN.md §4.12) *)
-  let { Cover_instance.sets; costs; group_of; n_groups; _ } = inst in
-  let n_sets = Array.length sets in
+  let { Cover_instance.members; lo; hi; costs; group_of; n_groups; _ } =
+    inst
+  in
+  let n_sets = Array.length costs in
   let x0 = Bitset.inter remaining inst.Cover_instance.coverable in
   (* local event accumulators, flushed to the counter plane once at the
      end: plain int refs keep the greedy inner loop free of even the
@@ -210,14 +224,17 @@ let round s ~remaining =
   let x' = Bitset.copy x0 in
   (* float cells: the last gain, and the running witness *)
   let gain = [| 0. |] and run_w = [| 0. |] in
-  (* weighted gain of covering [S ∩ u], left in [gain.(0)] *)
+  (* weighted gain of covering [S ∩ u], left in [gain.(0)]; weights
+     are summed in ascending element order, through the scratch set *)
   let gain_vs u j =
     incr n_candidate_evals;
     match s.s_weights with
-    | None -> gain.(0) <- float_of_int (Bitset.inter_cardinal sets.(j) u)
+    | None -> gain.(0) <- float_of_int (Bitset.count_in u members lo.(j) hi.(j))
     | Some w ->
         gain.(0) <- 0.;
-        Bitset.iter_inter (fun e -> gain.(0) <- gain.(0) +. w.(e)) sets.(j) u
+        Bitset.add_in s.s_scratch members lo.(j) hi.(j);
+        Bitset.iter_inter (fun e -> gain.(0) <- gain.(0) +. w.(e)) s.s_scratch u;
+        Bitset.remove_in s.s_scratch members lo.(j) hi.(j)
   in
   (* static eligibility: sets over their group's budget can never be
      picked *)
@@ -275,7 +292,7 @@ let round s ~remaining =
     spent.(g) <- spent.(g) +. costs.(j);
     raw := j :: !raw;
     picked_w := run_w.(0) :: !picked_w;
-    Bitset.diff_inplace x' sets.(j)
+    Bitset.remove_in x' members lo.(j) hi.(j)
   in
   (* a resumed first round applies the recorded prefix whose witnesses
      clear the smallest budget by 1e-9, as the sweeps would have *)
@@ -457,9 +474,11 @@ let round s ~remaining =
           f_picks = Array.of_list raw_order;
           f_witness = Array.of_list (List.rev !picked_w);
         };
-  (raw_order, split_of inst ~weights:s.s_weights ~budgets ~x0 ~raw_order)
+  (x0, split_of inst ~weights:s.s_weights ~budgets ~x0 ~raw_order, raw_order)
 
-let session_round_split s ~remaining = snd (round s ~remaining)
+let session_round_split s ~remaining =
+  let _, sp, _ = round s ~remaining in
+  sp
 
 (** A round reads its budgets only in [admissible], [eligible], the
     [`Hard] [fits] check and the split's overshoot tag; the witness
@@ -480,7 +499,7 @@ let resume s f =
 let kept_group_cost inst kept =
   let group_cost = Array.make (Cover_instance.n_groups inst) 0. in
   List.iter
-    (fun { set = j; _ } ->
+    (fun j ->
       let g = Cover_instance.group inst j in
       group_cost.(g) <- group_cost.(g) +. Cover_instance.cost inst j)
     kept;
@@ -488,11 +507,16 @@ let kept_group_cost inst kept =
 
 (** One round, keeping the half that covers more. *)
 let session_round s ~remaining =
-  let raw_order, sp = round s ~remaining in
+  let x0, sp, raw_order = round s ~remaining in
   let kept, covered =
     if sp.w1 >= sp.w2 then (sp.h1, sp.cov1) else (sp.h2, sp.cov2)
   in
-  { kept; raw_order; covered; group_cost = kept_group_cost s.s_inst kept }
+  {
+    kept = replay s.s_inst ~universe:x0 kept;
+    raw_order;
+    covered;
+    group_cost = kept_group_cost s.s_inst kept;
+  }
 
 (** [greedy inst ~budgets ?universe ()] runs budgeted greedy + split: the
     first round of a fresh session. Only elements of [universe] (default:
@@ -544,14 +568,15 @@ let exact ?(node_limit = 1_000_000) ?element_weights inst ~budgets ?universe
     | Some w -> Bitset.fold (fun e acc -> acc +. w.(e)) set 0.
   in
   let m = Cover_instance.n_sets inst in
+  let sets = Array.init m (Cover_instance.set inst) in
   (* order sets by decreasing standalone effectiveness for early incumbents *)
   let order = Array.init m Fun.id in
   Array.sort
     (fun a b ->
       Float.compare
-        (weight_of (Bitset.inter (Cover_instance.set inst b) x0)
+        (weight_of (Bitset.inter sets.(b) x0)
         /. Cover_instance.cost inst b)
-        (weight_of (Bitset.inter (Cover_instance.set inst a) x0)
+        (weight_of (Bitset.inter sets.(a) x0)
         /. Cover_instance.cost inst a))
     order;
   (* suffix unions for the reachability bound *)
@@ -559,7 +584,7 @@ let exact ?(node_limit = 1_000_000) ?element_weights inst ~budgets ?universe
   for i = m - 1 downto 0 do
     suffix.(i) <-
       Bitset.union suffix.(i + 1)
-        (Bitset.inter (Cover_instance.set inst order.(i)) x0)
+        (Bitset.inter sets.(order.(i)) x0)
   done;
   let best_w = ref 0. and best_sets = ref [] in
   let nodes = ref 0 and truncated = ref false in
@@ -585,7 +610,7 @@ let exact ?(node_limit = 1_000_000) ?element_weights inst ~budgets ?universe
         (* include j if it fits its group's budget *)
         if spent.(g) +. c <= budgets.(g) +. 1e-12 then begin
           spent.(g) <- spent.(g) +. c;
-          let newly = Bitset.diff (Bitset.inter (Cover_instance.set inst j) x0) covered in
+          let newly = Bitset.diff (Bitset.inter sets.(j) x0) covered in
           let covered' = Bitset.union covered newly in
           go (i + 1) (j :: picked) covered' (covered_w +. weight_of newly);
           spent.(g) <- spent.(g) -. c
@@ -599,7 +624,7 @@ let exact ?(node_limit = 1_000_000) ?element_weights inst ~budgets ?universe
   let covered = Bitset.create n in
   List.iter
     (fun j ->
-      Bitset.union_inplace covered (Bitset.inter (Cover_instance.set inst j) x0))
+      Bitset.union_inplace covered (Bitset.inter sets.(j) x0))
     !best_sets;
   {
     sets = List.rev !best_sets;

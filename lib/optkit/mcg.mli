@@ -75,15 +75,15 @@ val session :
     fresh [greedy ~universe:remaining]. *)
 val session_round : 'a session -> remaining:Bitset.t -> result
 
-(** Per-group cost of one round's kept selections, summed in selection
-    order from [0.] — a {!result}'s [group_cost]. *)
-val kept_group_cost : 'a Cover_instance.t -> selection list -> float array
+(** Per-group cost of one round's kept sets, summed in selection order
+    from [0.] — a {!result}'s [group_cost]. *)
+val kept_group_cost : 'a Cover_instance.t -> int list -> float array
 
 (** {1 Split for sharded drivers} *)
 
 type split = {
-  h1 : selection list;  (** within-budget selections, replayed *)
-  h2 : selection list;  (** overshooting selections, replayed *)
+  h1 : int list;  (** within-budget sets, in selection order *)
+  h2 : int list;  (** overshooting sets, in selection order *)
   cov1 : Bitset.t;
   cov2 : Bitset.t;
   w1 : float;  (** weight of [cov1], as {!greedy} would score it *)
@@ -93,7 +93,9 @@ type split = {
 (** The same round as {!session_round}, returning both halves of the
     H1/H2 repair instead of the kept one. The keep decision is global — a
     sharded driver sums the halves' weights across shards and keeps the
-    same half everywhere, reproducing the unsharded choice. *)
+    same half everywhere, reproducing the unsharded choice. A half keeps
+    set ids only: replaying them in order against the round's remaining
+    set gives each one's newly covered elements ({!result}'s [kept]). *)
 val session_round_split : 'a session -> remaining:Bitset.t -> split
 
 (** The session's budget witness: the largest final raw spend of any

@@ -26,7 +26,7 @@ let c_shard_reuses = Wlan_obs.Counters.make "scg.shard_reuses"
 type result = {
   bstar : float;
   feasible : bool;  (** every shard's universe covered *)
-  selections : Mcg.selection list array;  (** per shard, selection order *)
+  selections : int array array;  (** per shard, set ids in selection order *)
   group_cost : float array array;  (** per shard, summed over rounds *)
 }
 
@@ -50,14 +50,14 @@ let add_round_cost acc round =
     cannot be covered at all (MCG refuses sets costing more than the
     group budget). *)
 let grid_lo ~universe inst =
-  let { Cover_instance.sets; costs; n_elements; _ } = inst in
+  let { Cover_instance.members; lo; hi; costs; n_elements; _ } = inst in
   let min_cost = Array.make n_elements infinity in
-  Array.iteri
-    (fun j set ->
-      Bitset.iter
-        (fun e -> if costs.(j) < min_cost.(e) then min_cost.(e) <- costs.(j))
-        set)
-    sets;
+  for j = 0 to Array.length costs - 1 do
+    for i = lo.(j) to hi.(j) - 1 do
+      let e = members.(i) in
+      if costs.(j) < min_cost.(e) then min_cost.(e) <- costs.(j)
+    done
+  done;
   (* a float cell, not a boxed fold accumulator *)
   let lo = [| 0. |] in
   Bitset.iter
@@ -82,27 +82,32 @@ let grid_points ?(n_guesses = 12) lo =
    there (see {!Mcg.session_witness}). *)
 let replays ~bound b = bound <= b -. 1e-9
 
-(** Exact B* probe reuse over a grid. [probe top b] runs the guess [b]
-    and returns its result with a record [w] of the run; [bound w] is the
-    run's reuse bound over all of its sessions (see {!replays}). The
-    largest guess [B_top] runs first, on its own, as [probe None B_top];
-    every guess [b] at which that run {!replays}, and every copy of
-    [B_top], yields [reuse top b]. The remaining guesses go through
-    [fanout] as [probe (Some w) b], sharing [w] read-only. Results come
-    back in grid order. *)
+(** Exact B* probe reuse over a grid. [probe top b] prepares the guess
+    [b], taking what it needs of the top record [top]; applied to [()],
+    it runs and returns its result with a record [w] of the run; [bound
+    w] is the run's reuse bound over all of its sessions (see
+    {!replays}). The largest guess [B_top] runs first, on its own, as
+    [probe None B_top ()]; every guess [b] at which that run {!replays},
+    and every copy of [B_top], yields [reuse top b]. The remaining
+    guesses are prepared in grid order as [probe (Some w) b], before any
+    of them runs, and go through [fanout]: no thunk holds [w] itself, so
+    each part of it lives only as long as some pending probe took it.
+    Results come back in grid order. *)
 let reuse_grid ~fanout ~bound ~probe ~reuse grid =
   match grid with
   | [] -> []
   | b0 :: _ ->
       let b_top = List.fold_left Float.max b0 grid in
-      let top, w = probe None b_top in
+      let top, w = probe None b_top () in
       let bound = bound w in
       let from_top b = b >= b_top || replays ~bound b in
       let thunks =
         List.filter_map
           (fun b ->
             if from_top b then None
-            else Some (fun () -> fst (probe (Some w) b)))
+            else
+              let run = probe (Some w) b in
+              Some (fun () -> fst (run ())))
           grid
       in
       Wlan_obs.Counters.add c_grid_probes (1 + List.length thunks);
@@ -130,11 +135,16 @@ type 'a shard_run = {
   first : 'a Mcg.first_round option;
 }
 
-(* Where a probe takes a shard's splits from: its own session, or the
-   top run (its reuse bound and the kept-H1 splits still to replay). *)
+(* How a lower probe takes a shard: replaying the top run's kept-H1
+   splits (its reuse bound and the splits), or solving it, resuming the
+   top's first round when there is one. *)
+type 'a plan = Replay of float * Mcg.split list | Fresh of 'a Mcg.first_round option
+
+(* Where a running probe takes a shard's splits from: its own session,
+   or the top run's splits still to replay. *)
 type 'a source =
   | Solve of 'a Mcg.session
-  | Replay of float * Mcg.split list
+  | Replaying of float * Mcg.split list
 
 (** [solve_grid shards ~grid] — each probe runs every shard's SCG rounds
     in lockstep through {!Mcg.session}s, making the per-round H1/H2
@@ -151,8 +161,10 @@ type 'a source =
     1e-9 opens no session: it replays its top kept-H1 splits, one per
     H1 round — the splits a fresh session would return. Only the binding
     shards re-solve, each resuming its first round from the top's
-    ({!Mcg.resume}). Every probe gets its own arena, shared by its
-    shards' sessions. *)
+    ({!Mcg.resume}). A prepared probe holds only the parts of the top
+    record it reads, so a shard's first-round record is dropped once no
+    pending probe resumes it. Every probe gets its own arena, shared by
+    its shards' sessions, and keeps only its set ids per shard. *)
 let solve_grid ?(mode = `Soft) ?(fanout = List.map (fun f -> f ())) shards
     ~grid =
   let ns = Array.length shards in
@@ -161,32 +173,38 @@ let solve_grid ?(mode = `Soft) ?(fanout = List.map (fun f -> f ())) shards
       (Array.fold_left (fun acc (_, u) -> acc + Bitset.cardinal u) 0 shards)
   in
   let max_costs = Array.map (fun (inst, _) -> Cover_instance.max_cost inst) shards in
-  let probe top bstar =
+  let prepare top bstar =
+    let reusable t = t.emptied && replays ~bound:t.bound bstar in
+    Array.init ns (fun i ->
+        match top with
+        | Some t when reusable t.(i) -> Replay (t.(i).bound, t.(i).kept_h1)
+        | Some t -> Fresh t.(i).first
+        | None -> Fresh None)
+  in
+  let run plans bstar =
     Wlan_obs.Counters.incr c_solves;
     let arena = Arena.create () in
-    let reusable t = t.emptied && replays ~bound:t.bound bstar in
     let sources =
       Array.mapi
-        (fun i (inst, _) ->
-          match top with
-          | Some t when reusable t.(i) -> Replay (t.(i).bound, t.(i).kept_h1)
-          | _ ->
+        (fun i plan ->
+          match plan with
+          | Replay (b, splits) -> Replaying (b, splits)
+          | Fresh first ->
+              let inst = fst shards.(i) in
               let session =
                 Mcg.session ~mode ~arena inst
                   ~budgets:(Array.make (Cover_instance.n_groups inst) bstar)
               in
-              Option.iter
-                (fun t -> Option.iter (Mcg.resume session) t.(i).first)
-                top;
+              Option.iter (Mcg.resume session) first;
               Solve session)
-        shards
+        plans
     in
     Wlan_obs.Counters.add c_shard_reuses
       (Array.fold_left
-         (fun acc -> function Replay _ -> acc + 1 | Solve _ -> acc)
+         (fun acc -> function Replaying _ -> acc + 1 | Solve _ -> acc)
          0 sources);
     let remaining = Array.map (fun (_, u) -> Bitset.copy u) shards in
-    let sels = Array.make ns [] (* selections per shard, reversed *) in
+    let sels = Array.make ns [] (* set ids per shard, reversed *) in
     let kept_h1 = Array.make ns [] (* kept-H1 splits per shard, reversed *) in
     let group_cost =
       Array.map
@@ -206,7 +224,7 @@ let solve_grid ?(mode = `Soft) ?(fanout = List.map (fun f -> f ())) shards
                  match source with
                  | Solve session ->
                      Some (Mcg.session_round_split session ~remaining:remaining.(i))
-                 | Replay (_, pending) -> Some (List.hd pending))
+                 | Replaying (_, pending) -> Some (List.hd pending))
              sources
          in
          let w1 = ref 0. and w2 = ref 0. in
@@ -238,8 +256,8 @@ let solve_grid ?(mode = `Soft) ?(fanout = List.map (fun f -> f ())) shards
                  if keep_h1 then begin
                    kept_h1.(i) <- sp :: kept_h1.(i);
                    match sources.(i) with
-                   | Replay (b, pending) ->
-                       sources.(i) <- Replay (b, List.tl pending)
+                   | Replaying (b, pending) ->
+                       sources.(i) <- Replaying (b, List.tl pending)
                    | Solve _ -> ()
                  end))
            splits
@@ -253,20 +271,20 @@ let solve_grid ?(mode = `Soft) ?(fanout = List.map (fun f -> f ())) shards
               (match source with
               | Solve session ->
                   Float.max (Mcg.session_witness session) max_costs.(i)
-              | Replay (b, _) -> b);
+              | Replaying (b, _) -> b);
             emptied = Bitset.is_empty remaining.(i);
             kept_h1 = List.rev kept_h1.(i);
             first =
               (match source with
               | Solve session -> Mcg.first_round session
-              | Replay _ -> None);
+              | Replaying _ -> None);
           })
         sources
     in
     ( {
         bstar;
         feasible = all_covered ();
-        selections = Array.map List.rev sels;
+        selections = Array.map (fun l -> Array.of_list (List.rev l)) sels;
         group_cost;
       },
       record )
@@ -275,7 +293,9 @@ let solve_grid ?(mode = `Soft) ?(fanout = List.map (fun f -> f ())) shards
      results are never mutated *)
   reuse_grid ~fanout
     ~bound:(Array.fold_left (fun acc t -> Float.max acc t.bound) 0.)
-    ~probe
+    ~probe:(fun top bstar ->
+      let plans = prepare top bstar in
+      fun () -> run plans bstar)
     ~reuse:(fun top bstar -> { top with bstar })
     grid
   |> List.filter (fun r -> r.feasible)

@@ -8,9 +8,10 @@
 type result = {
   bstar : float;
   feasible : bool;  (** every shard's universe covered *)
-  selections : Mcg.selection list array;
-      (** per shard, in selection order; the [newly] attributions of
-          different rounds are disjoint by construction *)
+  selections : int array array;
+      (** per shard, the selected set ids in selection order: replayed
+          in order against the shard's universe, each covers what it
+          newly covered in its round *)
   group_cost : float array array;  (** per shard, summed over rounds *)
 }
 
@@ -38,24 +39,25 @@ val grid_lo : universe:Bitset.t -> 'a Cover_instance.t -> float
     @raise Invalid_argument when [n_guesses < 1]. *)
 val grid_points : ?n_guesses:int -> float -> float list
 
-(** Exact B* probe reuse. [probe top b] runs guess [b] and returns its
-    result with a record [w] of the run, whose [bound w] is the run's
-    reuse bound over all of its sessions: its {!Mcg.session_witness}
-    joined with every set cost. A run replays exactly, bit for bit, at
-    any uniform budget [b] with [bound <= b - 1e-9]. The largest guess
-    [B_top] runs first, on its own, as [probe None B_top]; every guess
-    [b] at which that run replays, and every copy of [B_top], yields
-    [reuse top b]. The other guesses go through [fanout] (which must
-    return one result per thunk, in submission order) as
-    [probe (Some w) b]: the top record is shared read-only, so a probe
-    may reuse parts of the top run exactly. Results come back in grid
-    order; [scg.grid_probes] counts the guesses probed and
-    [scg.grid_reuses] the guesses reused.
+(** Exact B* probe reuse. [probe top b] prepares guess [b]; applied to
+    [()] it runs and returns its result with a record [w] of the run,
+    whose [bound w] is the run's reuse bound over all of its sessions:
+    its {!Mcg.session_witness} joined with every set cost. A run replays
+    exactly, bit for bit, at any uniform budget [b] with
+    [bound <= b - 1e-9]. The largest guess [B_top] runs first, on its
+    own, as [probe None B_top ()]; every guess [b] at which that run
+    replays, and every copy of [B_top], yields [reuse top b]. The other
+    guesses are prepared in grid order as [probe (Some w) b] — the top
+    record is shared read-only, so a probe may take parts of the top run
+    — and their runs go through [fanout] (which must return one result
+    per thunk, in submission order). Results come back in grid order;
+    [scg.grid_probes] counts the guesses probed and [scg.grid_reuses]
+    the guesses reused.
     @raise Invalid_argument when [fanout] returns too few results. *)
 val reuse_grid :
   fanout:((unit -> 'r) list -> 'r list) ->
   bound:('w -> float) ->
-  probe:('w option -> float -> 'r * 'w) ->
+  probe:('w option -> float -> unit -> 'r * 'w) ->
   reuse:('r -> float -> 'r) ->
   float list ->
   'r list
@@ -78,8 +80,9 @@ val reuse_grid :
     the guess by 1e-9 replays its top kept-H1 splits without a session
     ([scg.shard_reuses] counts these (probe, shard) pairs); the binding
     shards re-solve, each resuming its first round from the top's
-    ({!Mcg.resume}). Every result is the from-scratch probe's
-    (DESIGN.md §4.5).
+    ({!Mcg.resume}). A shard's first-round record lives only as long as
+    some prepared probe still resumes it. Every result is the
+    from-scratch probe's (DESIGN.md §4.5).
 
     [fanout] evaluates the other guesses (default: sequentially, in list
     order). An evaluator that preserves submission order — e.g.

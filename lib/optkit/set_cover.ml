@@ -16,6 +16,19 @@ type result = {
 let cost_of_sets inst sets =
   List.fold_left (fun acc j -> acc +. Cover_instance.cost inst j) 0. sets
 
+(* set [j]'s members still in [x'], moved out of it *)
+let take inst x' j =
+  let newly = Bitset.create (Bitset.capacity x') in
+  ignore
+    (Bitset.move_in ~src:x' ~dst:newly inst.Cover_instance.members
+       inst.Cover_instance.lo.(j) inst.Cover_instance.hi.(j));
+  newly
+
+(* |S_j ∩ x'| *)
+let gain inst x' j =
+  Bitset.count_in x' inst.Cover_instance.members inst.Cover_instance.lo.(j)
+    inst.Cover_instance.hi.(j)
+
 (** Greedy weighted set cover: repeatedly pick the set maximizing
     [|S ∩ X'| / c(S)] (lazy-greedy heap), until everything coverable is
     covered. [(ln n + 1)]-approximation (Theorem 6).
@@ -24,7 +37,8 @@ let cost_of_sets inst sets =
     pick the lower set index; [arena] reuses its planes across solves. *)
 let greedy ?arena ?(universe : Bitset.t option) inst =
   let n = Cover_instance.n_elements inst in
-  let { Cover_instance.sets; costs; _ } = inst in
+  let { Cover_instance.members; lo; hi; costs; _ } = inst in
+  let n_sets = Array.length costs in
   let x' =
     match universe with
     | Some u -> Bitset.inter u inst.Cover_instance.coverable
@@ -33,18 +47,18 @@ let greedy ?arena ?(universe : Bitset.t option) inst =
   let target = Bitset.copy x' in
   let heap =
     Flat_heap.make ?arena ~slot:"set_cover.heap"
-      ~capacities:[| Array.length sets |] ()
+      ~capacities:[| n_sets |] ()
   in
   let cell = heap.Flat_heap.cell in
-  for j = 0 to Array.length sets - 1 do
-    let gain = Bitset.inter_cardinal sets.(j) x' in
+  for j = 0 to n_sets - 1 do
+    let gain = Bitset.count_in x' members lo.(j) hi.(j) in
     if gain > 0 then begin
       cell.(0) <- float_of_int gain /. costs.(j);
       Flat_heap.push heap 0 j
     end
   done;
   let revalidate j =
-    let gain = Bitset.inter_cardinal sets.(j) x' in
+    let gain = Bitset.count_in x' members lo.(j) hi.(j) in
     if gain = 0 then cell.(0) <- neg_infinity
     else cell.(0) <- float_of_int gain /. costs.(j)
   in
@@ -54,9 +68,7 @@ let greedy ?arena ?(universe : Bitset.t option) inst =
     let j = Flat_heap.pop_max heap 0 ~revalidate in
     if j < 0 then continue := false
     else begin
-      let newly = Bitset.inter (Cover_instance.set inst j) x' in
-      chosen := { set = j; newly } :: !chosen;
-      Bitset.diff_inplace x' newly
+      chosen := { set = j; newly = take inst x' j } :: !chosen
     end
   done;
   let chosen = List.rev !chosen in
@@ -87,8 +99,11 @@ let greedy ?arena ?(universe : Bitset.t option) inst =
 let max_frequency ?universe inst =
   let n = Cover_instance.n_elements inst in
   let freq = Array.make n 0 in
+  let { Cover_instance.members; lo; hi; _ } = inst in
   for j = 0 to Cover_instance.n_sets inst - 1 do
-    Bitset.iter (fun e -> freq.(e) <- freq.(e) + 1) (Cover_instance.set inst j)
+    for i = lo.(j) to hi.(j) - 1 do
+      freq.(members.(i)) <- freq.(members.(i)) + 1
+    done
   done;
   match universe with
   | None -> Array.fold_left Int.max 0 freq
@@ -117,7 +132,7 @@ let layered ?universe inst =
     let t = ref infinity in
     for j = 0 to m - 1 do
       if alive.(j) then begin
-        let k = Bitset.inter_cardinal (Cover_instance.set inst j) x' in
+        let k = gain inst x' j in
         if k > 0 then t := Float.min !t (residual.(j) /. float_of_int k)
       end
     done;
@@ -127,7 +142,7 @@ let layered ?universe inst =
       let picked_this_layer = ref [] in
       for j = 0 to m - 1 do
         if alive.(j) then begin
-          let k = Bitset.inter_cardinal (Cover_instance.set inst j) x' in
+          let k = gain inst x' j in
           if k > 0 then begin
             residual.(j) <- residual.(j) -. (!t *. float_of_int k);
             if residual.(j) <= 1e-12 then begin
@@ -139,11 +154,9 @@ let layered ?universe inst =
       done;
       List.iter
         (fun j ->
-          let newly = Bitset.inter (Cover_instance.set inst j) x' in
-          if not (Bitset.is_empty newly) then begin
-            chosen := { set = j; newly } :: !chosen;
-            Bitset.diff_inplace x' newly
-          end)
+          let newly = take inst x' j in
+          if not (Bitset.is_empty newly) then
+            chosen := { set = j; newly } :: !chosen)
         (List.rev !picked_this_layer)
     end
   done;
@@ -167,13 +180,14 @@ let lp_rounding ?universe inst =
     | None -> inst.Cover_instance.coverable
   in
   let m = Cover_instance.n_sets inst in
+  let sets = Array.init m (Cover_instance.set inst) in
   let f = Int.max 1 (max_frequency ~universe:x0 inst) in
   let constraints =
     Bitset.fold
       (fun e acc ->
         let c = Array.make m 0. in
         for j = 0 to m - 1 do
-          if Bitset.mem (Cover_instance.set inst j) e then c.(j) <- 1.
+          if Bitset.mem sets.(j) e then c.(j) <- 1.
         done;
         Lp.{ coeffs = c; cmp = Ge; rhs = 1. } :: acc)
       x0 []
@@ -195,11 +209,9 @@ let lp_rounding ?universe inst =
       let chosen = ref [] in
       for j = 0 to m - 1 do
         if sol.Lp.x.(j) >= threshold then begin
-          let newly = Bitset.inter (Cover_instance.set inst j) x' in
-          if not (Bitset.is_empty newly) then begin
-            chosen := { set = j; newly } :: !chosen;
-            Bitset.diff_inplace x' newly
-          end
+          let newly = take inst x' j in
+          if not (Bitset.is_empty newly) then
+            chosen := { set = j; newly } :: !chosen
         end
       done;
       let chosen = List.rev !chosen in
@@ -218,11 +230,11 @@ type exact_result = { sets : int list; cost : float; proved_optimal : bool }
 
 (** Lower bound on the cost of covering [x']: charge every uncovered element
     its cheapest per-element share [min_{S ∋ e} c(S)/|S ∩ X'|]. *)
-let lower_bound inst x' =
+let lower_bound inst sets x' =
   let n = Cover_instance.n_elements inst in
   let best = Array.make n infinity in
   for j = 0 to Cover_instance.n_sets inst - 1 do
-    let s = Cover_instance.set inst j in
+    let s = sets.(j) in
     let k = Bitset.inter_cardinal s x' in
     if k > 0 then begin
       let share = Cover_instance.cost inst j /. float_of_int k in
@@ -252,12 +264,13 @@ let exact ?(node_limit = 2_000_000) ?universe inst =
   if not (Bitset.subset x0 coverable) then None
   else begin
     let m = Cover_instance.n_sets inst in
+    let sets = Array.init m (Cover_instance.set inst) in
     (* candidate sets per element, cheapest first *)
     let cands = Array.make (Cover_instance.n_elements inst) [] in
     for j = m - 1 downto 0 do
       Bitset.iter
         (fun e -> if Bitset.mem x0 e then cands.(e) <- j :: cands.(e))
-        (Cover_instance.set inst j)
+        sets.(j)
     done;
     Array.iteri
       (fun e l ->
@@ -282,7 +295,7 @@ let exact ?(node_limit = 2_000_000) ?universe inst =
           best_sets := picked
         end
       end
-      else if cost +. lower_bound inst x' < !best_cost -. 1e-12 then begin
+      else if cost +. lower_bound inst sets x' < !best_cost -. 1e-12 then begin
         (* branch on the uncovered element with fewest live candidates *)
         let pick = ref (-1) and pick_n = ref max_int in
         Bitset.iter
@@ -290,8 +303,7 @@ let exact ?(node_limit = 2_000_000) ?universe inst =
             let n_live =
               List.length
                 (List.filter
-                   (fun j ->
-                     Bitset.inter_cardinal (Cover_instance.set inst j) x' > 0)
+                   (fun j -> Bitset.inter_cardinal sets.(j) x' > 0)
                    cands.(e))
             in
             if n_live < !pick_n then begin
@@ -302,7 +314,7 @@ let exact ?(node_limit = 2_000_000) ?universe inst =
         let e = !pick in
         List.iter
           (fun j ->
-            let s = Cover_instance.set inst j in
+            let s = sets.(j) in
             if Bitset.inter_cardinal s x' > 0 then begin
               let x2 = Bitset.diff x' s in
               go x2 (j :: picked) (cost +. Cover_instance.cost inst j)

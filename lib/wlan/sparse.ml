@@ -250,6 +250,25 @@ let iter_member_users t a f =
     if in_range || t.cand_rate.(t.memb_slot.(i)) > 0. then f t.memb_user.(i)
   done
 
+(** [fill_members t a ~users ~rates] writes AP [a]'s in-range members
+    into [users]/[rates], ascending user order, and returns how many (at
+    most [member_degree t a]). Allocates nothing: how cover instances
+    read an AP's receivers. *)
+let fill_members t a ~users ~rates =
+  let d = ref 0 in
+  for i = t.ap_off.(a) to t.ap_off.(a + 1) - 1 do
+    let r = t.cand_rate.(t.memb_slot.(i)) in
+    if r > 0. then begin
+      users.(!d) <- t.memb_user.(i);
+      rates.(!d) <- r;
+      incr d
+    end
+  done;
+  !d
+
+(** Number of member slots of an AP, in-range or lost. *)
+let member_degree t a = t.ap_off.(a + 1) - t.ap_off.(a)
+
 (** [fill_candidates t u ~ap_alive ~aps ~rates ~sigs] writes user [u]'s
     in-range candidates whose AP is alive into [aps]/[rates]/[sigs],
     ascending AP order, and returns how many (at most [degree t u]).

@@ -80,6 +80,15 @@ val iter_members : t -> int -> (int -> float -> unit) -> unit
     float is boxed per call. *)
 val iter_member_users : t -> int -> (int -> unit) -> unit
 
+(** [fill_members t a ~users ~rates] writes AP [a]'s in-range members
+    into the two planes, ascending user order, and returns how many. The
+    planes must hold [member_degree t a] entries. Allocates nothing:
+    this is how cover instances read an AP's receivers. *)
+val fill_members : t -> int -> users:int array -> rates:float array -> int
+
+(** Number of member slots of an AP (in-range or lost). *)
+val member_degree : t -> int -> int
+
 (** [fill_candidates t u ~ap_alive ~aps ~rates ~sigs] writes user [u]'s
     in-range candidates whose AP is alive ([ap_alive.(ap)]) into the
     three planes, ascending AP order, and returns how many. The planes

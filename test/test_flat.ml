@@ -1223,10 +1223,11 @@ let test_settle_allocation () =
    [Reduction.cover_instance], on one fixed paper_default instance
    (3,328 covering sets). The kernels read the cover and heap planes
    directly and pass priorities through float cells (DESIGN.md §4.12,
-   "Hot loops under -opaque"), about 465 words per iteration and 130k
-   per build. A kernel that boxes a float per step (an accessor call, a
-   float-returning closure) or per member (a [Set]-based build) exceeds
-   a budget several times over. Deterministic, like the settle budget. *)
+   "Hot loops under -opaque"): about 235 words per iteration and 6k
+   per build, from the member planes. A kernel that boxes a float per
+   step (an accessor call, a float-returning closure) or per member (a
+   [Set]-based build) exceeds a budget several times over.
+   Deterministic, like the settle budget. *)
 let paper_problem =
   lazy
     (Scenario.to_problem
@@ -1256,30 +1257,103 @@ let test_kernel_allocation () =
   if w > 160_000. then
     Alcotest.failf "%.0f words per cover build, budget 160000" w
 
+(* Words per cover build, in either heap, per link of the fixed
+   paper_default instance (6,914 links, 3,328 sets): the member-plane
+   build ({!Wlan_model.Sparse.fill_members}, sets as slices of one
+   member plane) allocates about 4.9; a build that boxes a rate per
+   link through [iter_members] and a bitset per set, 21. The minor heap
+   is emptied before and after, so the promoted count is the build's
+   own. *)
+let test_cover_build_words () =
+  let p = Lazy.force paper_problem in
+  ignore (Reduction.cover_instance p);
+  Gc.minor ();
+  let mi, pr, ma = Gc.counters () in
+  ignore (Sys.opaque_identity (Reduction.cover_instance p));
+  Gc.minor ();
+  let mi', pr', ma' = Gc.counters () in
+  let words = mi' -. mi +. (ma' -. ma) -. (pr' -. pr) in
+  let per_link = words /. float_of_int (Sparse.n_links p.Problem.links) in
+  if per_link > 8. then
+    Alcotest.failf "%.1f words per link per cover build, budget 8" per_link
+
+(* Centralized MNU and BLA stream their shards (DESIGN.md §4.10): each
+   shard's covering instance comes straight from the parent's member
+   planes, so neither solve builds a sub-instance ([sparse.builds] stays
+   0), and an instance costs a word per member slot plus a few per set
+   (§4.12) — one bitset per set costs a word per 62 shard users per set,
+   2.5 times the bound on a 2-district city. Deterministic: counters and
+   heap words, not timings. *)
+let test_shard_streaming_memory () =
+  let sc =
+    Scenario_gen.city ~seed:2007
+      { Scenario_gen.city_default with districts_x = 2; districts_y = 1 }
+  in
+  let p = Scenario.to_problem_sparse sc in
+  let pl =
+    Shard.plan_geometric ~ap_pos:sc.Scenario.ap_pos
+      ~interaction_radius:(2. *. Scenario.range sc)
+      p
+  in
+  if List.length pl.Shard.shards < 2 then
+    Alcotest.fail "the 2-district city is one shard";
+  let builds = Wlan_obs.Counters.make "sparse.builds" in
+  Wlan_obs.Counters.reset ();
+  Wlan_obs.Counters.set_enabled true;
+  ignore (Shard.solve_mnu ~plan:pl (Problem.with_budget p 0.05));
+  ignore (Shard.solve_bla ~plan:pl p);
+  Wlan_obs.Counters.set_enabled false;
+  Alcotest.(check int) "sub-instances built" 0
+    (Wlan_obs.Counters.value builds);
+  let _, n_users = Problem.dims p in
+  let local = Array.make n_users (-1) in
+  List.iter
+    (fun (sh : Shard.shard) ->
+      Array.iteri (fun lu u -> local.(u) <- lu) sh.Shard.users)
+    pl.Shard.shards;
+  List.iter
+    (fun (sh : Shard.shard) ->
+      let inst, _ =
+        Reduction.shard_cover ~filter_over_budget:false p ~aps:sh.Shard.aps
+          ~local ~n_local:(Array.length sh.Shard.users)
+      in
+      let links = ref 0 in
+      Array.iter
+        (fun a -> Problem.iter_members p a (fun _ _ -> incr links))
+        sh.Shard.aps;
+      let sets = Optkit.Cover_instance.n_sets inst in
+      let words = Obj.reachable_words (Obj.repr inst) in
+      (* about 52k words for 33k links and 3.2k sets; a bitset per
+         set, 150k *)
+      let bound = !links + (8 * sets) + 256 in
+      if words > bound then
+        Alcotest.failf "shard %d: %d words for %d links and %d sets (bound %d)"
+          sh.Shard.id words !links sets bound)
+    pl.Shard.shards
+
 (* The flat cover build = the [Set]-based reference of cover_ref.ml:
    the same sets, costs, groups and payloads, in order, on both compiles
    of the random and dense families, with and without the budget filter,
    under the uniform budget and random per-AP budgets. *)
 let check_cover what (a : Reduction.tx Optkit.Cover_instance.t)
     (b : Reduction.tx Optkit.Cover_instance.t) =
-  Alcotest.(check int) (what ^ ": sets") (Array.length b.sets)
-    (Array.length a.sets);
-  Alcotest.(check int) (what ^ ": groups") b.n_groups a.n_groups;
-  Array.iteri
-    (fun j set ->
-      if not (Optkit.Bitset.equal set b.sets.(j)) then
-        Alcotest.failf "%s: set %d differs" what j)
-    a.sets;
-  check_float_arrays (what ^ ": costs") a.costs b.costs;
-  Alcotest.(check (array int)) (what ^ ": group_of") b.group_of a.group_of;
-  Array.iteri
-    (fun j (x : Reduction.tx) ->
-      let y = b.payload.(j) in
-      if
-        x.ap <> y.ap || x.session <> y.session
-        || not (Float.equal x.tx_rate y.tx_rate)
-      then Alcotest.failf "%s: payload %d differs" what j)
-    a.payload
+  let module C = Optkit.Cover_instance in
+  Alcotest.(check int) (what ^ ": sets") (C.n_sets b) (C.n_sets a);
+  Alcotest.(check int) (what ^ ": groups") (C.n_groups b) (C.n_groups a);
+  Alcotest.(check int) (what ^ ": elements") (C.n_elements b) (C.n_elements a);
+  for j = 0 to C.n_sets a - 1 do
+    if not (Optkit.Bitset.equal (C.set a j) (C.set b j)) then
+      Alcotest.failf "%s: set %d differs" what j;
+    if not (Float.equal (C.cost a j) (C.cost b j)) then
+      Alcotest.failf "%s: cost %d differs" what j;
+    if C.group a j <> C.group b j then
+      Alcotest.failf "%s: group %d differs" what j;
+    let x = C.payload a j and y = C.payload b j in
+    if
+      x.ap <> y.ap || x.session <> y.session
+      || not (Float.equal x.tx_rate y.tx_rate)
+    then Alcotest.failf "%s: payload %d differs" what j
+  done
 
 let cover_matches seed =
   let rng = Random.State.make [| seed; 0xc0e7 |] in
@@ -1356,6 +1430,9 @@ let () =
           tc "city BLA golden, j1 = j4" test_city_bla_golden;
           tc "BLA kernel allocation per iteration and build"
             test_kernel_allocation;
+          tc "cover build words per link" test_cover_build_words;
+          tc "shards stream: no sub-instance, compact covers"
+            test_shard_streaming_memory;
         ] );
       ( "total-load",
         [

@@ -768,6 +768,28 @@ let scg_best inst =
   | [] -> None
   | best :: _ -> Some best
 
+let same_selections a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (s : Mcg.selection) (s' : Mcg.selection) ->
+         s.set = s'.set && Bitset.equal s.newly s'.newly)
+       a b
+
+let ids_of sels =
+  Array.of_list (List.map (fun (s : Mcg.selection) -> s.set) sels)
+
+(* A probe's set ids replayed in order against the universe: each with
+   what it newly covers. *)
+let replayed inst ids =
+  let x' = Cover_instance.coverable inst in
+  Array.to_list
+    (Array.map
+       (fun j ->
+         let newly = Bitset.inter (Cover_instance.set inst j) x' in
+         Bitset.diff_inplace x' newly;
+         { Mcg.set = j; newly })
+       ids)
+
 let test_scg_feasible_run () =
   let inst =
     mk_grouped ~n:4
@@ -780,7 +802,7 @@ let test_scg_feasible_run () =
       let covered = Bitset.create 4 in
       List.iter
         (fun (s : Mcg.selection) -> Bitset.union_inplace covered s.newly)
-        r.Scg.selections.(0);
+        (replayed inst r.Scg.selections.(0));
       Alcotest.(check int) "all covered" 4 (Bitset.cardinal covered)
 
 let test_scg_infeasible () =
@@ -828,14 +850,16 @@ let prop_scg_selections_disjoint_and_cover =
       match scg_best inst with
       | None -> QCheck.assume_fail ()
       | Some r ->
+          (* the ids replayed = the reference run's per-round
+             attributions at the same guess *)
+          let sels = replayed inst r.Scg.selections.(0) in
           let seen = Bitset.create n in
-          let disjoint = ref true in
           List.iter
-            (fun (s : Mcg.selection) ->
-              if Bitset.inter_cardinal seen s.newly > 0 then disjoint := false;
-              Bitset.union_inplace seen s.newly)
-            r.Scg.selections.(0);
-          !disjoint && (not r.Scg.feasible) || Bitset.cardinal seen = n)
+            (fun (s : Mcg.selection) -> Bitset.union_inplace seen s.newly)
+            sels;
+          same_selections sels
+            (Scg_ref.selections (Scg_ref.solve_for inst ~bstar:r.Scg.bstar ()))
+          && ((not r.Scg.feasible) || Bitset.cardinal seen = n))
 
 (* The reference the greedy is proven against: a full rescan of every
    admissible set of every eligible group each round (the lower set index
@@ -967,13 +991,6 @@ let prop_mcg_greedy_eq_eager =
       in
       check None && check (Some weights))
 
-let same_selections a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (s : Mcg.selection) (s' : Mcg.selection) ->
-         s.set = s'.set && Bitset.equal s.newly s'.newly)
-       a b
-
 (* Driver probes: every field of every shard. *)
 let same_scg_result (a : Scg.result) (b : Scg.result) =
   Float.equal a.Scg.bstar b.Scg.bstar
@@ -981,7 +998,7 @@ let same_scg_result (a : Scg.result) (b : Scg.result) =
   && Array.length a.Scg.group_cost = Array.length b.Scg.group_cost
   && Array.for_all2 (Array.for_all2 Float.equal) a.Scg.group_cost
        b.Scg.group_cost
-  && Array.for_all2 same_selections a.Scg.selections b.Scg.selections
+  && Array.for_all2 ( = ) a.Scg.selections b.Scg.selections
 
 let same_grid_results a b =
   List.length a = List.length b && List.for_all2 same_scg_result a b
@@ -1023,28 +1040,18 @@ let grid_case ?(scale = 0.05) ~n sets =
       (sets @ List.map (fun (m, c, g) -> (List.map (( + ) n) m, c, g + ga)) copy)
   in
   let project (r : Scg_ref.result) =
-    let side lo (s : Mcg.selection) =
-      let newly = Bitset.create n in
-      Bitset.iter
-        (fun e -> if e >= lo && e < lo + n then Bitset.add newly (e - lo))
-        s.newly;
-      { Mcg.set = s.set - (if lo = 0 then 0 else sa); newly }
-    in
-    let sels = Scg_ref.selections r in
+    let ids = ids_of (Scg_ref.selections r) in
     let gc = r.Scg_ref.group_cost in
     {
       Scg.bstar = r.Scg_ref.bstar;
       feasible = r.Scg_ref.feasible;
       selections =
         [|
-          List.filter_map
-            (fun (s : Mcg.selection) ->
-              if s.set < sa then Some (side 0 s) else None)
-            sels;
-          List.filter_map
-            (fun (s : Mcg.selection) ->
-              if s.set >= sa then Some (side n s) else None)
-            sels;
+          Array.of_seq (Seq.filter (fun j -> j < sa) (Array.to_seq ids));
+          Array.of_seq
+            (Seq.filter_map
+               (fun j -> if j >= sa then Some (j - sa) else None)
+               (Array.to_seq ids));
         |];
       group_cost =
         [| Array.sub gc 0 ga; Array.sub gc ga (Array.length gc - ga) |];
@@ -1061,7 +1068,7 @@ let of_ref (r : Scg_ref.result) =
   {
     Scg.bstar = r.Scg_ref.bstar;
     feasible = r.Scg_ref.feasible;
-    selections = [| Scg_ref.selections r |];
+    selections = [| ids_of (Scg_ref.selections r) |];
     group_cost = [| r.Scg_ref.group_cost |];
   }
 
@@ -1368,7 +1375,7 @@ let test_reuse_grid_shares_top () =
   let calls = ref [] in
   let probe top b =
     calls := (top, b) :: !calls;
-    (b, if Option.is_none top then 0.6 else -1.)
+    fun () -> (b, if Option.is_none top then 0.6 else -1.)
   in
   let results =
     Scg.reuse_grid
@@ -1408,11 +1415,7 @@ let prop_session_split_matches_round =
           if sp.Mcg.w1 >= sp.Mcg.w2 then (sp.Mcg.h1, sp.Mcg.cov1)
           else (sp.Mcg.h2, sp.Mcg.cov2)
         in
-        List.length kept = List.length r.Mcg.kept
-        && List.for_all2
-             (fun (s : Mcg.selection) (s' : Mcg.selection) ->
-               s.set = s'.set && Bitset.equal s.newly s'.newly)
-             kept r.Mcg.kept
+        kept = List.map (fun (s : Mcg.selection) -> s.set) r.Mcg.kept
         && Bitset.equal cov r.Mcg.covered
         && (Bitset.is_empty cov
            || (Bitset.diff_inplace remaining cov;
@@ -1421,14 +1424,7 @@ let prop_session_split_matches_round =
       go 4)
 
 let same_split (a : Mcg.split) (b : Mcg.split) =
-  let same_sels x y =
-    List.length x = List.length y
-    && List.for_all2
-         (fun (s : Mcg.selection) (s' : Mcg.selection) ->
-           s.set = s'.set && Bitset.equal s.newly s'.newly)
-         x y
-  in
-  same_sels a.Mcg.h1 b.Mcg.h1 && same_sels a.Mcg.h2 b.Mcg.h2
+  a.Mcg.h1 = b.Mcg.h1 && a.Mcg.h2 = b.Mcg.h2
   && Bitset.equal a.Mcg.cov1 b.Mcg.cov1
   && Bitset.equal a.Mcg.cov2 b.Mcg.cov2
   && Float.equal a.Mcg.w1 b.Mcg.w1

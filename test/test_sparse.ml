@@ -710,6 +710,88 @@ let qcheck_slice =
     QCheck.(int_range 0 10_000)
     slice_matches
 
+(* Every shard's covering instance, built straight from the parent's
+   planes, = the reduction of the extracted sub-instance: the same sets
+   (members), costs, groups and payloads in the same order, and the same
+   universe, with and without the budget filter — on the cases of
+   [slice_matches]: random multi-shard instances with lost links and,
+   half the time, per-AP budgets. *)
+let check_shard_covers label p =
+  let _, n_users = Problem.dims p in
+  let pl = Shard.plan p in
+  let local = Array.make n_users (-1) in
+  List.iter
+    (fun (sh : Shard.shard) ->
+      Array.iteri (fun lu u -> local.(u) <- lu) sh.Shard.users)
+    pl.Shard.shards;
+  let module C = Optkit.Cover_instance in
+  List.iter
+    (fun (sh : Shard.shard) ->
+      let sub = Shard.extract p sh in
+      List.iter
+        (fun filter_over_budget ->
+          let what =
+            Fmt.str "%s: shard %d, filter %b" label sh.Shard.id
+              filter_over_budget
+          in
+          let a, universe =
+            Reduction.shard_cover ~filter_over_budget p ~aps:sh.Shard.aps
+              ~local ~n_local:(Array.length sh.Shard.users)
+          in
+          let b = Reduction.cover_instance ~filter_over_budget sub in
+          Alcotest.(check int) (what ^ ": sets") (C.n_sets b) (C.n_sets a);
+          Alcotest.(check int) (what ^ ": groups") (C.n_groups b) (C.n_groups a);
+          Alcotest.(check int) (what ^ ": elements") (C.n_elements b)
+            (C.n_elements a);
+          for j = 0 to C.n_sets a - 1 do
+            if not (Optkit.Bitset.equal (C.set a j) (C.set b j)) then
+              Alcotest.failf "%s: members of set %d differ" what j;
+            if not (Float.equal (C.cost a j) (C.cost b j)) then
+              Alcotest.failf "%s: cost %d differs" what j;
+            if C.group a j <> C.group b j then
+              Alcotest.failf "%s: group %d differs" what j;
+            let x = C.payload a j and y = C.payload b j in
+            if
+              x.Reduction.ap <> y.Reduction.ap
+              || x.Reduction.session <> y.Reduction.session
+              || not (Float.equal x.Reduction.tx_rate y.Reduction.tx_rate)
+            then Alcotest.failf "%s: payload %d differs" what j
+          done;
+          if
+            not
+              (Optkit.Bitset.equal universe (Reduction.coverable_users sub))
+          then Alcotest.failf "%s: universe differs" what)
+        [ false; true ])
+    pl.Shard.shards
+
+let shard_covers_match seed =
+  let _, _, ps = case ~seed () in
+  check_shard_covers "random, no loss" ps;
+  let rng = Random.State.make [| seed; 0xc0fe |] in
+  let n_aps, n_users = Problem.dims ps in
+  let p =
+    if Random.State.bool rng then
+      Problem.with_ap_budgets ps
+        (Array.init n_aps (fun _ -> Random.State.float rng 1.))
+    else ps
+  in
+  let p = Problem.copy_for_mutation p in
+  for u = 0 to n_users - 1 do
+    List.iter
+      (fun a ->
+        if Random.State.int rng 5 = 0 then
+          Problem.set_link_rate p ~ap:a ~user:u 0.)
+      (Problem.neighbor_aps p u)
+  done;
+  check_shard_covers "random" p;
+  true
+
+let qcheck_shard_cover =
+  QCheck.Test.make ~name:"shard cover from the parent = cover of the extract"
+    ~count:60
+    QCheck.(int_range 0 10_000)
+    shard_covers_match
+
 (* [iter_member_users] walks an AP with no lost slot without reading
    rates, so the per-AP lost counts must follow every rate write: links
    lost and re-armed at random, then masked, rate-mapped to zero and
@@ -1049,6 +1131,7 @@ let qcheck_cases =
       qcheck_shard_total;
       qcheck_shard_vector;
       qcheck_slice;
+      qcheck_shard_cover;
       qcheck_member_users;
     ]
 
