@@ -10,20 +10,19 @@ let name = "MLA-centralized"
 
 let c_runs = Wlan_obs.Counters.make "mla.runs"
 
-let solution_of ~algorithm p inst (r : Optkit.Set_cover.result) =
-  let assoc =
-    Reduction.association_of_selections p inst
-      (List.map
-         (fun (s : Optkit.Set_cover.selection) -> (s.set, s.newly))
-         r.Optkit.Set_cover.chosen)
-  in
-  Solution.make ~algorithm p assoc
+let solution_of ~algorithm p inst ~universe (r : Optkit.Set_cover.result) =
+  Reduction.association_of_sets inst ~universe
+    (List.map
+       (fun (s : Optkit.Set_cover.selection) -> s.set)
+       r.Optkit.Set_cover.chosen)
+  |> Solution.make ~algorithm p
 
 let run p =
   Wlan_obs.Counters.incr c_runs;
   let inst = Reduction.cover_instance p in
   let universe = Reduction.coverable_users p in
-  solution_of ~algorithm:name p inst (Optkit.Set_cover.greedy ~universe inst)
+  solution_of ~algorithm:name p inst ~universe
+    (Optkit.Set_cover.greedy ~universe inst)
 
 (** The layering alternative the paper mentions (§6.1): an f-approximation
     where [f] is the largest number of (AP, session, rate) subsets any one
@@ -32,7 +31,7 @@ let run_layered p =
   Wlan_obs.Counters.incr c_runs;
   let inst = Reduction.cover_instance p in
   let universe = Reduction.coverable_users p in
-  solution_of ~algorithm:"MLA-layered" p inst
+  solution_of ~algorithm:"MLA-layered" p inst ~universe
     (Optkit.Set_cover.layered ~universe inst)
 
 (** LP-relaxation rounding, also an f-approximation; solves a dense LP, so
@@ -43,7 +42,7 @@ let run_lp_rounding p =
   let inst = Reduction.cover_instance p in
   let universe = Reduction.coverable_users p in
   Option.map
-    (solution_of ~algorithm:"MLA-lp-rounding" p inst)
+    (solution_of ~algorithm:"MLA-lp-rounding" p inst ~universe)
     (Optkit.Set_cover.lp_rounding ~universe inst)
 
 (** Explicit interference modeling — the paper's §8 future work.
@@ -93,11 +92,5 @@ let run_interference_aware ~(channels : Wlan_model.Channels.assignment)
       ~sets ~costs ~group_of ~n_groups:n_aps ~payload ()
   in
   let universe = Reduction.coverable_users p in
-  let g = Optkit.Set_cover.greedy ~universe weighted in
-  let assoc =
-    Reduction.association_of_selections p weighted
-      (List.map
-         (fun (s : Optkit.Set_cover.selection) -> (s.set, s.newly))
-         g.Optkit.Set_cover.chosen)
-  in
-  Solution.make ~algorithm:"MLA-interference-aware" p assoc
+  solution_of ~algorithm:"MLA-interference-aware" p weighted ~universe
+    (Optkit.Set_cover.greedy ~universe weighted)

@@ -27,11 +27,11 @@ let run_weighted ~weights p =
     Array.init (Optkit.Cover_instance.n_groups inst) (Problem.ap_budget p)
   in
   let r = Optkit.Mcg.greedy ~element_weights:weights inst ~budgets ~universe () in
-  let assoc =
-    Reduction.association_of_selections p inst
-      (List.map (fun (s : Optkit.Mcg.selection) -> (s.set, s.newly)) r.kept)
+  let sol =
+    Reduction.association_of_sets inst ~universe
+      (List.map (fun (s : Optkit.Mcg.selection) -> s.set) r.kept)
+    |> Solution.make ~algorithm:"MNU-weighted" p
   in
-  let sol = Solution.make ~algorithm:"MNU-weighted" p assoc in
   let revenue =
     Array.to_list (Array.mapi (fun u a -> (u, a)) sol.Solution.assoc)
     |> List.fold_left

@@ -23,17 +23,10 @@ let mla ?node_limit p =
   | None -> None
   | Some r ->
       (* attribute each covered user to the first chosen set covering it *)
-      let x' = Optkit.Bitset.copy universe in
-      let sels =
-        List.map
-          (fun j ->
-            let newly = Optkit.Bitset.inter (Optkit.Cover_instance.set inst j) x' in
-            Optkit.Bitset.diff_inplace x' newly;
-            (j, newly))
-          r.sets
+      let solution =
+        Reduction.association_of_sets inst ~universe r.sets
+        |> Solution.make ~algorithm:"MLA-optimal" p
       in
-      let assoc = Reduction.association_of_selections p inst sels in
-      let solution = Solution.make ~algorithm:"MLA-optimal" p assoc in
       Some
         { value = solution.total_load; solution;
           proved_optimal = r.proved_optimal }
@@ -112,19 +105,10 @@ let mnu ?node_limit ?initial_bound p =
         List.init n_y Fun.id
         |> List.filter (fun j -> sol.x.(j) > 0.5)
       in
-      let x' = Optkit.Bitset.copy universe in
-      let sels =
-        List.map
-          (fun j ->
-            let newly =
-              Optkit.Bitset.inter (Optkit.Cover_instance.set inst j) x'
-            in
-            Optkit.Bitset.diff_inplace x' newly;
-            (j, newly))
-          chosen
+      let solution =
+        Reduction.association_of_sets inst ~universe chosen
+        |> Solution.make ~algorithm:"MNU-optimal" p
       in
-      let assoc = Reduction.association_of_selections p inst sels in
-      let solution = Solution.make ~algorithm:"MNU-optimal" p assoc in
       Some
         {
           value = solution.satisfied;
@@ -188,19 +172,10 @@ let bla ?node_limit ?initial_bound p =
       let chosen =
         List.init n_y Fun.id |> List.filter (fun j -> sol.x.(j) > 0.5)
       in
-      let x' = Optkit.Bitset.copy universe in
-      let sels =
-        List.map
-          (fun j ->
-            let newly =
-              Optkit.Bitset.inter (Optkit.Cover_instance.set inst j) x'
-            in
-            Optkit.Bitset.diff_inplace x' newly;
-            (j, newly))
-          chosen
+      let solution =
+        Reduction.association_of_sets inst ~universe chosen
+        |> Solution.make ~algorithm:"BLA-optimal" p
       in
-      let assoc = Reduction.association_of_selections p inst sels in
-      let solution = Solution.make ~algorithm:"BLA-optimal" p assoc in
       Some
         {
           value = solution.max_load;

@@ -21,24 +21,14 @@ open Wlan_model
     [session] at rate [tx_rate]. *)
 type tx = { ap : int; session : int; tx_rate : float }
 
-let pp_tx ppf { ap; session; tx_rate } =
-  Fmt.pf ppf "a%d:s%d@%g" ap session tx_rate
-
-(** [shard_cover ~filter_over_budget p ~aps ~local ~n_local] builds the
-    covering instance of the sub-problem on the APs [aps] (ascending
-    global indices; group [g] is AP [aps.(g)]) and the users [local]
-    maps to [0, n_local) (global user -> local index, [-1] outside),
-    straight from [p]'s member planes: no sub-problem is built. Returns
-    it with its universe, the local users that hear one of [aps]. When
-    [filter_over_budget] (used by MNU), subsets costing more than the AP
-    budget are dropped — they can never appear in a feasible solution,
-    and the MCG analysis assumes every set fits its group's budget.
-
-    Allocation-free up to the instance (DESIGN.md §4.12): pass 1 counts
-    the sets and members, pass 2 fills exact-size planes from the end.
-    An AP's members, sorted by session, then by rate, form one segment
-    per session in the member plane, and its sets are the segment's
-    suffixes. *)
+(** [shard_cover] (see the interface) reads [p]'s member planes only.
+    [filter_over_budget] (MNU) drops subsets costing more than the AP
+    budget: they can never be in a feasible solution, and the MCG
+    analysis assumes every set fits its group's budget. Allocation-free
+    up to the instance (DESIGN.md §4.12): pass 1 counts the sets and
+    members, pass 2 fills exact-size planes from the end. An AP's
+    members, sorted by session, then by rate, form one segment per
+    session of the member plane; its sets are the segments' suffixes. *)
 let shard_cover ~filter_over_budget p ~aps ~local ~n_local =
   let n_sessions = Problem.n_sessions p and links = p.Problem.links in
   let rates = p.Problem.session_rates and sess = p.Problem.user_session in
@@ -201,15 +191,19 @@ let coverable_users p =
   List.iter (Optkit.Bitset.add u) (Problem.coverable_users p);
   u
 
-(** Translate covering selections (set index + newly covered users) back
-    into a user→AP association: each user goes to the AP of the transmission
-    that first covered it. *)
-let association_of_selections p inst selections =
-  let _, n_users = Problem.dims p in
-  let assoc = Association.empty ~n_users in
+(** Each user goes to the group (AP) of the first chosen set, replayed
+    in order against [universe], that covers it. *)
+let association_of_sets inst ~universe sets =
+  let { Optkit.Cover_instance.members; lo; hi; group_of; _ } = inst in
+  let x' = Optkit.Bitset.copy universe in
+  let assoc = Association.empty ~n_users:(Optkit.Bitset.capacity x') in
   List.iter
-    (fun (set, newly) ->
-      let { ap; _ } = Optkit.Cover_instance.payload inst set in
-      Optkit.Bitset.iter (fun u -> Association.serve assoc ~user:u ~ap) newly)
-    selections;
+    (fun j ->
+      for i = lo.(j) to hi.(j) - 1 do
+        if Optkit.Bitset.mem x' members.(i) then begin
+          Optkit.Bitset.remove x' members.(i);
+          Association.serve assoc ~user:members.(i) ~ap:group_of.(j)
+        end
+      done)
+    sets;
   assoc

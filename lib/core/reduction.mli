@@ -10,8 +10,6 @@ open Wlan_model
 (** What a covering set means in WLAN terms. *)
 type tx = { ap : int; session : int; tx_rate : float }
 
-val pp_tx : Format.formatter -> tx -> unit
-
 (** Build the covering instance. With [filter_over_budget] (used by MNU),
     subsets costing more than the AP budget are dropped — they can never
     appear in a feasible solution, and the MCG analysis assumes every set
@@ -38,10 +36,9 @@ val shard_cover :
     least one AP. *)
 val coverable_users : Problem.t -> Optkit.Bitset.t
 
-(** Translate covering selections (set index, newly covered users) back
-    into a user→AP association. *)
-val association_of_selections :
-  Problem.t ->
-  tx Optkit.Cover_instance.t ->
-  (int * Optkit.Bitset.t) list ->
-  Association.t
+(** [association_of_sets inst ~universe sets] replays the chosen [sets]
+    in order against [universe]: each user goes to the AP (group) of the
+    first set covering it — over a {!shard_cover} instance, the shard's
+    local AP. *)
+val association_of_sets :
+  tx Optkit.Cover_instance.t -> universe:Optkit.Bitset.t -> int list -> Association.t

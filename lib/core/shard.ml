@@ -288,25 +288,6 @@ let shard_covers ~filter_over_budget p pl =
     Reduction.shard_cover ~filter_over_budget p ~aps:sh.aps ~local
       ~n_local:(Array.length sh.users)
 
-(* A shard's local association from its selected set ids: replayed in
-   order against the universe, each user goes to the group (local AP)
-   of the set that first covers it. *)
-let local_assoc ((inst : Reduction.tx Optkit.Cover_instance.t), universe) ids =
-  let { Optkit.Cover_instance.members; lo; hi; group_of; _ } = inst in
-  let x' = Optkit.Bitset.copy universe in
-  let assoc = Association.empty ~n_users:(Optkit.Bitset.capacity universe) in
-  Array.iter
-    (fun j ->
-      for i = lo.(j) to hi.(j) - 1 do
-        let u = members.(i) in
-        if Optkit.Bitset.mem x' u then begin
-          Optkit.Bitset.remove x' u;
-          Association.serve assoc ~user:u ~ap:group_of.(j)
-        end
-      done)
-    ids;
-  assoc
-
 (** [solve_mnu p] — sharded Centralized MNU: per-shard budgeted greedy,
     H1/H2 halves recomputed per shard and the keep decision made on the
     summed weights. [fanout] runs the per-shard solves (inject
@@ -320,14 +301,14 @@ let solve_mnu ?plan:pl ?(fanout = List.map (fun f -> f ())) p =
     fanout
       (List.map
          (fun sh () ->
-           let ((inst, universe) as shard) = cover sh in
+           let inst, universe = cover sh in
            let budgets = Array.map (Problem.ap_budget p) sh.aps in
            let sp =
              Optkit.Mcg.session_round_split
                (Optkit.Mcg.session inst ~budgets)
                ~remaining:universe
            in
-           let local_of half = local_assoc shard (Array.of_list half) in
+           let local_of = Reduction.association_of_sets inst ~universe in
            (sp.Optkit.Mcg.w1, sp.Optkit.Mcg.w2, local_of sp.Optkit.Mcg.h1,
             local_of sp.Optkit.Mcg.h2))
          pl.shards)
@@ -375,7 +356,10 @@ let solve_bla ?plan:pl ?mode ?n_guesses ?fanout p =
         let assoc = Association.empty ~n_users in
         Array.iteri
           (fun i sh ->
-            merge assoc sh (local_assoc covers.(i) r.selections.(i)))
+            let inst, universe = covers.(i) in
+            merge assoc sh
+              (Reduction.association_of_sets inst ~universe
+                 (Array.to_list r.selections.(i))))
           shards;
         Solution.make ~algorithm:bla_sharded_name p assoc
       in
@@ -385,14 +369,3 @@ let solve_bla ?plan:pl ?mode ?n_guesses ?fanout p =
              let s = solution r in
              if s.max_load < best.max_load -. 1e-12 then s else best)
            (solution first) rest)
-
-let pp_plan ppf pl =
-  Fmt.pf ppf "@[<v>%d shards (%d idle APs, %d uncovered users)@,%a@]"
-    (List.length pl.shards)
-    (Array.length pl.idle_aps)
-    (Array.length pl.uncovered)
-    Fmt.(
-      list ~sep:cut (fun ppf sh ->
-          pf ppf "shard %d: %d APs, %d users" sh.id (Array.length sh.aps)
-            (Array.length sh.users)))
-    pl.shards

@@ -119,5 +119,3 @@ val solve_bla :
     ((unit -> Optkit.Scg.result) list -> Optkit.Scg.result list) ->
   Problem.t ->
   Solution.t option
-
-val pp_plan : Format.formatter -> plan -> unit

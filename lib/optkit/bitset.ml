@@ -113,12 +113,7 @@ let of_list capacity l =
   List.iter (add t) l;
   t
 
-(** {1 Member slices}
-
-    A cover instance stores each set as a slice [a.(lo) .. a.(hi - 1)]
-    of one member plane; these read and write a bitset against such a
-    slice, word by word, without allocating. Members must lie in
-    [0, capacity) (the instance checks its plane once). *)
+(* Member slices: see the interface. *)
 
 let count_in t a lo hi =
   let k = ref 0 in
@@ -155,16 +150,6 @@ let move_in ~src ~dst a lo hi =
     end
   done;
   !k
-
-(** [fold_words f acc t] folds over the backing words (index, 62-bit
-    payload), skipping nothing: callers that fuse word-wise set algebra
-    with accumulation avoid materialising intermediate sets. *)
-let fold_words f acc t =
-  let acc = ref acc in
-  for i = 0 to Array.length t.words - 1 do
-    acc := f !acc i t.words.(i)
-  done;
-  !acc
 
 (* Visit the set bits of word [w] (based at [base]) in ascending order:
    peel the lowest set bit with [w land (-w)]; its index is the popcount

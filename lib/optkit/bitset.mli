@@ -54,29 +54,19 @@ val iter : (int -> unit) -> t -> unit
 val to_list : t -> int list
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 
-(** {1 Member slices}
+(** {1 Member slices} Set algebra, without allocating, against the
+    slice [a.(lo) .. a.(hi - 1)] of a member plane (a {!Cover_instance}
+    set), whose members must lie in [0, capacity). *)
 
-    Set algebra against the slice [a.(lo) .. a.(hi - 1)] of a member
-    plane — how {!Cover_instance} stores a set — without allocating.
-    Every member must lie in [0, capacity). *)
-
-(** [count_in t a lo hi] is how many members of the slice are in [t]. *)
+(** How many of the slice's members are in [t]. *)
 val count_in : t -> int array -> int -> int -> int
 
-(** [add_in t a lo hi] adds the slice's members to [t]. *)
 val add_in : t -> int array -> int -> int -> unit
-
-(** [remove_in t a lo hi] removes the slice's members from [t]. *)
 val remove_in : t -> int array -> int -> int -> unit
 
-(** [move_in ~src ~dst a lo hi] moves the slice's members that are in
-    [src] from [src] to [dst]; how many. *)
+(** [move_in ~src ~dst a lo hi] moves the slice's members in [src] to
+    [dst]; how many. *)
 val move_in : src:t -> dst:t -> int array -> int -> int -> int
-
-(** [fold_words f acc t] folds [f acc word_index word] over the backing
-    62-bit words in index order. The word payload is read-only data; use
-    it to fuse set algebra with accumulation (no intermediate set). *)
-val fold_words : ('a -> int -> int -> 'a) -> 'a -> t -> 'a
 
 (** [iter_inter f a b] visits the elements of [a ∩ b] in ascending
     order without allocating the intersection. *)

@@ -6,13 +6,7 @@
     paper's groups are "all subsets of one AP"). Ungrouped problems put
     every set in group 0. Each set carries an opaque payload so callers can
     map chosen sets back to their domain ((AP, session, rate) triples in the
-    reductions).
-
-    Sets are slices of one member plane (CSR): set [j] is
-    [members.(lo.(j)) .. members.(hi.(j) - 1)]. Slices may overlap — the
-    reductions' sets of one (AP, session) are suffixes of one segment —
-    so an instance costs a word per member slot plus a few per set,
-    whatever the ground set's size (DESIGN.md §4.12). *)
+    reductions). Sets are slices of one member plane (DESIGN.md §4.12). *)
 
 type 'a t = {
   n_elements : int;
@@ -31,11 +25,8 @@ let of_planes ~n_elements ~members ~lo ~hi ~costs ~group_of ~n_groups
   let m = Array.length costs in
   if Array.length lo <> m || Array.length hi <> m || Array.length group_of <> m
   then invalid_arg "Cover_instance: array length mismatch";
-  Array.iter
-    (fun e ->
-      if e < 0 || e >= n_elements then
-        invalid_arg "Cover_instance: member outside the ground set")
-    members;
+  if Array.exists (fun e -> e < 0 || e >= n_elements) members then
+    invalid_arg "Cover_instance: member outside the ground set";
   let coverable = Bitset.create n_elements in
   (* a loop, not [Array.iter]: a closure would box every cost *)
   for j = 0 to m - 1 do
@@ -51,43 +42,24 @@ let of_planes ~n_elements ~members ~lo ~hi ~costs ~group_of ~n_groups
 
 let make ~n_elements ~sets ~costs ?group_of ?n_groups ~payload () =
   let m = Array.length sets in
-  if Array.length costs <> m || Array.length payload <> m then
+  if Array.length payload <> m then
     invalid_arg "Cover_instance.make: array length mismatch";
-  Array.iter
-    (fun s ->
-      if Bitset.capacity s <> n_elements then
-        invalid_arg "Cover_instance.make: set capacity mismatch")
-    sets;
-  let group_of = match group_of with Some g -> g | None -> Array.make m 0 in
-  if Array.length group_of <> m then
-    invalid_arg "Cover_instance.make: group_of length mismatch";
+  if Array.exists (fun s -> Bitset.capacity s <> n_elements) sets then
+    invalid_arg "Cover_instance.make: set capacity mismatch";
+  let group_of = Option.value group_of ~default:(Array.make m 0) in
   let n_groups =
-    let min_groups =
-      Array.fold_left (fun acc g -> Int.max acc (g + 1)) 0 group_of
-    in
-    match n_groups with
-    | Some n when n < min_groups ->
-        invalid_arg "Cover_instance.make: n_groups below max group index"
-    | Some n -> n
-    | None -> min_groups
+    Option.value n_groups
+      ~default:(Array.fold_left (fun acc g -> Int.max acc (g + 1)) 0 group_of)
   in
+  let slices = Array.map (fun s -> Array.of_list (Bitset.to_list s)) sets in
   let hi = Array.make m 0 in
   Array.iteri
-    (fun j s -> hi.(j) <- (if j = 0 then 0 else hi.(j - 1)) + Bitset.cardinal s)
-    sets;
-  let lo = Array.init m (fun j -> if j = 0 then 0 else hi.(j - 1)) in
-  let members = Array.make (if m = 0 then 0 else hi.(m - 1)) 0 in
-  Array.iteri
-    (fun j s ->
-      let k = ref lo.(j) in
-      Bitset.iter
-        (fun e ->
-          members.(!k) <- e;
-          incr k)
-        s)
-    sets;
-  of_planes ~n_elements ~members ~lo ~hi ~costs ~group_of ~n_groups
-    ~payload:(Array.get payload)
+    (fun j a -> hi.(j) <- (if j = 0 then 0 else hi.(j - 1)) + Array.length a)
+    slices;
+  of_planes ~n_elements
+    ~members:(Array.concat (Array.to_list slices))
+    ~lo:(Array.mapi (fun j h -> h - Array.length slices.(j)) hi)
+    ~hi ~costs ~group_of ~n_groups ~payload:(Array.get payload)
 
 let n_sets t = Array.length t.costs
 let n_elements t = t.n_elements

@@ -141,23 +141,3 @@ val coverage : result -> int
 
 (** Check the budget constraint of a result. *)
 val within_budgets : result -> budgets:float array -> bool
-
-(** {1 Exact solver} *)
-
-type exact_result = {
-  sets : int list;
-  exact_covered : Bitset.t;
-  coverage_weight : float;  (** weighted coverage of [sets] *)
-  proved_optimal : bool;  (** false when [node_limit] was exhausted *)
-}
-
-(** Exact MCG by branch and bound (include/exclude per set, reachability
-    bound). Exponential in the set count; tiny instances only. *)
-val exact :
-  ?node_limit:int ->
-  ?element_weights:float array ->
-  'a Cover_instance.t ->
-  budgets:float array ->
-  ?universe:Bitset.t ->
-  unit ->
-  exact_result

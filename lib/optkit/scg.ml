@@ -83,16 +83,14 @@ let grid_points ?(n_guesses = 12) lo =
 let replays ~bound b = bound <= b -. 1e-9
 
 (** Exact B* probe reuse over a grid. [probe top b] prepares the guess
-    [b], taking what it needs of the top record [top]; applied to [()],
-    it runs and returns its result with a record [w] of the run; [bound
-    w] is the run's reuse bound over all of its sessions (see
-    {!replays}). The largest guess [B_top] runs first, on its own, as
-    [probe None B_top ()]; every guess [b] at which that run {!replays},
-    and every copy of [B_top], yields [reuse top b]. The remaining
-    guesses are prepared in grid order as [probe (Some w) b], before any
-    of them runs, and go through [fanout]: no thunk holds [w] itself, so
-    each part of it lives only as long as some pending probe took it.
-    Results come back in grid order. *)
+    [b]; applied to [()], it runs and returns its result with a record
+    [w] of the run; [bound w] is the run's reuse bound over all of its
+    sessions (see {!replays}). The largest guess [B_top] runs first, on
+    its own, as [probe None B_top ()]; every guess [b] at which that run
+    {!replays}, and every copy of [B_top], yields [reuse top b]. The
+    remaining guesses are prepared as [probe (Some w) b], all before
+    [fanout] runs them, so no thunk holds [w] itself. Results come back
+    in grid order. *)
 let reuse_grid ~fanout ~bound ~probe ~reuse grid =
   match grid with
   | [] -> []
@@ -135,16 +133,11 @@ type 'a shard_run = {
   first : 'a Mcg.first_round option;
 }
 
-(* How a lower probe takes a shard: replaying the top run's kept-H1
-   splits (its reuse bound and the splits), or solving it, resuming the
-   top's first round when there is one. *)
-type 'a plan = Replay of float * Mcg.split list | Fresh of 'a Mcg.first_round option
-
-(* Where a running probe takes a shard's splits from: its own session,
-   or the top run's splits still to replay. *)
+(* Where a probe takes a shard's splits from: its own session, or the
+   top run (its reuse bound and the kept-H1 splits still to replay). *)
 type 'a source =
   | Solve of 'a Mcg.session
-  | Replaying of float * Mcg.split list
+  | Replay of float * Mcg.split list
 
 (** [solve_grid shards ~grid] — each probe runs every shard's SCG rounds
     in lockstep through {!Mcg.session}s, making the per-round H1/H2
@@ -173,13 +166,14 @@ let solve_grid ?(mode = `Soft) ?(fanout = List.map (fun f -> f ())) shards
       (Array.fold_left (fun acc (_, u) -> acc + Bitset.cardinal u) 0 shards)
   in
   let max_costs = Array.map (fun (inst, _) -> Cover_instance.max_cost inst) shards in
+  (* per shard, the top's splits to replay or the first round to resume *)
   let prepare top bstar =
     let reusable t = t.emptied && replays ~bound:t.bound bstar in
     Array.init ns (fun i ->
         match top with
-        | Some t when reusable t.(i) -> Replay (t.(i).bound, t.(i).kept_h1)
-        | Some t -> Fresh t.(i).first
-        | None -> Fresh None)
+        | Some t when reusable t.(i) -> Either.Left (t.(i).bound, t.(i).kept_h1)
+        | Some t -> Either.Right t.(i).first
+        | None -> Either.Right None)
   in
   let run plans bstar =
     Wlan_obs.Counters.incr c_solves;
@@ -188,8 +182,8 @@ let solve_grid ?(mode = `Soft) ?(fanout = List.map (fun f -> f ())) shards
       Array.mapi
         (fun i plan ->
           match plan with
-          | Replay (b, splits) -> Replaying (b, splits)
-          | Fresh first ->
+          | Either.Left (b, splits) -> Replay (b, splits)
+          | Either.Right first ->
               let inst = fst shards.(i) in
               let session =
                 Mcg.session ~mode ~arena inst
@@ -201,7 +195,7 @@ let solve_grid ?(mode = `Soft) ?(fanout = List.map (fun f -> f ())) shards
     in
     Wlan_obs.Counters.add c_shard_reuses
       (Array.fold_left
-         (fun acc -> function Replaying _ -> acc + 1 | Solve _ -> acc)
+         (fun acc -> function Replay _ -> acc + 1 | Solve _ -> acc)
          0 sources);
     let remaining = Array.map (fun (_, u) -> Bitset.copy u) shards in
     let sels = Array.make ns [] (* set ids per shard, reversed *) in
@@ -224,7 +218,7 @@ let solve_grid ?(mode = `Soft) ?(fanout = List.map (fun f -> f ())) shards
                  match source with
                  | Solve session ->
                      Some (Mcg.session_round_split session ~remaining:remaining.(i))
-                 | Replaying (_, pending) -> Some (List.hd pending))
+                 | Replay (_, pending) -> Some (List.hd pending))
              sources
          in
          let w1 = ref 0. and w2 = ref 0. in
@@ -256,8 +250,8 @@ let solve_grid ?(mode = `Soft) ?(fanout = List.map (fun f -> f ())) shards
                  if keep_h1 then begin
                    kept_h1.(i) <- sp :: kept_h1.(i);
                    match sources.(i) with
-                   | Replaying (b, pending) ->
-                       sources.(i) <- Replaying (b, List.tl pending)
+                   | Replay (b, pending) ->
+                       sources.(i) <- Replay (b, List.tl pending)
                    | Solve _ -> ()
                  end))
            splits
@@ -271,13 +265,13 @@ let solve_grid ?(mode = `Soft) ?(fanout = List.map (fun f -> f ())) shards
               (match source with
               | Solve session ->
                   Float.max (Mcg.session_witness session) max_costs.(i)
-              | Replaying (b, _) -> b);
+              | Replay (b, _) -> b);
             emptied = Bitset.is_empty remaining.(i);
             kept_h1 = List.rev kept_h1.(i);
             first =
               (match source with
               | Solve session -> Mcg.first_round session
-              | Replaying _ -> None);
+              | Replay _ -> None);
           })
         sources
     in

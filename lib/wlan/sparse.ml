@@ -250,10 +250,8 @@ let iter_member_users t a f =
     if in_range || t.cand_rate.(t.memb_slot.(i)) > 0. then f t.memb_user.(i)
   done
 
-(** [fill_members t a ~users ~rates] writes AP [a]'s in-range members
-    into [users]/[rates], ascending user order, and returns how many (at
-    most [member_degree t a]). Allocates nothing: how cover instances
-    read an AP's receivers. *)
+(** [fill_members t a ~users ~rates]: AP [a]'s in-range members into the
+    planes, ascending user order; how many. Allocates nothing. *)
 let fill_members t a ~users ~rates =
   let d = ref 0 in
   for i = t.ap_off.(a) to t.ap_off.(a + 1) - 1 do

@@ -88,8 +88,8 @@ let test_reduction_budget_filter () =
 let test_reduction_association_mapping () =
   let inst = Reduction.cover_instance fig1_mnu in
   let j = Option.get (find_subset inst (0, 1, 4.)) in
-  let newly = Optkit.Bitset.of_list 5 [ 1; 3 ] in
-  let assoc = Reduction.association_of_selections fig1_mnu inst [ (j, newly) ] in
+  let universe = Optkit.Bitset.of_list 5 [ 1; 3 ] in
+  let assoc = Reduction.association_of_sets inst ~universe [ j ] in
   Alcotest.(check (option int)) "u2 -> a1" (Some 0) (Association.ap_of assoc 1);
   Alcotest.(check (option int)) "u4 -> a1" (Some 0) (Association.ap_of assoc 3);
   Alcotest.(check (option int)) "u5 unassigned" None (Association.ap_of assoc 4)

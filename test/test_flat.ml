@@ -430,7 +430,7 @@ let unsharded_mnu p =
   let r =
     Optkit.Mcg.greedy inst ~budgets ~universe:(Reduction.coverable_users p) ()
   in
-  Reduction.association_of_selections p inst
+  Cover_ref.association_of_selections p inst
     (List.map (fun (s : Optkit.Mcg.selection) -> (s.set, s.newly)) r.kept)
   |> Solution.make ~algorithm:Mnu.name p
 
@@ -519,7 +519,7 @@ let exhaustive_bla ~mode ~n_guesses p =
       (Scg_ref.default_grid ~n_guesses ~universe inst)
   in
   let solution r =
-    Reduction.association_of_selections p inst
+    Cover_ref.association_of_selections p inst
       (List.map
          (fun (s : Optkit.Mcg.selection) -> (s.set, s.newly))
          (Scg_ref.selections r))

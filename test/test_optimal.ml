@@ -113,12 +113,12 @@ let prop_ilp_agrees_with_exact_mcg =
           (Optkit.Cover_instance.n_groups inst)
           (Problem.ap_budget p)
       in
-      let mcg = Optkit.Mcg.exact inst ~budgets ~universe () in
+      let mcg = Mcg_exact.exact inst ~budgets ~universe () in
       let ilp_value =
         match Optimal.mnu p with Some v -> v.Optimal.value | None -> 0
       in
-      mcg.Optkit.Mcg.proved_optimal
-      && int_of_float (mcg.Optkit.Mcg.coverage_weight +. 0.5) = ilp_value)
+      mcg.Mcg_exact.proved_optimal
+      && int_of_float (mcg.Mcg_exact.coverage_weight +. 0.5) = ilp_value)
 
 let prop_greedy_never_beats_exact =
   QCheck.Test.make ~name:"greedy solutions never beat the exact optimum"

@@ -709,7 +709,7 @@ let prop_mcg_exact_matches_brute_force =
       let inst = mk_grouped ~n sets in
       let n_groups = Cover_instance.n_groups inst in
       let budgets = Array.make n_groups budget in
-      let e = Mcg.exact inst ~budgets () in
+      let e = Mcg_exact.exact inst ~budgets () in
       (* brute force *)
       let m = Cover_instance.n_sets inst in
       let best = ref 0 in
@@ -727,8 +727,8 @@ let prop_mcg_exact_matches_brute_force =
         if Array.for_all2 (fun c b -> c <= b +. 1e-9) cost_per_group budgets
         then best := max !best (Bitset.cardinal covered)
       done;
-      e.Mcg.proved_optimal
-      && int_of_float (e.Mcg.coverage_weight +. 0.5) = !best)
+      e.Mcg_exact.proved_optimal
+      && int_of_float (e.Mcg_exact.coverage_weight +. 0.5) = !best)
 
 let prop_greedy_mcg_within_8_of_exact =
   QCheck.Test.make ~name:"greedy MCG within 8x of exact MCG" ~count:100
@@ -738,8 +738,8 @@ let prop_greedy_mcg_within_8_of_exact =
       let inst = mk_grouped ~n sets in
       let budgets = Array.make (Cover_instance.n_groups inst) budget in
       let g = Mcg.greedy inst ~budgets () in
-      let e = Mcg.exact inst ~budgets () in
-      float_of_int (8 * Mcg.coverage g) +. 1e-9 >= e.Mcg.coverage_weight)
+      let e = Mcg_exact.exact inst ~budgets () in
+      float_of_int (8 * Mcg.coverage g) +. 1e-9 >= e.Mcg_exact.coverage_weight)
 
 let test_mcg_weighted_validation () =
   let inst = mk_grouped ~n:2 [ ([ 0; 1 ], 0.5, 0) ] in
