@@ -75,21 +75,19 @@ let run_interference_aware ~(channels : Wlan_model.Channels.assignment)
       end)
     channels.Wlan_model.Channels.conflict_edges;
   let inst = Reduction.cover_instance p in
-  (* rebuild the instance with interference-weighted costs *)
-  let m = Optkit.Cover_instance.n_sets inst in
-  let sets = Array.init m (Optkit.Cover_instance.set inst) in
-  let payload = Array.init m (Optkit.Cover_instance.payload inst) in
-  let group_of = Array.init m (Optkit.Cover_instance.group inst) in
+  (* the same sets over the same planes, at interference-weighted costs *)
+  let { Optkit.Cover_instance.n_elements; members; lo; hi; group_of; payload; _ }
+      =
+    inst
+  in
   let costs =
-    Array.init m (fun j ->
-        let a = group_of.(j) in
+    Array.init (Optkit.Cover_instance.n_sets inst) (fun j ->
         Optkit.Cover_instance.cost inst j
-        *. (1. +. (lambda *. float_of_int degree.(a))))
+        *. (1. +. (lambda *. float_of_int degree.(group_of.(j)))))
   in
   let weighted =
-    Optkit.Cover_instance.make
-      ~n_elements:(Optkit.Cover_instance.n_elements inst)
-      ~sets ~costs ~group_of ~n_groups:n_aps ~payload ()
+    Optkit.Cover_instance.of_planes ~n_elements ~members ~lo ~hi ~costs
+      ~group_of ~n_groups:n_aps ~payload
   in
   let universe = Reduction.coverable_users p in
   solution_of ~algorithm:"MLA-interference-aware" p weighted ~universe

@@ -50,10 +50,10 @@ let cover_instance ?(filter_over_budget = false) p =
   Optkit.Cover_instance.make ~n_elements:n_users ~sets ~costs ~group_of
     ~n_groups:n_aps ~payload ()
 
-(* The attribution the library once took: (set, newly covered users)
-   pairs, each user to the AP of its pair. The unsharded references map
-   their runs back through it, so [Reduction.association_of_sets]'
-   replay of bare set ids is checked against per-round attributions. *)
+(* Attribution by (set, newly covered users) pairs: each user goes to
+   the AP of its pair. The unsharded references map their runs back
+   through it, so the drivers' replay of bare set ids
+   ([Reduction.association_of_sets]) is held to per-round attributions. *)
 let association_of_selections p inst selections =
   let _, n_users = Problem.dims p in
   let assoc = Association.empty ~n_users in
