@@ -84,11 +84,7 @@ let shard_cover ~filter_over_budget p ~aps ~local ~n_local =
     let k = ref 0 in
     for i = lo to hi - 1 do
       let d = ref 0 in
-      (* rates are finite and positive: compared in place, where a
-         [Float.compare] call would box both under [-opaque] *)
-      while !d < !k && (dr.(!d) < link_rate.(i) || dr.(!d) > link_rate.(i)) do
-        incr d
-      done;
+      while !d < !k && Float.compare dr.(!d) link_rate.(i) <> 0 do incr d done;
       if !d = !k then begin
         dr.(!k) <- link_rate.(i);
         incr k
@@ -155,10 +151,7 @@ let shard_cover ~filter_over_budget p ~aps ~local ~n_local =
           members.(base + i) <- local.(users.(i))
         done;
         for q = hi - 1 downto lo do
-          if
-            q = lo
-            || link_rate.(q) < link_rate.(q - 1)
-            || link_rate.(q) > link_rate.(q - 1)
+          if q = lo || Float.compare link_rate.(q) link_rate.(q - 1) <> 0
           then begin
             decr n_sets;
             set_lo.(!n_sets) <- base + q;
