@@ -113,8 +113,6 @@ let of_list capacity l =
   List.iter (add t) l;
   t
 
-(* Member slices: see the interface. *)
-
 let count_in t a lo hi =
   let k = ref 0 in
   for i = lo to hi - 1 do
