@@ -2,16 +2,17 @@
 
     A bank holds one max-heap per group in two flat planes — a float
     priority plane and an int value plane — laid out CSR-style by a fixed
-    per-group capacity: append + sift-up on push, move-last + sift-down
-    on pop, stale tops re-inserted by {!pop_max}, with no [{prio; value}]
-    record allocated per entry. Equal priorities resolve toward the lower
-    value, a total order, so pop results are independent of layout.
+    per-group capacity: append + sift-up on push, re-key + sift-down when
+    {!top} validates a root, move-last + sift on {!remove}, with no
+    [{prio; value}] record allocated per entry. Equal priorities resolve
+    toward the lower value, a total order, so the root — and with it
+    every {!top} result — depends only on the multiset of entries, never
+    on layout history.
 
-    Capacities are fixed at {!make}: the greedy cores never hold more
-    entries per group than they seed (pops precede re-pushes), so the
-    seed count is a static bound. Planes can live in an {!Arena} and be
-    reused across probes; {!clear} resets every heap to empty without
-    touching the planes. *)
+    Capacities are fixed at {!make}: the greedy cores only push while
+    seeding, so the seed count is a static bound. Planes can live in an
+    {!Arena} and be reused across probes; {!clear} resets every heap to
+    empty without touching the planes. *)
 
 type t = {
   prio : float array;  (** priority plane, CSR by [off] *)
@@ -20,8 +21,9 @@ type t = {
   size : int array;  (** live entries per group *)
   n_groups : int;
   cell : float array;
-      (** one slot: the priority {!push} inserts and {!pop_max}
-          returns, so no float crosses a module boundary boxed *)
+      (** one slot: the priority {!push} inserts and {!top}'s
+          [revalidate] writes, so no float crosses a module boundary
+          boxed *)
 }
 
 let make ?arena ?(slot = "flat_heap") ~capacities () =
@@ -70,6 +72,7 @@ let rec sift_up t ~base i =
     end
   end
 
+(* returns the entry's final heap position *)
 let rec sift_down t ~base ~size i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
   let m = if l < size && beats t (base + l) (base + i) then l else i in
@@ -78,6 +81,7 @@ let rec sift_down t ~base ~size i =
     swap t (base + i) (base + m);
     sift_down t ~base ~size m
   end
+  else i
 
 let push t g v =
   let base = t.off.(g) in
@@ -89,30 +93,41 @@ let push t g v =
   t.size.(g) <- sz + 1;
   sift_up t ~base sz
 
-(** [pop_max t g ~revalidate] pops group [g]'s element with the maximal
-    {e fresh} priority, which [revalidate v] leaves in [cell] (stale tops
-    re-inserted, [neg_infinity] dropped, accept within [1e-12] of the
-    stored bound). Returns [-1] when the heap empties; otherwise the
-    value, with its fresh priority in [cell]. *)
-let rec pop_max t g ~revalidate =
-  let sz = t.size.(g) - 1 in
-  if sz < 0 then -1
+(** [remove t g i] deletes the entry at plane index [i]: the last entry
+    takes its place and sifts whichever way restores the order. *)
+let remove t g i =
+  let base = t.off.(g) in
+  let k = i - base and sz = t.size.(g) - 1 in
+  if k < 0 || k > sz then invalid_arg "Flat_heap.remove: no such entry";
+  t.size.(g) <- sz;
+  if k < sz then begin
+    t.prio.(i) <- t.prio.(base + sz);
+    t.value.(i) <- t.value.(base + sz);
+    if sift_down t ~base ~size:sz k = k then sift_up t ~base k
+  end
+
+(** [top t g ~revalidate] validates group [g]'s root in place: dropped
+    when [revalidate] writes [neg_infinity] to [cell], otherwise re-keyed
+    to that fresh priority and sifted down. A root within [1e-12] of its
+    stored bound is the answer, still in the heap; a stale one sends the
+    loop to the next root. The multiset after each step is the one a
+    pop and a re-push at the fresh priority would leave, so the sequence
+    of revalidations is that of a pop-based lazy heap. Returns the
+    answer's plane index, or [-1] when the heap empties. *)
+let rec top t g ~revalidate =
+  if t.size.(g) = 0 then -1
   else begin
     let base = t.off.(g) in
-    let v = t.value.(base) and stored = t.prio.(base) in
-    t.size.(g) <- sz;
-    if sz > 0 then begin
-      t.prio.(base) <- t.prio.(base + sz);
-      t.value.(base) <- t.value.(base + sz);
-      sift_down t ~base ~size:sz 0
-    end;
-    revalidate v;
+    let stored = t.prio.(base) in
+    revalidate t.value.(base);
     let fresh = t.cell.(0) in
-    if (fresh = neg_infinity) [@lint.allow float_eq] then
-      pop_max t g ~revalidate
-    else if fresh >= stored -. 1e-12 then v
+    if (fresh = neg_infinity) [@lint.allow float_eq] then begin
+      remove t g base;
+      top t g ~revalidate
+    end
     else begin
-      push t g v;
-      pop_max t g ~revalidate
+      t.prio.(base) <- fresh;
+      let i = base + sift_down t ~base ~size:t.size.(g) 0 in
+      if fresh >= stored -. 1e-12 then i else top t g ~revalidate
     end
   end

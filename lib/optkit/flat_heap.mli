@@ -1,12 +1,12 @@
 (** Structure-of-arrays lazy max-heap bank: one max-heap per group in two
     flat CSR planes (float priorities, int values), with zero per-entry
     allocation. Priorities may silently {e decrease} between operations;
-    {!pop_max} re-validates the stored top and re-inserts it when stale,
-    so each entry is re-scored an amortized O(log) number of times
-    instead of rescanning every candidate. Equal priorities pop the lower
-    value first, so pop results never depend on layout history.
-    Capacities are fixed at {!make} (the greedy cores never exceed their
-    seed counts); planes can be arena-backed and reused across solves. *)
+    {!top} re-validates the stored root in place and re-keys it when
+    stale, so each entry is re-scored an amortized O(log) number of
+    times instead of rescanning every candidate. Equal priorities put
+    the lower value first, so results never depend on layout history.
+    Capacities are fixed at {!make} (the greedy cores only push while
+    seeding); planes can be arena-backed and reused across solves. *)
 
 (** Read-only planes: a hot loop reads group [g]'s root bound as
     [prio.(off.(g))] when [size.(g) > 0]. *)
@@ -18,7 +18,7 @@ type t = private {
   n_groups : int;
   cell : float array;
       (** one slot through which every priority moves, so none is
-          boxed: see {!push} and {!pop_max} *)
+          boxed: see {!push} and {!top} *)
 }
 
 (** [make ~capacities ()] builds an empty bank with
@@ -35,10 +35,19 @@ val clear : t -> unit
     @raise Invalid_argument past the group's capacity. *)
 val push : t -> int -> int -> unit
 
-(** [pop_max t g ~revalidate] pops group [g]'s element of maximal fresh
-    priority. [revalidate v] must write [v]'s fresh priority, never above
-    its stored one, to [t.cell.(0)]: stale tops are re-inserted, entries
-    revalidating to [neg_infinity] dropped, and a top within [1e-12] of
-    its stored bound accepted. [-1] when the heap empties; otherwise the
-    value, its fresh priority left in [t.cell.(0)]. *)
-val pop_max : t -> int -> revalidate:(int -> unit) -> int
+(** [top t g ~revalidate] validates group [g]'s root in place and
+    returns the plane index [i] of its element of maximal fresh priority
+    ([-1] when the heap empties): the value [t.value.(i)], its fresh
+    priority [t.prio.(i)], also left in [t.cell.(0)]. [revalidate v]
+    must write [v]'s fresh priority, never above its stored one, to
+    [t.cell.(0)]: roots revalidating to [neg_infinity] are dropped,
+    stale ones re-keyed to their fresh priority, and a root within
+    [1e-12] of its stored bound accepted. The accepted entry stays in the
+    heap; [i] holds until the group's heap next changes. The
+    revalidations are those of popping stale tops and re-pushing them. *)
+val top : t -> int -> revalidate:(int -> unit) -> int
+
+(** [remove t g i] deletes the entry at plane index [i] of group [g]'s
+    heap (typically a {!top} answer).
+    @raise Invalid_argument if [i] is not a live entry of [g]. *)
+val remove : t -> int -> int -> unit

@@ -59,7 +59,8 @@ type 'a session
     shrinks, a set's last exactly-computed score upper-bounds its score
     in every later round, so successive {!session_round} calls seed each
     round's heap bank from the stored bound plane with {e zero} gain
-    evaluations and re-score only the sets the previous round popped.
+    evaluations and re-score only the sets the previous round
+    revalidated.
     [mode] and [arena] are as for {!greedy}; coverage is unweighted.
     @raise Invalid_argument on a [budgets] arity mismatch. *)
 val session :

@@ -49,7 +49,7 @@ let greedy ?arena ?(universe : Bitset.t option) inst =
     Flat_heap.make ?arena ~slot:"set_cover.heap"
       ~capacities:[| n_sets |] ()
   in
-  let cell = heap.Flat_heap.cell in
+  let { Flat_heap.cell; value; _ } = heap in
   for j = 0 to n_sets - 1 do
     let gain = Bitset.count_in x' members lo.(j) hi.(j) in
     if gain > 0 then begin
@@ -65,9 +65,11 @@ let greedy ?arena ?(universe : Bitset.t option) inst =
   let chosen = ref [] in
   let continue = ref true in
   while !continue && not (Bitset.is_empty x') do
-    let j = Flat_heap.pop_max heap 0 ~revalidate in
-    if j < 0 then continue := false
+    let i = Flat_heap.top heap 0 ~revalidate in
+    if i < 0 then continue := false
     else begin
+      let j = value.(i) in
+      Flat_heap.remove heap 0 i;
       chosen := { set = j; newly = take inst x' j } :: !chosen
     end
   done;

@@ -196,16 +196,11 @@ let masked t ~ap_alive ~user_present =
 (** APs within range of user [u], ascending index order. *)
 let neighbor_aps t u = Sparse.candidate_aps t.links u
 
-(** APs within range of user [u], strongest signal first (ties by lower AP
-    index, making the SSA baseline deterministic). *)
-let neighbors_by_signal t u =
-  neighbor_aps t u
-  |> List.stable_sort (fun a b ->
-         Float.compare (signal t ~ap:b ~user:u) (signal t ~ap:a ~user:u))
-
-(** The strongest-signal AP of user [u], or [None] if no AP covers [u]. *)
+(** The strongest-signal AP of user [u] (ties by lower AP index, making
+    the SSA baseline deterministic), or [None] if no AP covers [u]. *)
 let strongest_ap t u =
-  match neighbors_by_signal t u with [] -> None | a :: _ -> Some a
+  let a = Sparse.strongest_ap t.links u in
+  if a < 0 then None else Some a
 
 (** Users covered by at least one AP. *)
 let coverable_users t =

@@ -119,10 +119,8 @@ val masked : t -> ap_alive:bool array -> user_present:bool array -> t
 (** APs within range of a user, in ascending index order. *)
 val neighbor_aps : t -> int -> int list
 
-(** APs within range, strongest signal first (ties by lower index). *)
-val neighbors_by_signal : t -> int -> int list
-
-(** The strongest-signal AP, or [None] if no AP covers the user. *)
+(** The strongest-signal AP (ties by lower index), or [None] if no AP
+    covers the user. *)
 val strongest_ap : t -> int -> int option
 
 (** Users covered by at least one AP. *)

@@ -284,6 +284,21 @@ let fill_candidates t u ~ap_alive ~aps ~rates ~sigs =
   done;
   !d
 
+(** User [u]'s strongest in-range AP, [-1] if none: one pass over its
+    slots keeping the first whose signal is strictly greater under
+    [Float.compare] — the head of a stable strongest-first sort, ties to
+    the lower AP index. *)
+let strongest_ap t u =
+  let best = ref (-1) in
+  for i = t.user_off.(u) to t.user_off.(u + 1) - 1 do
+    if
+      t.cand_rate.(i) > 0.
+      && (!best < 0
+         || Float.compare t.cand_signal.(i) t.cand_signal.(!best) > 0)
+    then best := i
+  done;
+  if !best < 0 then -1 else t.cand_ap.(!best)
+
 (** In-range candidate APs of a user, ascending. *)
 let candidate_aps t u =
   let acc = ref [] in

@@ -103,6 +103,11 @@ val fill_candidates :
   sigs:float array ->
   int
 
+(** The in-range candidate AP of a user with the strongest signal
+    under [Float.compare], ties to the lower AP index; [-1] if none. One
+    pass over the user's slots; allocates nothing. *)
+val strongest_ap : t -> int -> int
+
 (** In-range candidate APs of a user, ascending index order. *)
 val candidate_aps : t -> int -> int list
 

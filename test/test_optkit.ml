@@ -120,12 +120,22 @@ let heap_of entries =
   List.iter (fun (p, v) -> push h 0 ~prio:p v) entries;
   h
 
-let pop_in h g ~revalidate =
-  let v =
-    Flat_heap.pop_max h g ~revalidate:(fun v ->
+(* validate group [g]'s root in place: the answer's value, its fresh
+   priority and its plane index, the entry left in the heap *)
+let top_in h g ~revalidate =
+  let i =
+    Flat_heap.top h g ~revalidate:(fun v ->
         h.Flat_heap.cell.(0) <- revalidate v)
   in
-  if v < 0 then None else Some (v, h.Flat_heap.cell.(0))
+  if i < 0 then None else Some (h.Flat_heap.value.(i), h.Flat_heap.prio.(i), i)
+
+(* a pop: the validated root, then removed *)
+let pop_in h g ~revalidate =
+  match top_in h g ~revalidate with
+  | None -> None
+  | Some (v, p, i) ->
+      Flat_heap.remove h g i;
+      Some (v, p)
 
 let pop h ~revalidate = pop_in h 0 ~revalidate
 
@@ -158,6 +168,55 @@ let test_heap_drops_dead_entries () =
   Alcotest.check popped "alive survives" (Some (1, 1.)) (pop h ~revalidate:fresh);
   Alcotest.(check int) "dead dropped" 0 h.Flat_heap.size.(0);
   Alcotest.check popped "empty" None (pop h ~revalidate:fresh)
+
+let test_heap_top_in_place () =
+  (* an exact or in-window root stays in the heap, re-keyed to its fresh
+     priority; only [remove] takes it out *)
+  let h = heap_of [ (3., 0); (2., 1); (1., 2) ] in
+  let score = [| 3.; 2.; 1. |] in
+  let reval v = score.(v) in
+  let top () =
+    Option.map (fun (v, p, _) -> (v, p)) (top_in h 0 ~revalidate:reval)
+  in
+  Alcotest.check popped "exact root" (Some (0, 3.)) (top ());
+  Alcotest.(check int) "still held" 3 h.Flat_heap.size.(0);
+  score.(0) <- 3. -. 4e-13;
+  Alcotest.check popped "in-window root, re-keyed" (Some (0, 3. -. 4e-13))
+    (top ());
+  Alcotest.(check (float 0.)) "stored at its fresh priority" (3. -. 4e-13)
+    (top_bound h 0);
+  score.(0) <- 0.5;
+  Alcotest.check popped "stale root re-keyed below the next" (Some (1, 2.))
+    (top ());
+  Alcotest.(check int) "nothing dropped" 3 h.Flat_heap.size.(0);
+  Alcotest.check popped "then the rest in order" (Some (1, 2.))
+    (pop h ~revalidate:reval);
+  Alcotest.check popped "2" (Some (2, 1.)) (pop h ~revalidate:reval);
+  Alcotest.check popped "0 last" (Some (0, 0.5)) (pop h ~revalidate:reval)
+
+let test_heap_remove_anywhere () =
+  let h = heap_of [ (5., 0); (4., 1); (3., 2); (2., 3); (1., 4) ] in
+  let base = h.Flat_heap.off.(0) in
+  (* a leaf, then an inner entry: the order holds after each *)
+  let remove_value v =
+    let i = ref (-1) in
+    for k = base to base + h.Flat_heap.size.(0) - 1 do
+      if h.Flat_heap.value.(k) = v then i := k
+    done;
+    Flat_heap.remove h 0 !i
+  in
+  remove_value 4;
+  remove_value 1;
+  let reval v = [| 5.; 4.; 3.; 2.; 1. |].(v) in
+  let rec drain acc =
+    match pop h ~revalidate:reval with
+    | None -> List.rev acc
+    | Some (v, _) -> drain (v :: acc)
+  in
+  Alcotest.(check (list int)) "the rest in order" [ 0; 2; 3 ] (drain []);
+  Alcotest.check_raises "not a live entry"
+    (Invalid_argument "Flat_heap.remove: no such entry") (fun () ->
+      Flat_heap.remove h 0 base)
 
 let test_heap_capacity () =
   let h = Flat_heap.make ~capacities:[| 1; 2 |] () in
@@ -211,17 +270,18 @@ let prop_heap_sorts =
       in
       drain [] = expected)
 
-(* The lazy pop protocol against a sorted-list reference. Two groups
-   hold the even and the odd values; each value has a true score that
-   only decays — by 0 (an exact tie stays one), by less than the 1e-12
-   acceptance window (accepted at the fresh score), by a level (stale:
-   re-inserted), or to [neg_infinity] (dead: dropped). Priorities come
-   from a few levels, so exact ties are common. The reference keeps
-   each group as a list sorted by priority, then lower value, and pops
-   the same way the bank's protocol does. *)
-type heap_op = Push of int | Decay of int * int | Pop of int
+(* The in-place top protocol against a sorted-list reference. Two
+   groups hold the even and the odd values; each value has a true score
+   that only decays — by 0 (an exact tie stays one), by less than the
+   1e-12 acceptance window (accepted at the fresh score), by a level
+   (stale: re-keyed), or to [neg_infinity] (dead: dropped). Priorities
+   come from a few levels, so exact ties are common. The reference keeps
+   each group as a list sorted by priority, then lower value: a top
+   re-keys the head to its fresh score until one is accepted, and leaves
+   it in the list; a take is a top followed by removing the answer. *)
+type heap_op = Push of int | Decay of int * int | Top of int | Take of int
 
-let ref_pop entries ~fresh =
+let ref_top entries ~fresh =
   let by (p, v) (q, w) =
     match Float.compare q p with 0 -> Int.compare v w | c -> c
   in
@@ -230,8 +290,9 @@ let ref_pop entries ~fresh =
     | (stored, v) :: rest ->
         let f = fresh v in
         if (f = neg_infinity) [@lint.allow float_eq] then go rest
-        else if f >= stored -. 1e-12 then (Some (v, f), rest)
-        else go (List.sort by ((f, v) :: rest))
+        else
+          let l = List.sort by ((f, v) :: rest) in
+          if f >= stored -. 1e-12 then (Some (v, f), l) else go l
   in
   go (List.sort by entries)
 
@@ -240,6 +301,20 @@ let heap_matches_reference ops =
   let h = Flat_heap.make ~capacities:[| 6; 6 |] () in
   let model = [| []; [] |] in
   let held v = List.exists (fun (_, w) -> w = v) model.(v mod 2) in
+  let fresh v = score.(v) in
+  (* both sides' answer, the model left holding it *)
+  let top g =
+    let got = top_in h g ~revalidate:fresh in
+    let want, rest = ref_top model.(g) ~fresh in
+    model.(g) <- rest;
+    let same =
+      match (got, want) with
+      | None, None -> true
+      | Some (v, p, _), Some (w, q) -> v = w && Float.equal p q
+      | _ -> false
+    in
+    (got, same)
+  in
   List.for_all
     (function
       | Push v ->
@@ -256,16 +331,21 @@ let heap_matches_reference ops =
           | 2 -> score.(v) <- score.(v) -. 1.
           | _ -> score.(v) <- neg_infinity);
           true
-      | Pop g ->
-          let fresh v = score.(v) in
-          let got = pop_in h g ~revalidate:fresh in
-          let want, rest = ref_pop model.(g) ~fresh in
-          model.(g) <- rest;
-          got = want && h.Flat_heap.size.(g) = List.length rest)
+      | Top g ->
+          let _, same = top g in
+          same && h.Flat_heap.size.(g) = List.length model.(g)
+      | Take g ->
+          let got, same = top g in
+          Option.iter
+            (fun (v, _, i) ->
+              Flat_heap.remove h g i;
+              model.(g) <- List.filter (fun (_, w) -> w <> v) model.(g))
+            got;
+          same && h.Flat_heap.size.(g) = List.length model.(g))
     ops
 
 let prop_heap_matches_reference =
-  QCheck.Test.make ~name:"flat heap pops = sorted-list reference" ~count:500
+  QCheck.Test.make ~name:"flat heap tops = sorted-list reference" ~count:500
     QCheck.(
       list_of_size
         Gen.(int_range 1 80)
@@ -277,7 +357,8 @@ let prop_heap_matches_reference =
                  ( 3,
                    map2 (fun v k -> Decay (v, k)) (int_range 0 11)
                      (int_range 0 3) );
-                 (2, map (fun g -> Pop g) (int_range 0 1));
+                 (1, map (fun g -> Top g) (int_range 0 1));
+                 (2, map (fun g -> Take g) (int_range 0 1));
                ])))
     heap_matches_reference
 
@@ -1625,6 +1706,8 @@ let () =
           tc "drops dead entries" test_heap_drops_dead_entries;
           tc "group capacity" test_heap_capacity;
           tc "equal priorities" test_heap_equal_priorities;
+          tc "top stays in place" test_heap_top_in_place;
+          tc "remove anywhere" test_heap_remove_anywhere;
         ] );
       ( "set_cover",
         [

@@ -433,7 +433,7 @@ let proto_decide ?(heard = fun _ -> true) ?(arrival = Fun.id) ~objective p
           link_rate = Problem.link_rate p ~ap:a ~user:u;
           signal = Problem.signal p ~ap:a ~user:u;
         })
-      (Problem.neighbors_by_signal p u)
+      (Ssa_ref.neighbors_by_signal p u)
   in
   let responses =
     List.filter_map

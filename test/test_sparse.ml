@@ -116,7 +116,7 @@ let planes_agree pd ps =
     fail_if "neighbor lists differ"
       (Problem.neighbor_aps pd u <> Problem.neighbor_aps ps u);
     fail_if "signal-ordered neighbors differ"
-      (Problem.neighbors_by_signal pd u <> Problem.neighbors_by_signal ps u);
+      (Ssa_ref.neighbors_by_signal pd u <> Ssa_ref.neighbors_by_signal ps u);
     fail_if "strongest AP differs"
       (Problem.strongest_ap pd u <> Problem.strongest_ap ps u);
     (* signal agrees on every pair (out-of-range pairs answer
@@ -1110,6 +1110,124 @@ let test_sparse_cannot_grow () =
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
+(* ------------------------------------------------------------------ *)
+(* Strongest AP, SSA admission and the plan's member walk              *)
+(* ------------------------------------------------------------------ *)
+
+(* A seed-indexed instance written down as per-user slot lists: signals
+   from a few levels (exact ties are common, [neg_infinity] among them),
+   lost slots (rate 0), users with no slot at all, and budgets —
+   uniform or per AP — low enough to bind. *)
+let hand_built seed =
+  let rng = Random.State.make [| seed; 0x55a |] in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let n_aps = 1 + Random.State.int rng 6
+  and n_users = Random.State.int rng 30
+  and n_sessions = 1 + Random.State.int rng 3 in
+  let links =
+    Array.init n_users (fun _ ->
+        if Random.State.int rng 6 = 0 then []
+        else
+          List.filter_map
+            (fun a ->
+              if Random.State.int rng 3 = 0 then None
+              else
+                Some
+                  ( a,
+                    pick [| 0.; 6.; 12.; 24.; 54. |],
+                    pick [| neg_infinity; -2.; -1.; -1.; 0. |] ))
+            (List.init n_aps Fun.id))
+  in
+  let ap_budgets =
+    if Random.State.bool rng then None
+    else Some (Array.init n_aps (fun _ -> pick [| 0.05; 0.1; 0.3; 0.6 |]))
+  in
+  Problem.make_sparse ?ap_budgets ~allow_uncovered:true
+    ~session_rates:(Array.init n_sessions (fun _ -> pick [| 0.5; 1.; 2. |]))
+    ~user_session:
+      (Array.init n_users (fun _ -> Random.State.int rng n_sessions))
+    ~sparse:(of_lists ~n_aps ~links)
+    ~budget:(pick [| 0.05; 0.1; 0.3; 0.6 |])
+    ()
+
+(* the hand-built instance and a geometric one (signal = -distance) *)
+let both_kinds seed =
+  let _, _, ps = case ~seed () in
+  [ hand_built seed; ps ]
+
+let strongest_is_head seed =
+  List.for_all
+    (fun p ->
+      List.for_all
+        (fun u ->
+          Problem.strongest_ap p u
+          = (match Ssa_ref.neighbors_by_signal p u with
+            | [] -> None
+            | a :: _ -> Some a))
+        (List.init (snd (Problem.dims p)) Fun.id))
+    (both_kinds seed)
+
+let qcheck_strongest_ap =
+  QCheck.Test.make ~name:"strongest AP = head of the signal-sorted list"
+    ~count:200
+    QCheck.(int_range 0 10_000)
+    strongest_is_head
+
+let qcheck_ssa_rows =
+  QCheck.Test.make ~name:"SSA with tx rows = SSA with scanned loads"
+    ~count:200
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      List.iter
+        (fun p -> check_solutions "SSA rows" (Ssa.run p) (Ssa_ref.ssa p))
+        (both_kinds seed);
+      true)
+
+(* [Shard.plan] as it was built on candidate lists: union-find over each
+   user's candidates (smallest AP index as root), then APs and users
+   grouped by root, shards in ascending root order *)
+let plan_by_candidates p =
+  let n_aps, n_users = Problem.dims p in
+  let parent = Array.init n_aps Fun.id in
+  let rec find a = if parent.(a) = a then a else find parent.(a) in
+  let union a b =
+    let ra = find a and rb = find b in
+    parent.(Int.max ra rb) <- Int.min ra rb
+  in
+  let user_root =
+    Array.init n_users (fun u ->
+        let first = ref (-1) in
+        Problem.iter_candidates p u (fun a _ _ ->
+            if !first < 0 then first := a else union !first a);
+        !first)
+  in
+  let user_root = Array.map (fun r -> if r < 0 then r else find r) user_root in
+  let live r = Array.exists (( = ) r) user_root in
+  let ids = List.init n_aps Fun.id and uids = List.init n_users Fun.id in
+  let roots = List.filter (fun a -> find a = a && live a) ids in
+  {
+    Shard.shards =
+      List.mapi
+        (fun id r ->
+          {
+            Shard.id;
+            aps = Array.of_list (List.filter (fun a -> find a = r) ids);
+            users =
+              Array.of_list (List.filter (fun u -> user_root.(u) = r) uids);
+          })
+        roots;
+    idle_aps = Array.of_list (List.filter (fun a -> not (live (find a))) ids);
+    uncovered = Array.of_list (List.filter (fun u -> user_root.(u) < 0) uids);
+  }
+
+let qcheck_plan_members =
+  QCheck.Test.make ~name:"member-walk plan = candidate-walk plan" ~count:200
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      List.for_all
+        (fun p -> Shard.plan p = plan_by_candidates p)
+        (both_kinds seed))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1133,6 +1251,9 @@ let qcheck_cases =
       qcheck_slice;
       qcheck_shard_cover;
       qcheck_member_users;
+      qcheck_strongest_ap;
+      qcheck_ssa_rows;
+      qcheck_plan_members;
     ]
 
 let qcheck_model_cases =
