@@ -184,19 +184,25 @@ let coverable_users p =
   List.iter (Optkit.Bitset.add u) (Problem.coverable_users p);
   u
 
-(** Each user goes to the group (AP) of the first chosen set, replayed
-    in order against [universe], that covers it. *)
-let association_of_sets inst ~universe sets =
+(** Replay [sets] in order against [universe] into [assoc] through the
+    maps: element [i] goes to user [users.(i)], group [g] to AP
+    [aps.(g)], and each user keeps the AP of the first set covering it. *)
+let replay_sets inst ~universe ~users ~aps assoc sets =
   let { Optkit.Cover_instance.members; lo; hi; group_of; _ } = inst in
-  let x' = Optkit.Bitset.copy universe in
-  let assoc = Association.empty ~n_users:(Optkit.Bitset.capacity x') in
-  List.iter
+  Array.iter
     (fun j ->
-      for i = lo.(j) to hi.(j) - 1 do
-        if Optkit.Bitset.mem x' members.(i) then begin
-          Optkit.Bitset.remove x' members.(i);
-          Association.serve assoc ~user:members.(i) ~ap:group_of.(j)
-        end
+      for k = lo.(j) to hi.(j) - 1 do
+        let i = members.(k) in
+        let u = users.(i) in
+        if assoc.(u) = Association.none && Optkit.Bitset.mem universe i then
+          Association.serve assoc ~user:u ~ap:aps.(group_of.(j))
       done)
-    sets;
+    sets
+
+let association_of_sets inst ~universe sets =
+  let n_users = Optkit.Bitset.capacity universe in
+  let assoc = Association.empty ~n_users in
+  replay_sets inst ~universe ~users:(Array.init n_users Fun.id)
+    ~aps:(Array.init inst.Optkit.Cover_instance.n_groups Fun.id)
+    assoc (Array.of_list sets);
   assoc

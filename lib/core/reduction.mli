@@ -42,3 +42,19 @@ val coverable_users : Problem.t -> Optkit.Bitset.t
     local AP. *)
 val association_of_sets :
   tx Optkit.Cover_instance.t -> universe:Optkit.Bitset.t -> int list -> Association.t
+
+(** [replay_sets inst ~universe ~users ~aps assoc sets] is the same
+    replay into a caller's [assoc], through maps from the instance's
+    elements to users and its groups to APs: each user still unserved
+    in [assoc] goes to the AP of the first of [sets] covering it. With
+    identity maps into an empty association it is
+    {!association_of_sets}; over a {!shard_cover} instance, [users] and
+    [aps] are the shard's, and [assoc] the global association. *)
+val replay_sets :
+  tx Optkit.Cover_instance.t ->
+  universe:Optkit.Bitset.t ->
+  users:int array ->
+  aps:int array ->
+  Association.t ->
+  int array ->
+  unit
