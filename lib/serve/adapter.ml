@@ -12,28 +12,18 @@ let error_message = function
          are taken as-is and refused when out of order)"
         index time prev
 
-let expand_event time = function
-  | Churn_script.Join { user } ->
-      [ Protocol.Event { time; event = Arrive { user } } ]
-  | Churn_script.Leave { user } ->
-      [ Protocol.Event { time; event = Depart { user } } ]
-  | Churn_script.Ap_fail { ap } ->
-      [ Protocol.Event { time; event = Ap_fail { ap } } ]
-  | Churn_script.Ap_recover { ap } ->
-      [ Protocol.Event { time; event = Ap_recover { ap } } ]
-  | Churn_script.Drift { user; steps } ->
-      [ Protocol.Event { time; event = Drift { user; steps } } ]
-  | Churn_script.Burst { users } ->
-      List.map
-        (fun user -> Protocol.Event { time; event = Protocol.Arrive { user } })
-        users
-
 let inputs_of_events timed =
   let rec go acc index prev = function
     | [] -> Ok (List.concat (List.rev acc))
     | { Churn_script.time; event } :: rest ->
         if time < prev then Error (Non_monotone { index; prev; time })
-        else go (expand_event time event :: acc) (index + 1) time rest
+        else
+          let inputs =
+            List.map
+              (fun event -> Protocol.Event { time; event })
+              (Mcast_core.Distributed.Online.deltas_of_event event)
+          in
+          go (inputs :: acc) (index + 1) time rest
   in
   go [] 0 0. timed
 

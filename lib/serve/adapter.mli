@@ -1,12 +1,12 @@
 (** [Churn_script] → serve-event adapter: expand a declarative churn
     script into the [wlan-mcast-ev 1] inputs a client would send.
 
-    [Join]/[Leave] map to [arrive]/[depart], [Ap_fail]/[Ap_recover] and
-    [Drift] map one-to-one ([drift] carries the tier-step count — the
-    server applies the same {!Wlan_model.Churn_script.drifted_rate}
-    ladder as the simulator), and [Burst {users}] expands to one
-    [arrive] per user at the same timestamp, so the whole burst lands in
-    one atomic settle batch.
+    Each event becomes the deltas the churn engine applies for it
+    ({!Mcast_core.Distributed.Online.deltas_of_event}), each framed as
+    one [at <t> ...] input: a [Burst {users}] is one [arrive] per user
+    at the same timestamp, so the whole burst lands in one atomic
+    settle batch, and [drift] carries the tier-step count the daemon
+    moves along the same ladder as the simulator.
 
     {!Wlan_model.Churn_script.t} exposes its event list concretely, so a
     caller can hand the adapter a list that bypassed

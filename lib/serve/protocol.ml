@@ -7,7 +7,7 @@
 let version = 1
 let magic = "wlan-mcast-ev"
 
-type event =
+type event = Mcast_core.Distributed.Online.delta =
   | Arrive of { user : int }
   | Depart of { user : int }
   | Ap_fail of { ap : int }

@@ -34,7 +34,8 @@ val magic : string
 
 (** {1 Messages} *)
 
-type event =
+(** The network deltas, re-exported from the one batch applier. *)
+type event = Mcast_core.Distributed.Online.delta =
   | Arrive of { user : int }
   | Depart of { user : int }
   | Ap_fail of { ap : int }

@@ -1,9 +1,10 @@
 (** The churn engine: replay a declarative {!Wlan_model.Churn_script}
-    against a live network ({!Mcast_core.Distributed.Online}) through the
-    discrete-event {!Engine}, measuring per-step disruption.
+    against a live network ({!Mcast_core.Distributed.Online}), measuring
+    per-step disruption.
 
-    Each same-timestamp event group fires as one atomic step followed by
-    one settle to quiescence. Runs are deterministic: a pure function of
+    Each same-timestamp event group, in script order, is one atomic
+    batch through {!Mcast_core.Distributed.Online.apply} followed by one
+    settle to quiescence. Runs are deterministic: a pure function of
     (problem, script, objective, mode, init) — no randomness, ascending
     index order everywhere. *)
 
@@ -59,7 +60,8 @@ type outcome = {
     - [mode] (default [`Sequential]) is the settle discipline;
       [`Simultaneous] reproduces Fig. 4-style oscillation under
       simultaneous moves.
-    - [tiers] is the rate ladder drift moves along (descending; default
+    - [tiers] is the rate ladder drift moves along (sorted descending
+      here; default
       [Problem.distinct_rates p] — the ladder the instance actually
       uses, the same derivation the serve daemon's config defaults to).
       Pass the scenario's full {!Wlan_model.Rate_model.tier_rates}
@@ -70,7 +72,7 @@ type outcome = {
     - [trace] appends to a caller-supplied log instead of a fresh one.
 
     @raise Invalid_argument if the script references out-of-range
-    users or APs. *)
+    users or APs, or a tier is not finite and positive. *)
 val run :
   ?init:Association.t ->
   ?mode:[ `Sequential | `Simultaneous ] ->

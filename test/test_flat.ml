@@ -290,27 +290,30 @@ let online_kernels_agree ~problem ~objective ~mode seed =
   let work = Problem.copy_for_mutation ps in
   let assoc = Association.empty ~n_users in
   let rates = [| 0.; 6.; 12.; 24.; 54. |] in
+  let apply d =
+    ignore (Distributed.Online.apply net ~tiers:[||] d : Distributed.Online.applied)
+  in
   let event () =
     match Random.State.int rng 4 with
     | 0 ->
         let u = Random.State.int rng n_users in
         if present.(u) then (
-          ignore (Distributed.Online.depart net ~user:u);
+          apply (Depart { user = u });
           present.(u) <- false;
           assoc.(u) <- Association.none)
         else (
-          ignore (Distributed.Online.arrive net ~user:u);
+          apply (Arrive { user = u });
           present.(u) <- true)
     | 1 ->
         let a = Random.State.int rng n_aps in
         if alive.(a) then (
-          ignore (Distributed.Online.fail_ap net ~ap:a);
+          apply (Ap_fail { ap = a });
           alive.(a) <- false;
           Array.iteri
             (fun u x -> if x = a then assoc.(u) <- Association.none)
             assoc)
         else (
-          ignore (Distributed.Online.recover_ap net ~ap:a);
+          apply (Ap_recover { ap = a });
           alive.(a) <- true)
     | _ -> (
         (* perturb an existing link (the slot structure cannot grow) *)
@@ -320,7 +323,7 @@ let online_kernels_agree ~problem ~objective ~mode seed =
         | aps ->
             let a = List.nth aps (Random.State.int rng (List.length aps)) in
             let r = rates.(Random.State.int rng (Array.length rates)) in
-            ignore (Distributed.Online.set_rate net ~user:u ~ap:a r);
+            apply (Set_rate { user = u; ap = a; rate = r });
             Problem.set_link_rate work ~ap:a ~user:u r;
             if assoc.(u) = a && not (r > 0.) then
               assoc.(u) <- Association.none)
@@ -971,7 +974,7 @@ let storm_stream buf p =
   let net =
     Distributed.Online.create ~present ~objective:Distributed.Min_total_load p
   in
-  let tiers = Rate_table.rates Rate_table.default in
+  let tiers = Array.of_list (Rate_table.rates Rate_table.default) in
   let n_dark = ref 0 and n_present = ref 0 in
   Array.iter (fun pr -> if pr then incr n_present) present;
   (* the first index at or after a random one (cyclically) satisfying [f] *)
@@ -980,46 +983,49 @@ let storm_stream buf p =
     let rec go i = if f ((start + i) mod n) then (start + i) mod n else go (i + 1) in
     go 0
   in
+  let apply = Distributed.Online.apply net ~tiers in
   let event () =
     match Random.State.int rng 8 with
     | 0 | 1 | 2 ->
         let a = Random.State.int rng n_aps in
         if Distributed.Online.ap_alive net a && !n_dark < 25 then begin
           incr n_dark;
-          match Distributed.Online.fail_ap net ~ap:a with
-          | `Dead -> Alcotest.fail "failed a dead AP"
-          | `Failed ds ->
+          match apply (Ap_fail { ap = a }) with
+          | Failed { detached = ds; _ } ->
               Buffer.add_string buf (Fmt.str "F%d:" a);
               List.iter (fun u -> Buffer.add_string buf (Fmt.str "%d," u)) ds
+          | _ -> Alcotest.fail "failed a dead AP"
         end
         else begin
           let a = find n_aps (fun a -> not (Distributed.Online.ap_alive net a)) in
           decr n_dark;
           Buffer.add_string buf
-            (Fmt.str "R%d:%b" a (Distributed.Online.recover_ap net ~ap:a))
+            (Fmt.str "R%d:%b" a
+               (apply (Ap_recover { ap = a }) <> Distributed.Online.Unchanged))
         end
     | 3 | 4 ->
         let u = find n_users (Distributed.Online.is_present net) in
         let steps = if Random.State.bool rng then 1 else -1 in
         Buffer.add_string buf
-          (match Distributed.Online.drift net ~user:u ~tiers ~steps with
-          | `Unchanged -> Fmt.str "D%d:-" u
-          | `Drifted cut -> Fmt.str "D%d:%d" u cut)
+          (match apply (Drift { user = u; steps }) with
+          | Drifted { lost; _ } -> Fmt.str "D%d:%d" u lost
+          | _ -> Fmt.str "D%d:-" u)
     | _ ->
         if !n_present > n_users * 6 / 10 then begin
           let u = find n_users (Distributed.Online.is_present net) in
           decr n_present;
           Buffer.add_string buf
-            (match Distributed.Online.depart net ~user:u with
-            | `Absent -> Alcotest.fail "departed an absent user"
-            | `Unserved -> Fmt.str "L%d:-" u
-            | `Served a -> Fmt.str "L%d:%d" u a)
+            (match apply (Depart { user = u }) with
+            | Departed { ap; _ } when ap = Association.none -> Fmt.str "L%d:-" u
+            | Departed { ap; _ } -> Fmt.str "L%d:%d" u ap
+            | _ -> Alcotest.fail "departed an absent user")
         end
         else begin
           let u = find n_users (fun u -> not (Distributed.Online.is_present net u)) in
           incr n_present;
           Buffer.add_string buf
-            (Fmt.str "J%d:%b" u (Distributed.Online.arrive net ~user:u))
+            (Fmt.str "J%d:%b" u
+               (apply (Arrive { user = u }) <> Distributed.Online.Unchanged))
         end
   in
   let settle mode =
@@ -1184,14 +1190,15 @@ let test_gate_matches_exact () =
 let words_per_decision objective =
   let net = Distributed.Online.create ~objective (Lazy.force storm_problem) in
   ignore (Distributed.Online.settle net : Distributed.Online.settle_stats);
+  let tiers = Array.of_list (Rate_table.rates Rate_table.default) in
+  let apply d =
+    ignore (Distributed.Online.apply net ~tiers d : Distributed.Online.applied)
+  in
   for i = 0 to 24 do
-    ignore (Distributed.Online.fail_ap net ~ap:(i * 20))
+    apply (Ap_fail { ap = i * 20 })
   done;
-  let tiers = Rate_table.rates Rate_table.default in
   for i = 0 to 99 do
-    ignore
-      (Distributed.Online.drift net ~user:(i * 20) ~tiers
-         ~steps:(if i mod 2 = 0 then 1 else -1))
+    apply (Drift { user = i * 20; steps = (if i mod 2 = 0 then 1 else -1) })
   done;
   let decisions = Wlan_obs.Counters.make "distributed.decisions" in
   Wlan_obs.Counters.reset ();
