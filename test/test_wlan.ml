@@ -963,8 +963,8 @@ let prop_tracker_churn_sequences =
   (* churn-shaped op mix — interleaved joins, leaves and AP failures —
      with the edge cases the move-based fuzz above rarely hits: APs
      drained to empty member sets (an AP failure detaches everyone, in
-     ascending user order, exactly as Online.fail_ap does) and the
-     last receiver of a session leaving one user at a time. The tracker
+     ascending user order, exactly as Online's [Ap_fail] delta does) and
+     the last receiver of a session leaving one user at a time. The tracker
      must stay bit-identical to the eager scan after every single op. *)
   QCheck.Test.make ~name:"Tracker survives interleaved join/leave/fail"
     ~count:60 arb_problem (fun p ->
