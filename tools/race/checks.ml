@@ -410,5 +410,5 @@ let check_unit ~decls ~sums (u : Loader.unit_info) =
     Tast_iterator.default_iterator.expr it e
   in
   let it = { Tast_iterator.default_iterator with expr } in
-  it.structure it u.str;
+  it.structure it u.tree;
   !diags

@@ -1,9 +1,12 @@
-(** Orchestration: load [.cmt] units, build the lattice and summaries
-    over the {e whole} tree, run the per-unit checks, then filter
-    through the shared suppression machinery by re-parsing each
-    source file with [Analysis_common.Source] — the same attribute and
-    comment parser wlan-lint uses, so one escape-hatch language serves
-    both tools. *)
+(** Orchestration: load [.cmt]/[.cmti] units, build the lattice and
+    summaries over the {e whole} shipped tree, run the per-unit checks
+    and the export-reachability rule, then filter through the shared
+    suppression machinery by re-parsing each source file with
+    [Analysis_common.Source] — the same attribute and comment parser
+    wlan-lint uses, so one escape-hatch language serves both tools.
+
+    Units under a [test/] directory are readers only: they count for
+    export reachability, and the four domain-safety rules skip them. *)
 
 open Analysis_common
 
@@ -15,13 +18,13 @@ type result = {
   errors : error list;
 }
 
-let default_roots = [ "lib"; "bin"; "bench"; "examples" ]
+let default_roots = [ "lib"; "bin"; "bench"; "examples"; "test" ]
 
-let rule_ids = List.map fst Checks.all_rules
+let all_rules = Checks.all_rules @ [ (Reach.rule, Reach.doc) ]
+let rule_ids = List.map fst all_rules
 let find_rule id = List.find_opt (( = ) id) rule_ids
 
-(* Suppression state of one source file, cached across the (typically
-   several) diagnostics pointing into it. *)
+(* Suppression state of one source file. *)
 let suppressions_for source_on_disk source =
   match source_on_disk with
   | None -> ([], [])
@@ -34,33 +37,48 @@ let suppressions_for source_on_disk source =
           | Error directives -> ([], directives)))
 
 let run ?(rules = rule_ids) ?prefix roots =
-  let units, load_errors = Loader.load ?prefix roots in
-  let decls = Lattice.collect units in
-  let sums = Summaries.collect ~decls units in
+  let loaded = Loader.load ?prefix roots in
+  let shipped = List.filter (fun u -> not (Loader.under "test" u)) loaded.units in
+  let decls = Lattice.collect shipped in
+  let sums = Summaries.collect ~decls shipped in
+  let on_disk = Hashtbl.create 256 in
+  let note (u : _ Loader.compiled) =
+    Hashtbl.replace on_disk u.source u.source_on_disk
+  in
+  List.iter note loaded.units;
+  List.iter note loaded.interfaces;
+  let domain = List.concat_map (Checks.check_unit ~decls ~sums) shipped in
+  let reach = if List.mem Reach.rule rules then Reach.check loaded else [] in
+  let by_file = Hashtbl.create 64 in
+  List.iter
+    (fun (d : Diagnostic.t) ->
+      if List.mem d.rule rules then
+        Hashtbl.replace by_file d.file
+          (d :: Option.value ~default:[] (Hashtbl.find_opt by_file d.file)))
+    (domain @ reach);
   let diagnostics =
-    List.concat_map
-      (fun (u : Loader.unit_info) ->
-        let diags =
-          Checks.check_unit ~decls ~sums u
-          |> List.filter (fun (d : Diagnostic.t) -> List.mem d.rule rules)
-          (* several capture paths can land on one (rule, site) pair;
-             report each once *)
-          |> List.sort_uniq Diagnostic.compare
+    Hashtbl.fold
+      (fun file diags acc ->
+        (* several capture paths can land on one (rule, site) pair;
+           report each once *)
+        let diags = List.sort_uniq Diagnostic.compare diags in
+        let spans, directives =
+          suppressions_for (Option.join (Hashtbl.find_opt on_disk file)) file
         in
-        match diags with
-        | [] -> []
-        | diags ->
-            let spans, directives =
-              suppressions_for u.source_on_disk u.source
-            in
-            Suppress.filter ~spans ~directives diags)
-      units
+        Suppress.filter ~spans ~directives diags @ acc)
+      by_file []
   in
   {
-    units = List.length units;
+    units = List.length loaded.units + List.length loaded.interfaces;
     diagnostics = List.sort Diagnostic.compare diagnostics;
     errors =
       List.map
         (fun (e : Loader.error) -> { file = e.file; message = e.message })
-        load_errors;
+        loaded.errors;
   }
+
+(** The [--format json] rendering: one array of findings. *)
+let to_json diags =
+  "["
+  ^ String.concat "," (List.map (Format.asprintf "%a" Diagnostic.pp_json) diags)
+  ^ "]"

@@ -137,7 +137,7 @@ let collect_unit (decls : decls) (u : Loader.unit_info) =
             walk_items (Ident.name id :: path_rev) str.str_items
         | _ -> ())
   in
-  walk_items (List.rev u.modname) u.str.str_items
+  walk_items (List.rev u.modname) u.tree.str_items
 
 let collect units =
   let decls : decls = Names.Table.create () in

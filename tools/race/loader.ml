@@ -1,6 +1,6 @@
-(** Discovery and loading of [.cmt] typedtrees.
+(** Discovery and loading of [.cmt] and [.cmti] typedtrees.
 
-    Roots are source directories ([lib bin bench examples]); their
+    Roots are source directories ([lib bin bench examples test]); their
     compiled annotations live under dune's hidden [.<lib>.objs/byte]
     directories, so — unlike the source-walking linter — the walk
     descends into dot-directories. The build-order contract
@@ -12,12 +12,21 @@
     [_build/default]; when invoked from inside the build context (the
     [@race] alias) the roots are used as-is. *)
 
-type unit_info = {
+type 'tree compiled = {
   modname : string list;  (** canonical module segments, e.g. [Harness; Pool] *)
   source : string;  (** source path as compiled, e.g. lib/harness/pool.ml *)
   source_on_disk : string option;  (** resolved readable copy, if any *)
-  str : Typedtree.structure;
+  tree : 'tree;
 }
+
+type unit_info = Typedtree.structure compiled
+type intf_info = Typedtree.signature compiled
+
+(** Whether a source sits in a directory named [dir] — [lib] for the
+    interfaces whose exports are checked, [test] for units that are
+    only read, never checked themselves. *)
+let under dir (u : _ compiled) =
+  List.mem dir (List.tl (List.rev (String.split_on_char '/' u.source)))
 
 type error = { file : string; message : string }
 
@@ -35,7 +44,8 @@ let discover ?prefix roots =
     if Sys.is_directory path then
       Sys.readdir path |> Array.to_list |> List.sort String.compare
       |> List.iter (fun entry -> walk (Filename.concat path entry))
-    else if Filename.check_suffix path ".cmt" then acc := path :: !acc
+    else if Filename.check_suffix path ".cmt" || Filename.check_suffix path ".cmti"
+    then acc := path :: !acc
   in
   List.iter (fun r -> let r = in_build r in if Sys.file_exists r then walk r) roots;
   List.rev !acc
@@ -57,40 +67,48 @@ let resolve_source ~builddir ~cmt_path source =
   in
   List.find_opt Sys.file_exists candidates
 
-let read_unit path =
-  match Cmt_format.read_cmt path with
-  | exception exn ->
-      Error { file = path; message = Printexc.to_string exn }
-  | infos -> (
-      match infos.cmt_annots with
-      | Implementation str ->
-          let source =
-            Option.value ~default:(Filename.basename path) infos.cmt_sourcefile
-          in
-          Ok
-            (Some
-               {
-                 modname = Names.segments_of_string infos.cmt_modname;
-                 source;
-                 source_on_disk =
-                   resolve_source ~builddir:infos.cmt_builddir ~cmt_path:path
-                     source;
-                 str;
-               })
-      | _ -> Ok None (* interfaces, partial implementations: nothing to scan *))
+type loaded = {
+  units : unit_info list;
+  interfaces : intf_info list;
+  errors : error list;
+}
 
-(** Load every implementation unit under [roots]; deterministic order
-    (sorted by source path). Units that fail to load are reported, not
-    fatal: a stale or version-skewed [.cmt] must name itself. *)
-let load ?prefix roots =
-  let units, errors =
-    List.fold_left
-      (fun (us, es) path ->
-        match read_unit path with
-        | Ok (Some u) -> (u :: us, es)
-        | Ok None -> (us, es)
-        | Error e -> (us, e :: es))
-      ([], []) (discover ?prefix roots)
+let compiled path (infos : Cmt_format.cmt_infos) tree =
+  let source =
+    Option.value ~default:(Filename.basename path) infos.cmt_sourcefile
   in
-  ( List.sort (fun a b -> compare (a.source, a.modname) (b.source, b.modname)) units,
-    List.rev errors )
+  {
+    modname = Names.segments_of_string infos.cmt_modname;
+    source;
+    source_on_disk =
+      resolve_source ~builddir:infos.cmt_builddir ~cmt_path:path source;
+    tree;
+  }
+
+(** Load every implementation and interface unit under [roots];
+    deterministic order (sorted by source path). Units that fail to
+    load are reported, not fatal: a stale or version-skewed [.cmt] must
+    name itself. Partial implementations have nothing to scan. *)
+let load ?prefix roots =
+  let acc = { units = []; interfaces = []; errors = [] } in
+  let acc =
+    List.fold_left
+      (fun acc path ->
+        match Cmt_format.read_cmt path with
+        | exception exn ->
+            { acc with errors = { file = path; message = Printexc.to_string exn } :: acc.errors }
+        | { cmt_annots = Implementation str; _ } as infos ->
+            { acc with units = compiled path infos str :: acc.units }
+        | { cmt_annots = Interface sg; _ } as infos ->
+            { acc with interfaces = compiled path infos sg :: acc.interfaces }
+        | _ -> acc)
+      acc (discover ?prefix roots)
+  in
+  let by_source l =
+    List.sort (fun a b -> compare (a.source, a.modname) (b.source, b.modname)) l
+  in
+  {
+    units = by_source acc.units;
+    interfaces = by_source acc.interfaces;
+    errors = List.rev acc.errors;
+  }

@@ -173,7 +173,7 @@ let unit_locals (u : Loader.unit_info) =
             walk_items (Ident.name id :: path_rev) str.str_items
         | _ -> ())
   in
-  walk_items (List.rev u.modname) u.str.str_items;
+  walk_items (List.rev u.modname) u.tree.str_items;
   locals
 
 let collect_unit ~decls t (u : Loader.unit_info) =
@@ -228,7 +228,7 @@ let collect_unit ~decls t (u : Loader.unit_info) =
             walk_items (Ident.name id :: path_rev) str.str_items
         | _ -> ())
   in
-  walk_items (List.rev u.modname) u.str.str_items
+  walk_items (List.rev u.modname) u.tree.str_items
 
 let collect ~decls units =
   let t =

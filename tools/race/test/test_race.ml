@@ -9,7 +9,9 @@
    the shared suppression filter and silent after it; and the
    suppression language must round-trip for every rule id of both tools
    (wlan-lint and wlan-race), in both spellings and both escape-hatch
-   forms. *)
+   forms. The reach/ sub-corpus pins export-reachability: its lib/
+   exports, read from its bin/ and test/ units, cover the three
+   classes and every reader shape the rule resolves. *)
 
 open Wlan_race_kernel
 open Analysis_common
@@ -28,7 +30,7 @@ let result = lazy (Engine.run [ fixture_root ])
 (* Raw (pre-suppression) diagnostics, straight from the checks — used
    to prove the escape hatches in suppressed.ml are load-bearing. *)
 let raw = lazy (
-  let units, errors = Loader.load [ fixture_root ] in
+  let { Loader.units; errors; _ } = Loader.load [ fixture_root ] in
   assert (errors = []);
   let decls = Lattice.collect units in
   let sums = Summaries.collect ~decls units in
@@ -64,8 +66,7 @@ let test_no_load_errors () =
   Alcotest.(check int) "load errors" 0 (List.length r.errors);
   Alcotest.(check bool) "several units loaded" true (r.units >= List.length fixtures)
 
-(* The acceptance bar: each of the four rules has a fixture that
-   triggers it. *)
+(* The acceptance bar: each rule has a fixture that triggers it. *)
 let test_every_rule_fires () =
   let fired =
     List.map (fun (d : Diagnostic.t) -> d.rule) (Lazy.force result).diagnostics
@@ -76,7 +77,7 @@ let test_every_rule_fires () =
       Alcotest.(check bool)
         (Printf.sprintf "rule %s fires on the corpus" id)
         true (List.mem id fired))
-    Checks.all_rules
+    Engine.all_rules
 
 (* Each racy fixture is a pure specimen of one rule. *)
 let test_exactly_its_rule () =
@@ -92,6 +93,7 @@ let test_exactly_its_rule () =
       ("racy_counter.ml", Checks.rule_counter);
       ("racy_rng.ml", Checks.rule_rng);
       ("racy_merge.ml", Checks.rule_merge);
+      ("api.mli", Reach.rule);
     ]
 
 let test_clean_fixtures_silent () =
@@ -115,6 +117,87 @@ let test_suppression_is_load_bearing () =
        [ Checks.rule_escape; Checks.rule_counter; Checks.rule_rng;
          Checks.rule_merge ])
     rules
+
+(* ------------------------------------------------------------------ *)
+(* export-reachability                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let reach_root = Filename.concat fixture_root "reach"
+
+(* The rule's findings, pinned as text and as the --format json array. *)
+let test_reach_golden () =
+  let diags = diags_for "api.mli" in
+  Alcotest.(check string) "text"
+    (read (Filename.concat reach_root "api.expected"))
+    (String.concat "" (List.map (fun d -> Diagnostic.to_text d ^ "\n") diags));
+  Alcotest.(check string) "json"
+    (read (Filename.concat reach_root "api.expected.json"))
+    (Engine.to_json diags ^ "\n")
+
+(* Every export of the corpus lands in its class: the shipped ones are
+   silent in the goldens, so they are pinned here. *)
+let test_reach_classes () =
+  let cls =
+    Reach.classify (Loader.load [ fixture_root ])
+    |> List.map (fun ((e : Reach.export), c) ->
+           ( Names.to_string e.key,
+             match c with
+             | Reach.Shipped -> "shipped"
+             | Test_only files ->
+                 "test-only " ^ String.concat "," (List.map Filename.basename files)
+             | Unread -> "unread" ))
+    |> List.sort compare
+  in
+  let api v = "Reach_lib.Api." ^ v in
+  Alcotest.(check (list (pair string string))) "classes"
+    (List.sort compare
+       [
+         (api "shipped", "shipped");
+         (api "tested", "test-only reader.ml");
+         (api "unread", "unread");
+         (api "own_only", "unread");
+         (api "via_open", "shipped");
+         (api "via_alias", "shipped");
+         (api "pp", "shipped");
+         (api "oracle", "test-only reader.ml");
+         (api "Sub.deep", "test-only reader.ml");
+         ("Reach_lib.Inc.included", "shipped");
+         ("Reach_lib.Arg.by_functor", "shipped");
+         ("Reach_lib.Packed.packed", "shipped");
+       ])
+    cls
+
+(* The allow comment above [oracle], not analyzer blindness, keeps it
+   out of the findings. *)
+let test_reach_suppression () =
+  let flagged diags =
+    List.exists
+      (fun (d : Diagnostic.t) ->
+        String.starts_with ~prefix:"Reach_lib.Api.oracle " d.message)
+      diags
+  in
+  Alcotest.(check bool) "raw finding" true
+    (flagged (Reach.check (Loader.load [ fixture_root ])));
+  Alcotest.(check bool) "suppressed" false (flagged (diags_for "api.mli"))
+
+(* Units under test/ are readers only: reach/test/reader.ml taps
+   ambient Random in a pooled task, and no domain-safety rule reports
+   it, though the checks alone would. *)
+let test_test_units_unchecked () =
+  let { Loader.units; _ } = Loader.load [ reach_root ] in
+  let u =
+    List.find
+      (fun (u : Loader.unit_info) ->
+        Loader.under "test" u && Filename.basename u.source = "reader.ml")
+      units
+  in
+  let decls = Lattice.collect units in
+  let sums = Summaries.collect ~decls units in
+  Alcotest.(check bool) "racy when checked" true
+    (Checks.check_unit ~decls ~sums u <> []);
+  Alcotest.(check int) "findings" 0
+    (List.length (List.filter (fun (d : Diagnostic.t) -> d.file = u.source)
+       (Lazy.force result).diagnostics))
 
 (* Rule filtering: running with a single rule enabled yields exactly
    that rule's findings. *)
@@ -215,6 +298,15 @@ let () =
           Alcotest.test_case "suppression is load-bearing" `Quick
             test_suppression_is_load_bearing;
           Alcotest.test_case "rule filter" `Quick test_rule_filter;
+        ] );
+      ( "export-reachability",
+        [
+          Alcotest.test_case "golden text and json" `Quick test_reach_golden;
+          Alcotest.test_case "three classes" `Quick test_reach_classes;
+          Alcotest.test_case "suppression is load-bearing" `Quick
+            test_reach_suppression;
+          Alcotest.test_case "test units are readers only" `Quick
+            test_test_units_unchecked;
         ] );
       ( "suppression",
         List.map QCheck_alcotest.to_alcotest

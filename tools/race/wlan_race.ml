@@ -52,7 +52,7 @@ let () =
   if !list_rules then begin
     List.iter
       (fun (id, doc) -> Printf.printf "%-24s %s\n" id doc)
-      Checks.all_rules;
+      Engine.all_rules;
     exit 0
   end;
   let bad_id id =
@@ -82,14 +82,7 @@ let () =
           "wlan-race: %d unit(s), %d finding(s), %d load error(s)\n" res.units
           (List.length res.diagnostics)
           (List.length res.errors)
-  | `Json ->
-      print_string "[";
-      List.iteri
-        (fun i d ->
-          if i > 0 then print_string ",";
-          print_string (Format.asprintf "%a" Diagnostic.pp_json d))
-        res.diagnostics;
-      print_endline "]");
+  | `Json -> print_endline (Engine.to_json res.diagnostics));
   if res.errors <> [] then exit 2
   else if res.diagnostics <> [] then exit 1
   else exit 0
