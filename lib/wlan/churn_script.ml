@@ -126,17 +126,17 @@ let duration t =
 
 (** Steps: events grouped by exactly equal timestamps, chronological,
     script order within a step. This is the unit the engine applies
-    atomically before re-converging. *)
+    atomically before re-converging. One pass over contiguous equal-time
+    runs: the events are in time order ({!make} sorts them, {!validate}
+    refuses a list that is not), so equal times are adjacent. *)
 let steps t =
-  let rec group = function
-    | [] -> []
-    | e :: rest ->
-        let same, later =
-          List.partition (fun e' -> Float.equal e'.time e.time) rest
-        in
-        (e.time, List.map (fun e' -> e'.event) (e :: same)) :: group later
+  let close time group acc = (time, List.rev group) :: acc in
+  let rec go acc time group = function
+    | [] -> List.rev (close time group acc)
+    | e :: rest when Float.equal e.time time -> go acc time (e.event :: group) rest
+    | e :: rest -> go (close time group acc) e.time [ e.event ] rest
   in
-  group t.events
+  match t.events with [] -> [] | e :: rest -> go [] e.time [ e.event ] rest
 
 (** {1 Random scripts}
 

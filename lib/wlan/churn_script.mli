@@ -42,7 +42,9 @@ val length : t -> int
 val duration : t -> float
 
 (** Events grouped by exactly equal timestamps, chronological, script
-    order within a step — the unit the engine applies atomically. *)
+    order within a step — the unit the engine applies atomically.
+    Linear: it groups contiguous equal-time runs, so [t]'s events must be
+    in time order, as {!make} builds them and {!validate} checks. *)
 val steps : t -> (float * event list) list
 
 (** [ladder ~who tiers] is [tiers] as the array {!drifted_rate} reads.

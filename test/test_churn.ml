@@ -621,11 +621,36 @@ let test_script_steps () =
         { time = 2.; event = Ap_fail { ap = 0 } };
       ]
   in
-  match Churn_script.steps s with
+  (match Churn_script.steps s with
   | [ (t1, [ Churn_script.Join _ ]); (t2, [ Leave _; Ap_fail _ ]) ] ->
       Alcotest.(check bool) "times" true
         (Float.equal t1 1. && Float.equal t2 2.)
-  | _ -> Alcotest.fail "wrong step grouping"
+  | _ -> Alcotest.fail "wrong step grouping");
+  (* equal times interleaved with others before [make]: each time is one
+     step, in script order *)
+  let join t user = { Churn_script.time = t; event = Churn_script.Join { user } } in
+  let steps =
+    Churn_script.steps
+      (Churn_script.make
+         [ join 3. 0; join 1. 1; join 3. 2; join 1. 3; join 2. 4; join 3. 5 ])
+  in
+  let users =
+    List.map
+      (fun (t, evs) ->
+        (t, List.map (function Churn_script.Join { user } -> user | _ -> -1) evs))
+      steps
+  in
+  Alcotest.(check (list (pair (float 0.) (list int)))) "interleaved"
+    [ (1., [ 1; 3 ]); (2., [ 4 ]); (3., [ 0; 2; 5 ]) ]
+    users;
+  (* grouping is one pass: 40,000 events, two per time, well under a
+     second (the old per-step partition took seconds at 20,000) *)
+  let big = Churn_script.make (List.init 40_000 (fun i -> join (float_of_int (i / 2)) i)) in
+  let t0 = Sys.time () in
+  let steps = Churn_script.steps big in
+  let dt = Sys.time () -. t0 in
+  Alcotest.(check int) "steps" 20_000 (List.length steps);
+  Alcotest.(check bool) (Printf.sprintf "grouped in %.3f s" dt) true (dt < 0.5)
 
 (* The serve adapter consumes the same script type the (de)serializer
    round-trips above — but over the wire event order is binding, so a
