@@ -25,9 +25,6 @@ type combined = {
 
 val combined : Problem.t -> demands:float array -> t -> combined
 
-(** Every user on its strongest-signal AP (no admission control). *)
-val unicast_ssa : Problem.t -> Association.t
-
 (** One shared SSA AP for both roles — the baseline. *)
 val single_association : Problem.t -> t
 

@@ -1,8 +1,6 @@
 (** Centralized MLA — Minimize the total Load of APs (§6.1): weighted Set
     Cover via Theorem 5. *)
 
-val name : string
-
 (** The greedy [CostSC] algorithm: a [(ln n + 1)]-approximation
     (Theorem 6). Serves every coverable user. *)
 val run : Wlan_model.Problem.t -> Solution.t

@@ -15,8 +15,6 @@ type run = {
   outcome : Churn.outcome;
 }
 
-val schema : string
-
 (** The full JSON document for the runs. Non-finite floats (the
     disabled-baseline [nan]s) render as [null]. *)
 val json : seed:int -> run list -> string

@@ -38,10 +38,6 @@ type t = {
 
 let create () = { f = Hashtbl.create 8; i = Hashtbl.create 8 }
 
-(** [with_arena f] runs [f] with a fresh arena. The arena must not leak
-    out of [f] (see the lifetime rules above). *)
-let with_arena f = f (create ())
-
 let next_pow2 n =
   let c = ref 16 in
   while !c < n do

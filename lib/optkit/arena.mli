@@ -11,10 +11,6 @@ type t
 
 val create : unit -> t
 
-(** [with_arena f] runs [f] with a fresh arena; nothing acquired from it
-    may outlive the call. *)
-val with_arena : (t -> 'a) -> 'a
-
 (** [floats t slot n] is the buffer named [slot], grown to hold at least
     [n] floats. Contents unspecified on every call. *)
 val floats : t -> string -> int -> float array

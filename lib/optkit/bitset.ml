@@ -201,6 +201,3 @@ let first_inter a b =
      done
    with Exit -> ());
   !res
-
-let pp ppf t =
-  Fmt.pf ppf "{%a}" Fmt.(list ~sep:comma int) (to_list t)

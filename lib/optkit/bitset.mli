@@ -74,5 +74,3 @@ val iter_inter : (int -> unit) -> t -> t -> unit
 
 (** Smallest element of [a ∩ b], or [None] when disjoint. *)
 val first_inter : t -> t -> int option
-
-val pp : Format.formatter -> t -> unit

@@ -18,9 +18,6 @@ type result = {
 (** The paper's iteration bound: [ceil (log_{8/7} n)] + 1. *)
 val max_rounds_for : int -> int
 
-(** The largest summed group cost over every shard. *)
-val max_group_cost : result -> float
-
 (** [add_round_cost acc round] adds one round's per-group cost
     ({!Mcg.kept_group_cost}) into the running sum [acc]. Every run's
     cost is summed this way, round by round — never selection by

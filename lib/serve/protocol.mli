@@ -109,10 +109,6 @@ val parse_input : string -> (input, error_code * string) result
 
 val render_output : output -> string
 
-(** Strip newlines and control bytes from echoed wire garbage so error
-    details stay single-line and printable. *)
-val sanitize : string -> string
-
 (** [frame payload] = ["<len> <payload>\n"].
     @raise Invalid_argument if [payload] contains a newline. *)
 val frame : string -> string
@@ -142,9 +138,6 @@ module Decoder : sig
 
   (** Next decoded item, [None] = need more input. *)
   val next : t -> item option
-
-  (** Bytes buffered but not yet decoded. *)
-  val pending : t -> int
 
   (** [true] iff all fed input has been consumed as complete frames —
       at end of stream, [false] means the final frame was truncated. *)

@@ -15,9 +15,6 @@
     Rejected inputs (frame garbage, out-of-range indices, non-monotone
     times) change nothing and are deliberately {e not} logged. *)
 
-val version : int
-val magic : string
-
 type header = {
   objective : Mcast_core.Distributed.objective;
   obj_label : string;  (** ["mnu"], ["bla"] or ["mla"] *)

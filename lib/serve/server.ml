@@ -92,7 +92,6 @@ let create ?(fanout = sequential_fanout) ~config p =
       };
   }
 
-let config t = t.cfg
 let closed t = t.stage = `Closed
 let log_contents t = Buffer.contents t.log
 let stats t = t.st

@@ -53,8 +53,6 @@ type stats = {
     @raise Invalid_argument on a bad header. *)
 val create : ?fanout:fanout -> config:Replay_log.header -> Problem.t -> t
 
-val config : t -> Replay_log.header
-
 (** Handle one message; returned outputs must be framed to the peer in
     order. Refusals come back as [Error] outputs (never logged, state
     unchanged); everything else is appended to the replay log. *)

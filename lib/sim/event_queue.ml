@@ -14,7 +14,6 @@ type 'a t = {
 
 let create () = { data = [||]; size = 0; next_seq = 0 }
 let size t = t.size
-let is_empty t = t.size = 0
 
 let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 

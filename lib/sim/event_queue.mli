@@ -6,7 +6,6 @@ type 'a t
 
 val create : unit -> 'a t
 val size : 'a t -> int
-val is_empty : 'a t -> bool
 
 (** [push t ~time payload] schedules at [time].
     @raise Invalid_argument on negative or non-finite times. *)

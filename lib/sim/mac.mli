@@ -23,8 +23,6 @@ type stream = {
   tx_rate_mbps : float;
 }
 
-val unicast_tag : int
-
 (** Unicast background streams for dual-association studies: user [u]
     (entry of [assoc], [-1] = none) with demand [demands.(u)] pulls frames
     from its AP at [link_rate ap u]. *)

@@ -14,17 +14,10 @@ type epoch_report = {
       (** users whose association changed vs the previous epoch *)
 }
 
-(** Relocate [ceil (fraction * n_users)] distinct users uniformly;
-    returns the new scenario and the relocation count. *)
-val relocate :
-  rng:Random.State.t -> fraction:float -> Scenario.t -> Scenario.t * int
-
 (** Session zapping: [fraction] of the users switch to a uniformly random
     session (channel change). *)
 val zap :
   rng:Random.State.t -> fraction:float -> Scenario.t -> Scenario.t * int
-
-val diff_count : Association.t -> Association.t -> int
 
 (** [run ~epochs ~move_fraction ~policy sc]: one report per epoch, in
     order; no relocation before the first epoch. *)

@@ -17,9 +17,6 @@ val ap_create : int -> ap_state
 val ap_join : ap_state -> user:int -> session:int -> link_rate:float -> unit
 val ap_leave : ap_state -> user:int -> unit
 
-(** Transmission rate per served session: min member link rate. *)
-val ap_tx_table : ap_state -> (int, float) Hashtbl.t
-
 val ap_load : ap_state -> session_rates:float array -> float
 val ap_load_without :
   ap_state -> session_rates:float array -> user:int -> float

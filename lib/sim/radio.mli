@@ -12,17 +12,10 @@ type t = {
 }
 
 val of_scenario : Scenario.t -> t
-val n_aps : t -> int
 val n_users : t -> int
-val distance : t -> ap:int -> user:int -> float
-
-(** The model's link verdict: [Some (rate_mbps, signal)] or [None]. *)
-val link : t -> ap:int -> user:int -> (float * float) option
 
 (** Link rate after rate adaptation; [None] out of range. *)
 val link_rate : t -> ap:int -> user:int -> float option
-
-val in_range : t -> ap:int -> user:int -> bool
 
 (** Signal metric (higher = stronger): the model's — negative distance
     for [Table] models, received dBm for [Path_loss]. *)

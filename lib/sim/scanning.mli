@@ -13,8 +13,6 @@ type config = {
   response_jitter : float;  (** max extra uniform jitter *)
 }
 
-val default_config : config
-
 (** Schedule the scan; [on_complete] fires (as a simulation event) once
     every expected probe response has been received. *)
 val start :

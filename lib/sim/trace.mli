@@ -41,9 +41,7 @@ val log : t -> time:float -> kind -> unit
 val records : t -> record list
 
 val count : t -> int
-val filter : t -> (record -> bool) -> record list
 val count_kind : t -> (kind -> bool) -> int
-val pp_kind : Format.formatter -> kind -> unit
 val pp_record : Format.formatter -> record -> unit
 
 (** The whole log as text, one record per line, chronological — the byte

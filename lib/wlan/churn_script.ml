@@ -34,20 +34,6 @@ type t = { events : timed list }
 let events t = t.events
 let length t = List.length t.events
 
-let pp_event ppf = function
-  | Join { user } -> Fmt.pf ppf "join u%d" user
-  | Leave { user } -> Fmt.pf ppf "leave u%d" user
-  | Ap_fail { ap } -> Fmt.pf ppf "ap-fail a%d" ap
-  | Ap_recover { ap } -> Fmt.pf ppf "ap-recover a%d" ap
-  | Drift { user; steps } -> Fmt.pf ppf "drift u%d %+d" user steps
-  | Burst { users } ->
-      Fmt.pf ppf "burst %a" Fmt.(list ~sep:sp (fmt "u%d")) users
-
-let pp_timed ppf { time; event } = Fmt.pf ppf "%.6f %a" time pp_event event
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:cut pp_timed) t.events
-
 (* A tier ladder as [drifted_rate] reads it, built once per replay or
    session. Shared by the churn engine and the serve daemon, so both
    refuse the same ladders. *)

@@ -61,8 +61,6 @@ val ladder : who:string -> float list -> float array
     and the serve daemon. *)
 val drifted_rate : tiers:float array -> float -> int -> float
 
-val pp : t Fmt.t
-
 (** {1 Random scripts} *)
 
 type gen_config = {

@@ -8,8 +8,6 @@ type t = { x : float; y : float }
 
 let v x y = { x; y }
 
-let origin = v 0. 0.
-
 let dist2 a b =
   let dx = a.x -. b.x and dy = a.y -. b.y in
   (dx *. dx) +. (dy *. dy)
@@ -19,8 +17,6 @@ let dist a b = sqrt (dist2 a b)
 
 (** [within r a b] is true when [a] and [b] are at most [r] meters apart. *)
 let within r a b = dist2 a b <= r *. r
-
-let equal a b = Float.equal a.x b.x && Float.equal a.y b.y
 
 let pp ppf { x; y } = Fmt.pf ppf "(%.1f, %.1f)" x y
 

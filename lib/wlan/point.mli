@@ -3,7 +3,6 @@
 type t = { x : float; y : float }
 
 val v : float -> float -> t
-val origin : t
 
 (** Euclidean distance in meters. *)
 val dist : t -> t -> float
@@ -11,7 +10,6 @@ val dist : t -> t -> float
 (** [within r a b] is true when [a] and [b] are at most [r] meters apart. *)
 val within : float -> t -> t -> bool
 
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
 (** Uniform random point in the [w] × [h] rectangle anchored at the

@@ -65,12 +65,6 @@ val iter_members : t -> int -> (int -> float -> unit) -> unit
     copy). Allocates O(APs × users) — test/debug helper. *)
 val rates_matrix : t -> float array array
 
-(** Structural validation; returns its argument. Rejects — beyond
-    arity/finiteness errors — any user with an empty candidate list
-    unless the instance allows uncovered users.
-    @raise Invalid_argument on malformed instances. *)
-val validate : t -> t
-
 (** Build and validate an instance written down as an (AP × user) rate
     matrix, [0.] = out of range. [signal] defaults to the rate matrix
     (highest rate = strongest signal). [allow_uncovered] defaults to

@@ -270,22 +270,3 @@ let name = function
   | Path_loss { loss = Friis; _ } -> "friis"
   | Path_loss { loss = Two_ray _; _ } -> "two-ray"
   | Path_loss { loss = Log_distance _; _ } -> "log-distance"
-
-let pp ppf t =
-  match t with
-  | Table tbl -> Fmt.pf ppf "@[table %a@]" Rate_table.pp tbl
-  | Path_loss { loss; radio } -> (
-      (match loss with
-      | Friis -> Fmt.pf ppf "friis"
-      | Two_ray { ap_height_m; user_height_m } ->
-          Fmt.pf ppf "two-ray ht=%g hr=%g" ap_height_m user_height_m
-      | Log_distance { exponent; shadowing } -> (
-          Fmt.pf ppf "log-distance n=%g" exponent;
-          match shadowing with
-          | Some { sigma_db; seed } ->
-              Fmt.pf ppf " shadow sigma=%g seed=%d" sigma_db seed
-          | None -> ()));
-      Fmt.pf ppf " (tx %g dBm, %g GHz, noise %g dBm, %d tiers, range %g m)"
-        radio.tx_power_dbm radio.freq_ghz radio.noise_dbm
-        (List.length radio.snr_tiers)
-        (max_range t))

@@ -60,12 +60,8 @@ type t =
   | Table of Rate_table.t
   | Path_loss of { loss : path_loss; radio : radio }
 
-(** SNR thresholds for the eight 802.11a tiers (54 → 6 Mbps), from
-    typical receiver-sensitivity deltas. *)
-val ieee80211a_snr_tiers : snr_tier list
-
 (** 16 dBm transmit, 5.8 GHz, −85 dBm noise floor, isotropic antennas,
-    {!ieee80211a_snr_tiers} — calibrated so Friis reaches ≈ 231 m
+    the eight 802.11a SNR tiers — calibrated so Friis reaches ≈ 231 m
     (Table 1 reaches 200 m). *)
 val default_radio : radio
 
@@ -91,19 +87,6 @@ val validate : t -> t
 (** Structural equality (all parameters are floats/ints; no NaN survives
     {!validate}). *)
 val equal : t -> t -> bool
-
-val antenna_gain_dbi : antenna -> float
-
-(** Path loss in dB at [dist] meters (near-field clamped to 1 m),
-    excluding shadowing. *)
-val path_loss_db : radio -> path_loss -> float -> float
-
-(** The clamped per-link shadowing draw in dB (0 when σ = 0). *)
-val shadow_db : shadowing -> ap:int -> user:int -> float
-
-(** Received power in dBm over link [(ap, user)] at [dist] meters,
-    including antenna gains and shadowing. *)
-val rx_power_dbm : loss:path_loss -> radio:radio -> ap:int -> user:int -> dist:float -> float
 
 (** The radius beyond which {!link} is [None]: the table's largest
     threshold, or the path-loss inversion at the lowest tier's SNR
@@ -135,5 +118,3 @@ val dead_signal : t -> dist:float -> float
 (** Short stable identifier: ["table"], ["friis"], ["two-ray"],
     ["log-distance"] — used by figure/bench row labels. *)
 val name : t -> string
-
-val pp : Format.formatter -> t -> unit

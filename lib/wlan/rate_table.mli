@@ -46,5 +46,4 @@ val basic_only : t -> t
     extension (§8). @raise Invalid_argument on non-positive factors. *)
 val scale_thresholds : float -> t -> t
 
-val pp_entry : Format.formatter -> entry -> unit
 val pp : Format.formatter -> t -> unit

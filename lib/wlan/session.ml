@@ -16,8 +16,6 @@ let make ~id ~rate_mbps =
 
 let id t = t.id
 let rate_mbps t = t.rate_mbps
-let equal a b = a.id = b.id && Float.equal a.rate_mbps b.rate_mbps
-let pp ppf t = Fmt.pf ppf "s%d(%g Mbps)" t.id t.rate_mbps
 
 (** [uniform ~n ~rate_mbps] is [n] sessions all streaming at [rate_mbps],
     the configuration used throughout the paper's evaluation. *)

@@ -9,8 +9,6 @@ val make : id:int -> rate_mbps:float -> t
 
 val id : t -> int
 val rate_mbps : t -> float
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 (** [uniform ~n ~rate_mbps]: [n] sessions all streaming at the same rate —
     the configuration the paper's evaluation uses. *)

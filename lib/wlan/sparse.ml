@@ -391,12 +391,6 @@ let of_dense ~n_users ~rates ~signal =
   done;
   assemble ~n_aps ~user_off ~cand_ap ~cand_rate ~cand_signal
 
-let pp ppf t =
-  Fmt.pf ppf "@[<v>sparse: %d APs, %d users, %d links (%.2f cand/user)@]"
-    t.n_aps t.n_users (n_links t)
-    (if t.n_users = 0 then 0.
-     else float_of_int (n_links t) /. float_of_int t.n_users)
-
 (** {1 Spatial bucket grid} *)
 
 module Grid = struct

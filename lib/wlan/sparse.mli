@@ -133,8 +133,6 @@ val masked : t -> ap_alive:bool array -> user_present:bool array -> t
     links stay lost). *)
 val map_rates : t -> (float -> float) -> t
 
-val pp : Format.formatter -> t -> unit
-
 (** Spatial bucket grid over point sets (typically AP positions): point
     indices sorted by square cell of side [cell]. The 3×3 cell block
     around a point is a superset of the points within [cell] of it — no
