@@ -21,14 +21,6 @@ let series_names fig =
         acc p.values)
     [] fig.points
 
-(** Mean of series [name] at the largest x (the usual headline point). *)
-let last_mean fig name =
-  match List.rev fig.points with
-  | [] -> None
-  | p :: _ ->
-      Option.map (fun (s : Stats.summary) -> s.Stats.mean)
-        (List.assoc_opt name p.values)
-
 (** Mean of series [name] at a given x. *)
 let mean_at fig name x =
   List.find_opt (fun p -> Float.abs (p.x -. x) < 1e-9) fig.points

@@ -14,8 +14,5 @@ type figure = {
 (** All series names, in order of first appearance across the points. *)
 val series_names : figure -> string list
 
-(** Mean of a series at the largest x. *)
-val last_mean : figure -> string -> float option
-
 (** Mean of a series at a given x. *)
 val mean_at : figure -> string -> float -> float option

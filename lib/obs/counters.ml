@@ -6,8 +6,6 @@ type t = { name : string; cell : int Atomic.t }
 
 let enabled_flag = Atomic.make false
 
-let enabled () = Atomic.get enabled_flag
-
 let set_enabled b = Atomic.set enabled_flag b
 
 (* The registry is touched on counter creation, reset and snapshot —

@@ -28,9 +28,6 @@ val make : string -> t
 
 val name : t -> string
 
-val enabled : unit -> bool
-(** Current state of the process-wide gate (off at startup). *)
-
 val set_enabled : bool -> unit
 (** Flip the gate. Flip it {e before} submitting work; flipping it
     while worker domains are mid-task makes totals depend on timing. *)

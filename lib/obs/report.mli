@@ -6,9 +6,6 @@
     times live exclusively in the {!Span} tree, rendered separately by
     {!pp_text}. *)
 
-val schema : string
-(** ["wlan-mcast/profile/1"]. *)
-
 type t = {
   label : string;
   seed : int;

@@ -9,8 +9,6 @@ let the_clock : clock option ref = ref None
 
 let set_clock c = the_clock := c
 
-let active () = Option.is_some !the_clock
-
 (* Mutable accumulation tree; frozen into the public node type by
    [tree]. Children are kept newest-first and reversed on freeze. *)
 type mnode = {

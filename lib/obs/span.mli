@@ -21,9 +21,6 @@ val set_clock : clock option -> unit
     Install it before the work you want spans for; libraries must never
     call this. *)
 
-val active : unit -> bool
-(** Whether a clock is installed. *)
-
 val with_span : string -> (unit -> 'a) -> 'a
 (** [with_span name f] runs [f], and — when a clock is installed and we
     are on the main domain — accounts its wall time to the tree node

@@ -41,11 +41,6 @@ let add t i =
   let w = i / bits_per_word and b = i mod bits_per_word in
   t.words.(w) <- t.words.(w) lor (1 lsl b)
 
-let remove t i =
-  check t i;
-  let w = i / bits_per_word and b = i mod bits_per_word in
-  t.words.(w) <- t.words.(w) land lnot (1 lsl b)
-
 let mem t i =
   check t i;
   let w = i / bits_per_word and b = i mod bits_per_word in
@@ -184,20 +179,3 @@ let fold f t acc =
   let acc = ref acc in
   iter (fun i -> acc := f i !acc) t;
   !acc
-
-(** First element of [a ∩ b], or [None]. *)
-let first_inter a b =
-  same_capacity a b;
-  let res = ref None in
-  (try
-     for i = 0 to Array.length a.words - 1 do
-       let w = a.words.(i) land b.words.(i) in
-       if w <> 0 then begin
-         let b = ref 0 in
-         while w land (1 lsl !b) = 0 do incr b done;
-         res := Some ((i * bits_per_word) + !b);
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  !res

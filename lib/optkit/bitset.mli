@@ -17,7 +17,6 @@ val copy : t -> t
 (** Mutators; indices outside [0, capacity) raise [Invalid_argument]. *)
 
 val add : t -> int -> unit
-val remove : t -> int -> unit
 
 val mem : t -> int -> bool
 val cardinal : t -> int
@@ -71,6 +70,3 @@ val move_in : src:t -> dst:t -> int array -> int -> int -> int
 (** [iter_inter f a b] visits the elements of [a ∩ b] in ascending
     order without allocating the intersection. *)
 val iter_inter : (int -> unit) -> t -> t -> unit
-
-(** Smallest element of [a ∩ b], or [None] when disjoint. *)
-val first_inter : t -> t -> int option

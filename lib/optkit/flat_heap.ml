@@ -11,8 +11,7 @@
 
     Capacities are fixed at {!make}: the greedy cores only push while
     seeding, so the seed count is a static bound. Planes can live in an
-    {!Arena} and be reused across probes; {!clear} resets every heap to
-    empty without touching the planes. *)
+    {!Arena} and be reused across probes. *)
 
 type t = {
   prio : float array;  (** priority plane, CSR by [off] *)
@@ -46,8 +45,6 @@ let make ?arena ?(slot = "flat_heap") ~capacities () =
   Array.iteri (fun g c -> off.(g + 1) <- off.(g) + c) capacities;
   Array.fill size 0 n_groups 0;
   { prio; value; off; size; n_groups; cell = [| neg_infinity |] }
-
-let clear t = Array.fill t.size 0 t.n_groups 0
 
 (* Heap order: priority first; exactly equal priorities fall to the lower
    value. [i]/[j] are plane indices. *)

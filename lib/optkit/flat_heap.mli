@@ -27,9 +27,6 @@ type t = private {
 val make :
   ?arena:Arena.t -> ?slot:string -> capacities:int array -> unit -> t
 
-(** Empty every heap; planes (and their contents) are untouched. *)
-val clear : t -> unit
-
 (** [push t g v] inserts [v] into group [g]'s heap at priority
     [t.cell.(0)].
     @raise Invalid_argument past the group's capacity. *)

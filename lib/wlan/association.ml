@@ -16,33 +16,10 @@ let copy : t -> t = Array.copy
 let ap_of (t : t) u = if t.(u) = none then None else Some t.(u)
 let is_served (t : t) u = t.(u) <> none
 let serve (t : t) ~user ~ap = t.(user) <- ap
-let unserve (t : t) ~user = t.(user) <- none
 
 (** Number of users currently served. *)
 let served_count (t : t) =
   Array.fold_left (fun n a -> if a <> none then n + 1 else n) 0 t
-
-let served_users (t : t) =
-  let acc = ref [] in
-  for u = Array.length t - 1 downto 0 do
-    if t.(u) <> none then acc := u :: !acc
-  done;
-  !acc
-
-let unserved_users (t : t) =
-  let acc = ref [] in
-  for u = Array.length t - 1 downto 0 do
-    if t.(u) = none then acc := u :: !acc
-  done;
-  !acc
-
-(** Users associated with AP [a]. *)
-let users_of (t : t) ~ap =
-  let acc = ref [] in
-  for u = Array.length t - 1 downto 0 do
-    if t.(u) = ap then acc := u :: !acc
-  done;
-  !acc
 
 let equal (a : t) (b : t) = a = b
 

@@ -14,16 +14,9 @@ val copy : t -> t
 val ap_of : t -> int -> int option
 val is_served : t -> int -> bool
 val serve : t -> user:int -> ap:int -> unit
-val unserve : t -> user:int -> unit
 
 (** Number of users currently served. *)
 val served_count : t -> int
-
-val served_users : t -> int list
-val unserved_users : t -> int list
-
-(** Users associated with a given AP. *)
-val users_of : t -> ap:int -> int list
 
 val equal : t -> t -> bool
 

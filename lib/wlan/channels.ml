@@ -103,9 +103,6 @@ let color ?(n_channels = default_n_channels) ~n_aps edges =
   in
   { channels; n_channels; conflict_edges = edges; residual_conflicts }
 
-(** Whether the paper's no-interference assumption holds outright. *)
-let interference_free t = t.residual_conflicts = 0
-
 (** [co_channel_interference t ~loads] charges each AP the summed multicast
     load of the co-channel APs it conflicts with — the airtime its cell
     loses to neighbors it can hear. Returns the per-AP interference array. *)
@@ -123,9 +120,6 @@ let co_channel_interference t ~(loads : float array) =
 
 let total_interference t ~loads =
   Array.fold_left ( +. ) 0. (co_channel_interference t ~loads)
-
-let max_interference t ~loads =
-  Array.fold_left Float.max 0. (co_channel_interference t ~loads)
 
 let pp ppf t =
   Fmt.pf ppf "channels: %d colors, %d conflict edges, %d residual co-channel"

@@ -25,13 +25,5 @@ type assignment = {
     @raise Invalid_argument when [n_channels <= 0]. *)
 val color : ?n_channels:int -> n_aps:int -> (int * int) list -> assignment
 
-(** Whether the paper's no-interference assumption holds outright. *)
-val interference_free : assignment -> bool
-
-(** Per-AP interference: the summed load of co-channel conflicting
-    neighbors. *)
-val co_channel_interference : assignment -> loads:float array -> float array
-
 val total_interference : assignment -> loads:float array -> float
-val max_interference : assignment -> loads:float array -> float
 val pp : Format.formatter -> assignment -> unit

@@ -18,8 +18,6 @@ let dist a b = sqrt (dist2 a b)
 (** [within r a b] is true when [a] and [b] are at most [r] meters apart. *)
 let within r a b = dist2 a b <= r *. r
 
-let pp ppf { x; y } = Fmt.pf ppf "(%.1f, %.1f)" x y
-
 (** Uniform random point in the [w] × [h] rectangle anchored at the origin. *)
 let random ~rng ~w ~h =
   v (Random.State.float rng w) (Random.State.float rng h)

@@ -10,8 +10,6 @@ val dist : t -> t -> float
 (** [within r a b] is true when [a] and [b] are at most [r] meters apart. *)
 val within : float -> t -> t -> bool
 
-val pp : Format.formatter -> t -> unit
-
 (** Uniform random point in the [w] × [h] rectangle anchored at the
     origin. *)
 val random : rng:Random.State.t -> w:float -> h:float -> t

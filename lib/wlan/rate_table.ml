@@ -85,12 +85,6 @@ let rate_at_distance t d =
   in
   go t.entries
 
-(** Restrict a table to its basic rate only — models stock 802.11 broadcast,
-    which always transmits multicast at the basic rate (paper §3.1). *)
-let basic_only t =
-  let range = range t and basic = basic_rate t in
-  make [ { rate_mbps = basic; threshold_m = range } ]
-
 (** [scale_thresholds f t] scales every distance threshold by [f] — used by
     the adaptive-power-control extension (paper §8), where a lower transmit
     power shrinks every rate region proportionally. *)
@@ -98,8 +92,3 @@ let scale_thresholds f t =
   if f <= 0. then invalid_arg "Rate_table.scale_thresholds: factor must be > 0";
   make
     (List.map (fun e -> { e with threshold_m = e.threshold_m *. f }) t.entries)
-
-let pp_entry ppf e =
-  Fmt.pf ppf "%g Mbps @ <= %g m" e.rate_mbps e.threshold_m
-
-let pp ppf t = Fmt.(list ~sep:comma pp_entry) ppf t.entries

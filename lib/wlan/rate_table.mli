@@ -39,11 +39,6 @@ val basic_rate : t -> float
     [None] beyond the radio range. *)
 val rate_at_distance : t -> float -> float option
 
-(** Restrict to the basic rate only (stock 802.11 multicast, §3.1). *)
-val basic_only : t -> t
-
 (** Scale every threshold by a factor > 0 — the adaptive-power-control
     extension (§8). @raise Invalid_argument on non-positive factors. *)
 val scale_thresholds : float -> t -> t
-
-val pp : Format.formatter -> t -> unit

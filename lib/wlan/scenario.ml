@@ -93,8 +93,6 @@ let uncovered_users t =
     (fun u -> Sparse.degree links u = 0)
     (List.init (n_users t) Fun.id)
 
-let fully_covered t = uncovered_users t = []
-
 let pp ppf t =
   Fmt.pf ppf "@[<v>scenario: %gx%g m, %d APs, %d users, %d sessions, %s model@]"
     t.area_w t.area_h (n_aps t) (n_users t) (Array.length t.sessions)

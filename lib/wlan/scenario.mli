@@ -68,5 +68,4 @@ val to_problem_sparse : t -> Problem.t
     candidate sets. *)
 val uncovered_users : t -> int list
 
-val fully_covered : t -> bool
 val pp : Format.formatter -> t -> unit

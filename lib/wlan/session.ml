@@ -14,7 +14,6 @@ let make ~id ~rate_mbps =
   if id < 0 then invalid_arg "Session.make: id must be non-negative";
   { id; rate_mbps }
 
-let id t = t.id
 let rate_mbps t = t.rate_mbps
 
 (** [uniform ~n ~rate_mbps] is [n] sessions all streaming at [rate_mbps],

@@ -7,7 +7,6 @@ type t = { id : int; rate_mbps : float }
 (** @raise Invalid_argument on non-positive rate or negative id. *)
 val make : id:int -> rate_mbps:float -> t
 
-val id : t -> int
 val rate_mbps : t -> float
 
 (** [uniform ~n ~rate_mbps]: [n] sessions all streaming at the same rate —

@@ -16,7 +16,4 @@ type t = {
 
 val of_problem : Problem.t -> t
 
-(** Fraction of covered users with at least one alternative AP. *)
-val reassignable_fraction : t -> float
-
 val pp : Format.formatter -> t -> unit

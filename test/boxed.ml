@@ -35,6 +35,13 @@ open Mcast_core
 (* Load of one AP, read off the eager scan of every AP. *)
 let ap_load p assoc ~ap = (Loads.ap_loads p assoc).(ap)
 
+(* The users on [ap], and every served user, ascending. *)
+let users_of (assoc : Association.t) ~ap =
+  List.filter (fun u -> assoc.(u) = ap) (List.init (Array.length assoc) Fun.id)
+
+let served_users (assoc : Association.t) =
+  List.filter (Association.is_served assoc) (List.init (Array.length assoc) Fun.id)
+
 let load_if_leaves p (assoc : Association.t) ~user ~ap =
   let old = assoc.(user) in
   assoc.(user) <- Association.none;

@@ -307,7 +307,7 @@ let test_online_deltas () =
   let (_ : Distributed.Online.settle_stats) = Distributed.Online.settle net in
   (* failing an AP detaches exactly its members and empties it *)
   let assoc = Distributed.Online.assoc net in
-  let members = Association.users_of assoc ~ap:0 in
+  let members = Boxed.users_of assoc ~ap:0 in
   (match apply (Ap_fail { ap = 0 }) with
   | Failed { ap = 0; detached } ->
       Alcotest.(check (list int)) "detached = members" members detached
@@ -319,7 +319,7 @@ let test_online_deltas () =
   (* nobody is served by a dead AP, and its load is zero *)
   let assoc = Distributed.Online.assoc net in
   Alcotest.(check (list int)) "dead AP empty" []
-    (Association.users_of assoc ~ap:0);
+    (Boxed.users_of assoc ~ap:0);
   Alcotest.(check bool) "dead AP load 0" true
     (Float.equal 0. (Distributed.Online.loads net).(0));
   (* the quiescent state is Nash on the effective instance *)

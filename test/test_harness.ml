@@ -61,8 +61,6 @@ let test_series_lookup () =
   Alcotest.(check (list string)) "names" [ "a" ] (Series.series_names fig_fixture);
   Alcotest.(check (option (float 1e-9))) "mean_at" (Some 5.)
     (Series.mean_at fig_fixture "a" 2.);
-  Alcotest.(check (option (float 1e-9))) "last_mean" (Some 5.)
-    (Series.last_mean fig_fixture "a");
   Alcotest.(check (option (float 1e-9))) "missing series" None
     (Series.mean_at fig_fixture "b" 2.);
   Alcotest.(check (option (float 1e-9))) "missing x" None

@@ -31,7 +31,6 @@ let scrub () =
 let test_gate () =
   scrub ();
   let c = Wlan_obs.Counters.make "test.gate" in
-  Alcotest.(check bool) "off by default" false (Wlan_obs.Counters.enabled ());
   Wlan_obs.Counters.incr c;
   Wlan_obs.Counters.add c 7;
   Wlan_obs.Counters.record_max c 9;
@@ -136,7 +135,6 @@ let find name nodes =
 
 let test_span_noop_without_clock () =
   scrub ();
-  Alcotest.(check bool) "inactive" false (Wlan_obs.Span.active ());
   let r = Wlan_obs.Span.with_span "nope" (fun () -> 41 + 1) in
   Alcotest.(check int) "thunk still runs" 42 r;
   Alcotest.(check int) "nothing recorded" 0
@@ -145,7 +143,6 @@ let test_span_noop_without_clock () =
 let test_span_tree () =
   scrub ();
   Wlan_obs.Span.set_clock (Some (fake_clock ()));
-  Alcotest.(check bool) "active" true (Wlan_obs.Span.active ());
   Wlan_obs.Span.with_span "outer" (fun () ->
       Wlan_obs.Span.with_span "inner" (fun () -> ());
       Wlan_obs.Span.with_span "inner" (fun () -> ()));
@@ -193,7 +190,7 @@ let test_report_json () =
   let json = Wlan_obs.Report.json r in
   Alcotest.(check bool) "schema present" true
     (Astring.String.is_infix
-       ~affix:(Printf.sprintf "%S" Wlan_obs.Report.schema)
+       ~affix:{|"schema": "wlan-mcast/profile/1"|}
        json);
   Alcotest.(check bool) "label escaped" true
     (Astring.String.is_infix ~affix:{|"demo \"x\""|} json);

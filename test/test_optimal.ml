@@ -150,7 +150,7 @@ let test_subset_sum_reduction () =
   in
   List.iter
     (fun (numbers, target) ->
-      let p = Examples.of_subset_sum ~numbers ~target in
+      let p = Reductions.of_subset_sum ~numbers ~target in
       let expected = Subset_sum.best_at_most numbers target in
       let v = Optimal.mnu p in
       let got = match v with Some v -> v.Optimal.value | None -> 0 in
@@ -167,7 +167,7 @@ let prop_subset_sum_reduction_random =
         (list_of_size Gen.(int_range 1 4) (int_range 1 4))
         (int_range 1 8))
     (fun (numbers, target) ->
-      let p = Examples.of_subset_sum ~numbers ~target in
+      let p = Reductions.of_subset_sum ~numbers ~target in
       let expected = Subset_sum.best_at_most numbers target in
       let got =
         match Optimal.mnu p with Some v -> v.Optimal.value | None -> 0
@@ -183,7 +183,7 @@ let test_makespan_reduction () =
      (after the same normalization) *)
   let jobs = [ 3.; 3.; 2.; 2.; 2. ] and machines = 2 in
   let scale = List.fold_left ( +. ) 1. jobs in
-  let p = Examples.of_makespan ~jobs ~machines in
+  let p = Reductions.of_makespan ~jobs ~machines in
   let e = Option.get (Optimal.bla p) in
   let ms = Makespan.exact ~machines ~jobs in
   check_float "BLA opt = makespan opt" (ms.Makespan.makespan /. scale)
@@ -198,7 +198,7 @@ let prop_makespan_reduction_random =
         (int_range 1 3))
     (fun (jobs, machines) ->
       let scale = List.fold_left ( +. ) 1. jobs in
-      let p = Examples.of_makespan ~jobs ~machines in
+      let p = Reductions.of_makespan ~jobs ~machines in
       match Optimal.bla p with
       | None -> false
       | Some e ->
@@ -212,7 +212,7 @@ let prop_makespan_reduction_random =
 let test_set_cover_reduction () =
   (* {0,1},{1,2},{2,3} covering {0..3}: cardinality optimum is 2 sets *)
   let subsets = [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ] ] in
-  let p = Examples.of_set_cover ~n_users:4 ~subsets ~cost:0.1 in
+  let p = Reductions.of_set_cover ~n_users:4 ~subsets ~cost:0.1 in
   let e = Option.get (Optimal.mla p) in
   check_float "2 APs at 0.1 each" 0.2 e.Optimal.value
 
@@ -230,7 +230,7 @@ let prop_set_cover_reduction_random =
          return (n, List.init n Fun.id :: subsets)))
     (fun (n, subsets) ->
       let cost = 0.125 in
-      let p = Examples.of_set_cover ~n_users:n ~subsets ~cost in
+      let p = Reductions.of_set_cover ~n_users:n ~subsets ~cost in
       let e = Option.get (Optimal.mla p) in
       (* exact set cover via optkit on the same family *)
       let inst =

@@ -800,12 +800,12 @@ let test_fail_recover_atomic () =
   let a =
     let rec pick ap =
       if ap >= n_aps then Alcotest.fail "no loaded AP in seed 11"
-      else if Association.users_of (Online.assoc net) ~ap <> [] then ap
+      else if Boxed.users_of (Online.assoc net) ~ap <> [] then ap
       else pick (ap + 1)
     in
     pick 0
   in
-  let members = Association.users_of (Online.assoc net) ~ap:a in
+  let members = Boxed.users_of (Online.assoc net) ~ap:a in
   (* fail + recover back-to-back, one atomic step before the settle *)
   (match Online.apply net ~tiers:[||] (Ap_fail { ap = a }) with
   | Failed { detached; _ } ->

@@ -78,14 +78,6 @@ let test_basic_rate_and_range () =
   check_float "basic rate" 6. (Rate_table.basic_rate Rate_table.default);
   check_float "range" 200. (Rate_table.range Rate_table.default)
 
-let test_basic_only () =
-  let t = Rate_table.basic_only Rate_table.default in
-  Alcotest.(check int) "one entry" 1 (List.length (Rate_table.entries t));
-  check_float "basic rate at close range"
-    6.
-    (Option.get (Rate_table.rate_at_distance t 10.));
-  check_float "same range" 200. (Rate_table.range t)
-
 let test_scale_thresholds () =
   let t = Rate_table.scale_thresholds 0.5 Rate_table.default in
   check_float "halved range" 100. (Rate_table.range t);
@@ -112,7 +104,7 @@ let test_make_rejects_unsorted () =
 
 let test_session_make () =
   let s = Session.make ~id:3 ~rate_mbps:1.5 in
-  Alcotest.(check int) "id" 3 (Session.id s);
+  Alcotest.(check int) "id" 3 s.Session.id;
   check_float "rate" 1.5 (Session.rate_mbps s);
   Alcotest.check_raises "zero rate"
     (Invalid_argument "Session.make: rate must be positive") (fun () ->
@@ -123,7 +115,7 @@ let test_session_uniform () =
   Alcotest.(check int) "count" 5 (Array.length ss);
   Array.iteri
     (fun i s ->
-      Alcotest.(check int) "ids are indices" i (Session.id s);
+      Alcotest.(check int) "ids are indices" i s.Session.id;
       check_float "uniform rate" 2. (Session.rate_mbps s))
     ss
 
@@ -247,16 +239,7 @@ let test_association_basic () =
   Alcotest.(check int) "served 1" 1 (Association.served_count a);
   Alcotest.(check (option int)) "ap_of" (Some 7) (Association.ap_of a 1);
   Alcotest.(check (option int)) "unserved" None (Association.ap_of a 0);
-  Alcotest.(check (list int)) "unserved users" [ 0; 2 ]
-    (Association.unserved_users a);
-  Association.unserve a ~user:1;
-  Alcotest.(check int) "served 0 again" 0 (Association.served_count a)
-
-let test_association_users_of () =
-  let a : Association.t = [| 0; 1; 0; -1; 0 |] in
-  Alcotest.(check (list int)) "users of 0" [ 0; 2; 4 ]
-    (Association.users_of a ~ap:0);
-  Alcotest.(check (list int)) "users of 1" [ 1 ] (Association.users_of a ~ap:1)
+  Alcotest.(check bool) "0 unserved" false (Association.is_served a 0)
 
 (* Loads on the Figure 1 example with 3 Mbps sessions: the paper's MNU
    walk-through numbers. *)
@@ -341,8 +324,7 @@ let test_scenario_to_problem_rates () =
   check_float "30m -> 54" 54. (Problem.link_rate p ~ap:0 ~user:0);
   check_float "100m -> 18" 18. (Problem.link_rate p ~ap:0 ~user:1);
   check_float "250m -> unreachable" 0. (Problem.link_rate p ~ap:0 ~user:2);
-  Alcotest.(check (list int)) "uncovered" [ 2 ] (Scenario.uncovered_users sc);
-  Alcotest.(check bool) "not fully covered" false (Scenario.fully_covered sc)
+  Alcotest.(check (list int)) "uncovered" [ 2 ] (Scenario.uncovered_users sc)
 
 let test_scenario_signal_is_distance () =
   (* two APs; the closer one must be "strongest" even if rates tie *)
@@ -410,7 +392,6 @@ let test_topology_stats_fig1 () =
   check_float "mean degree" (8. /. 5.) t.Topology_stats.mean_user_degree;
   Alcotest.(check int) "max degree" 2 t.Topology_stats.max_user_degree;
   Alcotest.(check int) "multi-covered" 3 t.Topology_stats.multi_covered_users;
-  check_float "reassignable" 0.6 (Topology_stats.reassignable_fraction t);
   (* best rates: 3, 6, 5, 5, 4 -> mean 23/5 *)
   check_float "mean best rate" (23. /. 5.) t.Topology_stats.mean_best_rate;
   Alcotest.(check (array int)) "audiences" [| 2; 3 |]
@@ -423,8 +404,7 @@ let test_topology_stats_uncovered () =
   in
   let t = Topology_stats.of_problem p in
   Alcotest.(check int) "one covered" 1 t.Topology_stats.covered_users;
-  Alcotest.(check int) "no alternatives" 0 t.Topology_stats.multi_covered_users;
-  check_float "reassignable zero" 0. (Topology_stats.reassignable_fraction t)
+  Alcotest.(check int) "no alternatives" 0 t.Topology_stats.multi_covered_users
 
 let test_topology_stats_histogram_sums () =
   let rng = Random.State.make [| 44 |] in
@@ -595,7 +575,9 @@ let test_scenario_rejects_non_finite () =
   List.iter
     (fun (ap, user) ->
       match make ~ap ~user with
-      | _ -> Alcotest.failf "accepted %a / %a" Point.pp ap Point.pp user
+      | _ ->
+          Alcotest.failf "accepted (%g, %g) / (%g, %g)" ap.Point.x ap.Point.y
+            user.Point.x user.Point.y
       | exception Invalid_argument _ -> ())
     [
       (Point.v nan 1e300, ok);
@@ -681,7 +663,6 @@ let test_scenario_io_roundtrip_tables () =
     [
       Rate_table.ieee80211b;
       Rate_table.scale_thresholds 0.5 Rate_table.default;
-      Rate_table.basic_only Rate_table.default;
     ]
 
 (* Version-2 round-trips: a random Path_loss model (family, antennas,
@@ -999,7 +980,7 @@ let prop_tracker_churn_sequences =
             check ()
       in
       let leave () =
-        match Association.served_users assoc with
+        match Boxed.served_users assoc with
         | [] -> ()
         | us ->
             Loads.Tracker.unserve tr
@@ -1014,7 +995,7 @@ let prop_tracker_churn_sequences =
           (fun u ->
             Loads.Tracker.unserve tr ~user:u;
             check ())
-          (Association.users_of assoc ~ap:a);
+          (Boxed.users_of assoc ~ap:a);
         if not (Float.equal 0. (Loads.Tracker.ap_load tr a)) then ok := false
       in
       check ();
@@ -1030,7 +1011,7 @@ let prop_tracker_churn_sequences =
         (fun u ->
           Loads.Tracker.unserve tr ~user:u;
           check ())
-        (Association.served_users assoc);
+        (Boxed.served_users assoc);
       if not (Float.equal 0. (Loads.Tracker.total_load tr)) then ok := false;
       !ok)
 
@@ -1074,7 +1055,6 @@ let () =
           tc "out of range" test_table1_out_of_range;
           tc "monotone in distance" test_rate_monotone_in_distance;
           tc "basic rate and range" test_basic_rate_and_range;
-          tc "basic-only table" test_basic_only;
           tc "power scaling" test_scale_thresholds;
           tc "rejects unsorted" test_make_rejects_unsorted;
         ] );
@@ -1094,7 +1074,6 @@ let () =
       ( "association",
         [
           tc "serve/unserve" test_association_basic;
-          tc "users_of" test_association_users_of;
         ] );
       ( "loads",
         [
