@@ -8,10 +8,6 @@
     the figure harness labels "BLA-centralized"). Among feasible B*
     guesses the run with the smallest {e realized} maximum AP load wins. *)
 
-(** The solution label of each mode: ["BLA-centralized"] for [`Hard],
-    ["BLA-centralized-soft"] for [`Soft]. *)
-val name : [ `Soft | `Hard ] -> string
-
 (** [None] when no [B* <= 1] covers every coverable user.
 
     {!Shard.solve_bla} on the instance's interaction components
@@ -20,6 +16,7 @@ val name : [ `Soft | `Hard ] -> string
     [fanout] (e.g. [Harness.Pool.run pool]) parallelizes the other
     guesses with a bit-identical result.
     @raise Invalid_argument when [n_guesses < 1]; one guess is [B* = 1]. *)
+(* lint: allow export-reachability — tests pin its None, which run_exn raises on *)
 val run :
   ?mode:[ `Soft | `Hard ] ->
   ?fanout:

@@ -152,14 +152,11 @@ module Online : sig
     | Drifted of { user : int; steps : int; lost : int }
         (** [lost] serving links went to 0 *)
 
-  (** [set_rate t ~user ~ap rate] is the [Set_rate] delta.
-      @raise Invalid_argument when [rate] is nan, or positive on a pair
-      never in range (the link structure cannot grow). *)
-  val set_rate : t -> user:int -> ap:int -> float -> applied
-
   (** [apply t ~tiers d] applies [d], marking the users whose options it
       changed; [tiers] is the {!Churn_script.ladder} a [Drift] moves
-      along. Same exceptions as {!set_rate}. *)
+      along.
+      @raise Invalid_argument when a [Set_rate] rate is nan, or positive
+      on a pair never in range (the link structure cannot grow). *)
   val apply : t -> tiers:float array -> delta -> applied
 
   (** Sessions a delta forcibly cut: members detached by an AP failure

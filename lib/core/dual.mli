@@ -11,11 +11,6 @@ type t = {
   multicast : Association.t;
 }
 
-(** Airtime each AP spends on its unicast users' demands.
-    @raise Invalid_argument when [demands] has the wrong arity. *)
-val unicast_loads :
-  Problem.t -> demands:float array -> Association.t -> float array
-
 type combined = {
   per_ap : float array;  (** unicast + multicast airtime per AP *)
   total : float;
@@ -23,12 +18,11 @@ type combined = {
   overloaded : int;  (** APs whose combined airtime exceeds 1 *)
 }
 
+(* lint: allow export-reachability — the airtime model the simulator cross-check compares against *)
 val combined : Problem.t -> demands:float array -> t -> combined
 
-(** One shared SSA AP for both roles — the baseline. *)
-val single_association : Problem.t -> t
-
 (** SSA unicast + association-controlled multicast (default [`Mla]). *)
+(* lint: allow export-reachability — the plan the simulator cross-check replays *)
 val plan : ?objective:[ `Mla | `Bla | `Mnu ] -> Problem.t -> t
 
 val uniform_demands : Problem.t -> mbps:float -> float array

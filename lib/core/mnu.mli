@@ -3,8 +3,6 @@
     H1/H2 split, an 8-approximation (Theorem 2). The returned association
     always respects every AP's budget. *)
 
-val name : string
-
 val run : Wlan_model.Problem.t -> Solution.t
 
 (** Revenue-weighted MNU: maximize total user {e value} (the §3.2

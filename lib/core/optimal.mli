@@ -31,5 +31,6 @@ val bla :
 
 type brute_objective = Max_served | Min_max_load | Min_total_load
 
+(* lint: allow export-reachability — exhaustive oracle the exact solvers are checked against *)
 val brute_force :
   objective:brute_objective -> Problem.t -> Solution.t option

@@ -14,12 +14,11 @@ type plan = {
   full_power_objective : float;
 }
 
-val default_factors : float array
-
 (** Compile a scenario with per-AP power scalings. A level that leaves a
     user out of every AP's range yields an instance with that user
     uncovered ({!optimize} rejects such levels).
     @raise Invalid_argument on arity mismatch. *)
+(* lint: allow export-reachability — the compile optimize searches over, checked against the plain one *)
 val problem_with_powers :
   Scenario.t -> factors:float array -> levels:int array -> Problem.t
 

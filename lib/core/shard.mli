@@ -25,6 +25,7 @@ type plan = {
 (** Interaction components from the instance's candidate lists: two APs
     share a shard iff connected through a chain of users hearing both.
     Exact on both representations; O(links · α). *)
+(* lint: allow export-reachability — tests inspect the components the drivers solve *)
 val plan : Problem.t -> plan
 
 (** Interaction components from pure geometry: APs within

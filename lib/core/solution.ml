@@ -32,10 +32,6 @@ let in_range_ok p t = Association.in_range_ok p t.assoc
 (** Budget feasibility: every AP load within the per-AP multicast budget. *)
 let respects_budget p t = Loads.respects_budget p t.assoc
 
-let unsatisfied p t =
-  let _, n_users = Problem.dims p in
-  n_users - t.satisfied
-
 let pp ppf t =
   Fmt.pf ppf
     "@[<v>%s: %d users served, total load %.4f, max load %.4f@]" t.algorithm

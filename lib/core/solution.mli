@@ -22,5 +22,4 @@ val in_range_ok : Problem.t -> t -> bool
     [1e-9]). *)
 val respects_budget : Problem.t -> t -> bool
 
-val unsatisfied : Problem.t -> t -> int
 val pp : Format.formatter -> t -> unit

@@ -4,5 +4,4 @@
     take it within the multicast budget stays unserved (no fallback to a
     weaker AP — 802.11 association considers signal strength only). *)
 
-val name : string
 val run : Wlan_model.Problem.t -> Solution.t

@@ -29,4 +29,4 @@ let ssa p =
         if load <= Problem.ap_budget p a +. 1e-12 then
           Association.serve assoc ~user:u ~ap:a
   done;
-  Mcast_core.Solution.make ~algorithm:Mcast_core.Ssa.name p assoc
+  Mcast_core.Solution.make ~algorithm:"SSA" p assoc

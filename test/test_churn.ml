@@ -590,7 +590,9 @@ let test_rates_rejected () =
   let net = Distributed.Online.create ~objective:Distributed.Min_total_load p in
   Alcotest.check_raises "nan set_rate"
     (Invalid_argument "Online.set_rate: rate must not be nan") (fun () ->
-      ignore (Distributed.Online.set_rate net ~user:0 ~ap:0 Float.nan));
+      ignore
+        (Distributed.Online.apply net ~tiers:[||]
+           (Set_rate { user = 0; ap = 0; rate = Float.nan })));
   let run tiers () =
     ignore
       (Wlan_sim.Churn.run ~init:Examples.fig4_initial ~mode:`Sequential

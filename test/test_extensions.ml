@@ -126,15 +126,6 @@ let test_mla_reduces_interference () =
 
 let fig1_1m = Examples.fig1 ~session_rate_mbps:1.
 
-let test_unicast_loads () =
-  (* u1 (rate 3) and u2 (rate 6) on a1 with 1 Mbps demand each:
-     1/3 + 1/6 = 1/2 airtime *)
-  let assoc : Association.t = [| 0; 0; -1; -1; -1 |] in
-  let demands = Dual.uniform_demands fig1_1m ~mbps:1. in
-  let loads = Dual.unicast_loads fig1_1m ~demands assoc in
-  check_float "a1 unicast airtime" 0.5 loads.(0);
-  check_float "a2 idle" 0. loads.(1)
-
 let test_combined_adds_both () =
   let t =
     {
@@ -149,11 +140,6 @@ let test_combined_adds_both () =
   check_float "a2" ((1. /. 5.) +. (1. /. 3.)) c.Dual.per_ap.(1);
   check_float "total" (0.5 +. (1. /. 5.) +. (1. /. 3.)) c.Dual.total;
   Alcotest.(check int) "none overloaded" 0 c.Dual.overloaded
-
-let test_single_association_shares_ap () =
-  let t = Dual.single_association fig1_1m in
-  Alcotest.(check bool) "same AP for both roles" true
-    (t.Dual.unicast = t.Dual.multicast)
 
 let test_dual_saves_airtime_on_campus () =
   let p =
@@ -549,20 +535,16 @@ let power_scenario () =
 let test_power_problem_with_powers () =
   let sc = power_scenario () in
   let n = Scenario.n_aps sc in
+  let factors = [| 1.0; 0.8; 0.6; 0.4 |] in
   (* full power reproduces the plain compilation *)
-  let full =
-    Power.problem_with_powers sc ~factors:Power.default_factors
-      ~levels:(Array.make n 0)
-  in
+  let full = Power.problem_with_powers sc ~factors ~levels:(Array.make n 0) in
   let plain = Scenario.to_problem sc in
   Alcotest.(check bool) "full power = plain" true
     (Problem.rates_matrix full = Problem.rates_matrix plain);
   (* dropping one AP to the lowest level only shrinks that AP's links *)
   let levels = Array.make n 0 in
-  levels.(0) <- Array.length Power.default_factors - 1;
-  let mixed =
-    Power.problem_with_powers sc ~factors:Power.default_factors ~levels
-  in
+  levels.(0) <- Array.length factors - 1;
+  let mixed = Power.problem_with_powers sc ~factors ~levels in
   for u = 0 to Scenario.n_users sc - 1 do
     if Problem.link_rate mixed ~ap:0 ~user:u
        > Problem.link_rate plain ~ap:0 ~user:u +. 1e-9
@@ -676,9 +658,7 @@ let () =
         ] );
       ( "dual association",
         [
-          tc "unicast loads" test_unicast_loads;
           tc "combined adds both" test_combined_adds_both;
-          tc "single shares AP" test_single_association_shares_ap;
           tc "dual saves airtime" test_dual_saves_airtime_on_campus;
           tc "max saving consistent" test_dual_max_saving_consistent;
           tc "dual measured in DES" test_dual_measured_in_simulator;

@@ -435,7 +435,7 @@ let unsharded_mnu p =
   in
   Cover_ref.association_of_selections p inst
     (List.map (fun (s : Optkit.Mcg.selection) -> (s.set, s.newly)) r.kept)
-  |> Solution.make ~algorithm:Mnu.name p
+  |> Solution.make ~algorithm:"MNU-centralized" p
 
 let sharded_mnu_matches ~wide seed =
   let _, pd, ps = case ~wide ~seed () in
@@ -526,7 +526,12 @@ let exhaustive_bla ~mode ~n_guesses p =
       (List.map
          (fun (s : Optkit.Mcg.selection) -> (s.set, s.newly))
          (Scg_ref.selections r))
-    |> Solution.make ~algorithm:(Bla.name mode) p
+    |> Solution.make
+         ~algorithm:
+           (match mode with
+           | `Hard -> "BLA-centralized"
+           | `Soft -> "BLA-centralized-soft")
+         p
   in
   match List.map solution runs with
   | [] -> None

@@ -739,7 +739,7 @@ let test_only_candidate_lost () =
   in
   for ap = 0 to n_aps - 1 do
     if ap <> a then
-      match Online.set_rate net ~user:u ~ap 0. with
+      match Online.apply net ~tiers:[||] (Set_rate { user = u; ap; rate = 0. }) with
       | Rate_set { lost = true } ->
           Alcotest.fail "zeroing a non-serving link cannot detach"
       | _ -> ()
@@ -748,7 +748,7 @@ let test_only_candidate_lost () =
   Alcotest.(check bool) "still on the only candidate" true
     (Association.ap_of (Online.assoc net) u = Some a);
   (* now the only candidate goes out of range mid-service *)
-  (match Online.set_rate net ~user:u ~ap:a 0. with
+  (match Online.apply net ~tiers:[||] (Set_rate { user = u; ap = a; rate = 0. }) with
   | Rate_set { lost = true } -> ()
   | _ -> Alcotest.fail "losing the serving link must report it lost");
   let st = Online.settle net in
