@@ -24,11 +24,3 @@ val json : seed:int -> run list -> string
     with embedded quotes doubled, so hostile labels cannot corrupt the
     column layout. *)
 val csv : run list -> string
-
-(** RFC-4180 field quoting of one value (identity on tame strings). *)
-val csv_escape : string -> string
-
-(** Parse RFC-4180 CSV text into rows of fields (inverse of {!csv}'s
-    framing). Raises [Invalid_argument] on an unterminated quoted
-    field. *)
-val csv_parse : string -> string list list

@@ -24,7 +24,6 @@ type t = {
   mutable stopped : bool;
 }
 
-let jobs t = t.jobs
 let domain_count t = List.length t.workers
 let default_jobs () = Domain.recommended_domain_count ()
 

@@ -12,16 +12,9 @@
 
 type t
 
-(** [create ~jobs] spawns [jobs - 1] worker domains (the caller is the
-    remaining worker: it drains the batch alongside them during {!run}).
-    @raise Invalid_argument if [jobs < 1]. *)
-val create : jobs:int -> t
-
-(** Parallelism of the pool, including the calling domain ([>= 1]). *)
-val jobs : t -> int
-
-(** Number of worker domains actually spawned: [jobs t - 1], hence [0]
+(** Number of worker domains actually spawned: [jobs - 1], hence [0]
     for a sequential pool. *)
+(* lint: allow export-reachability — test_pool pins the worker count a pool spawns *)
 val domain_count : t -> int
 
 (** [run t fs] executes every job of [fs] and returns their results in
@@ -33,11 +26,11 @@ val domain_count : t -> int
     @raise Invalid_argument if the pool has been shut down. *)
 val run : t -> (unit -> 'a) list -> 'a list
 
-(** Terminate and join the worker domains. Idempotent; subsequent {!run}
-    calls raise [Invalid_argument]. *)
-val shutdown : t -> unit
-
-(** [with_pool ~jobs f] = create, apply [f], always shut down. *)
+(** [with_pool ~jobs f] spawns [jobs - 1] worker domains (the caller is
+    the remaining worker: it drains each batch alongside them during
+    {!run}), applies [f] and always terminates and joins the workers;
+    a {!run} on the pool after [f] returns raises [Invalid_argument].
+    @raise Invalid_argument if [jobs < 1]. *)
 val with_pool : jobs:int -> (t -> 'a) -> 'a
 
 (** What [--jobs] should default to: [Domain.recommended_domain_count ()]. *)

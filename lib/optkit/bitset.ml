@@ -65,10 +65,6 @@ let inter a b =
   same_capacity a b;
   { a with words = Array.mapi (fun i w -> w land b.words.(i)) a.words }
 
-let union a b =
-  same_capacity a b;
-  { a with words = Array.mapi (fun i w -> w lor b.words.(i)) a.words }
-
 let diff a b =
   same_capacity a b;
   { a with words = Array.mapi (fun i w -> w land lnot b.words.(i)) a.words }
@@ -78,12 +74,6 @@ let diff_inplace a b =
   same_capacity a b;
   for i = 0 to Array.length a.words - 1 do
     a.words.(i) <- a.words.(i) land lnot b.words.(i)
-  done
-
-let union_inplace a b =
-  same_capacity a b;
-  for i = 0 to Array.length a.words - 1 do
-    a.words.(i) <- a.words.(i) lor b.words.(i)
   done
 
 let subset a b =
@@ -101,11 +91,6 @@ let full capacity =
   for i = 0 to capacity - 1 do
     add t i
   done;
-  t
-
-let of_list capacity l =
-  let t = create capacity in
-  List.iter (add t) l;
   t
 
 let count_in t a lo hi =

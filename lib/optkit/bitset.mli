@@ -29,22 +29,16 @@ val is_empty : t -> bool
 val inter_cardinal : t -> t -> int
 
 val inter : t -> t -> t
-val union : t -> t -> t
 val diff : t -> t -> t
 
 (** [diff_inplace a b] removes the elements of [b] from [a]. *)
 val diff_inplace : t -> t -> unit
-
-(** [union_inplace a b] adds the elements of [b] to [a]. *)
-val union_inplace : t -> t -> unit
 
 val subset : t -> t -> bool
 val equal : t -> t -> bool
 
 (** [full n] contains every element of [0, n). *)
 val full : int -> t
-
-val of_list : int -> int list -> t
 
 (** [iter f t] visits members in ascending order, scanning whole words
     and peeling set bits — O(words + members), not O(capacity). *)

@@ -47,7 +47,7 @@ let exact ?(node_limit = 1_000_000) ?element_weights inst ~budgets ?universe
   let suffix = Array.make (m + 1) (Bitset.create n) in
   for i = m - 1 downto 0 do
     suffix.(i) <-
-      Bitset.union suffix.(i + 1)
+      Bitset_ref.union suffix.(i + 1)
         (Bitset.inter sets.(order.(i)) x0)
   done;
   let best_w = ref 0. and best_sets = ref [] in
@@ -75,7 +75,7 @@ let exact ?(node_limit = 1_000_000) ?element_weights inst ~budgets ?universe
         if spent.(g) +. c <= budgets.(g) +. 1e-12 then begin
           spent.(g) <- spent.(g) +. c;
           let newly = Bitset.diff (Bitset.inter sets.(j) x0) covered in
-          let covered' = Bitset.union covered newly in
+          let covered' = Bitset_ref.union covered newly in
           go (i + 1) (j :: picked) covered' (covered_w +. weight_of newly);
           spent.(g) <- spent.(g) -. c
         end;
@@ -88,7 +88,7 @@ let exact ?(node_limit = 1_000_000) ?element_weights inst ~budgets ?universe
   let covered = Bitset.create n in
   List.iter
     (fun j ->
-      Bitset.union_inplace covered (Bitset.inter sets.(j) x0))
+      Bitset_ref.union_inplace covered (Bitset.inter sets.(j) x0))
     !best_sets;
   {
     sets = List.rev !best_sets;

@@ -498,7 +498,7 @@ let test_metrics_csv_hostile_labels () =
       labels
   in
   let text = Harness.Metrics.csv runs in
-  let rows = Harness.Metrics.csv_parse text in
+  let rows = Csv_ref.parse text in
   let header, body =
     match rows with
     | h :: b -> (h, b)
@@ -520,14 +520,7 @@ let test_metrics_csv_hostile_labels () =
     List.concat_map (fun l -> List.init steps (fun _ -> l)) labels
   in
   Alcotest.(check (list string)) "labels round-trip" expected
-    (List.map List.hd body);
-  (* quoting is the identity on tame fields and minimal on hostile ones *)
-  Alcotest.(check string) "tame identity" "plain"
-    (Harness.Metrics.csv_escape "plain");
-  Alcotest.(check string) "comma quoted" "\"with,comma\""
-    (Harness.Metrics.csv_escape "with,comma");
-  Alcotest.(check string) "quote doubled" "\"say \"\"hi\"\"\""
-    (Harness.Metrics.csv_escape "say \"hi\"")
+    (List.map List.hd body)
 
 (* ------------------------------------------------------------------ *)
 (* Script model and serialization                                      *)

@@ -237,7 +237,7 @@ let prop_set_cover_reduction_random =
         Optkit.Cover_instance.make ~n_elements:n
           ~sets:
             (Array.of_list
-               (List.map (fun s -> Optkit.Bitset.of_list n s) subsets))
+               (List.map (fun s -> Bitset_ref.of_list n s) subsets))
           ~costs:(Array.make (List.length subsets) cost)
           ~payload:(Array.of_list (List.mapi (fun i _ -> i) subsets))
           ()

@@ -38,17 +38,14 @@ let test_first_exception jobs () =
     (Pool.run pool [ (fun () -> 10); (fun () -> 11) ])
 
 let test_sequential_spawns_no_domain () =
-  let pool = Pool.create ~jobs:1 in
+  Pool.with_pool ~jobs:1 @@ fun pool ->
   Alcotest.(check int) "no worker domains" 0 (Pool.domain_count pool);
-  Alcotest.(check int) "jobs" 1 (Pool.jobs pool);
   Alcotest.(check (list int))
     "still runs jobs" [ 1; 2; 3 ]
-    (Pool.run pool [ (fun () -> 1); (fun () -> 2); (fun () -> 3) ]);
-  Pool.shutdown pool
+    (Pool.run pool [ (fun () -> 1); (fun () -> 2); (fun () -> 3) ])
 
 let test_domain_count () =
   Pool.with_pool ~jobs:4 @@ fun pool ->
-  Alcotest.(check int) "jobs" 4 (Pool.jobs pool);
   Alcotest.(check int) "jobs - 1 workers (caller participates)" 3
     (Pool.domain_count pool)
 
@@ -68,10 +65,7 @@ let test_empty_and_reuse () =
   done
 
 let test_shutdown () =
-  let pool = Pool.create ~jobs:2 in
-  Pool.shutdown pool;
-  Pool.shutdown pool;
-  (* idempotent *)
+  let pool = Pool.with_pool ~jobs:2 Fun.id in
   Alcotest.check_raises "run after shutdown"
     (Invalid_argument "Pool.run: pool is shut down") (fun () ->
       ignore (Pool.run pool [ (fun () -> ()) ]))
@@ -136,7 +130,7 @@ let test_with_pool_reraises_and_joins () =
 let test_invalid_jobs () =
   Alcotest.check_raises "jobs must be positive"
     (Invalid_argument "Pool.create: jobs must be >= 1") (fun () ->
-      ignore (Pool.create ~jobs:0))
+      Pool.with_pool ~jobs:0 ignore)
 
 let test_default_jobs () =
   Alcotest.(check bool) "recommended >= 1" true (Pool.default_jobs () >= 1)
