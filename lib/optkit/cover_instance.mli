@@ -46,6 +46,7 @@ val of_planes :
     defaults to all sets in group 0; [n_groups] may widen the group
     count beyond the largest used index (so empty groups exist).
     @raise Invalid_argument on any violation. *)
+(* lint: allow export-reachability — builds the hand-made instances the test references solve *)
 val make :
   n_elements:int ->
   sets:Bitset.t array ->
@@ -65,6 +66,7 @@ val set : 'a t -> int -> Bitset.t
 
 val cost : 'a t -> int -> float
 val group : 'a t -> int -> int
+(* lint: allow export-reachability — the test references read selected sets back through it *)
 val payload : 'a t -> int -> 'a
 
 (** A fresh copy of the [coverable] plane, which the caller may mutate. *)

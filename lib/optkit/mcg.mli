@@ -74,6 +74,7 @@ val session :
     included — [remaining] must be a subset of every earlier round's (the
     SCG driver's shrinking uncovered set). Selections are identical to a
     fresh [greedy ~universe:remaining]. *)
+(* lint: allow export-reachability — Scg_ref's reference grid drives sessions round by round *)
 val session_round : 'a session -> remaining:Bitset.t -> result
 
 (** Per-group cost of one round's kept sets, summed in selection order
@@ -122,6 +123,7 @@ type 'a first_round
 val first_round : 'a session -> 'a first_round option
 
 (** The running witness at each raw pick, in pick order. *)
+(* lint: allow export-reachability — tests check resume's prefix against it *)
 val witnesses : 'a first_round -> float array
 
 (** [resume s f] makes [s]'s first round start from [f] instead of a
@@ -138,7 +140,9 @@ val witnesses : 'a first_round -> float array
 val resume : 'a session -> 'a first_round -> unit
 
 (** Number of elements the solution covers. *)
+(* lint: allow export-reachability — checker the MCG batteries assert with *)
 val coverage : result -> int
 
 (** Check the budget constraint of a result. *)
+(* lint: allow export-reachability — checker the MCG batteries assert with *)
 val within_budgets : result -> budgets:float array -> bool

@@ -16,6 +16,7 @@ type result = {
 }
 
 (** The paper's iteration bound: [ceil (log_{8/7} n)] + 1. *)
+(* lint: allow export-reachability — Scg_ref's reference grid runs the same round budget *)
 val max_rounds_for : int -> int
 
 (** [add_round_cost acc round] adds one round's per-group cost
@@ -23,6 +24,7 @@ val max_rounds_for : int -> int
     cost is summed this way, round by round — never selection by
     selection, which rounds differently in the last ulp and can reorder
     near-tied probes. *)
+(* lint: allow export-reachability — Scg_ref's reference grid sums round costs the same way *)
 val add_round_cost : float array -> float array -> unit
 
 (** The grid's clamped lower end, [max_e min_{S∋e} c(S)] over [universe]
@@ -51,6 +53,7 @@ val grid_points : ?n_guesses:int -> float -> float list
     [scg.grid_probes] counts the guesses probed and [scg.grid_reuses]
     the guesses reused.
     @raise Invalid_argument when [fanout] returns too few results. *)
+(* lint: allow export-reachability — its unit test pins the reuse order apart from solve_grid *)
 val reuse_grid :
   fanout:((unit -> 'r) list -> 'r list) ->
   bound:('w -> float) ->

@@ -30,6 +30,7 @@ val greedy :
 
 (** Maximum element frequency over the (optional) universe: the largest
     number of sets any single element belongs to. *)
+(* lint: allow export-reachability — the f the f-approximation property checks against *)
 val max_frequency : ?universe:Bitset.t -> 'a Cover_instance.t -> int
 
 (** Layering (local-ratio) f-approximation. *)

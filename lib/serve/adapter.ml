@@ -27,11 +27,8 @@ let inputs_of_events timed =
   in
   go [] 0 0. timed
 
-let inputs_of_script script =
-  inputs_of_events (Churn_script.events script)
-
 let frames_of_script ?(trailer = true) script =
-  match inputs_of_script script with
+  match inputs_of_events (Churn_script.events script) with
   | Error e -> Error e
   | Ok inputs ->
       let buf = Buffer.create 4096 in

@@ -27,9 +27,6 @@ val inputs_of_events :
   Wlan_model.Churn_script.timed list ->
   (Protocol.input list, error) result
 
-val inputs_of_script :
-  Wlan_model.Churn_script.t -> (Protocol.input list, error) result
-
 (** The full framed session a client would send: [hello], the script's
     events, then (unless [trailer:false]) [flush], [snapshot], [bye]. *)
 val frames_of_script :

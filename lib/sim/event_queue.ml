@@ -13,7 +13,6 @@ type 'a t = {
 }
 
 let create () = { data = [||]; size = 0; next_seq = 0 }
-let size t = t.size
 
 let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 

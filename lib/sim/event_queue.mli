@@ -5,7 +5,6 @@
 type 'a t
 
 val create : unit -> 'a t
-val size : 'a t -> int
 
 (** [push t ~time payload] schedules at [time].
     @raise Invalid_argument on negative or non-finite times. *)

@@ -18,8 +18,6 @@ val ap_join : ap_state -> user:int -> session:int -> link_rate:float -> unit
 val ap_leave : ap_state -> user:int -> unit
 
 val ap_load : ap_state -> session_rates:float array -> float
-val ap_load_without :
-  ap_state -> session_rates:float array -> user:int -> float
 
 (** {1 Query responses} *)
 

@@ -42,12 +42,6 @@ let log t ~time kind =
 (** Records in chronological order. *)
 let records t = List.rev t.records
 
-let count t = t.count
-
-let filter t pred = List.filter pred (records t)
-
-let count_kind t pred = List.length (filter t (fun r -> pred r.kind))
-
 let pp_kind ppf = function
   | Probe_request { user } -> Fmt.pf ppf "probe-req u%d" user
   | Probe_response { ap; user } -> Fmt.pf ppf "probe-rsp a%d->u%d" ap user

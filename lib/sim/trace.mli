@@ -38,11 +38,8 @@ val create : ?limit:int -> unit -> t
 val log : t -> time:float -> kind -> unit
 
 (** Records in chronological order. *)
+(* lint: allow export-reachability — tests read a simulation's trace back *)
 val records : t -> record list
-
-val count : t -> int
-val count_kind : t -> (kind -> bool) -> int
-val pp_record : Format.formatter -> record -> unit
 
 (** The whole log as text, one record per line, chronological — the byte
     stream the golden-trace regression tests digest. *)

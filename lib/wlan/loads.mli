@@ -87,6 +87,7 @@ val respects_budget : Problem.t -> Association.t -> bool
 
 (** The load AP [ap] would carry if [user] joined it (its current load
     if [user] is already there); does not mutate the association. *)
+(* lint: allow export-reachability — eager definition the tracker's hypotheticals are checked against *)
 val load_if_joins : Problem.t -> Association.t -> user:int -> ap:int -> float
 
 val pp_loads : Format.formatter -> float array -> unit
@@ -117,6 +118,7 @@ module Tracker : sig
   val unserve : t -> user:int -> unit
 
   (** O(1) cached load of one AP. *)
+  (* lint: allow export-reachability — the tracker battery reads loads through it *)
   val ap_load : t -> int -> float
 
   (** The live per-AP load array — shared, not a copy; treat as
@@ -135,6 +137,7 @@ module Tracker : sig
       ~ap] is [ap]'s load without [user] (its live load if [user] is not
       there). *)
 
+  (* lint: allow export-reachability — the tracker battery checks it against the eager scan *)
   val load_if_joins : t -> user:int -> ap:int -> float
   val load_if_leaves : t -> user:int -> ap:int -> float
 

@@ -59,10 +59,12 @@ val iter_candidates : t -> int -> (int -> float -> float -> unit) -> unit
 
 (** [iter_members t a f] calls [f user rate] for every user in range of
     AP [a], ascending user order. O(members). *)
+(* lint: allow export-reachability — the test references build cover sets from member lists *)
 val iter_members : t -> int -> (int -> float -> unit) -> unit
 
 (** A fresh dense rate matrix equal to the link structure (always a
     copy). Allocates O(APs × users) — test/debug helper. *)
+(* lint: allow export-reachability — the dense view tests compare compiled instances by *)
 val rates_matrix : t -> float array array
 
 (** Build and validate an instance written down as an (AP × user) rate
@@ -122,6 +124,7 @@ val coverable_users : t -> int list
 
 (** Users of [session] reachable from [ap] at link rate at least
     [min_rate] (which must be positive), ascending. *)
+(* lint: allow export-reachability — tests compare dense and sparse compiles through it *)
 val receivers : t -> ap:int -> session:int -> min_rate:float -> int list
 
 (** The distinct positive link rates in the instance, highest first — the
@@ -137,5 +140,6 @@ val with_budget : t -> float -> t
 
 (** Install heterogeneous per-AP budgets.
     @raise Invalid_argument on arity or negative entries. *)
+(* lint: allow export-reachability — builds the heterogeneous-budget test instances *)
 val with_ap_budgets : t -> float array -> t
 val pp : Format.formatter -> t -> unit

@@ -62,8 +62,6 @@ let default_radio =
     snr_tiers = ieee80211a_snr_tiers;
   }
 
-let default = Table Rate_table.default
-
 let friis ?(radio = default_radio) () = Path_loss { loss = Friis; radio }
 
 let two_ray ?(radio = default_radio) ?(ap_height_m = 10.) ?(user_height_m = 1.5)
@@ -138,8 +136,6 @@ let validate t =
                 (fin sigma_db && sigma_db >= 0.)
                 "Rate_model.validate: shadowing sigma must be finite and >= 0")));
   t
-
-let equal (a : t) (b : t) = Stdlib.( = ) a b
 
 (* ------------------------------------------------------------------ *)
 (* Propagation                                                         *)

@@ -63,10 +63,8 @@ type t =
 (** 16 dBm transmit, 5.8 GHz, −85 dBm noise floor, isotropic antennas,
     the eight 802.11a SNR tiers — calibrated so Friis reaches ≈ 231 m
     (Table 1 reaches 200 m). *)
+(* lint: allow export-reachability — the round-trip test's random path-loss models start from it *)
 val default_radio : radio
-
-(** [Table Rate_table.default] — the paper's Table 1. *)
-val default : t
 
 val friis : ?radio:radio -> unit -> t
 
@@ -83,10 +81,6 @@ val log_distance : ?radio:radio -> ?exponent:float -> ?shadowing:shadowing -> un
     ladder, non-negative gains and σ) and return it.
     @raise Invalid_argument otherwise. *)
 val validate : t -> t
-
-(** Structural equality (all parameters are floats/ints; no NaN survives
-    {!validate}). *)
-val equal : t -> t -> bool
 
 (** The radius beyond which {!link} is [None]: the table's largest
     threshold, or the path-loss inversion at the lowest tier's SNR

@@ -66,6 +66,7 @@ val to_problem_sparse : t -> Problem.t
 (** Users no AP can serve, by the same link predicate the compile
     uses — so this agrees exactly with the compiled problem's empty
     candidate sets. *)
+(* lint: allow export-reachability — checker the compile tests assert coverage with *)
 val uncovered_users : t -> int list
 
 val pp : Format.formatter -> t -> unit

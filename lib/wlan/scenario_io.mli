@@ -28,9 +28,11 @@ val of_file : string -> Scenario.t
     inside — the static deployment they run against. Times round-trip
     bit for bit ([%.17g]). *)
 
+(* lint: allow export-reachability — the string half of churn file IO the round-trip test drives *)
 val churn_to_string : Churn_script.t -> string
 
 (** @raise Parse_error on malformed input. *)
+(* lint: allow export-reachability — the string half of churn file IO the round-trip test drives *)
 val churn_of_string : string -> Churn_script.t
 
 val churn_to_file : string -> Churn_script.t -> unit

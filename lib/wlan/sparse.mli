@@ -17,6 +17,7 @@ val n_aps : t -> int
 val n_users : t -> int
 
 (** Total number of slots (in-range pairs at build time, lost or not). *)
+(* lint: allow export-reachability — tests size the link structure by it *)
 val n_links : t -> int
 
 (** Whether some slot is lost (rate [0.]): {!restrict} drops those. *)
@@ -28,6 +29,7 @@ val has_lost : t -> bool
     with finite non-negative rates. Mirrors them into the member plane,
     counts one build and validates; the arrays are taken, not copied.
     @raise Invalid_argument on malformed planes. *)
+(* lint: allow export-reachability — the sparse battery builds hand-made planes through it *)
 val assemble :
   n_aps:int ->
   user_off:int array ->
@@ -59,6 +61,7 @@ val validate : t -> t
 (** Candidate slot index of [(ap, user)], [-1] if the pair was never in
     range (binary search over the user's candidate list; allocates
     nothing). *)
+(* lint: allow export-reachability — the sparse digest records each link's slot *)
 val find_slot : t -> ap:int -> user:int -> int
 
 (** Link rate, [0.] when the pair was never in range or the link is lost. *)

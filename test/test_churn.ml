@@ -174,7 +174,7 @@ let replay_matches_session ~objective ~mode seed =
         S.Protocol.Event { time = 0.; event = S.Protocol.Arrive { user } })
   in
   let script_inputs =
-    match S.Adapter.inputs_of_script script with
+    match S.Adapter.inputs_of_events (Churn_script.events script) with
     | Ok inputs -> inputs
     | Error e -> Alcotest.fail (S.Adapter.error_message e)
   in
@@ -666,12 +666,13 @@ let test_adapter_rejects_unsorted () =
   | Ok _ -> Alcotest.fail "unsorted events must be refused");
   (* the sorted form of the same events is accepted *)
   match
-    Mcast_serve.Adapter.inputs_of_script
-      (Churn_script.make
-         [
-           { Churn_script.time = 2.; event = Join { user = 0 } };
-           { time = 1.; event = Leave { user = 1 } };
-         ])
+    Mcast_serve.Adapter.inputs_of_events
+      (Churn_script.events
+         (Churn_script.make
+            [
+              { Churn_script.time = 2.; event = Join { user = 0 } };
+              { time = 1.; event = Leave { user = 1 } };
+            ]))
   with
   | Ok [ _; _ ] -> ()
   | Ok _ -> Alcotest.fail "wrong expansion arity"

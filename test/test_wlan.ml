@@ -723,7 +723,7 @@ let prop_scenario_io_roundtrip_v2 =
       let s = Scenario_io.to_string sc in
       let sc' = Scenario_io.of_string s in
       s = Scenario_io.to_string sc'
-      && Rate_model.equal sc'.Scenario.model sc.Scenario.model
+      && sc'.Scenario.model = sc.Scenario.model
       && Scenario.to_problem sc' = Scenario.to_problem sc)
 
 (* ------------------------------------------------------------------ *)
