@@ -24,7 +24,8 @@ let all_rules = Checks.all_rules @ [ (Reach.rule, Reach.doc) ]
 let rule_ids = List.map fst all_rules
 let find_rule id = List.find_opt (( = ) id) rule_ids
 
-(* Suppression state of one source file. *)
+(* Suppression state of one source file, cached across the (typically
+   several) diagnostics pointing into it. *)
 let suppressions_for source_on_disk source =
   match source_on_disk with
   | None -> ([], [])
@@ -49,28 +50,30 @@ let run ?(rules = rule_ids) ?prefix roots =
   List.iter note loaded.interfaces;
   let domain = List.concat_map (Checks.check_unit ~decls ~sums) shipped in
   let reach = if List.mem Reach.rule rules then Reach.check loaded else [] in
-  let by_file = Hashtbl.create 64 in
-  List.iter
-    (fun (d : Diagnostic.t) ->
-      if List.mem d.rule rules then
-        Hashtbl.replace by_file d.file
-          (d :: Option.value ~default:[] (Hashtbl.find_opt by_file d.file)))
-    (domain @ reach);
+  let suppressions = Hashtbl.create 64 in
+  let kept (d : Diagnostic.t) =
+    let spans, directives =
+      match Hashtbl.find_opt suppressions d.file with
+      | Some s -> s
+      | None ->
+          let s =
+            suppressions_for (Option.join (Hashtbl.find_opt on_disk d.file)) d.file
+          in
+          Hashtbl.add suppressions d.file s;
+          s
+    in
+    not (Suppress.allowed ~spans ~directives d)
+  in
   let diagnostics =
-    Hashtbl.fold
-      (fun file diags acc ->
-        (* several capture paths can land on one (rule, site) pair;
-           report each once *)
-        let diags = List.sort_uniq Diagnostic.compare diags in
-        let spans, directives =
-          suppressions_for (Option.join (Hashtbl.find_opt on_disk file)) file
-        in
-        Suppress.filter ~spans ~directives diags @ acc)
-      by_file []
+    List.filter (fun (d : Diagnostic.t) -> List.mem d.rule rules) (domain @ reach)
+    (* several capture paths can land on one (rule, site) pair; report
+       each once *)
+    |> List.sort_uniq Diagnostic.compare
+    |> List.filter kept
   in
   {
     units = List.length loaded.units + List.length loaded.interfaces;
-    diagnostics = List.sort Diagnostic.compare diagnostics;
+    diagnostics;
     errors =
       List.map
         (fun (e : Loader.error) -> { file = e.file; message = e.message })

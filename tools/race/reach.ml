@@ -85,9 +85,9 @@ let rec module_segs al (p : Path.t) =
   | Papply (f, _) -> module_segs al f
   | Pextra_ty (p, _) -> module_segs al p
 
-(* Record every [module X = path] of one unit. Top-level and nested
-   structure aliases are global (another unit can say [U.X.v]); every
-   alias, [let module] included, is local by ident. *)
+(* Record every [module X = path] of one unit. Structure-level aliases,
+   nested structures included, are global (another unit can say
+   [U.X.v]); every alias, [let module] included, is local by ident. *)
 let collect_aliases al (u : Loader.unit_info) =
   let add ~global id p =
     let target = module_segs al p in
@@ -104,13 +104,11 @@ let collect_aliases al (u : Loader.unit_info) =
       str.str_items
   and binding path (mb : Typedtree.module_binding) =
     match (mb.mb_id, strip mb.mb_expr) with
-    | Some id, Tmod_ident (p, _) ->
-        add ~global:(Option.map (fun path -> path @ [ Ident.name id ]) path) id p
-    | Some id, Tmod_structure str ->
-        items (Option.map (fun path -> path @ [ Ident.name id ]) path) str
+    | Some id, Tmod_ident (p, _) -> add ~global:(Some (path @ [ Ident.name id ])) id p
+    | Some id, Tmod_structure str -> items (path @ [ Ident.name id ]) str
     | _ -> ()
   in
-  items (Some u.modname) u.tree;
+  items u.modname u.tree;
   let expr it (e : Typedtree.expression) =
     (match e.exp_desc with
     | Texp_letmodule (Some id, _, _, me, _) -> (
@@ -178,7 +176,7 @@ let classify (l : Loader.loaded) =
     @ prefixes [] e.key
     |> List.filter (fun r -> r.unit <> e.owner)
   in
-  List.filter (fun i -> Loader.under "lib" i && not (Loader.under "test" i)) l.interfaces
+  List.filter (Loader.under "lib") l.interfaces
   |> List.concat_map exports
   |> List.map (fun e ->
          let rs = readers_of e in
