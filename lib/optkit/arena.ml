@@ -16,8 +16,8 @@
     arena buffer may outlive the computation that wrote it.
 
     Lifetime rules (enforced by the [arena-escape] lint rule):
-    - a buffer must not escape the dynamic extent of the {!with_arena}
-      call (or the owner record) that produced it — copy it out instead;
+    - a buffer must not escape the owner record that produced it — copy
+      it out instead;
     - an arena must never be captured by a task submitted to a
       [Harness.Pool]: arenas are single-domain scratch, and two domains
       sharing one would race on the buffers. Give each task its own

@@ -2,9 +2,9 @@
 
     Named, growable, reusable int/float buffers. Acquired contents are
     {e unspecified}: callers initialize the prefix they use. Buffers must
-    not escape the {!with_arena} extent (or the owner that holds the
-    arena) and an arena must never be shared across [Harness.Pool]
-    domains — both are flagged by the [arena-escape] lint rule. An arena
+    not escape the owner that holds the arena, and an arena must never
+    be shared across [Harness.Pool] domains — both are flagged by the
+    [arena-escape] lint rule. An arena
     never changes what is computed, only where scratch lives. *)
 
 type t

@@ -92,8 +92,8 @@ val reuse_grid :
     scratch across domains. Counts [scg.solves] per probe and
     [scg.rounds] per lockstep round.
 
-    Returns the feasible probes, smallest {!max_group_cost} first
-    (stable on ties, so in grid order). *)
+    Returns the feasible probes, smallest summed group cost over every
+    shard first (stable on ties, so in grid order). *)
 val solve_grid :
   ?mode:[ `Soft | `Hard ] ->
   ?fanout:((unit -> result) list -> result list) ->
