@@ -238,8 +238,7 @@ let test_association_basic () =
   Association.serve a ~user:1 ~ap:7;
   Alcotest.(check int) "served 1" 1 (Association.served_count a);
   Alcotest.(check (option int)) "ap_of" (Some 7) (Association.ap_of a 1);
-  Alcotest.(check (option int)) "unserved" None (Association.ap_of a 0);
-  Alcotest.(check bool) "0 unserved" false (Association.is_served a 0)
+  Alcotest.(check (option int)) "unserved" None (Association.ap_of a 0)
 
 (* Loads on the Figure 1 example with 3 Mbps sessions: the paper's MNU
    walk-through numbers. *)
