@@ -11,6 +11,12 @@ type t = {
   multicast : Association.t;
 }
 
+(** Airtime each AP spends on its unicast users' demands.
+    @raise Invalid_argument when [demands] has the wrong arity. *)
+(* lint: allow export-reachability — test_extensions pins the unicast airtime on Figure 1 *)
+val unicast_loads :
+  Problem.t -> demands:float array -> Association.t -> float array
+
 type combined = {
   per_ap : float array;  (** unicast + multicast airtime per AP *)
   total : float;
@@ -20,6 +26,10 @@ type combined = {
 
 (* lint: allow export-reachability — the airtime model the simulator cross-check compares against *)
 val combined : Problem.t -> demands:float array -> t -> combined
+
+(** One shared SSA AP for both roles — the baseline. *)
+(* lint: allow export-reachability — test_extensions checks that both roles share the AP *)
+val single_association : Problem.t -> t
 
 (** SSA unicast + association-controlled multicast (default [`Mla]). *)
 (* lint: allow export-reachability — the plan the simulator cross-check replays *)

@@ -14,6 +14,12 @@ type epoch_report = {
       (** users whose association changed vs the previous epoch *)
 }
 
+(** Session zapping: [fraction] of the users switch to a uniformly random
+    session (channel change). *)
+(* lint: allow export-reachability — test_extensions pins the zapped count and untouched positions *)
+val zap :
+  rng:Random.State.t -> fraction:float -> Scenario.t -> Scenario.t * int
+
 (** [run ~epochs ~move_fraction ~policy sc]: one report per epoch, in
     order; no relocation before the first epoch. *)
 val run :

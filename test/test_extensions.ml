@@ -126,6 +126,15 @@ let test_mla_reduces_interference () =
 
 let fig1_1m = Examples.fig1 ~session_rate_mbps:1.
 
+let test_unicast_loads () =
+  (* u1 (rate 3) and u2 (rate 6) on a1 with 1 Mbps demand each:
+     1/3 + 1/6 = 1/2 airtime *)
+  let assoc : Association.t = [| 0; 0; -1; -1; -1 |] in
+  let demands = Dual.uniform_demands fig1_1m ~mbps:1. in
+  let loads = Dual.unicast_loads fig1_1m ~demands assoc in
+  check_float "a1 unicast airtime" 0.5 loads.(0);
+  check_float "a2 idle" 0. loads.(1)
+
 let test_combined_adds_both () =
   let t =
     {
@@ -140,6 +149,11 @@ let test_combined_adds_both () =
   check_float "a2" ((1. /. 5.) +. (1. /. 3.)) c.Dual.per_ap.(1);
   check_float "total" (0.5 +. (1. /. 5.) +. (1. /. 3.)) c.Dual.total;
   Alcotest.(check int) "none overloaded" 0 c.Dual.overloaded
+
+let test_single_association_shares_ap () =
+  let t = Dual.single_association fig1_1m in
+  Alcotest.(check bool) "same AP for both roles" true
+    (t.Dual.unicast = t.Dual.multicast)
 
 let test_dual_saves_airtime_on_campus () =
   let p =
@@ -445,6 +459,15 @@ let test_mobility_with_zapping () =
   let last = sessions_of (List.nth reports 2) in
   Alcotest.(check bool) "some user zapped" true (first <> last)
 
+let test_zap_function () =
+  let sc = small_scenario 13 in
+  let rng = Random.State.make [| 6 |] in
+  let sc', k = Wlan_sim.Mobility.zap ~rng ~fraction:0.5 sc in
+  Alcotest.(check int) "half the users" 20 k;
+  Alcotest.(check bool) "positions untouched" true
+    (sc'.Scenario.user_pos == sc.Scenario.user_pos
+    || sc'.Scenario.user_pos = sc.Scenario.user_pos)
+
 let test_disabled_aps_never_serve () =
   let sc = small_scenario 14 in
   let disabled = [ 0; 3; 7 ] in
@@ -649,7 +672,9 @@ let () =
         ] );
       ( "dual association",
         [
+          tc "unicast loads" test_unicast_loads;
           tc "combined adds both" test_combined_adds_both;
+          tc "single shares AP" test_single_association_shares_ap;
           tc "dual saves airtime" test_dual_saves_airtime_on_campus;
           tc "max saving consistent" test_dual_max_saving_consistent;
           tc "dual measured in DES" test_dual_measured_in_simulator;
@@ -681,6 +706,7 @@ let () =
           tc "epoch structure" test_mobility_epochs;
           tc "warm start churn" test_mobility_warm_start_cheaper_than_cold;
           tc "session zapping" test_mobility_with_zapping;
+          tc "zap function" test_zap_function;
           tc "disabled APs never serve" test_disabled_aps_never_serve;
           tc "AP failures across epochs" test_ap_failures_across_epochs;
           tc "interference-aware MLA" test_interference_aware_mla;

@@ -240,6 +240,13 @@ let test_association_basic () =
   Alcotest.(check (option int)) "ap_of" (Some 7) (Association.ap_of a 1);
   Alcotest.(check (option int)) "unserved" None (Association.ap_of a 0)
 
+(* [Boxed.users_of] is the membership oracle the churn and serve tests
+   read an association back with. *)
+let test_association_users_of () =
+  let a : Association.t = [| 0; 1; 0; -1; 0 |] in
+  Alcotest.(check (list int)) "users of 0" [ 0; 2; 4 ] (Boxed.users_of a ~ap:0);
+  Alcotest.(check (list int)) "users of 1" [ 1 ] (Boxed.users_of a ~ap:1)
+
 (* Loads on the Figure 1 example with 3 Mbps sessions: the paper's MNU
    walk-through numbers. *)
 let test_loads_fig1_mnu_example () =
@@ -1073,6 +1080,7 @@ let () =
       ( "association",
         [
           tc "serve/unserve" test_association_basic;
+          tc "users_of" test_association_users_of;
         ] );
       ( "loads",
         [
