@@ -520,7 +520,15 @@ let test_metrics_csv_hostile_labels () =
     List.concat_map (fun l -> List.init steps (fun _ -> l)) labels
   in
   Alcotest.(check (list string)) "labels round-trip" expected
-    (List.map List.hd body)
+    (List.map List.hd body);
+  (* quoting is the identity on tame fields and minimal on hostile ones *)
+  let has_row prefix =
+    List.exists (String.starts_with ~prefix) (String.split_on_char '\n' text)
+  in
+  Alcotest.(check bool) "tame unquoted" true (has_row "plain,");
+  Alcotest.(check bool) "comma quoted" true (has_row "\"with,comma\",");
+  Alcotest.(check bool) "quote doubled" true
+    (has_row "\"with \"\"quotes\"\"\",")
 
 (* ------------------------------------------------------------------ *)
 (* Script model and serialization                                      *)

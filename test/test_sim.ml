@@ -312,6 +312,11 @@ let test_ap_agent_tx_table () =
   let rates = [| 1.; 1. |] in
   check_float "load 1/6 + 1/12" ((1. /. 6.) +. (1. /. 12.))
     (Proto.ap_load st ~session_rates:rates);
+  (* the slow user's answer recomputes session 0 at the 54 Mb/s member *)
+  Alcotest.(check (option (float 1e-9))) "without slow user"
+    (Some ((1. /. 54.) +. (1. /. 12.)))
+    (Proto.ap_answer st ~session_rates:rates ~budget:1. ~user:1)
+      .Proto.load_without_you;
   Proto.ap_leave st ~user:2;
   check_float "after leave" (1. /. 6.) (Proto.ap_load st ~session_rates:rates)
 

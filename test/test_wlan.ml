@@ -401,7 +401,11 @@ let test_topology_stats_fig1 () =
   (* best rates: 3, 6, 5, 5, 4 -> mean 23/5 *)
   check_float "mean best rate" (23. /. 5.) t.Topology_stats.mean_best_rate;
   Alcotest.(check (array int)) "audiences" [| 2; 3 |]
-    t.Topology_stats.session_audience
+    t.Topology_stats.session_audience;
+  (* 3 of 5 covered users have an alternative AP *)
+  Alcotest.(check bool) "reassignable 60%" true
+    (Astring.String.is_infix ~affix:"3 users (60%) have an alternative AP"
+       (Fmt.str "%a" Topology_stats.pp t))
 
 let test_topology_stats_uncovered () =
   let p =
@@ -410,7 +414,20 @@ let test_topology_stats_uncovered () =
   in
   let t = Topology_stats.of_problem p in
   Alcotest.(check int) "one covered" 1 t.Topology_stats.covered_users;
-  Alcotest.(check int) "no alternatives" 0 t.Topology_stats.multi_covered_users
+  Alcotest.(check int) "no alternatives" 0 t.Topology_stats.multi_covered_users;
+  Alcotest.(check bool) "reassignable 0%" true
+    (Astring.String.is_infix ~affix:"0 users (0%) have an alternative AP"
+       (Fmt.str "%a" Topology_stats.pp t));
+  (* no covered user at all: the fraction is 0, not nan *)
+  let none =
+    Topology_stats.of_problem
+      (Problem.make ~allow_uncovered:true ~session_rates:[| 1. |]
+         ~user_session:[| 0 |] ~rates:[| [| 0. |] |] ~budget:0.9 ())
+  in
+  Alcotest.(check int) "none covered" 0 none.Topology_stats.covered_users;
+  Alcotest.(check bool) "reassignable 0% of none" true
+    (Astring.String.is_infix ~affix:"0 users (0%) have an alternative AP"
+       (Fmt.str "%a" Topology_stats.pp none))
 
 let test_topology_stats_histogram_sums () =
   let rng = Random.State.make [| 44 |] in
@@ -669,6 +686,7 @@ let test_scenario_io_roundtrip_tables () =
     [
       Rate_table.ieee80211b;
       Rate_table.scale_thresholds 0.5 Rate_table.default;
+      Rate_table.make [ { rate_mbps = 6.; threshold_m = 200. } ];
     ]
 
 (* Version-2 round-trips: a random Path_loss model (family, antennas,
