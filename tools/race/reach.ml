@@ -5,8 +5,8 @@
 
     Readers are resolved value paths ([Texp_ident]), so local opens
     need no special case: the typer already wrote the full path. Module
-    aliases ([module P = M], at top level or local) are followed, in
-    this unit and across units. A module used whole — [include M], a
+    aliases ([module P = M], at top level or local) are followed within
+    the unit that declares them. A module used whole — [include M], a
     functor argument [F (M)], a first-class [(module M)] — reads every
     export under it. *)
 
@@ -49,99 +49,62 @@ let exports (i : Loader.intf_info) =
 (* Module aliases                                                      *)
 (* ------------------------------------------------------------------ *)
 
-type aliases = {
-  global : (string, string list) Hashtbl.t;  (** dotted module path -> target *)
-  local : (string, string list) Hashtbl.t;  (** ident unique name -> target *)
-}
-
 let rec strip (me : Typedtree.module_expr) =
   match me.mod_desc with Tmod_constraint (me, _, _, _) -> strip me | d -> d
 
-(* Rewrite the longest aliased prefix of [segs], until none is left (an
-   alias chain is short; the bound only guards against a cycle). *)
-let dealias al segs =
-  let rec go fuel segs =
-    let rec longest rev_pre rest =
-      match Hashtbl.find_opt al.global (Names.to_string (List.rev rev_pre)) with
-      | Some target when target <> List.rev rev_pre -> Some (target @ rest)
-      | _ -> (
-          match rev_pre with
-          | [] -> None
-          | x :: rev_pre -> longest rev_pre (x :: rest))
-    in
-    match longest (List.rev segs) [] with
-    | Some segs when fuel > 0 -> go (fuel - 1) segs
-    | _ -> segs
-  in
-  go 8 segs
-
-let rec module_segs al (p : Path.t) =
+(* [local] maps an alias ident to its canonical target. It is keyed by
+   [Ident.unique_name], which is unique only within one unit (stamps
+   restart in every compilation unit), so each unit gets its own. *)
+let rec module_segs local (p : Path.t) =
   match p with
   | Pident id -> (
-      match Hashtbl.find_opt al.local (Ident.unique_name id) with
-      | Some segs -> dealias al segs
-      | None -> dealias al (Names.segments_of_string (Ident.name id)))
-  | Pdot (m, s) -> dealias al (module_segs al m @ Names.segments_of_string s)
-  | Papply (f, _) -> module_segs al f
-  | Pextra_ty (p, _) -> module_segs al p
+      match Hashtbl.find_opt local (Ident.unique_name id) with
+      | Some segs -> segs
+      | None -> Names.segments_of_string (Ident.name id))
+  | Pdot (m, s) -> module_segs local m @ Names.segments_of_string s
+  | Papply (f, _) -> module_segs local f
+  | Pextra_ty (p, _) -> module_segs local p
 
-(* Record every [module X = path] of one unit. Structure-level aliases,
-   nested structures included, are global (another unit can say
-   [U.X.v]); every alias, [let module] included, is local by ident. *)
-let collect_aliases al (u : Loader.unit_info) =
-  let add ~global id p =
-    let target = module_segs al p in
-    Hashtbl.replace al.local (Ident.unique_name id) target;
-    Option.iter (fun g -> Hashtbl.replace al.global (Names.to_string g) target) global
-  in
-  let rec items path (str : Typedtree.structure) =
-    List.iter
-      (fun (si : Typedtree.structure_item) ->
-        match si.str_desc with
-        | Tstr_module mb -> binding path mb
-        | Tstr_recmodule mbs -> List.iter (binding path) mbs
-        | _ -> ())
-      str.str_items
-  and binding path (mb : Typedtree.module_binding) =
-    match (mb.mb_id, strip mb.mb_expr) with
-    | Some id, Tmod_ident (p, _) -> add ~global:(Some (path @ [ Ident.name id ])) id p
-    | Some id, Tmod_structure str -> items (path @ [ Ident.name id ]) str
+(* Every [module X = path] of one unit, [let module] included. *)
+let aliases_of (u : Loader.unit_info) =
+  let local = Hashtbl.create 16 in
+  let add id me =
+    match strip me with
+    | Tmod_ident (p, _) -> Hashtbl.replace local (Ident.unique_name id) (module_segs local p)
     | _ -> ()
   in
-  items u.modname u.tree;
   let expr it (e : Typedtree.expression) =
     (match e.exp_desc with
-    | Texp_letmodule (Some id, _, _, me, _) -> (
-        match strip me with Tmod_ident (p, _) -> add ~global:None id p | _ -> ())
+    | Texp_letmodule (Some id, _, _, me, _) -> add id me
     | _ -> ());
     Tast_iterator.default_iterator.expr it e
   in
   let module_binding it (mb : Typedtree.module_binding) =
-    (match (mb.mb_id, strip mb.mb_expr) with
-    | Some id, Tmod_ident (p, _) -> add ~global:None id p
-    | _ -> ());
+    Option.iter (fun id -> add id mb.mb_expr) mb.mb_id;
     Tast_iterator.default_iterator.module_binding it mb
   in
   let it = { Tast_iterator.default_iterator with expr; module_binding } in
-  it.structure it u.tree
+  it.structure it u.tree;
+  local
 
 (* ------------------------------------------------------------------ *)
 (* Readers                                                             *)
 (* ------------------------------------------------------------------ *)
 
 (* Value reads keyed by dotted name; whole-module reads by module path. *)
-let collect_reads al ~values ~modules (u : Loader.unit_info) =
+let collect_reads ~values ~modules (u : Loader.unit_info) =
+  let local = aliases_of u in
   let r = { unit = u.modname; file = u.source; test = Loader.under "test" u } in
   let push tbl key = Hashtbl.replace tbl key (r :: Option.value ~default:[] (Hashtbl.find_opt tbl key)) in
   let whole me =
     match strip me with
-    | Tmod_ident (p, _) -> push modules (Names.to_string (module_segs al p))
+    | Tmod_ident (p, _) -> push modules (Names.to_string (module_segs local p))
     | _ -> ()
   in
   let expr it (e : Typedtree.expression) =
     (match e.exp_desc with
     | Texp_ident (Pdot (m, v), _, _) ->
-        push values (Names.to_string (module_segs al m @ [ v ]))
+        push values (Names.to_string (module_segs local m @ [ v ]))
     | Texp_pack me -> whole me
     | _ -> ());
     Tast_iterator.default_iterator.expr it e
@@ -160,10 +123,8 @@ let collect_reads al ~values ~modules (u : Loader.unit_info) =
 (** Sort every export of a [lib/] interface by its readers outside its
     own unit. *)
 let classify (l : Loader.loaded) =
-  let al = { global = Hashtbl.create 64; local = Hashtbl.create 256 } in
-  List.iter (collect_aliases al) l.units;
   let values = Hashtbl.create 4096 and modules = Hashtbl.create 64 in
-  List.iter (collect_reads al ~values ~modules) l.units;
+  List.iter (collect_reads ~values ~modules) l.units;
   let readers_of e =
     let rec prefixes rev_pre = function
       | [] | [ _ ] -> []

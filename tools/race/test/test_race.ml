@@ -164,6 +164,8 @@ let test_reach_classes () =
          ("Reach_lib.Inc.included", "shipped");
          ("Reach_lib.Arg.by_functor", "shipped");
          ("Reach_lib.Packed.packed", "shipped");
+         ("Reach_lib.Twin_x.x_only", "shipped");
+         ("Reach_lib.Twin_y.y_only", "shipped");
        ])
     cls
 
