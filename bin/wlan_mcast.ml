@@ -752,8 +752,6 @@ let profile_cmd =
               (Harness.Pool.run pool
                  (List.map
                     (fun (label, obj) () ->
-                      (* with_span runs its body bare off the main domain:
-                         lint: allow shared-mutable-escape *)
                       Wlan_obs.Span.with_span label (fun () ->
                           ignore
                             (Wlan_sim.Churn.run ~mode:`Sequential

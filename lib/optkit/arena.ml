@@ -15,7 +15,8 @@
     the prefix they use. Because buffers are reused, nothing read from an
     arena buffer may outlive the computation that wrote it.
 
-    Lifetime rules (enforced by the [arena-escape] lint rule):
+    Lifetime rules (the second is enforced by the [shared-mutable-escape]
+    rule of [dune build @race]):
     - a buffer must not escape the owner record that produced it — copy
       it out instead;
     - an arena must never be captured by a task submitted to a

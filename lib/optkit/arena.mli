@@ -3,8 +3,8 @@
     Named, growable, reusable int/float buffers. Acquired contents are
     {e unspecified}: callers initialize the prefix they use. Buffers must
     not escape the owner that holds the arena, and an arena must never
-    be shared across [Harness.Pool] domains — both are flagged by the
-    [arena-escape] lint rule. An arena
+    be shared across [Harness.Pool] domains — the latter is flagged by
+    the [shared-mutable-escape] rule of [dune build @race]. An arena
     never changes what is computed, only where scratch lives. *)
 
 type t

@@ -14,6 +14,8 @@ type 'a t = {
 
 let create () = { data = [||]; size = 0; next_seq = 0 }
 
+(* exact equality keeps [before] a strict total order, whose
+   transitivity an epsilon would break: lint: allow float-eq *)
 let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
 let swap t i j =

@@ -1,4 +1,4 @@
-(** The four typed rules (DESIGN.md §4.11), run over one unit's
+(** The four domain-safety rules (DESIGN.md §4.11), run over one unit's
     typedtree with the whole-tree lattice and summaries in hand.
 
     Task boundaries — the expressions whose argument closures execute
@@ -39,7 +39,7 @@ let all_rules =
        commutative incr/add/record_max API" );
     ( rule_rng,
       "RNG reaching a pooled task must be a split per-task state, not \
-       ambient Random or a captured shared Random.State" );
+       Random.State.make_self_init or a captured shared Random.State" );
     ( rule_merge,
       "float accumulation must not run in unspecified (Hashtbl bucket) \
        or completion order; merge in submission order" );
@@ -50,7 +50,7 @@ type ctx = {
   sums : Summaries.t;
   self : string list;  (** the unit's canonical module path *)
   source : string;
-  add : Analysis_common.Diagnostic.t -> unit;
+  add : Diagnostic.t -> unit;
   locals : (string, string list) Hashtbl.t;
       (** unit top-level idents -> canonical key (see Summaries) *)
 }
@@ -59,7 +59,7 @@ let diag ctx ~rule ~(loc : Location.t) ~(fallback : Location.t) fmt =
   let loc = if loc.loc_start.pos_cnum < 0 then fallback else loc in
   Format.kasprintf
     (fun m ->
-      ctx.add (Analysis_common.Diagnostic.make ~rule ~file:ctx.source ~loc m))
+      ctx.add (Diagnostic.make ~rule ~file:ctx.source ~loc m))
     fmt
 
 let pp_chain = function
@@ -218,10 +218,10 @@ let report_fact ctx ~site ~loc ~prefix (f : fact) =
          interleaving; split a per-task Random.State from the master seed \
          instead"
         prefix f.origin (pp_chain f.chain)
-  | Ambient_rng _ ->
+  | Self_init_rng _ ->
       diag ctx ~rule:rule_rng ~loc ~fallback:site
-        "%s taps ambient %s%s: the shared stream makes output depend on \
-         which domain runs first; thread a split per-task Random.State"
+        "%s calls %s%s: it seeds from the outside world, so draws differ \
+         on every run; split a per-task Random.State from the master seed"
         prefix f.origin (pp_chain f.chain)
   | Counter_misuse _ ->
       diag ctx ~rule:rule_counter ~loc ~fallback:site
@@ -258,9 +258,9 @@ let check_task_arg ctx ~(site : Location.t) (arg : Typedtree.expression) =
                 report_fact ctx ~site ~loc:e.exp_loc ~prefix:"pooled task" f
           | None -> ())
         else begin
-          (match ambient_rng segs with
+          (match self_init_rng segs with
           | Some fn ->
-              let f = { kind = Ambient_rng fn; origin = fn; chain = [] } in
+              let f = { kind = Self_init_rng fn; origin = fn; chain = [] } in
               if fact_once "a" f then
                 report_fact ctx ~site ~loc:e.exp_loc ~prefix:"pooled task" f
           | None -> ());
@@ -286,7 +286,7 @@ let check_task_arg ctx ~(site : Location.t) (arg : Typedtree.expression) =
             (Summaries.facts_of ctx.sums segs)
         end)
     | None -> ());
-    Tast_iterator.default_iterator.expr it e
+    descend it e
   in
   let it = { Tast_iterator.default_iterator with expr = scan_refs } in
   it.expr it arg;

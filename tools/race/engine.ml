@@ -1,14 +1,11 @@
 (** Orchestration: load [.cmt]/[.cmti] units, build the lattice and
-    summaries over the {e whole} shipped tree, run the per-unit checks
-    and the export-reachability rule, then filter through the shared
-    suppression machinery by re-parsing each source file with
-    [Analysis_common.Source] — the same attribute and comment parser
-    wlan-lint uses, so one escape-hatch language serves both tools.
+    summaries over the {e whole} shipped tree, run the per-unit rules
+    and the export-reachability rule, then filter through the
+    suppression language by re-parsing each source file a finding
+    points into ({!Suppress.of_source}).
 
     Units under a [test/] directory are readers only: they count for
-    export reachability, and the four domain-safety rules skip them. *)
-
-open Analysis_common
+    export reachability, and every other rule skips them. *)
 
 type error = { file : string; message : string }
 
@@ -20,36 +17,45 @@ type result = {
 
 let default_roots = [ "lib"; "bin"; "bench"; "examples"; "test" ]
 
-let all_rules = Checks.all_rules @ [ (Reach.rule, Reach.doc) ]
+let all_rules = Rules.all_rules @ Checks.all_rules @ [ (Reach.rule, Reach.doc) ]
 let rule_ids = List.map fst all_rules
 let find_rule id = List.find_opt (( = ) id) rule_ids
 
-(* Suppression state of one source file, cached across the (typically
-   several) diagnostics pointing into it. *)
+(** Every per-unit finding of [u]: the tree-wide rules and the
+    domain-safety rules. *)
+let check_unit ~decls ~sums u =
+  Rules.check_unit u @ Checks.check_unit ~decls ~sums u
+
+(** The findings of [rules] over [loaded], before suppression. Several
+    capture paths can land on one (rule, site) pair; each is reported
+    once. *)
+let analyze ?(rules = rule_ids) (loaded : Loader.loaded) =
+  let shipped = List.filter (fun u -> not (Loader.under "test" u)) loaded.units in
+  let decls = Lattice.collect shipped in
+  let sums = Summaries.collect ~decls shipped in
+  let per_unit = List.concat_map (check_unit ~decls ~sums) shipped in
+  let reach = if List.mem Reach.rule rules then Reach.check loaded else [] in
+  List.filter (fun (d : Diagnostic.t) -> List.mem d.rule rules) (per_unit @ reach)
+  |> List.sort_uniq Diagnostic.compare
+
+(* Suppression state of one source file: none when it cannot be read. *)
 let suppressions_for source_on_disk source =
   match source_on_disk with
   | None -> ([], [])
   | Some path -> (
-      match Source.read_file path with
-      | exception _ -> ([], [])
-      | src -> (
-          match Source.suppressions ~path:source src with
-          | Ok (spans, directives) -> (spans, directives)
-          | Error directives -> ([], directives)))
+      match In_channel.with_open_bin path In_channel.input_all with
+      | src -> Suppress.of_source ~path:source src
+      | exception Sys_error _ -> ([], []))
 
-let run ?(rules = rule_ids) ?prefix roots =
+let run ?rules ?prefix roots =
   let loaded = Loader.load ?prefix roots in
-  let shipped = List.filter (fun u -> not (Loader.under "test" u)) loaded.units in
-  let decls = Lattice.collect shipped in
-  let sums = Summaries.collect ~decls shipped in
   let on_disk = Hashtbl.create 256 in
   let note (u : _ Loader.compiled) =
     Hashtbl.replace on_disk u.source u.source_on_disk
   in
   List.iter note loaded.units;
   List.iter note loaded.interfaces;
-  let domain = List.concat_map (Checks.check_unit ~decls ~sums) shipped in
-  let reach = if List.mem Reach.rule rules then Reach.check loaded else [] in
+  (* cached across the (typically several) findings in one file *)
   let suppressions = Hashtbl.create 64 in
   let kept (d : Diagnostic.t) =
     let spans, directives =
@@ -64,16 +70,9 @@ let run ?(rules = rule_ids) ?prefix roots =
     in
     not (Suppress.allowed ~spans ~directives d)
   in
-  let diagnostics =
-    List.filter (fun (d : Diagnostic.t) -> List.mem d.rule rules) (domain @ reach)
-    (* several capture paths can land on one (rule, site) pair; report
-       each once *)
-    |> List.sort_uniq Diagnostic.compare
-    |> List.filter kept
-  in
   {
     units = List.length loaded.units + List.length loaded.interfaces;
-    diagnostics;
+    diagnostics = List.filter kept (analyze ?rules loaded);
     errors =
       List.map
         (fun (e : Loader.error) -> { file = e.file; message = e.message })

@@ -1,7 +1,8 @@
-(* Negative fixture: idiomatic pooled code every rule must accept —
-   pure closures over immutable data, read-only sharing of a numeric
-   plane, a per-task split RNG, the commutative counter API, and a
-   sorted (deterministic) float merge. *)
+(* Negative fixture: idiomatic code every rule must accept — pure
+   closures over immutable data, read-only sharing of a numeric plane,
+   a per-task split RNG, the commutative counter API, a sorted
+   (deterministic) float merge, an epsilon float comparison and a
+   sorted Hashtbl histogram. *)
 
 let evals = Wlan_obs.Counters.make "race_fixture.evals"
 
@@ -33,3 +34,18 @@ let sorted_total (tbl : (int, float) Hashtbl.t) =
 let merge_in_submission_order pool xs =
   List.fold_left ( +. ) 0.
     (Harness.Pool.run pool (List.map (fun x () -> float_of_int x) xs))
+
+let mean xs = List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
+
+let close ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps
+
+let pick st xs = List.nth xs (Random.State.int st (List.length xs))
+
+let histogram xs =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun x ->
+      Hashtbl.replace tbl x (1 + Option.value ~default:0 (Hashtbl.find_opt tbl x)))
+    xs;
+  Hashtbl.fold (fun k c acc -> (k, c) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)

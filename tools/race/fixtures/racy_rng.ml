@@ -1,9 +1,7 @@
-(* Positive fixture for ambient-rng-in-task: tapping the global Random
-   stream inside a pooled task, seeding from the outside world, and
-   capturing one shared Random.State across tasks. *)
-
-let ambient pool n =
-  Harness.Pool.run pool [ (fun () -> Random.int n) ]
+(* Positive fixture for ambient-rng-in-task: seeding from the outside
+   world inside a pooled task, and capturing one shared Random.State
+   across tasks. A tap of the global Random stream is no-ambient-rng's,
+   in a task or not (ambient_rng.ml). *)
 
 let self_seeded pool =
   Harness.Pool.run pool [ (fun () -> Random.State.make_self_init ()) ]

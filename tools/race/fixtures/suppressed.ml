@@ -1,8 +1,7 @@
 (* Suppression fixture: the same racy shapes as the positive fixtures,
-   each silenced through one of the two escape hatches the analyzer
-   shares with wlan-lint. Must produce zero findings — this is the
-   end-to-end proof that the race engine re-parses sources through
-   Analysis_common.Suppress. *)
+   each silenced through one of the two escape hatches. Must produce
+   zero findings — this is the end-to-end proof that the engine
+   re-parses sources through Suppress. *)
 
 let totals : (int, float) Hashtbl.t = Hashtbl.create 8
 
@@ -13,8 +12,8 @@ let comment_hatch pool xs =
 let same_line_hatch (tbl : (int, float) Hashtbl.t) =
   Hashtbl.fold (fun _ v acc -> acc +. v) tbl 0. (* lint: allow order-sensitive-merge *)
 
-let attribute_hatch pool n =
-  (Harness.Pool.run pool [ (fun () -> Random.int n) ] [@lint.allow ambient_rng_in_task])
+let attribute_hatch pool =
+  (Harness.Pool.run pool [ (fun () -> Random.State.make_self_init ()) ] [@lint.allow ambient_rng_in_task])
 
 let underscore_spelling pool =
   (* lint: allow non_commutative_counter *)

@@ -258,7 +258,12 @@ and decl_verdict ~depth ~decls visiting key d =
 
 let of_type ?(self = []) ~decls ty = verdict ~self ~decls (ref []) ty
 
+(* [Float.t] by name: the analyzer rebuilds no typing environment, so
+   [Ctype.expand_head] on a [.cmt]'s [exp_env] cannot expand it. *)
 let is_float ty =
   match Types.get_desc ty with
-  | Tconstr (p, [], _) -> Names.canon_of_path p = [ "float" ]
+  | Tconstr (p, [], _) -> (
+      match Names.canon_of_path p with
+      | [ "float" ] | [ "Float"; "t" ] -> true
+      | _ -> false)
   | _ -> false

@@ -10,8 +10,6 @@
     functor argument [F (M)], a first-class [(module M)] — reads every
     export under it. *)
 
-open Analysis_common
-
 let rule = "export-reachability"
 
 let doc =

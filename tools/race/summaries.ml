@@ -9,8 +9,9 @@
        pooled task must not reach;}
     {- {e summaries}: for function bindings, the set of other top-level
        values the body references, plus the {e direct facts} the body
-       exhibits (ambient RNG taps, non-commutative counter-plane
-       calls).}}
+       exhibits (self-seeded RNG, non-commutative counter-plane
+       calls). A branch only the main domain runs ({!descend}) is left
+       out.}}
 
     The fixpoint then propagates facts along the reference edges:
     [facts f = direct f ∪ {global g | g ∈ refs f} ∪ ⋃ {facts h | h ∈
@@ -23,7 +24,7 @@
 type fact_kind =
   | Shared_mutable of string  (** kind text from the lattice *)
   | Rng_state
-  | Ambient_rng of string  (** offending function, e.g. Random.int *)
+  | Self_init_rng of string  (** [Random.State.make_self_init] *)
   | Counter_misuse of string  (** non-commutative Counters entry point *)
 
 type fact = {
@@ -38,7 +39,7 @@ let fact_key f =
   (match f.kind with
    | Shared_mutable _ -> "g"
    | Rng_state -> "r"
-   | Ambient_rng _ -> "a"
+   | Self_init_rng _ -> "a"
    | Counter_misuse _ -> "c")
   ^ ":" ^ f.origin
 
@@ -70,15 +71,41 @@ let counter_misuse segs =
       Some (Names.to_string segs)
   | _ -> None
 
-(** Ambient RNG: any direct [Random.*] member (the split [Random.State]
-    API is exempt, except for [make_self_init], which taps the outside
-    world). *)
-let ambient_rng segs =
+(** Seeding from the outside world: [Random.State.make_self_init]. A
+    direct [Random.*] member is [no-ambient-rng]'s finding wherever it
+    sits (see {!Rules}), so it is no fact here. *)
+let self_init_rng segs =
   match List.rev segs with
-  | fn :: "Random" :: _ -> Some ("Random." ^ fn)
   | "make_self_init" :: "State" :: "Random" :: _ ->
       Some "Random.State.make_self_init"
   | _ -> None
+
+(* [Some true] when [c] is [Domain.is_main_domain ()], so an [if]'s
+   [then] branch runs only on the main domain; [Some false] for its
+   negation, whose [else] branch does. *)
+let rec main_domain_test (c : Typedtree.expression) =
+  match c.exp_desc with
+  | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, [ (_, Some arg) ]) -> (
+      match Names.canon_of_path p with
+      | [ "Domain"; "is_main_domain" ] -> Some true
+      | [ "not" ] -> Option.map not (main_domain_test arg)
+      | _ -> None)
+  | _ -> None
+
+(** Walk [e]'s children as a worker domain can run them: the branch of
+    an [if Domain.is_main_domain () ...] guard (or of its negation) that
+    only the main domain takes is skipped. [Wlan_obs.Span.with_span] is
+    the shape: off the main domain it runs its body bare, so its writes
+    to the span stack never reach a pooled task. *)
+let descend (it : Tast_iterator.iterator) (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Texp_ifthenelse (c, _, el) when main_domain_test c = Some true ->
+      it.expr it c;
+      Option.iter (it.expr it) el
+  | Texp_ifthenelse (c, th, _) when main_domain_test c = Some false ->
+      it.expr it c;
+      it.expr it th
+  | _ -> Tast_iterator.default_iterator.expr it e
 
 (* ------------------------------------------------------------------ *)
 (* Collection                                                          *)
@@ -100,9 +127,9 @@ let scan_body ~locals (e : Typedtree.expression) =
             | Some key -> add_ref key
             | None -> ())
         | _ -> add_ref segs);
-        (match ambient_rng segs with
+        (match self_init_rng segs with
         | Some fn ->
-            direct := { kind = Ambient_rng fn; origin = fn; chain = [] } :: !direct
+            direct := { kind = Self_init_rng fn; origin = fn; chain = [] } :: !direct
         | None -> ());
         match counter_misuse segs with
         | Some fn ->
@@ -110,7 +137,7 @@ let scan_body ~locals (e : Typedtree.expression) =
               { kind = Counter_misuse fn; origin = fn; chain = [] } :: !direct
         | None -> ())
     | _ -> ());
-    Tast_iterator.default_iterator.expr it e
+    descend it e
   in
   let it = { Tast_iterator.default_iterator with expr } in
   it.expr it e;

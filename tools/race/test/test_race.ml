@@ -3,63 +3,55 @@
    The fixture corpus (tools/race/fixtures) is a real dune library —
    the analyzer reads its .cmt typedtrees, so the test depends on the
    fixtures' @default alias and loads the compiled artifacts from
-   ../fixtures. Each racy fixture must reproduce its .expected
+   ../fixtures. Each positive fixture must reproduce its .expected
    diagnostics byte for byte and trigger *only* its own rule; the clean
-   fixtures must be silent; the suppressed fixture must be racy before
-   the shared suppression filter and silent after it; and the
-   suppression language must round-trip for every rule id of both tools
-   (wlan-lint and wlan-race), in both spellings and both escape-hatch
-   forms. The reach/ sub-corpus pins export-reachability: its lib/
-   exports, read from its bin/ and test/ units, cover the three
-   classes and every reader shape the rule resolves. *)
+   fixtures must be silent; the suppressed fixtures must be flagged
+   before the suppression filter and silent after it; and the
+   suppression language must round-trip for every rule id, in both
+   spellings and both escape-hatch forms. The reach/ sub-corpus pins
+   export-reachability: its lib/ exports, read from its bin/ and test/
+   units, cover the three classes and every reader shape the rule
+   resolves. *)
 
 open Wlan_race_kernel
-open Analysis_common
 
 let fixture_root = "../fixtures"
-
-let read path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let read path = In_channel.with_open_bin path In_channel.input_all
 
 (* One engine run over the corpus, shared by all tests. *)
 let result = lazy (Engine.run [ fixture_root ])
 
-(* Raw (pre-suppression) diagnostics, straight from the checks — used
-   to prove the escape hatches in suppressed.ml are load-bearing. *)
-let raw = lazy (
-  let { Loader.units; errors; _ } = Loader.load [ fixture_root ] in
-  assert (errors = []);
-  let decls = Lattice.collect units in
-  let sums = Summaries.collect ~decls units in
-  List.concat_map
-    (fun u ->
-      Checks.check_unit ~decls ~sums u |> List.sort_uniq Diagnostic.compare)
-    units)
+(* The corpus, loaded once; and its findings before suppression, to
+   prove the escape hatches are load-bearing. *)
+let loaded = lazy (Loader.load [ fixture_root ])
+let raw = lazy (Engine.analyze (Lazy.force loaded))
 
-let diags_for basename =
-  List.filter
-    (fun (d : Diagnostic.t) -> Filename.basename d.file = basename)
-    (Lazy.force result).diagnostics
+(* [rel] is a path under the corpus, e.g. "lib/hygiene.ml". *)
+let is_fixture rel (d : Diagnostic.t) =
+  String.ends_with ~suffix:("fixtures/" ^ rel) d.file
+
+let diags_for rel =
+  List.filter (is_fixture rel) (Lazy.force result).diagnostics
+
+let rules_of diags =
+  List.sort_uniq String.compare (List.map (fun (d : Diagnostic.t) -> d.rule) diags)
 
 let fixtures =
   [
-    "mutstore.ml"; "racy_shared_escape.ml"; "racy_counter.ml"; "racy_rng.ml";
-    "racy_merge.ml"; "clean_tasks.ml"; "suppressed.ml";
+    "ambient_rng.ml"; "float_eq.ml"; "unordered_fold.ml"; "lib/hygiene.ml";
+    "pool_capture.ml"; "arena_capture.ml"; "main_domain.ml"; "mutstore.ml";
+    "racy_shared_escape.ml"; "racy_counter.ml"; "racy_rng.ml"; "racy_merge.ml";
+    "clean_tasks.ml"; "suppressed.ml";
   ]
 
-let test_golden base () =
+let test_golden rel () =
   let expected =
-    read (Filename.concat fixture_root (Filename.remove_extension base ^ ".expected"))
+    read (Filename.concat fixture_root (Filename.remove_extension rel ^ ".expected"))
   in
   let rendered =
-    match List.map Diagnostic.to_text (diags_for base) with
-    | [] -> ""
-    | lines -> String.concat "\n" lines ^ "\n"
+    String.concat "" (List.map (fun d -> Diagnostic.to_text d ^ "\n") (diags_for rel))
   in
-  Alcotest.(check string) (base ^ " diagnostics") expected rendered
+  Alcotest.(check string) (rel ^ " diagnostics") expected rendered
 
 let test_no_load_errors () =
   let r = Lazy.force result in
@@ -68,10 +60,7 @@ let test_no_load_errors () =
 
 (* The acceptance bar: each rule has a fixture that triggers it. *)
 let test_every_rule_fires () =
-  let fired =
-    List.map (fun (d : Diagnostic.t) -> d.rule) (Lazy.force result).diagnostics
-    |> List.sort_uniq String.compare
-  in
+  let fired = rules_of (Lazy.force result).diagnostics in
   List.iter
     (fun (id, _) ->
       Alcotest.(check bool)
@@ -79,44 +68,150 @@ let test_every_rule_fires () =
         true (List.mem id fired))
     Engine.all_rules
 
-(* Each racy fixture is a pure specimen of one rule. *)
+(* Each positive fixture is a pure specimen of one rule. *)
 let test_exactly_its_rule () =
   List.iter
-    (fun (base, rule) ->
-      let rules =
-        List.map (fun (d : Diagnostic.t) -> d.rule) (diags_for base)
-        |> List.sort_uniq String.compare
-      in
-      Alcotest.(check (list string)) (base ^ " rules") [ rule ] rules)
+    (fun (rel, rule) ->
+      Alcotest.(check (list string)) (rel ^ " rules") [ rule ]
+        (rules_of (diags_for rel)))
     [
+      ("ambient_rng.ml", Rules.rule_rng);
+      ("float_eq.ml", Rules.rule_float_eq);
+      ("unordered_fold.ml", Rules.rule_fold);
+      ("lib/hygiene.ml", Rules.rule_hygiene);
+      ("pool_capture.ml", Checks.rule_escape);
+      ("arena_capture.ml", Checks.rule_escape);
+      ("main_domain.ml", Checks.rule_escape);
       ("racy_shared_escape.ml", Checks.rule_escape);
       ("racy_counter.ml", Checks.rule_counter);
       ("racy_rng.ml", Checks.rule_rng);
       ("racy_merge.ml", Checks.rule_merge);
-      ("api.mli", Reach.rule);
+      ("reach/lib/api.mli", Reach.rule);
     ]
 
 let test_clean_fixtures_silent () =
   List.iter
-    (fun base ->
-      Alcotest.(check int) (base ^ " findings") 0 (List.length (diags_for base)))
-    [ "mutstore.ml"; "clean_tasks.ml"; "suppressed.ml" ]
+    (fun rel ->
+      Alcotest.(check int) (rel ^ " findings") 0 (List.length (diags_for rel)))
+    [ "mutstore.ml"; "clean_tasks.ml"; "suppressed.ml"; "lib/report.ml";
+      "lib/trace.ml" ]
+
+let raw_for rel = List.filter (is_fixture rel) (Lazy.force raw)
 
 (* suppressed.ml is genuinely racy — four findings before the filter,
    none after — so the hatches, not analyzer blindness, silence it. *)
 let test_suppression_is_load_bearing () =
-  let before =
-    List.filter
-      (fun (d : Diagnostic.t) -> Filename.basename d.file = "suppressed.ml")
-      (Lazy.force raw)
-  in
+  let before = raw_for "suppressed.ml" in
   Alcotest.(check int) "raw findings in suppressed.ml" 4 (List.length before);
-  let rules = List.sort_uniq String.compare (List.map (fun (d : Diagnostic.t) -> d.rule) before) in
   Alcotest.(check (list string)) "all four rules represented"
     (List.sort String.compare
        [ Checks.rule_escape; Checks.rule_counter; Checks.rule_rng;
          Checks.rule_merge ])
-    rules
+    (rules_of before)
+
+(* float_eq.ml holds one attribute-suppressed and two comment-suppressed
+   comparisons: exactly three more findings before the filter. *)
+let test_ported_rule_escapes () =
+  Alcotest.(check int) "suppressions hide exactly 3 findings" 3
+    (List.length (raw_for "float_eq.ml")
+    - List.length (diags_for "float_eq.ml"))
+
+(* The per-unit rules over the fixture [rel], as if compiled from
+   [source]: lib-hygiene classifies units by path. *)
+let unit_as rel source =
+  let u =
+    List.find
+      (fun (u : Loader.unit_info) ->
+        String.ends_with ~suffix:("fixtures/" ^ rel) u.source)
+      (Lazy.force loaded).units
+  in
+  Rules.check_unit { u with source }
+
+let hygiene_as = unit_as "lib/hygiene.ml"
+
+(* lib/ scoping: the same unit outside a lib/ directory is silent. *)
+let test_lib_scoping () =
+  Alcotest.(check int) "under lib/" 5
+    (List.length (hygiene_as "tools/race/fixtures/lib/hygiene.ml"));
+  Alcotest.(check int) "outside lib/" 0
+    (List.length (hygiene_as "tools/race/fixtures/hygiene.ml"))
+
+(* The reporting modules may print, and nothing else: Obj.magic and
+   exit stay findings there. *)
+let test_print_exempt () =
+  List.iter
+    (fun source ->
+      Alcotest.(check (list string)) (source ^ " findings")
+        [ "Obj.magic defeats the type system; no library code may use it";
+          "library code must not call exit; raise and let the binary decide" ]
+        (List.map (fun (d : Diagnostic.t) -> d.message)
+           (List.sort Diagnostic.compare (hygiene_as source))))
+    [ "lib/harness/report.ml"; "lib/sim/trace.ml" ]
+
+(* The other three tree-wide rules ignore the path: each fixture's
+   findings of its rule, before suppression, are the same under lib/,
+   bin/ and bench/. *)
+let test_path_independent () =
+  List.iter
+    (fun (rel, rule) ->
+      let count source =
+        List.length
+          (List.filter (fun (d : Diagnostic.t) -> d.rule = rule)
+             (unit_as rel source))
+      in
+      let expected = List.length (raw_for rel) in
+      Alcotest.(check bool) (rel ^ " is flagged") true (expected > 0);
+      List.iter
+        (fun source ->
+          Alcotest.(check int) (rel ^ " as " ^ source) expected (count source))
+        [ "lib/sim/x.ml"; "bin/x.ml"; "bench/x.ml" ])
+    [
+      ("ambient_rng.ml", Rules.rule_rng);
+      ("float_eq.ml", Rules.rule_float_eq);
+      ("unordered_fold.ml", Rules.rule_fold);
+    ]
+
+(* Filtering to one tree-wide rule keeps exactly its fixture's
+   findings, and nothing of the domain-safety rules. *)
+let test_ported_rule_filter () =
+  let r = Engine.run ~rules:[ Rules.rule_float_eq ] [ fixture_root ] in
+  Alcotest.(check (list string)) "findings"
+    (List.map Diagnostic.to_text (diags_for "float_eq.ml"))
+    (List.map Diagnostic.to_text r.diagnostics)
+
+(* A tree-wide finding in the --format json array carries the same
+   file, position and rule as its text line. *)
+let test_json_fields () =
+  let d = List.hd (diags_for "ambient_rng.ml") in
+  let json = Engine.to_json [ d ] in
+  let contains needle =
+    let n = String.length needle in
+    let rec from i =
+      i + n <= String.length json && (String.sub json i n = needle || from (i + 1))
+    in
+    from 0
+  in
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) ("json contains " ^ needle) true (contains needle))
+    [
+      {|"file":"tools/race/fixtures/ambient_rng.ml"|}; {|"line":4|};
+      {|"col":20|}; {|"rule":"no-ambient-rng"|};
+    ]
+
+(* A unit that fails to load is an error, and the CLI exits 2. *)
+let test_load_error_exits_2 () =
+  let dir = Filename.temp_dir "race_load" "" in
+  let junk = Filename.concat dir "junk.cmt" in
+  Out_channel.with_open_bin junk (fun oc -> output_string oc "not a cmt");
+  let code =
+    Sys.command
+      (Filename.quote_command "../wlan_race.exe" ~stdout:Filename.null
+         [ "--quiet"; dir ])
+  in
+  Sys.remove junk;
+  Sys.rmdir dir;
+  Alcotest.(check int) "exit status" 2 code
 
 (* ------------------------------------------------------------------ *)
 (* export-reachability                                                  *)
@@ -126,7 +221,7 @@ let reach_root = Filename.concat fixture_root "reach"
 
 (* The rule's findings, pinned as text and as the --format json array. *)
 let test_reach_golden () =
-  let diags = diags_for "api.mli" in
+  let diags = diags_for "reach/lib/api.mli" in
   Alcotest.(check string) "text"
     (read (Filename.concat reach_root "api.expected"))
     (String.concat "" (List.map (fun d -> Diagnostic.to_text d ^ "\n") diags));
@@ -138,7 +233,7 @@ let test_reach_golden () =
    silent in the goldens, so they are pinned here. *)
 let test_reach_classes () =
   let cls =
-    Reach.classify (Loader.load [ fixture_root ])
+    Reach.classify (Lazy.force loaded)
     |> List.map (fun ((e : Reach.export), c) ->
            ( Names.to_string e.key,
              match c with
@@ -179,12 +274,12 @@ let test_reach_suppression () =
       diags
   in
   Alcotest.(check bool) "raw finding" true
-    (flagged (Reach.check (Loader.load [ fixture_root ])));
-  Alcotest.(check bool) "suppressed" false (flagged (diags_for "api.mli"))
+    (flagged (Reach.check (Lazy.force loaded)));
+  Alcotest.(check bool) "suppressed" false (flagged (diags_for "reach/lib/api.mli"))
 
 (* Units under test/ are readers only: reach/test/reader.ml taps
-   ambient Random in a pooled task, and no domain-safety rule reports
-   it, though the checks alone would. *)
+   ambient Random in a pooled task, and no rule reports it, though the
+   per-unit checks alone would. *)
 let test_test_units_unchecked () =
   let { Loader.units; _ } = Loader.load [ reach_root ] in
   let u =
@@ -196,7 +291,7 @@ let test_test_units_unchecked () =
   let decls = Lattice.collect units in
   let sums = Summaries.collect ~decls units in
   Alcotest.(check bool) "racy when checked" true
-    (Checks.check_unit ~decls ~sums u <> []);
+    (Engine.check_unit ~decls ~sums u <> []);
   Alcotest.(check int) "findings" 0
     (List.length (List.filter (fun (d : Diagnostic.t) -> d.file = u.source)
        (Lazy.force result).diagnostics))
@@ -211,12 +306,8 @@ let test_rule_filter () =
   Alcotest.(check bool) "rng findings present" true (r.diagnostics <> [])
 
 (* ------------------------------------------------------------------ *)
-(* Suppression round-trip (shared language, both tools)                 *)
+(* Suppression round-trip                                              *)
 (* ------------------------------------------------------------------ *)
-
-let all_rule_ids =
-  List.map (fun (r : Wlan_lint_kernel.Rules.t) -> r.id) Wlan_lint_kernel.Rules.all
-  @ List.map fst Checks.all_rules
 
 (* A diagnostic pinned to line 2 (col 0) of a two-line source. *)
 let diag_at ~rule ~line ~off =
@@ -226,14 +317,14 @@ let spellings id =
   [ Suppress.normalize id; String.map (fun c -> if c = '-' then '_' else c) id ]
 
 (* Comment form: a directive line suppresses the same and the next
-   line, for every rule id of both registries, in both spellings, both
-   as its own name and as "all". *)
+   line, for every rule id, in both spellings, both as its own name and
+   as "all". *)
 let round_trip_comment =
   QCheck.Test.make ~count:200 ~name:"comment directive round-trips"
     QCheck.(
       make
         Gen.(
-          let* id = oneofl all_rule_ids in
+          let* id = oneofl Engine.rule_ids in
           let* tok = oneofl (spellings id @ [ "all" ]) in
           let* own_line = bool in
           return (id, tok, own_line)))
@@ -246,18 +337,18 @@ let round_trip_comment =
       let line = if own_line then 2 else 1 in
       let hit = diag_at ~rule:id ~line ~off:25 in
       let miss = diag_at ~rule:id ~line:(line + 2) ~off:25 in
-      Suppress.filter ~spans:[] ~directives [ hit ] = []
-      && Suppress.filter ~spans:[] ~directives [ miss ] = [ miss ])
+      Suppress.allowed ~spans:[] ~directives hit
+      && not (Suppress.allowed ~spans:[] ~directives miss))
 
 (* Attribute form: an [@lint.allow ...] span suppresses a diagnostic
    whose offset falls inside the attributed expression, through the
-   same Source parser both engines call. *)
+   same parser the engine calls. *)
 let round_trip_attribute =
   QCheck.Test.make ~count:200 ~name:"attribute span round-trips"
     QCheck.(
       make
         Gen.(
-          let* id = oneofl all_rule_ids in
+          let* id = oneofl Engine.rule_ids in
           let* quoted = bool in
           (* a bare (unquoted) payload must be a lexable ident, so the
              dashed spelling is only reachable through a string literal *)
@@ -269,7 +360,7 @@ let round_trip_attribute =
     (fun (id, tok, quoted) ->
       let payload = if quoted then Printf.sprintf "%S" tok else tok in
       let src = Printf.sprintf "let x = (1 + 1) [@lint.allow %s]\n" payload in
-      match Source.parse_implementation ~path:"round_trip.ml" src with
+      match Suppress.parse_implementation ~path:"round_trip.ml" src with
       | exception e ->
           QCheck.Test.fail_reportf "does not parse: %s" (Printexc.to_string e)
       | str ->
@@ -279,9 +370,9 @@ let round_trip_attribute =
           let other =
             diag_at ~rule:"definitely-not-a-rule" ~line:1 ~off:9
           in
-          Suppress.filter ~spans ~directives:[] [ inside ] = []
-          && Suppress.filter ~spans ~directives:[] [ outside ] = [ outside ]
-          && Suppress.filter ~spans ~directives:[] [ other ] = [ other ])
+          Suppress.allowed ~spans ~directives:[] inside
+          && (not (Suppress.allowed ~spans ~directives:[] outside))
+          && not (Suppress.allowed ~spans ~directives:[] other))
 
 let () =
   Alcotest.run "wlan-race"
@@ -300,6 +391,19 @@ let () =
           Alcotest.test_case "suppression is load-bearing" `Quick
             test_suppression_is_load_bearing;
           Alcotest.test_case "rule filter" `Quick test_rule_filter;
+          Alcotest.test_case "load error exits 2" `Quick test_load_error_exits_2;
+        ] );
+      ( "tree-wide rules",
+        [
+          Alcotest.test_case "attribute and comment escapes" `Quick
+            test_ported_rule_escapes;
+          Alcotest.test_case "lib-hygiene scoped to lib/" `Quick
+            test_lib_scoping;
+          Alcotest.test_case "report/trace exemption" `Quick test_print_exempt;
+          Alcotest.test_case "other rules ignore the path" `Quick
+            test_path_independent;
+          Alcotest.test_case "rule filter" `Quick test_ported_rule_filter;
+          Alcotest.test_case "json fields" `Quick test_json_fields;
         ] );
       ( "export-reachability",
         [

@@ -1,9 +1,11 @@
-(* wlan-race: typed cross-module domain-safety & determinism analyzer.
+(* wlan-race: the repository's typed static analyzer.
 
-   Loads every .cmt under the given roots (default: lib bin bench
-   examples — inside _build/default when invoked from the repository
-   root), builds the whole-tree mutability lattice and interprocedural
-   summaries, and checks the four rules of Wlan_race_kernel.Checks.
+   Loads every .cmt/.cmti under the given roots (default: lib bin bench
+   examples test — inside _build/default when invoked from the
+   repository root), builds the whole-tree mutability lattice and
+   interprocedural summaries, and checks the rules of
+   Wlan_race_kernel.Engine.all_rules: determinism and float discipline
+   tree-wide, domain safety of pooled tasks, export reachability.
    Exit status: 0 clean, 1 findings, 2 load or usage errors.
 
    The .cmt files are only as fresh as the last `dune build`; run
@@ -11,13 +13,12 @@
    know the build is current. See tools/race/README.md. *)
 
 open Wlan_race_kernel
-open Analysis_common
 
 let usage =
   "wlan-race [options] [root ...]\n\
-   Typed domain-safety/determinism checks over compiled .cmt typedtrees\n\
-   (DESIGN.md §4.11). Roots are source directories; default: lib bin\n\
-   bench examples."
+   Typed determinism, domain-safety and export checks over compiled\n\
+   .cmt typedtrees (DESIGN.md §4.6, §4.11). Roots are source\n\
+   directories; default: lib bin bench examples test."
 
 let () =
   let format = ref `Text in
