@@ -24,14 +24,14 @@ let c_runs = Wlan_obs.Counters.make "bla.runs"
     within any [B* <= 1] (never happens with budgets at the paper's 0.9 and
     coverable users, since serving one user costs at most
     [session_rate / basic_rate]). *)
-let run ?(mode = `Soft) ?fanout ?n_guesses p =
+let run ?(mode = `Soft) ?n_guesses p =
   Wlan_obs.Counters.incr c_runs;
   Option.map
     (fun (s : Solution.t) -> { s with algorithm = name mode })
-    (Shard.solve_bla ~mode ?fanout ?n_guesses p)
+    (Shard.solve_bla ~mode ?n_guesses p)
 
 (** [run_exn] for instances known feasible (raises otherwise). *)
-let run_exn ?mode ?fanout ?n_guesses p =
-  match run ?mode ?fanout ?n_guesses p with
+let run_exn ?mode ?n_guesses p =
+  match run ?mode ?n_guesses p with
   | Some s -> s
   | None -> failwith "Bla.run: no feasible B* found"

@@ -13,14 +13,10 @@
     {!Shard.solve_bla} on the instance's interaction components
     ({!Shard.plan}), relabelled {!name}: the largest guess runs first
     and every guess at which no AP budget could bind reuses it exactly.
-    [fanout] (e.g. [Harness.Pool.run pool]) parallelizes the other
-    guesses with a bit-identical result.
     @raise Invalid_argument when [n_guesses < 1]; one guess is [B* = 1]. *)
 (* lint: allow export-reachability — tests pin its None, which run_exn raises on *)
 val run :
   ?mode:[ `Soft | `Hard ] ->
-  ?fanout:
-    ((unit -> Optkit.Scg.result) list -> Optkit.Scg.result list) ->
   ?n_guesses:int ->
   Wlan_model.Problem.t ->
   Solution.t option
@@ -28,8 +24,6 @@ val run :
 (** @raise Failure when {!run} returns [None]. *)
 val run_exn :
   ?mode:[ `Soft | `Hard ] ->
-  ?fanout:
-    ((unit -> Optkit.Scg.result) list -> Optkit.Scg.result list) ->
   ?n_guesses:int ->
   Wlan_model.Problem.t ->
   Solution.t

@@ -740,15 +740,15 @@ let baseline ~max_rounds ~objective p =
 
 (** {1 The paper's three distributed algorithms} *)
 
-let mnu ?init ?max_rounds ?(scheduler = Sequential) p =
-  let o = run ?init ?max_rounds ~scheduler ~objective:Min_total_load p in
+let mnu ?max_rounds p =
+  let o = run ?max_rounds ~scheduler:Sequential ~objective:Min_total_load p in
   (Solution.make ~algorithm:"MNU-distributed" p o.assoc, o)
 
 (** Distributed MLA is the same local rule as distributed MNU (§6.2). *)
-let mla ?init ?max_rounds ?(scheduler = Sequential) p =
-  let o = run ?init ?max_rounds ~scheduler ~objective:Min_total_load p in
+let mla p =
+  let o = run ~scheduler:Sequential ~objective:Min_total_load p in
   (Solution.make ~algorithm:"MLA-distributed" p o.assoc, o)
 
-let bla ?init ?max_rounds ?(scheduler = Sequential) p =
-  let o = run ?init ?max_rounds ~scheduler ~objective:Min_load_vector p in
+let bla ?max_rounds p =
+  let o = run ?max_rounds ~scheduler:Sequential ~objective:Min_load_vector p in
   (Solution.make ~algorithm:"BLA-distributed" p o.assoc, o)

@@ -205,26 +205,10 @@ end
 val baseline :
   max_rounds:int -> objective:objective -> Problem.t -> float * float
 
-(** {1 The paper's three distributed algorithms} (default scheduler:
-    [Sequential]). MLA shares MNU's rule (§6.2). *)
+(** {1 The paper's three distributed algorithms} A [Sequential] {!run}
+    from the empty association ([max_rounds] 200 unless given). MLA
+    shares MNU's rule (§6.2). *)
 
-val mnu :
-  ?init:Association.t ->
-  ?max_rounds:int ->
-  ?scheduler:scheduler ->
-  Problem.t ->
-  Solution.t * outcome
-
-val mla :
-  ?init:Association.t ->
-  ?max_rounds:int ->
-  ?scheduler:scheduler ->
-  Problem.t ->
-  Solution.t * outcome
-
-val bla :
-  ?init:Association.t ->
-  ?max_rounds:int ->
-  ?scheduler:scheduler ->
-  Problem.t ->
-  Solution.t * outcome
+val mnu : ?max_rounds:int -> Problem.t -> Solution.t * outcome
+val mla : Problem.t -> Solution.t * outcome
+val bla : ?max_rounds:int -> Problem.t -> Solution.t * outcome

@@ -39,7 +39,7 @@ let mla ?node_limit p =
     [sum c_j y_j <= budget]. At binary [y] the optimal [x] is 0/1, so only
     [y] is branched. *)
 
-let mnu ?node_limit ?initial_bound p =
+let mnu ?node_limit p =
   let inst = Reduction.cover_instance ~filter_over_budget:true p in
   let universe = Reduction.coverable_users p in
   let users = Optkit.Bitset.to_list universe in
@@ -95,8 +95,7 @@ let mnu ?node_limit ?initial_bound p =
       }
   in
   match
-    Ilp.solve ?node_limit ?initial_bound ~integral_objective:true
-      { base; binary }
+    Ilp.solve ?node_limit ~integral_objective:true { base; binary }
   with
   | None -> None
   | Some sol ->

@@ -14,14 +14,14 @@ type 'a verdict = { value : 'a; solution : Solution.t; proved_optimal : bool }
     coverable universe). *)
 val mla : ?node_limit:int -> Problem.t -> float verdict option
 
-(** Exact MNU via ILP. With [initial_bound] (a known satisfied-user
-    count), [None] means nothing strictly better exists — keep the greedy
-    solution. *)
-val mnu :
-  ?node_limit:int -> ?initial_bound:float -> Problem.t -> int verdict option
+(** Exact MNU via ILP, with no incumbent to start from. Serving nobody
+    is always feasible, so [None] means only that the node limit ran out
+    before the search reached an integral solution. *)
+val mnu : ?node_limit:int -> Problem.t -> int verdict option
 
 (** Exact BLA via ILP (binary transmission variables + continuous
-    makespan). Same [initial_bound] convention as {!mnu}. *)
+    makespan). With [initial_bound] (a known max load), [None] means
+    nothing strictly better was found — keep the greedy solution. *)
 val bla :
   ?node_limit:int -> ?initial_bound:float -> Problem.t -> float verdict option
 

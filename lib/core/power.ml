@@ -26,7 +26,8 @@ type plan = {
   full_power_objective : float;  (** J with every AP at [factors.(0)] *)
 }
 
-let default_factors = [| 1.0; 0.8; 0.6; 0.4 |]
+(* The power scalings every AP chooses from, full power first. *)
+let factors = [| 1.0; 0.8; 0.6; 0.4 |]
 
 (** Compile [sc] with per-AP power scalings: AP [a]'s rate regions are
     those of the scenario's table with thresholds scaled by
@@ -67,11 +68,9 @@ let evaluate ~channels ~mu p =
 (** [optimize ~channels sc] runs coordinate descent from full power.
     [mu] weighs interference against raw airtime (0 disables power
     reduction entirely — lower power can only slow links). Passes repeat
-    until no AP improves [J] or [max_passes] is hit. *)
-let optimize ?(factors = default_factors) ?(mu = 0.1) ?(max_passes = 4)
-    ~(channels : Channels.assignment) (sc : Scenario.t) =
-  if Array.length factors = 0 || (factors.(0) <> 1.0) [@lint.allow float_eq]
-  then invalid_arg "Power.optimize: factors must start at 1.0";
+    until no AP improves [J], four passes at most. *)
+let optimize ?(mu = 0.1) ~(channels : Channels.assignment) (sc : Scenario.t) =
+  let max_passes = 4 in
   let n_aps = Scenario.n_aps sc in
   let levels = Array.make n_aps 0 in
   let base_problem = problem_with_powers sc ~factors ~levels in

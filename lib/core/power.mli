@@ -22,14 +22,11 @@ type plan = {
 val problem_with_powers :
   Scenario.t -> factors:float array -> levels:int array -> Problem.t
 
-(** @raise Invalid_argument unless [factors.(0) = 1.0]. *)
-val optimize :
-  ?factors:float array ->
-  ?mu:float ->
-  ?max_passes:int ->
-  channels:Channels.assignment ->
-  Scenario.t ->
-  plan
+(** Coordinate descent from full power over the scalings
+    [[| 1.0; 0.8; 0.6; 0.4 |]], minimizing MLA total load plus [mu]
+    (default [0.1]) times co-channel interference. Passes repeat until
+    no AP improves, four passes at most. *)
+val optimize : ?mu:float -> channels:Channels.assignment -> Scenario.t -> plan
 
 (** APs that ended below full power. *)
 val reduced_count : plan -> int

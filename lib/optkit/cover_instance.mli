@@ -51,7 +51,13 @@ val make :
   n_elements:int ->
   sets:Bitset.t array ->
   costs:float array ->
+  (* test/cover_ref.ml's reference reduction groups its bitset sets by
+     AP; shipped instances come grouped from Reduction's planes through
+     of_planes — lint: allow optional-reachability *)
   ?group_of:int array ->
+  (* test/cover_ref.ml keeps an AP with no set as an empty group, which
+     only of_planes builds in shipped code —
+     lint: allow optional-reachability *)
   ?n_groups:int ->
   payload:'a array ->
   unit ->

@@ -513,14 +513,14 @@ let session_round s ~remaining =
 (** [greedy inst ~budgets ?universe ()] runs budgeted greedy + split: the
     first round of a fresh session. Only elements of [universe] (default:
     everything coverable) count as coverage. *)
-let greedy ?mode ?arena ?element_weights inst ~budgets ?universe () =
+let greedy ?element_weights inst ~budgets ?universe () =
   let remaining =
     match universe with
     | Some u -> u
     | None -> inst.Cover_instance.coverable
   in
   session_round
-    (make_session ?mode ?arena ?element_weights inst ~budgets)
+    (make_session ?element_weights inst ~budgets)
     ~remaining
 
 (** Number of elements the solution covers. *)

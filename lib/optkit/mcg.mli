@@ -36,13 +36,9 @@ type result = {
     unsharded run (what the sharded centralized drivers rely on).
 
     The heap bank and per-round candidate planes are flat SoA arrays
-    (DESIGN.md §4.12). [arena] lets repeated solves reuse those planes
-    instead of re-allocating; it never changes the result, and must not
-    be shared across pool domains. [greedy] is the first round of a fresh
+    (DESIGN.md §4.12). [greedy] is the first round of a fresh [`Soft]
     {!session}. *)
 val greedy :
-  ?mode:[ `Soft | `Hard ] ->
-  ?arena:Arena.t ->
   ?element_weights:float array ->
   'a Cover_instance.t ->
   budgets:float array ->
@@ -60,8 +56,10 @@ type 'a session
     in every later round, so successive {!session_round} calls seed each
     round's heap bank from the stored bound plane with {e zero} gain
     evaluations and re-score only the sets the previous round
-    revalidated.
-    [mode] and [arena] are as for {!greedy}; coverage is unweighted.
+    revalidated. [mode] defaults to [`Soft]. [arena] lets repeated
+    solves reuse the heap bank and candidate planes instead of
+    re-allocating; it never changes the result, and must not be shared
+    across pool domains. Coverage is unweighted.
     @raise Invalid_argument on a [budgets] arity mismatch. *)
 val session :
   ?mode:[ `Soft | `Hard ] ->

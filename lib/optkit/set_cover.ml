@@ -34,8 +34,8 @@ let gain inst x' j =
     covered. [(ln n + 1)]-approximation (Theorem 6).
 
     The heap is a single-group {!Flat_heap} bank, so exactly equal ratios
-    pick the lower set index; [arena] reuses its planes across solves. *)
-let greedy ?arena ?(universe : Bitset.t option) inst =
+    pick the lower set index. *)
+let greedy ?(universe : Bitset.t option) inst =
   let n = Cover_instance.n_elements inst in
   let { Cover_instance.members; lo; hi; costs; _ } = inst in
   let n_sets = Array.length costs in
@@ -46,8 +46,7 @@ let greedy ?arena ?(universe : Bitset.t option) inst =
   in
   let target = Bitset.copy x' in
   let heap =
-    Flat_heap.make ?arena ~slot:"set_cover.heap"
-      ~capacities:[| n_sets |] ()
+    Flat_heap.make ~capacities:[| n_sets |] ()
   in
   let { Flat_heap.cell; value; _ } = heap in
   for j = 0 to n_sets - 1 do

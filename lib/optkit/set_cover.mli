@@ -25,8 +25,7 @@ type result = {
 
 (** Greedy weighted set cover: repeatedly pick the set maximizing
     [|S ∩ X'| / c(S)]. *)
-val greedy :
-  ?arena:Arena.t -> ?universe:Bitset.t -> 'a Cover_instance.t -> result
+val greedy : ?universe:Bitset.t -> 'a Cover_instance.t -> result
 
 (** Maximum element frequency over the (optional) universe: the largest
     number of sets any single element belongs to. *)

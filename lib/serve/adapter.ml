@@ -27,7 +27,7 @@ let inputs_of_events timed =
   in
   go [] 0 0. timed
 
-let frames_of_script ?(trailer = true) script =
+let frames_of_script script =
   match inputs_of_events (Churn_script.events script) with
   | Error e -> Error e
   | Ok inputs ->
@@ -35,9 +35,7 @@ let frames_of_script ?(trailer = true) script =
       let add i = Protocol.frame_into buf (Protocol.render_input i) in
       add (Protocol.Hello { version = Protocol.version });
       List.iter add inputs;
-      if trailer then begin
-        add Protocol.Flush;
-        add Protocol.Snapshot;
-        add Protocol.Bye
-      end;
+      add Protocol.Flush;
+      add Protocol.Snapshot;
+      add Protocol.Bye;
       Ok (Buffer.contents buf)

@@ -28,6 +28,6 @@ val inputs_of_events :
   (Protocol.input list, error) result
 
 (** The full framed session a client would send: [hello], the script's
-    events, then (unless [trailer:false]) [flush], [snapshot], [bye]. *)
+    events, then [flush], [snapshot], [bye]. *)
 val frames_of_script :
-  ?trailer:bool -> Wlan_model.Churn_script.t -> (string, error) result
+  Wlan_model.Churn_script.t -> (string, error) result

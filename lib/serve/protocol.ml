@@ -236,14 +236,15 @@ module Decoder = struct
   type item = Frame of string | Corrupt of error_code * string
 
   type t = {
-    max_frame : int;
     mutable data : string;  (** unconsumed suffix is [pos ..] *)
     mutable pos : int;
     mutable skipping : bool;  (** discarding up to the next newline *)
   }
 
-  let create ?(max_frame = 65536) () =
-    { max_frame; data = ""; pos = 0; skipping = false }
+  (* The largest declared payload; a longer one is refused unbuffered. *)
+  let max_frame = 65536
+
+  let create () = { data = ""; pos = 0; skipping = false }
 
   let pending t = String.length t.data - t.pos
 
@@ -300,9 +301,9 @@ module Decoder = struct
         corrupt t Bad_frame "no space after length prefix"
       else begin
         let n = int_of_string (String.sub t.data i (!j - i)) in
-        if n > t.max_frame then
+        if n > max_frame then
           corrupt t Oversize
-            (Printf.sprintf "declared %d bytes, limit %d" n t.max_frame)
+            (Printf.sprintf "declared %d bytes, limit %d" n max_frame)
         else begin
           let body = !j + 1 in
           if len - body < n + 1 then None (* wait for body + newline *)

@@ -129,10 +129,10 @@ module Decoder : sig
         (** bad framing ([Bad_frame] or [Oversize]); the decoder has
             already resynchronized *)
 
-  (** [max_frame] caps the declared payload length (default 65536):
-      larger declarations are rejected as [Oversize] {e without}
-      buffering the body. *)
-  val create : ?max_frame:int -> unit -> t
+  (** A declared payload length is capped at 65,536 bytes: a larger
+      declaration is rejected as [Oversize] {e without} buffering the
+      body. *)
+  val create : unit -> t
 
   val feed : t -> string -> unit
 

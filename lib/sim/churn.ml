@@ -59,7 +59,7 @@ type outcome = {
   oscillated : bool;
 }
 
-let run ?init ?(mode = `Sequential) ?(max_rounds = 200) ?trace
+let run ?init ?(mode = `Sequential) ?(max_rounds = 200)
     ?(baseline = true) ?tiers ~objective ~script p =
   Wlan_obs.Counters.incr c_runs;
   let n_aps, n_users = Problem.dims p in
@@ -74,7 +74,7 @@ let run ?init ?(mode = `Sequential) ?(max_rounds = 200) ?trace
       | Some ts -> List.sort (fun a b -> Float.compare b a) ts
       | None -> Problem.distinct_rates p)
   in
-  let trace = match trace with Some t -> t | None -> Trace.create () in
+  let trace = Trace.create () in
   let net = Distributed.Online.create ?init ~objective p in
   let steps_acc = ref [] in
   (* Settle once and record the disruption metrics of this quiescence. *)

@@ -69,7 +69,6 @@ type outcome = {
     - [baseline] (default true) runs a fresh sequential static solve of
       the effective instance after every step for the overshoot
       metrics; disable to make long replays cheap.
-    - [trace] appends to a caller-supplied log instead of a fresh one.
 
     @raise Invalid_argument if the script references out-of-range
     users or APs, or a tier is not finite and positive. *)
@@ -77,7 +76,6 @@ val run :
   ?init:Association.t ->
   ?mode:[ `Sequential | `Simultaneous ] ->
   ?max_rounds:int ->
-  ?trace:Trace.t ->
   ?baseline:bool ->
   ?tiers:float list ->
   objective:Distributed.objective ->

@@ -39,9 +39,8 @@ let after t ~delay f = schedule t ~at:(t.now +. delay) f
 (** Uniform jitter in [0, max); deterministic for a fixed engine seed. *)
 let jitter t ~max = if max <= 0. then 0. else Random.State.float t.rng max
 
-(** Run until the queue drains or the clock passes [until]. Events exactly
-    at [until] still fire. Returns the final clock value. *)
-let run ?(until = infinity) t =
+(** Run until the queue drains. Returns the final clock value. *)
+let run t =
   if t.running then invalid_arg "Engine.run: re-entrant run";
   t.running <- true;
   Fun.protect
@@ -49,16 +48,11 @@ let run ?(until = infinity) t =
     (fun () ->
       let continue = ref true in
       while !continue do
-        match Event_queue.peek_time t.queue with
+        match Event_queue.pop t.queue with
         | None -> continue := false
-        | Some time when time > until -> continue := false
-        | Some _ -> (
-            match Event_queue.pop t.queue with
-            | None -> continue := false
-            | Some (time, f) ->
-                t.now <- time;
-                t.processed <- t.processed + 1;
-                f ())
+        | Some (time, f) ->
+            t.now <- time;
+            t.processed <- t.processed + 1;
+            f ()
       done;
-      if Float.is_finite until && until > t.now then t.now <- until;
       t.now)

@@ -19,7 +19,6 @@ val after : t -> delay:float -> (unit -> unit) -> unit
 (** Uniform jitter in [0, max); deterministic for a fixed seed. *)
 val jitter : t -> max:float -> float
 
-(** Run until the queue drains or the clock passes [until] (events exactly
-    at [until] still fire). Returns the final clock.
+(** Run until the queue drains. Returns the final clock.
     @raise Invalid_argument on re-entrant calls. *)
-val run : ?until:float -> t -> float
+val run : t -> float

@@ -58,8 +58,6 @@ let push t ~time payload =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-let peek_time t = if t.size = 0 then None else Some t.data.(0).time
-
 (** Pop the earliest event: [(time, payload)]. *)
 let pop t =
   if t.size = 0 then None

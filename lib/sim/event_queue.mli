@@ -10,7 +10,5 @@ val create : unit -> 'a t
     @raise Invalid_argument on negative or non-finite times. *)
 val push : 'a t -> time:float -> 'a -> unit
 
-val peek_time : 'a t -> float option
-
 (** Pop the earliest event as [(time, payload)]. *)
 val pop : 'a t -> (float * 'a) option

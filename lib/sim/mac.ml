@@ -7,53 +7,19 @@
     The per-AP busy-time over the measurement window, divided by the window
     length, is the {e measured} multicast load — which must agree with
     Definition 1's analytic [session_rate / tx_rate] sum (the integration
-    tests assert exactly that).
+    tests assert exactly that). *)
 
-    [multi_rate = false] models stock 802.11 broadcast, where every
-    multicast frame goes out at the basic rate regardless of receivers. *)
-
-type config = {
-  frame_bits : float;  (** default 12000 bits = 1500-byte frames *)
-  multi_rate : bool;  (** false: always transmit at the basic rate *)
-}
-
-let default_config = { frame_bits = 12_000.; multi_rate = true }
+(* 1500-byte frames. *)
+let frame_bits = 12_000.
 
 (** One scheduled transmission: AP [ap] serves [session] (stream rate
-    [session_rate_mbps]) at transmission rate [tx_rate_mbps]. Unicast
-    background traffic is modeled with the same mechanics, tagged
-    [session = unicast_tag] (one stream per user at its link rate). *)
+    [session_rate_mbps]) at transmission rate [tx_rate_mbps]. *)
 type stream = {
   ap : int;
   session : int;
   session_rate_mbps : float;
   tx_rate_mbps : float;
 }
-
-let unicast_tag = -1
-
-(** Unicast background streams for dual-association studies: user [u] with
-    demand [d] Mbps pulls frames from AP [ap] over its [link_rate] link,
-    costing [d / link_rate] airtime — added on top of the multicast plan. *)
-let unicast_plan ~(assoc : int array) ~(demands : float array)
-    ~(link_rate : int -> int -> float) =
-  let streams = ref [] in
-  Array.iteri
-    (fun u ap ->
-      if ap >= 0 && demands.(u) > 0. then begin
-        let r = link_rate ap u in
-        if r > 0. then
-          streams :=
-            {
-              ap;
-              session = unicast_tag;
-              session_rate_mbps = demands.(u);
-              tx_rate_mbps = r;
-            }
-            :: !streams
-      end)
-    assoc;
-  List.rev !streams
 
 type accounting = {
   busy : float array;  (** per-AP seconds of airtime used *)
@@ -63,7 +29,7 @@ type accounting = {
 
 (** Extract the streaming plan from a problem + association: one stream per
     (AP, session) actually served, at the min-link-rate of its receivers. *)
-let plan_of_association p assoc ~basic_rate ~config =
+let plan_of_association p assoc =
   let tx = Wlan_model.Loads.tx_rates p assoc in
   let streams = ref [] in
   Array.iteri
@@ -76,7 +42,7 @@ let plan_of_association p assoc ~basic_rate ~config =
                 ap;
                 session;
                 session_rate_mbps = Wlan_model.Problem.session_rate p session;
-                tx_rate_mbps = (if config.multi_rate then rate else basic_rate);
+                tx_rate_mbps = rate;
               }
               :: !streams)
         tx_row)
@@ -86,7 +52,7 @@ let plan_of_association p assoc ~basic_rate ~config =
 (** Schedule the streaming phase on [engine]: every stream's frames over
     [window = (start, finish)]. Returns the accounting record, filled in as
     the engine runs. *)
-let start engine ?(config = default_config) ?trace ~n_aps ~window streams =
+let start engine ?trace ~n_aps ~window streams =
   let start_t, finish_t = window in
   if finish_t <= start_t then invalid_arg "Mac.start: empty window";
   let acc =
@@ -95,9 +61,9 @@ let start engine ?(config = default_config) ?trace ~n_aps ~window streams =
   List.iter
     (fun s ->
       let interval = s.session_rate_mbps *. 1e6 in
-      let interval = config.frame_bits /. interval in
+      let interval = frame_bits /. interval in
       let airtime =
-        Radio.frame_airtime ~bits:config.frame_bits ~rate_mbps:s.tx_rate_mbps
+        Radio.frame_airtime ~bits:frame_bits ~rate_mbps:s.tx_rate_mbps
       in
       let rec send_at t =
         if t < finish_t then

@@ -50,33 +50,6 @@ let relocate ~rng ~fraction (sc : Scenario.t) =
       ~budget:sc.Scenario.budget (),
     k )
 
-(** Session zapping: [fraction] of the users switch to a uniformly random
-    session (TV channel change) — the other quasi-static churn source. *)
-let zap ~rng ~fraction (sc : Scenario.t) =
-  let n = Scenario.n_users sc in
-  let n_sessions = Array.length sc.Scenario.sessions in
-  let k = Int.min n (int_of_float (ceil (fraction *. float_of_int n))) in
-  if k = 0 || n_sessions = 0 then (sc, 0)
-  else begin
-    let user_session = Array.copy sc.Scenario.user_session in
-    let idx = Array.init n Fun.id in
-    for i = n - 1 downto 1 do
-      let j = Random.State.int rng (i + 1) in
-      let t = idx.(i) in
-      idx.(i) <- idx.(j);
-      idx.(j) <- t
-    done;
-    Array.iter
-      (fun u -> user_session.(u) <- Random.State.int rng n_sessions)
-      (Array.sub idx 0 k);
-    ( Scenario.make ~area_w:sc.Scenario.area_w ~area_h:sc.Scenario.area_h
-        ~ap_pos:sc.Scenario.ap_pos ~user_pos:sc.Scenario.user_pos
-        ~user_session ~sessions:sc.Scenario.sessions
-        ~rate_table:sc.Scenario.rate_table ~model:sc.Scenario.model
-        ~budget:sc.Scenario.budget (),
-      k )
-  end
-
 let diff_count (a : Association.t) (b : Association.t) =
   let n = Int.min (Array.length a) (Array.length b) in
   let d = ref 0 in
@@ -88,8 +61,7 @@ let diff_count (a : Association.t) (b : Association.t) =
 (** [run ~epochs ~move_fraction ~policy sc] simulates [epochs] association
     epochs; before every epoch after the first, [move_fraction] of the
     users relocate uniformly. Returns one report per epoch, in order. *)
-let run ?(seed = 0) ?(move_fraction = 0.1) ?(session_churn = 0.)
-    ?(ap_failure_fraction = 0.) ?(epochs = 5) ?loss_rate ~policy
+let run ?(seed = 0) ?(move_fraction = 0.1) ?(ap_failure_fraction = 0.) ?(epochs = 5) ?loss_rate ~policy
     (sc : Scenario.t) =
   let rng = Random.State.make [| seed; 0x5eed |] in
   let rec go epoch sc prev_assoc acc =
@@ -97,10 +69,6 @@ let run ?(seed = 0) ?(move_fraction = 0.1) ?(session_churn = 0.)
     else begin
       let sc, relocated =
         if epoch = 1 then (sc, 0) else relocate ~rng ~fraction:move_fraction sc
-      in
-      let sc, _zapped =
-        if epoch = 1 || session_churn <= 0. then (sc, 0)
-        else zap ~rng ~fraction:session_churn sc
       in
       (* transient AP outages: a fresh sample every epoch after the first *)
       let disabled_aps =

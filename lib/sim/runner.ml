@@ -70,22 +70,16 @@ let user_slot = 10e-3 (* sequential decision slot per user *)
     with that probability (deterministically from [seed]); the distributed
     decision rule degrades gracefully to the neighbors it heard from.
 
-    [unicast_demands], when given (one Mbps figure per user), adds dual
-    association's unicast side to the streaming phase: each user pulls its
-    demand from its strongest-signal AP, so [measured_loads] then reports
-    the {e combined} unicast+multicast airtime per AP.
-
     [disabled_aps] models failed or administratively-down APs: they never
     answer probes, so no user can discover or associate with them (users
     arriving with a stale [init] association to a dead AP rejoin through
     the protocol). *)
-let run ?(seed = 0) ?(mac = Mac.default_config) ?(streaming_window = 1.0)
-    ?(trace_limit = 200_000) ?(loss_rate = 0.) ?unicast_demands
+let run ?(seed = 0) ?(streaming_window = 1.0) ?(loss_rate = 0.)
     ?(disabled_aps = []) ?init ~policy (sc : Scenario.t) =
   let p = Scenario.to_problem sc in
   let radio = Radio.of_scenario sc in
   let engine = Engine.create ~seed () in
-  let trace = Trace.create ~limit:trace_limit () in
+  let trace = Trace.create () in
   let n_aps = Scenario.n_aps sc and n_users = Scenario.n_users sc in
   let session_rates = Array.map Session.rate_mbps sc.Scenario.sessions in
   let user_session = sc.Scenario.user_session in
@@ -306,29 +300,10 @@ let run ?(seed = 0) ?(mac = Mac.default_config) ?(streaming_window = 1.0)
 
   (* phase 3: streaming over a fresh window after association settles *)
   let t_stream = !assoc_done +. 10e-3 in
-  let plan =
-    Mac.plan_of_association p assoc
-      ~basic_rate:(Rate_table.basic_rate sc.Scenario.rate_table)
-      ~config:mac
-  in
-  let plan =
-    match unicast_demands with
-    | None -> plan
-    | Some demands ->
-        let uni_assoc =
-          Array.init n_users (fun u ->
-              match neighbors.(u) with
-              | [] -> -1
-              | best :: _ -> best.Proto.ap)
-        in
-        plan
-        @ Mac.unicast_plan ~assoc:uni_assoc ~demands ~link_rate:(fun a u ->
-              Problem.link_rate p ~ap:a ~user:u)
-  in
   let acc =
-    Mac.start engine ~config:mac ~trace ~n_aps
+    Mac.start engine ~trace ~n_aps
       ~window:(t_stream, t_stream +. streaming_window)
-      plan
+      (Mac.plan_of_association p assoc)
   in
   let sim_time = Engine.run engine in
   if !history = [] && !passes > 0 then snapshot_pass 0;

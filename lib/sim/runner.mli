@@ -39,7 +39,7 @@ type report = {
   oscillated : bool;
   events : int;  (** simulation events processed *)
   sim_time : float;
-  trace : Trace.t;
+  trace : Trace.t;  (** the run's first 200,000 events *)
 }
 
 (** [run ~policy sc] simulates the whole pipeline on scenario [sc].
@@ -51,19 +51,12 @@ type report = {
     with that probability (deterministically from [seed]); the decision
     rule degrades gracefully to the neighbors that answered.
 
-    [unicast_demands] (one Mbps figure per user) adds dual association's
-    unicast side to the streaming phase, so [measured_loads] reports the
-    combined unicast+multicast airtime.
-
     [disabled_aps] never answer probes: no user can discover or associate
     with them (failed or administratively-down APs). *)
 val run :
   ?seed:int ->
-  ?mac:Mac.config ->
   ?streaming_window:float ->
-  ?trace_limit:int ->
   ?loss_rate:float ->
-  ?unicast_demands:float array ->
   ?disabled_aps:int list ->
   ?init:Association.t ->
   policy:policy ->

@@ -8,18 +8,13 @@ type neighbor = { ap : int; link_rate_mbps : float; signal : float }
 
 type result = neighbor list array  (** per user, strongest first *)
 
-type config = {
-  probe_at : float;  (** when users send probe requests *)
-  response_base : float;  (** AP processing delay before responding *)
-  response_jitter : float;  (** max extra uniform jitter *)
-}
-
-let default_config =
-  { probe_at = 0.; response_base = 2e-3; response_jitter = 1e-3 }
+let probe_at = 0. (* when users send probe requests *)
+let response_base = 2e-3 (* AP processing delay before responding *)
+let response_jitter = 1e-3 (* max extra uniform jitter *)
 
 (** Schedule the scan on [engine]; [on_complete] fires (as a simulation
     event) once every expected probe response has been received. *)
-let start engine ?(config = default_config) ?trace radio ~on_complete =
+let start engine ?trace radio ~on_complete =
   let n_users = Radio.n_users radio in
   let results : neighbor list array = Array.make n_users [] in
   let expected = ref 0 in
@@ -33,9 +28,9 @@ let start engine ?(config = default_config) ?trace radio ~on_complete =
     expected := !expected + List.length (Radio.neighbor_aps radio ~user:u)
   done;
   if !expected = 0 then
-    Engine.schedule engine ~at:config.probe_at (fun () -> on_complete results);
+    Engine.schedule engine ~at:probe_at (fun () -> on_complete results);
   for u = 0 to n_users - 1 do
-    Engine.schedule engine ~at:config.probe_at (fun () ->
+    Engine.schedule engine ~at:probe_at (fun () ->
         Option.iter
           (fun tr ->
             Trace.log tr ~time:(Engine.now engine)
@@ -44,8 +39,8 @@ let start engine ?(config = default_config) ?trace radio ~on_complete =
         List.iter
           (fun a ->
             let delay =
-              config.response_base
-              +. Engine.jitter engine ~max:config.response_jitter
+              response_base
+              +. Engine.jitter engine ~max:response_jitter
               +. Radio.propagation_delay radio ~ap:a ~user:u
             in
             Engine.after engine ~delay (fun () ->

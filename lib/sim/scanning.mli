@@ -7,17 +7,12 @@ type neighbor = { ap : int; link_rate_mbps : float; signal : float }
 
 type result = neighbor list array  (** per user *)
 
-type config = {
-  probe_at : float;  (** when users send probe requests *)
-  response_base : float;  (** AP processing delay before responding *)
-  response_jitter : float;  (** max extra uniform jitter *)
-}
-
-(** Schedule the scan; [on_complete] fires (as a simulation event) once
-    every expected probe response has been received. *)
+(** Schedule the scan: probes go out at time 0, and each AP answers
+    after 2 ms plus up to 1 ms of jitter. [on_complete] fires (as a
+    simulation event) once every expected probe response has been
+    received. *)
 val start :
   Engine.t ->
-  ?config:config ->
   ?trace:Trace.t ->
   Radio.t ->
   on_complete:(result -> unit) ->

@@ -29,12 +29,15 @@ type kind =
 
 type record = { time : float; kind : kind }
 
-type t = { mutable records : record list; mutable count : int; limit : int }
+type t = { mutable records : record list; mutable count : int }
 
-let create ?(limit = 200_000) () = { records = []; count = 0; limit }
+(* Records beyond this many are dropped. *)
+let limit = 200_000
+
+let create () = { records = []; count = 0 }
 
 let log t ~time kind =
-  if t.count < t.limit then begin
+  if t.count < limit then begin
     t.records <- { time; kind } :: t.records;
     t.count <- t.count + 1
   end

@@ -31,9 +31,9 @@ type record = { time : float; kind : kind }
 
 type t
 
-(** [create ~limit ()] — records beyond [limit] (default 200k) are
+(** An empty log. It keeps the first 200,000 records; later ones are
     dropped. *)
-val create : ?limit:int -> unit -> t
+val create : unit -> t
 
 val log : t -> time:float -> kind -> unit
 

@@ -144,7 +144,7 @@ let make_sparse ?ap_budgets ?(allow_uncovered = false) ~session_rates
     [0.] meaning out of range. [signal] defaults to the rate matrix
     (highest rate = strongest signal). The matrices are checked, then
     lowered to one {!Sparse} slot per positive-rate pair. *)
-let make ?signal ?ap_budgets ?allow_uncovered ~session_rates ~user_session
+let make ?signal ?allow_uncovered ~session_rates ~user_session
     ~rates ~budget () =
   let fail fmt = Fmt.kstr invalid_arg ("Problem.make: " ^^ fmt) in
   let n_users = Array.length user_session in
@@ -169,7 +169,7 @@ let make ?signal ?ap_budgets ?allow_uncovered ~session_rates ~user_session
         check_rows "signal" s;
         s
   in
-  make_sparse ?ap_budgets ?allow_uncovered ~session_rates ~user_session
+  make_sparse ?allow_uncovered ~session_rates ~user_session
     ~sparse:(Sparse.of_dense ~n_users ~rates ~signal)
     ~budget ()
 

@@ -76,7 +76,6 @@ val rates_matrix : t -> float array array
     @raise Invalid_argument on malformed input. *)
 val make :
   ?signal:float array array ->
-  ?ap_budgets:float array ->
   ?allow_uncovered:bool ->
   session_rates:float array ->
   user_session:int array ->

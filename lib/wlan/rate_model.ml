@@ -62,14 +62,18 @@ let default_radio =
     snr_tiers = ieee80211a_snr_tiers;
   }
 
-let friis ?(radio = default_radio) () = Path_loss { loss = Friis; radio }
+let friis () = Path_loss { loss = Friis; radio = default_radio }
 
-let two_ray ?(radio = default_radio) ?(ap_height_m = 10.) ?(user_height_m = 1.5)
-    () =
-  Path_loss { loss = Two_ray { ap_height_m; user_height_m }; radio }
+let two_ray () =
+  Path_loss
+    {
+      loss = Two_ray { ap_height_m = 10.; user_height_m = 1.5 };
+      radio = default_radio;
+    }
 
-let log_distance ?(radio = default_radio) ?(exponent = 2.2) ?shadowing () =
-  Path_loss { loss = Log_distance { exponent; shadowing }; radio }
+let log_distance ?shadowing () =
+  Path_loss
+    { loss = Log_distance { exponent = 2.2; shadowing }; radio = default_radio }
 
 let antenna_gain_dbi = function
   | Isotropic -> 0.

@@ -66,15 +66,17 @@ type t =
 (* lint: allow export-reachability — the round-trip test's random path-loss models start from it *)
 val default_radio : radio
 
-val friis : ?radio:radio -> unit -> t
+(** Friis on {!default_radio}. The smart constructors below all use
+    it; build a [Path_loss] record for any other radio or parameters. *)
+val friis : unit -> t
 
-(** Defaults: 10 m AP height, 1.5 m user height. At 5.8 GHz that puts
-    the crossover near 3.6 km — inside WLAN range two-ray {e is} Friis;
+(** A 10 m AP height and a 1.5 m user height. At 5.8 GHz that puts the
+    crossover near 3.6 km — inside WLAN range two-ray {e is} Friis;
     lower heights (or frequencies) pull the d⁴ regime into reach. *)
-val two_ray : ?radio:radio -> ?ap_height_m:float -> ?user_height_m:float -> unit -> t
+val two_ray : unit -> t
 
-(** Defaults: exponent 2.2, no shadowing. *)
-val log_distance : ?radio:radio -> ?exponent:float -> ?shadowing:shadowing -> unit -> t
+(** Exponent 2.2; no shadowing unless given. *)
+val log_distance : ?shadowing:shadowing -> unit -> t
 
 (** Check the model is well-formed (finite parameters, positive
     frequency/heights/exponent, a strictly-decreasing non-empty SNR

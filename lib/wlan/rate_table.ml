@@ -71,11 +71,6 @@ let rates t = List.map (fun e -> e.rate_mbps) t.entries
 let range t =
   List.fold_left (fun acc e -> Float.max acc e.threshold_m) 0. t.entries
 
-(** The basic (lowest, most robust) rate; 802.11 transmits broadcast frames
-    at this rate unless multi-rate multicast is available. *)
-let basic_rate t =
-  List.fold_left (fun acc e -> Float.min acc e.rate_mbps) infinity t.entries
-
 (** [rate_at_distance t d] is the maximum link rate at distance [d] meters,
     or [None] when [d] exceeds the radio range. *)
 let rate_at_distance t d =

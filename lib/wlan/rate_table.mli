@@ -32,9 +32,6 @@ val rates : t -> float list
 (** Radio range: the largest distance threshold. *)
 val range : t -> float
 
-(** The basic (lowest) rate — what stock 802.11 broadcast uses. *)
-val basic_rate : t -> float
-
 (** [rate_at_distance t d] is the maximum link rate at distance [d], or
     [None] beyond the radio range. *)
 val rate_at_distance : t -> float -> float option

@@ -182,36 +182,6 @@ let test_dual_max_saving_consistent () =
     (c.Dual.single.Dual.max *. (1. -. (c.Dual.max_saving_pct /. 100.)))
     c.Dual.dual.Dual.max
 
-let test_dual_measured_in_simulator () =
-  (* push a dual plan into the DES with unicast background traffic and
-     check the measured combined airtime against the analytic model *)
-  let rng = Random.State.make [| 14 |] in
-  let sc =
-    Scenario_gen.generate ~rng
-      {
-        Scenario_gen.paper_default with
-        n_aps = 15;
-        n_users = 30;
-        area_w = 500.;
-        area_h = 500.;
-      }
-  in
-  let p = Scenario.to_problem sc in
-  let demands = Dual.uniform_demands p ~mbps:0.5 in
-  let plan = Dual.plan ~objective:`Mla p in
-  let r =
-    Wlan_sim.Runner.run ~streaming_window:2.0 ~unicast_demands:demands
-      ~policy:(Wlan_sim.Runner.Static_policy plan.Dual.multicast)
-      sc
-  in
-  let analytic = Dual.combined p ~demands plan in
-  Array.iteri
-    (fun a m ->
-      let expect = analytic.Dual.per_ap.(a) in
-      if Float.abs (m -. expect) > (0.05 *. Float.max expect 0.02) +. 1e-6 then
-        Alcotest.failf "ap %d: measured %.4f vs analytic %.4f" a m expect)
-    r.Wlan_sim.Runner.measured_loads
-
 let prop_dual_unicast_side_is_ssa =
   QCheck.Test.make ~name:"dual unicast side = strongest signal for everyone"
     ~count:50
@@ -433,41 +403,6 @@ let test_mobility_warm_start_cheaper_than_cold () =
           (e.Wlan_sim.Mobility.rejoin_moves <= 20))
     reports
 
-let test_mobility_with_zapping () =
-  (* channel changes alone (no movement) also force re-association work *)
-  let sc = small_scenario 12 in
-  let reports =
-    Wlan_sim.Mobility.run ~seed:5 ~move_fraction:0. ~session_churn:0.3
-      ~epochs:3 ~policy:dist_policy sc
-  in
-  let coverable =
-    List.length (Problem.coverable_users (Scenario.to_problem sc))
-  in
-  List.iter
-    (fun (e : Wlan_sim.Mobility.epoch_report) ->
-      Alcotest.(check bool) "converged" true
-        e.Wlan_sim.Mobility.report.Wlan_sim.Runner.converged;
-      Alcotest.(check int) "everyone still served" coverable
-        e.Wlan_sim.Mobility.report.Wlan_sim.Runner.solution.Solution.satisfied)
-    reports;
-  (* sessions actually changed between epochs *)
-  let sessions_of (e : Wlan_sim.Mobility.epoch_report) =
-    Array.copy
-      Problem.(e.Wlan_sim.Mobility.report.Wlan_sim.Runner.problem.user_session)
-  in
-  let first = sessions_of (List.hd reports) in
-  let last = sessions_of (List.nth reports 2) in
-  Alcotest.(check bool) "some user zapped" true (first <> last)
-
-let test_zap_function () =
-  let sc = small_scenario 13 in
-  let rng = Random.State.make [| 6 |] in
-  let sc', k = Wlan_sim.Mobility.zap ~rng ~fraction:0.5 sc in
-  Alcotest.(check int) "half the users" 20 k;
-  Alcotest.(check bool) "positions untouched" true
-    (sc'.Scenario.user_pos == sc.Scenario.user_pos
-    || sc'.Scenario.user_pos = sc.Scenario.user_pos)
-
 let test_disabled_aps_never_serve () =
   let sc = small_scenario 14 in
   let disabled = [ 0; 3; 7 ] in
@@ -599,6 +534,25 @@ let test_power_optimize () =
   Alcotest.(check bool) "some AP reduced power" true
     (Power.reduced_count plan > 0)
 
+(* optimize searches the documented scalings, and the plan's instance is
+   the per-AP compile at the levels it chose *)
+let test_power_optimize_scalings () =
+  let sc = power_scenario () in
+  let edges = Channels.conflict_edges ~range:400. sc.Scenario.ap_pos in
+  let channels = Channels.color ~n_channels:3 ~n_aps:(Scenario.n_aps sc) edges in
+  let plan = Power.optimize ~channels sc in
+  Alcotest.(check (array (float 0.))) "scalings" [| 1.0; 0.8; 0.6; 0.4 |]
+    plan.Power.factors;
+  Alcotest.(check int) "reduced = levels off full power"
+    (Array.fold_left (fun n l -> if l <> 0 then n + 1 else n) 0 plan.Power.levels)
+    (Power.reduced_count plan);
+  let chosen =
+    Power.problem_with_powers sc ~factors:plan.Power.factors
+      ~levels:plan.Power.levels
+  in
+  Alcotest.(check bool) "plan instance = compile at its levels" true
+    (Problem.rates_matrix chosen = Problem.rates_matrix plan.Power.problem)
+
 let test_power_mu_zero_objective_is_pure_load () =
   (* with mu = 0 the objective is exactly the MLA total load. Note that
      power reductions can still happen: pruning an AP's rate options can
@@ -677,7 +631,6 @@ let () =
           tc "single shares AP" test_single_association_shares_ap;
           tc "dual saves airtime" test_dual_saves_airtime_on_campus;
           tc "max saving consistent" test_dual_max_saving_consistent;
-          tc "dual measured in DES" test_dual_measured_in_simulator;
         ] );
       ( "workloads",
         [
@@ -696,6 +649,7 @@ let () =
         [
           tc "per-AP compilation" test_power_problem_with_powers;
           tc "optimize trades interference" test_power_optimize;
+          tc "optimize scalings" test_power_optimize_scalings;
           tc "mu=0 is pure load descent" test_power_mu_zero_objective_is_pure_load;
           tc "stranding level is built, not raised"
             test_power_stranded_user_is_uncovered;
@@ -705,8 +659,6 @@ let () =
         [
           tc "epoch structure" test_mobility_epochs;
           tc "warm start churn" test_mobility_warm_start_cheaper_than_cold;
-          tc "session zapping" test_mobility_with_zapping;
-          tc "zap function" test_zap_function;
           tc "disabled APs never serve" test_disabled_aps_never_serve;
           tc "AP failures across epochs" test_ap_failures_across_epochs;
           tc "interference-aware MLA" test_interference_aware_mla;

@@ -1062,6 +1062,14 @@ let storm_stream buf p =
        (Distributed.Online.total_load net)
        (Distributed.Online.max_load net))
 
+(* Distributed MNU and MLA share the total-load rule; [Distributed.run]
+   takes the scheduler the wrappers fix to [Sequential]. *)
+let solve_as algorithm ~scheduler p =
+  let o =
+    Distributed.run ~scheduler ~objective:Distributed.Min_total_load p
+  in
+  (Solution.make ~algorithm p o.Distributed.assoc, o)
+
 let storm_total_digest () =
   let p = Lazy.force storm_problem in
   let buf = Buffer.create (1 lsl 20) in
@@ -1091,8 +1099,8 @@ let storm_total_digest () =
               ("locked", Distributed.Locked);
             ])
         [
-          ("mnu", fun ~scheduler p -> Distributed.mnu ~scheduler p);
-          ("mla", fun ~scheduler p -> Distributed.mla ~scheduler p);
+          ("mnu", solve_as "MNU-distributed");
+          ("mla", solve_as "MLA-distributed");
         ];
       storm_stream buf p);
   (* the work the rule did, which the kernel must not change either *)

@@ -430,8 +430,8 @@ let test_bla_pool_fanout_identical () =
   Pool.with_pool ~jobs:4 @@ fun pool ->
   List.iter
     (fun p ->
-      let seq = Mcast_core.Bla.run_exn p in
-      let par = Mcast_core.Bla.run_exn ~fanout:(Pool.run pool) p in
+      let seq = Mcast_core.Shard.solve_bla p in
+      let par = Mcast_core.Shard.solve_bla ~fanout:(Pool.run pool) p in
       Alcotest.(check bool) "pool fanout = sequential" true (seq = par))
     ps
 

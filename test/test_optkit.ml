@@ -1039,7 +1039,8 @@ let same_mcg_result (a : Mcg.result) (b : Mcg.result) =
 
 (* The bound-skipping greedy must reproduce the eager rescan exactly —
    same selection sequence, same split, same coverage — weighted and
-   not, in both budget modes. *)
+   not, in both budget modes. [greedy] is the [`Soft] solve; the
+   [`Hard] one is a session's first round, unweighted. *)
 let prop_mcg_greedy_eq_eager =
   QCheck.Test.make ~name:"MCG greedy = eager rescan" ~count:200
     (QCheck.pair arb_grouped QCheck.bool)
@@ -1047,15 +1048,20 @@ let prop_mcg_greedy_eq_eager =
       QCheck.assume (sets <> []);
       let inst = mk_grouped ~n sets in
       let budgets = Array.make (Cover_instance.n_groups inst) budget in
-      let mode = if hard then `Hard else `Soft in
       let weights = Array.init n (fun e -> float_of_int ((e * 7 mod 5) + 1)) in
       let universe = Cover_instance.coverable inst in
       let check element_weights =
         same_mcg_result
-          (Mcg.greedy ~mode ?element_weights inst ~budgets ())
-          (eager_greedy ~mode ?element_weights inst ~budgets ~universe)
+          (Mcg.greedy ?element_weights inst ~budgets ())
+          (eager_greedy ~mode:`Soft ?element_weights inst ~budgets ~universe)
       in
-      check None && check (Some weights))
+      if hard then
+        same_mcg_result
+          (Mcg.session_round
+             (Mcg.session ~mode:`Hard inst ~budgets)
+             ~remaining:(Cover_instance.coverable inst))
+          (eager_greedy ~mode:`Hard inst ~budgets ~universe)
+      else check None && check (Some weights))
 
 (* Driver probes: every field of every shard. *)
 let same_scg_result (a : Scg.result) (b : Scg.result) =
@@ -1527,9 +1533,9 @@ let prop_session_repeat_same_split =
           same_split sp again && same_split sp once)
         keeps)
 
-(* An arena is pure scratch reuse: running every mode with a shared
-   (repeatedly reused) arena must be bit-identical to running without
-   one. *)
+(* An arena is pure scratch reuse: a session round in every mode with a
+   shared (repeatedly reused) arena must be bit-identical to one
+   without. *)
 let prop_arena_never_changes_results =
   QCheck.Test.make ~name:"arena-backed solves = fresh-allocation solves"
     ~count:100 arb_grouped
@@ -1540,20 +1546,13 @@ let prop_arena_never_changes_results =
       let arena = Arena.create () in
       List.for_all
         (fun mode ->
-          same_mcg_result
-            (Mcg.greedy ~mode ~arena inst ~budgets ())
-            (Mcg.greedy ~mode inst ~budgets ()))
-        [ `Soft; `Hard ]
-      &&
-      let a = Set_cover.greedy ~arena inst in
-      let b = Set_cover.greedy inst in
-      List.length a.Set_cover.chosen = List.length b.Set_cover.chosen
-      && List.for_all2
-           (fun (s : Set_cover.selection) (s' : Set_cover.selection) ->
-             s.set = s'.set && Bitset.equal s.newly s'.newly)
-           a.Set_cover.chosen b.Set_cover.chosen
-      && Bitset.equal a.Set_cover.covered b.Set_cover.covered
-      && Float.equal a.Set_cover.total_cost b.Set_cover.total_cost)
+          let round ?arena () =
+            Mcg.session_round
+              (Mcg.session ~mode ?arena inst ~budgets)
+              ~remaining:(Cover_instance.coverable inst)
+          in
+          same_mcg_result (round ~arena ()) (round ()))
+        [ `Soft; `Hard ])
 
 (* ------------------------------------------------------------------ *)
 (* Subset sum / makespan                                              *)

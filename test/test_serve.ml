@@ -296,9 +296,33 @@ let qcheck_roundtrip =
         Alcotest.fail "valid stream left the decoder mid-frame";
       List.rev !got = List.map Protocol.render_input inputs)
 
+(* The decoder's 65,536-byte cap at its edge: 65,536 bytes decode; a
+   65,537-byte declaration is refused before its body arrives, the body
+   is skipped, and the decoder is back on a frame boundary. *)
+let test_frame_cap_edge () =
+  let dec = Protocol.Decoder.create () in
+  let at_cap = String.make 65536 'a' in
+  Protocol.Decoder.feed dec (Protocol.frame at_cap);
+  (match drain_items dec with
+  | [ Protocol.Decoder.Frame payload ] when payload = at_cap -> ()
+  | _ -> Alcotest.fail "a 65,536-byte frame must decode");
+  Protocol.Decoder.feed dec "65537 ";
+  (match drain_items dec with
+  | [ Protocol.Decoder.Corrupt (Protocol.Oversize, _) ] -> ()
+  | _ -> Alcotest.fail "a 65,537-byte declaration must be Oversize at once");
+  Protocol.Decoder.feed dec (String.make 65537 'b' ^ "\n");
+  Alcotest.(check int) "refused body yields nothing" 0
+    (List.length (drain_items dec));
+  Alcotest.(check bool) "boundary after the refusal" true
+    (Protocol.Decoder.at_boundary dec);
+  Protocol.Decoder.feed dec (Protocol.frame "flush");
+  (match drain_items dec with
+  | [ Protocol.Decoder.Frame "flush" ] -> ()
+  | _ -> Alcotest.fail "a frame after the refusal must decode")
+
 let test_oversize_recovery () =
   let dec = Protocol.Decoder.create () in
-  (* declared length beyond max_frame, body never buffered; then a bad
+  (* declared length beyond the cap, body never buffered; then a bad
      length prefix; then a healthy frame — the decoder recovers each time *)
   Protocol.Decoder.feed dec "9999999 x\n";
   Protocol.Decoder.feed dec "123456789 y\n";
@@ -985,6 +1009,7 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_roundtrip;
           Alcotest.test_case "oversize and corruption recovery" `Quick
             test_oversize_recovery;
+          Alcotest.test_case "frame cap edge" `Quick test_frame_cap_edge;
         ] );
       ( "batch",
         [

@@ -300,7 +300,12 @@ let phy_models =
   [
     ("friis", Rate_model.friis ());
     ("two-ray", Rate_model.two_ray ());
-    ("two-ray-low", Rate_model.two_ray ~ap_height_m:2. ~user_height_m:1. ());
+    ( "two-ray-low",
+      Rate_model.Path_loss
+        {
+          loss = Two_ray { ap_height_m = 2.; user_height_m = 1. };
+          radio = Rate_model.default_radio;
+        } );
     ("log-distance", Rate_model.log_distance ());
     ( "log-shadow",
       Rate_model.log_distance
@@ -851,9 +856,10 @@ let test_slice_edge_cases () =
     |]
   in
   let p =
-    Problem.make ~allow_uncovered:true ~ap_budgets:[| 0.1; 0.2; 0.3; 0.4; 0.5 |]
-      ~session_rates:[| 1.; 2. |] ~user_session:[| 0; 1; 0; 1; 0 |] ~rates
-      ~budget:0.9 ()
+    Problem.with_ap_budgets
+      (Problem.make ~allow_uncovered:true ~session_rates:[| 1.; 2. |]
+         ~user_session:[| 0; 1; 0; 1; 0 |] ~rates ~budget:0.9 ())
+      [| 0.1; 0.2; 0.3; 0.4; 0.5 |]
   in
   let p = Problem.copy_for_mutation p in
   Problem.set_link_rate p ~ap:2 ~user:2 0.;

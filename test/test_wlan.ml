@@ -74,8 +74,7 @@ let test_rate_monotone_in_distance () =
     d := !d +. 0.5
   done
 
-let test_basic_rate_and_range () =
-  check_float "basic rate" 6. (Rate_table.basic_rate Rate_table.default);
+let test_range () =
   check_float "range" 200. (Rate_table.range Rate_table.default)
 
 let test_scale_thresholds () =
@@ -97,6 +96,49 @@ let test_make_rejects_unsorted () =
              { Rate_table.rate_mbps = 6.; threshold_m = 200. };
              { Rate_table.rate_mbps = 12.; threshold_m = 145. };
            ]))
+
+(* The smart constructors' documented constants: every one is built on
+   [default_radio]; two-ray puts the AP at 10 m and the user at 1.5 m,
+   where the crossover lies beyond the radio's reach, so its range is
+   Friis's; log-distance uses exponent 2.2 and shadows only when asked. *)
+let test_rate_model_constructors () =
+  let radio_of = function
+    | Rate_model.Path_loss { radio; _ } -> radio
+    | Rate_model.Table _ -> Alcotest.fail "a smart constructor built a table"
+  in
+  List.iter
+    (fun (name, m) ->
+      Alcotest.(check bool) (name ^ " on default radio") true
+        (radio_of m = Rate_model.default_radio))
+    [
+      ("friis", Rate_model.friis ());
+      ("two-ray", Rate_model.two_ray ());
+      ("log-distance", Rate_model.log_distance ());
+    ];
+  (match Rate_model.friis () with
+  | Rate_model.Path_loss { loss = Friis; _ } -> ()
+  | _ -> Alcotest.fail "friis is not free space");
+  (match Rate_model.two_ray () with
+  | Rate_model.Path_loss { loss = Two_ray { ap_height_m; user_height_m }; _ } ->
+      check_float "AP height" 10. ap_height_m;
+      check_float "user height" 1.5 user_height_m
+  | _ -> Alcotest.fail "two_ray is not two-ray");
+  check_float "two-ray range = friis range"
+    (Rate_model.max_range (Rate_model.friis ()))
+    (Rate_model.max_range (Rate_model.two_ray ()));
+  (match Rate_model.log_distance () with
+  | Rate_model.Path_loss
+      { loss = Log_distance { exponent; shadowing = None }; _ } ->
+      check_float "exponent" 2.2 exponent
+  | _ -> Alcotest.fail "log_distance () must not shadow");
+  let shadowing = { Rate_model.sigma_db = 4.; seed = 7 } in
+  match Rate_model.log_distance ~shadowing () with
+  | Rate_model.Path_loss
+      { loss = Log_distance { exponent; shadowing = Some s }; _ } ->
+      check_float "exponent with shadowing" 2.2 exponent;
+      check_float "sigma" 4. s.Rate_model.sigma_db;
+      Alcotest.(check int) "seed" 7 s.Rate_model.seed
+  | _ -> Alcotest.fail "log_distance ~shadowing must shadow"
 
 (* ------------------------------------------------------------------ *)
 (* Session                                                            *)
@@ -706,26 +748,24 @@ let random_rate_model rng =
       rx_antenna = antenna rng;
     }
   in
-  match Random.State.int rng 4 with
-  | 0 -> Rate_model.friis ~radio ()
-  | 1 ->
-      Rate_model.two_ray ~radio
-        ~ap_height_m:(2. +. Random.State.float rng 10.)
-        ~user_height_m:(1. +. Random.State.float rng 2.)
-        ()
-  | 2 ->
-      Rate_model.log_distance ~radio
-        ~exponent:(2. +. Random.State.float rng 1.5)
-        ()
-  | _ ->
-      Rate_model.log_distance ~radio
-        ~exponent:(2. +. Random.State.float rng 1.5)
-        ~shadowing:
-          {
-            Rate_model.sigma_db = Random.State.float rng 6.;
-            seed = Random.State.int rng 10_000;
-          }
-        ()
+  let loss : Rate_model.path_loss =
+    match Random.State.int rng 4 with
+    | 0 -> Friis
+    | 1 ->
+        let ap_height_m = 2. +. Random.State.float rng 10. in
+        let user_height_m = 1. +. Random.State.float rng 2. in
+        Two_ray { ap_height_m; user_height_m }
+    | 2 ->
+        Log_distance
+          { exponent = 2. +. Random.State.float rng 1.5; shadowing = None }
+    | _ ->
+        let exponent = 2. +. Random.State.float rng 1.5 in
+        let sigma_db = Random.State.float rng 6. in
+        let seed = Random.State.int rng 10_000 in
+        Log_distance
+          { exponent; shadowing = Some { Rate_model.sigma_db; seed } }
+  in
+  Rate_model.Path_loss { loss; radio }
 
 let prop_scenario_io_roundtrip_v2 =
   QCheck.Test.make ~name:"v2 model serialization round-trips" ~count:50
@@ -1078,10 +1118,11 @@ let () =
           tc "table 1 thresholds" test_table1_thresholds;
           tc "out of range" test_table1_out_of_range;
           tc "monotone in distance" test_rate_monotone_in_distance;
-          tc "basic rate and range" test_basic_rate_and_range;
+          tc "range" test_range;
           tc "power scaling" test_scale_thresholds;
           tc "rejects unsorted" test_make_rejects_unsorted;
         ] );
+      ("rate_model", [ tc "smart constructor constants" test_rate_model_constructors ]);
       ( "session",
         [ tc "make" test_session_make; tc "uniform" test_session_uniform ] );
       ( "problem",

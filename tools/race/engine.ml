@@ -1,11 +1,11 @@
 (** Orchestration: load [.cmt]/[.cmti] units, build the lattice and
     summaries over the {e whole} shipped tree, run the per-unit rules
-    and the export-reachability rule, then filter through the
+    and the two reachability rules, then filter through the
     suppression language by re-parsing each source file a finding
     points into ({!Suppress.of_source}).
 
     Units under a [test/] directory are readers only: they count for
-    export reachability, and every other rule skips them. *)
+    the reachability rules, and every other rule skips them. *)
 
 type error = { file : string; message : string }
 
@@ -17,7 +17,9 @@ type result = {
 
 let default_roots = [ "lib"; "bin"; "bench"; "examples"; "test" ]
 
-let all_rules = Rules.all_rules @ Checks.all_rules @ [ (Reach.rule, Reach.doc) ]
+let all_rules =
+  Rules.all_rules @ Checks.all_rules
+  @ [ (Reach.rule, Reach.doc); (Reach.opt_rule, Reach.opt_doc) ]
 let rule_ids = List.map fst all_rules
 let find_rule id = List.find_opt (( = ) id) rule_ids
 
@@ -35,7 +37,11 @@ let analyze ?(rules = rule_ids) (loaded : Loader.loaded) =
   let sums = Summaries.collect ~decls shipped in
   let per_unit = List.concat_map (check_unit ~decls ~sums) shipped in
   let reach = if List.mem Reach.rule rules then Reach.check loaded else [] in
-  List.filter (fun (d : Diagnostic.t) -> List.mem d.rule rules) (per_unit @ reach)
+  let optional =
+    if List.mem Reach.opt_rule rules then Reach.check_optional loaded else []
+  in
+  List.filter (fun (d : Diagnostic.t) -> List.mem d.rule rules)
+    (per_unit @ reach @ optional)
   |> List.sort_uniq Diagnostic.compare
 
 (* Suppression state of one source file: none when it cannot be read. *)

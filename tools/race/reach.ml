@@ -21,10 +21,19 @@ type export = {
   owner : string list;  (** the compilation unit that declares it *)
   file : string;
   loc : Location.t;
+  optionals : (string * Location.t) list;
+      (** the optional labels on the [val]'s own arrow spine, each at
+          its label *)
 }
 
 type reader = { unit : string list; file : string; test : bool }
 type cls = Shipped | Test_only of string list | Unread
+
+let rec optionals (ct : Typedtree.core_type) =
+  match ct.ctyp_desc with
+  | Ttyp_arrow (Optional l, _, ret) -> (l, ct.ctyp_loc) :: optionals ret
+  | Ttyp_arrow (_, _, ret) | Ttyp_poly (_, ret) -> optionals ret
+  | _ -> []
 
 (** Every [val] of an interface, submodule signatures included. *)
 let exports (i : Loader.intf_info) =
@@ -34,7 +43,8 @@ let exports (i : Loader.intf_info) =
         match si.sig_desc with
         | Tsig_value vd ->
             [ { key = prefix @ [ vd.val_name.txt ]; owner = i.modname;
-                file = i.source; loc = vd.val_loc } ]
+                file = i.source; loc = vd.val_loc;
+                optionals = optionals vd.val_desc } ]
         | Tsig_module { md_name = { txt = Some m; _ };
                         md_type = { mty_desc = Tmty_signature sg; _ }; _ } ->
             items (prefix @ [ m ]) sg
@@ -89,20 +99,22 @@ let aliases_of (u : Loader.unit_info) =
 (* Readers                                                             *)
 (* ------------------------------------------------------------------ *)
 
+let push tbl key v =
+  Hashtbl.replace tbl key (v :: Option.value ~default:[] (Hashtbl.find_opt tbl key))
+
 (* Value reads keyed by dotted name; whole-module reads by module path. *)
 let collect_reads ~values ~modules (u : Loader.unit_info) =
   let local = aliases_of u in
   let r = { unit = u.modname; file = u.source; test = Loader.under "test" u } in
-  let push tbl key = Hashtbl.replace tbl key (r :: Option.value ~default:[] (Hashtbl.find_opt tbl key)) in
   let whole me =
     match strip me with
-    | Tmod_ident (p, _) -> push modules (Names.to_string (module_segs local p))
+    | Tmod_ident (p, _) -> push modules (Names.to_string (module_segs local p)) r
     | _ -> ()
   in
   let expr it (e : Typedtree.expression) =
     (match e.exp_desc with
     | Texp_ident (Pdot (m, v), _, _) ->
-        push values (Names.to_string (module_segs local m @ [ v ]))
+        push values (Names.to_string (module_segs local m @ [ v ])) r
     | Texp_pack me -> whole me
     | _ -> ());
     Tast_iterator.default_iterator.expr it e
@@ -118,54 +130,275 @@ let collect_reads ~values ~modules (u : Loader.unit_info) =
   let it = { Tast_iterator.default_iterator with expr; module_expr; structure_item } in
   it.structure it u.tree
 
+(* The whole-module readers of every module prefix of [key]. *)
+let whole_readers modules key =
+  let rec prefixes rev_pre = function
+    | [] | [ _ ] -> []
+    | m :: rest ->
+        let pre = List.rev (m :: rev_pre) in
+        Option.value ~default:[] (Hashtbl.find_opt modules (Names.to_string pre))
+        @ prefixes (m :: rev_pre) rest
+  in
+  prefixes [] key
+
+let lib_exports (l : Loader.loaded) =
+  List.filter (Loader.under "lib") l.interfaces |> List.concat_map exports
+
+let cls_of readers =
+  if List.exists (fun r -> not r.test) readers then Shipped
+  else if readers <> [] then
+    Test_only (List.sort_uniq String.compare (List.map (fun r -> r.file) readers))
+  else Unread
+
 (** Sort every export of a [lib/] interface by its readers outside its
     own unit. *)
 let classify (l : Loader.loaded) =
   let values = Hashtbl.create 4096 and modules = Hashtbl.create 64 in
   List.iter (collect_reads ~values ~modules) l.units;
-  let readers_of e =
-    let rec prefixes rev_pre = function
-      | [] | [ _ ] -> []
-      | m :: rest ->
-          let pre = List.rev (m :: rev_pre) in
-          Option.value ~default:[] (Hashtbl.find_opt modules (Names.to_string pre))
-          @ prefixes (m :: rev_pre) rest
-    in
-    Option.value ~default:[] (Hashtbl.find_opt values (Names.to_string e.key))
-    @ prefixes [] e.key
-    |> List.filter (fun r -> r.unit <> e.owner)
-  in
-  List.filter (Loader.under "lib") l.interfaces
-  |> List.concat_map exports
+  lib_exports l
   |> List.map (fun e ->
-         let rs = readers_of e in
-         let cls =
-           if List.exists (fun r -> not r.test) rs then Shipped
-           else if rs <> [] then
-             Test_only (List.sort_uniq String.compare (List.map (fun r -> r.file) rs))
-           else Unread
-         in
-         (e, cls))
+         Option.value ~default:[] (Hashtbl.find_opt values (Names.to_string e.key))
+         @ whole_readers modules e.key
+         |> List.filter (fun r -> r.unit <> e.owner)
+         |> fun rs -> (e, cls_of rs))
+
+let finding ~rule ~file ~loc fmt =
+  Format.kasprintf (fun m -> Some (Diagnostic.make ~rule ~file ~loc m)) fmt
 
 let check l =
   List.filter_map
     (fun (e, cls) ->
       let name = Names.to_string e.key in
-      let finding fmt =
-        Format.kasprintf
-          (fun m -> Some (Diagnostic.make ~rule ~file:e.file ~loc:e.loc m))
-          fmt
-      in
       match cls with
       | Shipped -> None
       | Test_only files ->
-          finding
+          finding ~rule ~file:e.file ~loc:e.loc
             "%s is read only by tests (%s): delete it with its test, move \
              it into test/, or keep it with a reason in an allow comment"
             name (String.concat ", " files)
       | Unread ->
-          finding
+          finding ~rule ~file:e.file ~loc:e.loc
             "%s has no reader outside its own module: drop it from the \
              interface, and from the implementation if unused there"
             name)
     (classify l)
+
+(* ------------------------------------------------------------------ *)
+(* optional-reachability                                               *)
+(* ------------------------------------------------------------------ *)
+
+(** The [optional-reachability] rule (DESIGN.md §4.11): every optional
+    parameter on the arrow spine of a [lib/] export's [val] is passed by
+    some call in shipped code. A parameter passed only by [test/] units,
+    or by no call at all, is a finding at its label.
+
+    A pass is an [Optional] argument of a [Texp_apply] whose function
+    resolves to the export: through a value path, as for
+    export-reachability, or through a top-level binding of the
+    exporting unit, since calls inside it count. A [None] argument is
+    no pass. The typer writes an omitted [?l] as [(Optional l, Some
+    None)]: with a ghost location when a full application omits it,
+    and at the argument's own location when a function passed as a
+    value has its optional parameters eliminated; and a literal
+    [?l:None] leaves the callee its default all the same. A forward
+    [?l:x] of [x], the enclosing export's own optional parameter,
+    passes only when that parameter is passed, computed to a fixpoint.
+    Any other forward, a computed option or a non-exported helper's
+    parameter, is a pass. A local [let x = M.f] makes [x] another name
+    for the export; that is also how the typer writes a function passed
+    as a value. Any other bare reference to the export, or a
+    whole-module use of a module above it, may pass anything, so it
+    passes every parameter. *)
+
+let opt_rule = "optional-reachability"
+
+let opt_doc =
+  "every optional parameter of a lib/ export is passed by a call in lib \
+   bin bench examples; parameters passed only by tests or by no call are \
+   flagged"
+
+(* A unit's top-level names by ident: its own submodules (added to the
+   alias table), its values, and the optional parameters each value
+   binds on its arrow spine. *)
+type scope = {
+  local : (string, string list) Hashtbl.t;
+  values : (string, string list) Hashtbl.t;
+  params : (string, string * string) Hashtbl.t;  (* ident -> key, label *)
+}
+
+(* The optional parameters a function binds on its spine. A parameter
+   with a default binds [*opt*] and re-binds its name in a [#default]
+   let, so only a parameter without one can be forwarded as [?l:x]. *)
+let rec spine acc (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Texp_function { arg_label; cases = [ c ]; _ } ->
+      let acc =
+        match (arg_label, c.c_lhs.pat_desc) with
+        | Optional l, Tpat_var (id, _) -> (id, l) :: acc
+        | _ -> acc
+      in
+      spine acc c.c_rhs
+  | Texp_let (_, _, body)
+    when List.exists
+           (fun (a : Parsetree.attribute) -> a.attr_name.txt = "#default")
+           e.exp_attributes ->
+      spine acc body
+  | _ -> acc
+
+let scope_of (u : Loader.unit_info) =
+  let sc =
+    { local = aliases_of u; values = Hashtbl.create 64; params = Hashtbl.create 64 }
+  in
+  let rec structure prefix (str : Typedtree.structure) =
+    List.iter
+      (fun (si : Typedtree.structure_item) ->
+        match si.str_desc with
+        | Tstr_value (_, vbs) ->
+            List.iter
+              (fun (vb : Typedtree.value_binding) ->
+                match vb.vb_pat.pat_desc with
+                | Tpat_var (id, _) ->
+                    let key = prefix @ [ Ident.name id ] in
+                    Hashtbl.replace sc.values (Ident.unique_name id) key;
+                    List.iter
+                      (fun (p, l) ->
+                        Hashtbl.replace sc.params (Ident.unique_name p)
+                          (Names.to_string key, l))
+                      (spine [] vb.vb_expr)
+                | _ -> ())
+              vbs
+        | Tstr_module { mb_id = Some id; mb_expr; _ } -> (
+            match strip mb_expr with
+            | Tmod_structure str ->
+                let prefix = prefix @ [ Ident.name id ] in
+                Hashtbl.replace sc.local (Ident.unique_name id) prefix;
+                structure prefix str
+            | _ -> ())
+        | _ -> ())
+      str.str_items
+  in
+  structure u.modname u.tree;
+  sc
+
+(* Passes keyed by (callee, label), each with the caller's parameter it
+   forwards, if any; bare references keyed by value. *)
+let collect_passes ~passes ~escapes (u : Loader.unit_info) =
+  let sc = scope_of u in
+  let r = { unit = u.modname; file = u.source; test = Loader.under "test" u } in
+  let resolve : Path.t -> _ = function
+    | Pident id -> Hashtbl.find_opt sc.values (Ident.unique_name id)
+    | Pdot (m, v) -> Some (module_segs sc.local m @ [ v ])
+    | _ -> None
+  in
+  let pass callee = function
+    | ( Asttypes.Optional _,
+        Some { Typedtree.exp_desc = Texp_construct (_, { cstr_name = "None"; _ }, []); _ } )
+      ->
+        ()
+    | Asttypes.Optional l, Some (a : Typedtree.expression) ->
+        let from =
+          match a.exp_desc with
+          | Texp_ident (Pident x, _, _) ->
+              Hashtbl.find_opt sc.params (Ident.unique_name x)
+          | _ -> None
+        in
+        push passes (Names.to_string callee, l) (from, r)
+    | _ -> ()
+  in
+  let expr it (e : Typedtree.expression) =
+    match e.exp_desc with
+    | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) ->
+        Option.iter (fun callee -> List.iter (pass callee) args) (resolve p);
+        List.iter (fun (_, a) -> Option.iter (it.Tast_iterator.expr it) a) args
+    | Texp_ident (p, _, _) ->
+        Option.iter (fun k -> push escapes (Names.to_string k) r) (resolve p)
+    | Texp_let (_, vbs, body) ->
+        List.iter
+          (fun (vb : Typedtree.value_binding) ->
+            match (vb.vb_pat.pat_desc, vb.vb_expr.exp_desc) with
+            | Tpat_var (id, _), Texp_ident (p, _, _) when Option.is_some (resolve p) ->
+                Hashtbl.replace sc.values (Ident.unique_name id) (Option.get (resolve p))
+            | _ -> it.value_binding it vb)
+          vbs;
+        it.expr it body
+    | _ -> Tast_iterator.default_iterator.expr it e
+  in
+  let it = { Tast_iterator.default_iterator with expr } in
+  it.structure it u.tree
+
+type param = { export : export; label : string; label_loc : Location.t }
+
+(** Sort every optional parameter of a [lib/] export by the readers
+    that pass it, forwards followed to a fixpoint. *)
+let classify_optional (l : Loader.loaded) =
+  let passes = Hashtbl.create 1024 and escapes = Hashtbl.create 1024 in
+  let values = Hashtbl.create 4096 and modules = Hashtbl.create 64 in
+  List.iter
+    (fun u ->
+      collect_reads ~values ~modules u;
+      collect_passes ~passes ~escapes u)
+    l.units;
+  let params =
+    List.concat_map
+      (fun e ->
+        List.map (fun (label, label_loc) -> { export = e; label; label_loc }) e.optionals)
+      (lib_exports l)
+  in
+  let id p = (Names.to_string p.export.key, p.label) in
+  let known = Hashtbl.create 256 in
+  List.iter (fun p -> Hashtbl.replace known (id p) ()) params;
+  (* A forward of a known parameter is an edge; anything else passes. *)
+  let readers = Hashtbl.create 256 and edges = Hashtbl.create 256 in
+  List.iter
+    (fun p ->
+      let k = id p in
+      let fwd, own =
+        List.partition_map
+          (fun (from, r) ->
+            match from with
+            | Some src when Hashtbl.mem known src -> Left src
+            | _ -> Right r)
+          (Option.value ~default:[] (Hashtbl.find_opt passes k))
+      in
+      Hashtbl.replace edges k fwd;
+      Hashtbl.replace readers k
+        (List.sort_uniq compare
+           (own
+           @ Option.value ~default:[] (Hashtbl.find_opt escapes (fst k))
+           @ whole_readers modules p.export.key)))
+    params;
+  let rec settle () =
+    let changed = ref false in
+    List.iter
+      (fun p ->
+        let k = id p in
+        let now = Hashtbl.find readers k in
+        let next =
+          List.sort_uniq compare
+            (now @ List.concat_map (Hashtbl.find readers) (Hashtbl.find edges k))
+        in
+        if List.length next <> List.length now then (
+          changed := true;
+          Hashtbl.replace readers k next))
+      params;
+    if !changed then settle ()
+  in
+  settle ();
+  List.map (fun p -> (p, cls_of (Hashtbl.find readers (id p)))) params
+
+let check_optional l =
+  List.filter_map
+    (fun (p, cls) ->
+      let name = Printf.sprintf "%s ?%s" (Names.to_string p.export.key) p.label in
+      let finding fmt = finding ~rule:opt_rule ~file:p.export.file ~loc:p.label_loc fmt in
+      match cls with
+      | Shipped -> None
+      | Test_only files ->
+          finding
+            "%s is passed only by tests (%s): make its default a constant \
+             and test through a shipped entry point, or keep it with a \
+             reason in an allow comment"
+            name (String.concat ", " files)
+      | Unread ->
+          finding "%s is passed by no call: make its default a constant" name)
+    (classify_optional l)

@@ -11,7 +11,9 @@
    spellings and both escape-hatch forms. The reach/ sub-corpus pins
    export-reachability: its lib/ exports, read from its bin/ and test/
    units, cover the three classes and every reader shape the rule
-   resolves. *)
+   resolves. Its lib/opt.mli pins optional-reachability: one optional
+   parameter per pass shape, called from bin/opt_reader.ml and
+   test/reader.ml. *)
 
 open Wlan_race_kernel
 
@@ -87,6 +89,7 @@ let test_exactly_its_rule () =
       ("racy_rng.ml", Checks.rule_rng);
       ("racy_merge.ml", Checks.rule_merge);
       ("reach/lib/api.mli", Reach.rule);
+      ("reach/lib/opt.mli", Reach.opt_rule);
     ]
 
 let test_clean_fixtures_silent () =
@@ -261,7 +264,13 @@ let test_reach_classes () =
          ("Reach_lib.Packed.packed", "shipped");
          ("Reach_lib.Twin_x.x_only", "shipped");
          ("Reach_lib.Twin_y.y_only", "shipped");
-       ])
+       ]
+    @ List.map
+        (fun v -> ("Reach_lib.Opt." ^ v, "shipped"))
+        [ "by_bin"; "unpassed"; "tested"; "forwarder"; "forwarded";
+          "computed"; "by_helper"; "inside"; "as_value"; "listed"; "kept";
+          "escaped" ]
+    |> List.sort compare)
     cls
 
 (* The allow comment above [oracle], not analyzer blindness, keeps it
@@ -295,6 +304,68 @@ let test_test_units_unchecked () =
   Alcotest.(check int) "findings" 0
     (List.length (List.filter (fun (d : Diagnostic.t) -> d.file = u.source)
        (Lazy.force result).diagnostics))
+
+(* ------------------------------------------------------------------ *)
+(* optional-reachability                                                *)
+(* ------------------------------------------------------------------ *)
+
+let test_opt_golden () =
+  let diags = diags_for "reach/lib/opt.mli" in
+  Alcotest.(check string) "text"
+    (read (Filename.concat reach_root "opt.expected"))
+    (String.concat "" (List.map (fun d -> Diagnostic.to_text d ^ "\n") diags));
+  Alcotest.(check string) "json"
+    (read (Filename.concat reach_root "opt.expected.json"))
+    (Engine.to_json diags ^ "\n")
+
+(* Every optional parameter of the corpus in its class, the shipped ones
+   included; [listed] has none, its label being inside a list. *)
+let test_opt_classes () =
+  let cls =
+    Reach.classify_optional (Lazy.force loaded)
+    |> List.filter_map (fun ((p : Reach.param), c) ->
+           match p.export.key with
+           | [ "Reach_lib"; "Opt"; v ] ->
+               Some
+                 ( v ^ " ?" ^ p.label,
+                   match c with
+                   | Reach.Shipped -> "shipped"
+                   | Test_only files ->
+                       "test-only "
+                       ^ String.concat "," (List.map Filename.basename files)
+                   | Unread -> "unpassed" )
+           | _ -> None)
+    |> List.sort compare
+  in
+  Alcotest.(check (list (pair string string))) "classes"
+    (List.sort compare
+       [
+         ("by_bin ?l", "shipped");
+         ("unpassed ?l", "unpassed");
+         ("tested ?l", "test-only reader.ml");
+         ("forwarder ?l", "unpassed");
+         ("forwarded ?l", "unpassed");
+         ("computed ?l", "shipped");
+         ("by_helper ?l", "shipped");
+         ("inside ?l", "shipped");
+         ("as_value ?l", "unpassed");
+         ("kept ?l", "unpassed");
+         ("escaped ?l", "shipped");
+       ])
+    cls
+
+(* The allow comment above [kept]'s label, not analyzer blindness, keeps
+   it out of the findings. *)
+let test_opt_suppression () =
+  let flagged diags =
+    List.exists
+      (fun (d : Diagnostic.t) ->
+        String.starts_with ~prefix:"Reach_lib.Opt.kept ?l " d.message)
+      diags
+  in
+  Alcotest.(check bool) "raw finding" true
+    (flagged (Reach.check_optional (Lazy.force loaded)));
+  Alcotest.(check bool) "suppressed" false (flagged (diags_for "reach/lib/opt.mli"))
 
 (* Rule filtering: running with a single rule enabled yields exactly
    that rule's findings. *)
@@ -413,6 +484,13 @@ let () =
             test_reach_suppression;
           Alcotest.test_case "test units are readers only" `Quick
             test_test_units_unchecked;
+        ] );
+      ( "optional-reachability",
+        [
+          Alcotest.test_case "golden text and json" `Quick test_opt_golden;
+          Alcotest.test_case "every pass shape" `Quick test_opt_classes;
+          Alcotest.test_case "suppression is load-bearing" `Quick
+            test_opt_suppression;
         ] );
       ( "suppression",
         List.map QCheck_alcotest.to_alcotest

@@ -5,7 +5,8 @@
    repository root), builds the whole-tree mutability lattice and
    interprocedural summaries, and checks the rules of
    Wlan_race_kernel.Engine.all_rules: determinism and float discipline
-   tree-wide, domain safety of pooled tasks, export reachability.
+   tree-wide, domain safety of pooled tasks, export and optional-parameter
+   reachability.
    Exit status: 0 clean, 1 findings, 2 load or usage errors.
 
    The .cmt files are only as fresh as the last `dune build`; run
