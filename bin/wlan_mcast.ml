@@ -212,21 +212,21 @@ let simulate_cmd =
           Wlan_sim.Runner.Distributed_policy
             {
               objective = Distributed.Min_total_load;
-              mode = Wlan_sim.Runner.Sequential;
+              mode = `Sequential;
               max_passes = 40;
             }
       | "distributed-bla" ->
           Wlan_sim.Runner.Distributed_policy
             {
               objective = Distributed.Min_load_vector;
-              mode = Wlan_sim.Runner.Sequential;
+              mode = `Sequential;
               max_passes = 40;
             }
       | "simultaneous-mla" ->
           Wlan_sim.Runner.Distributed_policy
             {
               objective = Distributed.Min_total_load;
-              mode = Wlan_sim.Runner.Simultaneous;
+              mode = `Simultaneous;
               max_passes = 40;
             }
       | "static-mla" ->
@@ -418,6 +418,14 @@ let figures_cmd =
       const run $ verbose_term $ names $ scenarios_arg ~default:40 $ seed
       $ jobs $ csv)
 
+(* The settle discipline of `churn` and `serve`. *)
+let settle_mode = function
+  | "sequential" -> `Sequential
+  | "simultaneous" -> `Simultaneous
+  | other ->
+      Fmt.epr "unknown mode %S (sequential, simultaneous)@." other;
+      exit 1
+
 (* ---------------- churn ---------------- *)
 
 (* Seed-split tag for the generated-script RNG (PR-1 discipline: every
@@ -605,14 +613,7 @@ let churn_cmd =
             Fmt.epr "unknown objective %S (mnu, bla, mla, all)@." other;
             exit 1
       in
-      let mode_v =
-        match mode with
-        | "sequential" -> `Sequential
-        | "simultaneous" -> `Simultaneous
-        | other ->
-            Fmt.epr "unknown mode %S (sequential, simultaneous)@." other;
-            exit 1
-      in
+      let mode_v = settle_mode mode in
       let obj_name = function
         | Distributed.Min_total_load -> "min-total-load"
         | Distributed.Min_load_vector -> "min-load-vector"
@@ -817,14 +818,7 @@ let serve_config sc ~obj_label ~mode ~max_rounds ~queue_limit =
       Fmt.epr "unknown objective %S (mnu, bla, mla)@." obj_label;
       exit 1
   in
-  let mode =
-    match mode with
-    | "sequential" -> `Sequential
-    | "simultaneous" -> `Simultaneous
-    | other ->
-        Fmt.epr "unknown mode %S (sequential, simultaneous)@." other;
-        exit 1
-  in
+  let mode = settle_mode mode in
   {
     Mcast_serve.Replay_log.objective;
     obj_label;

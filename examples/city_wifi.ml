@@ -87,7 +87,7 @@ let () =
         (Wlan_sim.Runner.Distributed_policy
            {
              objective = Distributed.Min_total_load;
-             mode = Wlan_sim.Runner.Sequential;
+             mode = `Sequential;
              max_passes = 30;
            })
       scenario

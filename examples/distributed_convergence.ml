@@ -78,6 +78,6 @@ let () =
         r.Wlan_sim.Runner.oscillated r.Wlan_sim.Runner.events
         r.Wlan_sim.Runner.solution.Solution.total_load)
     [
-      ("sequential", Wlan_sim.Runner.Sequential);
-      ("simultaneous", Wlan_sim.Runner.Simultaneous);
+      ("sequential", `Sequential);
+      ("simultaneous", `Simultaneous);
     ]

@@ -43,10 +43,8 @@ let unicast_loads p ~(demands : float array) (assoc : Association.t) =
   loads
 
 type combined = {
-  per_ap : float array;  (** unicast + multicast airtime per AP *)
-  total : float;
-  max : float;
-  overloaded : int;  (** APs whose combined airtime exceeds 1 *)
+  total : float;  (** unicast + multicast airtime over every AP *)
+  max : float;  (** the busiest AP's unicast + multicast airtime *)
 }
 
 (** Combined airtime of a dual association. *)
@@ -55,11 +53,8 @@ let combined p ~demands t =
   let multi = Loads.ap_loads p t.multicast in
   let per_ap = Array.map2 ( +. ) uni multi in
   {
-    per_ap;
     total = Array.fold_left ( +. ) 0. per_ap;
     max = Array.fold_left Float.max 0. per_ap;
-    overloaded =
-      Array.fold_left (fun n l -> if l > 1. +. 1e-9 then n + 1 else n) 0 per_ap;
   }
 
 (** Unicast side: every user on its strongest-signal AP (no admission
@@ -97,7 +92,6 @@ type comparison = {
   single : combined;
   dual : combined;
   total_saving_pct : float;
-  max_saving_pct : float;
 }
 
 (** Head-to-head single vs dual association at the given demands. *)
@@ -111,5 +105,4 @@ let compare_single_vs_dual ?(objective = `Mla) p ~demands =
     single;
     dual;
     total_saving_pct = pct single.total dual.total;
-    max_saving_pct = pct single.max dual.max;
   }

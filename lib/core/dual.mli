@@ -18,10 +18,8 @@ val unicast_loads :
   Problem.t -> demands:float array -> Association.t -> float array
 
 type combined = {
-  per_ap : float array;  (** unicast + multicast airtime per AP *)
-  total : float;
-  max : float;
-  overloaded : int;  (** APs whose combined airtime exceeds 1 *)
+  total : float;  (** unicast + multicast airtime over every AP *)
+  max : float;  (** the busiest AP's unicast + multicast airtime *)
 }
 
 (* lint: allow export-reachability — the airtime model the simulator cross-check compares against *)
@@ -41,7 +39,6 @@ type comparison = {
   single : combined;
   dual : combined;
   total_saving_pct : float;
-  max_saving_pct : float;
 }
 
 (** Head-to-head single vs dual association at the given demands. *)

@@ -11,10 +11,7 @@ let name = "MLA-centralized"
 let c_runs = Wlan_obs.Counters.make "mla.runs"
 
 let solution_of ~algorithm p inst ~universe (r : Optkit.Set_cover.result) =
-  Reduction.association_of_sets inst ~universe
-    (List.map
-       (fun (s : Optkit.Set_cover.selection) -> s.set)
-       r.Optkit.Set_cover.chosen)
+  Reduction.association_of_sets inst ~universe r.Optkit.Set_cover.chosen
   |> Solution.make ~algorithm p
 
 let run p =

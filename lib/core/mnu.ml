@@ -28,8 +28,7 @@ let run_weighted ~weights p =
   in
   let r = Optkit.Mcg.greedy ~element_weights:weights inst ~budgets ~universe () in
   let sol =
-    Reduction.association_of_sets inst ~universe
-      (List.map (fun (s : Optkit.Mcg.selection) -> s.set) r.kept)
+    Reduction.association_of_sets inst ~universe r.kept
     |> Solution.make ~algorithm:"MNU-weighted" p
   in
   let revenue =

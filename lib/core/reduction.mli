@@ -8,6 +8,8 @@
 open Wlan_model
 
 (** What a covering set means in WLAN terms. *)
+(* test/cover_ref.ml's reference replay and the compile-path differentials
+   check each set's meaning — lint: allow field-reachability *)
 type tx = { ap : int; session : int; tx_rate : float }
 
 (** Build the covering instance. With [filter_over_budget] (used by MNU),

@@ -38,14 +38,13 @@ let c_components = Wlan_obs.Counters.make "shard.components"
 let c_halo_reconciles = Wlan_obs.Counters.make "shard.halo_reconciles"
 
 type shard = {
-  id : int;  (** dense shard index, ascending by smallest AP index *)
   aps : int array;  (** global AP indices, ascending *)
   users : int array;  (** global user indices, ascending *)
 }
 
 type plan = {
-  shards : shard list;  (** ascending [id]; every shard has >= 1 user *)
-  idle_aps : int array;  (** APs no present user can hear, ascending *)
+  shards : shard list;
+      (** ascending by smallest AP index; every shard has >= 1 user *)
   uncovered : int array;  (** users with an empty candidate list, ascending *)
 }
 
@@ -98,14 +97,12 @@ let plan_of_roots p parent =
   done;
   let ap_acc = Array.make !n_shards []
   and user_acc = Array.make !n_shards []
-  and idle = ref []
   and uncov = ref [] in
   for a = n_aps - 1 downto 0 do
     let r = find parent a in
     if live.(r) then
       let id = Hashtbl.find id_of_root r in
       ap_acc.(id) <- a :: ap_acc.(id)
-    else idle := a :: !idle
   done;
   for u = n_users - 1 downto 0 do
     if user_root.(u) = -1 then uncov := u :: !uncov
@@ -116,18 +113,13 @@ let plan_of_roots p parent =
   let shards =
     List.init !n_shards (fun id ->
         {
-          id;
           aps = Array.of_list ap_acc.(id);
           users = Array.of_list user_acc.(id);
         })
   in
   Wlan_obs.Counters.incr c_plans;
   Wlan_obs.Counters.add c_components !n_shards;
-  {
-    shards;
-    idle_aps = Array.of_list !idle;
-    uncovered = Array.of_list !uncov;
-  }
+  { shards; uncovered = Array.of_list !uncov }
 
 (** Interaction components from the instance's links: two APs share a
     shard iff connected through a chain of users hearing both ends of
@@ -214,7 +206,6 @@ type result = {
   rounds : int;  (** max shard rounds (shards run concurrently) *)
   moves : int;  (** total moves across shards *)
   converged : bool;  (** every shard converged *)
-  n_shards : int;
 }
 
 (** [solve ~objective p] plans (unless given one), solves every shard
@@ -253,7 +244,6 @@ let solve ?plan:pl ?(fanout = List.map (fun f -> f ())) ?max_rounds ~objective
     rounds = !rounds;
     moves = !moves;
     converged = !converged;
-    n_shards = List.length pl.shards;
   }
 
 (** {1 Shard-aware centralized reductions}

@@ -11,14 +11,13 @@
 open Wlan_model
 
 type shard = {
-  id : int;  (** dense shard index, ascending by smallest AP index *)
   aps : int array;  (** global AP indices, ascending *)
   users : int array;  (** global user indices, ascending *)
 }
 
 type plan = {
-  shards : shard list;  (** ascending [id]; every shard has >= 1 user *)
-  idle_aps : int array;  (** APs no present user can hear, ascending *)
+  shards : shard list;
+      (** ascending by smallest AP index; every shard has >= 1 user *)
   uncovered : int array;  (** users with an empty candidate list, ascending *)
 }
 
@@ -51,10 +50,12 @@ val extract : Problem.t -> shard -> Problem.t
 
 type result = {
   assoc : Association.t;  (** merged global association *)
+  (* the city golden pins the merged rounds and moves, and the
+     unsharded differential the moves — lint: allow field-reachability *)
   rounds : int;  (** max shard rounds (shards run concurrently) *)
+  (* lint: allow field-reachability — see [rounds] *)
   moves : int;  (** total moves across shards *)
   converged : bool;  (** every shard converged *)
-  n_shards : int;
 }
 
 (** [solve ~objective p] plans (unless [plan] is given), solves every

@@ -517,7 +517,7 @@ let des_policy =
   Wlan_sim.Runner.Distributed_policy
     {
       objective = Distributed.Min_total_load;
-      mode = Wlan_sim.Runner.Sequential;
+      mode = `Sequential;
       max_passes = 40;
     }
 

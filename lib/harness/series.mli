@@ -7,6 +7,7 @@ type figure = {
   id : string;  (** a driver's figure carries its registry id *)
   title : string;
   x_label : string;
+  (* the drivers golden pins the axis labels — lint: allow field-reachability *)
   y_label : string;
   points : point list;
 }

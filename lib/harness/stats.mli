@@ -1,6 +1,8 @@
 (** Aggregation over random scenarios: the paper reports min/avg/max over
     40 scenarios for every figure point. *)
 
+(* the drivers golden pins each summary's sample count —
+   lint: allow field-reachability *)
 type summary = { mean : float; min : float; max : float; n : int }
 
 (** @raise Invalid_argument on the empty sample. *)

@@ -18,7 +18,6 @@ type t = {
   value : int array;  (** value plane, same layout *)
   off : int array;  (** group [g]'s heap occupies [off.(g) .. off.(g+1)-1] *)
   size : int array;  (** live entries per group *)
-  n_groups : int;
   cell : float array;
       (** one slot: the priority {!push} inserts and {!top}'s
           [revalidate] writes, so no float crosses a module boundary
@@ -44,7 +43,7 @@ let make ?arena ?(slot = "flat_heap") ~capacities () =
   off.(0) <- 0;
   Array.iteri (fun g c -> off.(g + 1) <- off.(g) + c) capacities;
   Array.fill size 0 n_groups 0;
-  { prio; value; off; size; n_groups; cell = [| neg_infinity |] }
+  { prio; value; off; size; cell = [| neg_infinity |] }
 
 (* Heap order: priority first; exactly equal priorities fall to the lower
    value. [i]/[j] are plane indices. *)

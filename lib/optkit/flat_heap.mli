@@ -15,7 +15,6 @@ type t = private {
   value : int array;
   off : int array;
   size : int array;
-  n_groups : int;
   cell : float array;
       (** one slot through which every priority moves, so none is
           boxed: see {!push} and {!top} *)

@@ -15,7 +15,6 @@ type solution = {
   x : float array;
   objective_value : float;
   proved_optimal : bool;
-  nodes : int;
 }
 
 let integral ?(tol = 1e-6) v =
@@ -137,7 +136,6 @@ let solve ?(node_limit = 200_000) ?initial_bound ?(integral_objective = false)
                       x = sol.x;
                       objective_value = sol.objective_value;
                       proved_optimal = false;
-                      nodes = !nodes;
                     }
             end
             else begin
@@ -152,4 +150,4 @@ let solve ?(node_limit = 200_000) ?initial_bound ?(integral_objective = false)
   node [];
   match !best with
   | None -> None
-  | Some b -> Some { b with proved_optimal = not !truncated; nodes = !nodes }
+  | Some b -> Some { b with proved_optimal = not !truncated }

@@ -15,7 +15,6 @@ type solution = {
   x : float array;
   objective_value : float;
   proved_optimal : bool;  (** false when [node_limit] was exhausted *)
-  nodes : int;  (** branch-and-bound nodes explored *)
 }
 
 (** [solve t] finds an optimal 0/1 assignment.

@@ -21,25 +21,12 @@ let c_heap_pops = Wlan_obs.Counters.make "mcg.heap_pops"
 let c_bound_skips = Wlan_obs.Counters.make "mcg.bound_skips"
 let c_resumed_picks = Wlan_obs.Counters.make "mcg.resumed_picks"
 
-type selection = { set : int; newly : Bitset.t }
-
 type result = {
-  kept : selection list;  (** the returned solution (H1 or H2), in order *)
+  kept : int list;  (** the returned solution (H1 or H2), in order *)
   raw_order : int list;  (** H before the split, in selection order *)
   covered : Bitset.t;  (** covered by [kept] *)
   group_cost : float array;  (** per-group cost of [kept]; each <= budget *)
 }
-
-(* [sets] in order against [universe]: each with what it newly covers *)
-let replay inst ~universe sets =
-  let { Cover_instance.members; lo; hi; _ } = inst in
-  let x' = Bitset.copy universe in
-  List.map
-    (fun j ->
-      let newly = Bitset.create (Bitset.capacity x') in
-      ignore (Bitset.move_in ~src:x' ~dst:newly members lo.(j) hi.(j));
-      { set = j; newly })
-    sets
 
 (* what [sets] cover of [universe] *)
 let cover_of inst ~universe sets =
@@ -466,10 +453,10 @@ let round s ~remaining =
           f_picks = Array.of_list raw_order;
           f_witness = Array.of_list (List.rev !picked_w);
         };
-  (x0, split_of inst ~weights:s.s_weights ~budgets ~x0 ~raw_order, raw_order)
+  (split_of inst ~weights:s.s_weights ~budgets ~x0 ~raw_order, raw_order)
 
 let session_round_split s ~remaining =
-  let _, sp, _ = round s ~remaining in
+  let sp, _ = round s ~remaining in
   sp
 
 (** A round reads its budgets only in [admissible], [eligible], the
@@ -499,12 +486,12 @@ let kept_group_cost inst kept =
 
 (** One round, keeping the half that covers more. *)
 let session_round s ~remaining =
-  let x0, sp, raw_order = round s ~remaining in
+  let sp, raw_order = round s ~remaining in
   let kept, covered =
     if sp.w1 >= sp.w2 then (sp.h1, sp.cov1) else (sp.h2, sp.cov2)
   in
   {
-    kept = replay s.s_inst ~universe:x0 kept;
+    kept;
     raw_order;
     covered;
     group_cost = kept_group_cost s.s_inst kept;

@@ -10,10 +10,13 @@
     sets that do not fit the remaining budget are simply not selectable
     (no guarantee, empirically tighter). *)
 
-type selection = { set : int; newly : Bitset.t }
-
 type result = {
-  kept : selection list;  (** the returned solution, in selection order *)
+  kept : int list;
+      (** the returned solution's set ids, in selection order: replayed
+          in order against the universe, each covers what it newly
+          covered *)
+  (* the eager-rescan differentials compare the whole selection
+     sequence, not only the kept half — lint: allow field-reachability *)
   raw_order : int list;  (** greedy's H before the split *)
   covered : Bitset.t;  (** covered by [kept] *)
   group_cost : float array;  (** per-group cost of [kept]; <= budgets *)

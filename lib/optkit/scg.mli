@@ -6,6 +6,8 @@
 
 (** One [B*] probe over an array of shards. *)
 type result = {
+  (* the grid differentials match each sorted probe to its reference
+     run by its guess — lint: allow field-reachability *)
   bstar : float;
   feasible : bool;  (** every shard's universe covered *)
   selections : int array array;

@@ -2,27 +2,23 @@
     after Vazirani) and an exact branch-and-bound solver used to measure
     optimality gaps on small instances. *)
 
-(** One greedy pick: the chosen set index and the elements it newly covered
-    (the attribution needed to map covers back to user→AP associations). *)
-type selection = { set : int; newly : Bitset.t }
-
 type result = {
-  chosen : selection list;  (** in selection order *)
-  covered : Bitset.t;
-  uncovered : Bitset.t;  (** elements no set contains, or left by budget *)
+  chosen : int list;  (** set indices, in selection order *)
   total_cost : float;
 }
 
 let cost_of_sets inst sets =
   List.fold_left (fun acc j -> acc +. Cover_instance.cost inst j) 0. sets
 
-(* set [j]'s members still in [x'], moved out of it *)
+(* the chosen sets, in order, and their cost *)
+let result_of inst chosen =
+  let chosen = List.rev chosen in
+  { chosen; total_cost = cost_of_sets inst chosen }
+
+(* set [j]'s members removed from [x'] *)
 let take inst x' j =
-  let newly = Bitset.create (Bitset.capacity x') in
-  ignore
-    (Bitset.move_in ~src:x' ~dst:newly inst.Cover_instance.members
-       inst.Cover_instance.lo.(j) inst.Cover_instance.hi.(j));
-  newly
+  Bitset.remove_in x' inst.Cover_instance.members inst.Cover_instance.lo.(j)
+    inst.Cover_instance.hi.(j)
 
 (* |S_j ∩ x'| *)
 let gain inst x' j =
@@ -36,7 +32,6 @@ let gain inst x' j =
     The heap is a single-group {!Flat_heap} bank, so exactly equal ratios
     pick the lower set index. *)
 let greedy ?(universe : Bitset.t option) inst =
-  let n = Cover_instance.n_elements inst in
   let { Cover_instance.members; lo; hi; costs; _ } = inst in
   let n_sets = Array.length costs in
   let x' =
@@ -44,7 +39,6 @@ let greedy ?(universe : Bitset.t option) inst =
     | Some u -> Bitset.inter u inst.Cover_instance.coverable
     | None -> Cover_instance.coverable inst
   in
-  let target = Bitset.copy x' in
   let heap =
     Flat_heap.make ~capacities:[| n_sets |] ()
   in
@@ -69,22 +63,11 @@ let greedy ?(universe : Bitset.t option) inst =
     else begin
       let j = value.(i) in
       Flat_heap.remove heap 0 i;
-      chosen := { set = j; newly = take inst x' j } :: !chosen
+      take inst x' j;
+      chosen := j :: !chosen
     end
   done;
-  let chosen = List.rev !chosen in
-  let covered = Bitset.diff target x' in
-  let uncovered =
-    match universe with
-    | Some u -> Bitset.diff u covered
-    | None -> Bitset.diff (Bitset.full n) covered
-  in
-  {
-    chosen;
-    covered;
-    uncovered;
-    total_cost = cost_of_sets inst (List.map (fun s -> s.set) chosen);
-  }
+  result_of inst !chosen
 
 (** {1 f-approximations}
 
@@ -115,14 +98,13 @@ let max_frequency ?universe inst =
     minimum [t], charge every set [t * |live elements|], and pick the sets
     whose cost is exhausted; repeat on what remains. An f-approximation.
     Only elements of [universe] (default: everything coverable) are
-    covered; returns the picked sets with coverage attribution. *)
+    covered; a picked set that covers nothing new is dropped. *)
 let layered ?universe inst =
   let x' =
     match universe with
     | Some u -> Bitset.inter u inst.Cover_instance.coverable
     | None -> Cover_instance.coverable inst
   in
-  let target = Bitset.copy x' in
   let m = Cover_instance.n_sets inst in
   let residual = Array.init m (Cover_instance.cost inst) in
   let alive = Array.make m true in
@@ -155,20 +137,14 @@ let layered ?universe inst =
       done;
       List.iter
         (fun j ->
-          let newly = take inst x' j in
-          if not (Bitset.is_empty newly) then
-            chosen := { set = j; newly } :: !chosen)
+          if gain inst x' j > 0 then begin
+            take inst x' j;
+            chosen := j :: !chosen
+          end)
         (List.rev !picked_this_layer)
     end
   done;
-  let chosen = List.rev !chosen in
-  let covered = Bitset.diff target x' in
-  {
-    chosen;
-    covered;
-    uncovered = Bitset.diff target covered;
-    total_cost = cost_of_sets inst (List.map (fun s -> s.set) chosen);
-  }
+  result_of inst !chosen
 
 (** LP rounding: solve the fractional relaxation and keep every set with
     [x_j >= 1/f]. Also an f-approximation; exercises the {!Lp} stack on a
@@ -209,25 +185,16 @@ let lp_rounding ?universe inst =
       let x' = Bitset.copy x0 in
       let chosen = ref [] in
       for j = 0 to m - 1 do
-        if sol.Lp.x.(j) >= threshold then begin
-          let newly = take inst x' j in
-          if not (Bitset.is_empty newly) then
-            chosen := { set = j; newly } :: !chosen
+        if sol.Lp.x.(j) >= threshold && gain inst x' j > 0 then begin
+          take inst x' j;
+          chosen := j :: !chosen
         end
       done;
-      let chosen = List.rev !chosen in
-      let covered = Bitset.diff x0 x' in
-      Some
-        {
-          chosen;
-          covered;
-          uncovered = Bitset.diff x0 covered;
-          total_cost = cost_of_sets inst (List.map (fun s -> s.set) chosen);
-        }
+      Some (result_of inst !chosen)
 
 (** {1 Exact solver} *)
 
-type exact_result = { sets : int list; cost : float; proved_optimal : bool }
+type exact_result = { sets : int list; proved_optimal : bool }
 
 (** Lower bound on the cost of covering [x']: charge every uncovered element
     its cheapest per-element share [min_{S ∋ e} c(S)/|S ∩ X'|]. *)
@@ -284,7 +251,7 @@ let exact ?(node_limit = 2_000_000) ?universe inst =
       cands;
     let g = greedy ?universe inst in
     let best_cost = ref g.total_cost in
-    let best_sets = ref (List.map (fun s -> s.set) g.chosen) in
+    let best_sets = ref g.chosen in
     let nodes = ref 0 in
     let truncated = ref false in
     let rec go x' picked cost =
@@ -324,6 +291,5 @@ let exact ?(node_limit = 2_000_000) ?universe inst =
       end
     in
     go (Bitset.copy x0) [] 0.;
-    Some
-      { sets = !best_sets; cost = !best_cost; proved_optimal = not !truncated }
+    Some { sets = !best_sets; proved_optimal = not !truncated }
   end

@@ -9,17 +9,13 @@
       instances.
 
     Every solver restricts attention to the optional [universe] (default:
-    every coverable element) and reports coverage attribution: which
-    elements each chosen set newly covered, in selection order — exactly
-    what the WLAN reductions need to derive user→AP associations. *)
-
-(** One pick: the chosen set index and the elements it newly covered. *)
-type selection = { set : int; newly : Bitset.t }
+    every coverable element) and returns the chosen sets in selection
+    order: replayed in that order against the universe, each covers what
+    it newly covered — exactly what the WLAN reductions need to derive
+    user→AP associations. *)
 
 type result = {
-  chosen : selection list;  (** in selection order *)
-  covered : Bitset.t;
-  uncovered : Bitset.t;  (** universe elements no chosen set contains *)
+  chosen : int list;  (** set indices, in selection order *)
   total_cost : float;
 }
 
@@ -40,7 +36,7 @@ val layered : ?universe:Bitset.t -> 'a Cover_instance.t -> result
     [None] only if the LP solver fails. *)
 val lp_rounding : ?universe:Bitset.t -> 'a Cover_instance.t -> result option
 
-type exact_result = { sets : int list; cost : float; proved_optimal : bool }
+type exact_result = { sets : int list; proved_optimal : bool }
 
 (** Exact weighted set cover by branch and bound (greedy incumbent,
     pruning by an admissible lower bound that charges each uncovered

@@ -41,10 +41,14 @@ val peak_overshoot : step -> float
 
 type outcome = {
   steps : step list;  (** chronological; head is the initial convergence *)
+  (* the quiescence oracle and the serve/churn differentials check the
+     final state — lint: allow field-reachability *)
   assoc : Association.t;  (** final association (a copy) *)
+  (* lint: allow field-reachability — see [assoc] *)
   loads : float array;
       (** final per-AP loads as the incremental tracker cached them — the
           quiescence oracle pins these bit-for-bit to a fresh recompute *)
+  (* lint: allow field-reachability — see [assoc] *)
   effective : Problem.t;  (** final effective static instance *)
   trace : Trace.t;
   total_rounds : int;

@@ -10,7 +10,6 @@
 (** One scheduled transmission. *)
 type stream = {
   ap : int;
-  session : int;
   session_rate_mbps : float;
   tx_rate_mbps : float;
 }
@@ -30,12 +29,7 @@ type accounting = {
     fills in as the engine runs. @raise Invalid_argument on empty
     windows. *)
 val start :
-  Engine.t ->
-  ?trace:Trace.t ->
-  n_aps:int ->
-  window:float * float ->
-  stream list ->
-  accounting
+  Engine.t -> n_aps:int -> window:float * float -> stream list -> accounting
 
 (** Measured per-AP load once the engine has drained the window. *)
 val measured_loads : accounting -> float array

@@ -9,7 +9,6 @@
 open Wlan_model
 
 type t = {
-  rate_table : Rate_table.t;
   model : Rate_model.t;
   ap_pos : Point.t array;
   user_pos : Point.t array;
@@ -17,7 +16,6 @@ type t = {
 
 let of_scenario (sc : Scenario.t) =
   {
-    rate_table = sc.Scenario.rate_table;
     model = sc.Scenario.model;
     ap_pos = sc.Scenario.ap_pos;
     user_pos = sc.Scenario.user_pos;

@@ -5,7 +5,6 @@
 open Wlan_model
 
 type t = {
-  rate_table : Rate_table.t;
   model : Rate_model.t;
   ap_pos : Point.t array;
   user_pos : Point.t array;

@@ -14,7 +14,7 @@ let response_jitter = 1e-3 (* max extra uniform jitter *)
 
 (** Schedule the scan on [engine]; [on_complete] fires (as a simulation
     event) once every expected probe response has been received. *)
-let start engine ?trace radio ~on_complete =
+let start engine radio ~on_complete =
   let n_users = Radio.n_users radio in
   let results : neighbor list array = Array.make n_users [] in
   let expected = ref 0 in
@@ -31,11 +31,6 @@ let start engine ?trace radio ~on_complete =
     Engine.schedule engine ~at:probe_at (fun () -> on_complete results);
   for u = 0 to n_users - 1 do
     Engine.schedule engine ~at:probe_at (fun () ->
-        Option.iter
-          (fun tr ->
-            Trace.log tr ~time:(Engine.now engine)
-              (Trace.Probe_request { user = u }))
-          trace;
         List.iter
           (fun a ->
             let delay =
@@ -44,11 +39,6 @@ let start engine ?trace radio ~on_complete =
               +. Radio.propagation_delay radio ~ap:a ~user:u
             in
             Engine.after engine ~delay (fun () ->
-                Option.iter
-                  (fun tr ->
-                    Trace.log tr ~time:(Engine.now engine)
-                      (Trace.Probe_response { ap = a; user = u }))
-                  trace;
                 let link_rate_mbps =
                   Option.value ~default:0. (Radio.link_rate radio ~ap:a ~user:u)
                 in

@@ -11,12 +11,7 @@ type result = neighbor list array  (** per user *)
     after 2 ms plus up to 1 ms of jitter. [on_complete] fires (as a
     simulation event) once every expected probe response has been
     received. *)
-val start :
-  Engine.t ->
-  ?trace:Trace.t ->
-  Radio.t ->
-  on_complete:(result -> unit) ->
-  unit
+val start : Engine.t -> Radio.t -> on_complete:(result -> unit) -> unit
 
 (** Sort each user's neighbors strongest-signal-first (ties by AP
     index). *)

@@ -197,12 +197,12 @@ let of_string text =
             sessions :=
               Some
                 (Array.of_list
-                   (List.mapi
-                      (fun id r ->
+                   (List.map
+                      (fun r ->
                         let rate_mbps = float_of r in
                         if not (Float.is_finite rate_mbps) || rate_mbps <= 0.
                         then fail "non-positive session rate %S" r;
-                        Session.make ~id ~rate_mbps)
+                        Session.make ~rate_mbps)
                       rs))
         | [ "ap"; x; y ] -> aps := Point.v (float_of x) (float_of y) :: !aps
         | [ "user"; x; y; s ] ->

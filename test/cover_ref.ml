@@ -50,16 +50,20 @@ let cover_instance ?(filter_over_budget = false) p =
   Optkit.Cover_instance.make ~n_elements:n_users ~sets ~costs ~group_of
     ~n_groups:n_aps ~payload ()
 
-(* Attribution by (set, newly covered users) pairs: each user goes to
-   the AP of its pair. The unsharded references map their runs back
-   through it, so the drivers' replay of bare set ids
-   ([Reduction.association_of_sets]) is held to per-round attributions. *)
-let association_of_selections p inst selections =
+(* The reference replay: [sets] in order against [universe], each user
+   to the AP, read from the payload, of the first set covering it. The
+   unsharded references map their runs back through it, so the drivers'
+   replay of bare set ids ([Reduction.association_of_sets]) is held to
+   an independent one. *)
+let association_of_sets p inst ~universe sets =
   let _, n_users = Problem.dims p in
   let assoc = Association.empty ~n_users in
+  let x = Optkit.Bitset.copy universe in
   List.iter
-    (fun (set, newly) ->
+    (fun set ->
       let { Reduction.ap; _ } = Optkit.Cover_instance.payload inst set in
+      let newly = Optkit.Bitset.inter (Optkit.Cover_instance.set inst set) x in
+      Optkit.Bitset.diff_inplace x newly;
       Optkit.Bitset.iter (fun u -> Association.serve assoc ~user:u ~ap) newly)
-    selections;
+    sets;
   assoc

@@ -144,11 +144,10 @@ let test_combined_adds_both () =
   in
   let demands = Dual.uniform_demands fig1_1m ~mbps:1. in
   let c = Dual.combined fig1_1m ~demands t in
-  (* a1: unicast 1/2; a2: multicast s1@5 + s2@3 = 1/5 + 1/3 *)
-  check_float "a1" 0.5 c.Dual.per_ap.(0);
-  check_float "a2" ((1. /. 5.) +. (1. /. 3.)) c.Dual.per_ap.(1);
-  check_float "total" (0.5 +. (1. /. 5.) +. (1. /. 3.)) c.Dual.total;
-  Alcotest.(check int) "none overloaded" 0 c.Dual.overloaded
+  (* a1: unicast 1/2; a2: multicast s1@5 + s2@3 = 1/5 + 1/3, the
+     busier *)
+  check_float "max" ((1. /. 5.) +. (1. /. 3.)) c.Dual.max;
+  check_float "total" (0.5 +. (1. /. 5.) +. (1. /. 3.)) c.Dual.total
 
 let test_single_association_shares_ap () =
   let t = Dual.single_association fig1_1m in
@@ -169,18 +168,6 @@ let test_dual_saves_airtime_on_campus () =
     (feq ~eps:1e-6
        (c.Dual.single.Dual.total *. (1. -. (c.Dual.total_saving_pct /. 100.)))
        c.Dual.dual.Dual.total)
-
-let test_dual_max_saving_consistent () =
-  let p =
-    List.hd
-      (Scenario_gen.problems ~seed:19 ~n:1
-         { Scenario_gen.paper_default with n_aps = 40; n_users = 80 })
-  in
-  let demands = Dual.uniform_demands p ~mbps:1. in
-  let c = Dual.compare_single_vs_dual p ~demands in
-  check_float ~eps:1e-6 "max saving percentage consistent"
-    (c.Dual.single.Dual.max *. (1. -. (c.Dual.max_saving_pct /. 100.)))
-    c.Dual.dual.Dual.max
 
 let prop_dual_unicast_side_is_ssa =
   QCheck.Test.make ~name:"dual unicast side = strongest signal for everyone"
@@ -324,7 +311,7 @@ let dist_policy =
   Wlan_sim.Runner.Distributed_policy
     {
       objective = Distributed.Min_total_load;
-      mode = Wlan_sim.Runner.Sequential;
+      mode = `Sequential;
       max_passes = 40;
     }
 
@@ -630,7 +617,6 @@ let () =
           tc "combined adds both" test_combined_adds_both;
           tc "single shares AP" test_single_association_shares_ap;
           tc "dual saves airtime" test_dual_saves_airtime_on_campus;
-          tc "max saving consistent" test_dual_max_saving_consistent;
         ] );
       ( "workloads",
         [

@@ -430,11 +430,9 @@ let unsharded_mnu p =
   let budgets =
     Array.init (Optkit.Cover_instance.n_groups inst) (Problem.ap_budget p)
   in
-  let r =
-    Optkit.Mcg.greedy inst ~budgets ~universe:(Reduction.coverable_users p) ()
-  in
-  Cover_ref.association_of_selections p inst
-    (List.map (fun (s : Optkit.Mcg.selection) -> (s.set, s.newly)) r.kept)
+  let universe = Reduction.coverable_users p in
+  let r = Optkit.Mcg.greedy inst ~budgets ~universe () in
+  Cover_ref.association_of_sets p inst ~universe r.kept
   |> Solution.make ~algorithm:"MNU-centralized" p
 
 let sharded_mnu_matches ~wide seed =
@@ -479,7 +477,14 @@ let whole_plan p =
   let shards =
     if Array.length users = 0 then []
     else
-      [ { Shard.id = 0; aps = outside pl.Shard.idle_aps p.Problem.n_aps; users } ]
+      [
+        {
+          Shard.aps =
+            Array.concat (List.map (fun sh -> sh.Shard.aps) pl.Shard.shards)
+            |> Array.to_list |> List.sort Int.compare |> Array.of_list;
+          users;
+        };
+      ]
   in
   { pl with Shard.shards }
 
@@ -522,10 +527,7 @@ let exhaustive_bla ~mode ~n_guesses p =
       (Scg_ref.default_grid ~n_guesses ~universe inst)
   in
   let solution r =
-    Cover_ref.association_of_selections p inst
-      (List.map
-         (fun (s : Optkit.Mcg.selection) -> (s.set, s.newly))
-         (Scg_ref.selections r))
+    Cover_ref.association_of_sets p inst ~universe (Scg_ref.selections r)
     |> Solution.make
          ~algorithm:
            (match mode with
@@ -1331,8 +1333,8 @@ let test_shard_streaming_memory () =
     (fun (sh : Shard.shard) ->
       Array.iteri (fun lu u -> local.(u) <- lu) sh.Shard.users)
     pl.Shard.shards;
-  List.iter
-    (fun (sh : Shard.shard) ->
+  List.iteri
+    (fun id (sh : Shard.shard) ->
       let inst, _ =
         Reduction.shard_cover ~filter_over_budget:false p ~aps:sh.Shard.aps
           ~local ~n_local:(Array.length sh.Shard.users)
@@ -1348,7 +1350,7 @@ let test_shard_streaming_memory () =
       let bound = !links + (8 * sets) + 256 in
       if words > bound then
         Alcotest.failf "shard %d: %d words for %d links and %d sets (bound %d)"
-          sh.Shard.id words !links sets bound)
+          id words !links sets bound)
     pl.Shard.shards
 
 (* The flat cover build = the [Set]-based reference of cover_ref.ml:

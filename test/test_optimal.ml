@@ -243,7 +243,8 @@ let prop_set_cover_reduction_random =
           ()
       in
       let sc = Option.get (Optkit.Set_cover.exact inst) in
-      feq e.Optimal.value sc.Optkit.Set_cover.cost)
+      feq e.Optimal.value
+        (cost *. float_of_int (List.length sc.Optkit.Set_cover.sets)))
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest

@@ -357,6 +357,19 @@ let mk_cover ~n sets_costs =
   let payload = Array.init (Array.length sets) Fun.id in
   Cover_instance.make ~n_elements:n ~sets ~costs ~payload ()
 
+(* What [sets] leave uncovered of [universe] (default: every element). *)
+let uncovered ?universe inst sets =
+  let x =
+    match universe with
+    | Some u -> Bitset.copy u
+    | None -> Bitset.full (Cover_instance.n_elements inst)
+  in
+  List.iter (fun j -> Bitset.diff_inplace x (Cover_instance.set inst j)) sets;
+  x
+
+let cost_of inst sets =
+  List.fold_left (fun acc j -> acc +. Cover_instance.cost inst j) 0. sets
+
 let test_greedy_cover_simple () =
   (* classic: one big cheap set beats many small ones *)
   let inst =
@@ -365,21 +378,23 @@ let test_greedy_cover_simple () =
   in
   let r = Set_cover.greedy inst in
   Alcotest.(check int) "one set" 1 (List.length r.Set_cover.chosen);
-  Alcotest.(check bool) "covered all" true (Bitset.is_empty r.uncovered);
+  Alcotest.(check bool) "covered all" true
+    (Bitset.is_empty (uncovered inst r.chosen));
   Alcotest.(check (float 1e-9)) "cost" 2. r.total_cost
 
 let test_greedy_cover_partial () =
   let inst = mk_cover ~n:3 [ ([ 0 ], 1.) ] in
   let r = Set_cover.greedy inst in
   Alcotest.(check (list int)) "uncoverable left" [ 1; 2 ]
-    (Bitset.to_list r.Set_cover.uncovered)
+    (Bitset.to_list (uncovered inst r.Set_cover.chosen))
 
 let test_greedy_cover_universe () =
   (* restricting the universe ignores other elements *)
   let inst = mk_cover ~n:4 [ ([ 0; 1 ], 1.); ([ 2 ], 5.) ] in
   let universe = Bitset_ref.of_list 4 [ 0; 1 ] in
   let r = Set_cover.greedy ~universe inst in
-  Alcotest.(check bool) "covered" true (Bitset.is_empty r.Set_cover.uncovered);
+  Alcotest.(check bool) "covered" true
+    (Bitset.is_empty (uncovered ~universe inst r.Set_cover.chosen));
   Alcotest.(check (float 1e-9)) "only cheap set" 1. r.total_cost
 
 let test_exact_cover_beats_greedy_trap () =
@@ -397,7 +412,7 @@ let test_exact_cover_beats_greedy_trap () =
   in
   let g = Set_cover.greedy inst in
   let e = Option.get (Set_cover.exact inst) in
-  Alcotest.(check (float 1e-9)) "exact 1.6" 1.6 e.Set_cover.cost;
+  Alcotest.(check (float 1e-9)) "exact 1.6" 1.6 (cost_of inst e.Set_cover.sets);
   Alcotest.(check (float 1e-9)) "greedy 1.9" 1.9 g.total_cost;
   Alcotest.(check bool) "proved" true e.proved_optimal
 
@@ -453,7 +468,7 @@ let prop_greedy_within_ln_bound =
       let g = Set_cover.greedy inst in
       let e = Option.get (Set_cover.exact inst) in
       g.Set_cover.total_cost
-      <= (e.Set_cover.cost *. (log (float_of_int n) +. 1.)) +. 1e-9)
+      <= (cost_of inst e.Set_cover.sets *. (log (float_of_int n) +. 1.)) +. 1e-9)
 
 let prop_exact_never_worse =
   QCheck.Test.make ~name:"exact cover <= greedy cover" ~count:150 arb_cover
@@ -461,13 +476,14 @@ let prop_exact_never_worse =
       let inst = mk_cover ~n sets in
       let g = Set_cover.greedy inst in
       let e = Option.get (Set_cover.exact inst) in
-      e.Set_cover.cost <= g.Set_cover.total_cost +. 1e-9)
+      cost_of inst e.Set_cover.sets <= g.Set_cover.total_cost +. 1e-9)
 
 let test_layered_simple () =
   (* disjoint sets: layering must take them all, at exactly their cost *)
   let inst = mk_cover ~n:4 [ ([ 0; 1 ], 1.); ([ 2; 3 ], 2.) ] in
   let r = Set_cover.layered inst in
-  Alcotest.(check bool) "covers" true (Bitset.is_empty r.Set_cover.uncovered);
+  Alcotest.(check bool) "covers" true
+    (Bitset.is_empty (uncovered inst r.Set_cover.chosen));
   Alcotest.(check (float 1e-9)) "cost" 3. r.Set_cover.total_cost
 
 let test_max_frequency () =
@@ -481,7 +497,8 @@ let test_lp_rounding_simple () =
   match Set_cover.lp_rounding inst with
   | None -> Alcotest.fail "LP failed"
   | Some r ->
-      Alcotest.(check bool) "covers" true (Bitset.is_empty r.Set_cover.uncovered);
+      Alcotest.(check bool) "covers" true
+        (Bitset.is_empty (uncovered inst r.Set_cover.chosen));
       Alcotest.(check bool) "avoids the overpriced set" true
         (r.Set_cover.total_cost <= 3. +. 1e-6)
 
@@ -492,9 +509,9 @@ let prop_layered_is_f_approx =
       let f = Set_cover.max_frequency inst in
       let l = Set_cover.layered inst in
       let e = Option.get (Set_cover.exact inst) in
-      Bitset.is_empty l.Set_cover.uncovered
+      Bitset.is_empty (uncovered inst l.Set_cover.chosen)
       && l.Set_cover.total_cost
-         <= (float_of_int f *. e.Set_cover.cost) +. 1e-6)
+         <= (float_of_int f *. cost_of inst e.Set_cover.sets) +. 1e-6)
 
 let prop_lp_rounding_is_f_approx =
   QCheck.Test.make ~name:"LP rounding within f of exact and covers everything"
@@ -505,9 +522,9 @@ let prop_lp_rounding_is_f_approx =
       | None -> false
       | Some r ->
           let e = Option.get (Set_cover.exact inst) in
-          Bitset.is_empty r.Set_cover.uncovered
+          Bitset.is_empty (uncovered inst r.Set_cover.chosen)
           && r.Set_cover.total_cost
-             <= (float_of_int f *. e.Set_cover.cost) +. 1e-6)
+             <= (float_of_int f *. cost_of inst e.Set_cover.sets) +. 1e-6)
 
 let prop_exact_is_cover =
   QCheck.Test.make ~name:"exact result covers the universe" ~count:150
@@ -538,9 +555,8 @@ let rescan_cover inst =
     done;
     if !best < 0 then List.rev acc
     else begin
-      let newly = Bitset.inter (Cover_instance.set inst !best) x' in
-      Bitset.diff_inplace x' newly;
-      go ((!best, newly) :: acc)
+      Bitset.diff_inplace x' (Cover_instance.set inst !best);
+      go (!best :: acc)
     end
   in
   go []
@@ -568,11 +584,7 @@ let prop_cover_greedy_eq_rescan =
   QCheck.Test.make ~name:"greedy cover = rescan with lower-index ties"
     ~count:300 arb_tied_cover (fun (n, sets) ->
       let inst = mk_cover ~n sets in
-      let g = Set_cover.greedy inst in
-      List.map
-        (fun (s : Set_cover.selection) -> (s.set, Bitset.to_list s.newly))
-        g.Set_cover.chosen
-      = List.map (fun (j, nw) -> (j, Bitset.to_list nw)) (rescan_cover inst))
+      (Set_cover.greedy inst).Set_cover.chosen = rescan_cover inst)
 
 (* ------------------------------------------------------------------ *)
 (* MCG                                                                *)
@@ -604,10 +616,7 @@ let test_mcg_filters_oversized_sets () =
   (* a set costing more than its group budget is never chosen *)
   let inst = mk_grouped ~n:2 [ ([ 0; 1 ], 2.0, 0); ([ 0 ], 0.5, 0) ] in
   let r = Mcg.greedy inst ~budgets:[| 1.0 |] () in
-  List.iter
-    (fun (s : Mcg.selection) ->
-      if s.set = 0 then Alcotest.fail "oversized set chosen")
-    r.Mcg.kept;
+  if List.mem 0 r.Mcg.kept then Alcotest.fail "oversized set chosen";
   Alcotest.(check int) "covers 1" 1 (Mcg.coverage r)
 
 let test_mcg_split_keeps_larger_half () =
@@ -657,21 +666,21 @@ let prop_mcg_budgets_hold =
       let r = Mcg.greedy inst ~budgets () in
       Mcg.within_budgets r ~budgets)
 
-let prop_mcg_attribution_disjoint =
-  QCheck.Test.make ~name:"MCG attributions are disjoint and match coverage"
+let prop_mcg_kept_covers_covered =
+  QCheck.Test.make ~name:"MCG kept sets cover exactly its coverage"
     ~count:150 arb_grouped (fun (n, _, sets, budget) ->
       QCheck.assume (sets <> []);
       let inst = mk_grouped ~n sets in
       let budgets = Array.make (Cover_instance.n_groups inst) budget in
       let r = Mcg.greedy inst ~budgets () in
       let seen = Bitset.create n in
-      let disjoint = ref true in
       List.iter
-        (fun (s : Mcg.selection) ->
-          if Bitset.inter_cardinal seen s.newly > 0 then disjoint := false;
-          Bitset_ref.union_inplace seen s.newly)
+        (fun j ->
+          Bitset_ref.union_inplace seen
+            (Bitset.inter (Cover_instance.set inst j)
+               (Cover_instance.coverable inst)))
         r.Mcg.kept;
-      !disjoint && Bitset.equal seen r.Mcg.covered)
+      Bitset.equal seen r.Mcg.covered)
 
 (* MCG greedy (before split) is a 4-approximation; after split, 8. Verify
    the 8 bound against brute force on tiny instances. *)
@@ -834,27 +843,13 @@ let scg_best inst =
   | [] -> None
   | best :: _ -> Some best
 
-let same_selections a b =
-  List.length a = List.length b
-  && List.for_all2
-       (fun (s : Mcg.selection) (s' : Mcg.selection) ->
-         s.set = s'.set && Bitset.equal s.newly s'.newly)
-       a b
-
-let ids_of sels =
-  Array.of_list (List.map (fun (s : Mcg.selection) -> s.set) sels)
-
-(* A probe's set ids replayed in order against the universe: each with
-   what it newly covers. *)
-let replayed inst ids =
-  let x' = Cover_instance.coverable inst in
-  Array.to_list
-    (Array.map
-       (fun j ->
-         let newly = Bitset.inter (Cover_instance.set inst j) x' in
-         Bitset.diff_inplace x' newly;
-         { Mcg.set = j; newly })
-       ids)
+(* What a probe's set ids cover of the coverable elements. *)
+let covered_by inst ids =
+  let covered = Bitset.create (Cover_instance.n_elements inst) in
+  Array.iter
+    (fun j -> Bitset_ref.union_inplace covered (Cover_instance.set inst j))
+    ids;
+  Bitset.inter covered (Cover_instance.coverable inst)
 
 let test_scg_feasible_run () =
   let inst =
@@ -865,11 +860,8 @@ let test_scg_feasible_run () =
   | None -> Alcotest.fail "expected feasible"
   | Some r ->
       Alcotest.(check bool) "feasible" true r.Scg.feasible;
-      let covered = Bitset.create 4 in
-      List.iter
-        (fun (s : Mcg.selection) -> Bitset_ref.union_inplace covered s.newly)
-        (replayed inst r.Scg.selections.(0));
-      Alcotest.(check int) "all covered" 4 (Bitset.cardinal covered)
+      Alcotest.(check int) "all covered" 4
+        (Bitset.cardinal (covered_by inst r.Scg.selections.(0)))
 
 let test_scg_infeasible () =
   (* element 1 in no set: infeasible when the universe demands it,
@@ -906,8 +898,8 @@ let test_scg_grid_points () =
       (Scg.grid_points ~n_guesses 0.01)
   done
 
-let prop_scg_selections_disjoint_and_cover =
-  QCheck.Test.make ~name:"SCG rounds attribute disjointly" ~count:100
+let prop_scg_selections_match_and_cover =
+  QCheck.Test.make ~name:"SCG selections match the reference and cover" ~count:100
     arb_grouped (fun (n, _, sets, _) ->
       QCheck.assume (sets <> []);
       (* add a universal set so the instance is coverable *)
@@ -916,16 +908,12 @@ let prop_scg_selections_disjoint_and_cover =
       match scg_best inst with
       | None -> QCheck.assume_fail ()
       | Some r ->
-          (* the ids replayed = the reference run's per-round
-             attributions at the same guess *)
-          let sels = replayed inst r.Scg.selections.(0) in
-          let seen = Bitset.create n in
-          List.iter
-            (fun (s : Mcg.selection) -> Bitset_ref.union_inplace seen s.newly)
-            sels;
-          same_selections sels
-            (Scg_ref.selections (Scg_ref.solve_for inst ~bstar:r.Scg.bstar ()))
-          && ((not r.Scg.feasible) || Bitset.cardinal seen = n))
+          (* the ids = the reference run's kept sets, round by round,
+             at the same guess *)
+          let ids = r.Scg.selections.(0) in
+          Array.to_list ids
+          = Scg_ref.selections (Scg_ref.solve_for inst ~bstar:r.Scg.bstar ())
+          && ((not r.Scg.feasible) || Bitset.cardinal (covered_by inst ids) = n))
 
 (* The reference the greedy is proven against: a full rescan of every
    admissible set of every eligible group each round (the lower set index
@@ -1003,9 +991,8 @@ let eager_greedy ?(mode = `Soft) ?element_weights inst ~budgets ~universe =
            (fun j o ->
              if o <> half then []
              else begin
-               let newly = Bitset.inter (Cover_instance.set inst j) x in
-               Bitset.diff_inplace x newly;
-               [ { Mcg.set = j; newly } ]
+               Bitset.diff_inplace x (Cover_instance.set inst j);
+               [ j ]
              end)
            raw_order over)
     in
@@ -1021,19 +1008,15 @@ let eager_greedy ?(mode = `Soft) ?element_weights inst ~budgets ~universe =
   let kept, covered = if w1 >= w2 then (h1, cov1) else (h2, cov2) in
   let group_cost = Array.make n_groups 0. in
   List.iter
-    (fun (s : Mcg.selection) ->
-      let g = Cover_instance.group inst s.set in
-      group_cost.(g) <- group_cost.(g) +. Cover_instance.cost inst s.set)
+    (fun j ->
+      let g = Cover_instance.group inst j in
+      group_cost.(g) <- group_cost.(g) +. Cover_instance.cost inst j)
     kept;
   { Mcg.kept; raw_order; covered; group_cost }
 
 let same_mcg_result (a : Mcg.result) (b : Mcg.result) =
   a.Mcg.raw_order = b.Mcg.raw_order
-  && List.length a.Mcg.kept = List.length b.Mcg.kept
-  && List.for_all2
-       (fun (s : Mcg.selection) (s' : Mcg.selection) ->
-         s.set = s'.set && Bitset.equal s.newly s'.newly)
-       a.Mcg.kept b.Mcg.kept
+  && a.Mcg.kept = b.Mcg.kept
   && Bitset.equal a.Mcg.covered b.Mcg.covered
   && Array.for_all2 Float.equal a.Mcg.group_cost b.Mcg.group_cost
 
@@ -1080,7 +1063,7 @@ let same_ref_result (a : Scg_ref.result) (b : Scg_ref.result) =
   Float.equal a.Scg_ref.bstar b.Scg_ref.bstar
   && a.Scg_ref.feasible = b.Scg_ref.feasible
   && Array.for_all2 Float.equal a.Scg_ref.group_cost b.Scg_ref.group_cost
-  && same_selections (Scg_ref.selections a) (Scg_ref.selections b)
+  && Scg_ref.selections a = Scg_ref.selections b
   && List.length a.Scg_ref.rounds = List.length b.Scg_ref.rounds
   && List.for_all2
        (fun (ra : Mcg.result) (rb : Mcg.result) ->
@@ -1112,7 +1095,7 @@ let grid_case ?(scale = 0.05) ~n sets =
       (sets @ List.map (fun (m, c, g) -> (List.map (( + ) n) m, c, g + ga)) copy)
   in
   let project (r : Scg_ref.result) =
-    let ids = ids_of (Scg_ref.selections r) in
+    let ids = Array.of_list (Scg_ref.selections r) in
     let gc = r.Scg_ref.group_cost in
     {
       Scg.bstar = r.Scg_ref.bstar;
@@ -1140,7 +1123,7 @@ let of_ref (r : Scg_ref.result) =
   {
     Scg.bstar = r.Scg_ref.bstar;
     feasible = r.Scg_ref.feasible;
-    selections = [| ids_of (Scg_ref.selections r) |];
+    selections = [| Array.of_list (Scg_ref.selections r) |];
     group_cost = [| r.Scg_ref.group_cost |];
   }
 
@@ -1487,7 +1470,7 @@ let prop_session_split_matches_round =
           if sp.Mcg.w1 >= sp.Mcg.w2 then (sp.Mcg.h1, sp.Mcg.cov1)
           else (sp.Mcg.h2, sp.Mcg.cov2)
         in
-        kept = List.map (fun (s : Mcg.selection) -> s.set) r.Mcg.kept
+        kept = r.Mcg.kept
         && Bitset.equal cov r.Mcg.covered
         && (Bitset.is_empty cov
            || (Bitset.diff_inplace remaining cov;
@@ -1653,12 +1636,12 @@ let qcheck_cases =
       prop_layered_is_f_approx;
       prop_lp_rounding_is_f_approx;
       prop_mcg_budgets_hold;
-      prop_mcg_attribution_disjoint;
+      prop_mcg_kept_covers_covered;
       prop_mcg_8_approx;
       prop_mcg_weighted_8_approx;
       prop_mcg_exact_matches_brute_force;
       prop_greedy_mcg_within_8_of_exact;
-      prop_scg_selections_disjoint_and_cover;
+      prop_scg_selections_match_and_cover;
       prop_scg_fanout_order_independent;
       prop_session_split_matches_round;
       prop_session_repeat_same_split;

@@ -659,8 +659,8 @@ let check_slices label p =
     Problem.iter_candidates p u (fun _ _ _ -> incr in_range)
   done;
   let no_loss = !in_range = Sparse.n_links p.Problem.links in
-  List.iter
-    (fun (sh : Shard.shard) ->
+  List.iteri
+    (fun id (sh : Shard.shard) ->
       let sliced, c_sliced = counted (fun () -> Shard.extract p sh) in
       if
         no_loss
@@ -677,9 +677,9 @@ let check_slices label p =
         let listed, c_listed = counted (fun () -> list_extract p sh) in
         if listed <> sliced then
           Alcotest.failf "%s: shard %d slice differs from the list build"
-            label sh.Shard.id;
+            label id;
         Alcotest.(check (list int))
-          (Fmt.str "%s: shard %d build counters" label sh.Shard.id)
+          (Fmt.str "%s: shard %d build counters" label id)
           c_listed c_sliced
       end)
     (Shard.plan p).Shard.shards
@@ -730,13 +730,13 @@ let check_shard_covers label p =
       Array.iteri (fun lu u -> local.(u) <- lu) sh.Shard.users)
     pl.Shard.shards;
   let module C = Optkit.Cover_instance in
-  List.iter
-    (fun (sh : Shard.shard) ->
+  List.iteri
+    (fun id (sh : Shard.shard) ->
       let sub = Shard.extract p sh in
       List.iter
         (fun filter_over_budget ->
           let what =
-            Fmt.str "%s: shard %d, filter %b" label sh.Shard.id
+            Fmt.str "%s: shard %d, filter %b" label id
               filter_over_budget
           in
           let a, universe =
@@ -977,12 +977,12 @@ let city_digest ~jobs ps pl =
   in
   let buf = Buffer.create (1 lsl 18) in
   Buffer.add_string buf
-    (Fmt.str "city 2000x40000 shards=%d rounds=%d moves=%d@." r.Shard.n_shards
-       r.Shard.rounds r.Shard.moves);
-  List.iter
-    (fun (sh : Shard.shard) ->
+    (Fmt.str "city 2000x40000 shards=%d rounds=%d moves=%d@."
+       (List.length pl.Shard.shards) r.Shard.rounds r.Shard.moves);
+  List.iteri
+    (fun id (sh : Shard.shard) ->
       Buffer.add_string buf
-        (Fmt.str "shard %d: %d aps %d users@." sh.Shard.id
+        (Fmt.str "shard %d: %d aps %d users@." id
            (Array.length sh.Shard.aps)
            (Array.length sh.Shard.users)))
     pl.Shard.shards;
@@ -1213,16 +1213,14 @@ let plan_by_candidates p =
   let roots = List.filter (fun a -> find a = a && live a) ids in
   {
     Shard.shards =
-      List.mapi
-        (fun id r ->
+      List.map
+        (fun r ->
           {
-            Shard.id;
-            aps = Array.of_list (List.filter (fun a -> find a = r) ids);
+            Shard.aps = Array.of_list (List.filter (fun a -> find a = r) ids);
             users =
               Array.of_list (List.filter (fun u -> user_root.(u) = r) uids);
           })
         roots;
-    idle_aps = Array.of_list (List.filter (fun a -> not (live (find a))) ids);
     uncovered = Array.of_list (List.filter (fun u -> user_root.(u) < 0) uids);
   }
 

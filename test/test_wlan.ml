@@ -145,21 +145,16 @@ let test_rate_model_constructors () =
 (* ------------------------------------------------------------------ *)
 
 let test_session_make () =
-  let s = Session.make ~id:3 ~rate_mbps:1.5 in
-  Alcotest.(check int) "id" 3 s.Session.id;
+  let s = Session.make ~rate_mbps:1.5 in
   check_float "rate" 1.5 (Session.rate_mbps s);
   Alcotest.check_raises "zero rate"
     (Invalid_argument "Session.make: rate must be positive") (fun () ->
-      ignore (Session.make ~id:0 ~rate_mbps:0.))
+      ignore (Session.make ~rate_mbps:0.))
 
 let test_session_uniform () =
   let ss = Session.uniform ~n:5 ~rate_mbps:2. in
   Alcotest.(check int) "count" 5 (Array.length ss);
-  Array.iteri
-    (fun i s ->
-      Alcotest.(check int) "ids are indices" i s.Session.id;
-      check_float "uniform rate" 2. (Session.rate_mbps s))
-    ss
+  Array.iter (fun s -> check_float "uniform rate" 2. (Session.rate_mbps s)) ss
 
 (* ------------------------------------------------------------------ *)
 (* Problem                                                            *)
@@ -268,7 +263,7 @@ let test_problem_validate_rejects () =
       Problem.make ~session_rates:[| 1. |] ~user_session:[| 0 |]
         ~rates:[| [| 1. |] |] ~budget:Float.nan ());
   rejects "nan session rate via Session.make" (fun () ->
-      Session.make ~id:0 ~rate_mbps:Float.nan)
+      Session.make ~rate_mbps:Float.nan)
 
 (* ------------------------------------------------------------------ *)
 (* Association & Loads                                                *)

@@ -1,6 +1,6 @@
 (** Orchestration: load [.cmt]/[.cmti] units, build the lattice and
     summaries over the {e whole} shipped tree, run the per-unit rules
-    and the two reachability rules, then filter through the
+    and the three reachability rules, then filter through the
     suppression language by re-parsing each source file a finding
     points into ({!Suppress.of_source}).
 
@@ -19,7 +19,8 @@ let default_roots = [ "lib"; "bin"; "bench"; "examples"; "test" ]
 
 let all_rules =
   Rules.all_rules @ Checks.all_rules
-  @ [ (Reach.rule, Reach.doc); (Reach.opt_rule, Reach.opt_doc) ]
+  @ [ (Reach.rule, Reach.doc); (Reach.opt_rule, Reach.opt_doc);
+      (Reach.field_rule, Reach.field_doc) ]
 let rule_ids = List.map fst all_rules
 let find_rule id = List.find_opt (( = ) id) rule_ids
 
@@ -40,8 +41,11 @@ let analyze ?(rules = rule_ids) (loaded : Loader.loaded) =
   let optional =
     if List.mem Reach.opt_rule rules then Reach.check_optional loaded else []
   in
+  let fields =
+    if List.mem Reach.field_rule rules then Reach.check_fields loaded else []
+  in
   List.filter (fun (d : Diagnostic.t) -> List.mem d.rule rules)
-    (per_unit @ reach @ optional)
+    (per_unit @ reach @ optional @ fields)
   |> List.sort_uniq Diagnostic.compare
 
 (* Suppression state of one source file: none when it cannot be read. *)

@@ -13,7 +13,9 @@
    units, cover the three classes and every reader shape the rule
    resolves. Its lib/opt.mli pins optional-reachability: one optional
    parameter per pass shape, called from bin/opt_reader.ml and
-   test/reader.ml. *)
+   test/reader.ml. Its lib/field.mli pins field-reachability: one record
+   field per reader shape, read from bin/field_reader.ml and
+   test/field_reader.ml. *)
 
 open Wlan_race_kernel
 
@@ -90,6 +92,7 @@ let test_exactly_its_rule () =
       ("racy_merge.ml", Checks.rule_merge);
       ("reach/lib/api.mli", Reach.rule);
       ("reach/lib/opt.mli", Reach.opt_rule);
+      ("reach/lib/field.mli", Reach.field_rule);
     ]
 
 let test_clean_fixtures_silent () =
@@ -367,6 +370,73 @@ let test_opt_suppression () =
     (flagged (Reach.check_optional (Lazy.force loaded)));
   Alcotest.(check bool) "suppressed" false (flagged (diags_for "reach/lib/opt.mli"))
 
+(* ------------------------------------------------------------------ *)
+(* field-reachability                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let test_field_golden () =
+  let diags = diags_for "reach/lib/field.mli" in
+  Alcotest.(check string) "text"
+    (read (Filename.concat reach_root "field.expected"))
+    (String.concat "" (List.map (fun d -> Diagnostic.to_text d ^ "\n") diags));
+  Alcotest.(check string) "json"
+    (read (Filename.concat reach_root "field.expected.json"))
+    (Engine.to_json diags ^ "\n")
+
+(* Every field of the corpus in its class, the shipped ones included. *)
+let test_field_classes () =
+  let cls =
+    Reach.classify_fields (Lazy.force loaded)
+    |> List.filter_map (fun ((f : Reach.field), c) ->
+           match f.field with
+           | "Reach_lib" :: "Field" :: rest ->
+               Some
+                 ( String.concat "." rest,
+                   match c with
+                   | Reach.Shipped -> "shipped"
+                   | Test_only files ->
+                       "test-only "
+                       ^ String.concat "," (List.map Filename.basename files)
+                   | Unread -> "unread" )
+           | _ -> None)
+    |> List.sort compare
+  in
+  Alcotest.(check (list (pair string string))) "classes"
+    (List.sort compare
+       [
+         ("r.shipped", "shipped");
+         ("r.own_only", "shipped");
+         ("r.by_pattern", "shipped");
+         ("r.tested", "test-only field_reader.ml");
+         ("r.unread", "unread");
+         ("r.allowed", "test-only field_reader.ml");
+         ("k.overridden", "unread");
+         ("k.kept", "shipped");
+         ("Sub.s.deep", "test-only field_reader.ml");
+         ("p.hidden", "shipped");
+       ])
+    cls
+
+(* The allow comment above [allowed], not analyzer blindness, keeps it
+   out of the findings. *)
+let test_field_suppression () =
+  let flagged diags =
+    List.exists
+      (fun (d : Diagnostic.t) ->
+        String.starts_with ~prefix:"Reach_lib.Field.r.allowed " d.message)
+      diags
+  in
+  Alcotest.(check bool) "raw finding" true
+    (flagged (Reach.check_fields (Lazy.force loaded)));
+  Alcotest.(check bool) "suppressed" false
+    (flagged (diags_for "reach/lib/field.mli"))
+
+(* Test units are readers only: nothing in reach/test/field_reader.ml,
+   which reads test-only fields, is reported at its own lines. *)
+let test_field_test_units_unchecked () =
+  Alcotest.(check int) "findings in the test reader" 0
+    (List.length (diags_for "reach/test/field_reader.ml"))
+
 (* Rule filtering: running with a single rule enabled yields exactly
    that rule's findings. *)
 let test_rule_filter () =
@@ -491,6 +561,15 @@ let () =
           Alcotest.test_case "every pass shape" `Quick test_opt_classes;
           Alcotest.test_case "suppression is load-bearing" `Quick
             test_opt_suppression;
+        ] );
+      ( "field-reachability",
+        [
+          Alcotest.test_case "golden text and json" `Quick test_field_golden;
+          Alcotest.test_case "three classes" `Quick test_field_classes;
+          Alcotest.test_case "the allow comment is load-bearing" `Quick
+            test_field_suppression;
+          Alcotest.test_case "test units are not checked" `Quick
+            test_field_test_units_unchecked;
         ] );
       ( "suppression",
         List.map QCheck_alcotest.to_alcotest
