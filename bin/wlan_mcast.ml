@@ -247,9 +247,9 @@ let simulate_cmd =
       r.Wlan_sim.Runner.passes r.Wlan_sim.Runner.converged
       r.Wlan_sim.Runner.oscillated r.Wlan_sim.Runner.events
       r.Wlan_sim.Runner.sim_time
-      (Array.fold_left ( +. ) 0. r.Wlan_sim.Runner.analytic_loads)
-      (Array.fold_left Float.max 0. r.Wlan_sim.Runner.analytic_loads)
-      (Array.fold_left ( +. ) 0. r.Wlan_sim.Runner.measured_loads)
+      r.Wlan_sim.Runner.solution.Solution.total_load
+      r.Wlan_sim.Runner.solution.Solution.max_load
+      (Loads.network_total r.Wlan_sim.Runner.measured_loads)
       (Array.fold_left Float.max 0. r.Wlan_sim.Runner.measured_loads)
   in
   Cmd.v

@@ -50,14 +50,15 @@ let () =
   let worst_gap =
     Array.map2
       (fun m a -> Float.abs (m -. a))
-      report.Wlan_sim.Runner.measured_loads report.Wlan_sim.Runner.analytic_loads
+      report.Wlan_sim.Runner.measured_loads
+      report.Wlan_sim.Runner.solution.Solution.ap_loads
     |> Array.fold_left Float.max 0.
   in
   Fmt.pr
     "simulated %d events over %.2fs of virtual time@.\
      measured total load %.3f (analytic %.3f), worst per-AP gap %.4f@.@."
     report.Wlan_sim.Runner.events report.Wlan_sim.Runner.sim_time
-    (Array.fold_left ( +. ) 0. report.Wlan_sim.Runner.measured_loads)
+    (Loads.network_total report.Wlan_sim.Runner.measured_loads)
     mla.Solution.total_load worst_gap;
 
   (* ---- and let the distributed protocol find its own association ---- *)

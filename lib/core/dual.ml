@@ -53,7 +53,7 @@ let combined p ~demands t =
   let multi = Loads.ap_loads p t.multicast in
   let per_ap = Array.map2 ( +. ) uni multi in
   {
-    total = Array.fold_left ( +. ) 0. per_ap;
+    total = Loads.network_total per_ap;
     max = Array.fold_left Float.max 0. per_ap;
   }
 

@@ -302,16 +302,15 @@ let solve_mnu ?plan:pl ?(fanout = List.map (fun f -> f ())) p =
                ~remaining:universe
            in
            let local_of = Reduction.association_of_sets inst ~universe in
-           (sp.Optkit.Mcg.w1, sp.Optkit.Mcg.w2, local_of sp.Optkit.Mcg.h1,
-            local_of sp.Optkit.Mcg.h2))
+           (sp, local_of sp.Optkit.Mcg.h1, local_of sp.Optkit.Mcg.h2))
          pl.shards)
   in
-  let w1 = List.fold_left (fun acc (w, _, _, _) -> acc +. w) 0. parts in
-  let w2 = List.fold_left (fun acc (_, w, _, _) -> acc +. w) 0. parts in
-  let keep_h1 = w1 >= w2 in
+  let keep_h1 =
+    Optkit.Mcg.keep_h1 (Seq.map (fun (sp, _, _) -> sp) (List.to_seq parts))
+  in
   let assoc = Association.empty ~n_users in
   List.iter2
-    (fun sh (_, _, a1, a2) ->
+    (fun sh (_, a1, a2) ->
       Wlan_obs.Counters.incr c_halo_reconciles;
       merge assoc sh (if keep_h1 then a1 else a2))
     pl.shards parts;

@@ -90,14 +90,14 @@ val solve :
 
 (** Sharded Centralized MNU (Fig. 3 per shard, global H1/H2 decision).
     [fanout] spreads the per-shard solve thunks over domains (each
-    yields the shard's two candidate half-associations and their
-    weights); submission-order consumption keeps the result identical
-    at any job count. *)
+    yields the shard's split and its two candidate half-associations);
+    submission-order consumption keeps the result identical at any job
+    count. *)
 val solve_mnu :
   ?plan:plan ->
   ?fanout:
-    ((unit -> float * float * Association.t * Association.t) list ->
-    (float * float * Association.t * Association.t) list) ->
+    ((unit -> Optkit.Mcg.split * Association.t * Association.t) list ->
+    (Optkit.Mcg.split * Association.t * Association.t) list) ->
   Problem.t ->
   Solution.t
 

@@ -21,7 +21,7 @@ let make ~algorithm p assoc =
     assoc;
     satisfied = Association.served_count assoc;
     ap_loads;
-    total_load = Array.fold_left ( +. ) 0. ap_loads;
+    total_load = Loads.network_total ap_loads;
     max_load = Array.fold_left Float.max 0. ap_loads;
   }
 

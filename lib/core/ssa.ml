@@ -13,24 +13,26 @@ open Wlan_model
 let name = "SSA"
 
 (* Admission keeps each AP's per-session transmission-rate row as users
-   join: the hypothetical load is {!Loads.load_of_tx} over the row with
-   the user's session entry replaced — the same fold, over the same
-   row, as a scan of every member user (the per-session min is
-   order-insensitive), without the scan. *)
+   join: the hypothetical load is {!Loads.join_load} on the row — the
+   same sum, over the same row, as a scan of every member user (the
+   per-session min is order-insensitive), without the scan. *)
 let run p =
   let n_aps, n_users = Problem.dims p in
   let assoc = Association.empty ~n_users in
+  let srates = Array.init (Problem.n_sessions p) (Problem.session_rate p) in
   let tx = Array.make_matrix n_aps (Problem.n_sessions p) 0. in
   for u = 0 to n_users - 1 do
     match Problem.strongest_ap p u with
     | None -> ()
     | Some a ->
         let row = tx.(a) and s = Problem.user_session p u in
-        let cur = row.(s) and r = Problem.link_rate p ~ap:a ~user:u in
-        (* 0. is the exact "no member yet" sentinel *)
-        if (cur = 0.) [@lint.allow float_eq] || r < cur then row.(s) <- r;
-        if Loads.load_of_tx p row <= Problem.ap_budget p a +. 1e-12 then
-          Association.serve assoc ~user:u ~ap:a
-        else row.(s) <- cur
+        let r = Problem.link_rate p ~ap:a ~user:u in
+        if Loads.join_load srates row ~s ~rate:r <= Problem.ap_budget p a +. 1e-12
+        then begin
+          Association.serve assoc ~user:u ~ap:a;
+          (* 0. is the exact "no member yet" sentinel *)
+          if (row.(s) = 0.) [@lint.allow float_eq] || r < row.(s) then
+            row.(s) <- r
+        end
   done;
   Solution.make ~algorithm:name p assoc

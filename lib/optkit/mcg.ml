@@ -92,6 +92,19 @@ let split_of inst ~weights ~budgets ~x0 ~raw_order =
     w2 = weight_of cov2;
   }
 
+(** The keep decision over a round's splits, one per shard: each half's
+    weights summed in sequence order from [0.], H1 kept when it weighs
+    at least as much as H2. Every driver decides through it, so a
+    sharded round and an unsharded one sum the same floats the same
+    way. *)
+let keep_h1 splits =
+  let w1, w2 =
+    Seq.fold_left
+      (fun (w1, w2) sp -> (w1 +. sp.w1, w2 +. sp.w2))
+      (0., 0.) splits
+  in
+  w1 >= w2
+
 (** {1 Sessions: the greedy round with cross-round bound persistence}
 
     Every greedy run is a session round. Candidates come from a flat
@@ -488,7 +501,7 @@ let kept_group_cost inst kept =
 let session_round s ~remaining =
   let sp, raw_order = round s ~remaining in
   let kept, covered =
-    if sp.w1 >= sp.w2 then (sp.h1, sp.cov1) else (sp.h2, sp.cov2)
+    if keep_h1 (Seq.return sp) then (sp.h1, sp.cov1) else (sp.h2, sp.cov2)
   in
   {
     kept;

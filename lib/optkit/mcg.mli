@@ -101,6 +101,13 @@ type split = {
     set gives each one's newly covered elements ({!result}'s [kept]). *)
 val session_round_split : 'a session -> remaining:Bitset.t -> split
 
+(** [keep_h1 splits] is the keep decision over one round's splits (one
+    per shard): [w1] and [w2] each summed in sequence order from [0.],
+    and H1 kept when [w1 >= w2]. {!session_round} keeps through it on
+    its own split; sharded drivers pass every shard's, in shard
+    order. *)
+val keep_h1 : split Seq.t -> bool
+
 (** The session's budget witness: the largest final raw spend of any
     group in any round so far and, in [`Hard] mode, the largest
     [cost + spent] of any passing fit check. If every budget equals [B],

@@ -221,13 +221,9 @@ let solve_grid ?(mode = `Soft) ?(fanout = List.map (fun f -> f ())) shards
                  | Replay (_, pending) -> Some (List.hd pending))
              sources
          in
-         let w1 = ref 0. and w2 = ref 0. in
-         Array.iter
-           (Option.iter (fun (sp : Mcg.split) ->
-                w1 := !w1 +. sp.w1;
-                w2 := !w2 +. sp.w2))
-           splits;
-         let keep_h1 = !w1 >= !w2 in
+         let keep_h1 =
+           Mcg.keep_h1 (Seq.filter_map Fun.id (Array.to_seq splits))
+         in
          let progress = ref 0 in
          Array.iter
            (Option.iter (fun (sp : Mcg.split) ->

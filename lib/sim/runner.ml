@@ -33,7 +33,6 @@ type report = {
   problem : Problem.t;
   assoc : Association.t;
   solution : Mcast_core.Solution.t;
-  analytic_loads : float array;  (** Definition 1 on the final association *)
   measured_loads : float array;  (** airtime counted by the MAC *)
   passes : int;
   converged : bool;
@@ -66,33 +65,21 @@ let run ?(seed = 0) ?(streaming_window = 1.0) ?(loss_rate = 0.)
   let p = Scenario.to_problem sc in
   let radio = Radio.of_scenario sc in
   let engine = Engine.create ~seed () in
-  let n_aps = Scenario.n_aps sc and n_users = Scenario.n_users sc in
+  let n_aps, n_users = Problem.dims p in
   let session_rates = Array.map Session.rate_mbps sc.Scenario.sessions in
   let user_session = sc.Scenario.user_session in
-  let aps = Array.init n_aps Proto.ap_create in
   let assoc = Association.empty ~n_users in
-  let neighbors : Proto.neighbor_info list array = Array.make n_users [] in
+  (* the APs' side of the protocol: every answer is read off this
+     tracker of [assoc] *)
+  let tracker = Loads.Tracker.create p assoc in
+  let neighbors : Scanning.neighbor list array = Array.make n_users [] in
   let passes = ref 0 and converged = ref false and oscillated = ref false in
   let assoc_done = ref 0. in
 
-  let link_rate u a =
-    (List.find (fun (n : Proto.neighbor_info) -> n.ap = a) neighbors.(u))
-      .Proto.link_rate
-  in
   let in_range u a =
-    List.exists (fun (n : Proto.neighbor_info) -> n.Proto.ap = a) neighbors.(u)
+    List.exists (fun (n : Scanning.neighbor) -> n.ap = a) neighbors.(u)
   in
-  let apply_move u target =
-    (match Association.ap_of assoc u with
-    | Some old when old <> target ->
-        Proto.ap_leave aps.(old) ~user:u
-    | _ -> ());
-    if Association.ap_of assoc u <> Some target then begin
-      Proto.ap_join aps.(target) ~user:u ~session:user_session.(u)
-        ~link_rate:(link_rate u target);
-      Association.serve assoc ~user:u ~ap:target
-    end
-  in
+  let apply_move u target = Loads.Tracker.move tracker ~user:u ~ap:target in
 
   (* one user's query -> responses -> decision; [commit] receives the
      decision once all responses have arrived *)
@@ -111,7 +98,7 @@ let run ?(seed = 0) ?(streaming_window = 1.0) ?(loss_rate = 0.)
                ~neighbors:neighbors.(u) ~responses:!resps)
       in
       List.iter
-        (fun (n : Proto.neighbor_info) ->
+        (fun (n : Scanning.neighbor) ->
           let lost =
             loss_rate > 0.
             && Random.State.float (Engine.rng engine) 1. < loss_rate
@@ -127,8 +114,8 @@ let run ?(seed = 0) ?(streaming_window = 1.0) ?(loss_rate = 0.)
             in
             Engine.after engine ~delay:rtt (fun () ->
                 resps :=
-                  Proto.ap_answer aps.(n.ap) ~session_rates
-                    ~budget:(Problem.ap_budget p n.ap) ~user:u
+                  Proto.answer tracker assoc
+                    ~budget:(Problem.ap_budget p n.ap) ~ap:n.ap ~user:u
                   :: !resps;
                 finish ())
           end)
@@ -175,14 +162,10 @@ let run ?(seed = 0) ?(streaming_window = 1.0) ?(loss_rate = 0.)
               match neighbors.(u) with
               | [] -> ()
               | best :: _ ->
-                  let st = aps.(best.Proto.ap) in
-                  Proto.ap_join st ~user:u ~session:user_session.(u)
-                    ~link_rate:best.Proto.link_rate;
                   if
-                    Proto.ap_load st ~session_rates
-                    <= Problem.ap_budget p best.Proto.ap +. 1e-12
-                  then Association.serve assoc ~user:u ~ap:best.Proto.ap
-                  else Proto.ap_leave st ~user:u)
+                    Loads.Tracker.load_if_joins tracker ~user:u ~ap:best.ap
+                    <= Problem.ap_budget p best.ap +. 1e-12
+                  then apply_move u best.ap)
         done;
         converged := true;
         passes := 1;
@@ -243,21 +226,13 @@ let run ?(seed = 0) ?(streaming_window = 1.0) ?(loss_rate = 0.)
   in
 
   (* phase 1: scanning *)
-  Scanning.start engine radio ~on_complete:(fun results ->
+  Scanning.start engine p radio ~on_complete:(fun results ->
       let sorted = Scanning.sort_by_signal results in
       Array.iteri
         (fun u l ->
           neighbors.(u) <-
-            List.filter_map
-              (fun (n : Scanning.neighbor) ->
-                if List.mem n.Scanning.ap disabled_aps then None
-                else
-                  Some
-                    {
-                      Proto.ap = n.Scanning.ap;
-                      link_rate = n.Scanning.link_rate_mbps;
-                      signal = n.Scanning.signal;
-                    })
+            List.filter
+              (fun (n : Scanning.neighbor) -> not (List.mem n.ap disabled_aps))
               l)
         sorted;
       start_association ());
@@ -282,7 +257,6 @@ let run ?(seed = 0) ?(streaming_window = 1.0) ?(loss_rate = 0.)
     problem = p;
     assoc;
     solution;
-    analytic_loads = Loads.ap_loads p assoc;
     measured_loads = Mac.measured_loads acc;
     passes = !passes;
     converged = !converged;

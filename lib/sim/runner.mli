@@ -20,7 +20,6 @@ type report = {
   problem : Problem.t;
   assoc : Association.t;
   solution : Mcast_core.Solution.t;
-  analytic_loads : float array;  (** Definition 1 on the final association *)
   measured_loads : float array;  (** airtime counted by the MAC *)
   passes : int;
   converged : bool;

@@ -2,9 +2,12 @@
     neighbor discovery): every user broadcasts a probe request; each AP in
     range answers after a processing delay plus deterministic jitter. When
     the last response lands, the user knows its neighbor APs, their signal
-    strengths and its link rate to each. *)
+    strengths and its link rate to each — the compiled problem's links,
+    read in ascending AP order so every jitter draw keeps its place. *)
 
-type neighbor = { ap : int; link_rate_mbps : float; signal : float }
+open Wlan_model
+
+type neighbor = { ap : int; link_rate : float; signal : float }
 
 type result = neighbor list array  (** per user, strongest first *)
 
@@ -14,8 +17,8 @@ let response_jitter = 1e-3 (* max extra uniform jitter *)
 
 (** Schedule the scan on [engine]; [on_complete] fires (as a simulation
     event) once every expected probe response has been received. *)
-let start engine radio ~on_complete =
-  let n_users = Radio.n_users radio in
+let start engine p radio ~on_complete =
+  let n_users = snd (Problem.dims p) in
   let results : neighbor list array = Array.make n_users [] in
   let expected = ref 0 in
   let received = ref 0 in
@@ -25,32 +28,22 @@ let start engine radio ~on_complete =
   in
   (* count expected responses first so completion can't fire early *)
   for u = 0 to n_users - 1 do
-    expected := !expected + List.length (Radio.neighbor_aps radio ~user:u)
+    Problem.iter_candidates p u (fun _ _ _ -> incr expected)
   done;
   if !expected = 0 then
     Engine.schedule engine ~at:probe_at (fun () -> on_complete results);
   for u = 0 to n_users - 1 do
     Engine.schedule engine ~at:probe_at (fun () ->
-        List.iter
-          (fun a ->
+        Problem.iter_candidates p u (fun ap link_rate signal ->
             let delay =
               response_base
               +. Engine.jitter engine ~max:response_jitter
-              +. Radio.propagation_delay radio ~ap:a ~user:u
+              +. Radio.propagation_delay radio ~ap ~user:u
             in
             Engine.after engine ~delay (fun () ->
-                let link_rate_mbps =
-                  Option.value ~default:0. (Radio.link_rate radio ~ap:a ~user:u)
-                in
-                results.(u) <-
-                  { ap = a; link_rate_mbps; signal = Radio.signal radio ~ap:a ~user:u }
-                  :: results.(u);
-                maybe_done ()))
-          (Radio.neighbor_aps radio ~user:u))
-  done;
-  (* sort each user's neighbor list strongest-first on completion is the
-     caller's concern; provide the helper *)
-  ()
+                results.(u) <- { ap; link_rate; signal } :: results.(u);
+                maybe_done ())))
+  done
 
 (** Sort a scan result strongest-signal-first (ties by AP index). *)
 let sort_by_signal (results : result) =

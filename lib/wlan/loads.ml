@@ -7,6 +7,26 @@
     AP's load is the sum over the sessions it serves, and the network's
     total load is the sum over APs. *)
 
+(* Definition 1 on one AP's per-session transmission-rate row [tx], with
+   entry [s] read as [hyp] ([s = -1] replaces nothing): [srates.(s') /.
+   r'] over the served sessions ([r' > 0.]), summed in session order
+   from [0.]. Every AP load in this module is this one sum. A plain
+   loop, inlined so its result is never boxed (the flat decision kernel
+   issues millions of hypotheticals per run). *)
+let[@inline] row_sum (srates : float array) (tx : float array) s hyp =
+  let load = ref 0. in
+  for s' = 0 to Array.length tx - 1 do
+    let r' = if s' = s then hyp else tx.(s') in
+    if r' > 0. then load := !load +. (srates.(s') /. r')
+  done;
+  !load
+
+(* The transmission rate of a session sent at [cur] once a receiver at
+   link rate [r] joins: the lower of the two, [r] when unserved. *)
+let[@inline] joined_tx cur r =
+  (* 0. is the exact "no member yet" sentinel *)
+  if (cur = 0.) [@lint.allow float_eq] || r < cur then r else cur
+
 (** [tx_rates p assoc] gives, for each AP, the transmission rate it must use
     for each session: [tx.(a).(s)] is the minimum link rate among users of
     session [s] associated with [a], or [0.] when [a] does not serve [s]. *)
@@ -17,25 +37,31 @@ let tx_rates p (assoc : Association.t) =
     let a = assoc.(u) in
     if a <> Association.none then begin
       let s = Problem.user_session p u in
-      let r = Problem.link_rate p ~ap:a ~user:u in
-      (* 0. is the exact "no member yet" sentinel written two lines up *)
-      if (tx.(a).(s) = 0.) [@lint.allow float_eq] || r < tx.(a).(s) then
-        tx.(a).(s) <- r
+      tx.(a).(s) <- joined_tx tx.(a).(s) (Problem.link_rate p ~ap:a ~user:u)
     end
   done;
   tx
 
-(** Load of a single AP given its per-session transmission rates. *)
-let load_of_tx p tx_row =
-  let load = ref 0. in
-  Array.iteri
-    (fun s r -> if r > 0. then load := !load +. (Problem.session_rate p s /. r))
-    tx_row;
-  !load
+(** [join_load srates tx ~s ~rate] is the load of an AP with
+    transmission-rate row [tx] once a receiver of session [s] at link
+    rate [rate > 0.] joins it. *)
+let[@inline] join_load srates tx ~s ~rate =
+  row_sum srates tx s (joined_tx tx.(s) rate)
+
+(** The network total of per-AP loads: summed in AP order from [0.]. *)
+let network_total (loads : float array) =
+  let acc = ref 0. in
+  for a = 0 to Array.length loads - 1 do
+    acc := !acc +. loads.(a)
+  done;
+  !acc
+
+let session_rates p = Array.init (Problem.n_sessions p) (Problem.session_rate p)
 
 (** [ap_loads p assoc] is the multicast load of every AP. *)
 let ap_loads p assoc =
-  Array.map (load_of_tx p) (tx_rates p assoc)
+  let srates = session_rates p in
+  Array.map (fun tx -> row_sum srates tx (-1) 0.) (tx_rates p assoc)
 
 (* Load of one AP by an eager scan of every user, for the hypothetical
    below. *)
@@ -46,15 +72,13 @@ let ap_load p assoc ~ap =
   for u = 0 to n_users - 1 do
     if assoc.(u) = ap then begin
       let s = Problem.user_session p u in
-      let r = Problem.link_rate p ~ap ~user:u in
-      if (tx.(s) = 0.) [@lint.allow float_eq] || r < tx.(s) then tx.(s) <- r
+      tx.(s) <- joined_tx tx.(s) (Problem.link_rate p ~ap ~user:u)
     end
   done;
-  load_of_tx p tx
+  row_sum (session_rates p) tx (-1) 0.
 
 (** Total multicast load of the network: the sum of all AP loads. *)
-let total_load p assoc =
-  Array.fold_left ( +. ) 0. (ap_loads p assoc)
+let total_load p assoc = network_total (ap_loads p assoc)
 
 (** Maximum multicast load among all APs (the BLA objective). *)
 let max_load p assoc =
@@ -228,9 +252,8 @@ let pp_loads ppf loads =
     association. Min and max of a multiset are order-insensitive, so
     cached [tx] rates and the max-load read are trivially exact; sums are
     order-{e dependent}, so a cached AP load is always {e recomputed} by
-    summing the per-session tx row in session index order (identical to
-    {!load_of_tx}), and [total_load] re-folds the per-AP loads in AP
-    index order (identical to {!total_load}). The only cost conceded to
+    the one row sum over the per-session tx row, and [total_load]
+    re-folds the per-AP loads through {!network_total}. The only cost conceded to
     exactness is that joins pay O(n_sessions) for the row re-sum and
     [total_load] pays O(n_aps) when dirty — both far below the
     O(n_users) scans they replace.
@@ -273,10 +296,10 @@ module Tracker = struct
     mutable total_dirty : bool;
   }
 
-  (* Re-derive AP [a]'s cached load from its tx row — the same index-order
-     sum as [load_of_tx], hence bit-identical to an eager rescan. *)
+  (* Re-derive AP [a]'s cached load from its tx row — the one row sum,
+     hence bit-identical to an eager rescan. *)
   let refresh_ap_load t a =
-    let fresh = load_of_tx t.p t.tx.(a) in
+    let fresh = row_sum t.srates t.tx.(a) (-1) 0. in
     t.load_ms <- ms_add fresh (ms_remove t.loads.(a) t.load_ms);
     t.loads.(a) <- fresh;
     t.total_dirty <- true
@@ -289,8 +312,7 @@ module Tracker = struct
     let s = Problem.user_session t.p user in
     t.members.(ap).(s) <- ms_add r t.members.(ap).(s);
     (* first-wins scan min over positive rates = multiset min *)
-    if (t.tx.(ap).(s) = 0.) [@lint.allow float_eq] || r < t.tx.(ap).(s) then
-      t.tx.(ap).(s) <- r;
+    t.tx.(ap).(s) <- joined_tx t.tx.(ap).(s) r;
     refresh_ap_load t ap
 
   let leave_internal t ~user ~ap =
@@ -314,7 +336,7 @@ module Tracker = struct
         members = Array.init n_aps (fun _ -> Array.make n_s Fmap.empty);
         tx = Array.make_matrix n_aps n_s 0.;
         loads = Array.make n_aps 0.;
-        srates = Array.init n_s (Problem.session_rate p);
+        srates = session_rates p;
         load_ms = (if n_aps = 0 then Fmap.empty else Fmap.singleton 0. n_aps);
         total = 0.;
         total_dirty = false;
@@ -337,6 +359,7 @@ module Tracker = struct
   let unserve t ~user = move t ~user ~ap:Association.none
   let ap_load t a = t.loads.(a)
   let loads t = t.loads
+  let tx_row t a = Array.copy t.tx.(a)
 
   let max_load t =
     match Fmap.max_binding_opt t.load_ms with
@@ -345,25 +368,10 @@ module Tracker = struct
 
   let total_load t =
     if t.total_dirty then begin
-      t.total <- Array.fold_left ( +. ) 0. t.loads;
+      t.total <- network_total t.loads;
       t.total_dirty <- false
     end;
     t.total
-
-  (* Hypothetical row sum with session [s]'s tx replaced by [hyp] — the
-     same traversal and float expression as [load_of_tx]. A plain loop,
-     inlined so its result is never boxed (the flat decision kernel
-     issues millions of hypotheticals per run); [srates.(s')] is the
-     same value [Problem.session_rate] reads, so the floats are
-     unchanged. *)
-  let[@inline] sum_with t ~ap ~s hyp =
-    let tx = t.tx.(ap) and srates = t.srates in
-    let load = ref 0. in
-    for s' = 0 to Array.length tx - 1 do
-      let r' = if s' = s then hyp else tx.(s') in
-      if r' > 0. then load := !load +. (srates.(s') /. r')
-    done;
-    !load
 
   let load_if_joins t ~user ~ap =
     Wlan_obs.Counters.incr c_hypotheticals;
@@ -375,11 +383,7 @@ module Tracker = struct
         eager_load_if_joins t.p t.assoc ~user ~ap
       else
         let s = Problem.user_session t.p user in
-        let cur = t.tx.(ap).(s) in
-        let hyp =
-          if (cur = 0.) [@lint.allow float_eq] || r < cur then r else cur
-        in
-        sum_with t ~ap ~s hyp
+        join_load t.srates t.tx.(ap) ~s ~rate:r
 
   (* Batched {!load_if_joins} over a neighborhood plane: one session
      lookup for the whole batch, answers written into [into.(0..d-1)].
@@ -398,12 +402,7 @@ module Tracker = struct
          else
            let r = rates.(k) in
            if not (r > 0.) then eager_load_if_joins t.p t.assoc ~user ~ap
-           else
-             let cur = t.tx.(ap).(s) in
-             let hyp =
-               if (cur = 0.) [@lint.allow float_eq] || r < cur then r else cur
-             in
-             sum_with t ~ap ~s hyp)
+           else join_load t.srates t.tx.(ap) ~s ~rate:r)
     done
 
   (* The min of [members.(ap).(s)] without one [r] member, read off the
@@ -426,5 +425,5 @@ module Tracker = struct
           | None -> 0.
           | Some (r', _) -> r'
       in
-      sum_with t ~ap ~s hyp
+      row_sum t.srates t.tx.(ap) s hyp
 end

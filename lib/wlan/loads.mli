@@ -9,8 +9,18 @@
     when unserved. *)
 val tx_rates : Problem.t -> Association.t -> float array array
 
-(** Load implied by one AP's per-session transmission-rate row. *)
-val load_of_tx : Problem.t -> float array -> float
+(** [join_load srates tx ~s ~rate]: Definition 1 on one AP's
+    per-session transmission-rate row [tx] (session rates [srates]) once
+    a receiver of session [s] at link rate [rate > 0.] joins — [tx.(s)]
+    lowered to [rate], or set to it when unserved. Every AP load this
+    module computes is the same row sum: [srates.(s) /. tx.(s)] over the
+    served sessions, in session order from [0.]. *)
+val join_load : float array -> float array -> s:int -> rate:float -> float
+
+(** The network total of per-AP loads, summed in AP order from [0.]: the
+    one fold behind {!total_load}, {!Tracker.total_load} and
+    [Solution.t]'s [total_load]. *)
+val network_total : float array -> float
 
 (** Multicast load of every AP. *)
 val ap_loads : Problem.t -> Association.t -> float array
@@ -98,8 +108,8 @@ val pp_loads : Format.formatter -> float array -> unit
     [ap_load]/[max_load] reads. Every returned value is bit-identical to
     what the eager functions above compute for the same association:
     cached min rates are exact (min is order-insensitive) and cached
-    loads are always recomputed by the same index-order sums as
-    {!load_of_tx} / {!total_load}. *)
+    loads are always recomputed by the same row sum as {!join_load}, and
+    the total by {!network_total}. *)
 module Tracker : sig
   type t
 
@@ -124,6 +134,10 @@ module Tracker : sig
   (** The live per-AP load array — shared, not a copy; treat as
       read-only. *)
   val loads : t -> float array
+
+  (** A copy of AP [a]'s per-session transmission-rate row ([0.] for a
+      session it does not serve), as {!tx_rates} would give it. *)
+  val tx_row : t -> int -> float array
 
   (** Exact network load (index-order re-fold, cached until the next
       move). *)

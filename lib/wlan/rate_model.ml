@@ -262,9 +262,6 @@ let link t ~ap ~user ~dist =
         in
         pick radio.snr_tiers
 
-let dead_signal t ~dist =
-  match t with Table _ -> -.dist | Path_loss _ -> neg_infinity
-
 let name = function
   | Table _ -> "table"
   | Path_loss { loss = Friis; _ } -> "friis"

@@ -105,12 +105,6 @@ val tier_rates : t -> float list
     a superset of every usable link. *)
 val link : t -> ap:int -> user:int -> dist:float -> (float * float) option
 
-(** The signal the simulator's radio reports for an out-of-range pair:
-    [-. dist] for {!Table} (the historical matrix value) and
-    [neg_infinity] for {!Path_loss}. A compiled {!Problem} keeps no
-    out-of-range pairs and answers [neg_infinity] for them. *)
-val dead_signal : t -> dist:float -> float
-
 (** Short stable identifier: ["table"], ["friis"], ["two-ray"],
     ["log-distance"] — used by figure/bench row labels. *)
 val name : t -> string

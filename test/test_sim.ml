@@ -1,6 +1,6 @@
 (* Tests for the discrete-event simulator: event ordering, engine clock
    discipline, scanning discovery, MAC airtime accounting against the
-   analytic loads of Definition 1, protocol agents, each protocol
+   analytic loads of Definition 1, protocol answers, each protocol
    decision against the boxed reference rule, and end-to-end
    equivalence between the simulated protocols and the abstract
    algorithms. *)
@@ -130,16 +130,16 @@ let test_mac_rejects_empty_window () =
 
 let test_scanning_empty_network () =
   (* zero users: completion still fires *)
-  let radio =
-    {
-      Radio.model = Rate_model.Table Rate_table.default;
-      ap_pos = [||];
-      user_pos = [||];
-    }
+  let sc =
+    Scenario.make ~area_w:100. ~area_h:100. ~ap_pos:[| Point.v 0. 0. |]
+      ~user_pos:[||] ~user_session:[||]
+      ~sessions:(Session.uniform ~n:1 ~rate_mbps:1.)
+      ~budget:0.9 ()
   in
   let e = Engine.create () in
   let done_ = ref false in
-  Scanning.start e radio ~on_complete:(fun _ -> done_ := true);
+  Scanning.start e (Scenario.to_problem sc) (Radio.of_scenario sc)
+    ~on_complete:(fun _ -> done_ := true);
   ignore (Engine.run e);
   Alcotest.(check bool) "completed" true !done_
 
@@ -168,30 +168,34 @@ let sc2 =
     ~sessions:(Session.uniform ~n:2 ~rate_mbps:1.)
     ~budget:0.9 ()
 
+(* The links the simulator scans are the compiled problem's; the radio
+   adds the propagation delay. *)
 let test_radio_rates () =
-  let r = Radio.of_scenario sc2 in
-  Alcotest.(check (option (float 1e-9))) "u0-a0" (Some 54.)
-    (Radio.link_rate r ~ap:0 ~user:0);
-  Alcotest.(check (option (float 1e-9))) "u1-a0 at 190m" (Some 6.)
-    (Radio.link_rate r ~ap:0 ~user:1);
-  Alcotest.(check (option (float 1e-9))) "u1-a1 at 110m" (Some 12.)
-    (Radio.link_rate r ~ap:1 ~user:1);
-  Alcotest.(check (option (float 1e-9))) "u0-a1 out of range" None
-    (Radio.link_rate r ~ap:1 ~user:0);
+  let p = Scenario.to_problem sc2 in
+  check_float "u0-a0" 54. (Problem.link_rate p ~ap:0 ~user:0);
+  check_float "u1-a0 at 190m" 6. (Problem.link_rate p ~ap:0 ~user:1);
+  check_float "u1-a1 at 110m" 12. (Problem.link_rate p ~ap:1 ~user:1);
+  Alcotest.(check bool) "u0-a1 out of range" false
+    (Problem.in_range p ~ap:1 ~user:0);
   Alcotest.(check (list int)) "u1 neighbors" [ 0; 1 ]
-    (Radio.neighbor_aps r ~user:1)
+    (Problem.neighbor_aps p 1);
+  check_float ~eps:1e-18 "u0-a0 propagation delay" (10. /. 3.0e8)
+    (Radio.propagation_delay (Radio.of_scenario sc2) ~ap:0 ~user:0)
 
 (* ------------------------------------------------------------------ *)
 (* Scanning                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let test_scanning_discovers_neighbors () =
-  let radio = Radio.of_scenario sc2 in
+let scan sc =
   let engine = Engine.create () in
   let out = ref None in
-  Scanning.start engine radio ~on_complete:(fun r -> out := Some r);
+  Scanning.start engine (Scenario.to_problem sc) (Radio.of_scenario sc)
+    ~on_complete:(fun r -> out := Some r);
   ignore (Engine.run engine);
-  match !out with
+  !out
+
+let test_scanning_discovers_neighbors () =
+  match scan sc2 with
   | None -> Alcotest.fail "scan never completed"
   | Some results ->
       let sorted = Scanning.sort_by_signal results in
@@ -202,18 +206,13 @@ let test_scanning_discovers_neighbors () =
       List.iter
         (fun (n : Scanning.neighbor) ->
           if n.Scanning.ap = 0 then
-            check_float "u1-a0 measured rate" 6. n.Scanning.link_rate_mbps)
+            check_float "u1-a0 measured rate" 6. n.Scanning.link_rate)
         sorted.(1)
 
 (* Each probe is answered once by every AP in range: the scan ends with
    all 3 users, holding 1 + 2 + 1 neighbours. *)
 let test_scanning_counts () =
-  let radio = Radio.of_scenario sc2 in
-  let engine = Engine.create () in
-  let out = ref None in
-  Scanning.start engine radio ~on_complete:(fun r -> out := Some r);
-  ignore (Engine.run engine);
-  match !out with
+  match scan sc2 with
   | None -> Alcotest.fail "scan never completed"
   | Some results ->
       Alcotest.(check int) "3 users" 3 (Array.length results);
@@ -277,44 +276,70 @@ let test_trace_pp () =
     (Trace.to_string t)
 
 (* ------------------------------------------------------------------ *)
-(* Protocol agents                                                    *)
+(* Protocol answers                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let test_ap_agent_tx_table () =
-  let st = Proto.ap_create 0 in
-  Proto.ap_join st ~user:0 ~session:0 ~link_rate:54.;
-  Proto.ap_join st ~user:1 ~session:0 ~link_rate:6.;
-  Proto.ap_join st ~user:2 ~session:1 ~link_rate:12.;
-  let rates = [| 1.; 1. |] in
-  check_float "load 1/6 + 1/12" ((1. /. 6.) +. (1. /. 12.))
-    (Proto.ap_load st ~session_rates:rates);
+(* One AP; [members] lists (user, session, link rate), every other user
+   of [n_users] out of its range. *)
+let one_ap ~n_users ~n_sessions members =
+  let rates = Array.make n_users 0. and user_session = Array.make n_users 0 in
+  List.iter
+    (fun (u, s, r) ->
+      rates.(u) <- r;
+      user_session.(u) <- s)
+    members;
+  Problem.make ~allow_uncovered:true
+    ~session_rates:(Array.make n_sessions 1.)
+    ~user_session ~rates:[| rates |] ~budget:0.9 ()
+
+(* A tracker of [p] with [members] joined in list order. *)
+let tracker_of p members =
+  let assoc = Association.empty ~n_users:(snd (Problem.dims p)) in
+  let t = Loads.Tracker.create p assoc in
+  List.iter (fun (u, _, _) -> Loads.Tracker.move t ~user:u ~ap:0) members;
+  (t, assoc)
+
+let test_ap_answer_loads () =
+  let members = [ (0, 0, 54.); (1, 0, 6.); (2, 1, 12.) ] in
+  let t, assoc = tracker_of (one_ap ~n_users:3 ~n_sessions:2 members) members in
+  let answer user = Proto.answer t assoc ~budget:1. ~ap:0 ~user in
+  check_float "load 1/6 + 1/12" ((1. /. 6.) +. (1. /. 12.)) (answer 0).Proto.load;
   (* the slow user's answer recomputes session 0 at the 54 Mb/s member *)
   Alcotest.(check (option (float 1e-9))) "without slow user"
     (Some ((1. /. 54.) +. (1. /. 12.)))
-    (Proto.ap_answer st ~session_rates:rates ~budget:1. ~user:1)
-      .Proto.load_without_you;
-  Proto.ap_leave st ~user:2;
-  check_float "after leave" (1. /. 6.) (Proto.ap_load st ~session_rates:rates)
+    (answer 1).Proto.load_without_you;
+  Loads.Tracker.unserve t ~user:2;
+  check_float "after leave" (1. /. 6.) (answer 0).Proto.load
 
 let test_ap_answer_fields () =
-  let st = Proto.ap_create 3 in
-  Proto.ap_join st ~user:7 ~session:0 ~link_rate:12.;
-  let r = Proto.ap_answer st ~session_rates:[| 1. |] ~budget:0.9 ~user:7 in
+  let p =
+    Problem.make ~allow_uncovered:true ~session_rates:[| 1. |]
+      ~user_session:(Array.make 10 0)
+      ~rates:
+        (Array.init 4 (fun a ->
+             Array.init 10 (fun u -> if a = 3 && u = 7 then 12. else 0.)))
+      ~budget:0.9 ()
+  in
+  let assoc = Association.empty ~n_users:10 in
+  let t = Loads.Tracker.create p assoc in
+  Loads.Tracker.move t ~user:7 ~ap:3;
+  let r = Proto.answer t assoc ~budget:0.9 ~ap:3 ~user:7 in
   Alcotest.(check int) "from" 3 r.Proto.from_ap;
   Alcotest.(check (float 1e-9)) "advertised budget" 0.9 r.Proto.budget;
-  Alcotest.(check (list (pair int (float 1e-9)))) "sessions" [ (0, 12.) ]
-    r.Proto.sessions;
+  Alcotest.(check (array (float 1e-9))) "tx" [| 12. |] r.Proto.tx;
   check_float "load" (1. /. 12.) r.Proto.load;
   Alcotest.(check (option (float 1e-9))) "without me" (Some 0.)
     r.Proto.load_without_you;
-  let r' = Proto.ap_answer st ~session_rates:[| 1. |] ~budget:0.9 ~user:9 in
+  let r' = Proto.answer t assoc ~budget:0.9 ~ap:3 ~user:9 in
   Alcotest.(check (option (float 1e-9))) "stranger" None
-    r'.Proto.load_without_you
+    r'.Proto.load_without_you;
+  (* an answer is a snapshot: a later move leaves it as it was *)
+  Loads.Tracker.unserve t ~user:7;
+  Alcotest.(check (array (float 1e-9))) "tx kept" [| 12. |] r.Proto.tx
 
-(* The advertised session list must depend only on the member *set*, never
-   on the order users joined (it is built through a Hashtbl, whose bucket
-   order is unspecified): a user that queries two APs with identical
-   members must see identical advertisements. *)
+(* The advertisement must depend only on the member {e set}, never on
+   the order users joined: a user that queries two APs with identical
+   members must see identical answers. *)
 let prop_proto_answer_order_independent =
   let n_sessions = 24 in
   let gen_members =
@@ -325,10 +350,10 @@ let prop_proto_answer_order_independent =
            (oneofl [ 6.; 12.; 24.; 54. ])))
   in
   QCheck.Test.make
-    ~name:"AP session advertisement is insertion-order independent" ~count:200
+    ~name:"AP answer is join-order independent" ~count:200
     (QCheck.make gen_members)
     (fun members ->
-      (* one entry per user: ap_join ignores re-joins of a known user *)
+      (* one entry per user *)
       let members =
         List.fold_left
           (fun acc ((u, _, _) as m) ->
@@ -336,23 +361,17 @@ let prop_proto_answer_order_independent =
             else m :: acc)
           [] members
       in
-      let rates = Array.make n_sessions 1. in
+      let p = one_ap ~n_users:101 ~n_sessions members in
+      let user, _, _ = List.hd members in
       let answer ms =
-        let st = Proto.ap_create 0 in
-        List.iter
-          (fun (u, s, r) -> Proto.ap_join st ~user:u ~session:s ~link_rate:r)
-          ms;
-        Proto.ap_answer st ~session_rates:rates ~budget:0.9 ~user:(-1)
-      in
-      let sorted_by_session l =
-        List.sort (fun (a, _) (b, _) -> Int.compare a b) l
+        let t, assoc = tracker_of p ms in
+        Proto.answer t assoc ~budget:0.9 ~ap:0 ~user
       in
       let a = answer members and b = answer (List.rev members) in
-      (* identical member sets => identical advertisements, and the
-         advertisement is in canonical (session-sorted) order *)
-      a.Proto.sessions = b.Proto.sessions
-      && a.Proto.sessions = sorted_by_session a.Proto.sessions
-      && feq a.Proto.load b.Proto.load)
+      Array.for_all2 (fun x y -> Float.equal x y) a.Proto.tx b.Proto.tx
+      && Float.equal a.Proto.load b.Proto.load
+      && Option.equal Float.equal a.Proto.load_without_you
+           b.Proto.load_without_you)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end runs                                                    *)
@@ -386,29 +405,18 @@ module D = Mcast_core.Distributed
 
 let session_rates p = Array.init (Problem.n_sessions p) (Problem.session_rate p)
 
-(* AP agents mirroring [assoc] on [p]. *)
-let agents p (assoc : Association.t) =
-  let n_aps, _ = Problem.dims p in
-  let aps = Array.init n_aps Proto.ap_create in
-  Array.iteri
-    (fun u a ->
-      if a <> Association.none then
-        Proto.ap_join aps.(a) ~user:u ~session:(Problem.user_session p u)
-          ~link_rate:(Problem.link_rate p ~ap:a ~user:u))
-    assoc;
-  aps
-
 (* User [u]'s decision from messages: one [neighbor_info] per in-range
    AP, strongest first as scanning lists them, and one answer from every
    neighbor [heard] keeps, in the order [arrival] puts them. *)
 let proto_decide ?(heard = fun _ -> true) ?(arrival = Fun.id) ~objective p
     assoc u =
-  let aps = agents p assoc and session_rates = session_rates p in
+  let tracker = Loads.Tracker.create p assoc
+  and session_rates = session_rates p in
   let neighbors =
     List.map
       (fun a ->
         {
-          Proto.ap = a;
+          Scanning.ap = a;
           link_rate = Problem.link_rate p ~ap:a ~user:u;
           signal = Problem.signal p ~ap:a ~user:u;
         })
@@ -416,11 +424,11 @@ let proto_decide ?(heard = fun _ -> true) ?(arrival = Fun.id) ~objective p
   in
   let responses =
     List.filter_map
-      (fun (n : Proto.neighbor_info) ->
+      (fun (n : Scanning.neighbor) ->
         if heard n.ap then
           Some
-            (Proto.ap_answer aps.(n.ap) ~session_rates
-               ~budget:(Problem.ap_budget p n.ap) ~user:u)
+            (Proto.answer tracker assoc ~budget:(Problem.ap_budget p n.ap)
+               ~ap:n.ap ~user:u)
         else None)
       neighbors
   in
@@ -540,14 +548,18 @@ let test_proto_exact_tie_ascending () =
   let responses =
     List.map
       (fun a ->
-        let st = Proto.ap_create a in
-        Proto.ap_join st ~user:(a + 1) ~session:0 ~link_rate:6.;
-        Proto.ap_answer st ~session_rates ~budget:0.9 ~user:0)
+        {
+          Proto.from_ap = a;
+          tx = [| 6. |];
+          load = 1. /. 6.;
+          budget = 0.9;
+          load_without_you = None;
+        })
       [ 1; 0 ]
   in
   let neighbors =
     List.map
-      (fun ap -> { Proto.ap; link_rate = 6.; signal = 2. })
+      (fun ap -> { Scanning.ap; link_rate = 6.; signal = 2. })
       [ 1; 0 ]
   in
   both_objectives (fun objective ->
@@ -614,7 +626,7 @@ let prop_sim_measured_close_to_analytic =
       let r = Runner.run ~streaming_window:2.0 ~policy:Runner.Ssa_policy sc in
       Array.for_all2
         (fun m a -> Float.abs (m -. a) <= (0.05 *. Float.max a 0.02) +. 1e-6)
-        r.Runner.measured_loads r.Runner.analytic_loads)
+        r.Runner.measured_loads r.Runner.solution.Mcast_core.Solution.ap_loads)
 
 let prop_sim_static_installs =
   QCheck.Test.make ~name:"static policy installs the given association"
@@ -740,7 +752,7 @@ let () =
         ] );
       ( "proto",
         [
-          tc "ap tx table" test_ap_agent_tx_table;
+          tc "ap answer loads" test_ap_answer_loads;
           tc "ap answer" test_ap_answer_fields;
         ] );
       ( "end-to-end",
