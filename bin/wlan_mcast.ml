@@ -243,7 +243,7 @@ let simulate_cmd =
        %d events over %.3f s of virtual time@.\
        analytic: total %.4f, max %.4f@.\
        measured: total %.4f, max %.4f@."
-      policy r.Wlan_sim.Runner.solution.Solution.satisfied net.users
+      policy r.Wlan_sim.Runner.solution.Solution.satisfied (Scenario.n_users sc)
       r.Wlan_sim.Runner.passes r.Wlan_sim.Runner.converged
       r.Wlan_sim.Runner.oscillated r.Wlan_sim.Runner.events
       r.Wlan_sim.Runner.sim_time
