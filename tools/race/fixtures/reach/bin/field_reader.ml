@@ -6,3 +6,4 @@ let shipped (r : Field.r) = r.shipped
 let by_pattern (r : Field.r) = match r with { Field.by_pattern; _ } -> by_pattern
 let kept (k : Field.k) = { k with Field.overridden = 0 }
 let hidden (p : Field.p) = p.Field.hidden
+let finished (b : Field.b) = ((Field.finish b).answer, b.Field.proved)

@@ -8,6 +8,7 @@ type r = {
 }
 
 type k = { overridden : int; kept : int }
+type b = { answer : int; copied : int; proved : bool }
 
 module Sub = struct
   type s = { deep : int }
@@ -16,3 +17,4 @@ end
 type p = { hidden : int }
 
 let own r = r.own_only
+let finish b = { b with proved = true }

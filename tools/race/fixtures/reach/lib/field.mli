@@ -16,6 +16,16 @@ type k = {
   kept : int;  (* copied by [{ k with ... }]: a read *)
 }
 
+(* The [Ilp.solution] shape: [finish]'s own [{ b with proved = ... }]
+   carries [copied] along, which is no read. *)
+type b = {
+  answer : int;  (* read by bin/ *)
+  copied : int;  (* only copied by field.ml's own update: unread *)
+  proved : bool;  (* read by bin/ *)
+}
+
+val finish : b -> b
+
 module Sub : sig
   type s = { deep : int }  (* in a submodule signature, read by test/ *)
 end

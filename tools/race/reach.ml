@@ -427,8 +427,10 @@ let check_optional l =
     label.
 
     A read is a [Texp_field] of the field, a [Tpat_record] that names
-    it, or a [Kept] label of [{ r with ... }], which copies it. Reads in
-    the declaring unit count. Construction and [r.l <- v] are no reads.
+    it, or a [Kept] label of [{ r with ... }] outside the declaring
+    unit, which copies it out. Other reads in the declaring unit count,
+    but its own [with] updates only carry a field along: a field they
+    alone copy is unread. Construction and [r.l <- v] are no reads.
     A label is keyed by the path of its record type, the [lbl_res] the
     typer wrote: a path inside the declaring unit resolves through the
     unit's own type and submodule tables, any other through its alias
@@ -469,7 +471,8 @@ let fields (i : Loader.intf_info) =
 let collect_field_reads reads (u : Loader.unit_info) =
   let sc = scope_of u in
   let r = { unit = u.modname; file = u.source; test = Loader.under "test" u } in
-  let read (lbl : Types.label_description) =
+  (* the record type's key; [own] when the type is declared in [u] *)
+  let key_of (lbl : Types.label_description) =
     let key : Path.t -> _ = function
       | Pident id -> Hashtbl.find_opt sc.types (Ident.unique_name id)
       | Pdot (m, t) -> Some (module_segs sc.local m @ [ t ])
@@ -477,17 +480,25 @@ let collect_field_reads reads (u : Loader.unit_info) =
     in
     match Types.get_desc lbl.lbl_res with
     | Tconstr (p, _, _) ->
-        Option.iter
-          (fun k -> push reads (Names.to_string (k @ [ lbl.lbl_name ])) r)
+        Option.map
+          (fun k ->
+            let own = List.filteri (fun i _ -> i < List.length u.modname) k in
+            (k @ [ lbl.lbl_name ], own = u.modname))
           (key p)
-    | _ -> ()
+    | _ -> None
+  in
+  let read ~copy lbl =
+    Option.iter
+      (fun (k, own) -> if not (copy && own) then push reads (Names.to_string k) r)
+      (key_of lbl)
   in
   let expr it (e : Typedtree.expression) =
     (match e.exp_desc with
-    | Texp_field (_, _, lbl) -> read lbl
+    | Texp_field (_, _, lbl) -> read ~copy:false lbl
     | Texp_record { fields; _ } ->
         Array.iter
-          (function lbl, Typedtree.Kept _ -> read lbl | _, Overridden _ -> ())
+          (function
+            | lbl, Typedtree.Kept _ -> read ~copy:true lbl | _, Overridden _ -> ())
           fields
     | _ -> ());
     Tast_iterator.default_iterator.expr it e
@@ -495,7 +506,7 @@ let collect_field_reads reads (u : Loader.unit_info) =
   let pat : type k. Tast_iterator.iterator -> k Typedtree.general_pattern -> unit =
    fun it p ->
     (match p.pat_desc with
-    | Tpat_record (fs, _) -> List.iter (fun (_, lbl, _) -> read lbl) fs
+    | Tpat_record (fs, _) -> List.iter (fun (_, lbl, _) -> read ~copy:false lbl) fs
     | _ -> ());
     Tast_iterator.default_iterator.pat it p
   in

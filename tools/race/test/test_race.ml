@@ -267,6 +267,7 @@ let test_reach_classes () =
          ("Reach_lib.Packed.packed", "shipped");
          ("Reach_lib.Twin_x.x_only", "shipped");
          ("Reach_lib.Twin_y.y_only", "shipped");
+         ("Reach_lib.Field.finish", "shipped");
        ]
     @ List.map
         (fun v -> ("Reach_lib.Opt." ^ v, "shipped"))
@@ -412,6 +413,9 @@ let test_field_classes () =
          ("r.allowed", "test-only field_reader.ml");
          ("k.overridden", "unread");
          ("k.kept", "shipped");
+         ("b.answer", "shipped");
+         ("b.copied", "unread");
+         ("b.proved", "shipped");
          ("Sub.s.deep", "test-only field_reader.ml");
          ("p.hidden", "shipped");
        ])
