@@ -432,6 +432,19 @@ let settle_mode = function
    derived stream gets its own constant tag). *)
 let churn_split_tag = 0x0c817a4
 
+(* The churn script replayed on [p]: the file given, else one drawn by
+   [gen] on the seed's [churn_split_tag] stream. *)
+let churn_script ~seed p gen = function
+  | Some f -> load_churn f
+  | None ->
+      let n_aps, n_users = Problem.dims p in
+      let rng = Random.State.make [| seed; churn_split_tag |] in
+      Churn_script.random ~rng ~n_aps ~n_users gen
+
+(* The "(mnu, bla, mla…)" list of an unknown-objective error. *)
+let known_objectives extra =
+  String.concat ", " (List.map fst Distributed.objective_labels @ extra)
+
 let churn_cmd =
   let load, save = scenario_io_terms in
   let script_file =
@@ -573,7 +586,7 @@ let churn_cmd =
         [
           {
             Harness.Metrics.label = "fig4";
-            objective = "min-total-load";
+            objective = Distributed.objective_name Min_total_load;
             mode = "simultaneous";
             outcome = o;
           };
@@ -588,36 +601,24 @@ let churn_cmd =
       in
       Option.iter (fun path -> Scenario_io.to_file path sc) save;
       let p = Scenario.to_problem sc in
-      let n_aps, n_users = Problem.dims p in
       let script =
-        match script_file with
-        | Some f -> load_churn f
-        | None ->
-            let rng = Random.State.make [| net.seed; churn_split_tag |] in
-            Churn_script.random ~rng ~n_aps ~n_users
-              { Churn_script.default_gen with n_events = gen_events; duration }
+        churn_script ~seed:net.seed p
+          { Churn_script.default_gen with n_events = gen_events; duration }
+          script_file
       in
       Option.iter (fun f -> Scenario_io.churn_to_file f script) save_script;
       let variants =
         match objective with
-        | "all" ->
-            [
-              ("mnu", Distributed.Min_total_load);
-              ("bla", Distributed.Min_load_vector);
-              ("mla", Distributed.Min_total_load);
-            ]
-        | "mnu" -> [ ("mnu", Distributed.Min_total_load) ]
-        | "mla" -> [ ("mla", Distributed.Min_total_load) ]
-        | "bla" -> [ ("bla", Distributed.Min_load_vector) ]
-        | other ->
-            Fmt.epr "unknown objective %S (mnu, bla, mla, all)@." other;
-            exit 1
+        | "all" -> Distributed.objective_labels
+        | l -> (
+            match List.assoc_opt l Distributed.objective_labels with
+            | Some obj -> [ (l, obj) ]
+            | None ->
+                Fmt.epr "unknown objective %S (%s)@." l
+                  (known_objectives [ "all" ]);
+                exit 1)
       in
       let mode_v = settle_mode mode in
-      let obj_name = function
-        | Distributed.Min_total_load -> "min-total-load"
-        | Distributed.Min_load_vector -> "min-load-vector"
-      in
       let runs =
         Harness.Pool.with_pool ~jobs:(Int.max 1 jobs) @@ fun pool ->
         Harness.Pool.run pool
@@ -635,7 +636,7 @@ let churn_cmd =
                in
                {
                  Harness.Metrics.label;
-                 objective = obj_name obj;
+                 objective = Distributed.objective_name obj;
                  mode;
                  outcome = o;
                })
@@ -731,21 +732,13 @@ let profile_cmd =
       | Some path ->
           let sc = load_scenario path in
           let p = Scenario.to_problem sc in
-          let n_aps, n_users = Problem.dims p in
           let script =
-            match script_file with
-            | Some f -> load_churn f
-            | None ->
-                let rng = Random.State.make [| seed; churn_split_tag |] in
-                Churn_script.random ~rng ~n_aps ~n_users
-                  Churn_script.default_gen
+            churn_script ~seed p Churn_script.default_gen script_file
           in
           let variants =
-            [
-              ("churn:mnu", Distributed.Min_total_load);
-              ("churn:bla", Distributed.Min_load_vector);
-              ("churn:mla", Distributed.Min_total_load);
-            ]
+            List.map
+              (fun (l, obj) -> ("churn:" ^ l, obj))
+              Distributed.objective_labels
           in
           let () =
             Harness.Pool.with_pool ~jobs @@ fun pool ->
@@ -815,7 +808,7 @@ let serve_config sc ~obj_label ~mode ~max_rounds ~queue_limit =
   let objective =
     try Mcast_serve.Replay_log.objective_of_label obj_label
     with Invalid_argument _ ->
-      Fmt.epr "unknown objective %S (mnu, bla, mla)@." obj_label;
+      Fmt.epr "unknown objective %S (%s)@." obj_label (known_objectives []);
       exit 1
   in
   let mode = settle_mode mode in

@@ -36,6 +36,14 @@ let src = Logs.Src.create "mcast.distributed" ~doc:"Distributed association"
 module Log = (val Logs.src_log src : Logs.LOG)
 
 type objective = Min_total_load | Min_load_vector
+
+let objective_labels =
+  [ ("mnu", Min_total_load); ("bla", Min_load_vector); ("mla", Min_total_load) ]
+
+let objective_name = function
+  | Min_total_load -> "min-total-load"
+  | Min_load_vector -> "min-load-vector"
+
 type scheduler = Sequential | Simultaneous | Locked
 
 (* Deterministic event counters (DESIGN.md §4.9). Every scheduler scans

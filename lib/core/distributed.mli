@@ -15,6 +15,15 @@
 open Wlan_model
 
 type objective = Min_total_load | Min_load_vector
+
+(** The objective labels of the CLI, the daemon and its replay log, in
+    the order [churn --objective all] runs them: [mnu] and [mla] run
+    [Min_total_load], [bla] runs [Min_load_vector]. *)
+val objective_labels : (string * objective) list
+
+(** ["min-total-load"] or ["min-load-vector"]. *)
+val objective_name : objective -> string
+
 type scheduler = Sequential | Simultaneous | Locked
 
 type outcome = {

@@ -16,10 +16,10 @@ type header = {
   scenario_digest : string option;
 }
 
-let objective_of_label = function
-  | "mnu" | "mla" -> Distributed.Min_total_load
-  | "bla" -> Distributed.Min_load_vector
-  | l -> invalid_arg (Printf.sprintf "Replay_log: unknown objective %S" l)
+let objective_of_label l =
+  match List.assoc_opt l Distributed.objective_labels with
+  | Some o -> o
+  | None -> invalid_arg (Printf.sprintf "Replay_log: unknown objective %S" l)
 
 let mode_name = function
   | `Sequential -> "sequential"

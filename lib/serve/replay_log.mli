@@ -26,7 +26,8 @@ type header = {
       (** hex digest of the scenario text the session served *)
 }
 
-(** [mnu]/[mla] ↦ [Min_total_load], [bla] ↦ [Min_load_vector].
+(** The objective of a label of
+    {!Mcast_core.Distributed.objective_labels}.
     @raise Invalid_argument on any other label. *)
 val objective_of_label : string -> Mcast_core.Distributed.objective
 
