@@ -639,6 +639,32 @@ let test_mcg_split_keeps_larger_half () =
   Alcotest.(check (list int)) "covered = {1,3,4}" [ 1; 3; 4 ]
     (Bitset.to_list r.Mcg.covered)
 
+(* A split carrying only the weights the keep decision reads. *)
+let split_of_weights (w1, w2) =
+  {
+    Mcg.h1 = [];
+    h2 = [];
+    cov1 = Bitset.create 0;
+    cov2 = Bitset.create 0;
+    w1;
+    w2;
+  }
+
+let keep weights = Mcg.keep_h1 (Seq.map split_of_weights (List.to_seq weights))
+
+let test_keep_tie_keeps_h1 () =
+  Alcotest.(check bool) "w1 = w2 keeps H1" true (keep [ (0.5, 0.5) ]);
+  Alcotest.(check bool) "w1 < w2 keeps H2" false (keep [ (0.5, 0.75) ])
+
+(* 1 + 1e-16 + 1e-16 is 1 in order, but 1e-16 + 1e-16 + 1 rounds up to
+   1 + 2^-52: the H1 weights of three shards reach the H2 total only when
+   summed backwards, so the in-order sum must keep H2. *)
+let test_keep_sums_in_order () =
+  let w2 = 1. +. epsilon_float in
+  let shards = [ (1., w2); (1e-16, 0.); (1e-16, 0.) ] in
+  Alcotest.(check bool) "reversed sum ties" true (keep (List.rev shards));
+  Alcotest.(check bool) "in-order sum keeps H2" false (keep shards)
+
 let gen_grouped_instance =
   QCheck.Gen.(
     let* n = int_range 1 10 in
@@ -1692,6 +1718,8 @@ let () =
           tc "respects budgets" test_mcg_respects_budgets;
           tc "filters oversized sets" test_mcg_filters_oversized_sets;
           tc "split keeps larger half" test_mcg_split_keeps_larger_half;
+          tc "keep: a tie keeps H1" test_keep_tie_keeps_h1;
+          tc "keep: shards summed in order" test_keep_sums_in_order;
           tc "weighted validation" test_mcg_weighted_validation;
         ] );
       ( "scg",
