@@ -66,8 +66,7 @@ let run ?(seed = 0) ?(streaming_window = 1.0) ?(loss_rate = 0.)
   let radio = Radio.of_scenario sc in
   let engine = Engine.create ~seed () in
   let n_aps, n_users = Problem.dims p in
-  let session_rates = Array.map Session.rate_mbps sc.Scenario.sessions in
-  let user_session = sc.Scenario.user_session in
+  let session_rates = Array.init (Problem.n_sessions p) (Problem.session_rate p) in
   let assoc = Association.empty ~n_users in
   (* the APs' side of the protocol: every answer is read off this
      tracker of [assoc] *)
@@ -93,7 +92,7 @@ let run ?(seed = 0) ?(streaming_window = 1.0) ?(loss_rate = 0.)
         if !pending = 0 then
           commit
             (Proto.decide ~objective ~session_rates
-               ~session:user_session.(u)
+               ~session:(Problem.user_session p u)
                ~current:(Association.ap_of assoc u)
                ~neighbors:neighbors.(u) ~responses:!resps)
       in
