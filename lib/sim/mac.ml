@@ -12,9 +12,6 @@
 (* 1500-byte frames. *)
 let frame_bits = 12_000.
 
-(* Airtime of one frame of [bits] at [rate_mbps]. *)
-let frame_airtime ~bits ~rate_mbps = bits /. (rate_mbps *. 1e6)
-
 (** One scheduled transmission: AP [ap] streams a session of rate
     [session_rate_mbps] at transmission rate [tx_rate_mbps]. *)
 type stream = {
@@ -63,9 +60,7 @@ let start engine ~n_aps ~window streams =
     (fun s ->
       let interval = s.session_rate_mbps *. 1e6 in
       let interval = frame_bits /. interval in
-      let airtime =
-        frame_airtime ~bits:frame_bits ~rate_mbps:s.tx_rate_mbps
-      in
+      let airtime = frame_bits /. (s.tx_rate_mbps *. 1e6) in
       let rec send_at t =
         if t < finish_t then
           Engine.schedule engine ~at:t (fun () ->
