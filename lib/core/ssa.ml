@@ -19,7 +19,6 @@ let name = "SSA"
 let run p =
   let n_aps, n_users = Problem.dims p in
   let assoc = Association.empty ~n_users in
-  let srates = Array.init (Problem.n_sessions p) (Problem.session_rate p) in
   let tx = Array.make_matrix n_aps (Problem.n_sessions p) 0. in
   for u = 0 to n_users - 1 do
     match Problem.strongest_ap p u with
@@ -27,7 +26,9 @@ let run p =
     | Some a ->
         let row = tx.(a) and s = Problem.user_session p u in
         let r = Problem.link_rate p ~ap:a ~user:u in
-        if Loads.join_load srates row ~s ~rate:r <= Problem.ap_budget p a +. 1e-12
+        if
+          Loads.join_load p.Problem.session_rates row ~s ~rate:r
+          <= Problem.ap_budget p a +. 1e-12
         then begin
           Association.serve assoc ~user:u ~ap:a;
           (* 0. is the exact "no member yet" sentinel *)

@@ -66,7 +66,6 @@ let run ?(seed = 0) ?(streaming_window = 1.0) ?(loss_rate = 0.)
   let radio = Radio.of_scenario sc in
   let engine = Engine.create ~seed () in
   let n_aps, n_users = Problem.dims p in
-  let session_rates = Array.init (Problem.n_sessions p) (Problem.session_rate p) in
   let assoc = Association.empty ~n_users in
   (* the APs' side of the protocol: every answer is read off this
      tracker of [assoc] *)
@@ -91,7 +90,7 @@ let run ?(seed = 0) ?(streaming_window = 1.0) ?(loss_rate = 0.)
         decr pending;
         if !pending = 0 then
           commit
-            (Proto.decide ~objective ~session_rates
+            (Proto.decide ~objective ~session_rates:p.Problem.session_rates
                ~session:(Problem.user_session p u)
                ~current:(Association.ap_of assoc u)
                ~neighbors:neighbors.(u) ~responses:!resps)

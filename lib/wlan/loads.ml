@@ -56,12 +56,9 @@ let network_total (loads : float array) =
   done;
   !acc
 
-let session_rates p = Array.init (Problem.n_sessions p) (Problem.session_rate p)
-
 (** [ap_loads p assoc] is the multicast load of every AP. *)
 let ap_loads p assoc =
-  let srates = session_rates p in
-  Array.map (fun tx -> row_sum srates tx (-1) 0.) (tx_rates p assoc)
+  Array.map (fun tx -> row_sum p.Problem.session_rates tx (-1) 0.) (tx_rates p assoc)
 
 (* Load of one AP by an eager scan of every user, for the hypothetical
    below. *)
@@ -75,7 +72,7 @@ let ap_load p assoc ~ap =
       tx.(s) <- joined_tx tx.(s) (Problem.link_rate p ~ap ~user:u)
     end
   done;
-  row_sum (session_rates p) tx (-1) 0.
+  row_sum p.Problem.session_rates tx (-1) 0.
 
 (** Total multicast load of the network: the sum of all AP loads. *)
 let total_load p assoc = network_total (ap_loads p assoc)
@@ -336,7 +333,7 @@ module Tracker = struct
         members = Array.init n_aps (fun _ -> Array.make n_s Fmap.empty);
         tx = Array.make_matrix n_aps n_s 0.;
         loads = Array.make n_aps 0.;
-        srates = session_rates p;
+        srates = p.Problem.session_rates;
         load_ms = (if n_aps = 0 then Fmap.empty else Fmap.singleton 0. n_aps);
         total = 0.;
         total_dirty = false;
